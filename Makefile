@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: all build test race lint fmt vet vet-baseline vet-sarif check chaos-smoke soak-smoke soak-resume-smoke rail-smoke controller-smoke bench bench-smoke bench-compare
+.PHONY: all build test race race-stress lint fmt vet vet-baseline vet-sarif check chaos-smoke soak-smoke soak-resume-smoke rail-smoke controller-smoke bench bench-smoke bench-compare
 
 all: check
 
@@ -19,6 +19,15 @@ test:
 ## race: run the test suite under the race detector.
 race:
 	$(GO) test -race -timeout 20m ./...
+
+## race-stress: the scheduling-dependent identity tests — Fig5's
+## parallel-vs-sequential planning and the auditor's differential
+## against the reference sweep — under the race detector, 20 times at
+## each of 1, 2 and 8 Ps, so a trial that shares mutable state with
+## another fails every time rather than one run in several.
+race-stress:
+	$(GO) test -race -count=20 -cpu 1,2,8 -run '^TestFig5ParallelMatchesSequential$$' ./internal/experiments
+	$(GO) test -race -count=20 -cpu 1,2,8 -run '^(TestAuditMatchesReference|FuzzDisjointness)$$' ./internal/invariant
 
 ## lint: formatting check, go vet, and the repo-specific analyzers
 ## (per-analyzer counts printed; unbaselined error findings fail).
@@ -160,4 +169,4 @@ bench-compare:
 	$(GO) test -run '^$$' -bench . -benchmem -benchtime $(BENCHTIME) ./internal/... | $(GO) run ./cmd/lightpath-bench -compare BENCH_baseline.json -ns-tol $(NS_TOL) -allocs-tol $(ALLOCS_TOL)
 
 ## check: everything CI runs, in the same order.
-check: build lint race chaos-smoke soak-smoke soak-resume-smoke rail-smoke controller-smoke bench-smoke
+check: build lint race race-stress chaos-smoke soak-smoke soak-resume-smoke rail-smoke controller-smoke bench-smoke

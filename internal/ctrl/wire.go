@@ -310,16 +310,21 @@ func ReadFrame(r io.Reader) ([]byte, error) {
 // returns the payload (aliasing the buffer) plus the possibly-grown
 // buffer for the next call. Serve loops thread the buffer through so a
 // connection stops allocating once it has seen its largest frame. The
-// MaxFrame check still precedes sizing, bounding growth at 64 KiB.
+// MaxFrame check still precedes sizing, bounding growth at 64 KiB. The
+// header is read into buf too: a stack array would escape through
+// io.ReadFull's interface argument and cost an allocation per frame.
 func readFrameReuse(r io.Reader, buf []byte) (payload, next []byte, err error) {
-	var hdr [frameHeaderSize]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+	if cap(buf) < frameHeaderSize {
+		buf = make([]byte, frameHeaderSize)
+	}
+	hdr := buf[:frameHeaderSize]
+	if _, err := io.ReadFull(r, hdr); err != nil {
 		if errors.Is(err, io.EOF) {
 			return nil, buf, io.EOF
 		}
 		return nil, buf, fmt.Errorf("%w: truncated header: %w", ErrBadFrame, err)
 	}
-	n := binary.LittleEndian.Uint32(hdr[:])
+	n := binary.LittleEndian.Uint32(hdr)
 	if n > MaxFrame {
 		return nil, buf, fmt.Errorf("%w: length prefix %d exceeds MaxFrame %d", ErrBadFrame, n, MaxFrame)
 	}

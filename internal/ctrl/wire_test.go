@@ -128,6 +128,30 @@ func TestReadFrameHostilePrefix(t *testing.T) {
 	}
 }
 
+// TestReadFrameReuseWarmAllocatesNothing pins the serve loop's read
+// side: once a connection's buffer has seen its largest frame, reading
+// another frame (header included) allocates nothing.
+func TestReadFrameReuseWarmAllocatesNothing(t *testing.T) {
+	frame := AppendFrame(nil, EncodeRequest(Request{Op: OpEstablish, A: 3, B: 9, Width: 2}))
+	r := bytes.NewReader(frame)
+	payload, buf, err := readFrameReuse(r, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(payload, frame[frameHeaderSize:]) {
+		t.Fatalf("payload %x, want %x", payload, frame[frameHeaderSize:])
+	}
+	allocs := testing.AllocsPerRun(200, func() {
+		r.Reset(frame)
+		if _, buf, err = readFrameReuse(r, buf); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("warm readFrameReuse allocates %v times per frame, want 0", allocs)
+	}
+}
+
 // TestAppendFramePanicsOversized documents the outbound contract: this
 // package never builds frames beyond MaxFrame, so trying is a bug, not
 // an error path.

@@ -60,11 +60,12 @@ func Fig5(buffer unit.Bytes, seed uint64) (Fig5Result, error) {
 	}
 	var res Fig5Result
 	util := core.UtilizationReport(a)
-	// Planning is read-only on the fabric, so the per-slice plans fan
-	// out over the shared instance; MaxDrop folds in slice order.
+	// PlanAllReduce reuses the fabric's simulator scratch, so each
+	// per-slice trial plans on its own clone; MaxDrop folds in slice
+	// order.
 	rows, err := engine.Map(len(util), func(si int) (Fig5Row, error) {
 		u := util[si]
-		plan, err := fabric.PlanAllReduce(a, si, buffer)
+		plan, err := fabric.Clone().PlanAllReduce(a, si, buffer)
 		if err != nil {
 			return Fig5Row{}, fmt.Errorf("experiments: plan for %s: %w", u.Slice, err)
 		}
@@ -139,11 +140,12 @@ func Sweep(buffers []unit.Bytes, seed uint64) (SweepResult, error) {
 		return SweepResult{}, err
 	}
 	res := SweepResult{Slice: "Slice-1"}
-	// Each buffer size plans independently against the read-only
-	// fabric; the crossover scan below runs on the merged, ordered
-	// points so the "smallest winning buffer" answer is unchanged.
+	// Each buffer size plans on its own clone of the fabric (planning
+	// reuses the fabric's simulator scratch); the crossover scan below
+	// runs on the merged, ordered points so the "smallest winning
+	// buffer" answer is unchanged.
 	points, err := engine.Map(len(buffers), func(i int) (SweepPoint, error) {
-		plan, err := fabric.PlanAllReduce(a, 0, buffers[i])
+		plan, err := fabric.Clone().PlanAllReduce(a, 0, buffers[i])
 		if err != nil {
 			return SweepPoint{}, err
 		}

@@ -90,6 +90,48 @@ var parallelCampaigns = []struct {
 	}},
 }
 
+// TestFig5ParallelMatchesSequential fans the Figure 5 planner and the
+// buffer sweep out with one worker per trial, so every trial plans at
+// once. A trial that shared its fabric (and with it the simulator
+// scratch) with another would fail here under -race, or diverge from
+// the sequential run without it.
+func TestFig5ParallelMatchesSequential(t *testing.T) {
+	runs := []struct {
+		name string
+		run  func() (string, error)
+	}{
+		{"fig5", func() (string, error) {
+			r, err := Fig5(64*unit.MB, 3)
+			return r.String() + renderTabular(r), err
+		}},
+		{"sweep", func() (string, error) {
+			r, err := Sweep(DefaultSweepBuffers(), 4)
+			return r.String() + renderTabular(r), err
+		}},
+	}
+	prevPar := engine.SetParallel(false)
+	prevWorkers := engine.SetWorkers(len(DefaultSweepBuffers()))
+	t.Cleanup(func() {
+		engine.SetParallel(prevPar)
+		engine.SetWorkers(prevWorkers)
+	})
+	for _, c := range runs {
+		engine.SetParallel(false)
+		seq, err := c.run()
+		if err != nil {
+			t.Fatalf("%s sequential: %v", c.name, err)
+		}
+		engine.SetParallel(true)
+		par, err := c.run()
+		if err != nil {
+			t.Fatalf("%s parallel: %v", c.name, err)
+		}
+		if seq != par {
+			t.Fatalf("%s: parallel output diverged from sequential\n--- sequential ---\n%s\n--- parallel ---\n%s", c.name, seq, par)
+		}
+	}
+}
+
 // TestParallelMatchesSequential is the golden cross-check: each
 // campaign once with the engine forced sequential, once fanned over
 // eight workers, and the rendered bytes must match exactly.

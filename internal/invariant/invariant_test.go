@@ -2,6 +2,7 @@ package invariant
 
 import (
 	"errors"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -164,6 +165,31 @@ func TestAuditCatchesEveryCorruption(t *testing.T) {
 				t.Fatal("violation missing from the process-wide tally")
 			}
 		})
+	}
+}
+
+// TestPackedSweepOrdersTiesByEnd pins the one case the comparator sort
+// left unspecified: a circuit holding two segments on one bus that
+// start together and end apart. The packed key orders them by end, so
+// the violations no longer depend on the order the segments are held
+// in — here, circuit 2 overlaps circuit 1's reach twice before its
+// longer segment takes the reach over.
+func TestPackedSweepOrdersTiesByEnd(t *testing.T) {
+	seg := func(lo, hi int) route.Segment {
+		return route.Segment{Ref: wafer.BusRef{Orient: wafer.Horizontal, Lane: 1, Bus: 3, Span: wafer.Interval{Lo: lo, Hi: hi}}}
+	}
+	want := []string{
+		"circuits 1 and 2 share a bus segment or fiber",
+		"circuits 1 and 2 share a bus segment or fiber",
+	}
+	for _, held := range [][]route.Segment{{seg(2, 9), seg(2, 3)}, {seg(2, 3), seg(2, 9)}} {
+		ctx := checkCtx{circuits: []*route.Circuit{
+			{ID: 1, Width: 1, Segments: []route.Segment{seg(0, 5)}},
+			{ID: 2, Width: 1, Segments: held},
+		}}
+		if got := checkDisjointness(nil, &ctx); !reflect.DeepEqual(got, want) {
+			t.Fatalf("segments held as %v: got %q, want %q", held, got, want)
+		}
 	}
 }
 

@@ -1,9 +1,10 @@
 package route
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 
 	"lightpath/internal/phy"
 	"lightpath/internal/rng"
@@ -38,7 +39,10 @@ type Allocator struct {
 	// is preferred (shortest path).
 	PackFibers bool
 
-	circuits map[int]*Circuit
+	// circuits holds the established circuits in ascending ID order.
+	// IDs are issued monotonically (nextID), so commit appends, Release
+	// deletes in place, and the ID-ordered accessors are plain copies.
+	circuits []*Circuit
 	nextID   int
 	// fibersUsed mirrors the rack's fiber occupancy per (trunk, row)
 	// so the packing heuristic can rank rows cheaply.
@@ -111,7 +115,6 @@ func NewAllocator(rack *wafer.Rack, r *rng.Rand) *Allocator {
 		rack:       rack,
 		loss:       phy.NewLossModel(r),
 		Budget:     phy.DefaultBudget(),
-		circuits:   make(map[int]*Circuit),
 		fibersUsed: make(map[fiberRowKey]int),
 	}
 	// Precompute the shortest-path fiber-row preference order for every
@@ -167,35 +170,27 @@ func (a *Allocator) Rack() *wafer.Rack { return a.rack }
 // have ever been issued — long-running owners (the controller daemon)
 // call this from every audit pass.
 func (a *Allocator) Circuits() []*Circuit {
-	out := make([]*Circuit, 0, len(a.circuits))
-	for _, c := range a.circuits {
-		out = append(out, c)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out
+	return a.AppendCircuits(make([]*Circuit, 0, len(a.circuits)))
 }
 
 // NumCircuits returns the live circuit count without materializing
 // the sorted slice.
 func (a *Allocator) NumCircuits() int { return len(a.circuits) }
 
-// byID orders circuits by ID for the append-style accessors.
-type byID []*Circuit
-
-func (s byID) Len() int           { return len(s) }
-func (s byID) Less(i, j int) bool { return s[i].ID < s[j].ID }
-func (s byID) Swap(i, j int)      { s[i], s[j] = s[j], s[i] }
-
 // AppendCircuits appends the established circuits to dst in ID order
 // and returns the extended slice. It is the allocation-free (given
 // capacity) form of Circuits for callers that audit on a hot path.
 func (a *Allocator) AppendCircuits(dst []*Circuit) []*Circuit {
-	start := len(dst)
-	for _, c := range a.circuits {
-		dst = append(dst, c)
-	}
-	sort.Sort(byID(dst[start:]))
-	return dst
+	return append(dst, a.circuits...)
+}
+
+// circuitIndex binary-searches the ID-ordered circuit table: the
+// position of the circuit with the given ID, or where it would be
+// inserted, and whether it is present.
+func (a *Allocator) circuitIndex(id int) (int, bool) {
+	return slices.BinarySearchFunc(a.circuits, id, func(c *Circuit, id int) int {
+		return cmp.Compare(c.ID, id)
+	})
 }
 
 // planStep is one bus span a candidate path wants.
@@ -560,7 +555,7 @@ func (a *Allocator) commit(req Request, p plan, now unit.Seconds) (c *Circuit, e
 	}
 	c.setPath(segs, fibers)
 	a.nextID++
-	a.circuits[c.ID] = c
+	a.circuits = append(a.circuits, c)
 	return c, nil
 }
 
@@ -572,12 +567,13 @@ func (a *Allocator) commit(req Request, p plan, now unit.Seconds) (c *Circuit, e
 // check is by pointer, not ID, so a clone's circuit with a coinciding
 // ID cannot free this allocator's resources.
 func (a *Allocator) Release(c *Circuit) {
-	if cur, ok := a.circuits[c.ID]; !ok || cur != c {
+	i, ok := a.circuitIndex(c.ID)
+	if !ok || a.circuits[i] != c {
 		return
 	}
 	a.beginOp()
 	defer a.endOp("release")
-	delete(a.circuits, c.ID)
+	a.circuits = slices.Delete(a.circuits, i, i+1)
 	for _, s := range c.Segments {
 		a.rack.Wafer(s.Wafer).FreeBus(s.Ref)
 	}

@@ -14,15 +14,15 @@ func (a *Allocator) Clone() *Allocator {
 		Budget:      a.Budget,
 		CheckBudget: a.CheckBudget,
 		PackFibers:  a.PackFibers,
-		circuits:    make(map[int]*Circuit, len(a.circuits)),
+		circuits:    make([]*Circuit, len(a.circuits)),
 		nextID:      a.nextID,
 		fibersUsed:  make(map[fiberRowKey]int, len(a.fibersUsed)),
 		// The row-order table is immutable after construction, so
 		// clones share it; scratch is deliberately left fresh.
 		rowOrder: a.rowOrder,
 	}
-	for id, circ := range a.circuits {
-		c.circuits[id] = circ.Clone()
+	for i, circ := range a.circuits {
+		c.circuits[i] = circ.Clone()
 	}
 	for k, v := range a.fibersUsed {
 		c.fibersUsed[k] = v

@@ -2,6 +2,7 @@ package route
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"lightpath/internal/phy"
@@ -40,14 +41,9 @@ func (a *Allocator) EncodeState(e *snapshot.Encoder) {
 	}
 
 	e.Int(a.nextID)
-	ids := make([]int, 0, len(a.circuits))
-	for id := range a.circuits {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	e.Len(len(ids))
-	for _, id := range ids {
-		encodeCircuit(e, a.circuits[id])
+	e.Len(len(a.circuits))
+	for _, c := range a.circuits {
+		encodeCircuit(e, c)
 	}
 
 	keys := make([]fiberRowKey, 0, len(a.fibersUsed))
@@ -110,7 +106,7 @@ func (a *Allocator) RestoreState(d *snapshot.Decoder) error {
 
 	a.nextID = d.Int()
 	n := d.Len()
-	a.circuits = make(map[int]*Circuit, n)
+	a.circuits = make([]*Circuit, 0, n)
 	for i := 0; i < n; i++ {
 		c := decodeCircuit(d)
 		if d.Err() != nil {
@@ -120,10 +116,11 @@ func (a *Allocator) RestoreState(d *snapshot.Decoder) error {
 			return fmt.Errorf("%w: circuit ID %d outside [0, %d)",
 				snapshot.ErrCorruptSnapshot, c.ID, a.nextID)
 		}
-		if _, dup := a.circuits[c.ID]; dup {
+		at, dup := a.circuitIndex(c.ID)
+		if dup {
 			return fmt.Errorf("%w: duplicate circuit ID %d", snapshot.ErrCorruptSnapshot, c.ID)
 		}
-		a.circuits[c.ID] = c
+		a.circuits = slices.Insert(a.circuits, at, c)
 	}
 
 	n = d.Len()
@@ -171,8 +168,11 @@ func (a *Allocator) RestoreState(d *snapshot.Decoder) error {
 // allocator's own circuit objects — Release compares pointers, so a
 // copy would not do.
 func (a *Allocator) CircuitByID(id int) (*Circuit, bool) {
-	c, ok := a.circuits[id]
-	return c, ok
+	i, ok := a.circuitIndex(id)
+	if !ok {
+		return nil, false
+	}
+	return a.circuits[i], true
 }
 
 func fiberRowKeyLess(a, b fiberRowKey) bool {

@@ -17,13 +17,6 @@ import (
 // infeasibility circuit by circuit.
 const SeveredSegmentDB = 20.0
 
-// segKey identifies one tile position of one bus lane.
-type segKey struct {
-	o    Orient
-	lane int
-	pos  int
-}
-
 // FailChip marks the tile's stacked accelerator chip as failed. The
 // photonic substrate underneath keeps working — circuits may still
 // pass through the tile's buses — but the chip can no longer terminate
@@ -97,28 +90,79 @@ func (t *Tile) SwitchHealthy(i int) bool {
 // Stuck reports whether the switch has failed into its current state.
 func (s *Switch13) Stuck() bool { return s.stuck }
 
+// The fault-induced extra loss lives in a dense per-wafer grid with
+// one cell per (orientation, lane, position): the horizontal lanes
+// first, then the vertical ones, each lane's positions contiguous. A
+// span lookup is then a walk over a subslice rather than a map probe
+// per position, and the grid's index order is the sorted (orient,
+// lane, pos) order the checkpoint encoding writes. The grid is
+// allocated on the first fault, so a healthy wafer costs nothing.
+
+// laneCells locates a bus lane in the loss grid: the index of its
+// position 0 and its position count. ok is false for a lane the wafer
+// does not have.
+func (w *Wafer) laneCells(o Orient, lane int) (base, n int, ok bool) {
+	rows, cols := w.cfg.Rows, w.cfg.Cols
+	switch {
+	case o == Horizontal && lane >= 0 && lane < rows:
+		return lane * cols, cols, true
+	case o == Vertical && lane >= 0 && lane < cols:
+		return rows*cols + lane*rows, rows, true
+	}
+	return 0, 0, false
+}
+
+// cell validates one tile position of a bus lane and returns its loss
+// grid index.
+func (w *Wafer) cell(o Orient, lane, pos int) (int, error) {
+	if _, err := w.lane(o, lane); err != nil {
+		return 0, err
+	}
+	base, limit, _ := w.laneCells(o, lane)
+	if pos < 0 || pos >= limit {
+		return 0, fmt.Errorf("wafer: %s lane %d position %d out of range [0, %d)", o, lane, pos, limit)
+	}
+	return base + pos, nil
+}
+
+// cellPos is the inverse of cell: the lane position of grid index i.
+func (w *Wafer) cellPos(i int) (o Orient, lane, pos int) {
+	rows, cols := w.cfg.Rows, w.cfg.Cols
+	if i < rows*cols {
+		return Horizontal, i / cols, i % cols
+	}
+	i -= rows * cols
+	return Vertical, i / rows, i % rows
+}
+
+// markDegraded adds extraDB at grid cell i, allocating the grid on the
+// first fault.
+func (w *Wafer) markDegraded(i int, extraDB float64) {
+	if w.loss == nil {
+		cells := 2 * w.cfg.Tiles()
+		w.loss = make([]float64, cells)
+		w.lossSet = make([]bool, cells)
+	}
+	if !w.lossSet[i] {
+		w.lossSet[i] = true
+		w.degraded++
+	}
+	w.loss[i] += extraDB
+}
+
 // DegradeSegment adds extra insertion loss at one tile position of a
 // bus lane (all buses of the lane crossing that position pay it — the
 // defect model is a contaminated routing region, not a single
 // waveguide). Losses accumulate across repeated faults.
 func (w *Wafer) DegradeSegment(o Orient, lane, pos int, extraDB float64) error {
-	if _, err := w.lane(o, lane); err != nil {
+	i, err := w.cell(o, lane, pos)
+	if err != nil {
 		return err
-	}
-	limit := w.cfg.Cols
-	if o == Vertical {
-		limit = w.cfg.Rows
-	}
-	if pos < 0 || pos >= limit {
-		return fmt.Errorf("wafer: %s lane %d position %d out of range [0, %d)", o, lane, pos, limit)
 	}
 	if extraDB < 0 {
 		return fmt.Errorf("wafer: negative degradation %g dB", extraDB)
 	}
-	if w.degraded == nil {
-		w.degraded = make(map[segKey]float64)
-	}
-	w.degraded[segKey{o: o, lane: lane, pos: pos}] += extraDB
+	w.markDegraded(i, extraDB)
 	return nil
 }
 
@@ -126,26 +170,40 @@ func (w *Wafer) DegradeSegment(o Orient, lane, pos int, extraDB float64) error {
 // position of a bus lane — the contaminated region is re-worked.
 // Repairing an undegraded position is a no-op.
 func (w *Wafer) RepairSegment(o Orient, lane, pos int) error {
-	if _, err := w.lane(o, lane); err != nil {
+	i, err := w.cell(o, lane, pos)
+	if err != nil {
 		return err
 	}
-	limit := w.cfg.Cols
-	if o == Vertical {
-		limit = w.cfg.Rows
+	if w.loss != nil && w.lossSet[i] {
+		w.lossSet[i] = false
+		w.loss[i] = 0
+		w.degraded--
 	}
-	if pos < 0 || pos >= limit {
-		return fmt.Errorf("wafer: %s lane %d position %d out of range [0, %d)", o, lane, pos, limit)
-	}
-	delete(w.degraded, segKey{o: o, lane: lane, pos: pos})
 	return nil
+}
+
+// spanLoss returns the loss cells a span of the lane crosses, in
+// position order. Positions outside the lane carry no loss and are
+// clipped; an unknown lane, an empty span or a fault-free wafer yields
+// nil.
+func (w *Wafer) spanLoss(o Orient, lane int, span Interval) []float64 {
+	base, n, ok := w.laneCells(o, lane)
+	if !ok || w.loss == nil {
+		return nil
+	}
+	lo, hi := max(span.Lo, 0), min(span.Hi, n-1)
+	if lo > hi {
+		return nil
+	}
+	return w.loss[base+lo : base+hi+1]
 }
 
 // SpanExtraLossDB sums the fault-induced extra loss a circuit crossing
 // the span of the lane would pay.
 func (w *Wafer) SpanExtraLossDB(o Orient, lane int, span Interval) float64 {
 	total := 0.0
-	for pos := span.Lo; pos <= span.Hi; pos++ {
-		total += w.degraded[segKey{o: o, lane: lane, pos: pos}]
+	for _, db := range w.spanLoss(o, lane, span) {
+		total += db
 	}
 	return total
 }
@@ -153,17 +211,17 @@ func (w *Wafer) SpanExtraLossDB(o Orient, lane int, span Interval) float64 {
 // SpanSevered reports whether any position of the span has degraded
 // past SeveredSegmentDB and must be pruned from pathfinding.
 func (w *Wafer) SpanSevered(o Orient, lane int, span Interval) bool {
-	for pos := span.Lo; pos <= span.Hi; pos++ {
-		if w.degraded[segKey{o: o, lane: lane, pos: pos}] >= SeveredSegmentDB {
+	for _, db := range w.spanLoss(o, lane, span) {
+		if db >= SeveredSegmentDB {
 			return true
 		}
 	}
 	return false
 }
 
-// DegradedSegments counts tile positions carrying fault-induced loss,
-// for health reporting.
-func (w *Wafer) DegradedSegments() int { return len(w.degraded) }
+// DegradedSegments counts tile positions carrying fault-induced loss
+// (including 0 dB records), for health reporting.
+func (w *Wafer) DegradedSegments() int { return w.degraded }
 
 // HealthReport summarizes a rack's component health for dashboards
 // and experiment output.

@@ -42,6 +42,9 @@ type Rack struct {
 	// FibersPerEdge fibers per tile row. A chain has N-1 trunks; a
 	// ring has N.
 	trunks []*fiberTrunk
+	// chips[i] is the tile hosting chip i: the wafers' row-major tile
+	// lists, concatenated. It makes TileOf a bounds check and an index.
+	chips []*Tile
 }
 
 type fiberTrunk struct {
@@ -86,6 +89,7 @@ func NewRackTopology(cfg Config, numWafers int, topo Topology) (*Rack, error) {
 		}
 		r.wafers = append(r.wafers, w)
 	}
+	r.indexChips()
 	numTrunks := numWafers - 1
 	if topo == RingTopology && numWafers >= 2 {
 		numTrunks = numWafers
@@ -98,6 +102,14 @@ func NewRackTopology(cfg Config, numWafers int, topo Topology) (*Rack, error) {
 		r.trunks = append(r.trunks, t)
 	}
 	return r, nil
+}
+
+// indexChips builds the chip→tile table from the wafers.
+func (r *Rack) indexChips() {
+	r.chips = make([]*Tile, 0, r.NumChips())
+	for _, w := range r.wafers {
+		r.chips = append(r.chips, w.tiles...)
+	}
 }
 
 // Config returns the per-wafer configuration.
@@ -144,8 +156,10 @@ func (r *Rack) ChipAt(waferIdx, row, col int) int {
 
 // TileOf returns the tile hosting a chip.
 func (r *Rack) TileOf(chip int) *Tile {
-	w, row, col := r.Place(chip)
-	return r.wafers[w].Tile(row, col)
+	if chip < 0 || chip >= len(r.chips) {
+		panic(fmt.Sprintf("wafer: chip %d out of range [0, %d)", chip, len(r.chips)))
+	}
+	return r.chips[chip]
 }
 
 // AllocFiber occupies one free fiber on the given trunk at the given

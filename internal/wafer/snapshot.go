@@ -1,5 +1,7 @@
 package wafer
 
+import "slices"
+
 // This file implements deep cloning of the hardware model so a
 // Monte-Carlo campaign can construct one pristine rack and duplicate
 // it per trial instead of re-running the full constructor. A clone is
@@ -47,12 +49,9 @@ func (w *Wafer) Clone() *Wafer {
 	for i, l := range w.vLanes {
 		c.vLanes[i] = l.clone()
 	}
-	if w.degraded != nil {
-		c.degraded = make(map[segKey]float64, len(w.degraded))
-		for k, v := range w.degraded {
-			c.degraded[k] = v
-		}
-	}
+	c.loss = slices.Clone(w.loss)
+	c.lossSet = slices.Clone(w.lossSet)
+	c.degraded = w.degraded
 	return c
 }
 
@@ -66,6 +65,7 @@ func (r *Rack) Clone() *Rack {
 	for i, w := range r.wafers {
 		c.wafers[i] = w.Clone()
 	}
+	c.indexChips()
 	c.trunks = make([]*fiberTrunk, len(r.trunks))
 	for i, t := range r.trunks {
 		nt := &fiberTrunk{used: make([][]bool, len(t.used))}

@@ -2,7 +2,6 @@ package wafer
 
 import (
 	"fmt"
-	"sort"
 
 	"lightpath/internal/snapshot"
 	"lightpath/internal/unit"
@@ -78,27 +77,17 @@ func (w *Wafer) encodeState(e *snapshot.Encoder) {
 	}
 	encodeLanes(e, w.hLanes)
 	encodeLanes(e, w.vLanes)
-	// Fault-induced degradation, in sorted key order.
-	keys := make([]segKey, 0, len(w.degraded))
-	for k := range w.degraded {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		a, b := keys[i], keys[j]
-		if a.o != b.o {
-			return a.o < b.o
+	// Fault-induced degradation, in sorted (orient, lane, pos) order —
+	// the loss grid's own index order.
+	e.Len(w.degraded)
+	for i, set := range w.lossSet {
+		if set {
+			o, lane, pos := w.cellPos(i)
+			e.Bool(o == Horizontal)
+			e.Int(lane)
+			e.Int(pos)
+			e.F64(w.loss[i])
 		}
-		if a.lane != b.lane {
-			return a.lane < b.lane
-		}
-		return a.pos < b.pos
-	})
-	e.Len(len(keys))
-	for _, k := range keys {
-		e.Bool(k.o == Horizontal)
-		e.Int(k.lane)
-		e.Int(k.pos)
-		e.F64(w.degraded[k])
 	}
 }
 
@@ -116,18 +105,22 @@ func (w *Wafer) restoreState(d *snapshot.Decoder) error {
 	if err := restoreLanes(d, w.vLanes); err != nil {
 		return err
 	}
-	w.degraded = nil
+	w.loss, w.lossSet, w.degraded = nil, nil, 0
 	n := d.Len()
-	if n > 0 {
-		w.degraded = make(map[segKey]float64, n)
-	}
-	for i := 0; i < n; i++ {
+	for i := 0; i < n && d.Err() == nil; i++ {
 		o := Vertical
 		if d.Bool() {
 			o = Horizontal
 		}
-		k := segKey{o: o, lane: d.Int(), pos: d.Int()}
-		w.degraded[k] = d.F64()
+		lane, pos, db := d.Int(), d.Int(), d.F64()
+		cell, err := w.cell(o, lane, pos)
+		if err != nil {
+			return fmt.Errorf("%w: degraded segment: %w", snapshot.ErrCorruptSnapshot, err)
+		}
+		// Marking allocates the grid on the first record; the value is
+		// then stored outright.
+		w.markDegraded(cell, 0)
+		w.loss[cell] = db
 	}
 	return d.Err()
 }

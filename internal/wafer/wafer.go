@@ -139,9 +139,13 @@ type Wafer struct {
 	// hLanes[row] and vLanes[col] are the bus lanes.
 	hLanes []*busLane
 	vLanes []*busLane
-	// degraded maps bus-lane positions to fault-induced extra loss in
-	// dB (see health.go); nil until the first fault.
-	degraded map[segKey]float64
+	// loss is the dense grid of fault-induced extra loss in dB, one
+	// cell per bus-lane position (see health.go); nil until the first
+	// fault. lossSet flags the cells carrying a fault record — a 0 dB
+	// degradation counts until repaired — and degraded counts them.
+	loss     []float64
+	lossSet  []bool
+	degraded int
 }
 
 // New constructs a wafer from the configuration.
