@@ -20,14 +20,16 @@ test:
 race:
 	$(GO) test -race -timeout 20m ./...
 
-## race-stress: the scheduling-dependent identity tests — Fig5's
-## parallel-vs-sequential planning and the auditor's differential
-## against the reference sweep — under the race detector, 20 times at
-## each of 1, 2 and 8 Ps, so a trial that shares mutable state with
-## another fails every time rather than one run in several.
+## race-stress: the scheduling-dependent tests — Fig5's
+## parallel-vs-sequential planning, the auditor's differential against
+## the reference sweep, and the daemon's concurrent connections and
+## pipelined frames over one buffered reader — under the race detector,
+## 20 times at each of 1, 2 and 8 Ps, so a trial that shares mutable
+## state with another fails every time rather than one run in several.
 race-stress:
 	$(GO) test -race -count=20 -cpu 1,2,8 -run '^TestFig5ParallelMatchesSequential$$' ./internal/experiments
 	$(GO) test -race -count=20 -cpu 1,2,8 -run '^(TestAuditMatchesReference|FuzzDisjointness)$$' ./internal/invariant
+	$(GO) test -race -count=20 -cpu 1,2,8 -run '^(TestDaemonConcurrentClients|TestServeConnPipelinedFrames)$$' ./internal/ctrl
 
 ## lint: formatting check, go vet, and the repo-specific analyzers
 ## (per-analyzer counts printed; unbaselined error findings fail).

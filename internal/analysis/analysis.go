@@ -26,7 +26,9 @@
 //     slices or maps per iteration.
 //   - parcapture: closures passed as trial bodies to engine.Map and
 //     engine.Stream may not write state captured from the enclosing
-//     scope (the data-race class fixed by hand in PR 3).
+//     scope, directly or by calling a method that writes through its
+//     receiver (the data-race class fixed by hand in PR 3, and the
+//     Fig5 shared-fabric race).
 //   - arenaescape: pooled or //lightpath:arena-marked scratch buffers
 //     may not escape the function that borrowed them (the aliasing
 //     hazard class from PR 5's arena work).

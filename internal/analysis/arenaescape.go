@@ -101,7 +101,7 @@ func checkArenaFunc(pass *Pass, fd *ast.FuncDecl, marks map[int]bool) {
 				return true
 			}
 			// append(tainted, ...) may return the same backing array.
-			if builtinName(pass, call) == "append" && len(call.Args) > 0 && owned(call.Args[0]) != nil {
+			if builtinName(pass.Info, call) == "append" && len(call.Args) > 0 && owned(call.Args[0]) != nil {
 				return true
 			}
 		}
@@ -197,7 +197,7 @@ func checkArenaFunc(pass *Pass, fd *ast.FuncDecl, marks map[int]bool) {
 					// append(dst, tainted...) smuggles the alias into dst's
 					// backing array; treat it like a direct store of the
 					// tainted argument.
-					if call, ok := ast.Unparen(n.Rhs[i]).(*ast.CallExpr); ok && builtinName(pass, call) == "append" {
+					if call, ok := ast.Unparen(n.Rhs[i]).(*ast.CallExpr); ok && builtinName(pass.Info, call) == "append" {
 						for _, a := range call.Args[min(1, len(call.Args)):] {
 							if o := owned(a); o != nil {
 								obj = o

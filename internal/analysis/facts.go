@@ -9,11 +9,11 @@ import (
 
 // This file is the shared-facts layer of the multi-pass framework. A
 // single-package analyzer sees one type-checked package at a time; the
-// interprocedural analyzers (unittaint, and any future whole-program
-// check) additionally need facts that only fall out of looking at
-// every loaded package together: which *types.Func has a body and
-// where, who calls whom, and what callers pour into a callee's
-// parameters. Facts mirrors golang.org/x/tools/go/analysis's
+// interprocedural analyzers (unittaint, parcapture, and any future
+// whole-program check) additionally need facts that only fall out of
+// looking at every loaded package together: which *types.Func has a
+// body and where, who calls whom, and what callers pour into a
+// callee's parameters. Facts mirrors golang.org/x/tools/go/analysis's
 // Pass/Fact design without the dependency: Run builds one Facts over
 // the whole package set before any analyzer executes, and every Pass
 // carries a pointer to it.
@@ -49,11 +49,11 @@ type CallSite struct {
 // Facts holds the cross-package state shared by every analyzer in one
 // Run: the symbol table of declared functions, the approximate call
 // graph, and lazily-derived interprocedural facts (parameter unit
-// taint). The call graph is approximate by design — it resolves only
-// direct calls through identifiers and selectors, not calls through
-// function values or interfaces — which is conservative in the right
-// direction for the checks built on it: a missing edge can only make
-// unittaint quieter, never wrong.
+// taint, receiver mutation). The call graph is approximate by design —
+// it resolves only direct calls through identifiers and selectors, not
+// calls through function values or interfaces — which is conservative
+// in the right direction for the checks built on it: a missing edge can
+// only make unittaint and parcapture quieter, never wrong.
 type Facts struct {
 	// Decls maps every function object declared in the loaded packages
 	// to its declaration site.
@@ -72,6 +72,8 @@ type Facts struct {
 	callerOrder []*types.Func
 	// paramUnits is the lazily-built unittaint fact; see ParamUnits.
 	paramUnits map[*types.Func][]map[*types.Named]bool
+	// mutators is the lazily-built parcapture fact; see MutatesReceiver.
+	mutators map[*types.Func]bool
 }
 
 // BuildFacts constructs the shared fact base for one analyzer run over
@@ -211,6 +213,111 @@ func (f *Facts) buildParamUnits() {
 			sets[pi][u] = true
 		}
 	}
+}
+
+// MutatesReceiver reports whether the declared method fn writes
+// through its pointer receiver: it stores to a field or element reached
+// from the receiver (a map write or an append to a field included),
+// applies delete, clear or copy to such a container, or calls a method
+// with this fact on the receiver or on something reached from it.
+// Methods outside the loaded packages never have the fact, so the
+// standard library's sync and sync/atomic types — the sanctioned way to
+// share state between goroutines — are allowlisted by construction.
+// Like the call graph, the fact errs quiet: a write through an alias, a
+// function value or an interface is missed, never invented. It is built
+// once, on first use.
+func (f *Facts) MutatesReceiver(fn *types.Func) bool {
+	if f.mutators == nil {
+		f.buildMutators()
+	}
+	return f.mutators[fn]
+}
+
+// buildMutators marks the methods that write through their receiver
+// directly, then propagates the fact up calls made on a receiver until
+// no method changes.
+func (f *Facts) buildMutators() {
+	f.mutators = map[*types.Func]bool{}
+	recvs := map[*types.Func]*types.Var{}
+	for fn, info := range f.Decls { // order-free: the loop only fills sets
+		recv := pointerReceiver(fn)
+		if recv == nil || info.Decl.Body == nil {
+			continue
+		}
+		recvs[fn] = recv
+		if writesThrough(info.Pkg.Info, info.Decl.Body, recv) {
+			f.mutators[fn] = true
+		}
+	}
+	for changed := true; changed; {
+		changed = false
+		for _, site := range f.Sites {
+			if site.Caller == nil || !f.mutators[site.Callee] {
+				continue
+			}
+			caller, _ := site.Pkg.Info.Defs[site.Caller.Name].(*types.Func)
+			recv := recvs[caller]
+			if recv == nil || f.mutators[caller] {
+				continue
+			}
+			if sel, ok := ast.Unparen(site.Call.Fun).(*ast.SelectorExpr); ok && reachedFrom(site.Pkg.Info, sel.X, recv) {
+				f.mutators[caller] = true
+				changed = true
+			}
+		}
+	}
+}
+
+// pointerReceiver returns the named receiver variable of a method with
+// a pointer receiver, or nil for functions, value receivers and
+// unnamed receivers (which no statement can write through).
+func pointerReceiver(fn *types.Func) *types.Var {
+	sig, ok := fn.Type().(*types.Signature)
+	if !ok || sig.Recv() == nil {
+		return nil
+	}
+	recv := sig.Recv()
+	if _, ok := recv.Type().(*types.Pointer); !ok || recv.Name() == "" || recv.Name() == "_" {
+		return nil
+	}
+	return recv
+}
+
+// writesThrough reports whether body stores through v: an assignment
+// or ++/-- whose target is reached from v, or delete, clear or copy
+// into a container reached from v. Assigning to v itself rebinds a
+// local and is not a write through it.
+func writesThrough(info *types.Info, body *ast.BlockStmt, v *types.Var) bool {
+	through := func(e ast.Expr) bool {
+		if _, bare := ast.Unparen(e).(*ast.Ident); bare {
+			return false
+		}
+		return reachedFrom(info, e, v)
+	}
+	found := false
+	ast.Inspect(body, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.AssignStmt:
+			for _, lhs := range n.Lhs {
+				found = found || through(lhs)
+			}
+		case *ast.IncDecStmt:
+			found = found || through(n.X)
+		case *ast.CallExpr:
+			switch builtinName(info, n) {
+			case "delete", "clear", "copy":
+				found = found || (len(n.Args) > 0 && through(n.Args[0]))
+			}
+		}
+		return !found
+	})
+	return found
+}
+
+// reachedFrom reports whether e is v or reads through it.
+func reachedFrom(info *types.Info, e ast.Expr, v *types.Var) bool {
+	id := rootIdent(e)
+	return id != nil && info.Uses[id] == v
 }
 
 // isFloat64Param reports whether a parameter type is a bare float64

@@ -118,7 +118,7 @@ func sliceAllocEvidence(pass *Pass, file *ast.File) map[types.Object]*allocEvide
 		case *ast.CompositeLit:
 			e.bare = true // []T{...}: no headroom beyond the literal
 		case *ast.CallExpr:
-			switch builtinName(pass, r) {
+			switch builtinName(pass.Info, r) {
 			case "make":
 				if len(r.Args) >= 3 {
 					e.prealloc = true
@@ -165,7 +165,7 @@ func checkHotLoopBody(pass *Pass, body *ast.BlockStmt, evidence map[types.Object
 	ast.Inspect(body, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.CallExpr:
-			switch name := builtinName(pass, n); name {
+			switch name := builtinName(pass.Info, n); name {
 			case "make", "new":
 				pass.Reportf(n.Pos(), "%s allocates inside a hot loop; hoist the buffer out of the loop or reuse scratch capacity", name)
 			case "append":
@@ -207,12 +207,12 @@ func checkHotLoopBody(pass *Pass, body *ast.BlockStmt, evidence map[types.Object
 }
 
 // builtinName returns the name of the builtin a call invokes, or "".
-func builtinName(pass *Pass, call *ast.CallExpr) string {
+func builtinName(info *types.Info, call *ast.CallExpr) string {
 	id, ok := call.Fun.(*ast.Ident)
 	if !ok {
 		return ""
 	}
-	if _, ok := pass.ObjectOf(id).(*types.Builtin); !ok {
+	if _, ok := info.Uses[id].(*types.Builtin); !ok {
 		return ""
 	}
 	return id.Name

@@ -23,7 +23,12 @@ const enginePath = "lightpath/internal/engine"
 //     p.f=v, and *p=v through a captured pointer);
 //   - append, delete, or clear applied to a captured container when
 //     the result rebinds or mutates captured state;
-//   - sends on captured channels (arrival order is schedule-dependent).
+//   - sends on captured channels (arrival order is schedule-dependent);
+//   - calls, on a captured variable or something reached from it, of a
+//     method that writes through its pointer receiver (the
+//     Facts.MutatesReceiver fact, followed through the call graph). This
+//     is the Fig5 race: every trial planned on one shared fabric, whose
+//     planning method reached a reused executor and rebuilt its maps.
 //
 // Reads of captured state stay legal — shared read-only inputs are the
 // whole point of clone-per-trial campaigns — as do writes to the
@@ -167,11 +172,17 @@ func checkTrialClosure(pass *Pass, entry string, lit *ast.FuncLit) {
 				pass.Reportf(n.Pos(), "trial closure passed to engine.%s sends on captured channel %q; arrival order depends on the worker schedule — return results and let the engine merge in index order", entry, id.Name)
 			}
 		case *ast.CallExpr:
-			if name := builtinName(pass, n); name == "delete" || name == "clear" {
+			if name := builtinName(pass.Info, n); name == "delete" || name == "clear" {
 				if len(n.Args) > 0 {
 					if id := captured(n.Args[0]); id != nil {
 						pass.Reportf(n.Pos(), "trial closure passed to engine.%s calls %s on captured %q; trials run concurrently — keep per-trial state local and merge via the returned results", entry, name, id.Name)
 					}
+				}
+			}
+			if sel, ok := ast.Unparen(n.Fun).(*ast.SelectorExpr); ok && pass.Facts != nil {
+				fn := calleeFunc(pass, n)
+				if id := captured(sel.X); id != nil && fn != nil && pass.Facts.MutatesReceiver(fn) {
+					pass.Reportf(n.Pos(), "trial closure passed to engine.%s calls %s on captured %q, which writes through its receiver; trials run concurrently — give each trial its own copy (a Clone) instead of sharing one", entry, fn.Name(), id.Name)
 				}
 			}
 		}

@@ -8,7 +8,6 @@ import (
 	"sync"
 
 	"lightpath/internal/chaos"
-	"lightpath/internal/snapshot"
 	"lightpath/internal/unit"
 )
 
@@ -140,33 +139,6 @@ func (h *Handler) ServeConn(conn net.Conn) error {
 	}
 }
 
-// frameIO is one connection's reusable wire-I/O state: a frame read
-// buffer, a payload encoder, and a frame write buffer. The zero value
-// is ready; each buffer settles at the largest frame the connection
-// has seen and is reused thereafter.
-type frameIO struct {
-	rbuf  []byte
-	enc   snapshot.Encoder
-	frame []byte
-}
-
-// read returns the next frame's payload, which aliases the read buffer
-// and is valid until the next read call.
-func (f *frameIO) read(r io.Reader) ([]byte, error) {
-	payload, buf, err := readFrameReuse(r, f.rbuf)
-	f.rbuf = buf
-	return payload, err
-}
-
-// write frames the encoder's current payload and writes it in one call.
-func (f *frameIO) write(w io.Writer) error {
-	f.frame = AppendFrame(f.frame[:0], f.enc.Bytes())
-	if _, err := w.Write(f.frame); err != nil {
-		return fmt.Errorf("ctrl: write frame: %w", err)
-	}
-	return nil
-}
-
 // Serve accepts connections until the listener closes, answering each
 // connection on its own goroutine. It returns nil when the listener
 // shuts down.
@@ -192,10 +164,11 @@ func (h *Handler) Serve(l net.Listener) error {
 // Client speaks the controller protocol over one connection. It is
 // safe for concurrent use; calls are serialized on the wire.
 type Client struct {
-	mu   sync.Mutex
-	conn io.ReadWriter
-	next uint64
-	fio  frameIO // reusable wire buffers, guarded by mu
+	mu     sync.Mutex
+	conn   io.ReadWriter
+	next   uint64
+	fio    frameIO // reusable wire buffers, guarded by mu
+	detail string  // the last response's Detail, shared by a next one that matches
 }
 
 // NewClient wraps an established connection.
@@ -218,13 +191,14 @@ func (c *Client) Call(req Request) (Response, error) {
 	if err != nil {
 		return Response{}, err
 	}
-	resp, err := DecodeResponse(payload)
+	resp, err := decodeResponse(payload, c.detail)
 	if err != nil {
 		return Response{}, err
 	}
 	if resp.ID != req.ID {
 		return Response{}, fmt.Errorf("%w: response id %d for request %d", ErrBadFrame, resp.ID, req.ID)
 	}
+	c.detail = resp.Detail
 	return resp, nil
 }
 

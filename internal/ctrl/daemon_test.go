@@ -5,6 +5,7 @@ import (
 	"net"
 	"path/filepath"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"lightpath/internal/invariant"
@@ -240,4 +241,151 @@ func TestHandlerPeriodicCheckpoint(t *testing.T) {
 	if resp.Status != StatusOK {
 		t.Fatalf("service degraded after checkpoint failure: %+v", resp)
 	}
+}
+
+// countingConn counts the Read calls made on a connection; the count
+// is read from the test goroutine while the serve goroutine reads.
+type countingConn struct {
+	net.Conn
+	reads atomic.Int64
+}
+
+func (c *countingConn) Read(p []byte) (int, error) {
+	n, err := c.Conn.Read(p)
+	c.reads.Add(1)
+	return n, err
+}
+
+// servePipe runs ServeConn for a fresh handler on one end of a
+// net.Pipe and returns both ends, each counting its reads. Cleanup
+// hangs up the client end and demands a clean return.
+func servePipe(t testing.TB, cfg Config, tick unit.Seconds) (server, client *countingConn) {
+	t.Helper()
+	s, err := NewServer(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(invariant.ResetGlobal)
+	h := NewHandler(s, tick)
+	srvEnd, cliEnd := net.Pipe()
+	server, client = &countingConn{Conn: srvEnd}, &countingConn{Conn: cliEnd}
+	done := make(chan error, 1)
+	go func() { done <- h.ServeConn(server) }()
+	t.Cleanup(func() {
+		client.Close()
+		if err := <-done; err != nil {
+			t.Errorf("ServeConn returned %v after the client hung up", err)
+		}
+	})
+	return server, client
+}
+
+// TestServeConnOneReadPerFrame pins the transport's syscall budget: a
+// request/response exchange costs exactly one Read on the server and
+// one on the client, the frame's header and payload arriving together.
+func TestServeConnOneReadPerFrame(t *testing.T) {
+	server, client := servePipe(t, Config{Seed: 26}, unit.Microsecond)
+	c := NewClient(client)
+	for i := int64(1); i <= 50; i++ {
+		req := Request{Op: OpEstablish, A: 2, B: 17, Width: 1}
+		if i%2 == 0 {
+			req = Request{Op: OpRelease, Circuit: int(i / 2)}
+		}
+		if _, err := c.Call(req); err != nil {
+			t.Fatalf("call %d: %v", i, err)
+		}
+		if s, cl := server.reads.Load(), client.reads.Load(); s != i || cl != i {
+			t.Fatalf("after %d calls: %d server reads and %d client reads, want %d each", i, s, cl, i)
+		}
+	}
+}
+
+// TestServeConnPipelinedFrames sends several requests in one Write: the
+// server must take them in a single Read and answer each, in order,
+// from its buffer.
+func TestServeConnPipelinedFrames(t *testing.T) {
+	server, client := servePipe(t, Config{Seed: 27}, unit.Microsecond)
+	var burst []byte
+	const n = 3
+	for id := uint64(1); id <= n; id++ {
+		a := 2 * int(id)
+		burst = AppendFrame(burst, EncodeRequest(Request{ID: id, Op: OpEstablish, A: a, B: a + 1, Width: 1}))
+	}
+	if _, err := client.Write(burst); err != nil {
+		t.Fatal(err)
+	}
+	var fio frameIO
+	circuits := map[int]bool{}
+	for id := uint64(1); id <= n; id++ {
+		payload, err := fio.read(client)
+		if err != nil {
+			t.Fatalf("response %d: %v", id, err)
+		}
+		resp, err := DecodeResponse(payload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.ID != id || resp.Status != StatusOK || circuits[resp.Circuit] {
+			t.Fatalf("response %d of the burst: %+v (circuits so far %v)", id, resp, circuits)
+		}
+		circuits[resp.Circuit] = true
+	}
+	if got := server.reads.Load(); got != 1 {
+		t.Fatalf("server read the %d-frame burst in %d reads, want 1", n, got)
+	}
+}
+
+// TestClientCallWarmAllocatesNothing pins a warm exchange's
+// allocations, counting both ends (the server runs in this process). A
+// release answered OK and an establish shed as Overloaded — whose
+// detail the client shares with the previous response instead of
+// copying — allocate nothing. An establish answered OK allocates
+// exactly one object: the route.Circuit record the allocator keeps for
+// the granted circuit, which is fabric state, not wire cost.
+func TestClientCallWarmAllocatesNothing(t *testing.T) {
+	const runs = 20
+	call := func(t *testing.T, c *Client, req Request, want Status) Response {
+		resp, err := c.Call(req)
+		if err != nil || resp.Status != want {
+			t.Fatalf("%s: %+v, %v; want %s", req.Op, resp, err, want)
+		}
+		return resp
+	}
+	check := func(t *testing.T, want float64, run func()) {
+		if allocs := testing.AllocsPerRun(runs, run); allocs != want {
+			t.Fatalf("warm call allocates %v times, want %v", allocs, want)
+		}
+	}
+	establish := func(i int) Request { return Request{Op: OpEstablish, A: 2 * i, B: 2*i + 1, Width: 1} }
+	t.Run("release", func(t *testing.T) {
+		_, client := servePipe(t, Config{Seed: 28}, unit.Microsecond)
+		c := NewClient(client)
+		var held []int
+		for i := 0; i <= runs; i++ { // AllocsPerRun adds one warm-up run
+			held = append(held, call(t, c, establish(i), StatusOK).Circuit)
+		}
+		check(t, 0, func() {
+			call(t, c, Request{Op: OpRelease, Circuit: held[0]}, StatusOK)
+			held = held[1:]
+		})
+	})
+	t.Run("establish", func(t *testing.T) {
+		_, client := servePipe(t, Config{Seed: 28}, unit.Microsecond)
+		c := NewClient(client)
+		check(t, 1, func() {
+			resp := call(t, c, establish(2), StatusOK)
+			call(t, c, Request{Op: OpRelease, Circuit: resp.Circuit}, StatusOK)
+		})
+	})
+	t.Run("overloaded", func(t *testing.T) {
+		// A zero tick lands every request on one virtual instant, so
+		// once QueueCap establishes are admitted every later one is shed.
+		const queueCap = 4
+		_, client := servePipe(t, Config{Seed: 29, QueueCap: queueCap}, 0)
+		c := NewClient(client)
+		for i := 0; i < queueCap; i++ {
+			call(t, c, establish(i), StatusOK)
+		}
+		check(t, 0, func() { call(t, c, establish(0), StatusOverloaded) })
+	})
 }

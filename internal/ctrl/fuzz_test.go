@@ -3,8 +3,8 @@ package ctrl
 import (
 	"bytes"
 	"errors"
-	"io"
 	"testing"
+	"testing/iotest"
 
 	"lightpath/internal/unit"
 )
@@ -12,8 +12,9 @@ import (
 // FuzzCtrlDecode throws arbitrary bytes at every inbound parser the
 // daemon exposes to the network: the frame reader and both payload
 // decoders. The contract under fuzzing is total: no panic, no hang, no
-// unbounded allocation, and every failure classified — ReadFrame
-// returns io.EOF or wraps ErrBadFrame, the decoders wrap ErrBadFrame.
+// unbounded allocation, and every failure classified — the buffered
+// frame reader returns io.EOF or wraps ErrBadFrame, exactly as the
+// unbuffered reference does, and the decoders wrap ErrBadFrame.
 // A request that decodes successfully must re-encode byte-identically
 // (request payloads are all fixed-width fields, so the codec has
 // exactly one representation; responses carry uvarint-prefixed
@@ -43,20 +44,28 @@ func FuzzCtrlDecode(f *testing.F) {
 			t.Fatalf("DecodeResponse error outside taxonomy: %v", err)
 		}
 
-		// Frame reader over the same bytes: consume frames until the
-		// stream ends or turns hostile, with every outcome classified.
-		r := bytes.NewReader(data)
-		for {
-			payload, err := ReadFrame(r)
-			if err != nil {
-				if !errors.Is(err, io.EOF) && !errors.Is(err, ErrBadFrame) {
-					t.Fatalf("ReadFrame error outside taxonomy: %v", err)
-				}
-				break
+		// Frame reader over the same bytes, one byte per Read so every
+		// split point is hit: consume frames until the stream ends or
+		// turns hostile. Every outcome is classified and matches the
+		// unbuffered reference reader's, and the buffer stays within
+		// the wire bound.
+		var fio frameIO
+		got := bufferedFrames(&fio, iotest.OneByteReader(bytes.NewReader(data)))
+		want := referenceFrames(bytes.NewReader(data))
+		if len(got) != len(want) {
+			t.Fatalf("frameIO made %d reads, reference %d", len(got), len(want))
+		}
+		for k := range want {
+			if got[k] != want[k] {
+				t.Fatalf("read %d: frameIO %d bytes %s, reference %d bytes %s",
+					k, len(got[k].payload), got[k].class, len(want[k].payload), want[k].class)
 			}
-			if len(payload) > MaxFrame {
-				t.Fatalf("ReadFrame returned %d bytes beyond MaxFrame", len(payload))
-			}
+		}
+		if last := got[len(got)-1].class; last != "eof" && last != "bad-frame" {
+			t.Fatalf("frameIO error outside taxonomy: %s", last)
+		}
+		if len(fio.rbuf) > MaxFrame+frameHeaderSize {
+			t.Fatalf("frameIO buffer grew to %d bytes, beyond MaxFrame plus the header", len(fio.rbuf))
 		}
 	})
 }

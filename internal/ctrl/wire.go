@@ -243,6 +243,14 @@ func EncodeResponseTo(e *snapshot.Encoder, resp Response) {
 // DecodeResponse parses a response payload. Malformed payloads return
 // an error wrapping ErrBadFrame.
 func DecodeResponse(payload []byte) (Response, error) {
+	return decodeResponse(payload, "")
+}
+
+// decodeResponse is DecodeResponse for a caller that decodes a stream
+// of responses: when the detail bytes spell prevDetail, the response
+// shares that string instead of allocating a copy, so a client shed
+// again and again with the same message decodes without allocating.
+func decodeResponse(payload []byte, prevDetail string) (Response, error) {
 	d := snapshot.NewDecoder(payload)
 	resp := Response{
 		ID:       d.U64(),
@@ -250,7 +258,7 @@ func DecodeResponse(payload []byte) (Response, error) {
 		Circuit:  d.Int(),
 		Width:    d.Int(),
 		Degraded: d.Bool(),
-		Detail:   d.String(),
+		Detail:   sameString(d.StringBytes(), prevDetail),
 		Queue:    d.Int(),
 		Circuits: d.Int(),
 	}
@@ -275,6 +283,105 @@ func DecodeResponse(payload []byte) (Response, error) {
 	return resp, nil
 }
 
+// sameString returns prev when b spells it, and a fresh string of b
+// otherwise. The comparison converts b without allocating.
+func sameString(b []byte, prev string) string {
+	if string(b) == prev {
+		return prev
+	}
+	return string(b)
+}
+
+// readBufSize is a connection's initial read buffer: room for several
+// controller frames, so frames that arrive together are read together.
+const readBufSize = 512
+
+// frameIO is one connection's reusable wire-I/O state: a buffered
+// frame reader, a payload encoder, and a frame write buffer. The zero
+// value is ready; each buffer settles at the largest frame the
+// connection has seen and is reused thereafter.
+type frameIO struct {
+	// rbuf[r:w] holds bytes read from the connection but not yet
+	// returned in a frame. rerr is a read error that arrived together
+	// with data; it is reported once that data is used up.
+	rbuf []byte
+	r, w int
+	rerr error
+
+	enc   snapshot.Encoder
+	frame []byte
+}
+
+// read returns the next frame's payload, which aliases the read buffer
+// and is valid until the next read call. It calls r.Read only when less
+// than a whole frame is buffered, and keeps the bytes after the frame
+// for the next call, so pipelined frames cost no further reads. io.EOF
+// means the stream ended at a frame boundary with nothing buffered. A
+// torn header or payload, or a length prefix beyond MaxFrame, wraps
+// ErrBadFrame; the prefix is checked from the four header bytes before
+// the buffer grows, so the buffer never exceeds MaxFrame plus the
+// header.
+func (f *frameIO) read(r io.Reader) ([]byte, error) {
+	if err := f.fill(r, frameHeaderSize); err != nil {
+		if errors.Is(err, io.EOF) {
+			return nil, io.EOF
+		}
+		return nil, fmt.Errorf("%w: truncated header: %w", ErrBadFrame, err)
+	}
+	n := binary.LittleEndian.Uint32(f.rbuf[f.r:])
+	if n > MaxFrame {
+		return nil, fmt.Errorf("%w: length prefix %d exceeds MaxFrame %d", ErrBadFrame, n, MaxFrame)
+	}
+	size := frameHeaderSize + int(n)
+	if err := f.fill(r, size); err != nil {
+		return nil, fmt.Errorf("%w: truncated payload (%d declared): %w", ErrBadFrame, n, err)
+	}
+	payload := f.rbuf[f.r+frameHeaderSize : f.r+size]
+	f.r += size
+	return payload, nil
+}
+
+// fill makes at least need bytes available at rbuf[r:]. Before reading
+// it slides the unread bytes to the front of the buffer, so each Read
+// gets all the room there is; the buffer is allocated on first use and
+// grows to exactly need only when a frame is larger than the whole
+// buffer. A stream that ends short returns io.EOF if nothing was
+// buffered and io.ErrUnexpectedEOF otherwise.
+func (f *frameIO) fill(r io.Reader, need int) error {
+	if f.w-f.r >= need {
+		return nil
+	}
+	buf := f.rbuf
+	if need > len(buf) {
+		buf = make([]byte, max(need, readBufSize))
+	}
+	f.w = copy(buf, f.rbuf[f.r:f.w])
+	f.r = 0
+	f.rbuf = buf
+	for f.w < need {
+		if err := f.rerr; err != nil {
+			f.rerr = nil
+			if errors.Is(err, io.EOF) && f.w > 0 {
+				return io.ErrUnexpectedEOF
+			}
+			return err
+		}
+		var m int
+		m, f.rerr = r.Read(buf[f.w:])
+		f.w += m
+	}
+	return nil
+}
+
+// write frames the encoder's current payload and writes it in one call.
+func (f *frameIO) write(w io.Writer) error {
+	f.frame = AppendFrame(f.frame[:0], f.enc.Bytes())
+	if _, err := w.Write(f.frame); err != nil {
+		return fmt.Errorf("ctrl: write frame: %w", err)
+	}
+	return nil
+}
+
 // AppendFrame appends a length-prefixed frame carrying the payload.
 // It panics if the payload exceeds MaxFrame — outbound frames are
 // built by this package and can never legitimately be that large.
@@ -293,47 +400,4 @@ func WriteFrame(w io.Writer, payload []byte) error {
 		return fmt.Errorf("ctrl: write frame: %w", err)
 	}
 	return nil
-}
-
-// ReadFrame reads one length-prefixed frame from r and returns its
-// payload in a fresh buffer. A clean end of stream (EOF before any
-// header byte) returns io.EOF; a truncated header or payload, or a
-// length prefix beyond MaxFrame, returns an error wrapping ErrBadFrame.
-// The length is validated before the payload buffer is allocated, so a
-// hostile prefix cannot drive a giant allocation.
-func ReadFrame(r io.Reader) ([]byte, error) {
-	payload, _, err := readFrameReuse(r, nil)
-	return payload, err
-}
-
-// readFrameReuse reads one frame into buf, growing it as needed, and
-// returns the payload (aliasing the buffer) plus the possibly-grown
-// buffer for the next call. Serve loops thread the buffer through so a
-// connection stops allocating once it has seen its largest frame. The
-// MaxFrame check still precedes sizing, bounding growth at 64 KiB. The
-// header is read into buf too: a stack array would escape through
-// io.ReadFull's interface argument and cost an allocation per frame.
-func readFrameReuse(r io.Reader, buf []byte) (payload, next []byte, err error) {
-	if cap(buf) < frameHeaderSize {
-		buf = make([]byte, frameHeaderSize)
-	}
-	hdr := buf[:frameHeaderSize]
-	if _, err := io.ReadFull(r, hdr); err != nil {
-		if errors.Is(err, io.EOF) {
-			return nil, buf, io.EOF
-		}
-		return nil, buf, fmt.Errorf("%w: truncated header: %w", ErrBadFrame, err)
-	}
-	n := binary.LittleEndian.Uint32(hdr)
-	if n > MaxFrame {
-		return nil, buf, fmt.Errorf("%w: length prefix %d exceeds MaxFrame %d", ErrBadFrame, n, MaxFrame)
-	}
-	if uint32(cap(buf)) < n {
-		buf = make([]byte, n)
-	}
-	payload = buf[:n]
-	if _, err := io.ReadFull(r, payload); err != nil {
-		return nil, buf, fmt.Errorf("%w: truncated payload (%d declared): %w", ErrBadFrame, n, err)
-	}
-	return payload, buf, nil
 }

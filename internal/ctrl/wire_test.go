@@ -12,10 +12,12 @@ import (
 )
 
 // TestWireRoundTrip pushes seeded random requests and responses
-// through encode -> frame -> read -> decode and demands exact
+// through encode -> frame -> buffered read -> decode and demands exact
 // reconstruction.
 func TestWireRoundTrip(t *testing.T) {
 	r := rng.New(99)
+	var buf bytes.Buffer
+	var fio frameIO // one reader across every frame, as on a connection
 	for i := 0; i < 500; i++ {
 		req := Request{
 			ID:       r.Uint64(),
@@ -26,11 +28,10 @@ func TestWireRoundTrip(t *testing.T) {
 			Circuit:  r.Intn(1000) - 1,
 			Deadline: unit.Seconds(r.Float64()) * unit.Millisecond,
 		}
-		var buf bytes.Buffer
 		if err := WriteFrame(&buf, EncodeRequest(req)); err != nil {
 			t.Fatal(err)
 		}
-		payload, err := ReadFrame(&buf)
+		payload, err := fio.read(&buf)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -61,7 +62,7 @@ func TestWireRoundTrip(t *testing.T) {
 		if err := WriteFrame(&buf, EncodeResponse(resp)); err != nil {
 			t.Fatal(err)
 		}
-		payload, err = ReadFrame(&buf)
+		payload, err = fio.read(&buf)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -109,46 +110,49 @@ func TestWireMalformed(t *testing.T) {
 }
 
 // TestReadFrameHostilePrefix checks the length prefix is validated
-// before any allocation, and stream endings are classified: clean EOF
+// before the buffer grows, and stream endings are classified: clean EOF
 // at a frame boundary is io.EOF, everything else wraps ErrBadFrame.
 func TestReadFrameHostilePrefix(t *testing.T) {
+	read := func(data []byte) error {
+		var f frameIO
+		_, err := f.read(bytes.NewReader(data))
+		return err
+	}
 	// 4 GiB declared length: must reject from the 4 header bytes alone.
-	if _, err := ReadFrame(bytes.NewReader([]byte{0xff, 0xff, 0xff, 0xff})); !errors.Is(err, ErrBadFrame) {
+	if err := read([]byte{0xff, 0xff, 0xff, 0xff}); !errors.Is(err, ErrBadFrame) {
 		t.Fatalf("oversized prefix: %v", err)
 	}
-	if _, err := ReadFrame(bytes.NewReader(nil)); !errors.Is(err, io.EOF) {
+	if err := read(nil); !errors.Is(err, io.EOF) {
 		t.Fatalf("clean EOF: %v", err)
 	}
-	if _, err := ReadFrame(bytes.NewReader([]byte{0x01, 0x00})); !errors.Is(err, ErrBadFrame) {
+	if err := read([]byte{0x01, 0x00}); !errors.Is(err, ErrBadFrame) {
 		t.Fatalf("torn header: %v", err)
 	}
 	// Declared 10 payload bytes, delivered 3.
-	if _, err := ReadFrame(bytes.NewReader([]byte{0x0a, 0x00, 0x00, 0x00, 1, 2, 3})); !errors.Is(err, ErrBadFrame) {
+	if err := read([]byte{0x0a, 0x00, 0x00, 0x00, 1, 2, 3}); !errors.Is(err, ErrBadFrame) {
 		t.Fatalf("torn payload: %v", err)
 	}
-}
+	// Declared 10, delivered none: torn, never mistaken for a clean end.
+	if err := read([]byte{0x0a, 0x00, 0x00, 0x00}); !errors.Is(err, ErrBadFrame) || errors.Is(err, io.EOF) {
+		t.Fatalf("header without payload: %v", err)
+	}
 
-// TestReadFrameReuseWarmAllocatesNothing pins the serve loop's read
-// side: once a connection's buffer has seen its largest frame, reading
-// another frame (header included) allocates nothing.
-func TestReadFrameReuseWarmAllocatesNothing(t *testing.T) {
-	frame := AppendFrame(nil, EncodeRequest(Request{Op: OpEstablish, A: 3, B: 9, Width: 2}))
-	r := bytes.NewReader(frame)
-	payload, buf, err := readFrameReuse(r, nil)
-	if err != nil {
-		t.Fatal(err)
+	// A hostile prefix behind a good frame in the same chunk: the frame
+	// is served from the buffer, then the prefix is rejected with
+	// neither another Read nor a grown buffer.
+	good := EncodeRequest(Request{Op: OpHealth})
+	chunk := append(AppendFrame(nil, good), 0xff, 0xff, 0xff, 0xff, 1, 2, 3)
+	cr := &countingReader{r: bytes.NewReader(chunk)}
+	var f frameIO
+	payload, err := f.read(cr)
+	if err != nil || !bytes.Equal(payload, good) {
+		t.Fatalf("good frame before the hostile prefix: %x, %v", payload, err)
 	}
-	if !bytes.Equal(payload, frame[frameHeaderSize:]) {
-		t.Fatalf("payload %x, want %x", payload, frame[frameHeaderSize:])
+	if _, err := f.read(cr); !errors.Is(err, ErrBadFrame) {
+		t.Fatalf("buffered hostile prefix: %v", err)
 	}
-	allocs := testing.AllocsPerRun(200, func() {
-		r.Reset(frame)
-		if _, buf, err = readFrameReuse(r, buf); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if allocs != 0 {
-		t.Fatalf("warm readFrameReuse allocates %v times per frame, want 0", allocs)
+	if cr.reads != 1 || len(f.rbuf) != readBufSize {
+		t.Fatalf("hostile prefix cost %d reads and a %d-byte buffer, want 1 and %d", cr.reads, len(f.rbuf), readBufSize)
 	}
 }
 

@@ -187,11 +187,9 @@ func (d *Decoder) Len() int {
 }
 
 // String reads a string written by Encoder.String.
-func (d *Decoder) String() string {
-	n := d.Len()
-	b := d.take(n)
-	if b == nil {
-		return ""
-	}
-	return string(b)
-}
+func (d *Decoder) String() string { return string(d.StringBytes()) }
+
+// StringBytes reads a string written by Encoder.String and returns its
+// bytes, which alias the payload, so a caller can compare them before
+// deciding to copy.
+func (d *Decoder) StringBytes() []byte { return d.take(d.Len()) }
