@@ -22,14 +22,19 @@ race:
 
 ## race-stress: the scheduling-dependent tests — Fig5's
 ## parallel-vs-sequential planning, the auditor's differential against
-## the reference sweep, and the daemon's concurrent connections and
-## pipelined frames over one buffered reader — under the race detector,
-## 20 times at each of 1, 2 and 8 Ps, so a trial that shares mutable
-## state with another fails every time rather than one run in several.
+## the reference sweep, the daemon's concurrent connections and
+## pipelined frames over one buffered reader, the event queue's
+## differential against container/heap, and soak trials writing their
+## checkpoints concurrently through the shared kill/resume trial runner —
+## under the race detector, 20 times at each of 1, 2 and 8 Ps, so a
+## trial that shares mutable state with another fails every time
+## rather than one run in several.
 race-stress:
 	$(GO) test -race -count=20 -cpu 1,2,8 -run '^TestFig5ParallelMatchesSequential$$' ./internal/experiments
 	$(GO) test -race -count=20 -cpu 1,2,8 -run '^(TestAuditMatchesReference|FuzzDisjointness)$$' ./internal/invariant
 	$(GO) test -race -count=20 -cpu 1,2,8 -run '^(TestDaemonConcurrentClients|TestServeConnPipelinedFrames)$$' ./internal/ctrl
+	$(GO) test -race -count=20 -cpu 1,2,8 -run '^TestQueueMatchesContainerHeap$$' ./internal/evloop
+	$(GO) test -race -count=20 -cpu 1,2,8 -run '^TestKillResumeCSVIdentical$$' ./cmd/lightpath-sim
 
 ## lint: formatting check, go vet, and the repo-specific analyzers
 ## (per-analyzer counts printed; unbaselined error findings fail).

@@ -51,10 +51,9 @@ import (
 
 	"lightpath/internal/alloc"
 	"lightpath/internal/core"
-	"lightpath/internal/ctrl/loadgen"
 	"lightpath/internal/engine"
+	"lightpath/internal/evloop"
 	"lightpath/internal/experiments"
-	"lightpath/internal/fleet"
 	"lightpath/internal/netsim"
 	"lightpath/internal/route"
 	"lightpath/internal/topo"
@@ -126,6 +125,32 @@ func run(args []string, out printer) error {
 		}()
 	}
 
+	ck := experiments.Checkpointing{
+		Dir:             *checkpoint,
+		EveryEvents:     *ckptInterval,
+		KillAfterEvents: *killAt,
+		Resume:          *resume,
+	}
+	// checkpointed runs a soak or controller campaign under ck and
+	// emits it; in crash-injection mode the trials checkpointed and
+	// halted as requested, and a later -resume run completes them.
+	checkpointed := func(name string, campaign func() (fmt.Stringer, error)) error {
+		if ck.Dir != "" {
+			if err := os.MkdirAll(ck.Dir, 0o755); err != nil {
+				return fmt.Errorf("%s: checkpoint dir: %w", name, err)
+			}
+		}
+		r, err := campaign()
+		if errors.Is(err, evloop.ErrStopped) {
+			_, werr := fmt.Fprintf(out, "%s: trials stopped at event %d, checkpoints in %s\n", name, ck.KillAfterEvents, ck.Dir)
+			return werr
+		}
+		if err := emit(out, r, err); err != nil {
+			return err
+		}
+		return emitCSV(*csvDir, name, r)
+	}
+
 	commands := map[string]func() error{
 		"info": func() error { return emit(out, experiments.Info(), nil) },
 		"fig3a": func() error {
@@ -194,51 +219,14 @@ func run(args []string, out printer) error {
 			return emitCSV(*csvDir, "chaos", r)
 		},
 		"soak": func() error {
-			if *checkpoint != "" {
-				if err := os.MkdirAll(*checkpoint, 0o755); err != nil {
-					return fmt.Errorf("soak: checkpoint dir: %w", err)
-				}
-			}
-			r, err := experiments.SoakWithOptions(*seed, *trials, experiments.SoakOptions{
-				CheckpointDir:   *checkpoint,
-				EveryEvents:     *ckptInterval,
-				KillAfterEvents: *killAt,
-				Resume:          *resume,
+			return checkpointed("soak", func() (fmt.Stringer, error) {
+				return experiments.SoakWithOptions(*seed, *trials, ck)
 			})
-			if errors.Is(err, fleet.ErrStopped) {
-				// Crash-injection mode: trials checkpointed and halted
-				// as requested; a later -resume run completes them.
-				_, werr := fmt.Fprintf(out, "soak: trials stopped at event %d, checkpoints in %s\n", *killAt, *checkpoint)
-				return werr
-			}
-			if err := emit(out, r, err); err != nil {
-				return err
-			}
-			return emitCSV(*csvDir, "soak", r)
 		},
 		"controller": func() error {
-			if *checkpoint != "" {
-				if err := os.MkdirAll(*checkpoint, 0o755); err != nil {
-					return fmt.Errorf("controller: checkpoint dir: %w", err)
-				}
-			}
-			r, err := experiments.ControllerWithOptions(*seed, experiments.ControllerOptions{
-				Trials:          *trials,
-				CheckpointDir:   *checkpoint,
-				EveryEvents:     *ckptInterval,
-				KillAfterEvents: *killAt,
-				Resume:          *resume,
+			return checkpointed("controller", func() (fmt.Stringer, error) {
+				return experiments.ControllerWithOptions(*seed, experiments.ControllerOptions{Trials: *trials, Checkpointing: ck})
 			})
-			if errors.Is(err, loadgen.ErrStopped) {
-				// Crash-injection mode: trials checkpointed and halted
-				// as requested; a later -resume run completes them.
-				_, werr := fmt.Fprintf(out, "controller: trials stopped at event %d, checkpoints in %s\n", *killAt, *checkpoint)
-				return werr
-			}
-			if err := emit(out, r, err); err != nil {
-				return err
-			}
-			return emitCSV(*csvDir, "controller", r)
 		},
 		"sweep": func() error {
 			r, err := experiments.Sweep(experiments.DefaultSweepBuffers(), *seed)

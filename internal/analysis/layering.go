@@ -29,6 +29,7 @@ var LayerRanks = map[string]int{
 	"rng":          0,
 	"snapshot":     0,
 	"unit":         0,
+	"evloop":       10,
 	"sketch":       10,
 	"torus":        10,
 	"collective":   20,

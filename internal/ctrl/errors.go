@@ -67,8 +67,3 @@ var ErrBadFrame = errors.New("ctrl: malformed wire frame")
 // ErrUnknownCircuit reports a release or reroute request naming a
 // circuit ID the controller does not currently hold.
 var ErrUnknownCircuit = errors.New("ctrl: unknown circuit id")
-
-// ErrConfigMismatch reports a checkpoint written under a different
-// configuration — restoring it would silently break determinism
-// instead of continuing the run.
-var ErrConfigMismatch = errors.New("ctrl: checkpoint config does not match")

@@ -1,11 +1,10 @@
 package loadgen
 
 import (
-	"errors"
 	"fmt"
 	"sort"
 
-	"lightpath/internal/ctrl"
+	"lightpath/internal/evloop"
 	"lightpath/internal/snapshot"
 	"lightpath/internal/unit"
 )
@@ -14,7 +13,7 @@ import (
 // one snapshot-envelope file capturing the controller's full state
 // (allocator, auditor, breakers, clock, backlog, counters), every
 // agent's rng position and arrival cursor, the open sessions, the
-// event heap in its raw array layout, and the accumulated statistics.
+// event queue in its raw array layout, and the accumulated statistics.
 // Checkpoints land only on event boundaries and the chaos schedule is
 // recomputed from the config on resume, so a campaign killed at any
 // boundary resumes to a Result byte-identical to the uninterrupted
@@ -23,41 +22,25 @@ import (
 // checkpointVersion is the current campaign checkpoint format.
 const checkpointVersion = 1
 
-// ErrStopped is returned by RunCheckpointed when the campaign halted
-// at the StopAfterEvents boundary instead of draining. The kill-sweep
-// harness uses it to stop a campaign at a chosen event and Resume it.
-var ErrStopped = errors.New("loadgen: campaign stopped at checkpoint boundary")
+// checkpointEvery is the default checkpoint cadence in event
+// boundaries.
+const checkpointEvery = 4096
 
 // CheckpointOptions configures periodic snapshotting of a campaign.
-type CheckpointOptions struct {
-	// Path is the checkpoint file; the writer keeps the previous good
-	// snapshot beside it (Path + ".prev") for torn-write fallback.
-	// Empty disables checkpointing.
-	Path string
-	// EveryEvents is the checkpoint cadence in event boundaries
-	// (default 4096).
-	EveryEvents uint64
-	// StopAfterEvents, when positive, halts the campaign with
-	// ErrStopped once that many events have been processed, writing a
-	// final checkpoint first if Path is set.
-	StopAfterEvents uint64
-}
+type CheckpointOptions = evloop.Options
 
-func (o CheckpointOptions) withDefaults() CheckpointOptions {
-	if o.EveryEvents == 0 {
-		o.EveryEvents = 4096
-	}
-	return o
-}
+// ErrStopped is returned by RunCheckpointed when the campaign halted
+// at the StopAfterEvents boundary instead of draining.
+var ErrStopped = evloop.ErrStopped
 
 // RunCheckpointed executes the campaign like Run, additionally writing
 // a checkpoint every opts.EveryEvents event boundaries.
 func RunCheckpointed(cfg Config, opts CheckpointOptions) (*Result, error) {
-	c, err := build(cfg)
+	c, err := build(cfg, opts)
 	if err != nil {
 		return nil, err
 	}
-	return c.run(opts.withDefaults())
+	return c.run()
 }
 
 // Resume continues a campaign from the checkpoint at opts.Path,
@@ -66,40 +49,18 @@ func RunCheckpointed(cfg Config, opts CheckpointOptions) (*Result, error) {
 // one; because the campaign is deterministic, resuming from an older
 // boundary replays to the identical Result.
 func Resume(cfg Config, opts CheckpointOptions) (*Result, error) {
-	opts = opts.withDefaults()
-	if opts.Path == "" {
-		return nil, errors.New("loadgen: resume needs a checkpoint path")
-	}
-	version, payload, _, err := snapshot.Load(opts.Path)
+	d, err := evloop.Open(opts.Path, checkpointVersion)
 	if err != nil {
 		return nil, err
 	}
-	if version != checkpointVersion {
-		return nil, fmt.Errorf("%w: checkpoint format v%d, this build reads v%d",
-			snapshot.ErrCorruptSnapshot, version, checkpointVersion)
-	}
-	c, err := build(cfg)
+	c, err := build(cfg, opts)
 	if err != nil {
 		return nil, err
 	}
-	if err := c.restoreState(snapshot.NewDecoder(payload)); err != nil {
+	if err := c.restoreState(d); err != nil {
 		return nil, err
 	}
-	return c.run(opts)
-}
-
-// maybeCheckpoint writes a snapshot when the current event boundary is
-// on the cadence, or when the campaign is about to stop there.
-func (c *campaign) maybeCheckpoint(opts CheckpointOptions) error {
-	if opts.Path == "" {
-		return nil
-	}
-	due := c.processed%opts.EveryEvents == 0
-	stopping := opts.StopAfterEvents > 0 && c.processed >= opts.StopAfterEvents
-	if !due && !stopping {
-		return nil
-	}
-	return snapshot.Write(opts.Path, checkpointVersion, c.encodeState())
+	return c.run()
 }
 
 // configDigest encodes every campaign field that shapes the event
@@ -128,10 +89,9 @@ func (c *campaign) configDigest() []byte {
 }
 
 // encodeState serializes the full campaign at an event boundary.
-func (c *campaign) encodeState() []byte {
-	var e snapshot.Encoder
+func (c *campaign) encodeState(e *snapshot.Encoder) {
 	e.String(string(c.configDigest()))
-	c.srv.EncodeState(&e)
+	c.srv.EncodeState(e)
 
 	e.Len(len(c.agents))
 	for _, ag := range c.agents {
@@ -155,43 +115,58 @@ func (c *campaign) encodeState() []byte {
 		e.Int(s.b)
 		e.Int(s.width)
 		e.Int(int(s.phase))
-		snapshot.Unit(&e, s.firstAt)
+		snapshot.Unit(e, s.firstAt)
 		e.Int(s.circuit)
 		e.Int(s.grantWidth)
-		snapshot.Unit(&e, s.openedAt)
+		snapshot.Unit(e, s.openedAt)
 	}
 
-	// The event heap travels in its raw array layout, so the restored
-	// heap pops in exactly the original order.
-	e.Len(len(c.events))
-	for _, ev := range c.events {
-		snapshot.Unit(&e, ev.at)
-		e.Int(ev.seq)
-		e.Int(int(ev.kind))
-		e.Int(ev.agent)
-		e.Int(ev.session)
-		e.Int(ev.attempt)
-		e.Int(ev.fault)
-	}
-	e.Int(c.seq)
-	e.U64(c.processed)
+	c.events.EncodeState(e, encodeEvent)
+	e.U64(c.loop.Events())
 	e.Int(c.nextSession)
 
-	c.quant.EncodeState(&e)
+	c.quant.EncodeState(e)
 	e.Int(c.requests)
 	e.Int(c.attempts)
 	e.Int(c.retries)
 	e.Int(c.lost)
 	e.Int(c.leaked)
 	e.F64(c.goodputWS)
-	return e.Bytes()
+}
+
+func encodeEvent(e *snapshot.Encoder, ev event) {
+	e.Int(int(ev.kind))
+	e.Int(ev.agent)
+	e.Int(ev.session)
+	e.Int(ev.attempt)
+	e.Int(ev.fault)
+}
+
+// decodeEvent reads one queued event, rejecting unknown kinds and
+// fault indexes outside the recomputed schedule.
+func (c *campaign) decodeEvent(d *snapshot.Decoder) (event, error) {
+	ev := event{
+		kind:    evKind(d.Int()),
+		agent:   d.Int(),
+		session: d.Int(),
+		attempt: d.Int(),
+		fault:   d.Int(),
+	}
+	if ev.kind < evArrival || ev.kind > evFault {
+		return ev, fmt.Errorf("%w: event of unknown kind %d", snapshot.ErrCorruptSnapshot, int(ev.kind))
+	}
+	if ev.kind == evFault && (ev.fault < 0 || ev.fault >= len(c.schedule)) {
+		return ev, fmt.Errorf("%w: fault event %d outside schedule of %d",
+			snapshot.ErrCorruptSnapshot, ev.fault, len(c.schedule))
+	}
+	return ev, nil
 }
 
 // restoreState replays a checkpoint payload into a freshly built
 // campaign skeleton.
 func (c *campaign) restoreState(d *snapshot.Decoder) error {
-	if digest := d.String(); d.Err() == nil && digest != string(c.configDigest()) {
-		return ctrl.ErrConfigMismatch
+	if err := d.CheckDigest(c.configDigest()); err != nil {
+		return err
 	}
 	if err := c.srv.RestoreState(d); err != nil {
 		return err
@@ -252,29 +227,10 @@ func (c *campaign) restoreState(d *snapshot.Decoder) error {
 		}
 	}
 
-	c.events = c.events[:0]
-	n = d.Len()
-	for i := 0; i < n && d.Err() == nil; i++ {
-		ev := event{
-			at:      snapshot.DecodeUnit[unit.Seconds](d),
-			seq:     d.Int(),
-			kind:    evKind(d.Int()),
-			agent:   d.Int(),
-			session: d.Int(),
-			attempt: d.Int(),
-			fault:   d.Int(),
-		}
-		if ev.kind < evArrival || ev.kind > evFault {
-			return fmt.Errorf("%w: event of unknown kind %d", snapshot.ErrCorruptSnapshot, int(ev.kind))
-		}
-		if ev.kind == evFault && (ev.fault < 0 || ev.fault >= len(c.schedule)) {
-			return fmt.Errorf("%w: fault event %d outside schedule of %d",
-				snapshot.ErrCorruptSnapshot, ev.fault, len(c.schedule))
-		}
-		c.events = append(c.events, ev)
+	if err := c.events.RestoreState(d, c.decodeEvent); err != nil {
+		return err
 	}
-	c.seq = d.Int()
-	c.processed = d.U64()
+	c.loop.SetEvents(d.U64())
 	c.nextSession = d.Int()
 
 	if err := c.quant.RestoreState(d); err != nil {

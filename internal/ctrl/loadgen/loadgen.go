@@ -16,6 +16,7 @@ import (
 
 	"lightpath/internal/chaos"
 	"lightpath/internal/ctrl"
+	"lightpath/internal/evloop"
 	"lightpath/internal/rng"
 	"lightpath/internal/sketch"
 	"lightpath/internal/unit"
@@ -120,8 +121,8 @@ type Result struct {
 	CacheHits, CacheMisses uint64
 }
 
-// event kinds, in tie-break order within an instant only by seq — the
-// sequence counter makes the event order total.
+// event kinds. Events due at the same instant pop in push order, so
+// the kind never breaks a tie.
 type evKind int
 
 const (
@@ -131,80 +132,16 @@ const (
 	evFault                 // chaos fault hits the fabric
 )
 
-// event is one heap entry. agent is used by evArrival; session and
-// attempt by evRetry/evRelease; fault indexes the precomputed chaos
-// schedule (recomputed on resume, so only the index travels in a
-// checkpoint).
+// event is one queued event's payload. agent is used by evArrival;
+// session and attempt by evRetry/evRelease; fault indexes the
+// precomputed chaos schedule (recomputed on resume, so only the index
+// travels in a checkpoint).
 type event struct {
-	at      unit.Seconds
-	seq     int
 	kind    evKind
 	agent   int
 	session int
 	attempt int
 	fault   int
-}
-
-// eventHeap orders events by time, ties broken by issue sequence. It
-// is a typed min-heap whose sift-up/sift-down replicate
-// container/heap's algorithms exactly — the checkpoint serializes the
-// heap in its raw array layout, and the pop order feeds every golden
-// CSV, so the layout must stay bit-identical to the boxed
-// implementation this replaces (which cost two interface allocations
-// per event).
-type eventHeap []event
-
-func (h eventHeap) less(i, j int) bool {
-	if h[i].at < h[j].at {
-		return true
-	}
-	if h[j].at < h[i].at {
-		return false
-	}
-	return h[i].seq < h[j].seq
-}
-
-// push appends the event and sifts it up (container/heap's Push+up).
-func (h *eventHeap) push(ev event) {
-	*h = append(*h, ev)
-	s := *h
-	j := len(s) - 1
-	for {
-		i := (j - 1) / 2 // parent
-		if i == j || !s.less(j, i) {
-			break
-		}
-		s[i], s[j] = s[j], s[i]
-		j = i
-	}
-}
-
-// pop removes and returns the minimum event (container/heap's
-// Pop: swap root to the end, sift the new root down over the
-// shortened prefix, take the former root off the end).
-func (h *eventHeap) pop() event {
-	s := *h
-	n := len(s) - 1
-	s[0], s[n] = s[n], s[0]
-	i := 0
-	for {
-		j1 := 2*i + 1
-		if j1 >= n || j1 < 0 { // j1 < 0 after int overflow
-			break
-		}
-		j := j1 // left child
-		if j2 := j1 + 1; j2 < n && s.less(j2, j1) {
-			j = j2 // = 2*i + 2  // right child
-		}
-		if !s.less(j, i) {
-			break
-		}
-		s[i], s[j] = s[j], s[i]
-		i = j
-	}
-	ev := s[n]
-	*h = s[:n]
-	return ev
 }
 
 // phase is a session's position in its lifecycle.
@@ -246,9 +183,8 @@ type campaign struct {
 	agents   []*agentState
 	schedule []chaos.Fault
 
-	events      eventHeap
-	seq         int
-	processed   uint64
+	events      evloop.Queue[event]
+	loop        *evloop.Loop
 	nextSession int
 	sessions    map[int]*session
 	byCircuit   map[int]int // live circuit id -> session id
@@ -264,7 +200,7 @@ type campaign struct {
 
 // build constructs the campaign skeleton: server, agents, chaos
 // schedule and the initial arrival events. Deterministic from cfg.
-func build(cfg Config) (*campaign, error) {
+func build(cfg Config, opts CheckpointOptions) (*campaign, error) {
 	cfg = cfg.withDefaults()
 	srvCfg := cfg.Ctrl
 	srvCfg.Seed = cfg.Seed
@@ -278,6 +214,7 @@ func build(cfg Config) (*campaign, error) {
 		srv:       srv,
 		sessions:  make(map[int]*session),
 		byCircuit: make(map[int]int),
+		loop:      evloop.New(opts, checkpointVersion, checkpointEvery),
 		quant:     sketch.NewQuantile(0, root.Split("loadgen/sketch")),
 	}
 	chips := srv.Allocator().Rack().NumChips()
@@ -313,19 +250,12 @@ func build(cfg Config) (*campaign, error) {
 
 	// Seed the heap: each agent's first arrival, then every fault.
 	for i, ag := range c.agents {
-		c.push(event{at: unit.Seconds(ag.r.Exp(float64(cfg.MeanInterarrival))), kind: evArrival, agent: i})
+		c.events.Push(unit.Seconds(ag.r.Exp(float64(cfg.MeanInterarrival))), event{kind: evArrival, agent: i})
 	}
 	for fi, f := range c.schedule {
-		c.push(event{at: f.Time, kind: evFault, fault: fi})
+		c.events.Push(f.Time, event{kind: evFault, fault: fi})
 	}
 	return c, nil
-}
-
-// push stamps the next sequence number and inserts the event.
-func (c *campaign) push(ev event) {
-	ev.seq = c.seq
-	c.seq++
-	c.events.push(ev)
 }
 
 // Run executes the campaign to completion. The returned error is
@@ -336,28 +266,25 @@ func Run(cfg Config) (*Result, error) {
 	return RunCheckpointed(cfg, CheckpointOptions{})
 }
 
-// run drains the event heap, checkpointing at the configured cadence.
-func (c *campaign) run(opts CheckpointOptions) (*Result, error) {
-	for len(c.events) > 0 {
-		ev := c.events.pop()
+// run drains the event queue, checkpointing at the configured cadence.
+func (c *campaign) run() (*Result, error) {
+	encode := c.encodeState
+	for c.events.Len() > 0 {
+		at, ev := c.events.Pop()
 		switch ev.kind {
 		case evArrival:
-			c.onArrival(ev)
+			c.onArrival(at, ev)
 		case evRetry:
-			c.onRetry(ev)
+			c.onRetry(at, ev)
 		case evRelease:
-			c.onRelease(ev)
+			c.onRelease(at, ev)
 		case evFault:
-			if err := c.onFault(ev); err != nil {
+			if err := c.onFault(at, ev); err != nil {
 				return nil, err
 			}
 		}
-		c.processed++
-		if err := c.maybeCheckpoint(opts); err != nil {
+		if err := c.loop.Tick(encode); err != nil {
 			return nil, err
-		}
-		if opts.StopAfterEvents > 0 && c.processed >= opts.StopAfterEvents {
-			return nil, ErrStopped
 		}
 	}
 	return c.result()
@@ -365,7 +292,7 @@ func (c *campaign) run(opts CheckpointOptions) (*Result, error) {
 
 // onArrival issues agent's next fresh establish and, while the agent
 // has arrivals left, schedules the following one.
-func (c *campaign) onArrival(ev event) {
+func (c *campaign) onArrival(at unit.Seconds, ev event) {
 	ag := c.agents[ev.agent]
 	chips := c.srv.Allocator().Rack().NumChips()
 	b := (ag.chip + 1 + ag.r.Intn(chips-1)) % chips
@@ -376,48 +303,48 @@ func (c *campaign) onArrival(ev event) {
 		a:       ag.chip,
 		b:       b,
 		width:   c.cfg.Width,
-		firstAt: ev.at,
+		firstAt: at,
 		circuit: -1,
 	}
 	c.sessions[id] = s
 	c.requests++
-	c.submit(id, s, 0, ev.at)
+	c.submit(id, s, 0, at)
 
 	ag.issued++
 	if ag.issued < c.cfg.ArrivalsPerAgent {
 		gap := unit.Seconds(ag.r.Exp(float64(c.cfg.MeanInterarrival)))
-		c.push(event{at: ev.at + gap, kind: evArrival, agent: ev.agent})
+		c.events.Push(at+gap, event{kind: evArrival, agent: ev.agent})
 	}
 }
 
 // onRetry resubmits a session's pending operation. The session may be
 // gone (closed by a fault while the retry was queued) — stale retries
 // no-op.
-func (c *campaign) onRetry(ev event) {
+func (c *campaign) onRetry(at unit.Seconds, ev event) {
 	s, ok := c.sessions[ev.session]
 	if !ok || s.phase == phaseOpen {
 		return
 	}
-	c.submit(ev.session, s, ev.attempt, ev.at)
+	c.submit(ev.session, s, ev.attempt, at)
 }
 
 // onRelease submits a session's release. Stale events (circuit already
 // lost to a fault) no-op.
-func (c *campaign) onRelease(ev event) {
+func (c *campaign) onRelease(at unit.Seconds, ev event) {
 	s, ok := c.sessions[ev.session]
 	if !ok || s.phase != phaseOpen {
 		return
 	}
 	s.phase = phaseRelease
-	c.submit(ev.session, s, 0, ev.at)
+	c.submit(ev.session, s, 0, at)
 }
 
 // onFault applies one scheduled fault and reconciles every session the
 // blast radius touched: rerouted circuits keep their session (goodput
 // credited at the old width, restarted at the new), lost circuits
 // close theirs.
-func (c *campaign) onFault(ev event) error {
-	rep, err := c.srv.ApplyFault(c.schedule[ev.fault], ev.at)
+func (c *campaign) onFault(at unit.Seconds, ev event) error {
+	rep, err := c.srv.ApplyFault(c.schedule[ev.fault], at)
 	if err != nil {
 		return err
 	}
@@ -427,7 +354,7 @@ func (c *campaign) onFault(ev event) error {
 			continue
 		}
 		s := c.sessions[sid]
-		c.goodputWS += float64(s.grantWidth) * float64(ev.at-s.openedAt)
+		c.goodputWS += float64(s.grantWidth) * float64(at-s.openedAt)
 		delete(c.byCircuit, mv.OldID)
 		if mv.NewID < 0 {
 			delete(c.sessions, sid)
@@ -435,7 +362,7 @@ func (c *campaign) onFault(ev event) error {
 		}
 		s.circuit = mv.NewID
 		s.grantWidth = mv.NewWidth
-		s.openedAt = ev.at
+		s.openedAt = at
 		c.byCircuit[mv.NewID] = sid
 	}
 	return nil
@@ -482,7 +409,7 @@ func (c *campaign) submit(id int, s *session, attempt int, at unit.Seconds) {
 		c.byCircuit[resp.Circuit] = id
 		c.quant.Add(float64(done-s.firstAt) / float64(unit.Microsecond))
 		hold := unit.Seconds(ag.r.Exp(float64(c.cfg.MeanHold)))
-		c.push(event{at: done + hold, kind: evRelease, session: id})
+		c.events.Push(done+hold, event{kind: evRelease, session: id})
 
 	case resp.Status == ctrl.StatusUnknownCircuit && s.phase == phaseRelease:
 		// The circuit vanished between scheduling and submit (fault
@@ -492,7 +419,7 @@ func (c *campaign) submit(id int, s *session, attempt int, at unit.Seconds) {
 	case retryable(resp.Status) && attempt < c.cfg.Backoff.MaxRetries:
 		c.retries++
 		delay := c.cfg.Backoff.Delay(ag.r, attempt)
-		c.push(event{at: done + delay, kind: evRetry, session: id, attempt: attempt + 1})
+		c.events.Push(done+delay, event{kind: evRetry, session: id, attempt: attempt + 1})
 
 	default:
 		// Retries exhausted (or a non-retryable status): the request
@@ -533,7 +460,7 @@ func (c *campaign) result() (*Result, error) {
 		CircuitsLost:    st.CircuitsLost,
 		GoodputWS:       c.goodputWS,
 		Horizon:         horizon,
-		Events:          c.processed,
+		Events:          c.loop.Events(),
 		Violations:      c.srv.Auditor().Count(),
 		CacheHits:       st.PlanCacheHits,
 		CacheMisses:     st.PlanCacheMisses,

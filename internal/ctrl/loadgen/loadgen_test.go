@@ -1,7 +1,9 @@
 package loadgen
 
 import (
+	"bytes"
 	"errors"
+	"os"
 	"path/filepath"
 	"reflect"
 	"testing"
@@ -9,6 +11,7 @@ import (
 	"lightpath/internal/chaos"
 	"lightpath/internal/ctrl"
 	"lightpath/internal/invariant"
+	"lightpath/internal/snapshot"
 	"lightpath/internal/unit"
 )
 
@@ -127,6 +130,49 @@ func TestKillResumeAnyBoundary(t *testing.T) {
 	}
 }
 
+// TestParentCheckpointFixture holds the checkpoint format still: the
+// committed file was written by the campaign before it moved onto
+// evloop, stopped at event 500 of smallConfig(1234) with a 256-event
+// cadence. Today's campaign must write identical bytes at that
+// boundary, and resuming the committed file must reach the
+// uninterrupted Result.
+func TestParentCheckpointFixture(t *testing.T) {
+	t.Cleanup(invariant.ResetGlobal)
+	fixture, err := os.ReadFile(filepath.Join("testdata", "parent-campaign-event500.ckpt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := smallConfig(1234)
+	dir := t.TempDir()
+	path := filepath.Join(dir, "now.ckpt")
+	if _, err := RunCheckpointed(cfg, CheckpointOptions{Path: path, EveryEvents: 256, StopAfterEvents: 500}); !errors.Is(err, ErrStopped) {
+		t.Fatalf("err = %v, want ErrStopped", err)
+	}
+	got, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, fixture) {
+		t.Fatalf("checkpoint at event 500 differs from the committed one (%d vs %d bytes)", len(got), len(fixture))
+	}
+
+	want, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resumePath := filepath.Join(dir, "parent.ckpt")
+	if err := os.WriteFile(resumePath, fixture, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	out, err := Resume(cfg, CheckpointOptions{Path: resumePath, EveryEvents: 256})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(out, want) {
+		t.Fatalf("resumed committed checkpoint diverges:\n  resumed %+v\n  want    %+v", out, want)
+	}
+}
+
 // TestResumeRejectsConfigChange pins the digest gate: a checkpoint
 // taken under one campaign config must refuse to resume under another.
 func TestResumeRejectsConfigChange(t *testing.T) {
@@ -148,7 +194,7 @@ func TestResumeRejectsConfigChange(t *testing.T) {
 		bad := cfg
 		mutate(&bad)
 		invariant.ResetGlobal()
-		if _, err := Resume(bad, CheckpointOptions{Path: path}); !errors.Is(err, ctrl.ErrConfigMismatch) {
+		if _, err := Resume(bad, CheckpointOptions{Path: path}); !errors.Is(err, snapshot.ErrConfigMismatch) {
 			t.Errorf("%s change resumed anyway: %v", name, err)
 		}
 	}

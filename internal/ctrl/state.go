@@ -3,6 +3,7 @@ package ctrl
 import (
 	"fmt"
 
+	"lightpath/internal/evloop"
 	"lightpath/internal/snapshot"
 	"lightpath/internal/unit"
 )
@@ -78,10 +79,11 @@ func (s *Server) EncodeState(e *snapshot.Encoder) {
 
 // RestoreState replays state captured by EncodeState into a freshly
 // built server with the same Config. A digest mismatch returns
-// ErrConfigMismatch; structural corruption wraps ErrCorruptSnapshot.
+// snapshot.ErrConfigMismatch; structural corruption wraps
+// ErrCorruptSnapshot.
 func (s *Server) RestoreState(d *snapshot.Decoder) error {
-	if digest := d.String(); d.Err() == nil && digest != string(s.configDigest()) {
-		return ErrConfigMismatch
+	if err := d.CheckDigest(s.configDigest()); err != nil {
+		return err
 	}
 	if err := s.alloc.RestoreState(d); err != nil {
 		return err
@@ -151,19 +153,15 @@ func (s *Server) SaveCheckpoint(path string) error {
 // at path into it. A corrupted or torn primary snapshot falls back to
 // the previous good one (snapshot.Load's contract).
 func LoadCheckpoint(cfg Config, path string) (*Server, error) {
-	version, payload, _, err := snapshot.Load(path)
+	d, err := evloop.Open(path, CheckpointVersion)
 	if err != nil {
 		return nil, err
-	}
-	if version != CheckpointVersion {
-		return nil, fmt.Errorf("%w: checkpoint format v%d, this build reads v%d",
-			snapshot.ErrCorruptSnapshot, version, CheckpointVersion)
 	}
 	s, err := NewServer(cfg)
 	if err != nil {
 		return nil, err
 	}
-	if err := s.RestoreState(snapshot.NewDecoder(payload)); err != nil {
+	if err := s.RestoreState(d); err != nil {
 		return nil, err
 	}
 	return s, nil

@@ -152,12 +152,12 @@ func TestCheckpointConfigMismatch(t *testing.T) {
 	}
 	bad := cfg
 	bad.QueueCap = 9
-	if _, err := LoadCheckpoint(bad, path); !errors.Is(err, ErrConfigMismatch) {
+	if _, err := LoadCheckpoint(bad, path); !errors.Is(err, snapshot.ErrConfigMismatch) {
 		t.Fatalf("queue-cap change: %v, want ErrConfigMismatch", err)
 	}
 	bad = cfg
 	bad.Seed = 4
-	if _, err := LoadCheckpoint(bad, path); !errors.Is(err, ErrConfigMismatch) {
+	if _, err := LoadCheckpoint(bad, path); !errors.Is(err, snapshot.ErrConfigMismatch) {
 		t.Fatalf("seed change: %v, want ErrConfigMismatch", err)
 	}
 }
@@ -194,7 +194,7 @@ func TestCheckpointCorruption(t *testing.T) {
 		}
 		if _, err := LoadCheckpoint(cfg, p); err == nil {
 			t.Errorf("%s checkpoint restored without error", name)
-		} else if !errors.Is(err, snapshot.ErrCorruptSnapshot) && !errors.Is(err, ErrConfigMismatch) {
+		} else if !errors.Is(err, snapshot.ErrCorruptSnapshot) && !errors.Is(err, snapshot.ErrConfigMismatch) {
 			t.Errorf("%s: error %v outside the snapshot taxonomy", name, err)
 		}
 	}

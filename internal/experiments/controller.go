@@ -1,15 +1,12 @@
 package experiments
 
 import (
-	"errors"
 	"fmt"
-	"path/filepath"
 	"strings"
 
 	"lightpath/internal/chaos"
 	"lightpath/internal/ctrl"
 	"lightpath/internal/ctrl/loadgen"
-	"lightpath/internal/engine"
 	"lightpath/internal/invariant"
 	"lightpath/internal/unit"
 )
@@ -158,27 +155,13 @@ func cacheHitRatio(hits, misses uint64) float64 {
 	return float64(hits) / float64(hits+misses)
 }
 
-// ControllerOptions extends the load campaign with crash-tolerant
-// checkpointing, driven by lightpath-sim's -checkpoint / -resume /
-// -ckpt-interval / -kill-at flags and the controller smoke test.
+// ControllerOptions sets the load campaign's trial count and its
+// crash-tolerant checkpointing.
 type ControllerOptions struct {
 	// Trials overrides the campaign's trial count (default 8 — the
 	// full 1,024,000-request campaign).
 	Trials int
-	// CheckpointDir, when non-empty, holds one checkpoint file per
-	// trial (ctrl-trial-<i>.ckpt plus its rotated .prev).
-	CheckpointDir string
-	// EveryEvents is the per-trial checkpoint cadence in event
-	// boundaries (loadgen's default when zero).
-	EveryEvents uint64
-	// KillAfterEvents, when positive, halts every trial at that event
-	// boundary after writing a final checkpoint; the campaign then
-	// returns an error wrapping loadgen.ErrStopped.
-	KillAfterEvents uint64
-	// Resume continues each trial from its checkpoint file instead of
-	// starting fresh. The resumed campaign is byte-identical to an
-	// uninterrupted one.
-	Resume bool
+	Checkpointing
 }
 
 // Controller runs the full load campaign: 8 independent trials (1,024
@@ -199,39 +182,11 @@ func ControllerWithOptions(seed uint64, opts ControllerOptions) (ControllerResul
 	if trials < 1 {
 		return ControllerResult{}, fmt.Errorf("experiments: controller trials %d < 1", trials)
 	}
-	outcomes, err := engine.Map(trials, func(i int) (*loadgen.Result, error) {
-		cfg := controllerTrialConfig(seed + uint64(i)*ctrlTrialStride)
-		copts := loadgen.CheckpointOptions{
-			EveryEvents:     opts.EveryEvents,
-			StopAfterEvents: opts.KillAfterEvents,
-		}
-		if opts.CheckpointDir != "" {
-			copts.Path = filepath.Join(opts.CheckpointDir, fmt.Sprintf("ctrl-trial-%d.ckpt", i))
-		}
-		var out *loadgen.Result
-		var err error
-		if opts.Resume {
-			out, err = loadgen.Resume(cfg, copts)
-		} else {
-			out, err = loadgen.RunCheckpointed(cfg, copts)
-		}
-		if err != nil {
-			// An injected stop is the expected per-trial outcome in
-			// kill mode, not a campaign failure: every trial must
-			// still run and leave its checkpoint behind.
-			if opts.KillAfterEvents > 0 && errors.Is(err, loadgen.ErrStopped) {
-				return nil, nil
-			}
-			return nil, fmt.Errorf("experiments: controller trial %d: %w", i, err)
-		}
-		return out, nil
-	})
+	config := func(i int) loadgen.Config { return controllerTrialConfig(seed + uint64(i)*ctrlTrialStride) }
+	outcomes, err := checkpointedTrials(opts.Checkpointing, "controller", "ctrl", trials, config,
+		loadgen.RunCheckpointed, loadgen.Resume)
 	if err != nil {
 		return ControllerResult{}, err
-	}
-	if opts.KillAfterEvents > 0 {
-		return ControllerResult{}, fmt.Errorf("experiments: controller trials halted at event %d: %w",
-			opts.KillAfterEvents, loadgen.ErrStopped)
 	}
 	var res ControllerResult
 	for i, o := range outcomes {

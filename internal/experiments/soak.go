@@ -1,12 +1,9 @@
 package experiments
 
 import (
-	"errors"
 	"fmt"
-	"path/filepath"
 	"strings"
 
-	"lightpath/internal/engine"
 	"lightpath/internal/fleet"
 	"lightpath/internal/invariant"
 	"lightpath/internal/unit"
@@ -85,82 +82,34 @@ func (r SoakResult) CSV() ([]string, [][]string) {
 		"faults", "repairs", "mean_blast", "spares", "violations"}, rows
 }
 
-// SoakOptions extends the availability campaign with crash-tolerant
-// checkpointing, driven by lightpath-sim's -checkpoint / -resume /
-// -ckpt-interval / -kill-at flags and the soak-resume smoke test.
-type SoakOptions struct {
-	// CheckpointDir, when non-empty, holds one checkpoint file per
-	// trial (soak-trial-<i>.ckpt plus its rotated .prev).
-	CheckpointDir string
-	// EveryEvents is the per-trial checkpoint cadence in event
-	// boundaries (fleet's default when zero).
-	EveryEvents uint64
-	// KillAfterEvents, when positive, halts every trial at that event
-	// boundary after writing a final checkpoint; the campaign then
-	// returns an error wrapping fleet.ErrStopped. It simulates a
-	// mid-campaign crash for the resume smoke test.
-	KillAfterEvents uint64
-	// Resume continues each trial from its checkpoint file instead of
-	// starting fresh. The resumed campaign is byte-identical to an
-	// uninterrupted one.
-	Resume bool
-}
-
 // Soak runs the availability campaign: `trials` independent fleet
 // soaks at the default three-day horizon, fanned across CPUs by the
 // experiment engine. Each trial derives its own seed stream, every
 // trial runs under the Paranoid auditor, and the merged result is
 // byte-identical whether the trials ran sequentially or in parallel.
 func Soak(seed uint64, trials int) (SoakResult, error) {
-	return SoakWithOptions(seed, trials, SoakOptions{})
+	return SoakWithOptions(seed, trials, Checkpointing{})
 }
 
 // SoakWithOptions is Soak with checkpoint/resume control. The trial
 // configs retain the exact time series (fleet.SampleExact): the
 // golden CSV is the full series, so the campaign opts out of the
 // streaming default.
-func SoakWithOptions(seed uint64, trials int, opts SoakOptions) (SoakResult, error) {
+func SoakWithOptions(seed uint64, trials int, ck Checkpointing) (SoakResult, error) {
 	if trials < 1 {
 		return SoakResult{}, fmt.Errorf("experiments: soak trials %d < 1", trials)
 	}
-	outcomes, err := engine.Map(trials, func(i int) (*fleet.Outcome, error) {
-		cfg := fleet.Config{
+	config := func(i int) fleet.Config {
+		return fleet.Config{
 			Seed:       seed + uint64(i)*soakTrialStride,
 			Horizon:    soakHorizon,
 			Audit:      invariant.Paranoid,
 			SampleMode: fleet.SampleExact,
 		}
-		copts := fleet.CheckpointOptions{
-			EveryEvents:     opts.EveryEvents,
-			StopAfterEvents: opts.KillAfterEvents,
-		}
-		if opts.CheckpointDir != "" {
-			copts.Path = filepath.Join(opts.CheckpointDir, fmt.Sprintf("soak-trial-%d.ckpt", i))
-		}
-		var out *fleet.Outcome
-		var err error
-		if opts.Resume {
-			out, err = fleet.Resume(cfg, copts)
-		} else {
-			out, err = fleet.RunCheckpointed(cfg, copts)
-		}
-		if err != nil {
-			// An injected stop is the expected per-trial outcome in
-			// kill mode, not a campaign failure: every trial must
-			// still run and leave its checkpoint behind.
-			if opts.KillAfterEvents > 0 && errors.Is(err, fleet.ErrStopped) {
-				return nil, nil
-			}
-			return nil, fmt.Errorf("experiments: soak trial %d: %w", i, err)
-		}
-		return out, nil
-	})
+	}
+	outcomes, err := checkpointedTrials(ck, "soak", "soak", trials, config, fleet.RunCheckpointed, fleet.Resume)
 	if err != nil {
 		return SoakResult{}, err
-	}
-	if opts.KillAfterEvents > 0 {
-		return SoakResult{}, fmt.Errorf("experiments: soak trials halted at event %d: %w",
-			opts.KillAfterEvents, fleet.ErrStopped)
 	}
 	res := SoakResult{WorstAvailability: 1}
 	for i, o := range outcomes {

@@ -1,10 +1,10 @@
 package fleet
 
 import (
-	"errors"
 	"fmt"
 
 	"lightpath/internal/chaos"
+	"lightpath/internal/evloop"
 	"lightpath/internal/snapshot"
 	"lightpath/internal/unit"
 )
@@ -22,39 +22,16 @@ import (
 // checkpointVersion is the current checkpoint payload format.
 const checkpointVersion = 1
 
-// ErrStopped is returned by RunCheckpointed when the soak halted at
-// the StopAfterEvents boundary instead of reaching the horizon. The
-// crash-injection harness uses it to kill a soak at a chosen event
-// and later Resume it.
-var ErrStopped = errors.New("fleet: soak stopped at checkpoint boundary")
-
-// ErrConfigMismatch is returned by Resume when the checkpoint was
-// written by a soak with a different configuration — resuming it
-// would silently break determinism instead of continuing the run.
-var ErrConfigMismatch = errors.New("fleet: checkpoint config does not match")
+// checkpointEvery is the default checkpoint cadence in event
+// boundaries.
+const checkpointEvery = 1024
 
 // CheckpointOptions configures periodic snapshotting of a soak.
-type CheckpointOptions struct {
-	// Path is the checkpoint file; the writer keeps the previous good
-	// snapshot beside it (Path + ".prev") for torn-write fallback.
-	// Empty disables checkpointing.
-	Path string
-	// EveryEvents is the checkpoint cadence in event boundaries
-	// (default 1024).
-	EveryEvents uint64
-	// StopAfterEvents, when positive, halts the soak with ErrStopped
-	// once that many event boundaries have been processed, writing a
-	// final checkpoint first if Path is set. It exists for the
-	// crash-injection harness.
-	StopAfterEvents uint64
-}
+type CheckpointOptions = evloop.Options
 
-func (o CheckpointOptions) withDefaults() CheckpointOptions {
-	if o.EveryEvents == 0 {
-		o.EveryEvents = 1024
-	}
-	return o
-}
+// ErrStopped is returned by RunCheckpointed when the soak halted at
+// the StopAfterEvents boundary instead of reaching the horizon.
+var ErrStopped = evloop.ErrStopped
 
 // RunCheckpointed executes the soak like Run, additionally writing a
 // checkpoint every opts.EveryEvents event boundaries. The write is
@@ -65,13 +42,12 @@ func RunCheckpointed(cfg Config, opts CheckpointOptions) (*Outcome, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	opts = opts.withDefaults()
-	s, faults, err := buildSoak(cfg)
+	s, faults, err := buildSoak(cfg, opts)
 	if err != nil {
 		return nil, err
 	}
 	s.place()
-	return s.run(faults, opts)
+	return s.run(faults)
 }
 
 // Resume continues a soak from the checkpoint at opts.Path, written
@@ -85,40 +61,18 @@ func Resume(cfg Config, opts CheckpointOptions) (*Outcome, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	opts = opts.withDefaults()
-	if opts.Path == "" {
-		return nil, errors.New("fleet: resume needs a checkpoint path")
-	}
-	version, payload, _, err := snapshot.Load(opts.Path)
+	d, err := evloop.Open(opts.Path, checkpointVersion)
 	if err != nil {
 		return nil, err
 	}
-	if version != checkpointVersion {
-		return nil, fmt.Errorf("%w: checkpoint format v%d, this build reads v%d",
-			snapshot.ErrCorruptSnapshot, version, checkpointVersion)
-	}
-	s, faults, err := buildSoak(cfg)
+	s, faults, err := buildSoak(cfg, opts)
 	if err != nil {
 		return nil, err
 	}
-	if err := s.restoreState(snapshot.NewDecoder(payload), len(faults)); err != nil {
+	if err := s.restoreState(d, len(faults)); err != nil {
 		return nil, err
 	}
-	return s.run(faults, opts)
-}
-
-// maybeCheckpoint writes a snapshot when the current event boundary
-// is on the cadence, or when the soak is about to stop there.
-func (s *soak) maybeCheckpoint(opts CheckpointOptions) error {
-	if opts.Path == "" {
-		return nil
-	}
-	due := s.events%opts.EveryEvents == 0
-	stopping := opts.StopAfterEvents > 0 && s.events >= opts.StopAfterEvents
-	if !due && !stopping {
-		return nil
-	}
-	return snapshot.Write(opts.Path, checkpointVersion, s.encodeState())
+	return s.run(faults)
 }
 
 // configDigest encodes every Config field that shapes the event
@@ -150,17 +104,16 @@ func (s *soak) configDigest() []byte {
 }
 
 // encodeState serializes the full soak state at an event boundary.
-func (s *soak) encodeState() []byte {
-	var e snapshot.Encoder
+func (s *soak) encodeState(e *snapshot.Encoder) {
 	e.String(string(s.configDigest()))
-	e.U64(s.events)
+	e.U64(s.loop.Events())
 	e.Int(s.fi)
-	snapshot.Unit(&e, s.nextSample)
+	snapshot.Unit(e, s.nextSample)
 	for _, w := range s.mttr.State() {
 		e.U64(w)
 	}
-	s.alloc.EncodeState(&e)
-	s.aud.EncodeState(&e)
+	s.alloc.EncodeState(e)
+	s.aud.EncodeState(e)
 
 	e.Len(len(s.jobs))
 	for _, j := range s.jobs {
@@ -180,18 +133,10 @@ func (s *soak) encodeState() []byte {
 	}
 	e.Len(len(s.pending))
 	for _, f := range s.pending {
-		encodeFault(&e, f)
+		encodeFault(e, f)
 	}
 	e.Int(s.busy)
-	// The repair heap travels in its array layout, so the restored
-	// heap pops in exactly the original order.
-	e.Len(len(s.repairs))
-	for _, ev := range s.repairs {
-		snapshot.Unit(&e, ev.at)
-		e.Int(ev.seq)
-		encodeFault(&e, ev.fault)
-	}
-	e.Int(s.seq)
+	s.repairs.EncodeState(e, encodeFault)
 
 	e.Int(s.out.Faults)
 	e.Int(s.out.Repairs)
@@ -206,20 +151,19 @@ func (s *soak) encodeState() []byte {
 	e.F64(s.goodSum)
 	e.Len(len(s.out.Samples))
 	for _, row := range s.out.Samples {
-		encodeSample(&e, row)
+		encodeSample(e, row)
 	}
-	s.res.EncodeState(&e, encodeSample)
-	s.quant.EncodeState(&e)
-	return e.Bytes()
+	s.res.EncodeState(e, encodeSample)
+	s.quant.EncodeState(e)
 }
 
 // restoreState replays a checkpoint payload into a freshly built soak
 // skeleton. numFaults bounds the schedule cursor.
 func (s *soak) restoreState(d *snapshot.Decoder, numFaults int) error {
-	if digest := d.String(); d.Err() == nil && digest != string(s.configDigest()) {
-		return ErrConfigMismatch
+	if err := d.CheckDigest(s.configDigest()); err != nil {
+		return err
 	}
-	s.events = d.U64()
+	s.loop.SetEvents(d.U64())
 	s.fi = d.Int()
 	s.nextSample = snapshot.DecodeUnit[unit.Seconds](d)
 	var st [4]uint64
@@ -274,19 +218,15 @@ func (s *soak) restoreState(d *snapshot.Decoder, numFaults int) error {
 		s.pending = append(s.pending, decodeFault(d))
 	}
 	s.busy = d.Int()
-	n = d.Len()
-	for i := 0; i < n; i++ {
-		s.repairs = append(s.repairs, repairEvent{
-			at:    snapshot.DecodeUnit[unit.Seconds](d),
-			seq:   d.Int(),
-			fault: decodeFault(d),
-		})
+	if err := s.repairs.RestoreState(d, func(d *snapshot.Decoder) (chaos.Fault, error) {
+		return decodeFault(d), nil
+	}); err != nil {
+		return err
 	}
-	if d.Err() == nil && s.busy != len(s.repairs) {
+	if s.busy != s.repairs.Len() {
 		return fmt.Errorf("%w: %d busy crews but %d in-flight repairs",
-			snapshot.ErrCorruptSnapshot, s.busy, len(s.repairs))
+			snapshot.ErrCorruptSnapshot, s.busy, s.repairs.Len())
 	}
-	s.seq = d.Int()
 
 	s.out.Faults = d.Int()
 	s.out.Repairs = d.Int()

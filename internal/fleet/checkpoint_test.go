@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"bytes"
 	"errors"
 	"os"
 	"path/filepath"
@@ -53,6 +54,47 @@ func TestResumeByteIdenticalAtEveryBoundary(t *testing.T) {
 		}
 		os.Remove(path)
 		os.Remove(snapshot.PrevPath(path))
+	}
+}
+
+// TestParentCheckpointFixture holds the checkpoint format still: the
+// committed file was written by the soak before it moved onto
+// evloop, stopped at event 55 of crashCfg. Today's soak must write
+// identical bytes at that boundary, and resuming the committed file
+// must reach the uninterrupted Outcome.
+func TestParentCheckpointFixture(t *testing.T) {
+	fixture, err := os.ReadFile(filepath.Join("testdata", "parent-soak-event55.ckpt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := crashCfg()
+	dir := t.TempDir()
+	path := filepath.Join(dir, "now.ckpt")
+	if _, err := RunCheckpointed(cfg, CheckpointOptions{Path: path, StopAfterEvents: 55}); !errors.Is(err, ErrStopped) {
+		t.Fatalf("err = %v, want ErrStopped", err)
+	}
+	got, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, fixture) {
+		t.Fatalf("checkpoint at event 55 differs from the committed one (%d vs %d bytes)", len(got), len(fixture))
+	}
+
+	want, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resumePath := filepath.Join(dir, "parent.ckpt")
+	if err := os.WriteFile(resumePath, fixture, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	out, err := Resume(cfg, CheckpointOptions{Path: resumePath})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(out, want) {
+		t.Fatalf("resumed committed checkpoint diverges:\ngot  %+v\nwant %+v", out, want)
 	}
 }
 
@@ -135,7 +177,7 @@ func TestResumeRejectsConfigMismatch(t *testing.T) {
 	}
 	other := cfg
 	other.Seed++
-	if _, err := Resume(other, CheckpointOptions{Path: path}); !errors.Is(err, ErrConfigMismatch) {
+	if _, err := Resume(other, CheckpointOptions{Path: path}); !errors.Is(err, snapshot.ErrConfigMismatch) {
 		t.Fatalf("err = %v, want ErrConfigMismatch", err)
 	}
 }

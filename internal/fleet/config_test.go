@@ -1,11 +1,8 @@
 package fleet
 
 import (
-	"container/heap"
-	"sort"
 	"testing"
 
-	"lightpath/internal/rng"
 	"lightpath/internal/unit"
 )
 
@@ -49,58 +46,5 @@ func TestConfigValidateTable(t *testing.T) {
 				t.Errorf("validate accepted %+v", cfg)
 			}
 		})
-	}
-}
-
-// TestRepairQueueDrainOrder is a property test for the repair
-// min-heap: any push/pop interleaving drains in (completion time,
-// service order). The seq tie-break is load-bearing — simultaneous
-// completions are common when MTTR draws collide — so equal times
-// must preserve service order exactly.
-func TestRepairQueueDrainOrder(t *testing.T) {
-	r := rng.New(2026)
-	for trial := 0; trial < 200; trial++ {
-		var q repairQueue
-		var expected []repairEvent
-		seq := 0
-		// Random interleaving of pushes and pops; coarse times force
-		// frequent ties so the seq ordering actually decides.
-		for op := 0; op < 60; op++ {
-			if len(q) > 0 && r.Intn(3) == 0 {
-				got := heap.Pop(&q).(repairEvent)
-				// The popped event must be the minimum of everything
-				// currently queued.
-				for _, ev := range q {
-					if ev.at < got.at || (ev.at == got.at && ev.seq < got.seq) {
-						t.Fatalf("trial %d: popped (%v, %d) before (%v, %d)",
-							trial, got.at, got.seq, ev.at, ev.seq)
-					}
-				}
-				continue
-			}
-			ev := repairEvent{at: unit.Seconds(r.Intn(8)), seq: seq}
-			seq++
-			heap.Push(&q, ev)
-			expected = append(expected, ev)
-		}
-		// Drain what's left: the concatenated pop order of a fresh
-		// copy must equal the (at, seq) sort of everything pushed.
-		var fresh repairQueue
-		for _, ev := range expected {
-			heap.Push(&fresh, ev)
-		}
-		sort.Slice(expected, func(i, j int) bool {
-			if expected[i].at != expected[j].at {
-				return expected[i].at < expected[j].at
-			}
-			return expected[i].seq < expected[j].seq
-		})
-		for i, want := range expected {
-			got := heap.Pop(&fresh).(repairEvent)
-			if got.at != want.at || got.seq != want.seq {
-				t.Fatalf("trial %d: drain[%d] = (%v, %d), want (%v, %d)",
-					trial, i, got.at, got.seq, want.at, want.seq)
-			}
-		}
 	}
 }

@@ -18,11 +18,11 @@
 package fleet
 
 import (
-	"container/heap"
 	"fmt"
 	"sort"
 
 	"lightpath/internal/chaos"
+	"lightpath/internal/evloop"
 	"lightpath/internal/invariant"
 	"lightpath/internal/rng"
 	"lightpath/internal/route"
@@ -260,36 +260,6 @@ type job struct {
 	state   jobState
 }
 
-// repairEvent is one crew finishing work on a fault.
-type repairEvent struct {
-	at    unit.Seconds
-	seq   int
-	fault chaos.Fault
-}
-
-// repairQueue is a min-heap on (completion time, service order).
-type repairQueue []repairEvent
-
-func (q repairQueue) Len() int { return len(q) }
-func (q repairQueue) Less(i, j int) bool {
-	if q[i].at < q[j].at {
-		return true
-	}
-	if q[j].at < q[i].at {
-		return false
-	}
-	return q[i].seq < q[j].seq
-}
-func (q repairQueue) Swap(i, j int) { q[i], q[j] = q[j], q[i] }
-func (q *repairQueue) Push(x any)   { *q = append(*q, x.(repairEvent)) }
-func (q *repairQueue) Pop() any {
-	old := *q
-	n := len(old)
-	ev := old[n-1]
-	*q = old[:n-1]
-	return ev
-}
-
 // soak is the running state of one Run.
 type soak struct {
 	cfg   Config
@@ -303,15 +273,16 @@ type soak struct {
 	spares  []int        // ascending chip ids
 	pending []chaos.Fault
 	busy    int
-	repairs repairQueue
-	seq     int
+	// repairs holds each crew's fault, keyed by completion time and
+	// ordered within an instant by service start.
+	repairs evloop.Queue[chaos.Fault]
 
 	// Event-loop cursors, part of the checkpoint: the index into the
-	// precomputed fault schedule, the next sample time, and the count
-	// of processed event boundaries.
+	// precomputed fault schedule, the next sample time, and the loop
+	// that counts processed event boundaries.
 	fi         int
 	nextSample unit.Seconds
-	events     uint64
+	loop       *evloop.Loop
 
 	// Streaming aggregates: running sums for the headline means
 	// (accumulated at sample time in chronological order, so both
@@ -330,7 +301,7 @@ type soak struct {
 // auditor, RNG streams, sketches, fault schedule — without tenant
 // placement, which is the part a resume replays from the checkpoint
 // instead. cfg must already have defaults applied and be valid.
-func buildSoak(cfg Config) (*soak, []chaos.Fault, error) {
+func buildSoak(cfg Config, opts CheckpointOptions) (*soak, []chaos.Fault, error) {
 	rack, err := wafer.NewRack(cfg.Wafer, cfg.Wafers)
 	if err != nil {
 		return nil, nil, err
@@ -343,6 +314,7 @@ func buildSoak(cfg Config) (*soak, []chaos.Fault, error) {
 		mttr:       root.Split("fleet/mttr"),
 		jobOf:      make(map[int]*job),
 		nextSample: cfg.SampleEvery,
+		loop:       evloop.New(opts, checkpointVersion, checkpointEvery),
 		res:        sketch.NewReservoir[Sample](cfg.ReservoirCap, root.Split("fleet/reservoir")),
 		quant:      sketch.NewQuantile(0, root.Split("fleet/sketch")),
 	}
@@ -396,7 +368,8 @@ func Run(cfg Config) (*Outcome, error) {
 // It merges the three ordered event streams; ties are broken by kind
 // — repairs land before faults, faults before samples — so the order
 // is total and reproducible.
-func (s *soak) run(faults []chaos.Fault, opts CheckpointOptions) (*Outcome, error) {
+func (s *soak) run(faults []chaos.Fault) (*Outcome, error) {
+	encode := s.encodeState
 	for {
 		const inf = unit.Seconds(1e18)
 		ft, rt, st := inf, inf, inf
@@ -405,8 +378,10 @@ func (s *soak) run(faults []chaos.Fault, opts CheckpointOptions) (*Outcome, erro
 		}
 		// Repairs finishing after the horizon are outside the soak:
 		// the clock stops at Horizon, backlog and all.
-		if len(s.repairs) > 0 && s.repairs[0].at <= s.cfg.Horizon {
-			rt = s.repairs[0].at
+		if s.repairs.Len() > 0 {
+			if at, _ := s.repairs.Peek(); at <= s.cfg.Horizon {
+				rt = at
+			}
 		}
 		if s.nextSample <= s.cfg.Horizon {
 			st = s.nextSample
@@ -416,8 +391,7 @@ func (s *soak) run(faults []chaos.Fault, opts CheckpointOptions) (*Outcome, erro
 			s.finish()
 			return &s.out, s.aud.Err()
 		case rt <= ft && rt <= st:
-			ev := heap.Pop(&s.repairs).(repairEvent)
-			s.completeRepair(ev)
+			s.completeRepair(s.repairs.Pop())
 		case ft <= st:
 			if err := s.applyFault(faults[s.fi]); err != nil {
 				return nil, err
@@ -427,12 +401,8 @@ func (s *soak) run(faults []chaos.Fault, opts CheckpointOptions) (*Outcome, erro
 			s.sample(s.nextSample)
 			s.nextSample += s.cfg.SampleEvery
 		}
-		s.events++
-		if err := s.maybeCheckpoint(opts); err != nil {
+		if err := s.loop.Tick(encode); err != nil {
 			return nil, err
-		}
-		if opts.StopAfterEvents > 0 && s.events >= opts.StopAfterEvents {
-			return nil, ErrStopped
 		}
 	}
 }
@@ -546,16 +516,14 @@ func (s *soak) dispatch(now unit.Seconds) {
 		s.pending = s.pending[1:]
 		s.busy++
 		d := unit.Seconds(s.mttr.Exp(float64(s.cfg.MeanRepair[f.Class])))
-		heap.Push(&s.repairs, repairEvent{at: now + d, seq: s.seq, fault: f})
-		s.seq++
+		s.repairs.Push(now+d, f)
 	}
 }
 
 // completeRepair restores the failed component, returns repaired
 // chips to the spare pool, and lets admission control re-admit shed
 // jobs and upgrade degraded ones against the recovered capacity.
-func (s *soak) completeRepair(ev repairEvent) {
-	f := ev.fault
+func (s *soak) completeRepair(at unit.Seconds, f chaos.Fault) {
 	switch f.Class {
 	case chaos.LaserDeath:
 		s.rack.TileOf(f.Chip).RepairLasers(1)
@@ -582,8 +550,8 @@ func (s *soak) completeRepair(ev repairEvent) {
 	if f.Class != chaos.FiberCut {
 		s.aud.Mutated("repair")
 	}
-	s.dispatch(ev.at)
-	s.recover(ev.at)
+	s.dispatch(at)
+	s.recover(at)
 }
 
 // chipInUse reports whether a chip is an endpoint of any job or
@@ -688,7 +656,7 @@ func (s *soak) sample(t unit.Seconds) {
 func (s *soak) finish() {
 	s.out.Violations = s.aud.Count()
 	s.out.Audits = s.aud.Audits()
-	s.out.Events = s.events
+	s.out.Events = s.loop.Events()
 	if s.cfg.SampleMode != SampleExact {
 		s.out.Samples = s.res.Items()
 		// Reservoir eviction scrambles slot order; sample times are

@@ -1,6 +1,7 @@
 package snapshot
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"math"
@@ -167,13 +168,16 @@ func (d *Decoder) Bool() bool {
 
 // Len reads a length written by Encoder.Len. The result is bounded by
 // the remaining payload size, so a corrupted length can never drive a
-// giant allocation or an out-of-range loop.
+// giant allocation or an out-of-range loop. Only the minimal uvarint
+// Encoder.Len writes is accepted (a multi-byte one never ends in a
+// zero byte), so every payload a Decoder accepts re-encodes to the
+// same bytes.
 func (d *Decoder) Len() int {
 	if d.err != nil {
 		return 0
 	}
 	v, n := binary.Uvarint(d.buf[d.off:])
-	if n <= 0 {
+	if n <= 0 || (n > 1 && d.buf[d.off+n-1] == 0) {
 		d.fail(fmt.Errorf("%w: bad uvarint length at offset %d", ErrCorruptSnapshot, d.off))
 		return 0
 	}
@@ -193,3 +197,19 @@ func (d *Decoder) String() string { return string(d.StringBytes()) }
 // bytes, which alias the payload, so a caller can compare them before
 // deciding to copy.
 func (d *Decoder) StringBytes() []byte { return d.take(d.Len()) }
+
+// CheckDigest reads a config digest written by Encoder.String and
+// compares it byte for byte with want, the restoring side's own
+// digest: a checkpoint only continues under the exact configuration
+// that produced it. A mismatch returns ErrConfigMismatch; a decode
+// failure returns the sticky error.
+func (d *Decoder) CheckDigest(want []byte) error {
+	got := d.StringBytes()
+	if d.err != nil {
+		return d.err
+	}
+	if !bytes.Equal(got, want) {
+		return ErrConfigMismatch
+	}
+	return nil
+}

@@ -29,6 +29,12 @@ import (
 // a single errors.Is check.
 var ErrCorruptSnapshot = errors.New("snapshot: corrupt or truncated snapshot")
 
+// ErrConfigMismatch reports a checkpoint written under a different
+// configuration than the one restoring it. Continuing it would
+// silently break determinism instead of continuing the run, so
+// Decoder.CheckDigest refuses it.
+var ErrConfigMismatch = errors.New("snapshot: checkpoint config does not match")
+
 // magic opens every snapshot file. The CR-LF pair catches ASCII-mode
 // transfer mangling, the same trick PNG's magic uses.
 var magic = [8]byte{'L', 'P', 'S', 'N', 'A', 'P', '\r', '\n'}

@@ -98,6 +98,41 @@ func TestFinishRejectsTrailingBytes(t *testing.T) {
 	}
 }
 
+// TestLenRejectsOverlongUvarint: only the minimal encoding Encoder.Len
+// writes decodes, so accepted payloads re-encode to the same bytes.
+func TestLenRejectsOverlongUvarint(t *testing.T) {
+	for _, n := range []int{0, 1, 127, 128, 300} {
+		var e Encoder
+		e.Len(n)
+		e.buf = append(e.buf, make([]byte, n)...)
+		if got := NewDecoder(e.Bytes()).Len(); got != n {
+			t.Fatalf("minimal length %d decoded as %d", n, got)
+		}
+	}
+	for _, b := range [][]byte{{0x80, 0x00}, {0x81, 0x00, 0}, {0x80, 0x81, 0x00}} {
+		d := NewDecoder(b)
+		if d.Len(); !errors.Is(d.Err(), ErrCorruptSnapshot) {
+			t.Errorf("overlong uvarint %x accepted", b)
+		}
+	}
+}
+
+// TestCheckDigest pins the config gate's three outcomes: a match, a
+// mismatch (ErrConfigMismatch) and a torn digest (corruption).
+func TestCheckDigest(t *testing.T) {
+	var e Encoder
+	e.String("cfg-a")
+	if err := NewDecoder(e.Bytes()).CheckDigest([]byte("cfg-a")); err != nil {
+		t.Fatalf("matching digest: %v", err)
+	}
+	if err := NewDecoder(e.Bytes()).CheckDigest([]byte("cfg-b")); !errors.Is(err, ErrConfigMismatch) {
+		t.Fatalf("different digest: %v, want ErrConfigMismatch", err)
+	}
+	if err := NewDecoder(e.Bytes()[:3]).CheckDigest([]byte("cfg-a")); !errors.Is(err, ErrCorruptSnapshot) {
+		t.Fatalf("torn digest: %v, want ErrCorruptSnapshot", err)
+	}
+}
+
 // TestEnvelopeRejectsEveryMutation seals a payload and verifies that
 // truncation at every length and a bit flip at every byte position is
 // rejected with ErrCorruptSnapshot.
