@@ -1,9 +1,12 @@
 // Package bench parses `go test -bench` output into a structured
-// report, encodes it as BENCH.json, and diffs the deterministic paper
-// metrics of two reports. The regression gate (`make bench-smoke`)
-// compares paper metrics only — a benchmark's ns/op depends on the
-// machine, but its b.ReportMetric values are computed from seeded
-// simulations and must match the committed baseline bit for bit.
+// report, encodes it as BENCH.json, and diffs a report against the
+// committed baseline. The regression gate (`make bench-smoke`) checks
+// the two numbers a benchmark pass computes deterministically: the
+// paper metrics — b.ReportMetric values computed from seeded
+// simulations, which must match bit for bit — and allocs/op, which at
+// a pinned -cpu is the same on every host and may not creep past
+// AllocsTolerance. Timings depend on the machine and are never gated
+// here; wall-clock claims go through the benchmark/ harness.
 package bench
 
 import (
@@ -21,23 +24,16 @@ type Entry struct {
 	// Name is the benchmark name with the -GOMAXPROCS suffix stripped,
 	// so reports from machines with different core counts diff cleanly.
 	Name string `json:"name"`
-	// Iterations is the b.N the timing was measured over.
+	// Iterations is the b.N the pass averaged over.
 	Iterations int64 `json:"iterations"`
-	// NsPerOp, BytesPerOp and AllocsPerOp are the standard Go
-	// benchmark outputs (Bytes/Allocs require -benchmem).
-	NsPerOp     float64 `json:"ns_per_op"`
+	// BytesPerOp and AllocsPerOp are the standard Go -benchmem
+	// outputs.
 	BytesPerOp  float64 `json:"bytes_per_op"`
 	AllocsPerOp float64 `json:"allocs_per_op"`
 	// PaperMetrics holds every custom b.ReportMetric unit: the
 	// simulation quantities the paper cares about (MTTR, stranded
 	// bandwidth, loss budget). These are seed-deterministic.
 	PaperMetrics map[string]float64 `json:"paper_metrics,omitempty"`
-	// TimingMetrics holds custom ReportMetric units beginning "ns/"
-	// (e.g. the rail campaign's ns/flow): normalized wall-clock rates
-	// that are machine-dependent like ns/op, so the bit-exact paper
-	// gate never sees them and CompareTimings checks them under the
-	// ns tolerance instead.
-	TimingMetrics map[string]float64 `json:"timing_metrics,omitempty"`
 }
 
 // Report is the BENCH.json document: every benchmark of one pass.
@@ -86,25 +82,13 @@ func Parse(r io.Reader) (Report, error) {
 				return rep, fmt.Errorf("bench: bad value %q in %q", fields[i], line)
 			}
 			switch unit := fields[i+1]; unit {
-			case "ns/op":
-				e.NsPerOp = v
+			case "ns/op", "MB/s":
+				// Timings are machine-dependent; drop them.
 			case "B/op":
 				e.BytesPerOp = v
 			case "allocs/op":
 				e.AllocsPerOp = v
-			case "MB/s":
-				// Throughput is machine-dependent like ns/op; drop it.
 			default:
-				if strings.HasPrefix(unit, "ns/") {
-					// Custom per-item timings (ns/flow, ns/event) are
-					// wall-clock rates: structured like a paper metric,
-					// machine-dependent like ns/op.
-					if e.TimingMetrics == nil {
-						e.TimingMetrics = map[string]float64{}
-					}
-					e.TimingMetrics[unit] = v
-					continue
-				}
 				if e.PaperMetrics == nil {
 					e.PaperMetrics = map[string]float64{}
 				}
@@ -148,64 +132,19 @@ func (r Report) byName() map[string]Entry {
 	return m
 }
 
-// CompareTimings diffs the machine-dependent numbers of current
-// against baseline: a benchmark regresses when its ns/op exceeds
-// baseline·nsTol or its allocs/op exceeds baseline·allocsTol. The
-// tolerances are multipliers (1.30 = 30% headroom): timings need slack
-// for machine noise, while allocation counts are deterministic and
-// warrant a much tighter bound. Unlike the paper-metric gate this is
-// advisory — CI runs it as a non-blocking report — because absolute
-// timings are not comparable across machines; the committed baseline
-// still catches order-of-magnitude slips and alloc-count creep.
-// Benchmarks absent from the baseline are skipped (new benchmarks are
-// not regressions); benchmarks missing from the current run are
-// reported. An empty result means no regression.
-func CompareTimings(baseline, current Report, nsTol, allocsTol float64) []string {
-	var diffs []string
-	cur := current.byName()
-	for _, want := range baseline.Benchmarks {
-		got, ok := cur[want.Name]
-		if !ok {
-			diffs = append(diffs, fmt.Sprintf("%s: benchmark missing from current run", want.Name))
-			continue
-		}
-		if want.NsPerOp > 0 && got.NsPerOp > want.NsPerOp*nsTol {
-			diffs = append(diffs, fmt.Sprintf("%s: ns/op %.0f vs baseline %.0f (tolerance %.2fx)",
-				want.Name, got.NsPerOp, want.NsPerOp, nsTol))
-		}
-		if got.AllocsPerOp > want.AllocsPerOp*allocsTol {
-			diffs = append(diffs, fmt.Sprintf("%s: allocs/op %.0f vs baseline %.0f (tolerance %.2fx)",
-				want.Name, got.AllocsPerOp, want.AllocsPerOp, allocsTol))
-		}
-		// Custom "ns/..." metrics are wall-clock rates: same tolerance
-		// class as ns/op.
-		names := make([]string, 0, len(want.TimingMetrics))
-		for name := range want.TimingMetrics {
-			names = append(names, name)
-		}
-		sort.Strings(names)
-		for _, name := range names {
-			wv := want.TimingMetrics[name]
-			gv, ok := got.TimingMetrics[name]
-			if !ok {
-				diffs = append(diffs, fmt.Sprintf("%s: timing metric %q missing from current run", want.Name, name))
-				continue
-			}
-			if wv > 0 && gv > wv*nsTol {
-				diffs = append(diffs, fmt.Sprintf("%s: %s %.1f vs baseline %.1f (tolerance %.2fx)",
-					want.Name, name, gv, wv, nsTol))
-			}
-		}
-	}
-	return diffs
-}
+// AllocsTolerance is the allocs/op headroom Diff allows over the
+// baseline (1.10 = 10% more). Allocation counts are deterministic at
+// a pinned -cpu, so the slack only absorbs the rounding of a count
+// averaged over b.N iterations; a zero-alloc baseline allows none.
+const AllocsTolerance = 1.10
 
-// DiffPaperMetrics compares the paper metrics of current against
-// baseline and returns one human-readable line per divergence. Only
-// benchmarks and metrics present in the baseline are checked — adding
-// a new benchmark is not a regression — and timings are never
-// compared. An empty result means the gate passes.
-func DiffPaperMetrics(baseline, current Report) []string {
+// Diff checks current against baseline and returns one human-readable
+// line per regression: a benchmark missing from current, a paper
+// metric that differs at all, or allocs/op above
+// baseline·AllocsTolerance. Only benchmarks and metrics present in
+// the baseline are checked — adding a new benchmark is not a
+// regression. An empty result means the gate passes.
+func Diff(baseline, current Report) []string {
 	var diffs []string
 	cur := current.byName()
 	for _, want := range baseline.Benchmarks {
@@ -229,6 +168,10 @@ func DiffPaperMetrics(baseline, current Report) []string {
 			if gv != wv {
 				diffs = append(diffs, fmt.Sprintf("%s: %s = %v, baseline %v", want.Name, name, gv, wv))
 			}
+		}
+		if got.AllocsPerOp > want.AllocsPerOp*AllocsTolerance {
+			diffs = append(diffs, fmt.Sprintf("%s: allocs/op %.0f vs baseline %.0f (tolerance %.2fx)",
+				want.Name, got.AllocsPerOp, want.AllocsPerOp, AllocsTolerance))
 		}
 	}
 	return diffs

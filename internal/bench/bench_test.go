@@ -6,7 +6,6 @@ import (
 	"go/token"
 	"os"
 	"path/filepath"
-	"strconv"
 	"strings"
 	"testing"
 )
@@ -17,7 +16,7 @@ pkg: lightpath/internal/experiments
 BenchmarkTenantSweep-8   	      10	  123456 ns/op	    2345 B/op	      67 allocs/op	         0.420 stranded_frac
 BenchmarkChaos-8         	       2	 9876543 ns/op	  887766 B/op	    5544 allocs/op	        16.00 blast_ratio
 BenchmarkThroughput-8    	     100	    1000 ns/op	 512.00 MB/s
-BenchmarkRailFabricPar-8 	       1	 2000000 ns/op	    4096 B/op	      12 allocs/op	       610.0 ns/flow	   1321000 rail_makespan_us
+BenchmarkDecode-8        	 1000000	   41.88 ns/op	       0 B/op	       0 allocs/op	        56.00 payload_bytes
 PASS
 ok  	lightpath/internal/experiments	1.234s
 `
@@ -34,11 +33,11 @@ func TestParse(t *testing.T) {
 	if ts.Name != "BenchmarkTenantSweep" {
 		t.Fatalf("name = %q (procs suffix not stripped?)", ts.Name)
 	}
-	if ts.Iterations != 10 || ts.NsPerOp != 123456 || ts.BytesPerOp != 2345 || ts.AllocsPerOp != 67 {
+	if ts.Iterations != 10 || ts.BytesPerOp != 2345 || ts.AllocsPerOp != 67 {
 		t.Fatalf("standard fields wrong: %+v", ts)
 	}
-	if ts.PaperMetrics["stranded_frac"] != 0.420 {
-		t.Fatalf("paper metric wrong: %+v", ts.PaperMetrics)
+	if len(ts.PaperMetrics) != 1 || ts.PaperMetrics["stranded_frac"] != 0.420 {
+		t.Fatalf("paper metrics wrong (ns/op leaked?): %+v", ts.PaperMetrics)
 	}
 	if rep.Benchmarks[1].PaperMetrics["blast_ratio"] != 16 {
 		t.Fatalf("chaos metric wrong: %+v", rep.Benchmarks[1])
@@ -46,18 +45,6 @@ func TestParse(t *testing.T) {
 	// MB/s is machine-dependent and must not land in paper metrics.
 	if len(rep.Benchmarks[2].PaperMetrics) != 0 {
 		t.Fatalf("MB/s leaked into paper metrics: %+v", rep.Benchmarks[2])
-	}
-	// Custom "ns/..." units are timing metrics, never paper metrics;
-	// other units on the same line still land in paper metrics.
-	rail := rep.Benchmarks[3]
-	if rail.TimingMetrics["ns/flow"] != 610 {
-		t.Fatalf("ns/flow not classified as timing metric: %+v", rail)
-	}
-	if _, leaked := rail.PaperMetrics["ns/flow"]; leaked {
-		t.Fatalf("ns/flow leaked into paper metrics: %+v", rail.PaperMetrics)
-	}
-	if rail.PaperMetrics["rail_makespan_us"] != 1321000 {
-		t.Fatalf("rail paper metric wrong: %+v", rail.PaperMetrics)
 	}
 }
 
@@ -81,125 +68,96 @@ func TestJSONRoundTrip(t *testing.T) {
 	if back.Benchmarks[0].Name != "BenchmarkChaos" {
 		t.Fatalf("not sorted: first = %q", back.Benchmarks[0].Name)
 	}
-	if back.Benchmarks[2].PaperMetrics["stranded_frac"] != 0.420 {
-		t.Fatalf("metrics lost: %+v", back.Benchmarks[2])
-	}
-	if back.Benchmarks[1].TimingMetrics["ns/flow"] != 610 {
-		t.Fatalf("timing metrics lost: %+v", back.Benchmarks[1])
+	if back.Benchmarks[2].PaperMetrics["stranded_frac"] != 0.420 || back.Benchmarks[0].AllocsPerOp != 5544 {
+		t.Fatalf("metrics lost: %+v", back.Benchmarks)
 	}
 }
 
+// diffCase edits the sample by replacing one substring and lists the
+// substrings the resulting diff lines must carry, one per line, in
+// order (none means the gate passes).
+type diffCase struct {
+	name     string
+	from, to string
+	want     []string
+}
+
+// runDiffCases runs Diff of each edited sample against the unedited
+// one. The gate is the one function Diff; its cases are grouped into
+// the paper-metric half and the allocation half below.
+func runDiffCases(t *testing.T, cases []diffCase) {
+	t.Helper()
+	base, err := Parse(strings.NewReader(sample))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			text := sample
+			if tc.from != "" {
+				if !strings.Contains(text, tc.from) {
+					t.Fatalf("sample does not contain %q", tc.from)
+				}
+				text = strings.Replace(text, tc.from, tc.to, 1)
+			}
+			cur, err := Parse(strings.NewReader(text))
+			if err != nil {
+				t.Fatal(err)
+			}
+			diffs := Diff(base, cur)
+			if len(diffs) != len(tc.want) {
+				t.Fatalf("got %d diffs %q, want %d matching %q", len(diffs), diffs, len(tc.want), tc.want)
+			}
+			for i, w := range tc.want {
+				if !strings.Contains(diffs[i], w) {
+					t.Errorf("diff %d = %q, want it to contain %q", i, diffs[i], w)
+				}
+			}
+		})
+	}
+}
+
+// missingChaos and newBenchmark are the edits both halves share: the
+// benchmark loop of Diff reports a dropped benchmark and ignores a new
+// one whatever its metrics and allocations.
+var (
+	missingChaos = diffCase{name: "missing-benchmark", from: "BenchmarkChaos-8", to: "BenchmarkRenamed-8",
+		want: []string{"BenchmarkChaos: benchmark missing"}}
+	newBenchmark = diffCase{name: "new-benchmark-ok", from: "PASS",
+		to: "BenchmarkNew-8 	       1	 1 ns/op	 9999 B/op	 9999 allocs/op	 1.00 anything\nPASS"}
+)
+
+// TestDiffPaperMetrics checks that Diff holds every paper metric bit
+// for bit and never looks at ns/op.
 func TestDiffPaperMetrics(t *testing.T) {
-	base, err := Parse(strings.NewReader(sample))
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Run("identical", func(t *testing.T) {
-		if diffs := DiffPaperMetrics(base, base); len(diffs) != 0 {
-			t.Fatalf("self-diff not empty: %v", diffs)
-		}
-	})
-	t.Run("timings-ignored", func(t *testing.T) {
-		cur, _ := Parse(strings.NewReader(strings.ReplaceAll(sample, "123456 ns/op", "999999 ns/op")))
-		if diffs := DiffPaperMetrics(base, cur); len(diffs) != 0 {
-			t.Fatalf("timing change flagged: %v", diffs)
-		}
-	})
-	t.Run("metric-drift", func(t *testing.T) {
-		cur, _ := Parse(strings.NewReader(strings.ReplaceAll(sample, "0.420 stranded_frac", "0.500 stranded_frac")))
-		diffs := DiffPaperMetrics(base, cur)
-		if len(diffs) != 1 || !strings.Contains(diffs[0], "stranded_frac") {
-			t.Fatalf("drift not caught: %v", diffs)
-		}
-	})
-	t.Run("missing-benchmark", func(t *testing.T) {
-		cur := Report{}
-		diffs := DiffPaperMetrics(base, cur)
-		if len(diffs) != 4 {
-			t.Fatalf("want 4 missing-benchmark diffs, got %v", diffs)
-		}
-	})
-	t.Run("timing-metric-ignored", func(t *testing.T) {
-		cur, _ := Parse(strings.NewReader(strings.ReplaceAll(sample, "610.0 ns/flow", "9999.0 ns/flow")))
-		if diffs := DiffPaperMetrics(base, cur); len(diffs) != 0 {
-			t.Fatalf("ns/flow drift flagged by the bit-exact gate: %v", diffs)
-		}
-	})
-	t.Run("new-benchmark-ok", func(t *testing.T) {
-		cur := Report{Benchmarks: append([]Entry{{Name: "BenchmarkNew"}}, base.Benchmarks...)}
-		if diffs := DiffPaperMetrics(base, cur); len(diffs) != 0 {
-			t.Fatalf("new benchmark flagged: %v", diffs)
-		}
+	runDiffCases(t, []diffCase{
+		{name: "identical"},
+		{name: "metric-drift", from: "0.420 stranded_frac", to: "0.500 stranded_frac",
+			want: []string{"BenchmarkTenantSweep: stranded_frac"}},
+		{name: "paper-metric-missing", from: "16.00 blast_ratio", to: "16.00 other_metric",
+			want: []string{`"blast_ratio" missing`}},
+		{name: "timings-ignored", from: "123456 ns/op", to: "999999999 ns/op"},
+		missingChaos,
+		newBenchmark,
 	})
 }
 
+// TestCompareTimings checks the allocation half of Diff, the part that
+// survives of the old timing comparison: allocs/op may grow by at most
+// AllocsTolerance, a zero-allocation path may not allocate at all, and
+// ns/op is not compared.
 func TestCompareTimings(t *testing.T) {
-	base, err := Parse(strings.NewReader(sample))
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Run("identical", func(t *testing.T) {
-		if diffs := CompareTimings(base, base, 1.5, 1.1); len(diffs) != 0 {
-			t.Fatalf("self-compare not empty: %v", diffs)
-		}
-	})
-	t.Run("within-tolerance", func(t *testing.T) {
-		cur, _ := Parse(strings.NewReader(strings.ReplaceAll(sample, "123456 ns/op", "170000 ns/op")))
-		if diffs := CompareTimings(base, cur, 1.5, 1.1); len(diffs) != 0 {
-			t.Fatalf("in-tolerance slowdown flagged: %v", diffs)
-		}
-	})
-	t.Run("ns-regression", func(t *testing.T) {
-		cur, _ := Parse(strings.NewReader(strings.ReplaceAll(sample, "123456 ns/op", "999999 ns/op")))
-		diffs := CompareTimings(base, cur, 1.5, 1.1)
-		if len(diffs) != 1 || !strings.Contains(diffs[0], "ns/op") {
-			t.Fatalf("ns/op regression not caught: %v", diffs)
-		}
-	})
-	t.Run("allocs-regression", func(t *testing.T) {
-		cur, _ := Parse(strings.NewReader(strings.ReplaceAll(sample, "67 allocs/op", "9999 allocs/op")))
-		diffs := CompareTimings(base, cur, 1.5, 1.1)
-		if len(diffs) != 1 || !strings.Contains(diffs[0], "allocs/op") {
-			t.Fatalf("allocs/op regression not caught: %v", diffs)
-		}
-	})
-	t.Run("improvement-ok", func(t *testing.T) {
-		cur, _ := Parse(strings.NewReader(strings.ReplaceAll(sample, "123456 ns/op", "99 ns/op")))
-		if diffs := CompareTimings(base, cur, 1.5, 1.1); len(diffs) != 0 {
-			t.Fatalf("speedup flagged as regression: %v", diffs)
-		}
-	})
-	t.Run("missing-benchmark", func(t *testing.T) {
-		diffs := CompareTimings(base, Report{}, 1.5, 1.1)
-		if len(diffs) != len(base.Benchmarks) {
-			t.Fatalf("want %d missing-benchmark diffs, got %v", len(base.Benchmarks), diffs)
-		}
-	})
-	t.Run("new-benchmark-ok", func(t *testing.T) {
-		cur := Report{Benchmarks: append([]Entry{{Name: "BenchmarkNew", NsPerOp: 1e12, AllocsPerOp: 1e6}}, base.Benchmarks...)}
-		if diffs := CompareTimings(base, cur, 1.5, 1.1); len(diffs) != 0 {
-			t.Fatalf("new benchmark flagged: %v", diffs)
-		}
-	})
-	t.Run("timing-metric-regression", func(t *testing.T) {
-		cur, _ := Parse(strings.NewReader(strings.ReplaceAll(sample, "610.0 ns/flow", "9999.0 ns/flow")))
-		diffs := CompareTimings(base, cur, 1.5, 1.1)
-		if len(diffs) != 1 || !strings.Contains(diffs[0], "ns/flow") {
-			t.Fatalf("ns/flow regression not caught: %v", diffs)
-		}
-	})
-	t.Run("timing-metric-within-tolerance", func(t *testing.T) {
-		cur, _ := Parse(strings.NewReader(strings.ReplaceAll(sample, "610.0 ns/flow", "800.0 ns/flow")))
-		if diffs := CompareTimings(base, cur, 1.5, 1.1); len(diffs) != 0 {
-			t.Fatalf("in-tolerance ns/flow flagged: %v", diffs)
-		}
-	})
-	t.Run("timing-metric-missing", func(t *testing.T) {
-		cur, _ := Parse(strings.NewReader(strings.ReplaceAll(sample, "610.0 ns/flow", "610.0 other_metric")))
-		diffs := CompareTimings(base, cur, 1.5, 1.1)
-		if len(diffs) != 1 || !strings.Contains(diffs[0], "missing") {
-			t.Fatalf("missing ns/flow not reported: %v", diffs)
-		}
+	runDiffCases(t, []diffCase{
+		{name: "identical"},
+		{name: "within-tolerance", from: "67 allocs/op", to: "73 allocs/op"},
+		{name: "allocs-regression", from: "67 allocs/op", to: "74 allocs/op",
+			want: []string{"BenchmarkTenantSweep: allocs/op 74 vs baseline 67"}},
+		{name: "zero-alloc-now-one", from: "0 B/op	       0 allocs/op", to: "8 B/op	       1 allocs/op",
+			want: []string{"BenchmarkDecode: allocs/op 1 vs baseline 0"}},
+		{name: "improvement-ok", from: "67 allocs/op", to: "10 allocs/op"},
+		{name: "ns-op-ignored", from: "123456 ns/op", to: "999999999 ns/op"},
+		missingChaos,
+		newBenchmark,
 	})
 }
 
@@ -224,12 +182,10 @@ func moduleRoot(t *testing.T) string {
 
 // TestEveryBenchmarkReportsOnePaperMetric is the harness guard: each
 // Benchmark* function in any bench_test.go must call b.ReportMetric
-// with a non-"ns/" unit exactly once, so BENCH.json carries exactly
-// one deterministic paper metric per benchmark for the regression
-// diff. Additional calls whose unit literal begins "ns/" are the
-// timing-metric class (machine-dependent rates like ns/flow) and are
-// exempt; a unit that is not a plain string literal counts as a paper
-// metric, so nobody can dodge the guard by computing the unit.
+// exactly once, so BENCH.json carries exactly one deterministic paper
+// metric per benchmark for the regression diff. Every custom unit is
+// a paper metric and is diffed bit for bit, so a wall-clock rate
+// (ns/flow) reported here would fail the gate on every other host.
 func TestEveryBenchmarkReportsOnePaperMetric(t *testing.T) {
 	root := moduleRoot(t)
 	var checked int
@@ -266,22 +222,12 @@ func TestEveryBenchmarkReportsOnePaperMetric(t *testing.T) {
 				if !ok || sel.Sel.Name != "ReportMetric" {
 					return true
 				}
-				// Timing metrics — a string-literal unit starting
-				// "ns/" — are the machine-dependent class and do not
-				// count toward the one-paper-metric budget.
-				if len(call.Args) == 2 {
-					if lit, ok := call.Args[1].(*ast.BasicLit); ok && lit.Kind == token.STRING {
-						if unit, err := strconv.Unquote(lit.Value); err == nil && strings.HasPrefix(unit, "ns/") {
-							return true
-						}
-					}
-				}
 				count++
 				return true
 			})
 			if count != 1 {
 				rel, _ := filepath.Rel(root, path)
-				t.Errorf("%s: %s calls ReportMetric %d times with a paper-metric unit, want exactly 1", rel, fn.Name.Name, count)
+				t.Errorf("%s: %s calls ReportMetric %d times, want exactly 1", rel, fn.Name.Name, count)
 			}
 			checked++
 		}
