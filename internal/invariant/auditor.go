@@ -73,9 +73,9 @@ func (d *Auditor) Audit(op string) []Violation { return d.run(op) }
 func (d *Auditor) run(op string) []Violation {
 	d.audits++
 	var fresh []Violation
-	d.ctx.load(d.alloc)
+	d.ctx.audit(d.alloc)
 	for i, inv := range registry {
-		for _, detail := range checks[i](d.alloc, &d.ctx) {
+		for _, detail := range d.ctx.out[i] {
 			fresh = append(fresh, Violation{Invariant: inv.Name, Op: op, Detail: detail})
 		}
 	}

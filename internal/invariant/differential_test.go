@@ -13,10 +13,10 @@ import (
 	"lightpath/internal/wafer"
 )
 
-// The differential tests hold the packed-key disjointness sweep to the
-// comparator sweep it replaced (reference_test.go): seeded allocator
-// states, built through the public establish/release/fault API and
-// then sabotaged behind the allocator's back, must produce deep-equal
+// The differential tests hold the one-walk audit to the six separate
+// checks it replaced (reference_test.go): seeded allocator states,
+// built through the public establish/release/fault API and then
+// sabotaged behind the allocator's back, must produce deep-equal
 // violations from both.
 
 // randomState drives a fresh allocator through seeded establishes,
@@ -221,6 +221,53 @@ var sabotages = []sabotage{
 	{"wide wafer", false, func(r *rng.Rand, a *route.Allocator, cs []*route.Circuit) {
 		withSegment(r, cs, false, func(s *route.Segment) { s.Wafer = wide(r) })
 	}},
+	// Each sabotage below breaks one of the five invariants besides
+	// disjointness. They sit after the ones above so the committed fuzz
+	// corpus keeps selecting what its file names say.
+	{"span dropped from the lane occupancy", true, func(r *rng.Rand, a *route.Allocator, cs []*route.Circuit) {
+		rack := a.Rack()
+		var held []route.Segment
+		for _, c := range cs {
+			for _, s := range c.Segments {
+				if s.Wafer >= 0 && s.Wafer < rack.NumWafers() && rack.Wafer(s.Wafer).BusSpanAllocated(s.Ref) {
+					held = append(held, s)
+				}
+			}
+		}
+		if len(held) > 0 {
+			s := held[r.Intn(len(held))]
+			rack.Wafer(s.Wafer).FreeBus(s.Ref)
+		}
+	}},
+	{"dropped fiber", true, func(r *rng.Rand, a *route.Allocator, cs []*route.Circuit) {
+		var holders []*route.Circuit
+		for _, c := range cs {
+			if len(c.Fibers) > 0 {
+				holders = append(holders, c)
+			}
+		}
+		if len(holders) > 0 {
+			c := holders[r.Intn(len(holders))]
+			i := r.Intn(len(c.Fibers))
+			c.Fibers = append(c.Fibers[:i:i], c.Fibers[i+1:]...)
+		}
+	}},
+	{"width changed", true, func(r *rng.Rand, a *route.Allocator, cs []*route.Circuit) {
+		c := cs[r.Intn(len(cs))]
+		c.Width = max(c.Width, 0) + 1 + r.Intn(3)
+	}},
+	{"ready time shifted", true, func(r *rng.Rand, a *route.Allocator, cs []*route.Circuit) {
+		cs[r.Intn(len(cs))].ReadyAt += unit.Seconds(1+r.Intn(100)) * unit.Microsecond
+	}},
+	{"switch flipped", true, func(r *rng.Rand, a *route.Allocator, cs []*route.Circuit) {
+		ses := a.CircuitSwitches(cs[r.Intn(len(cs))])
+		if len(ses) == 0 {
+			return
+		}
+		se := ses[r.Intn(len(ses))]
+		// A stuck switch refuses; the state then stays consistent.
+		_ = se.Tile.Switches[se.Switch].Program((se.Port+1+r.Intn(wafer.SwitchDegree-1))%wafer.SwitchDegree, 0)
+	}},
 }
 
 // unspecifiedTie reports whether one circuit holds two segments on the
@@ -243,9 +290,12 @@ func unspecifiedTie(cs []*route.Circuit) bool {
 	return false
 }
 
-// outcome classifies one differential comparison.
+// outcome classifies one differential comparison. reporting marks the
+// registered invariants (by registry position) the reference found
+// violated; only disjointness is compared when the audit is not.
 type outcome struct {
 	compared, fullAudit, fallback, violating bool
+	reporting                                []bool
 }
 
 // compareWithReference sabotages a with the given sabotage indices and
@@ -273,25 +323,37 @@ func compareWithReference(t *testing.T, seed uint64, a *route.Allocator, picks [
 		t.Fatalf("seed %d sabotages %v: disjointness\n got %q\nwant %q", seed, picks, got, want)
 	}
 	o.violating = len(want) > 0
+	o.reporting = make([]bool, len(invariant.Registry()))
+	o.reporting[0] = o.violating
 	segs, fibs := invariant.PackedSweep(a)
 	o.fallback = !segs || !fibs
 	if safe {
 		o.fullAudit = true
 		aud := invariant.Attach(a, invariant.Off)
-		if got, want := aud.Audit("differential"), referenceAudit(a, "differential"); !reflect.DeepEqual(got, want) {
+		want := referenceAudit(a, "differential")
+		if got := aud.Audit("differential"); !reflect.DeepEqual(got, want) {
 			t.Fatalf("seed %d sabotages %v: audit\n got %v\nwant %v", seed, picks, got, want)
+		}
+		for i, inv := range invariant.Registry() {
+			got, want := inv.Check(a), referenceChecks[i](a, &checkCtx{circuits: a.Circuits()})
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("seed %d sabotages %v: %s\n got %q\nwant %q", seed, picks, inv.Name, got, want)
+			}
+			o.reporting[i] = len(want) > 0
 		}
 	}
 	return o
 }
 
-// TestAuditMatchesReference compares Auditor.Audit with the reference
-// on hundreds of seeded states: clean ones, and ones carrying one to
-// four sabotages, covering both the packed path and the comparator
-// fallback.
+// TestAuditMatchesReference compares Auditor.Audit and every
+// registered Check with the reference on hundreds of seeded states:
+// clean ones, and ones carrying one to four sabotages, covering both
+// the packed path and the comparator fallback, and each registered
+// invariant reporting violations in at least 20 compared states.
 func TestAuditMatchesReference(t *testing.T) {
 	t.Cleanup(invariant.ResetGlobal)
 	var full, disjoint, fallback, packedViolating int
+	reporting := make([]int, len(invariant.Registry()))
 	for seed := uint64(1); seed <= 400; seed++ {
 		r := rng.New(seed).Split("picks")
 		picks := make([]int, r.Intn(5))
@@ -311,12 +373,22 @@ func TestAuditMatchesReference(t *testing.T) {
 		} else if o.violating {
 			packedViolating++
 		}
+		for i, hit := range o.reporting {
+			if hit {
+				reporting[i]++
+			}
+		}
 	}
-	t.Logf("compared %d states (%d full audits): %d on the fallback, %d packed with disjointness violations",
-		disjoint, full, fallback, packedViolating)
+	t.Logf("compared %d states (%d full audits): %d on the fallback, %d packed with disjointness violations; states reporting each invariant: %v",
+		disjoint, full, fallback, packedViolating, reporting)
 	if full < 200 || fallback < 20 || packedViolating < 50 {
 		t.Fatalf("coverage too thin: %d full audits (want 200), %d on the fallback (want 20), %d packed violating (want 50)",
 			full, fallback, packedViolating)
+	}
+	for i, inv := range invariant.Registry() {
+		if reporting[i] < 20 {
+			t.Errorf("coverage too thin: %s reports violations in %d compared states, want 20", inv.Name, reporting[i])
+		}
 	}
 }
 

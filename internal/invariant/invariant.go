@@ -24,6 +24,7 @@ import (
 	"lightpath/internal/phy"
 	"lightpath/internal/route"
 	"lightpath/internal/unit"
+	"lightpath/internal/wafer"
 )
 
 // ErrViolated is the sentinel wrapped by every error the auditor
@@ -91,111 +92,90 @@ type Invariant struct {
 	Check func(a *route.Allocator) []string
 }
 
+// Registry positions; checkCtx.out is indexed by them.
+const (
+	disjointness = iota
+	busConservation
+	fiberConservation
+	endpointConservation
+	budgetHealth
+	switchConsistency
+	numInvariants
+)
+
 // registry is ordered from structural to semantic checks; it is
-// immutable after init. Each public Check builds a private scratch
-// context per call; the Auditor's audit loop shares one context
-// across checks and audits instead (see checks and Auditor.run).
+// immutable after init. Every Check is a view onto the same audit
+// pass (checkCtx.audit): it runs the pass on a throwaway context and
+// returns its own invariant's details.
 var registry = []Invariant{
-	{
+	disjointness: {
 		Name:  "circuit-disjointness",
 		Doc:   "established circuits have positive width and share no bus segment or fiber pairwise",
-		Check: standalone(checkDisjointness),
+		Check: view(disjointness),
 	},
-	{
+	busConservation: {
 		Name:  "bus-conservation",
 		Doc:   "every circuit segment's exact span is allocated on its bus, and the rack's allocated span count equals the circuits' segment count",
-		Check: standalone(checkBusConservation),
+		Check: view(busConservation),
 	},
-	{
+	fiberConservation: {
 		Name:  "fiber-conservation",
 		Doc:   "every circuit fiber is occupied in the rack, the rack's occupied-fiber count equals the circuits' fiber count, and the allocator's per-row mirror matches",
-		Check: standalone(checkFiberConservation),
+		Check: view(fiberConservation),
 	},
-	{
+	endpointConservation: {
 		Name:  "endpoint-conservation",
 		Doc:   "each tile's reserved lasers and SerDes ports equal the sum of circuit widths and endpoint count terminating there, and never exceed capacity",
-		Check: standalone(checkEndpointConservation),
+		Check: view(endpointConservation),
 	},
-	{
+	budgetHealth: {
 		Name:  "budget-health",
-		Doc:   "active circuits terminate at healthy chips, cross no severed span or failed fiber row, settle one reconfiguration latency after establishment, and (when budget checking is on) still close their optical budget",
-		Check: standalone(checkBudgetHealth),
+		Doc:   "active circuits terminate at healthy chips on the rack, cross no severed span or failed fiber row, settle one reconfiguration latency after establishment, and (when budget checking is on) still close their optical budget",
+		Check: view(budgetHealth),
 	},
-	{
+	switchConsistency: {
 		Name:  "switch-consistency",
 		Doc:   "the hardware switch ports match the programming each circuit's segments require (endpoint switch 0 to port 0, turn switch 1 to port 1)",
-		Check: standalone(checkSwitchConsistency),
+		Check: view(switchConsistency),
 	},
-}
-
-// checks mirrors registry order with the scratch-context check
-// functions the Auditor calls directly.
-var checks = []func(a *route.Allocator, ctx *checkCtx) []string{
-	checkDisjointness,
-	checkBusConservation,
-	checkFiberConservation,
-	checkEndpointConservation,
-	checkBudgetHealth,
-	checkSwitchConsistency,
 }
 
 // Registry returns the registered invariants in audit order. The
 // returned slice is shared; callers must not modify it.
 func Registry() []Invariant { return registry }
 
+// view is invariant i's public Check: one audit pass on a fresh
+// context, returning that invariant's details.
+func view(i int) func(a *route.Allocator) []string {
+	return func(a *route.Allocator) []string {
+		var ctx checkCtx
+		ctx.audit(a)
+		return ctx.out[i]
+	}
+}
+
 // checkCtx is the reusable working storage of one audit pass: the
-// sorted circuit list every check walks, plus per-check sort and
-// tally buffers. An attached Auditor keeps one across audits so the
-// steady-state audit loop stops allocating; the public registry
-// builds a throwaway one per Check call.
+// sorted circuit list, per-invariant detail buffers, tally buffers and
+// the disjointness sweep's keys. An attached Auditor keeps one across
+// audits so the steady-state audit stops allocating; the public
+// registry builds a throwaway one per Check call.
 type checkCtx struct {
 	circuits []*route.Circuit
 	switches []route.SwitchExpectation
-	// keys holds the disjointness sweep's packed sort keys; segs and
-	// fibs serve its comparator fallback (see sweep.go).
-	keys   []uint64
-	segs   []segOwner
-	fibs   []fibOwner
-	perRow []int
-	lasers []int
-	ports  []int
-}
-
-// load refreshes the sorted circuit list from the allocator.
-func (ctx *checkCtx) load(a *route.Allocator) {
-	ctx.circuits = a.AppendCircuits(ctx.circuits[:0])
-}
-
-// standalone adapts a scratch-context check to the public Check
-// signature, building a fresh context per call.
-func standalone(check func(a *route.Allocator, ctx *checkCtx) []string) func(a *route.Allocator) []string {
-	return func(a *route.Allocator) []string {
-		var ctx checkCtx
-		ctx.load(a)
-		return check(a, &ctx)
-	}
-}
-
-func checkBusConservation(a *route.Allocator, ctx *checkCtx) []string {
-	var out []string
-	rack := a.Rack()
-	segments := 0
-	for _, c := range ctx.circuits {
-		segments += len(c.Segments)
-		for _, s := range c.Segments {
-			if !rack.Wafer(s.Wafer).BusSpanAllocated(s.Ref) {
-				out = append(out, fmt.Sprintf("circuit %d segment %v is not allocated in the lane occupancy", c.ID, s))
-			}
-		}
-	}
-	allocated := 0
-	for w := 0; w < rack.NumWafers(); w++ {
-		allocated += rack.Wafer(w).AllocatedSpans()
-	}
-	if allocated != segments {
-		out = append(out, fmt.Sprintf("rack holds %d allocated bus spans but circuits account for %d (leak or double free)", allocated, segments))
-	}
-	return out
+	// out holds each invariant's details, indexed by registry
+	// position, in the order that invariant reports them.
+	out [numInvariants][]string
+	// seg and fib are the packed-key layouts, their value ranges
+	// observed by the walk. keys and spare hold the sweep's sort keys;
+	// segs and fibs serve its comparator fallback (see sweep.go).
+	seg         segLayout
+	fib         fibLayout
+	keys, spare []uint64
+	segs        []segOwner
+	fibs        []fibOwner
+	perRow      []int
+	lasers      []int
+	ports       []int
 }
 
 // grownZeroed returns buf resized to n with every element zero.
@@ -210,111 +190,119 @@ func grownZeroed(buf []int, n int) []int {
 	return buf
 }
 
-func checkFiberConservation(a *route.Allocator, ctx *checkCtx) []string {
-	var out []string
+// audit runs every invariant over a in one pass. A single walk over
+// the ID-ordered circuit table does each circuit's checks and tallies
+// and records the packed-key value ranges; the rack-wide totals and
+// the two disjointness sweeps follow. Corrupted indices never panic: a
+// segment on a wafer off the rack is an unallocated span, an endpoint
+// off the rack is a budget-health violation, and every other check
+// skips that element.
+func (ctx *checkCtx) audit(a *route.Allocator) {
+	ctx.circuits = a.AppendCircuits(ctx.circuits[:0])
+	out := &ctx.out
+	for i := range out {
+		out[i] = out[i][:0]
+	}
 	rack := a.Rack()
-	cfg := rack.Config()
-	rows := cfg.Rows
-	ctx.perRow = grownZeroed(ctx.perRow, rack.NumTrunks()*rows)
-	fibers := 0
-	for _, c := range ctx.circuits {
-		fibers += len(c.Fibers)
-		for _, f := range c.Fibers {
-			if !rack.FiberAllocated(f) {
-				out = append(out, fmt.Sprintf("circuit %d fiber %v is not occupied in the rack", c.ID, f))
-			}
-			if f.Trunk >= 0 && f.Trunk < rack.NumTrunks() && f.Row >= 0 && f.Row < rows {
-				ctx.perRow[f.Trunk*rows+f.Row]++
-			}
-		}
-	}
-	if used := rack.FibersInUse(); used != fibers {
-		out = append(out, fmt.Sprintf("rack holds %d occupied fibers but circuits account for %d (leak or double free)", used, fibers))
-	}
-	for trunk := 0; trunk < rack.NumTrunks(); trunk++ {
-		for row := 0; row < rows; row++ {
-			if got, want := a.FiberRowUsage(trunk, row), ctx.perRow[trunk*rows+row]; got != want {
-				out = append(out, fmt.Sprintf("allocator mirror says trunk %d row %d uses %d fibers, circuits use %d", trunk, row, got, want))
-			}
-		}
-	}
-	return out
-}
-
-func checkEndpointConservation(a *route.Allocator, ctx *checkCtx) []string {
-	var out []string
-	rack := a.Rack()
-	chips := rack.NumChips()
+	wafers, chips, trunks, rows := rack.NumWafers(), rack.NumChips(), rack.NumTrunks(), rack.Config().Rows
+	ctx.perRow = grownZeroed(ctx.perRow, trunks*rows)
 	ctx.lasers = grownZeroed(ctx.lasers, chips)
 	ctx.ports = grownZeroed(ctx.ports, chips)
+	ctx.seg, ctx.fib = newSegLayout(), newFibLayout()
+	segments, fibers := 0, 0
+	//lightpath:hotloop
 	for _, c := range ctx.circuits {
+		if c.Width < 1 {
+			out[disjointness] = append(out[disjointness], fmt.Sprintf("circuit %d has non-positive width %d", c.ID, c.Width))
+		}
 		for _, ep := range [2]int{c.A, c.B} {
-			if ep >= 0 && ep < chips {
-				ctx.lasers[ep] += c.Width
-				ctx.ports[ep]++
+			if ep < 0 || ep >= chips {
+				out[budgetHealth] = append(out[budgetHealth], fmt.Sprintf("circuit %d terminates at chip %d, off the rack", c.ID, ep))
+				continue
+			}
+			ctx.lasers[ep] += c.Width
+			ctx.ports[ep]++
+			if !rack.TileOf(ep).ChipHealthy() {
+				out[budgetHealth] = append(out[budgetHealth], fmt.Sprintf("circuit %d terminates at failed chip %d", c.ID, ep))
+			}
+		}
+		segments += len(c.Segments)
+		for _, s := range c.Segments {
+			ctx.seg.observe(c.ID, s)
+			var w *wafer.Wafer
+			if s.Wafer >= 0 && s.Wafer < wafers {
+				w = rack.Wafer(s.Wafer)
+			}
+			if w == nil || !w.BusSpanAllocated(s.Ref) {
+				out[busConservation] = append(out[busConservation], fmt.Sprintf("circuit %d segment %v is not allocated in the lane occupancy", c.ID, s))
+			}
+			if w != nil && w.SpanSevered(s.Ref.Orient, s.Ref.Lane, s.Ref.Span) {
+				out[budgetHealth] = append(out[budgetHealth], fmt.Sprintf("circuit %d crosses severed segment %v", c.ID, s))
+			}
+		}
+		fibers += len(c.Fibers)
+		for _, f := range c.Fibers {
+			ctx.fib.observe(c.ID, f)
+			if !rack.FiberAllocated(f) {
+				out[fiberConservation] = append(out[fiberConservation], fmt.Sprintf("circuit %d fiber %v is not occupied in the rack", c.ID, f))
+			}
+			if f.Trunk >= 0 && f.Trunk < trunks && f.Row >= 0 && f.Row < rows {
+				ctx.perRow[f.Trunk*rows+f.Row]++
+			}
+			if a.RowFailed(f.Trunk, f.Row) {
+				out[budgetHealth] = append(out[budgetHealth], fmt.Sprintf("circuit %d uses cut fiber row (trunk %d, row %d)", c.ID, f.Trunk, f.Row))
+			}
+		}
+		if !unit.ApproxEqual(c.ReadyAt, c.EstablishedAt+phy.ReconfigLatency) {
+			out[budgetHealth] = append(out[budgetHealth], fmt.Sprintf("circuit %d ready at %v, not one reconfiguration latency after %v", c.ID, c.ReadyAt, c.EstablishedAt))
+		}
+		// Without budget checking the allocator legitimately admits
+		// margin-negative circuits, so feasibility is only an invariant
+		// when the allocator itself enforces it.
+		if a.CheckBudget && !a.StillFeasible(c) {
+			out[budgetHealth] = append(out[budgetHealth], fmt.Sprintf("circuit %d no longer closes its optical budget (margin %v, degradation since establish exceeds it)", c.ID, c.Link.MarginDB))
+		}
+		ctx.switches = a.AppendCircuitSwitches(ctx.switches[:0], c)
+		for _, se := range ctx.switches {
+			if got := se.Tile.Switches[se.Switch].Port(); got != se.Port {
+				out[switchConsistency] = append(out[switchConsistency], fmt.Sprintf("circuit %d needs tile (%d,%d) switch %d on port %d, hardware says port %d",
+					c.ID, se.Tile.Row, se.Tile.Col, se.Switch, se.Port, got))
+			}
+		}
+	}
+
+	allocated := 0
+	for w := 0; w < wafers; w++ {
+		allocated += rack.Wafer(w).AllocatedSpans()
+	}
+	if allocated != segments {
+		out[busConservation] = append(out[busConservation], fmt.Sprintf("rack holds %d allocated bus spans but circuits account for %d (leak or double free)", allocated, segments))
+	}
+	if used := rack.FibersInUse(); used != fibers {
+		out[fiberConservation] = append(out[fiberConservation], fmt.Sprintf("rack holds %d occupied fibers but circuits account for %d (leak or double free)", used, fibers))
+	}
+	for trunk := 0; trunk < trunks; trunk++ {
+		for row := 0; row < rows; row++ {
+			if got, want := a.FiberRowUsage(trunk, row), ctx.perRow[trunk*rows+row]; got != want {
+				out[fiberConservation] = append(out[fiberConservation], fmt.Sprintf("allocator mirror says trunk %d row %d uses %d fibers, circuits use %d", trunk, row, got, want))
 			}
 		}
 	}
 	for chip := 0; chip < chips; chip++ {
 		t := rack.TileOf(chip)
 		if got := t.UsedLasers(); got != ctx.lasers[chip] {
-			out = append(out, fmt.Sprintf("chip %d tile (%d,%d) reserves %d lasers but circuit widths sum to %d", chip, t.Row, t.Col, got, ctx.lasers[chip]))
+			out[endpointConservation] = append(out[endpointConservation], fmt.Sprintf("chip %d tile (%d,%d) reserves %d lasers but circuit widths sum to %d", chip, t.Row, t.Col, got, ctx.lasers[chip]))
 		}
 		if got := t.UsedPorts(); got != ctx.ports[chip] {
-			out = append(out, fmt.Sprintf("chip %d tile (%d,%d) reserves %d SerDes ports but %d circuits terminate there", chip, t.Row, t.Col, got, ctx.ports[chip]))
+			out[endpointConservation] = append(out[endpointConservation], fmt.Sprintf("chip %d tile (%d,%d) reserves %d SerDes ports but %d circuits terminate there", chip, t.Row, t.Col, got, ctx.ports[chip]))
 		}
 		if t.FreeLasers() < 0 {
-			out = append(out, fmt.Sprintf("chip %d tile (%d,%d) is over-committed: %d free lasers", chip, t.Row, t.Col, t.FreeLasers()))
+			out[endpointConservation] = append(out[endpointConservation], fmt.Sprintf("chip %d tile (%d,%d) is over-committed: %d free lasers", chip, t.Row, t.Col, t.FreeLasers()))
 		}
 		if t.FreePorts() < 0 {
-			out = append(out, fmt.Sprintf("chip %d tile (%d,%d) is over-committed: %d free SerDes ports", chip, t.Row, t.Col, t.FreePorts()))
+			out[endpointConservation] = append(out[endpointConservation], fmt.Sprintf("chip %d tile (%d,%d) is over-committed: %d free SerDes ports", chip, t.Row, t.Col, t.FreePorts()))
 		}
 	}
-	return out
-}
-
-func checkBudgetHealth(a *route.Allocator, ctx *checkCtx) []string {
-	var out []string
-	rack := a.Rack()
-	for _, c := range ctx.circuits {
-		for _, ep := range [2]int{c.A, c.B} {
-			if !rack.TileOf(ep).ChipHealthy() {
-				out = append(out, fmt.Sprintf("circuit %d terminates at failed chip %d", c.ID, ep))
-			}
-		}
-		for _, s := range c.Segments {
-			if rack.Wafer(s.Wafer).SpanSevered(s.Ref.Orient, s.Ref.Lane, s.Ref.Span) {
-				out = append(out, fmt.Sprintf("circuit %d crosses severed segment %v", c.ID, s))
-			}
-		}
-		for _, f := range c.Fibers {
-			if a.RowFailed(f.Trunk, f.Row) {
-				out = append(out, fmt.Sprintf("circuit %d uses cut fiber row (trunk %d, row %d)", c.ID, f.Trunk, f.Row))
-			}
-		}
-		if !unit.ApproxEqual(c.ReadyAt, c.EstablishedAt+phy.ReconfigLatency) {
-			out = append(out, fmt.Sprintf("circuit %d ready at %v, not one reconfiguration latency after %v", c.ID, c.ReadyAt, c.EstablishedAt))
-		}
-		// Without budget checking the allocator legitimately admits
-		// margin-negative circuits, so feasibility is only an invariant
-		// when the allocator itself enforces it.
-		if a.CheckBudget && !a.StillFeasible(c) {
-			out = append(out, fmt.Sprintf("circuit %d no longer closes its optical budget (margin %v, degradation since establish exceeds it)", c.ID, c.Link.MarginDB))
-		}
-	}
-	return out
-}
-
-func checkSwitchConsistency(a *route.Allocator, ctx *checkCtx) []string {
-	var out []string
-	for _, c := range ctx.circuits {
-		ctx.switches = a.AppendCircuitSwitches(ctx.switches[:0], c)
-		for _, se := range ctx.switches {
-			if got := se.Tile.Switches[se.Switch].Port(); got != se.Port {
-				out = append(out, fmt.Sprintf("circuit %d needs tile (%d,%d) switch %d on port %d, hardware says port %d",
-					c.ID, se.Tile.Row, se.Tile.Col, se.Switch, se.Port, got))
-			}
-		}
-	}
-	return out
+	out[disjointness] = ctx.sweepSegments(out[disjointness])
+	out[disjointness] = ctx.sweepFibers(out[disjointness])
 }

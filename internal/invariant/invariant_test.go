@@ -3,9 +3,11 @@ package invariant
 import (
 	"errors"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
+	"lightpath/internal/rng"
 	"lightpath/internal/route"
 	"lightpath/internal/wafer"
 )
@@ -168,6 +170,58 @@ func TestAuditCatchesEveryCorruption(t *testing.T) {
 	}
 }
 
+// TestAuditSurvivesCorruptIndices: a circuit naming a wafer, an
+// endpoint chip or a turn tile off the rack is reported, never
+// panicked on — a wafer off the rack is an unallocated span, an
+// endpoint off the rack a budget-health failure — by the audit and by
+// every registered Check.
+func TestAuditSurvivesCorruptIndices(t *testing.T) {
+	for _, tc := range []struct {
+		name, invariant, detail string
+		sabotage                func(c *route.Circuit, rack *wafer.Rack)
+	}{
+		{"wide wafer", "bus-conservation", "is not allocated in the lane occupancy", func(c *route.Circuit, rack *wafer.Rack) {
+			c.Segments[len(c.Segments)-1].Wafer = 1 << 40
+		}},
+		{"negative wafer", "bus-conservation", "is not allocated in the lane occupancy", func(c *route.Circuit, rack *wafer.Rack) {
+			c.Segments[0].Wafer = -1
+		}},
+		{"endpoint past the last chip", "budget-health", "off the rack", func(c *route.Circuit, rack *wafer.Rack) {
+			c.A = rack.NumChips()
+		}},
+		{"negative endpoint", "budget-health", "off the rack", func(c *route.Circuit, rack *wafer.Rack) {
+			c.B = -3
+		}},
+		{"turn tile off the grid", "bus-conservation", "is not allocated in the lane occupancy", func(c *route.Circuit, rack *wafer.Rack) {
+			c.Segments[len(c.Segments)-1].Ref.Lane = 1 << 40
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			a, aud := auditFixture(t)
+			var turning *route.Circuit
+			for _, c := range a.Circuits() {
+				if len(c.Segments) > 1 {
+					turning = c
+				}
+			}
+			if turning == nil {
+				t.Fatal("fixture has no circuit with a turn")
+			}
+			tc.sabotage(turning, a.Rack())
+			found := false
+			for _, v := range aud.Audit("sabotage") {
+				found = found || v.Invariant == tc.invariant && strings.Contains(v.Detail, tc.detail)
+			}
+			if !found {
+				t.Fatalf("no %s violation containing %q among %v", tc.invariant, tc.detail, aud.Violations())
+			}
+			for _, inv := range Registry() {
+				inv.Check(a)
+			}
+		})
+	}
+}
+
 // TestPackedSweepOrdersTiesByEnd pins the one case the comparator sort
 // left unspecified: a circuit holding two segments on one bus that
 // start together and end apart. The packed key orders them by end, so
@@ -183,12 +237,39 @@ func TestPackedSweepOrdersTiesByEnd(t *testing.T) {
 		"circuits 1 and 2 share a bus segment or fiber",
 	}
 	for _, held := range [][]route.Segment{{seg(2, 9), seg(2, 3)}, {seg(2, 3), seg(2, 9)}} {
-		ctx := checkCtx{circuits: []*route.Circuit{
+		ctx := checkCtx{seg: newSegLayout(), circuits: []*route.Circuit{
 			{ID: 1, Width: 1, Segments: []route.Segment{seg(0, 5)}},
 			{ID: 2, Width: 1, Segments: held},
 		}}
-		if got := checkDisjointness(nil, &ctx); !reflect.DeepEqual(got, want) {
+		for _, c := range ctx.circuits {
+			for _, s := range c.Segments {
+				ctx.seg.observe(c.ID, s)
+			}
+		}
+		if got := ctx.sweepSegments(nil); !reflect.DeepEqual(got, want) {
 			t.Fatalf("segments held as %v: got %q, want %q", held, got, want)
+		}
+	}
+}
+
+// TestSortKeysMatchesSlicesSort holds the bucketed radix sort to
+// slices.Sort on seeded keys: prefixes of zero, one and two digits and
+// one past the radix limit, buckets of one key and buckets large
+// enough to trip the insertion pass's move budget.
+func TestSortKeysMatchesSlicesSort(t *testing.T) {
+	r := rng.New(1)
+	for trial := 0; trial < 400; trial++ {
+		shift := uint(r.Intn(40))
+		prefixBits := uint(r.Intn(maxRadixPrefix + 2))
+		buckets := 1 + r.Intn(1<<min(prefixBits, 10))
+		keys := make([]uint64, r.Intn(300))
+		for i := range keys {
+			keys[i] = uint64(r.Intn(buckets))<<shift | uint64(r.Intn(1<<min(shift, 20)))
+		}
+		want := slices.Clone(keys)
+		slices.Sort(want)
+		if got, _ := sortKeys(keys, nil, shift, prefixBits); !slices.Equal(got, want) {
+			t.Fatalf("shift %d prefix %d: got %v, want %v", shift, prefixBits, got, want)
 		}
 	}
 }

@@ -14,12 +14,13 @@ import (
 // The disjointness check sorts every bus segment and every fiber the
 // circuits hold and sweeps the sorted order once. Each element is
 // packed into one uint64 whose unsigned order is the sweep order, so
-// the sort is slices.Sort over plain integers and the sweep reads
-// everything it needs back out of the key. A field's width is derived
-// from the value range observed in the same pass, so even a corrupted
-// state (negative lanes, huge IDs) packs as long as its ranges fit; one
-// whose ranges do not fit in 64 bits takes the comparator sweep at the
-// bottom of this file.
+// the sort orders plain integers (sortKeys: a radix sort on the bus or
+// fiber prefix, then an insertion sort per bus or fiber) and the sweep
+// reads everything it needs back out of the key. A field's width is
+// derived from the value range the audit walk observed, so even a
+// corrupted state (negative lanes, huge IDs) packs as long as its
+// ranges fit; one whose ranges do not fit in 64 bits takes the
+// comparator sweep at the bottom of this file.
 
 // valueRange is one key field's observed value range in a pass.
 type valueRange struct{ min, max int }
@@ -50,8 +51,8 @@ func mask(w uint) uint64 { return uint64(1)<<w - 1 }
 // share one range so their offsets compare directly.
 type segLayout struct {
 	wafer, orient, lane, bus, pos, id valueRange
-	// Field shifts; span.Hi sits at bit 0.
-	idShift, loShift, busShift, laneShift, orientShift, waferShift uint
+	// Field shifts; span.Hi sits at bit 0. bits is the key width.
+	idShift, loShift, busShift, laneShift, orientShift, waferShift, bits uint
 }
 
 func newSegLayout() segLayout {
@@ -78,7 +79,8 @@ func (l *segLayout) fit() bool {
 	l.laneShift = l.busShift + l.bus.width()
 	l.orientShift = l.laneShift + l.lane.width()
 	l.waferShift = l.orientShift + l.orient.width()
-	return l.waferShift+l.wafer.width() <= 64
+	l.bits = l.waferShift + l.wafer.width()
+	return l.bits <= 64
 }
 
 func (l *segLayout) key(id int, s route.Segment) uint64 {
@@ -117,8 +119,9 @@ func (l *segLayout) sweep(out []string, keys []uint64) []string {
 // trunk, row, fiber, circuit ID.
 type fibLayout struct {
 	trunk, row, fiber, id valueRange
-	// Field shifts; the circuit ID sits at bit 0.
-	fiberShift, rowShift, trunkShift uint
+	// Field shifts; the circuit ID sits at bit 0. bits is the key
+	// width.
+	fiberShift, rowShift, trunkShift, bits uint
 }
 
 func newFibLayout() fibLayout {
@@ -136,7 +139,8 @@ func (l *fibLayout) fit() bool {
 	l.fiberShift = l.id.width()
 	l.rowShift = l.fiberShift + l.fiber.width()
 	l.trunkShift = l.rowShift + l.row.width()
-	return l.trunkShift+l.trunk.width() <= 64
+	l.bits = l.trunkShift + l.trunk.width()
+	return l.bits <= 64
 }
 
 func (l *fibLayout) key(id int, f wafer.FiberRef) uint64 {
@@ -166,53 +170,110 @@ func sharePair(out []string, a, b int) []string {
 	return append(out, fmt.Sprintf("circuits %d and %d share a bus segment or fiber", a, b))
 }
 
-// checkDisjointness verifies pairwise resource disjointness with one
-// sort-and-sweep pass per resource class: segments sorted by bus then
-// span, each checked for overlap against the farthest-reaching earlier
-// span on its bus; fibers sorted and checked for adjacent duplicates.
-func checkDisjointness(a *route.Allocator, ctx *checkCtx) []string {
-	var out []string
-	segs, fibs := newSegLayout(), newFibLayout()
+// sweepSegments appends the overlapping segment pairs to out: it packs
+// every segment at the layout the walk observed, sorts the keys bus by
+// bus and sweeps them, or takes the comparator sweep when the ranges
+// do not fit.
+func (ctx *checkCtx) sweepSegments(out []string) []string {
+	l := &ctx.seg
+	if !l.fit() {
+		return sweepSegmentsByComparator(out, ctx)
+	}
+	keys := ctx.keys[:0]
+	//lightpath:hotloop
 	for _, c := range ctx.circuits {
-		if c.Width < 1 {
-			out = append(out, fmt.Sprintf("circuit %d has non-positive width %d", c.ID, c.Width))
-		}
 		for _, s := range c.Segments {
-			segs.observe(c.ID, s)
+			keys = append(keys, l.key(c.ID, s))
 		}
+	}
+	ctx.keys, ctx.spare = sortKeys(keys, ctx.spare, l.busShift, l.bits-l.busShift)
+	return l.sweep(out, ctx.keys)
+}
+
+// sweepFibers appends the pairs of circuits holding one fiber to out,
+// packing and sorting fiber by fiber, or by comparator when the ranges
+// do not fit.
+func (ctx *checkCtx) sweepFibers(out []string) []string {
+	l := &ctx.fib
+	if !l.fit() {
+		return sweepFibersByComparator(out, ctx)
+	}
+	keys := ctx.keys[:0]
+	//lightpath:hotloop
+	for _, c := range ctx.circuits {
 		for _, f := range c.Fibers {
-			fibs.observe(c.ID, f)
+			keys = append(keys, l.key(c.ID, f))
 		}
 	}
-	if segs.fit() {
-		keys := ctx.keys[:0]
-		//lightpath:hotloop
-		for _, c := range ctx.circuits {
-			for _, s := range c.Segments {
-				keys = append(keys, segs.key(c.ID, s))
-			}
-		}
+	ctx.keys, ctx.spare = sortKeys(keys, ctx.spare, l.fiberShift, l.bits-l.fiberShift)
+	return l.sweep(out, ctx.keys)
+}
+
+// maxRadixPrefix is the widest bucket prefix sortKeys radix-sorts: two
+// 8-bit digits.
+const maxRadixPrefix = 16
+
+// minRadixKeys is the fewest keys sortKeys radix-sorts. Below it the
+// passes' fixed cost (two 256-bucket histograms) outweighs what they
+// save over slices.Sort; the two cross near 100 keys on x86-64.
+const minRadixKeys = 96
+
+// sortKeys sorts keys ascending. Its keys carry a bucket identity — a
+// bus, or a fiber — in the prefixBits bits above bit shift, and a
+// bucket holds few keys: a stable LSD radix sort with 8-bit digits
+// orders the keys by prefix, then one insertion pass orders each
+// bucket (no key moves past a bucket boundary, since the prefix sort
+// already ordered those). Fewer than minRadixKeys keys or a prefix
+// wider than maxRadixPrefix take slices.Sort, as does an insertion
+// pass that has moved keys more than 4n places (only a corrupted state
+// piles that many keys on one bus). spare is scratch; sortKeys returns
+// the sorted keys and the other buffer, either of which may be the one
+// passed in as spare.
+func sortKeys(keys, spare []uint64, shift, prefixBits uint) (sorted, scratch []uint64) {
+	if prefixBits > maxRadixPrefix || len(keys) < minRadixKeys {
 		slices.Sort(keys)
-		out = segs.sweep(out, keys)
-		ctx.keys = keys
-	} else {
-		out = sweepSegmentsByComparator(out, ctx)
+		return keys, spare
 	}
-	if fibs.fit() {
-		keys := ctx.keys[:0]
-		//lightpath:hotloop
-		for _, c := range ctx.circuits {
-			for _, f := range c.Fibers {
-				keys = append(keys, fibs.key(c.ID, f))
-			}
+	spare = slices.Grow(spare[:0], len(keys))[:len(keys)]
+	// One counting pass fills both digits' histograms.
+	var count [2][256]int
+	//lightpath:hotloop
+	for _, k := range keys {
+		p := k >> shift
+		count[0][p&0xff]++
+		count[1][(p>>8)&0xff]++
+	}
+	for digit := uint(0); digit*8 < prefixBits; digit++ {
+		d, c := shift+8*digit, &count[digit]
+		if c[(keys[0]>>d)&0xff] == len(keys) {
+			continue // every key shares this digit
 		}
-		slices.Sort(keys)
-		out = fibs.sweep(out, keys)
-		ctx.keys = keys
-	} else {
-		out = sweepFibersByComparator(out, ctx)
+		start := 0
+		for b, n := range c {
+			c[b], start = start, start+n
+		}
+		//lightpath:hotloop
+		for _, k := range keys {
+			b := (k >> d) & 0xff
+			spare[c[b]] = k
+			c[b]++
+		}
+		keys, spare = spare, keys
 	}
-	return out
+	moves := 0
+	//lightpath:hotloop
+	for i := 1; i < len(keys); i++ {
+		k, j := keys[i], i
+		for ; j > 0 && keys[j-1] > k; j-- {
+			keys[j] = keys[j-1]
+		}
+		keys[j] = k
+		if moves += i - j; moves > 4*len(keys) {
+			slices.Sort(keys)
+			break
+		}
+	}
+	return keys, spare
 }
 
 // The comparator sweep: the implementation that preceded the packed

@@ -732,14 +732,22 @@ func (a *Allocator) CircuitSwitches(c *Circuit) []SwitchExpectation {
 
 // AppendCircuitSwitches appends c's expected switch states to dst and
 // returns the extended slice — CircuitSwitches without the per-call
-// allocation, for the audit hot path.
+// allocation, for the audit hot path. An expectation whose tile lies
+// off the rack (an endpoint chip, wafer or tile index out of range,
+// which only a corrupted circuit can name) is left out rather than
+// panicking, so the auditor can reconstruct any circuit it is handed.
 func (a *Allocator) AppendCircuitSwitches(dst []SwitchExpectation, c *Circuit) []SwitchExpectation {
-	out := append(dst,
-		SwitchExpectation{Tile: a.rack.TileOf(c.A), Switch: 0, Port: 0},
-		SwitchExpectation{Tile: a.rack.TileOf(c.B), Switch: 0, Port: 0},
-	)
+	chips, wafers := a.rack.NumChips(), a.rack.NumWafers()
+	for _, chip := range [2]int{c.A, c.B} {
+		if chip >= 0 && chip < chips {
+			dst = append(dst, SwitchExpectation{Tile: a.rack.TileOf(chip), Switch: 0, Port: 0})
+		}
+	}
 	for i := 1; i < len(c.Segments); i++ {
 		prev, cur := c.Segments[i-1], c.Segments[i]
+		if cur.Wafer < 0 || cur.Wafer >= wafers {
+			continue
+		}
 		var row, col int
 		if cur.Ref.Orient == wafer.Horizontal {
 			row = cur.Ref.Lane
@@ -748,9 +756,11 @@ func (a *Allocator) AppendCircuitSwitches(dst []SwitchExpectation, c *Circuit) [
 			col = cur.Ref.Lane
 			row = junction(prev.Wafer, prev.Ref.Lane, cur.Wafer, cur.Ref.Span)
 		}
-		out = append(out, SwitchExpectation{Tile: a.rack.Wafer(cur.Wafer).Tile(row, col), Switch: 1, Port: 1})
+		if t := a.rack.Wafer(cur.Wafer).TileAt(row, col); t != nil {
+			dst = append(dst, SwitchExpectation{Tile: t, Switch: 1, Port: 1})
+		}
 	}
-	return out
+	return dst
 }
 
 // FiberRowUsage returns the allocator's occupancy-mirror count for one

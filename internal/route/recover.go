@@ -136,10 +136,14 @@ func (a *Allocator) CircuitsOverSegment(waferIdx int, horizontal bool, lane, pos
 // added since eats into the remaining margin. ApplyFault uses it to
 // decide which circuits a waveguide fault invalidates, and the
 // invariant auditor uses it to assert every surviving circuit's
-// budget still closes.
+// budget still closes. A segment naming a wafer off the rack, which
+// only a corrupted circuit can hold, adds no loss.
 func (a *Allocator) StillFeasible(c *Circuit) bool {
 	extra := 0.0
 	for _, s := range c.Segments {
+		if s.Wafer < 0 || s.Wafer >= a.rack.NumWafers() {
+			continue
+		}
 		w := a.rack.Wafer(s.Wafer)
 		if w.SpanSevered(s.Ref.Orient, s.Ref.Lane, s.Ref.Span) {
 			return false

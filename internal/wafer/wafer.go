@@ -173,8 +173,18 @@ func (w *Wafer) Config() Config { return w.cfg }
 
 // Tile returns the tile at (row, col).
 func (w *Wafer) Tile(row, col int) *Tile {
-	if row < 0 || row >= w.cfg.Rows || col < 0 || col >= w.cfg.Cols {
+	t := w.TileAt(row, col)
+	if t == nil {
 		panic(fmt.Sprintf("wafer: tile (%d,%d) out of %dx%d grid", row, col, w.cfg.Rows, w.cfg.Cols))
+	}
+	return t
+}
+
+// TileAt returns the tile at (row, col), or nil when the position lies
+// off the grid.
+func (w *Wafer) TileAt(row, col int) *Tile {
+	if row < 0 || row >= w.cfg.Rows || col < 0 || col >= w.cfg.Cols {
+		return nil
 	}
 	return w.tiles[row*w.cfg.Cols+col]
 }
