@@ -108,16 +108,14 @@ soak-resume-smoke:
 	if [ $$rc -ne 0 ]; then echo "resumed soak CSV diverged from golden (seed 2024)" >&2; exit 1; fi
 
 ## rail-smoke: run the acceptance-scale rail campaign (10,240
-## endpoints, 1,310,720 flows through the component-sharded solver) —
-## once parallel, once sequential, both under the race detector — and
-## diff the CSVs against the committed golden. Any divergence means
-## the sharded solve lost byte-for-byte parallel/sequential identity.
+## endpoints, 1,310,720 flows through the component-sharded solver)
+## once under the race detector and diff the CSV against the committed
+## golden. Any divergence means the sharded solve's arithmetic moved.
 rail-smoke:
 	@tmp=$$(mktemp -d); rc=0; \
-	for par in true false; do \
-		$(GO) run -race ./cmd/lightpath-sim rail -parallel=$$par -csv $$tmp >/dev/null && \
-		diff -u cmd/lightpath-sim/testdata/rail_golden.csv $$tmp/rail.csv || rc=1; \
-	done; rm -rf $$tmp; \
+	$(GO) run -race ./cmd/lightpath-sim rail -csv $$tmp >/dev/null && \
+	diff -u cmd/lightpath-sim/testdata/rail_golden.csv $$tmp/rail.csv || rc=1; \
+	rm -rf $$tmp; \
 	if [ $$rc -ne 0 ]; then echo "rail CSV diverged from golden" >&2; exit 1; fi
 
 ## controller-smoke: the daemon gate. First the lightpath-controller

@@ -64,13 +64,15 @@ func TestRunDeterministic(t *testing.T) {
 // TestRunConservesRequests checks the accounting identity: every fresh
 // request either lands (served), is abandoned after retries (lost), or
 // dies at an exhausted non-retryable rejection — and nothing leaks.
+// On the server side, every submitted attempt ends in exactly one
+// terminal outcome counter, as ctrl.Stats promises.
 func TestRunConservesRequests(t *testing.T) {
 	t.Cleanup(invariant.ResetGlobal)
-	cfg := smallConfig(7)
-	r, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
+	for _, seed := range []uint64{1, 2, 3, 42, 2024} {
+		runConserved(t, smallConfig(seed))
 	}
+	cfg := smallConfig(7)
+	r := runConserved(t, cfg)
 	if want := cfg.Agents * cfg.ArrivalsPerAgent; r.Requests != want {
 		t.Fatalf("campaign issued %d requests, configured %d", r.Requests, want)
 	}
@@ -95,6 +97,29 @@ func TestRunConservesRequests(t *testing.T) {
 	if r.P99us < r.P50us || r.P50us <= 0 {
 		t.Fatalf("implausible latency quantiles p50=%v p99=%v", r.P50us, r.P99us)
 	}
+}
+
+// runConserved runs cfg's campaign and asserts the server-side
+// identity attempts == arrivals == the sum of the terminal outcome
+// counters.
+func runConserved(t *testing.T, cfg Config) *Result {
+	t.Helper()
+	c, err := build(cfg, CheckpointOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := c.run()
+	if err != nil {
+		t.Fatalf("seed %d: %v", cfg.Seed, err)
+	}
+	st := c.srv.Stats()
+	outcomes := st.Served + st.Shed + st.DeadlineMiss + st.BreakerRejects +
+		st.NoPath + st.EndpointFailed + st.UnknownCircuit + st.BadRequest
+	if r.Attempts != st.Arrivals || st.Arrivals != outcomes {
+		t.Fatalf("seed %d: %d attempts, %d arrivals, %d terminal outcomes (%+v)",
+			cfg.Seed, r.Attempts, st.Arrivals, outcomes, st)
+	}
+	return r
 }
 
 // TestKillResumeAnyBoundary stops the campaign at a spread of event

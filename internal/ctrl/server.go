@@ -495,7 +495,7 @@ func (s *Server) ApplyFault(f chaos.Fault, at unit.Seconds) (FaultReport, error)
 	s.stats.FaultsApplied++
 	for _, c := range broken {
 		move := CircuitMove{OldID: c.ID, NewID: -1, OldWidth: c.Width}
-		nc, degraded, rerr := s.alloc.Reestablish(c, s.now)
+		nc, degraded, rerr := s.alloc.EstablishDegraded(route.Request{A: c.A, B: c.B, Width: c.Width}, s.now)
 		if rerr != nil {
 			s.stats.RerouteFailed++
 			s.stats.CircuitsLost++

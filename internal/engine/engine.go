@@ -156,69 +156,6 @@ func Stream[R any](limit int, trial func(i int) (R, error), consume func(i int, 
 	return nil
 }
 
-// ShardWorkers returns the number of workers RunShards(workers, n, fn)
-// should be given for n shards: 1 in sequential mode (or for a single
-// shard), otherwise min(Workers(), n). Callers size per-worker arenas
-// to this count before fanning out, so the shard bodies themselves
-// stay allocation-free.
-func ShardWorkers(n int) int {
-	if n <= 1 || !Parallel() {
-		return 1
-	}
-	if w := Workers(); w < n {
-		return w
-	}
-	return n
-}
-
-// RunShards executes fn(worker, shard) for every shard in [0, n) and
-// returns when all are done. It is the engine's component-level
-// fan-out: unlike Map, the shard bodies return nothing — they write
-// their results directly into caller-owned storage — so the caller
-// must guarantee the shards' writes are disjoint (each shard touches
-// only its own partition of the output). Under that contract the
-// results are byte-identical regardless of scheduling, because no
-// float fold or output byte depends on which worker ran which shard
-// or in what order.
-//
-// The worker argument is the goroutine's index in [0, workers):
-// shard bodies use it to select per-worker scratch arenas without
-// synchronization. workers must be the value ShardWorkers(n)
-// returned; with workers == 1 the shards run inline on the calling
-// goroutine, in ascending shard order, as worker 0 — the sequential
-// reference schedule the parallel runs must (and, with disjoint
-// writes, trivially do) reproduce.
-func RunShards(workers, n int, fn func(worker, shard int)) {
-	if n <= 0 {
-		return
-	}
-	if workers <= 1 {
-		for shard := 0; shard < n; shard++ {
-			fn(0, shard)
-		}
-		return
-	}
-	if workers > n {
-		workers = n
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(worker int) {
-			defer wg.Done()
-			for {
-				shard := int(next.Add(1)) - 1
-				if shard >= n {
-					return
-				}
-				fn(worker, shard)
-			}
-		}(w)
-	}
-	wg.Wait()
-}
-
 // runPool executes fn(i) for every i in [lo, hi) across Workers()
 // goroutines, dispatching indices from an atomic counter, and returns
 // when all are done.

@@ -227,90 +227,3 @@ func TestMapConcurrencyIsReal(t *testing.T) {
 		t.Fatalf("peak concurrency %d, want >= 2", peak.Load())
 	}
 }
-
-// TestRunShardsCoversEveryShard checks each shard executes exactly
-// once with a worker id inside [0, workers), in both modes.
-func TestRunShardsCoversEveryShard(t *testing.T) {
-	for _, workers := range []int{1, 4} {
-		const n = 97
-		var ran [n]atomic.Int64
-		var badWorker atomic.Int64
-		RunShards(workers, n, func(worker, shard int) {
-			if worker < 0 || worker >= workers {
-				badWorker.Add(1)
-			}
-			ran[shard].Add(1)
-		})
-		if badWorker.Load() != 0 {
-			t.Fatalf("workers=%d: worker id out of range", workers)
-		}
-		for shard := range ran {
-			if got := ran[shard].Load(); got != 1 {
-				t.Fatalf("workers=%d: shard %d ran %d times, want 1", workers, shard, got)
-			}
-		}
-	}
-}
-
-// TestRunShardsSequentialOrder pins the reference schedule: with one
-// worker the shards run inline, in ascending order, as worker 0.
-func TestRunShardsSequentialOrder(t *testing.T) {
-	var order []int
-	RunShards(1, 5, func(worker, shard int) {
-		if worker != 0 {
-			t.Fatalf("sequential shard ran as worker %d", worker)
-		}
-		order = append(order, shard)
-	})
-	for i, shard := range order {
-		if shard != i {
-			t.Fatalf("sequential order %v, want ascending", order)
-		}
-	}
-	if len(order) != 5 {
-		t.Fatalf("ran %d shards, want 5", len(order))
-	}
-}
-
-// TestRunShardsDisjointWrites drives the intended usage — shards
-// writing disjoint slices of caller-owned storage — under real
-// concurrency so the race detector can vet the claim.
-func TestRunShardsDisjointWrites(t *testing.T) {
-	forceParallel(t, 4)
-	const n = 64
-	out := make([]int, n)
-	workers := ShardWorkers(n)
-	if workers != 4 {
-		t.Fatalf("ShardWorkers(%d) = %d, want 4", n, workers)
-	}
-	arenas := make([][]int, workers)
-	RunShards(workers, n, func(worker, shard int) {
-		// Per-worker arena reuse: contents never leak across shards.
-		arenas[worker] = append(arenas[worker][:0], shard)
-		out[shard] = arenas[worker][0] * 2
-	})
-	for shard, got := range out {
-		if got != shard*2 {
-			t.Fatalf("shard %d wrote %d, want %d", shard, got, shard*2)
-		}
-	}
-}
-
-// TestShardWorkers pins the worker-count rules the arena sizing
-// depends on.
-func TestShardWorkers(t *testing.T) {
-	forceParallel(t, 8)
-	if got := ShardWorkers(3); got != 3 {
-		t.Fatalf("ShardWorkers(3) = %d, want 3 (capped by shard count)", got)
-	}
-	if got := ShardWorkers(100); got != 8 {
-		t.Fatalf("ShardWorkers(100) = %d, want 8 (capped by Workers)", got)
-	}
-	if got := ShardWorkers(1); got != 1 {
-		t.Fatalf("ShardWorkers(1) = %d, want 1", got)
-	}
-	forceSequential(t)
-	if got := ShardWorkers(100); got != 1 {
-		t.Fatalf("sequential ShardWorkers(100) = %d, want 1", got)
-	}
-}

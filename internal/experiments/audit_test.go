@@ -10,7 +10,7 @@ import (
 
 // TestMain turns the invariant auditor to Paranoid for every fabric
 // any test in this package builds: each Establish, Release, ApplyFault
-// and Reestablish in every campaign re-checks the full invariant
+// and EstablishDegraded in every campaign re-checks the full invariant
 // registry against the live hardware. If any trial anywhere corrupted
 // the shared optical state, the process-wide tally catches it here
 // even when the owning test's assertions would not.

@@ -11,9 +11,8 @@ import (
 // metric via b.ReportMetric — a seed-deterministic simulation
 // quantity that `make bench-smoke` diffs against BENCH_baseline.json,
 // along with allocs/op. Parallel/sequential identity is not a
-// benchmark concern: TestParallelMatchesSequential,
-// TestRailFabricDeterministicAcrossModes and the -parallel golden
-// smokes hold it.
+// benchmark concern: TestParallelMatchesSequential and the -parallel
+// golden smokes hold it.
 
 // warmup runs one untimed campaign before the measured loop: under
 // `make bench`'s short time budget the expensive campaigns run only

@@ -15,9 +15,9 @@ import (
 // over a million concurrent flows through the component-sharded fluid
 // solver (netsim.RunSharded). It is the repo's scale proof — the same
 // max-min arithmetic the single-wafer experiments use, three orders
-// of magnitude more flows — and its golden CSVs are the `make
-// rail-smoke` determinism gate: parallel and sequential solves must
-// produce byte-identical output.
+// of magnitude more flows — and its golden CSV is the `make
+// rail-smoke` determinism gate: every run must reproduce it byte for
+// byte.
 //
 // Traffic is structured, not random, so the event count stays linear
 // in waves rather than flows: each solver component is a ring whose
@@ -194,8 +194,8 @@ func (r RailFabricResult) CSV() ([]string, [][]string) {
 
 // RailFabric places the structured rail traffic and solves it with
 // the component-sharded fluid solver. The run is fully deterministic
-// — no randomness, and RunSharded is byte-identical across parallel
-// modes — so two invocations with the same config always produce the
+// — no randomness, and RunSharded solves its components in a fixed
+// order — so two invocations with the same config always produce the
 // same Result down to the last bit.
 func RailFabric(cfg RailFabricConfig) (RailFabricResult, error) {
 	if err := cfg.Validate(); err != nil {

@@ -4,7 +4,6 @@ import (
 	"strings"
 	"testing"
 
-	"lightpath/internal/engine"
 	"lightpath/internal/unit"
 )
 
@@ -59,42 +58,6 @@ func TestRailFabricCounts(t *testing.T) {
 	}
 	if res.MaxLoadFlows < cfg.Waves {
 		t.Fatalf("peak link load %d below wave depth %d", res.MaxLoadFlows, cfg.Waves)
-	}
-}
-
-// TestRailFabricDeterministicAcrossModes is the campaign-level leg of
-// the determinism contract: parallel and sequential runs must render
-// byte-identical CSVs and summaries.
-func TestRailFabricDeterministicAcrossModes(t *testing.T) {
-	cfg := smallRailConfig()
-	prevPar := engine.SetParallel(false)
-	seq, err := RailFabric(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	engine.SetParallel(true)
-	prevW := engine.SetWorkers(4)
-	par, err := RailFabric(cfg)
-	engine.SetParallel(prevPar)
-	engine.SetWorkers(prevW)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if seq.String() != par.String() {
-		t.Fatalf("summaries diverged:\nsequential:\n%s\nparallel:\n%s", seq, par)
-	}
-	sh, sr := seq.CSV()
-	ph, pr := par.CSV()
-	if strings.Join(sh, ",") != strings.Join(ph, ",") {
-		t.Fatal("CSV headers diverged")
-	}
-	if len(sr) != len(pr) {
-		t.Fatalf("CSV row counts diverged: %d vs %d", len(sr), len(pr))
-	}
-	for i := range sr {
-		if strings.Join(sr[i], ",") != strings.Join(pr[i], ",") {
-			t.Fatalf("CSV row %d diverged:\nsequential: %v\nparallel:   %v", i, sr[i], pr[i])
-		}
 	}
 }
 

@@ -43,7 +43,7 @@ const (
 	// for hot paths while still catching persistent corruption.
 	Sampled
 	// Paranoid audits after every completed top-level mutation
-	// (Establish, Release, ApplyFault, Reestablish, fiber-row
+	// (Establish, Release, ApplyFault, EstablishDegraded, fiber-row
 	// fail/restore). All tests run in this mode, except that
 	// cmd/lightpath-sim's full-scale campaign replays drop to Sampled
 	// under -race to stay inside the race detector's time budget.

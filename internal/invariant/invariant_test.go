@@ -276,8 +276,8 @@ func TestSortKeysMatchesSlicesSort(t *testing.T) {
 
 // TestParanoidHookFiresOnEveryMutation attaches a Paranoid auditor and
 // counts registry passes across a mutation mix, including the
-// compound ones (ApplyFault, Reestablish) that must audit once at the
-// top level — never mid-mutation on inconsistent state.
+// compound ones (ApplyFault, EstablishDegraded) that must audit once
+// at the top level — never mid-mutation on inconsistent state.
 func TestParanoidHookFiresOnEveryMutation(t *testing.T) {
 	rack, err := wafer.NewRack(wafer.DefaultConfig(), 2)
 	if err != nil {

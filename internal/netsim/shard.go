@@ -4,32 +4,18 @@ import (
 	"fmt"
 	"math"
 
-	"lightpath/internal/engine"
 	"lightpath/internal/unit"
 )
 
 // This file is the component-sharded solver: RunSharded partitions
 // the flow set into the connected components of the sharing graph
 // (already computed by build for the incremental refill) and runs an
-// entire independent fluid simulation per component, fanning the
-// components across an engine worker pool. It is how netsim scales
-// from the thousands of flows a single wafer carries to the millions
-// a rail-optimized datacenter fabric carries (the RailFabric
-// campaign): components never exchange bytes, so their simulations
-// are embarrassingly parallel, and the global O(flows) scan per
-// completion event that Run pays shrinks to a per-component scan.
-//
-// Determinism. Every piece of solver state a component touches —
-// rates, frozen, residual, users, remaining, active, FlowEnd,
-// Delivered — is indexed by interned flow or resource id, and every
-// id belongs to exactly one component (a fuzz target,
-// FuzzComponentPartition, pins that invariant). The workers therefore
-// write disjoint storage, the "merge" of per-component results is the
-// identity mapping in interned-id order, and the only cross-component
-// folds (the makespan max, the first-error selection) run
-// sequentially in ascending order after the pool drains. A parallel
-// run is byte-identical to a sequential one by construction, not by
-// tolerance; the differential tests assert it bit for bit.
+// entire independent fluid simulation per component, in ascending
+// component order. It is how netsim scales from the thousands of
+// flows a single wafer carries to the millions a rail-optimized
+// datacenter fabric carries (the RailFabric campaign): components
+// never exchange bytes, so the global O(flows) scan per completion
+// event that Run pays shrinks to a per-component scan.
 //
 // Relation to Run. Within one component RunSharded performs exactly
 // Run's arithmetic: refill at every completion event, minimum
@@ -45,11 +31,10 @@ import (
 
 // RunSharded simulates the flows sharing the given resource
 // capacities until all complete, like Run, but solves each connected
-// component of the sharing graph as an independent simulation and
-// fans the components across the engine worker pool
-// (engine.SetParallel / engine.SetWorkers govern the fan-out; results
-// are byte-identical either way). The returned slices alias the Sim's
-// storage and are valid until the next call on this Sim.
+// component of the sharing graph as an independent simulation. It
+// returns the first failing component's error. The returned slices
+// alias the Sim's storage and are valid until the next call on this
+// Sim.
 func (s *Sim[R]) RunSharded(flows []Flow[R], caps map[R]unit.BitRate) (Result, error) {
 	if _, err := s.build(flows, caps); err != nil {
 		return Result{}, err
@@ -61,21 +46,8 @@ func (s *Sim[R]) RunSharded(flows []Flow[R], caps map[R]unit.BitRate) (Result, e
 	for i, f := range flows {
 		s.remaining[i] = float64(f.Bytes)
 	}
-
-	workers := engine.ShardWorkers(s.nComp)
-	s.shardOrder = grow(s.shardOrder, workers)
-	s.compErr = grow(s.compErr, s.nComp)
-	for c := range s.compErr {
-		s.compErr[c] = nil
-	}
-	engine.RunShards(workers, s.nComp, func(worker, c int) {
-		s.compErr[c] = s.runComponent(int32(c), flows, worker)
-	})
-	// Deterministic error selection: the lowest-index component's
-	// error, exactly what a sequential component loop that stops at
-	// the first failure would surface.
 	for c := 0; c < s.nComp; c++ {
-		if err := s.compErr[c]; err != nil {
+		if err := s.runComponent(int32(c), flows); err != nil {
 			return Result{}, err
 		}
 	}
@@ -91,10 +63,10 @@ func (s *Sim[R]) RunSharded(flows []Flow[R], caps map[R]unit.BitRate) (Result, e
 
 // runComponent runs the complete fluid simulation of one component:
 // refill the component's rates, advance to its earliest completion,
-// retire finished flows, repeat. It writes only state owned by the
-// component's flows (plus the per-worker census arena), so concurrent
-// calls on distinct components never touch the same memory.
-func (s *Sim[R]) runComponent(c int32, flows []Flow[R], worker int) error {
+// retire finished flows, repeat. Apart from the refill census
+// scratch, it writes only state indexed by the component's own flows
+// and resources.
+func (s *Sim[R]) runComponent(c int32, flows []Flow[R]) error {
 	fls := s.compFlows[s.compFlowStart[c]:s.compFlowStart[c+1]]
 	remaining := s.remaining
 	active := 0
@@ -103,11 +75,10 @@ func (s *Sim[R]) runComponent(c int32, flows []Flow[R], worker int) error {
 			active++
 		}
 	}
-	order := s.shardOrder[worker]
 	now := 0.0
 	//lightpath:hotloop
 	for active > 0 {
-		order = s.refill(c, order)
+		s.refill(c)
 		rates := s.rates
 		// Advance to the component's earliest completion.
 		dt := math.Inf(1)
@@ -116,7 +87,6 @@ func (s *Sim[R]) runComponent(c int32, flows []Flow[R], worker int) error {
 				continue
 			}
 			if rates[f] <= 0 {
-				s.shardOrder[worker] = order
 				return fmt.Errorf("%w: flow %d received zero rate", ErrStarvedFlow, f)
 			}
 			if t := remaining[f] / rates[f]; t < dt {
@@ -139,6 +109,5 @@ func (s *Sim[R]) runComponent(c int32, flows []Flow[R], worker int) error {
 			}
 		}
 	}
-	s.shardOrder[worker] = order
 	return nil
 }

@@ -73,13 +73,6 @@ type Sim[R comparable] struct {
 	tmp           []int32 // counting-sort cursor scratch
 	refillOrder   []int32 // per-refill bottleneck scan order scratch
 
-	// Sharded-solve scratch (RunSharded, shard.go): one refill census
-	// arena per engine worker — the only refill state not already
-	// partitioned by component — and the per-component error slots the
-	// deterministic merge folds in ascending component order.
-	shardOrder [][]int32
-	compErr    []error
-
 	// Progressive-filling state. active[f] is whether flow f takes
 	// part in the rate computation (positive remaining bytes and, for
 	// RunEvents, running phase); dirty[c] marks components whose
@@ -334,7 +327,7 @@ func (s *Sim[R]) markFlowDirty(f int) {
 func (s *Sim[R]) computeRates() {
 	for c := 0; c < s.nComp; c++ {
 		if s.dirty[c] {
-			s.refillOrder = s.refill(int32(c), s.refillOrder)
+			s.refill(int32(c))
 			s.dirty[c] = false
 		}
 	}
@@ -351,21 +344,14 @@ func (s *Sim[R]) computeRates() {
 // first user. With the scan order matched, the float operations and
 // their sequence are identical to fairRatesInto over the same active
 // set, so the computed rates are bit-identical to the oracle's.
-//
-// The census-order scratch is threaded in and returned (capacity
-// grown as needed) instead of living on the Sim, because the sharded
-// solver refills different components concurrently: every worker owns
-// its own scratch while all other refill state — rates, frozen,
-// residual, users — is indexed by flow or resource id and therefore
-// disjoint between components.
-func (s *Sim[R]) refill(c int32, scratch []int32) []int32 {
+func (s *Sim[R]) refill(c int32) {
 	res := s.compRes[s.compResStart[c]:s.compResStart[c+1]]
 	fls := s.compFlows[s.compFlowStart[c]:s.compFlowStart[c+1]]
 	for _, r := range res {
 		s.residual[r] = s.capBps[r]
 		s.users[r] = 0
 	}
-	order := scratch[:0]
+	order := s.refillOrder[:0]
 	for _, f := range fls {
 		s.rates[f] = 0
 		if !s.active[f] {
@@ -381,6 +367,7 @@ func (s *Sim[R]) refill(c int32, scratch []int32) []int32 {
 			s.users[r]++
 		}
 	}
+	s.refillOrder = order[:0]
 	for {
 		var bestR int32 = -1
 		best := math.Inf(1)
@@ -395,7 +382,7 @@ func (s *Sim[R]) refill(c int32, scratch []int32) []int32 {
 			}
 		}
 		if bestR < 0 {
-			return order
+			return
 		}
 		for _, f := range s.resFlows[s.resStart[bestR]:s.resStart[bestR+1]] {
 			if s.frozen[f] {

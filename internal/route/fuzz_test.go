@@ -120,7 +120,7 @@ func FuzzFaultRecovery(f *testing.F) {
 			// live endpoints; failures (no path left, dead endpoint)
 			// are legitimate outcomes, but must not corrupt state.
 			for _, c := range broken {
-				_, _, _ = a.Reestablish(c, 0)
+				_, _, _ = a.EstablishDegraded(route.Request{A: c.A, B: c.B, Width: c.Width}, 0)
 				checkRecoveryInvariants(t, a, aud)
 			}
 		}

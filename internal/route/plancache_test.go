@@ -115,7 +115,7 @@ func reestablishBroken(a *route.Allocator, broken, live []*route.Circuit, line s
 				break
 			}
 		}
-		nc, degraded, err := a.Reestablish(c, 0)
+		nc, degraded, err := a.EstablishDegraded(route.Request{A: c.A, B: c.B, Width: c.Width}, 0)
 		if err != nil {
 			line += fmt.Sprintf("; re %d: %s", c.ID, errString(err))
 			continue

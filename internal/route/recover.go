@@ -162,19 +162,11 @@ func (a *Allocator) releaseAll(cs []*Circuit) []*Circuit {
 	return cs
 }
 
-// Reestablish finds a new path for a torn-down circuit's endpoints,
-// degrading gracefully: it first retries the full wavelength width,
-// then halves the width until a path fits or width 1 fails too. It
-// returns the new circuit and whether it is degraded (narrower than
-// requested). Endpoint chip failures are not retried — they need a
-// replacement chip, which is the core recovery loop's decision.
-func (a *Allocator) Reestablish(c *Circuit, now unit.Seconds) (*Circuit, bool, error) {
-	return a.EstablishDegraded(Request{A: c.A, B: c.B, Width: c.Width}, now)
-}
-
 // EstablishDegraded establishes the request, halving the wavelength
 // width on failure until it fits (graceful degradation). The boolean
 // reports whether the established circuit is narrower than requested.
+// Endpoint chip failures are not retried — they need a replacement
+// chip, which is the core recovery loop's decision.
 func (a *Allocator) EstablishDegraded(req Request, now unit.Seconds) (*Circuit, bool, error) {
 	var lastErr error
 	for width := req.Width; width >= 1; width /= 2 {

@@ -40,9 +40,10 @@ func TestApplyFaultChipFailure(t *testing.T) {
 	if _, err := a.Establish(Request{A: 0, B: 9, Width: 1}, 0); !errors.Is(err, ErrEndpointFailed) {
 		t.Fatalf("dead endpoint accepted: %v", err)
 	}
-	// Reestablish for the broken circuit must also refuse: the endpoint
+	// Re-establishing the broken circuit must also refuse: the endpoint
 	// itself is gone, and no narrowing helps.
-	if _, _, err := a.Reestablish(broken[0], 0); !errors.Is(err, ErrEndpointFailed) {
+	b := broken[0]
+	if _, _, err := a.EstablishDegraded(Request{A: b.A, B: b.B, Width: b.Width}, 0); !errors.Is(err, ErrEndpointFailed) {
 		t.Fatalf("reestablish to a dead chip: %v", err)
 	}
 }
@@ -141,7 +142,7 @@ func TestApplyFaultWaveguideLossBudgetAndSever(t *testing.T) {
 		t.Fatalf("severed segment broke %v, want the crossing circuit", broken)
 	}
 	// Re-establishment must avoid the severed position.
-	re, degraded, err := a.Reestablish(c, 0)
+	re, degraded, err := a.EstablishDegraded(Request{A: c.A, B: c.B, Width: c.Width}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,7 +182,7 @@ func TestApplyFaultFiberCut(t *testing.T) {
 		t.Fatal("cut row not marked failed")
 	}
 	// Re-establishment routes over a surviving row.
-	re, _, err := a.Reestablish(c, 0)
+	re, _, err := a.EstablishDegraded(Request{A: c.A, B: c.B, Width: c.Width}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
