@@ -22,8 +22,8 @@ race:
 
 ## race-stress: the scheduling-dependent tests — Fig5's
 ## parallel-vs-sequential planning, the auditor's differentials against
-## the reference checks and against slices.Sort and its corrupt-index
-## test, the daemon's concurrent connections and pipelined frames over
+## the reference checks, against slices.Sort and of its delta audits
+## against full passes, and its corrupt-index test, the daemon's concurrent connections and pipelined frames over
 ## one buffered reader, the event queue's differential against
 ## container/heap, and soak trials writing their
 ## checkpoints concurrently through the shared kill/resume trial runner —
@@ -32,7 +32,7 @@ race:
 ## rather than one run in several.
 race-stress:
 	$(GO) test -race -count=20 -cpu 1,2,8 -run '^TestFig5ParallelMatchesSequential$$' ./internal/experiments
-	$(GO) test -race -count=20 -cpu 1,2,8 -run '^(TestAuditMatchesReference|FuzzDisjointness|TestAuditSurvivesCorruptIndices|TestSortKeysMatchesSlicesSort)$$' ./internal/invariant
+	$(GO) test -race -count=20 -cpu 1,2,8 -run '^(TestAuditMatchesReference|FuzzDisjointness|TestAuditSurvivesCorruptIndices|TestSortKeysMatchesSlicesSort|TestDeltaMatchesFullAudit)$$' ./internal/invariant
 	$(GO) test -race -count=20 -cpu 1,2,8 -run '^(TestDaemonConcurrentClients|TestServeConnPipelinedFrames)$$' ./internal/ctrl
 	$(GO) test -race -count=20 -cpu 1,2,8 -run '^TestQueueMatchesContainerHeap$$' ./internal/evloop
 	$(GO) test -race -count=20 -cpu 1,2,8 -run '^TestKillResumeCSVIdentical$$' ./cmd/lightpath-sim

@@ -9,7 +9,7 @@ import (
 )
 
 // DefaultStride is how many mutations a Sampled auditor lets pass
-// between full audits.
+// between audits.
 const DefaultStride = 16
 
 // maxRecorded bounds the violations an auditor retains verbatim; the
@@ -34,6 +34,12 @@ type Auditor struct {
 	// ctx is the audit loop's reusable working storage; a clean pass
 	// over a warm auditor allocates nothing.
 	ctx checkCtx
+	// idx is a Sampled auditor's index for delta audits (delta.go).
+	// deltas counts the delta audits since the last sampled full pass;
+	// fullPasses counts the sampled audits that ran as full passes.
+	idx        liveIndex
+	deltas     int
+	fullPasses int
 }
 
 // Attach builds an auditor in the given mode and registers it as the
@@ -52,24 +58,51 @@ func Attach(a *route.Allocator, mode Mode) *Auditor {
 // the allocator's audit hook; callers that mutate hardware behind the
 // allocator's back (repair crews) invoke it directly with their own
 // operation name.
-func (d *Auditor) Mutated(op string) {
+func (d *Auditor) Mutated(op string) { d.mutated(op) }
+
+// mutated is Mutated returning the violations its audit found, if it
+// ran one.
+func (d *Auditor) mutated(op string) []Violation {
 	d.mutations++
 	switch d.mode {
 	case Paranoid:
+		return d.run(op)
 	case Sampled:
-		if d.mutations%d.stride != 0 {
-			return
+		if !deltaOp(op) {
+			d.idx.valid = false
 		}
-	default:
-		return
+		if d.mutations%d.stride == 0 {
+			return d.sample(op)
+		}
 	}
-	d.run(op)
+	return nil
+}
+
+// sample runs one Sampled audit. It is a delta audit when the index
+// is valid and fewer than fullPassEvery-1 deltas have run since the
+// last full pass; otherwise, or when the delta finds anything amiss,
+// it is a full pass, which rebuilds the index when it comes out clean.
+func (d *Auditor) sample(op string) []Violation {
+	if d.idx.valid && d.deltas < fullPassEvery-1 && d.idx.delta(&d.ctx, d.alloc) {
+		d.audits++
+		d.deltas++
+		return nil
+	}
+	d.deltas = 0
+	d.fullPasses++
+	vs := d.run(op)
+	if len(vs) == 0 {
+		d.idx.rebuild(&d.ctx, d.alloc)
+	}
+	return vs
 }
 
 // Audit runs the full registry immediately, regardless of mode, and
 // returns the violations found by this pass.
 func (d *Auditor) Audit(op string) []Violation { return d.run(op) }
 
+// run is one full pass. A pass that finds violations leaves the delta
+// index invalid, so the next sampled audit is a full pass too.
 func (d *Auditor) run(op string) []Violation {
 	d.audits++
 	var fresh []Violation
@@ -82,6 +115,7 @@ func (d *Auditor) run(op string) []Violation {
 	if len(fresh) == 0 {
 		return nil
 	}
+	d.idx.valid = false
 	d.count += len(fresh)
 	if room := maxRecorded - len(d.recorded); room > 0 {
 		n := len(fresh)
@@ -97,7 +131,8 @@ func (d *Auditor) run(op string) []Violation {
 // Count returns the total violations found over the auditor's life.
 func (d *Auditor) Count() int { return d.count }
 
-// Audits returns how many full registry passes have run.
+// Audits returns how many audits have run: every Sampled audit point,
+// delta or full, every Paranoid mutation and every direct Audit.
 func (d *Auditor) Audits() int { return d.audits }
 
 // Mutations returns how many top-level mutations the auditor has

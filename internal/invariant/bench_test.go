@@ -45,7 +45,10 @@ func campaignState(tb testing.TB) *route.Allocator {
 }
 
 // TestWarmAuditAllocatesNothing: once an auditor's scratch has grown, a
-// clean pass over a full fabric allocates nothing.
+// clean pass over a full fabric allocates nothing, and neither do a
+// warm Sampled auditor's audits, deltas and full passes alike: releasing
+// and re-establishing circuits through the hook allocates only the
+// granted circuits.
 func TestWarmAuditAllocatesNothing(t *testing.T) {
 	aud := invariant.Attach(campaignState(t), invariant.Off)
 	if vs := aud.Audit("warm"); len(vs) != 0 {
@@ -54,15 +57,44 @@ func TestWarmAuditAllocatesNothing(t *testing.T) {
 	if allocs := testing.AllocsPerRun(20, func() { aud.Audit("bench") }); allocs != 0 {
 		t.Fatalf("warm audit allocates %v times per pass, want 0", allocs)
 	}
+
+	a := campaignState(t)
+	sampled := invariant.Attach(a, invariant.Sampled)
+	live := a.Circuits()
+	next := 0
+	// One cycle is DefaultStride mutations, so one sampled audit.
+	cycle := func() {
+		for k := 0; k < invariant.DefaultStride/2; k++ {
+			c := live[next%len(live)]
+			a.Release(c)
+			nc, err := a.Establish(route.Request{A: c.A, B: c.B, Width: c.Width}, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			live[next%len(live)] = nc
+			next++
+		}
+	}
+	for i := 0; i < 32; i++ {
+		cycle()
+	}
+	audits, full := sampled.Audits(), sampled.FullPasses()
+	if allocs := testing.AllocsPerRun(32, cycle); allocs != invariant.DefaultStride/2 {
+		t.Fatalf("a cycle of %d re-establishes allocates %v times, want one per granted circuit", invariant.DefaultStride/2, allocs)
+	}
+	deltas := sampled.Audits() - audits - (sampled.FullPasses() - full)
+	if sampled.Count() != 0 || deltas < 16 {
+		t.Fatalf("%d violations, %d delta audits over the measured cycles (want 0 and at least 16)", sampled.Count(), deltas)
+	}
 }
 
 // BenchmarkAudit measures the invariant auditor on the campaign state.
 // "full" is one registry pass on a warm auditor (0 allocs/op).
 // "sampled" and "paranoid" measure the auditor as the allocator's
 // hook: one op is a release and a re-establish of the same circuit
-// (two mutations), with an audit every DefaultStride-th mutation or
-// after every one. The paper metric is the live circuit count each
-// audit walks.
+// (two mutations), with an audit every DefaultStride-th mutation (most
+// of them delta audits) or a full pass after every one. The paper
+// metric is the live circuit count a full pass walks.
 func BenchmarkAudit(b *testing.B) {
 	for _, mode := range []invariant.Mode{invariant.Off, invariant.Sampled, invariant.Paranoid} {
 		name := mode.String()

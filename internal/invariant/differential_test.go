@@ -23,6 +23,18 @@ import (
 // releases and chaos faults.
 func randomState(t testing.TB, seed uint64, steps int) *route.Allocator {
 	t.Helper()
+	a, step := randomStream(t, seed, [3]int{6, 2, 2})
+	for i := 0; i < steps; i++ {
+		step(i)
+	}
+	return a
+}
+
+// randomStream builds randomState's allocator and returns it with the
+// function that takes step i of its stream: an establish, a release or
+// the next chaos fault, drawn with the given weights in that order.
+func randomStream(t testing.TB, seed uint64, weights [3]int) (*route.Allocator, func(i int)) {
+	t.Helper()
 	r := rng.New(seed)
 	topo := wafer.Chain
 	if r.Intn(2) == 0 {
@@ -52,14 +64,14 @@ func randomState(t testing.TB, seed uint64, steps int) *route.Allocator {
 		t.Fatal(err)
 	}
 	faults := eng.Schedule(1.0)
-	for i := 0; i < steps; i++ {
-		switch x := r.Intn(10); {
-		case x < 6:
+	return a, func(i int) {
+		switch x := r.Intn(weights[0] + weights[1] + weights[2]); {
+		case x < weights[0]:
 			req := route.Request{A: r.Intn(rack.NumChips()), B: r.Intn(rack.NumChips()), Width: 1 + r.Intn(4)}
 			if req.A != req.B {
 				_, _ = a.Establish(req, unit.Seconds(i)*unit.Microsecond)
 			}
-		case x < 8:
+		case x < weights[0]+weights[1]:
 			if cs := a.Circuits(); len(cs) > 0 {
 				a.Release(cs[r.Intn(len(cs))])
 			}
@@ -72,7 +84,6 @@ func randomState(t testing.TB, seed uint64, steps int) *route.Allocator {
 			}
 		}
 	}
-	return a
 }
 
 // wideValues are the out-of-range field values the sabotages plant:

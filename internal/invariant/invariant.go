@@ -9,12 +9,22 @@
 // circuit within its loss budget and traversing only healthy
 // components; switch programming consistent with circuit segments.
 //
-// The auditor attaches to a route.Allocator via its audit hook and
-// runs after every completed top-level mutation (Paranoid mode) or
-// every few mutations (Sampled mode). It never panics and never
-// mutates the state it audits: violations are recorded on the auditor
-// (and tallied globally for test harnesses) so the simulation can
-// keep running while the defect is reported.
+// The auditor attaches to a route.Allocator via its audit hook. In
+// Paranoid mode it runs a full pass of the registry after every
+// completed top-level mutation. In Sampled mode it audits every
+// DefaultStride-th mutation, and most of those audits are delta
+// audits: they check only the circuits established or released since
+// the previous audit, against an index of the live circuits the
+// auditor keeps. Every 16th sampled audit is a full pass, and so is
+// the next one after a mutation other than an establish or a release
+// (a fault, a fiber row failed or restored, a repair), after an audit
+// that found violations, after RestoreState, and whenever the circuit
+// table is out of ID order or holds a key off the rack. A delta that
+// finds anything amiss hands over to a full pass on the same state, so
+// it reports exactly what the full registry does. The auditor never
+// panics and never mutates the state it audits: violations are
+// recorded on the auditor (and tallied globally for test harnesses) so
+// the simulation can keep running while the defect is reported.
 package invariant
 
 import (
@@ -40,7 +50,11 @@ const (
 	// Off disables auditing entirely; the hook is not even attached.
 	Off Mode = iota
 	// Sampled audits every DefaultStride-th mutation — cheap enough
-	// for hot paths while still catching persistent corruption.
+	// for hot paths while still catching persistent corruption. Of
+	// every 16 sampled audits, up to 15 are delta audits, which check
+	// only the circuits added or removed since the previous audit; the
+	// rest are full passes (see the package comment for when a delta
+	// falls back to one).
 	Sampled
 	// Paranoid audits after every completed top-level mutation
 	// (Establish, Release, ApplyFault, EstablishDegraded, fiber-row
@@ -155,8 +169,8 @@ func view(i int) func(a *route.Allocator) []string {
 }
 
 // checkCtx is the reusable working storage of one audit pass: the
-// sorted circuit list, per-invariant detail buffers, tally buffers and
-// the disjointness sweep's keys. An attached Auditor keeps one across
+// circuit list, per-invariant detail buffers, the tallies and the
+// disjointness sweep's keys. An attached Auditor keeps one across
 // audits so the steady-state audit stops allocating; the public
 // registry builds a throwaway one per Check call.
 type checkCtx struct {
@@ -165,6 +179,10 @@ type checkCtx struct {
 	// out holds each invariant's details, indexed by registry
 	// position, in the order that invariant reports them.
 	out [numInvariants][]string
+	// geo is the audited rack's geometry, read once per pass.
+	geo geometry
+	// t is what a full pass's circuits account for.
+	t tally
 	// seg and fib are the packed-key layouts, their value ranges
 	// observed by the walk. keys and spare hold the sweep's sort keys;
 	// segs and fibs serve its comparator fallback (see sweep.go).
@@ -173,9 +191,27 @@ type checkCtx struct {
 	keys, spare []uint64
 	segs        []segOwner
 	fibs        []fibOwner
-	perRow      []int
-	lasers      []int
-	ports       []int
+}
+
+// geometry is the rack dimensions an audit indexes by.
+type geometry struct {
+	wafers, chips, trunks, rows int
+}
+
+// tally is what a set of circuits accounts for: bus segments and
+// fibers held, fibers per trunk row (trunk*rows + row), and lasers and
+// SerDes ports per chip.
+type tally struct {
+	segments, fibers      int
+	perRow, lasers, ports []int
+}
+
+// reset zeroes the tally for the geometry.
+func (t *tally) reset(g geometry) {
+	t.segments, t.fibers = 0, 0
+	t.perRow = grownZeroed(t.perRow, g.trunks*g.rows)
+	t.lasers = grownZeroed(t.lasers, g.chips)
+	t.ports = grownZeroed(t.ports, g.chips)
 }
 
 // grownZeroed returns buf resized to n with every element zero.
@@ -190,6 +226,27 @@ func grownZeroed(buf []int, n int) []int {
 	return buf
 }
 
+// begin starts a pass over a: it snapshots the ID-ordered circuit
+// table, empties the detail buffers and reads the geometry.
+func (ctx *checkCtx) begin(a *route.Allocator) {
+	ctx.circuits = a.AppendCircuits(ctx.circuits[:0])
+	for i := range ctx.out {
+		ctx.out[i] = ctx.out[i][:0]
+	}
+	rack := a.Rack()
+	ctx.geo = geometry{wafers: rack.NumWafers(), chips: rack.NumChips(), trunks: rack.NumTrunks(), rows: rack.Config().Rows}
+}
+
+// clean reports whether the pass has found nothing so far.
+func (ctx *checkCtx) clean() bool {
+	for _, details := range ctx.out {
+		if len(details) > 0 {
+			return false
+		}
+	}
+	return true
+}
+
 // audit runs every invariant over a in one pass. A single walk over
 // the ID-ordered circuit table does each circuit's checks and tallies
 // and records the packed-key value ranges; the rack-wide totals and
@@ -198,103 +255,41 @@ func grownZeroed(buf []int, n int) []int {
 // off the rack is a budget-health violation, and every other check
 // skips that element.
 func (ctx *checkCtx) audit(a *route.Allocator) {
-	ctx.circuits = a.AppendCircuits(ctx.circuits[:0])
+	ctx.begin(a)
 	out := &ctx.out
-	for i := range out {
-		out[i] = out[i][:0]
-	}
 	rack := a.Rack()
-	wafers, chips, trunks, rows := rack.NumWafers(), rack.NumChips(), rack.NumTrunks(), rack.Config().Rows
-	ctx.perRow = grownZeroed(ctx.perRow, trunks*rows)
-	ctx.lasers = grownZeroed(ctx.lasers, chips)
-	ctx.ports = grownZeroed(ctx.ports, chips)
+	g := ctx.geo
+	ctx.t.reset(g)
 	ctx.seg, ctx.fib = newSegLayout(), newFibLayout()
-	segments, fibers := 0, 0
 	//lightpath:hotloop
 	for _, c := range ctx.circuits {
-		if c.Width < 1 {
-			out[disjointness] = append(out[disjointness], fmt.Sprintf("circuit %d has non-positive width %d", c.ID, c.Width))
-		}
-		for _, ep := range [2]int{c.A, c.B} {
-			if ep < 0 || ep >= chips {
-				out[budgetHealth] = append(out[budgetHealth], fmt.Sprintf("circuit %d terminates at chip %d, off the rack", c.ID, ep))
-				continue
-			}
-			ctx.lasers[ep] += c.Width
-			ctx.ports[ep]++
-			if !rack.TileOf(ep).ChipHealthy() {
-				out[budgetHealth] = append(out[budgetHealth], fmt.Sprintf("circuit %d terminates at failed chip %d", c.ID, ep))
-			}
-		}
-		segments += len(c.Segments)
-		for _, s := range c.Segments {
-			ctx.seg.observe(c.ID, s)
-			var w *wafer.Wafer
-			if s.Wafer >= 0 && s.Wafer < wafers {
-				w = rack.Wafer(s.Wafer)
-			}
-			if w == nil || !w.BusSpanAllocated(s.Ref) {
-				out[busConservation] = append(out[busConservation], fmt.Sprintf("circuit %d segment %v is not allocated in the lane occupancy", c.ID, s))
-			}
-			if w != nil && w.SpanSevered(s.Ref.Orient, s.Ref.Lane, s.Ref.Span) {
-				out[budgetHealth] = append(out[budgetHealth], fmt.Sprintf("circuit %d crosses severed segment %v", c.ID, s))
-			}
-		}
-		fibers += len(c.Fibers)
-		for _, f := range c.Fibers {
-			ctx.fib.observe(c.ID, f)
-			if !rack.FiberAllocated(f) {
-				out[fiberConservation] = append(out[fiberConservation], fmt.Sprintf("circuit %d fiber %v is not occupied in the rack", c.ID, f))
-			}
-			if f.Trunk >= 0 && f.Trunk < trunks && f.Row >= 0 && f.Row < rows {
-				ctx.perRow[f.Trunk*rows+f.Row]++
-			}
-			if a.RowFailed(f.Trunk, f.Row) {
-				out[budgetHealth] = append(out[budgetHealth], fmt.Sprintf("circuit %d uses cut fiber row (trunk %d, row %d)", c.ID, f.Trunk, f.Row))
-			}
-		}
-		if !unit.ApproxEqual(c.ReadyAt, c.EstablishedAt+phy.ReconfigLatency) {
-			out[budgetHealth] = append(out[budgetHealth], fmt.Sprintf("circuit %d ready at %v, not one reconfiguration latency after %v", c.ID, c.ReadyAt, c.EstablishedAt))
-		}
-		// Without budget checking the allocator legitimately admits
-		// margin-negative circuits, so feasibility is only an invariant
-		// when the allocator itself enforces it.
-		if a.CheckBudget && !a.StillFeasible(c) {
-			out[budgetHealth] = append(out[budgetHealth], fmt.Sprintf("circuit %d no longer closes its optical budget (margin %v, degradation since establish exceeds it)", c.ID, c.Link.MarginDB))
-		}
-		ctx.switches = a.AppendCircuitSwitches(ctx.switches[:0], c)
-		for _, se := range ctx.switches {
-			if got := se.Tile.Switches[se.Switch].Port(); got != se.Port {
-				out[switchConsistency] = append(out[switchConsistency], fmt.Sprintf("circuit %d needs tile (%d,%d) switch %d on port %d, hardware says port %d",
-					c.ID, se.Tile.Row, se.Tile.Col, se.Switch, se.Port, got))
-			}
-		}
+		ctx.check(a, c, &ctx.t)
 	}
 
 	allocated := 0
-	for w := 0; w < wafers; w++ {
+	for w := 0; w < g.wafers; w++ {
 		allocated += rack.Wafer(w).AllocatedSpans()
 	}
-	if allocated != segments {
-		out[busConservation] = append(out[busConservation], fmt.Sprintf("rack holds %d allocated bus spans but circuits account for %d (leak or double free)", allocated, segments))
+	if allocated != ctx.t.segments {
+		out[busConservation] = append(out[busConservation], fmt.Sprintf("rack holds %d allocated bus spans but circuits account for %d (leak or double free)", allocated, ctx.t.segments))
 	}
-	if used := rack.FibersInUse(); used != fibers {
-		out[fiberConservation] = append(out[fiberConservation], fmt.Sprintf("rack holds %d occupied fibers but circuits account for %d (leak or double free)", used, fibers))
+	if used := rack.FibersInUse(); used != ctx.t.fibers {
+		out[fiberConservation] = append(out[fiberConservation], fmt.Sprintf("rack holds %d occupied fibers but circuits account for %d (leak or double free)", used, ctx.t.fibers))
 	}
-	for trunk := 0; trunk < trunks; trunk++ {
-		for row := 0; row < rows; row++ {
-			if got, want := a.FiberRowUsage(trunk, row), ctx.perRow[trunk*rows+row]; got != want {
+	for trunk := 0; trunk < g.trunks; trunk++ {
+		for row := 0; row < g.rows; row++ {
+			if got, want := a.FiberRowUsage(trunk, row), ctx.t.perRow[trunk*g.rows+row]; got != want {
 				out[fiberConservation] = append(out[fiberConservation], fmt.Sprintf("allocator mirror says trunk %d row %d uses %d fibers, circuits use %d", trunk, row, got, want))
 			}
 		}
 	}
-	for chip := 0; chip < chips; chip++ {
+	for chip := 0; chip < g.chips; chip++ {
 		t := rack.TileOf(chip)
-		if got := t.UsedLasers(); got != ctx.lasers[chip] {
-			out[endpointConservation] = append(out[endpointConservation], fmt.Sprintf("chip %d tile (%d,%d) reserves %d lasers but circuit widths sum to %d", chip, t.Row, t.Col, got, ctx.lasers[chip]))
+		if got := t.UsedLasers(); got != ctx.t.lasers[chip] {
+			out[endpointConservation] = append(out[endpointConservation], fmt.Sprintf("chip %d tile (%d,%d) reserves %d lasers but circuit widths sum to %d", chip, t.Row, t.Col, got, ctx.t.lasers[chip]))
 		}
-		if got := t.UsedPorts(); got != ctx.ports[chip] {
-			out[endpointConservation] = append(out[endpointConservation], fmt.Sprintf("chip %d tile (%d,%d) reserves %d SerDes ports but %d circuits terminate there", chip, t.Row, t.Col, got, ctx.ports[chip]))
+		if got := t.UsedPorts(); got != ctx.t.ports[chip] {
+			out[endpointConservation] = append(out[endpointConservation], fmt.Sprintf("chip %d tile (%d,%d) reserves %d SerDes ports but %d circuits terminate there", chip, t.Row, t.Col, got, ctx.t.ports[chip]))
 		}
 		if t.FreeLasers() < 0 {
 			out[endpointConservation] = append(out[endpointConservation], fmt.Sprintf("chip %d tile (%d,%d) is over-committed: %d free lasers", chip, t.Row, t.Col, t.FreeLasers()))
@@ -305,4 +300,73 @@ func (ctx *checkCtx) audit(a *route.Allocator) {
 	}
 	out[disjointness] = ctx.sweepSegments(out[disjointness])
 	out[disjointness] = ctx.sweepFibers(out[disjointness])
+}
+
+// check runs c's per-circuit checks, appending what fails to ctx.out,
+// adds what c holds to t, and widens the packed-key ranges by c's
+// segments and fibers. The full walk runs it on every circuit, a delta
+// audit on the circuits added since the last one.
+//
+//lightpath:hotloop
+func (ctx *checkCtx) check(a *route.Allocator, c *route.Circuit, t *tally) {
+	out := &ctx.out
+	rack := a.Rack()
+	g := ctx.geo
+	if c.Width < 1 {
+		out[disjointness] = append(out[disjointness], fmt.Sprintf("circuit %d has non-positive width %d", c.ID, c.Width))
+	}
+	for _, ep := range [2]int{c.A, c.B} {
+		if ep < 0 || ep >= g.chips {
+			out[budgetHealth] = append(out[budgetHealth], fmt.Sprintf("circuit %d terminates at chip %d, off the rack", c.ID, ep))
+			continue
+		}
+		t.lasers[ep] += c.Width
+		t.ports[ep]++
+		if !rack.TileOf(ep).ChipHealthy() {
+			out[budgetHealth] = append(out[budgetHealth], fmt.Sprintf("circuit %d terminates at failed chip %d", c.ID, ep))
+		}
+	}
+	t.segments += len(c.Segments)
+	for _, s := range c.Segments {
+		ctx.seg.observe(c.ID, s)
+		var w *wafer.Wafer
+		if s.Wafer >= 0 && s.Wafer < g.wafers {
+			w = rack.Wafer(s.Wafer)
+		}
+		if w == nil || !w.BusSpanAllocated(s.Ref) {
+			out[busConservation] = append(out[busConservation], fmt.Sprintf("circuit %d segment %v is not allocated in the lane occupancy", c.ID, s))
+		}
+		if w != nil && w.SpanSevered(s.Ref.Orient, s.Ref.Lane, s.Ref.Span) {
+			out[budgetHealth] = append(out[budgetHealth], fmt.Sprintf("circuit %d crosses severed segment %v", c.ID, s))
+		}
+	}
+	t.fibers += len(c.Fibers)
+	for _, f := range c.Fibers {
+		ctx.fib.observe(c.ID, f)
+		if !rack.FiberAllocated(f) {
+			out[fiberConservation] = append(out[fiberConservation], fmt.Sprintf("circuit %d fiber %v is not occupied in the rack", c.ID, f))
+		}
+		if f.Trunk >= 0 && f.Trunk < g.trunks && f.Row >= 0 && f.Row < g.rows {
+			t.perRow[f.Trunk*g.rows+f.Row]++
+		}
+		if a.RowFailed(f.Trunk, f.Row) {
+			out[budgetHealth] = append(out[budgetHealth], fmt.Sprintf("circuit %d uses cut fiber row (trunk %d, row %d)", c.ID, f.Trunk, f.Row))
+		}
+	}
+	if !unit.ApproxEqual(c.ReadyAt, c.EstablishedAt+phy.ReconfigLatency) {
+		out[budgetHealth] = append(out[budgetHealth], fmt.Sprintf("circuit %d ready at %v, not one reconfiguration latency after %v", c.ID, c.ReadyAt, c.EstablishedAt))
+	}
+	// Without budget checking the allocator legitimately admits
+	// margin-negative circuits, so feasibility is only an invariant
+	// when the allocator itself enforces it.
+	if a.CheckBudget && !a.StillFeasible(c) {
+		out[budgetHealth] = append(out[budgetHealth], fmt.Sprintf("circuit %d no longer closes its optical budget (margin %v, degradation since establish exceeds it)", c.ID, c.Link.MarginDB))
+	}
+	ctx.switches = a.AppendCircuitSwitches(ctx.switches[:0], c)
+	for _, se := range ctx.switches {
+		if got := se.Tile.Switches[se.Switch].Port(); got != se.Port {
+			out[switchConsistency] = append(out[switchConsistency], fmt.Sprintf("circuit %d needs tile (%d,%d) switch %d on port %d, hardware says port %d",
+				c.ID, se.Tile.Row, se.Tile.Col, se.Switch, se.Port, got))
+		}
+	}
 }

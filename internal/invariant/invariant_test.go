@@ -2,6 +2,7 @@ package invariant
 
 import (
 	"errors"
+	"fmt"
 	"reflect"
 	"slices"
 	"strings"
@@ -9,6 +10,7 @@ import (
 
 	"lightpath/internal/rng"
 	"lightpath/internal/route"
+	"lightpath/internal/snapshot"
 	"lightpath/internal/wafer"
 )
 
@@ -173,8 +175,9 @@ func TestAuditCatchesEveryCorruption(t *testing.T) {
 // TestAuditSurvivesCorruptIndices: a circuit naming a wafer, an
 // endpoint chip or a turn tile off the rack is reported, never
 // panicked on — a wafer off the rack is an unallocated span, an
-// endpoint off the rack a budget-health failure — by the audit and by
-// every registered Check.
+// endpoint off the rack a budget-health failure — by the audit, by
+// every registered Check, and by a Sampled auditor's delta audit when
+// the circuit was added since its last audit.
 func TestAuditSurvivesCorruptIndices(t *testing.T) {
 	for _, tc := range []struct {
 		name, invariant, detail string
@@ -217,6 +220,26 @@ func TestAuditSurvivesCorruptIndices(t *testing.T) {
 			}
 			for _, inv := range Registry() {
 				inv.Check(a)
+			}
+
+			// Delta mode: the same sabotage on a circuit added since a
+			// Sampled auditor's last audit.
+			a, _ = auditFixture(t)
+			d := Attach(a, Sampled)
+			if vs := d.sample("warm"); len(vs) != 0 || !d.idx.valid {
+				t.Fatalf("warm-up pass: violations %v, index valid %v", vs, d.idx.valid)
+			}
+			added, err := a.Establish(route.Request{A: 2, B: 27, Width: 1}, 0)
+			if err != nil || len(added.Segments) < 2 {
+				t.Fatalf("establish a turning circuit: %v, %+v", err, added)
+			}
+			tc.sabotage(added, a.Rack())
+			found = false
+			for _, v := range d.sample("establish") {
+				found = found || v.Invariant == tc.invariant && strings.Contains(v.Detail, tc.detail)
+			}
+			if !found {
+				t.Fatalf("delta mode: no %s violation containing %q among %v", tc.invariant, tc.detail, d.Violations())
 			}
 		})
 	}
@@ -360,5 +383,125 @@ func TestDefaultModeRoundTrip(t *testing.T) {
 	defer SetDefaultMode(prev)
 	if DefaultMode() != Paranoid {
 		t.Fatal("default mode did not stick")
+	}
+}
+
+// TestSampledFallsBackToFullPass walks a Sampled auditor through each
+// rule that makes its next sampled audit a full pass: a mutation other
+// than an establish or a release, an audit that found violations,
+// RestoreState, a table out of ID order and a key off the rack. Each
+// case starts from a warm index and drives one audit point.
+func TestSampledFallsBackToFullPass(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		// before runs ahead of the audit point's mutations; delta says
+		// whether the audit may still be a delta.
+		before func(t *testing.T, a *route.Allocator, d *Auditor)
+		delta  bool
+	}{
+		{"establishes and releases only", func(*testing.T, *route.Allocator, *Auditor) {}, true},
+		{"fiber row failed", func(t *testing.T, a *route.Allocator, d *Auditor) {
+			a.FailFiberRow(0, 3)
+		}, false},
+		{"repair behind the allocator", func(t *testing.T, a *route.Allocator, d *Auditor) {
+			d.Mutated("repair")
+		}, false},
+		{"restored", func(t *testing.T, a *route.Allocator, d *Auditor) {
+			var e snapshot.Encoder
+			d.EncodeState(&e)
+			if err := d.RestoreState(snapshot.NewDecoder(e.Bytes())); err != nil {
+				t.Fatal(err)
+			}
+		}, false},
+		{"violation found", func(t *testing.T, a *route.Allocator, d *Auditor) {
+			a.Circuits()[0].ReadyAt++
+			if len(d.Audit("sabotage")) == 0 {
+				t.Fatal("sabotage went unnoticed")
+			}
+			a.Circuits()[0].ReadyAt--
+		}, false},
+		{"table out of ID order", func(t *testing.T, a *route.Allocator, d *Auditor) {
+			cs := a.Circuits()
+			cs[0].ID, cs[1].ID = cs[1].ID, cs[0].ID
+		}, false},
+		{"key off the rack", func(t *testing.T, a *route.Allocator, d *Auditor) {
+			c, err := a.Establish(route.Request{A: 2, B: 27, Width: 1}, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			c.Segments[0].Ref.Bus = a.Rack().Config().BusesPerLane
+		}, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			a, _ := auditFixture(t)
+			d := Attach(a, Sampled)
+			for d.fullPasses == 0 || !d.idx.valid {
+				c, err := a.Establish(route.Request{A: 3, B: 30, Width: 1}, 0)
+				if err != nil {
+					t.Fatal(err)
+				}
+				a.Release(c)
+			}
+			tc.before(t, a, d)
+			full := d.fullPasses
+			for d.mutations%d.stride != d.stride-1 {
+				d.Mutated("release")
+			}
+			d.Mutated("establish")
+			if delta := d.fullPasses == full; delta != tc.delta {
+				t.Fatalf("audit ran as a delta: %v, want %v", delta, tc.delta)
+			}
+		})
+	}
+}
+
+// TestDeltaCatchesSharingAlone plants the one corruption only the
+// delta index can see: a circuit added since the last audit claims a
+// span or fiber another live circuit holds, in place of an identical
+// one of its own, so every per-circuit check passes and every tally
+// balances. The delta audit must hand over to the full pass, which
+// reports the pair under circuit-disjointness.
+func TestDeltaCatchesSharingAlone(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		req   route.Request
+		steal func(t *testing.T, added, held *route.Circuit)
+	}{
+		{"span", route.Request{A: 0, B: 5, Width: 1}, func(t *testing.T, added, held *route.Circuit) {
+			s, h := &added.Segments[0], held.Segments[0]
+			if s.Wafer != h.Wafer || s.Ref.Orient != h.Ref.Orient || s.Ref.Lane != h.Ref.Lane || s.Ref.Span != h.Ref.Span || s.Ref.Bus == h.Ref.Bus {
+				t.Fatalf("paths differ: %v and %v", s, h)
+			}
+			s.Ref.Bus = h.Ref.Bus
+		}},
+		{"fiber", route.Request{A: 2, B: 41, Width: 1}, func(t *testing.T, added, held *route.Circuit) {
+			f, h := &added.Fibers[0], held.Fibers[0]
+			if f.Trunk != h.Trunk || f.Row != h.Row || f.Fiber == h.Fiber {
+				t.Fatalf("fibers not on one row: %v and %v", f, h)
+			}
+			f.Fiber = h.Fiber
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			a, _ := auditFixture(t)
+			d := Attach(a, Sampled)
+			if vs := d.sample("warm"); len(vs) != 0 || !d.idx.valid {
+				t.Fatalf("warm-up pass: violations %v, index valid %v", vs, d.idx.valid)
+			}
+			held := firstCircuit(t, a)
+			if tc.name == "fiber" {
+				held = a.Circuits()[1]
+			}
+			added, err := a.Establish(tc.req, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tc.steal(t, added, held)
+			want := []Violation{{Invariant: "circuit-disjointness", Op: "establish",
+				Detail: fmt.Sprintf("circuits %d and %d share a bus segment or fiber", held.ID, added.ID)}}
+			if got := d.sample("establish"); !reflect.DeepEqual(got, want) {
+				t.Fatalf("got %v, want %v", got, want)
+			}
+		})
 	}
 }

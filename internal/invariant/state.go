@@ -30,7 +30,8 @@ func (d *Auditor) EncodeState(e *snapshot.Encoder) {
 }
 
 // RestoreState replays counters captured by EncodeState into a
-// freshly attached auditor.
+// freshly attached auditor. The delta index is not part of the
+// snapshot, so a restored Sampled auditor's first audit is a full pass.
 func (d *Auditor) RestoreState(dec *snapshot.Decoder) error {
 	d.mutations = dec.Int()
 	d.audits = dec.Int()
@@ -44,13 +45,23 @@ func (d *Auditor) RestoreState(dec *snapshot.Decoder) error {
 			Detail:    dec.String(),
 		})
 	}
+	d.idx.valid, d.deltas = false, 0
 	if err := dec.Err(); err != nil {
 		return err
 	}
-	// Err() prints recorded[0] whenever count is positive; a snapshot
-	// claiming violations but carrying none would make that panic.
+	// The program never writes these; Err() prints recorded[0]
+	// whenever count is positive, so a count the record cannot back
+	// would make it panic.
+	if d.mutations < 0 || d.audits < 0 || d.count < 0 {
+		return fmt.Errorf("%w: negative auditor counter (mutations %d, audits %d, violations %d)",
+			snapshot.ErrCorruptSnapshot, d.mutations, d.audits, d.count)
+	}
 	if d.count > 0 && len(d.recorded) == 0 {
 		return fmt.Errorf("%w: violation count %d with empty record", snapshot.ErrCorruptSnapshot, d.count)
+	}
+	if len(d.recorded) > min(d.count, maxRecorded) {
+		return fmt.Errorf("%w: %d violations recorded, more than count %d or the cap %d allow",
+			snapshot.ErrCorruptSnapshot, len(d.recorded), d.count, maxRecorded)
 	}
 	return nil
 }

@@ -42,14 +42,40 @@ func TestAuditorStateRoundTrip(t *testing.T) {
 	}
 }
 
+// TestAuditorRestoreRejectsCountWithoutRecord feeds RestoreState
+// snapshots the program never writes: each must fail as
+// ErrCorruptSnapshot rather than leave an auditor whose Err() panics
+// or whose counters run backwards.
 func TestAuditorRestoreRejectsCountWithoutRecord(t *testing.T) {
-	var e snapshot.Encoder
-	e.Int(1) // mutations
-	e.Int(1) // audits
-	e.Int(3) // count > 0...
-	e.Len(0) // ...but nothing recorded: Err() would index recorded[0]
-	err := (&Auditor{}).RestoreState(snapshot.NewDecoder(e.Bytes()))
-	if !errors.Is(err, snapshot.ErrCorruptSnapshot) {
-		t.Fatalf("err = %v, want ErrCorruptSnapshot", err)
+	for _, tc := range []struct {
+		name                     string
+		mutations, audits, count int
+		recorded                 int
+	}{
+		{"count without record", 1, 1, 3, 0},
+		{"negative count, empty record", 1, 1, -1, 0},
+		{"negative count with a record", 1, 1, -1, 1},
+		{"negative mutations", -1, 0, 0, 0},
+		{"negative audits", 5, -2, 0, 0},
+		{"record longer than count", 4, 2, 1, 2},
+		{"record longer than the cap", 900, 90, maxRecorded + 10, maxRecorded + 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var e snapshot.Encoder
+			e.Int(tc.mutations)
+			e.Int(tc.audits)
+			e.Int(tc.count)
+			e.Len(tc.recorded)
+			for i := 0; i < tc.recorded; i++ {
+				e.String("circuit-disjointness")
+				e.String("establish")
+				e.String("circuits 1 and 2 share a bus segment or fiber")
+			}
+			d := &Auditor{}
+			err := d.RestoreState(snapshot.NewDecoder(e.Bytes()))
+			if !errors.Is(err, snapshot.ErrCorruptSnapshot) {
+				t.Fatalf("err = %v, want ErrCorruptSnapshot", err)
+			}
+		})
 	}
 }
