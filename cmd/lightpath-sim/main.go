@@ -98,7 +98,9 @@ func run(args []string, out printer) error {
 	if err := fs.Parse(args[1:]); err != nil {
 		return err
 	}
-	engine.SetParallel(*parallel)
+	if !*parallel {
+		defer engine.SetWorkers(engine.SetWorkers(1))
+	}
 	if *cpuprofile != "" {
 		f, err := os.Create(*cpuprofile)
 		if err != nil {

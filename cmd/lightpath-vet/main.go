@@ -10,86 +10,48 @@
 //
 //	go run ./cmd/lightpath-vet ./...
 //	go run ./cmd/lightpath-vet -only determinism,layering ./internal/...
-//	go run ./cmd/lightpath-vet -json ./...
 //	go run ./cmd/lightpath-vet -sarif ./... > vet.sarif
 //	go run ./cmd/lightpath-vet -counts ./...
-//	go run ./cmd/lightpath-vet -write-baseline ./...
 //	go run ./cmd/lightpath-vet -list
 //
-// Findings carry a stable hash (analyzer + module-relative file +
-// message + occurrence ordinal — no line numbers, so edits above a
-// finding don't change its identity). The committed baseline
-// (vet_baseline.json at the module root) suppresses accepted findings
-// by hash; everything else gates. Each analyzer has a severity:
-// error-severity findings fail the build (exit 1), warning-severity
-// findings are printed but advisory.
+// Each analyzer has a severity: error-severity findings fail the build
+// (exit 1), warning-severity findings are printed but advisory.
 //
-// Output is one finding per line in file:line:col form, or a JSON
-// array with -json (schema: analyzer, severity, file, line, col,
-// message, hash), or a SARIF 2.1.0 log with -sarif for code-scanning
-// upload. Exit codes: 0 clean (or warnings only), 1 unbaselined
-// error-severity findings, 2 usage or load error.
+// Output is one finding per line in file:line:col form, or a SARIF
+// 2.1.0 log with -sarif for code-scanning upload. Exit codes: 0 clean
+// (or warnings only), 1 error-severity findings, 2 usage or load
+// error.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
 	"strings"
 
 	"lightpath/internal/analysis"
 )
-
-// defaultBaseline is the baseline file name, resolved relative to the
-// module root unless -baseline gives an explicit path.
-const defaultBaseline = "vet_baseline.json"
-
-// jsonFinding is the -json wire form of one finding: flat, stable
-// field names, positions split out so consumers need no re-parsing of
-// the file:line:col string. Hash is the same stable identity the
-// baseline and SARIF fingerprints use. Suppressed marks findings the
-// committed baseline forgives (included for visibility; they never
-// gate).
-type jsonFinding struct {
-	Analyzer   string `json:"analyzer"`
-	Severity   string `json:"severity"`
-	File       string `json:"file"`
-	Line       int    `json:"line"`
-	Col        int    `json:"col"`
-	Message    string `json:"message"`
-	Hash       string `json:"hash"`
-	Suppressed bool   `json:"suppressed,omitempty"`
-}
 
 func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
 // run executes the tool and returns its exit code: 0 clean or
-// warnings-only, 1 when unbaselined error-severity findings were
-// reported, 2 on load or usage errors.
+// warnings-only, 1 when error-severity findings were reported, 2 on
+// load or usage errors.
 func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("lightpath-vet", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	list := fs.Bool("list", false, "list the available analyzers and exit")
 	only := fs.String("only", "", "comma-separated analyzer names to run (default: all)")
-	asJSON := fs.Bool("json", false, "emit findings as a JSON array instead of file:line:col lines")
 	asSARIF := fs.Bool("sarif", false, "emit findings as a SARIF 2.1.0 log instead of file:line:col lines")
-	baselinePath := fs.String("baseline", "", "suppression baseline file (default: vet_baseline.json at the module root)")
-	writeBaseline := fs.Bool("write-baseline", false, "write the current findings to the baseline file and exit")
 	counts := fs.Bool("counts", false, "print per-analyzer finding counts")
 	fs.Usage = func() {
-		fmt.Fprintln(stderr, "usage: lightpath-vet [-list] [-json|-sarif] [-only a,b] [-baseline file] [-write-baseline] [-counts] [packages]")
+		fmt.Fprintln(stderr, "usage: lightpath-vet [-list] [-sarif] [-only a,b] [-counts] [packages]")
 		fs.PrintDefaults()
 	}
 	if err := fs.Parse(args); err != nil {
-		return 2
-	}
-	if *asJSON && *asSARIF {
-		fmt.Fprintln(stderr, "lightpath-vet: -json and -sarif are mutually exclusive")
 		return 2
 	}
 
@@ -116,9 +78,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "lightpath-vet:", err)
 		return 2
 	}
-	if *baselinePath == "" {
-		*baselinePath = filepath.Join(root, defaultBaseline)
-	}
 	loader, err := analysis.NewLoader(root)
 	if err != nil {
 		fmt.Fprintln(stderr, "lightpath-vet:", err)
@@ -136,112 +95,50 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
-	if *writeBaseline {
-		b := analysis.NewBaseline(root, findings)
-		if err := b.Write(*baselinePath); err != nil {
-			fmt.Fprintln(stderr, "lightpath-vet:", err)
-			return 2
-		}
-		fmt.Fprintf(stderr, "lightpath-vet: wrote %d finding(s) to %s\n", len(b.Findings), *baselinePath)
-		return 0
-	}
-
-	baseline, err := analysis.LoadBaseline(*baselinePath)
-	if err != nil {
-		fmt.Fprintln(stderr, "lightpath-vet:", err)
-		return 2
-	}
-	fresh, suppressed := baseline.Filter(root, findings)
-
-	switch {
-	case *asSARIF:
-		// SARIF carries every finding — code-scanning consumers do their
-		// own triage — with the stable hash as a partial fingerprint.
+	if *asSARIF {
 		if err := analysis.WriteSARIF(stdout, root, analyzers, findings); err != nil {
 			fmt.Fprintln(stderr, "lightpath-vet:", err)
 			return 2
 		}
-	case *asJSON:
-		if err := writeJSON(stdout, root, findings, baseline); err != nil {
-			fmt.Fprintln(stderr, "lightpath-vet:", err)
-			return 2
-		}
-	default:
-		for _, f := range fresh {
+	} else {
+		for _, f := range findings {
 			fmt.Fprintln(stdout, f)
 		}
 	}
 
 	if *counts {
-		printCounts(stderr, analyzers, fresh, suppressed)
+		printCounts(stderr, analyzers, findings)
 	}
 
-	freshErrors := 0
-	for _, f := range fresh {
+	errs := 0
+	for _, f := range findings {
 		if f.Severity == analysis.SevError {
-			freshErrors++
+			errs++
 		}
 	}
-	if freshErrors > 0 {
-		fmt.Fprintf(stderr, "lightpath-vet: %d error finding(s) in %d package(s)", freshErrors, len(pkgs))
-		if w := len(fresh) - freshErrors; w > 0 {
+	if errs > 0 {
+		fmt.Fprintf(stderr, "lightpath-vet: %d error finding(s) in %d package(s)", errs, len(pkgs))
+		if w := len(findings) - errs; w > 0 {
 			fmt.Fprintf(stderr, " (+%d warning(s))", w)
-		}
-		if len(suppressed) > 0 {
-			fmt.Fprintf(stderr, " (%d baselined)", len(suppressed))
 		}
 		fmt.Fprintln(stderr)
 		return 1
 	}
-	if len(fresh) > 0 {
-		fmt.Fprintf(stderr, "lightpath-vet: %d warning(s) in %d package(s), no errors\n", len(fresh), len(pkgs))
+	if len(findings) > 0 {
+		fmt.Fprintf(stderr, "lightpath-vet: %d warning(s) in %d package(s), no errors\n", len(findings), len(pkgs))
 	}
 	return 0
 }
 
-// printCounts renders a per-analyzer finding tally, fresh and
-// baselined separately, in suite order. Analyzers with zero findings
-// are listed too: "0" is a result worth seeing in CI logs.
-func printCounts(w io.Writer, analyzers []*analysis.Analyzer, fresh, suppressed []analysis.Finding) {
-	freshBy := analysis.CountByAnalyzer(fresh)
-	supBy := analysis.CountByAnalyzer(suppressed)
+// printCounts renders a per-analyzer finding tally in suite order.
+// Analyzers with zero findings are listed too: "0" is a result worth
+// seeing in CI logs.
+func printCounts(w io.Writer, analyzers []*analysis.Analyzer, findings []analysis.Finding) {
+	by := analysis.CountByAnalyzer(findings)
 	fmt.Fprintln(w, "lightpath-vet: findings by analyzer:")
 	for _, a := range analyzers {
-		fmt.Fprintf(w, "  %-12s %-8s %3d", a.Name, a.Severity, freshBy[a.Name])
-		if supBy[a.Name] > 0 {
-			fmt.Fprintf(w, " (+%d baselined)", supBy[a.Name])
-		}
-		fmt.Fprintln(w)
+		fmt.Fprintf(w, "  %-12s %-8s %3d\n", a.Name, a.Severity, by[a.Name])
 	}
-}
-
-// writeJSON renders every finding as an indented JSON array in
-// position order, with baselined ones marked suppressed. Hashes are
-// computed over the whole set so occurrence ordinals — and therefore
-// hashes — match the baseline's. An empty run emits [] (never null)
-// so downstream parsers see a consistent shape.
-func writeJSON(w io.Writer, moduleRoot string, findings []analysis.Finding, baseline *analysis.Baseline) error {
-	known := make(map[string]bool, len(baseline.Findings))
-	for _, e := range baseline.Findings {
-		known[e.Hash] = true
-	}
-	hashes := analysis.HashFindings(moduleRoot, findings)
-	out := make([]jsonFinding, 0, len(findings))
-	for i, f := range findings {
-		out = append(out, jsonFinding{
-			Analyzer:   f.Analyzer,
-			Severity:   f.Severity.String(),
-			File:       f.Pos.Filename,
-			Line:       f.Pos.Line,
-			Col:        f.Pos.Column,
-			Message:    f.Message,
-			Hash:       hashes[i],
-			Suppressed: known[hashes[i]],
-		})
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(out)
 }
 
 // selectAnalyzers resolves the -only flag to a subset of the suite.

@@ -2,9 +2,6 @@ package main
 
 import (
 	"encoding/json"
-	"go/token"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 
@@ -12,10 +9,10 @@ import (
 )
 
 // TestRepoIsClean is the acceptance gate for the analyzer suite: the
-// repository itself must pass every lightpath-vet analyzer with an
-// empty effective baseline. A failure here means a change
-// reintroduced a determinism, unit-safety, layering, error-handling,
-// concurrency-capture, arena-escape, or documentation violation.
+// repository itself must pass every lightpath-vet analyzer. A failure
+// here means a change reintroduced a determinism, unit-safety,
+// layering, error-handling, concurrency-capture, arena-escape, or
+// documentation violation.
 func TestRepoIsClean(t *testing.T) {
 	var stdout, stderr strings.Builder
 	if code := run([]string{"./..."}, &stdout, &stderr); code != 0 {
@@ -55,31 +52,6 @@ func TestUnknownAnalyzerIsUsageError(t *testing.T) {
 	}
 	if !strings.Contains(stderr.String(), "unknown analyzer") {
 		t.Errorf("stderr missing diagnostic: %s", stderr.String())
-	}
-}
-
-func TestJSONAndSARIFAreExclusive(t *testing.T) {
-	var stdout, stderr strings.Builder
-	if code := run([]string{"-json", "-sarif", "./internal/unit"}, &stdout, &stderr); code != 2 {
-		t.Fatalf("-json -sarif exited %d, want 2", code)
-	}
-}
-
-func TestJSONOutputCleanRun(t *testing.T) {
-	var stdout, stderr strings.Builder
-	if code := run([]string{"-json", "./internal/unit"}, &stdout, &stderr); code != 0 {
-		t.Fatalf("-json ./internal/unit exited %d\n%s%s", code, stdout.String(), stderr.String())
-	}
-	var got []jsonFinding
-	if err := json.Unmarshal([]byte(stdout.String()), &got); err != nil {
-		t.Fatalf("output is not a JSON array: %v\n%s", err, stdout.String())
-	}
-	if len(got) != 0 {
-		t.Fatalf("clean package produced findings: %v", got)
-	}
-	// The empty case must still be an array, not null.
-	if !strings.HasPrefix(strings.TrimSpace(stdout.String()), "[") {
-		t.Fatalf("empty run did not emit an array: %q", stdout.String())
 	}
 }
 
@@ -124,54 +96,86 @@ func TestSARIFOutputCleanRun(t *testing.T) {
 	}
 }
 
-// TestBaselineSuppressesFindings runs the suite over the errdrop
-// fixture (known-dirty), writes a baseline from its findings, and
-// re-runs with that baseline: the second run must exit clean with
-// everything suppressed.
-func TestBaselineSuppressesFindings(t *testing.T) {
-	// Patterns resolve relative to the module root, not the test's cwd.
-	fixture := "./internal/analysis/testdata/src/errdrop"
-	bl := filepath.Join(t.TempDir(), "baseline.json")
-
-	// A dirty run with an empty baseline gates.
+// TestJSONAndSARIFAreExclusive: SARIF is the one machine-readable
+// output, so asking for -json alongside it is a usage error.
+func TestJSONAndSARIFAreExclusive(t *testing.T) {
 	var stdout, stderr strings.Builder
-	if code := run([]string{"-baseline", bl, "-only", "errdrop", fixture}, &stdout, &stderr); code != 1 {
-		t.Fatalf("dirty fixture exited %d, want 1\n%s%s", code, stdout.String(), stderr.String())
+	if code := run([]string{"-json", "-sarif", "./internal/unit"}, &stdout, &stderr); code != 2 {
+		t.Fatalf("-json -sarif exited %d, want 2", code)
 	}
+	if want := "flag provided but not defined: -json"; !strings.Contains(stderr.String(), want) {
+		t.Errorf("stderr missing %q:\n%s", want, stderr.String())
+	}
+}
 
-	stdout.Reset()
-	stderr.Reset()
-	if code := run([]string{"-baseline", bl, "-write-baseline", "-only", "errdrop", fixture}, &stdout, &stderr); code != 0 {
-		t.Fatalf("-write-baseline exited %d\n%s%s", code, stdout.String(), stderr.String())
-	}
-	if _, err := os.Stat(bl); err != nil {
-		t.Fatalf("baseline not written: %v", err)
-	}
-
-	// With the baseline in force the same findings no longer gate, and
-	// -json marks them suppressed.
-	stdout.Reset()
-	stderr.Reset()
-	if code := run([]string{"-baseline", bl, "-json", "-only", "errdrop", fixture}, &stdout, &stderr); code != 0 {
-		t.Fatalf("baselined run exited %d\n%s%s", code, stdout.String(), stderr.String())
-	}
-	var got []jsonFinding
-	if err := json.Unmarshal([]byte(stdout.String()), &got); err != nil {
-		t.Fatal(err)
-	}
-	if len(got) == 0 {
-		t.Fatal("baselined run reported no findings in -json output; suppressed findings should still be listed")
-	}
-	for _, f := range got {
-		if !f.Suppressed {
-			t.Errorf("finding not suppressed by its own baseline: %+v", f)
-		}
-		if f.Hash == "" {
-			t.Errorf("finding missing hash: %+v", f)
-		}
-		if f.Severity == "" {
-			t.Errorf("finding missing severity: %+v", f)
-		}
+// TestExitCodes runs the gate on the committed analyzer fixtures:
+// error-severity findings exit 1, warning-only findings are printed
+// and exit 0, and flags the tool does not define are usage errors.
+// When level is set, stdout must be a SARIF log whose results all
+// carry that level, and there must be at least one.
+func TestExitCodes(t *testing.T) {
+	// Patterns resolve relative to the module root, not the test's cwd.
+	const fixtures = "./internal/analysis/testdata/src/"
+	for _, tc := range []struct {
+		name   string
+		args   []string
+		code   int
+		stdout []string // substrings stdout must contain
+		stderr []string // substrings stderr must contain
+		level  string
+	}{
+		{name: "errors", args: []string{"-only", "errdrop", fixtures + "errdrop"}, code: 1,
+			stdout: []string{"errdrop/fixture.go:20:2: call discards the error"},
+			stderr: []string{"6 error finding(s)"}},
+		{name: "warnings", args: []string{"-only", "exportdoc", fixtures + "exportdoc"}, code: 0,
+			stdout: []string{"exportdoc/fixture.go:10:6: exported type Undocumented is undocumented"},
+			stderr: []string{"5 warning(s) in 1 package(s), no errors"}},
+		{name: "sarif", args: []string{"-sarif", "-only", "errdrop", fixtures + "errdrop"}, code: 1,
+			stdout: []string{`"uri": "internal/analysis/testdata/src/errdrop/fixture.go"`},
+			level:  "error"},
+		{name: "baseline", args: []string{"-baseline", "x.json", "./internal/unit"}, code: 2,
+			stderr: []string{"flag provided but not defined: -baseline"}},
+		{name: "write-baseline", args: []string{"-write-baseline", "./internal/unit"}, code: 2,
+			stderr: []string{"flag provided but not defined: -write-baseline"}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var stdout, stderr strings.Builder
+			if code := run(tc.args, &stdout, &stderr); code != tc.code {
+				t.Fatalf("%v exited %d, want %d\n%s%s", tc.args, code, tc.code, stdout.String(), stderr.String())
+			}
+			for _, want := range tc.stdout {
+				if !strings.Contains(stdout.String(), want) {
+					t.Errorf("stdout missing %q:\n%s", want, stdout.String())
+				}
+			}
+			for _, want := range tc.stderr {
+				if !strings.Contains(stderr.String(), want) {
+					t.Errorf("stderr missing %q:\n%s", want, stderr.String())
+				}
+			}
+			if tc.level == "" {
+				return
+			}
+			var log struct {
+				Runs []struct {
+					Results []struct {
+						Level string `json:"level"`
+					} `json:"results"`
+				} `json:"runs"`
+			}
+			if err := json.Unmarshal([]byte(stdout.String()), &log); err != nil || len(log.Runs) != 1 {
+				t.Fatalf("output is not a one-run SARIF log (%v):\n%s", err, stdout.String())
+			}
+			results := log.Runs[0].Results
+			if len(results) == 0 {
+				t.Fatal("SARIF log has no results")
+			}
+			for i, r := range results {
+				if r.Level != tc.level {
+					t.Errorf("result %d level = %q, want %q", i, r.Level, tc.level)
+				}
+			}
+		})
 	}
 }
 
@@ -190,29 +194,5 @@ func TestCountsOutput(t *testing.T) {
 		if !strings.Contains(out, name) {
 			t.Errorf("-counts tally missing analyzer %q:\n%s", name, out)
 		}
-	}
-}
-
-func TestWriteJSONFieldMapping(t *testing.T) {
-	var b strings.Builder
-	findings := []analysis.Finding{{
-		Analyzer: "unitsafety",
-		Severity: analysis.SevError,
-		Pos:      token.Position{Filename: "/mod/x.go", Line: 3, Column: 7},
-		Message:  "exact equality on unit.Seconds",
-	}}
-	baseline := &analysis.Baseline{Version: analysis.BaselineVersion}
-	if err := writeJSON(&b, "/mod", findings, baseline); err != nil {
-		t.Fatal(err)
-	}
-	var got []jsonFinding
-	if err := json.Unmarshal([]byte(b.String()), &got); err != nil {
-		t.Fatal(err)
-	}
-	want := jsonFinding{Analyzer: "unitsafety", Severity: "error", File: "/mod/x.go",
-		Line: 3, Col: 7, Message: "exact equality on unit.Seconds",
-		Hash: findings[0].Hash("/mod", 0)}
-	if len(got) != 1 || got[0] != want {
-		t.Fatalf("round-trip = %+v, want %+v", got, want)
 	}
 }

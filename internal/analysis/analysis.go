@@ -1,10 +1,10 @@
 // Package analysis implements lightpath-vet, the repository's
 // static-analysis suite. It provides a multi-pass analyzer framework —
 // a package loader, a shared fact base (symbol table + approximate
-// call graph, see Facts), and a reporting layer (stable finding
-// hashes, a suppression baseline, SARIF output) — built entirely on
-// the standard library's go/parser, go/types, and go/importer: no
-// golang.org/x/tools import, so go.mod stays dependency-free.
+// call graph, see Facts), and a reporting layer (severities, SARIF
+// output, per-analyzer counts) — built entirely on the standard
+// library's go/parser, go/types, and go/importer: no golang.org/x/tools
+// import, so go.mod stays dependency-free.
 //
 // The analyzers encode invariants that the simulator's reproducibility
 // argument depends on and that ordinary `go vet` cannot check:

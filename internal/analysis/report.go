@@ -1,39 +1,11 @@
 package analysis
 
-import (
-	"encoding/json"
-	"fmt"
-	"hash/fnv"
-	"os"
-	"path/filepath"
-	"sort"
-)
+import "path/filepath"
 
-// This file is the reporting layer shared by every analyzer: stable
-// finding hashes, the committed suppression baseline, and per-analyzer
-// counts. The design constraint throughout is churn resistance — a
-// finding's identity must survive unrelated edits to its file, so
-// hashes are computed from what the analyzer said and where it said it
-// (module-relative path + message), never from line numbers, which
-// drift with every insertion above the finding.
-
-// BaselineVersion is the schema version written into baseline files.
-const BaselineVersion = 1
-
-// Hash returns the finding's stable identity: 16 hex digits of
-// FNV-1a over analyzer, module-relative file path, message, and an
-// occurrence ordinal. The ordinal disambiguates identical messages in
-// one file (the Nth identical finding, in position order): line edits
-// above a finding leave its hash unchanged, while a genuinely new
-// duplicate gets a new hash.
-func (f Finding) Hash(moduleRoot string, occurrence int) string {
-	h := fnv.New64a()
-	fmt.Fprintf(h, "%s\x00%s\x00%s\x00%d", f.Analyzer, relPath(moduleRoot, f.Pos.Filename), f.Message, occurrence)
-	return fmt.Sprintf("%016x", h.Sum64())
-}
+// Reporting helpers for the SARIF and -counts outputs.
 
 // relPath renders file module-relative with forward slashes, so
-// hashes and reports agree across machines and checkout locations.
+// reports agree across machines and checkout locations.
 func relPath(moduleRoot, file string) string {
 	if moduleRoot != "" {
 		if rel, err := filepath.Rel(moduleRoot, file); err == nil && filepath.IsLocal(rel) {
@@ -41,126 +13,6 @@ func relPath(moduleRoot, file string) string {
 		}
 	}
 	return filepath.ToSlash(file)
-}
-
-// HashFindings computes the stable hash of every finding, resolving
-// occurrence ordinals across the whole set. The input must already be
-// position-sorted (Run's output contract), so ordinals — and
-// therefore hashes — are deterministic.
-func HashFindings(moduleRoot string, findings []Finding) []string {
-	counts := map[string]int{}
-	hashes := make([]string, len(findings))
-	for i, f := range findings {
-		key := f.Analyzer + "\x00" + relPath(moduleRoot, f.Pos.Filename) + "\x00" + f.Message
-		hashes[i] = f.Hash(moduleRoot, counts[key])
-		counts[key]++
-	}
-	return hashes
-}
-
-// BaselineEntry is one suppressed finding in the committed baseline.
-// Hash alone decides suppression; the other fields exist so humans
-// reviewing vet_baseline.json can tell what each entry forgives.
-type BaselineEntry struct {
-	// Hash is the finding's stable identity (Finding.Hash).
-	Hash string `json:"hash"`
-	// Analyzer, File, and Message document the suppressed finding;
-	// File is module-relative.
-	Analyzer string `json:"analyzer"`
-	File     string `json:"file"`
-	Message  string `json:"message"`
-}
-
-// Baseline is the committed suppression set: findings accepted as
-// known debt that the gate must not fail on, keyed by stable hash so
-// line drift never churns the file.
-type Baseline struct {
-	// Version is the baseline schema version.
-	Version int `json:"version"`
-	// Findings are the suppressed entries, sorted by file, analyzer,
-	// message, hash.
-	Findings []BaselineEntry `json:"findings"`
-}
-
-// LoadBaseline reads a baseline file. A missing file is an empty
-// baseline, not an error — a repository with no accepted debt needs no
-// baseline committed.
-func LoadBaseline(path string) (*Baseline, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		if os.IsNotExist(err) {
-			return &Baseline{Version: BaselineVersion}, nil
-		}
-		return nil, fmt.Errorf("analysis: reading baseline: %w", err)
-	}
-	var b Baseline
-	if err := json.Unmarshal(data, &b); err != nil {
-		return nil, fmt.Errorf("analysis: parsing baseline %s: %w", path, err)
-	}
-	if b.Version != BaselineVersion {
-		return nil, fmt.Errorf("analysis: baseline %s has version %d, this tool writes version %d; regenerate it", path, b.Version, BaselineVersion)
-	}
-	return &b, nil
-}
-
-// NewBaseline builds a baseline that suppresses exactly the given
-// findings.
-func NewBaseline(moduleRoot string, findings []Finding) *Baseline {
-	hashes := HashFindings(moduleRoot, findings)
-	b := &Baseline{Version: BaselineVersion, Findings: make([]BaselineEntry, 0, len(findings))}
-	for i, f := range findings {
-		b.Findings = append(b.Findings, BaselineEntry{
-			Hash:     hashes[i],
-			Analyzer: f.Analyzer,
-			File:     relPath(moduleRoot, f.Pos.Filename),
-			Message:  f.Message,
-		})
-	}
-	sort.Slice(b.Findings, func(i, j int) bool {
-		a, c := b.Findings[i], b.Findings[j]
-		if a.File != c.File {
-			return a.File < c.File
-		}
-		if a.Analyzer != c.Analyzer {
-			return a.Analyzer < c.Analyzer
-		}
-		if a.Message != c.Message {
-			return a.Message < c.Message
-		}
-		return a.Hash < c.Hash
-	})
-	return b
-}
-
-// Write renders the baseline as indented JSON to path.
-func (b *Baseline) Write(path string) error {
-	data, err := json.MarshalIndent(b, "", "  ")
-	if err != nil {
-		return fmt.Errorf("analysis: encoding baseline: %w", err)
-	}
-	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
-		return fmt.Errorf("analysis: writing baseline: %w", err)
-	}
-	return nil
-}
-
-// Filter splits findings into fresh (not in the baseline — these gate)
-// and suppressed (baselined, surfaced only in counts). Order within
-// each slice follows the input.
-func (b *Baseline) Filter(moduleRoot string, findings []Finding) (fresh, suppressed []Finding) {
-	known := make(map[string]bool, len(b.Findings))
-	for _, e := range b.Findings {
-		known[e.Hash] = true
-	}
-	hashes := HashFindings(moduleRoot, findings)
-	for i, f := range findings {
-		if known[hashes[i]] {
-			suppressed = append(suppressed, f)
-		} else {
-			fresh = append(fresh, f)
-		}
-	}
-	return fresh, suppressed
 }
 
 // CountByAnalyzer tallies findings per analyzer name.

@@ -8,7 +8,7 @@ import (
 	"testing"
 )
 
-// mkFinding builds a finding at the given location for hash tests.
+// mkFinding builds a finding at the given location.
 func mkFinding(analyzer, file string, line int, msg string) Finding {
 	return Finding{
 		Analyzer: analyzer,
@@ -17,142 +17,43 @@ func mkFinding(analyzer, file string, line int, msg string) Finding {
 	}
 }
 
-// TestHashIgnoresLineDrift is the property the baseline depends on:
-// moving a finding to a different line must not change its hash, while
-// changing its message, file, or analyzer must.
-func TestHashIgnoresLineDrift(t *testing.T) {
-	root := filepath.FromSlash("/mod")
-	base := mkFinding("errdrop", "/mod/pkg/a.go", 10, "call discards the error")
-	drifted := mkFinding("errdrop", "/mod/pkg/a.go", 99, "call discards the error")
-	if base.Hash(root, 0) != drifted.Hash(root, 0) {
-		t.Error("hash changed under line drift")
-	}
-	for name, other := range map[string]Finding{
-		"message":  mkFinding("errdrop", "/mod/pkg/a.go", 10, "different message"),
-		"file":     mkFinding("errdrop", "/mod/pkg/b.go", 10, "call discards the error"),
-		"analyzer": mkFinding("hotalloc", "/mod/pkg/a.go", 10, "call discards the error"),
-	} {
-		if base.Hash(root, 0) == other.Hash(root, 0) {
-			t.Errorf("hash insensitive to %s", name)
-		}
-	}
-	if base.Hash(root, 0) == base.Hash(root, 1) {
-		t.Error("hash insensitive to occurrence ordinal")
-	}
-}
-
-// TestHashIsModuleRelative: the same finding hashed from two different
-// checkout locations must agree.
+// TestHashIsModuleRelative: the path a finding is reported under is
+// relative to the module root, so the same finding seen from two
+// checkout locations is identified the same way.
 func TestHashIsModuleRelative(t *testing.T) {
-	a := mkFinding("errdrop", filepath.FromSlash("/home/a/mod/pkg/x.go"), 5, "msg")
-	b := mkFinding("errdrop", filepath.FromSlash("/ci/workdir/mod/pkg/x.go"), 5, "msg")
-	ha := a.Hash(filepath.FromSlash("/home/a/mod"), 0)
-	hb := b.Hash(filepath.FromSlash("/ci/workdir/mod"), 0)
-	if ha != hb {
-		t.Errorf("hash depends on checkout location: %s != %s", ha, hb)
-	}
-}
-
-// TestHashFindingsOrdinals: identical findings in one file get distinct
-// hashes via occurrence ordinals; distinct findings are unaffected.
-func TestHashFindingsOrdinals(t *testing.T) {
-	findings := []Finding{
-		mkFinding("errdrop", "/mod/a.go", 3, "dup"),
-		mkFinding("errdrop", "/mod/a.go", 7, "dup"),
-		mkFinding("errdrop", "/mod/a.go", 9, "unique"),
-	}
-	hashes := HashFindings("/mod", findings)
-	if hashes[0] == hashes[1] {
-		t.Error("duplicate findings share a hash")
-	}
-	if hashes[0] != findings[0].Hash("/mod", 0) || hashes[1] != findings[1].Hash("/mod", 1) {
-		t.Error("ordinals not assigned in position order")
-	}
-}
-
-// TestBaselineRoundTrip writes a baseline and reloads it; the reloaded
-// baseline must suppress exactly the findings it was built from.
-func TestBaselineRoundTrip(t *testing.T) {
-	root := "/mod"
-	findings := []Finding{
-		mkFinding("errdrop", "/mod/a.go", 3, "dropped"),
-		mkFinding("hotalloc", "/mod/b.go", 8, "allocates"),
-	}
-	path := filepath.Join(t.TempDir(), "baseline.json")
-	if err := NewBaseline(root, findings).Write(path); err != nil {
-		t.Fatal(err)
-	}
-	b, err := LoadBaseline(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(b.Findings) != 2 {
-		t.Fatalf("reloaded %d entries, want 2", len(b.Findings))
-	}
-	fresh, suppressed := b.Filter(root, findings)
-	if len(fresh) != 0 || len(suppressed) != 2 {
-		t.Errorf("filter: fresh=%d suppressed=%d, want 0/2", len(fresh), len(suppressed))
-	}
-	// A new finding stays fresh.
-	extra := append(findings, mkFinding("errdrop", "/mod/c.go", 1, "new drop"))
-	fresh, suppressed = b.Filter(root, extra)
-	if len(fresh) != 1 || len(suppressed) != 2 {
-		t.Errorf("filter with new finding: fresh=%d suppressed=%d, want 1/2", len(fresh), len(suppressed))
-	}
-	// Line drift alone must not un-suppress anything.
-	drifted := []Finding{
-		mkFinding("errdrop", "/mod/a.go", 33, "dropped"),
-		mkFinding("hotalloc", "/mod/b.go", 88, "allocates"),
-	}
-	fresh, _ = b.Filter(root, drifted)
-	if len(fresh) != 0 {
-		t.Errorf("line drift un-suppressed %d finding(s)", len(fresh))
-	}
-}
-
-// TestLoadBaselineMissingFile: no file means an empty baseline, not an
-// error.
-func TestLoadBaselineMissingFile(t *testing.T) {
-	b, err := LoadBaseline(filepath.Join(t.TempDir(), "nope.json"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(b.Findings) != 0 || b.Version != BaselineVersion {
-		t.Errorf("missing file loaded as %+v", b)
-	}
-}
-
-// TestLoadBaselineVersionMismatch: a future-versioned baseline is
-// rejected rather than silently misread.
-func TestLoadBaselineVersionMismatch(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "baseline.json")
-	if err := (&Baseline{Version: 99}).Write(path); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := LoadBaseline(path); err == nil {
-		t.Fatal("version 99 baseline loaded without error")
+	a := relPath(filepath.FromSlash("/home/a/mod"), filepath.FromSlash("/home/a/mod/pkg/x.go"))
+	b := relPath(filepath.FromSlash("/ci/workdir/mod"), filepath.FromSlash("/ci/workdir/mod/pkg/x.go"))
+	if a != b || a != "pkg/x.go" {
+		t.Errorf("path depends on checkout location: %q vs %q, want %q", a, b, "pkg/x.go")
 	}
 }
 
 // TestWriteSARIFShape checks the envelope and the per-result fields a
-// code-scanning consumer reads: rule ids, levels, module-relative
-// URIs, and the stable-hash fingerprint.
+// code-scanning consumer reads: rule ids, levels and module-relative
+// URIs. The same findings written from two checkout locations must
+// give the same log.
 func TestWriteSARIFShape(t *testing.T) {
-	root := filepath.FromSlash("/mod")
-	findings := []Finding{
-		{Analyzer: "errdrop", Severity: SevError,
-			Pos:     token.Position{Filename: filepath.FromSlash("/mod/pkg/a.go"), Line: 4, Column: 2},
-			Message: "call discards the error"},
-		{Analyzer: "exportdoc", Severity: SevWarning,
-			Pos:     token.Position{Filename: filepath.FromSlash("/mod/pkg/b.go"), Line: 9, Column: 1},
-			Message: "exported X is undocumented"},
+	sarifAt := func(root string) (string, []Finding) {
+		findings := []Finding{
+			{Analyzer: "errdrop", Severity: SevError,
+				Pos:     token.Position{Filename: filepath.Join(root, "pkg", "a.go"), Line: 4, Column: 2},
+				Message: "call discards the error"},
+			{Analyzer: "exportdoc", Severity: SevWarning,
+				Pos:     token.Position{Filename: filepath.Join(root, "pkg", "b.go"), Line: 9, Column: 1},
+				Message: "exported X is undocumented"},
+		}
+		var buf strings.Builder
+		if err := WriteSARIF(&buf, root, All(), findings); err != nil {
+			t.Fatal(err)
+		}
+		return buf.String(), findings
 	}
-	var buf strings.Builder
-	if err := WriteSARIF(&buf, root, All(), findings); err != nil {
-		t.Fatal(err)
+	out, findings := sarifAt(filepath.FromSlash("/home/a/mod"))
+	if other, _ := sarifAt(filepath.FromSlash("/ci/workdir/mod")); other != out {
+		t.Errorf("SARIF depends on the checkout location:\n%s\nvs\n%s", out, other)
 	}
 	var log sarifLog
-	if err := json.Unmarshal([]byte(buf.String()), &log); err != nil {
+	if err := json.Unmarshal([]byte(out), &log); err != nil {
 		t.Fatalf("not valid JSON: %v", err)
 	}
 	if log.Version != "2.1.0" || len(log.Runs) != 1 {
@@ -168,7 +69,6 @@ func TestWriteSARIFShape(t *testing.T) {
 	if len(run.Results) != 2 {
 		t.Fatalf("results = %d, want 2", len(run.Results))
 	}
-	hashes := HashFindings(root, findings)
 	for i, r := range run.Results {
 		if r.RuleID != findings[i].Analyzer {
 			t.Errorf("result %d ruleId = %q, want %q", i, r.RuleID, findings[i].Analyzer)
@@ -180,11 +80,8 @@ func TestWriteSARIFShape(t *testing.T) {
 			t.Errorf("result %d ruleIndex %d does not point at %q", i, r.RuleIndex, r.RuleID)
 		}
 		uri := r.Locations[0].PhysicalLocation.ArtifactLocation.URI
-		if strings.Contains(uri, "\\") || strings.HasPrefix(uri, "/") {
-			t.Errorf("result %d uri %q is not module-relative with forward slashes", i, uri)
-		}
-		if got := r.PartialFingerprints[sarifFingerprintKey]; got != hashes[i] {
-			t.Errorf("result %d fingerprint = %q, want %q", i, got, hashes[i])
+		if want := []string{"pkg/a.go", "pkg/b.go"}[i]; uri != want {
+			t.Errorf("result %d uri = %q, want module-relative %q", i, uri, want)
 		}
 	}
 	if r := run.Results[0].Locations[0].PhysicalLocation.Region; r.StartLine != 4 || r.StartColumn != 2 {

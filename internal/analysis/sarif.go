@@ -8,13 +8,7 @@ import (
 
 // SARIF 2.1.0 output, the minimal subset code-scanning UIs consume:
 // one run, one tool driver with a rule per analyzer, one result per
-// finding. The stable finding hash rides along as a partial
-// fingerprint so SARIF consumers track findings across line drift the
-// same way the baseline does.
-
-// sarifFingerprintKey names the partial fingerprint carrying the
-// stable finding hash; the /v1 suffix versions the hashing scheme.
-const sarifFingerprintKey = "lightpathFindingHash/v1"
+// finding.
 
 type sarifLog struct {
 	Schema  string     `json:"$schema"`
@@ -52,12 +46,11 @@ type sarifMessage struct {
 }
 
 type sarifResult struct {
-	RuleID              string            `json:"ruleId"`
-	RuleIndex           int               `json:"ruleIndex"`
-	Level               string            `json:"level"`
-	Message             sarifMessage      `json:"message"`
-	Locations           []sarifLocation   `json:"locations"`
-	PartialFingerprints map[string]string `json:"partialFingerprints"`
+	RuleID    string          `json:"ruleId"`
+	RuleIndex int             `json:"ruleIndex"`
+	Level     string          `json:"level"`
+	Message   sarifMessage    `json:"message"`
+	Locations []sarifLocation `json:"locations"`
 }
 
 type sarifLocation struct {
@@ -79,10 +72,10 @@ type sarifRegion struct {
 }
 
 // WriteSARIF renders the findings as a SARIF 2.1.0 log. File paths
-// are emitted module-relative (forward slashes), matching the baseline
-// and making the log portable across checkouts. The analyzers slice
-// declares the rule set; analyzers with no findings still appear as
-// rules so consumers know what ran.
+// are emitted module-relative (forward slashes), which makes the log
+// portable across checkouts. The analyzers slice declares the rule
+// set; analyzers with no findings still appear as rules so consumers
+// know what ran.
 func WriteSARIF(w io.Writer, moduleRoot string, analyzers []*Analyzer, findings []Finding) error {
 	rules := make([]sarifRule, len(analyzers))
 	ruleIndex := make(map[string]int, len(analyzers))
@@ -94,9 +87,8 @@ func WriteSARIF(w io.Writer, moduleRoot string, analyzers []*Analyzer, findings 
 		}
 		ruleIndex[a.Name] = i
 	}
-	hashes := HashFindings(moduleRoot, findings)
 	results := make([]sarifResult, 0, len(findings))
-	for i, f := range findings {
+	for _, f := range findings {
 		idx, ok := ruleIndex[f.Analyzer]
 		if !ok {
 			return fmt.Errorf("analysis: finding from analyzer %q not in the declared rule set", f.Analyzer)
@@ -112,7 +104,6 @@ func WriteSARIF(w io.Writer, moduleRoot string, analyzers []*Analyzer, findings 
 					Region:           sarifRegion{StartLine: f.Pos.Line, StartColumn: f.Pos.Column},
 				},
 			}},
-			PartialFingerprints: map[string]string{sarifFingerprintKey: hashes[i]},
 		})
 	}
 	log := sarifLog{

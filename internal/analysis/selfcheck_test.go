@@ -1,16 +1,12 @@
 package analysis
 
-import (
-	"path/filepath"
-	"testing"
-)
+import "testing"
 
 // TestSuiteSelfCheck runs the complete analyzer suite over the
-// repository's own source from inside `go test`, filtered through the
-// committed baseline — the ISSUE'd "repo analyzes itself" gate, one
-// level below the lightpath-vet CLI so it cannot be skipped by build
-// tooling that never invokes the binary. Unlike the CLI gate, this
-// test fails on unbaselined findings of ANY severity, warnings
+// repository's own source from inside `go test` — the "repo analyzes
+// itself" gate, one level below the lightpath-vet CLI so it cannot be
+// skipped by build tooling that never invokes the binary. Unlike the
+// CLI gate, this test fails on findings of ANY severity, warnings
 // included: the repository's own source is held to the strictest
 // standard, while downstream CI gating distinguishes errors from
 // warnings.
@@ -37,19 +33,8 @@ func TestSuiteSelfCheck(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	baseline, err := LoadBaseline(filepath.Join(root, "vet_baseline.json"))
-	if err != nil {
-		t.Fatal(err)
+	for _, f := range findings {
+		t.Errorf("finding: %s", f)
 	}
-	fresh, suppressed := baseline.Filter(root, findings)
-	for _, f := range fresh {
-		t.Errorf("unbaselined finding: %s", f)
-	}
-	// Every baseline entry should still match a real finding; stale
-	// entries mean the debt was paid and the baseline should shrink.
-	if len(suppressed) < len(baseline.Findings) {
-		t.Errorf("baseline has %d entries but only %d findings matched; regenerate with `make vet-baseline`",
-			len(baseline.Findings), len(suppressed))
-	}
-	t.Logf("self-check: %d package(s), %d finding(s) suppressed by baseline", len(pkgs), len(suppressed))
+	t.Logf("self-check: %d package(s), %d finding(s)", len(pkgs), len(findings))
 }

@@ -29,30 +29,17 @@ import (
 	"sync/atomic"
 )
 
-// parallelOff disables the worker pool when set (the CLI's
-// -parallel=false, or tests pinning the reference behavior). The zero
-// value means parallel-on, the default.
-var parallelOff atomic.Bool
-
 // workerOverride pins the pool size when positive; zero means
 // GOMAXPROCS. Tests use it to force real concurrency on small
 // machines (so -race sees the parallel schedule) and to force 1.
 var workerOverride atomic.Int64
 
-// SetParallel enables or disables the worker pool globally and returns
-// the previous setting. Sequential mode runs trials inline, in index
-// order, with early exit on error — the reference behavior parallel
-// mode must reproduce bit for bit.
-func SetParallel(on bool) (prev bool) {
-	return !parallelOff.Swap(!on)
-}
-
-// Parallel reports whether the worker pool is enabled.
-func Parallel() bool { return !parallelOff.Load() }
-
 // SetWorkers overrides the worker-pool size (0 restores the default,
 // GOMAXPROCS) and returns the previous override. Results never depend
-// on the pool size; only the schedule does.
+// on the pool size; only the schedule does. One worker is sequential
+// mode (the CLI's -parallel=false): trials run inline, in index order,
+// with early exit on error — the reference behavior a larger pool must
+// reproduce bit for bit.
 func SetWorkers(n int) (prev int) {
 	if n < 0 {
 		n = 0
@@ -69,8 +56,8 @@ func Workers() int {
 }
 
 // Map runs n independent trials and returns their results in index
-// order. In parallel mode the trials execute on Workers() goroutines;
-// in sequential mode they execute inline. Either way the returned
+// order. With more than one worker the trials execute on Workers()
+// goroutines; with one they execute inline. Either way the returned
 // slice is identical, and on failure the error returned is the
 // lowest-index trial's error (exactly what a sequential loop that
 // stops at the first error would surface).
@@ -79,7 +66,7 @@ func Map[R any](n int, trial func(i int) (R, error)) ([]R, error) {
 		return nil, nil
 	}
 	results := make([]R, n)
-	if !Parallel() || Workers() == 1 || n == 1 {
+	if Workers() == 1 || n == 1 {
 		for i := 0; i < n; i++ {
 			r, err := trial(i)
 			if err != nil {
@@ -113,7 +100,7 @@ func Stream[R any](limit int, trial func(i int) (R, error), consume func(i int, 
 	if limit <= 0 {
 		return nil
 	}
-	if !Parallel() || Workers() == 1 {
+	if Workers() == 1 {
 		for i := 0; i < limit; i++ {
 			r, err := trial(i)
 			if err != nil {

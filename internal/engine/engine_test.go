@@ -10,24 +10,13 @@ import (
 	"lightpath/internal/rng"
 )
 
-// forceParallel pins the engine to parallel mode with enough workers
-// to schedule real concurrency even on a single-core machine, and
-// restores the previous settings when the test ends.
-func forceParallel(t *testing.T, workers int) {
+// pinWorkers sets the engine's pool size until the test ends: 1 is the
+// sequential reference mode, and more schedule real concurrency even
+// on a single-core machine.
+func pinWorkers(t *testing.T, workers int) {
 	t.Helper()
-	prevPar := SetParallel(true)
-	prevW := SetWorkers(workers)
-	t.Cleanup(func() {
-		SetParallel(prevPar)
-		SetWorkers(prevW)
-	})
-}
-
-// forceSequential pins the engine to the sequential reference mode.
-func forceSequential(t *testing.T) {
-	t.Helper()
-	prev := SetParallel(false)
-	t.Cleanup(func() { SetParallel(prev) })
+	prev := SetWorkers(workers)
+	t.Cleanup(func() { SetWorkers(prev) })
 }
 
 // TestMapMatchesSequential is the engine's core contract: the parallel
@@ -44,12 +33,12 @@ func TestMapMatchesSequential(t *testing.T) {
 		return v, nil
 	}
 	const n = 100
-	forceSequential(t)
+	pinWorkers(t, 1)
 	seq, err := Map(n, trial)
 	if err != nil {
 		t.Fatal(err)
 	}
-	forceParallel(t, 8)
+	pinWorkers(t, 8)
 	par, err := Map(n, trial)
 	if err != nil {
 		t.Fatal(err)
@@ -77,11 +66,11 @@ func TestMapFirstErrorWins(t *testing.T) {
 		}
 		return i, nil
 	}
-	forceParallel(t, 8)
+	pinWorkers(t, 8)
 	if _, err := Map(40, trial); !errors.Is(err, sentinel) {
 		t.Fatalf("got %v, want the lowest-index error", err)
 	}
-	forceSequential(t)
+	pinWorkers(t, 1)
 	if _, err := Map(40, trial); !errors.Is(err, sentinel) {
 		t.Fatalf("sequential got %v, want the lowest-index error", err)
 	}
@@ -89,7 +78,7 @@ func TestMapFirstErrorWins(t *testing.T) {
 
 // TestMapEmpty covers the degenerate sizes.
 func TestMapEmpty(t *testing.T) {
-	forceParallel(t, 8)
+	pinWorkers(t, 8)
 	for _, n := range []int{0, -3} {
 		out, err := Map(n, func(i int) (int, error) { return i, nil })
 		if err != nil || out != nil {
@@ -127,9 +116,9 @@ func TestStreamMatchesSequential(t *testing.T) {
 		}
 		return accepted, last
 	}
-	forceSequential(t)
+	pinWorkers(t, 1)
 	seqAcc, seqLast := run()
-	forceParallel(t, 8)
+	pinWorkers(t, 8)
 	parAcc, parLast := run()
 	if len(seqAcc) != 20 || len(parAcc) != 20 {
 		t.Fatalf("accepted %d/%d, want 20", len(seqAcc), len(parAcc))
@@ -147,7 +136,7 @@ func TestStreamMatchesSequential(t *testing.T) {
 // TestStreamError propagates the trial error at the right index.
 func TestStreamError(t *testing.T) {
 	sentinel := errors.New("bad trial")
-	forceParallel(t, 4)
+	pinWorkers(t, 4)
 	var consumed atomic.Int64
 	err := Stream(100, func(i int) (int, error) {
 		if i == 9 {
@@ -169,7 +158,7 @@ func TestStreamError(t *testing.T) {
 // TestStreamConsumeError stops the campaign on a consumer error.
 func TestStreamConsumeError(t *testing.T) {
 	sentinel := errors.New("consumer rejects")
-	forceParallel(t, 4)
+	pinWorkers(t, 4)
 	err := Stream(50, func(i int) (int, error) { return i, nil },
 		func(i int, r int) (bool, error) {
 			if i == 3 {
@@ -201,7 +190,7 @@ func TestWorkersOverride(t *testing.T) {
 // run trials on multiple goroutines (otherwise -race would have
 // nothing to check). Detected via concurrent entry counting.
 func TestMapConcurrencyIsReal(t *testing.T) {
-	forceParallel(t, 8)
+	pinWorkers(t, 8)
 	var inFlight, peak atomic.Int64
 	var release sync.Once
 	gate := make(chan struct{})

@@ -109,19 +109,15 @@ func TestFig5ParallelMatchesSequential(t *testing.T) {
 			return r.String() + renderTabular(r), err
 		}},
 	}
-	prevPar := engine.SetParallel(false)
-	prevWorkers := engine.SetWorkers(len(DefaultSweepBuffers()))
-	t.Cleanup(func() {
-		engine.SetParallel(prevPar)
-		engine.SetWorkers(prevWorkers)
-	})
+	prevWorkers := engine.SetWorkers(1)
+	t.Cleanup(func() { engine.SetWorkers(prevWorkers) })
 	for _, c := range runs {
-		engine.SetParallel(false)
+		engine.SetWorkers(1)
 		seq, err := c.run()
 		if err != nil {
 			t.Fatalf("%s sequential: %v", c.name, err)
 		}
-		engine.SetParallel(true)
+		engine.SetWorkers(len(DefaultSweepBuffers()))
 		par, err := c.run()
 		if err != nil {
 			t.Fatalf("%s parallel: %v", c.name, err)
@@ -139,17 +135,12 @@ func TestParallelMatchesSequential(t *testing.T) {
 	for _, c := range parallelCampaigns {
 		c := c
 		t.Run(c.name, func(t *testing.T) {
-			engine.SetParallel(false)
+			defer engine.SetWorkers(engine.SetWorkers(1))
 			seq, err := c.run()
 			if err != nil {
 				t.Fatal(err)
 			}
-			engine.SetParallel(true)
 			engine.SetWorkers(8)
-			defer func() {
-				engine.SetWorkers(0)
-				engine.SetParallel(true)
-			}()
 			par, err := c.run()
 			if err != nil {
 				t.Fatal(err)

@@ -184,13 +184,13 @@ type checkCtx struct {
 	// t is what a full pass's circuits account for.
 	t tally
 	// seg and fib are the packed-key layouts, their value ranges
-	// observed by the walk. keys and spare hold the sweep's sort keys;
-	// segs and fibs serve its comparator fallback (see sweep.go).
-	seg         segLayout
-	fib         fibLayout
-	keys, spare []uint64
-	segs        []segOwner
-	fibs        []fibOwner
+	// observed by the walk. keys holds the sweep's sort keys; segs and
+	// fibs serve its comparator fallback (see sweep.go).
+	seg  segLayout
+	fib  fibLayout
+	keys []uint64
+	segs []segOwner
+	fibs []fibOwner
 }
 
 // geometry is the rack dimensions an audit indexes by.

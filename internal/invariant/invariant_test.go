@@ -4,11 +4,9 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
-	"slices"
 	"strings"
 	"testing"
 
-	"lightpath/internal/rng"
 	"lightpath/internal/route"
 	"lightpath/internal/snapshot"
 	"lightpath/internal/wafer"
@@ -271,28 +269,6 @@ func TestPackedSweepOrdersTiesByEnd(t *testing.T) {
 		}
 		if got := ctx.sweepSegments(nil); !reflect.DeepEqual(got, want) {
 			t.Fatalf("segments held as %v: got %q, want %q", held, got, want)
-		}
-	}
-}
-
-// TestSortKeysMatchesSlicesSort holds the bucketed radix sort to
-// slices.Sort on seeded keys: prefixes of zero, one and two digits and
-// one past the radix limit, buckets of one key and buckets large
-// enough to trip the insertion pass's move budget.
-func TestSortKeysMatchesSlicesSort(t *testing.T) {
-	r := rng.New(1)
-	for trial := 0; trial < 400; trial++ {
-		shift := uint(r.Intn(40))
-		prefixBits := uint(r.Intn(maxRadixPrefix + 2))
-		buckets := 1 + r.Intn(1<<min(prefixBits, 10))
-		keys := make([]uint64, r.Intn(300))
-		for i := range keys {
-			keys[i] = uint64(r.Intn(buckets))<<shift | uint64(r.Intn(1<<min(shift, 20)))
-		}
-		want := slices.Clone(keys)
-		slices.Sort(want)
-		if got, _ := sortKeys(keys, nil, shift, prefixBits); !slices.Equal(got, want) {
-			t.Fatalf("shift %d prefix %d: got %v, want %v", shift, prefixBits, got, want)
 		}
 	}
 }

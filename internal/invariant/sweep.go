@@ -14,13 +14,12 @@ import (
 // The disjointness check sorts every bus segment and every fiber the
 // circuits hold and sweeps the sorted order once. Each element is
 // packed into one uint64 whose unsigned order is the sweep order, so
-// the sort orders plain integers (sortKeys: a radix sort on the bus or
-// fiber prefix, then an insertion sort per bus or fiber) and the sweep
-// reads everything it needs back out of the key. A field's width is
-// derived from the value range the audit walk observed, so even a
-// corrupted state (negative lanes, huge IDs) packs as long as its
-// ranges fit; one whose ranges do not fit in 64 bits takes the
-// comparator sweep at the bottom of this file.
+// slices.Sort orders plain integers and the sweep reads everything it
+// needs back out of the key. A field's width is derived from the value
+// range the audit walk observed, so even a corrupted state (negative
+// lanes, huge IDs) packs as long as its ranges fit; one whose ranges
+// do not fit in 64 bits takes the comparator sweep at the bottom of
+// this file.
 
 // valueRange is one key field's observed value range in a pass.
 type valueRange struct{ min, max int }
@@ -186,8 +185,9 @@ func (ctx *checkCtx) sweepSegments(out []string) []string {
 			keys = append(keys, l.key(c.ID, s))
 		}
 	}
-	ctx.keys, ctx.spare = sortKeys(keys, ctx.spare, l.busShift, l.bits-l.busShift)
-	return l.sweep(out, ctx.keys)
+	slices.Sort(keys)
+	ctx.keys = keys
+	return l.sweep(out, keys)
 }
 
 // sweepFibers appends the pairs of circuits holding one fiber to out,
@@ -205,75 +205,9 @@ func (ctx *checkCtx) sweepFibers(out []string) []string {
 			keys = append(keys, l.key(c.ID, f))
 		}
 	}
-	ctx.keys, ctx.spare = sortKeys(keys, ctx.spare, l.fiberShift, l.bits-l.fiberShift)
-	return l.sweep(out, ctx.keys)
-}
-
-// maxRadixPrefix is the widest bucket prefix sortKeys radix-sorts: two
-// 8-bit digits.
-const maxRadixPrefix = 16
-
-// minRadixKeys is the fewest keys sortKeys radix-sorts. Below it the
-// passes' fixed cost (two 256-bucket histograms) outweighs what they
-// save over slices.Sort; the two cross near 100 keys on x86-64.
-const minRadixKeys = 96
-
-// sortKeys sorts keys ascending. Its keys carry a bucket identity — a
-// bus, or a fiber — in the prefixBits bits above bit shift, and a
-// bucket holds few keys: a stable LSD radix sort with 8-bit digits
-// orders the keys by prefix, then one insertion pass orders each
-// bucket (no key moves past a bucket boundary, since the prefix sort
-// already ordered those). Fewer than minRadixKeys keys or a prefix
-// wider than maxRadixPrefix take slices.Sort, as does an insertion
-// pass that has moved keys more than 4n places (only a corrupted state
-// piles that many keys on one bus). spare is scratch; sortKeys returns
-// the sorted keys and the other buffer, either of which may be the one
-// passed in as spare.
-func sortKeys(keys, spare []uint64, shift, prefixBits uint) (sorted, scratch []uint64) {
-	if prefixBits > maxRadixPrefix || len(keys) < minRadixKeys {
-		slices.Sort(keys)
-		return keys, spare
-	}
-	spare = slices.Grow(spare[:0], len(keys))[:len(keys)]
-	// One counting pass fills both digits' histograms.
-	var count [2][256]int
-	//lightpath:hotloop
-	for _, k := range keys {
-		p := k >> shift
-		count[0][p&0xff]++
-		count[1][(p>>8)&0xff]++
-	}
-	for digit := uint(0); digit*8 < prefixBits; digit++ {
-		d, c := shift+8*digit, &count[digit]
-		if c[(keys[0]>>d)&0xff] == len(keys) {
-			continue // every key shares this digit
-		}
-		start := 0
-		for b, n := range c {
-			c[b], start = start, start+n
-		}
-		//lightpath:hotloop
-		for _, k := range keys {
-			b := (k >> d) & 0xff
-			spare[c[b]] = k
-			c[b]++
-		}
-		keys, spare = spare, keys
-	}
-	moves := 0
-	//lightpath:hotloop
-	for i := 1; i < len(keys); i++ {
-		k, j := keys[i], i
-		for ; j > 0 && keys[j-1] > k; j-- {
-			keys[j] = keys[j-1]
-		}
-		keys[j] = k
-		if moves += i - j; moves > 4*len(keys) {
-			slices.Sort(keys)
-			break
-		}
-	}
-	return keys, spare
+	slices.Sort(keys)
+	ctx.keys = keys
+	return l.sweep(out, keys)
 }
 
 // The comparator sweep: the implementation that preceded the packed
