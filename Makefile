@@ -21,20 +21,18 @@ race:
 	$(GO) test -race -timeout 20m ./...
 
 ## race-stress: the scheduling-dependent tests — Fig5's
-## parallel-vs-sequential planning, the auditor's differentials against
-## the reference checks and of its delta audits against full passes,
-## and its corrupt-index test, the daemon's concurrent connections and
-## pipelined frames over one buffered reader, the event queue's
-## differential against container/heap, and soak trials writing their
-## checkpoints concurrently through the shared kill/resume trial
-## runner — under the race detector, 20 times at each of 1, 2 and 8
-## Ps, so a trial that shares mutable state with another fails every
-## time rather than one run in several.
+## parallel-vs-sequential planning, the daemon's concurrent connections
+## and pipelined frames over one buffered reader, and soak trials
+## writing their checkpoints concurrently through the shared
+## kill/resume trial runner — under the race detector, 20 times at each
+## of 1, 2 and 8 Ps, so a trial that shares mutable state with another
+## fails every time rather than one run in several. Only tests that
+## start goroutines belong here: the auditor and event-queue
+## differentials reach neither engine, ctrl nor a command (see `go list
+## -test -deps`) and run once under `make race` like everything else.
 race-stress:
 	$(GO) test -race -count=20 -cpu 1,2,8 -run '^TestFig5ParallelMatchesSequential$$' ./internal/experiments
-	$(GO) test -race -count=20 -cpu 1,2,8 -run '^(TestAuditMatchesReference|FuzzDisjointness|TestAuditSurvivesCorruptIndices|TestDeltaMatchesFullAudit)$$' ./internal/invariant
 	$(GO) test -race -count=20 -cpu 1,2,8 -run '^(TestDaemonConcurrentClients|TestServeConnPipelinedFrames)$$' ./internal/ctrl
-	$(GO) test -race -count=20 -cpu 1,2,8 -run '^TestQueueMatchesContainerHeap$$' ./internal/evloop
 	$(GO) test -race -count=20 -cpu 1,2,8 -run '^TestKillResumeCSVIdentical$$' ./cmd/lightpath-sim
 
 ## lint: formatting check, go vet, and the repo-specific analyzers

@@ -40,7 +40,7 @@ type Allocator struct {
 	PackFibers bool
 
 	// circuits holds the established circuits in ascending ID order.
-	// IDs are issued monotonically (nextID), so commit appends, Release
+	// IDs are issued monotonically (nextID), so place appends, Release
 	// deletes in place, and the ID-ordered accessors are plain copies.
 	circuits []*Circuit
 	nextID   int
@@ -56,10 +56,9 @@ type Allocator struct {
 	rowOrder [][]int
 	// auditHook, when set, runs after every completed top-level
 	// mutation with the operation's name; mutDepth tracks nesting so
-	// compound operations (ApplyFault releasing circuits, Establish
-	// trying many commits) fire the hook once, when the state is
-	// consistent again. Clones start with no hook — the attaching
-	// layer decides per allocator.
+	// compound operations (ApplyFault releasing circuits) fire the
+	// hook once, when the state is consistent again. Clones start with
+	// no hook — the attaching layer decides per allocator.
 	auditHook func(op string)
 	mutDepth  int
 	// scratch holds the buffers Establish reuses across calls so the
@@ -85,6 +84,8 @@ type allocScratch struct {
 	uses    []switchUse
 	segs    []Segment
 	fibers  []wafer.FiberRef
+	fit     []int
+	pending []wafer.BusRef
 }
 
 // nextPlan appends an empty plan slot to the scratch, recycling the
@@ -325,7 +326,7 @@ func (a *Allocator) candidatePlans(chipA, chipB int) []plan {
 	}
 
 	for _, dir := range dirs {
-		for _, row := range a.fiberRowOrder(rA, wA, wB) {
+		for _, row := range a.fiberRowOrder(rA, dir.trunks) {
 			if !a.rowUsable(row, dir.trunks) {
 				continue
 			}
@@ -353,7 +354,7 @@ func (a *Allocator) candidatePlans(chipA, chipB int) []plan {
 // the packing regime it is recomputed into scratch (occupancy changes
 // between calls). Either way the result is read-only for the caller
 // and valid until the next call.
-func (a *Allocator) fiberRowOrder(srcRow, wA, wB int) []int {
+func (a *Allocator) fiberRowOrder(srcRow int, trunks []int) []int {
 	if !a.PackFibers {
 		// Shortest-path preference: the source row first, then the
 		// rest — geometry only, precomputed in NewAllocator.
@@ -364,7 +365,7 @@ func (a *Allocator) fiberRowOrder(srcRow, wA, wB int) []int {
 	uses := a.scratch.rowUses[:0]
 	//lightpath:hotloop
 	for row := 0; row < cfg.Rows; row++ {
-		used, free := a.fiberRowOccupancy(row, wA, wB)
+		used, free := a.fiberRowOccupancy(row, trunks)
 		uses = append(uses, rowUse{row: row, used: used, free: free})
 	}
 	rows := a.scratch.rows[:0]
@@ -392,10 +393,10 @@ func (a *Allocator) fiberRowOrder(srcRow, wA, wB int) []int {
 // fiberRowOccupancy reports how many fibers of the row are used and
 // free across the trunks the path must cross, taking the minimum free
 // across trunks (every trunk needs one).
-func (a *Allocator) fiberRowOccupancy(row, wA, wB int) (used, free int) {
+func (a *Allocator) fiberRowOccupancy(row int, trunks []int) (used, free int) {
 	cfg := a.rack.Config()
 	free = cfg.FibersPerEdge
-	for tr := wA; tr < wB; tr++ {
+	for _, tr := range trunks {
 		u := a.fibersUsed[fiberRowKey{trunk: tr, row: row}]
 		used += u
 		if f := cfg.FibersPerEdge - u; f < free {
@@ -412,10 +413,13 @@ type Request struct {
 	Width int
 }
 
-// Establish finds a path for the request, atomically allocates its
-// buses, fibers and endpoint resources, programs the switches, and
-// returns the circuit. On any failure everything is rolled back and
-// ErrNoPath (or a budget error) is returned.
+// Establish finds a path for the request, allocates its buses, fibers
+// and endpoint resources, programs the switches, and returns the
+// circuit. Candidate plans are judged by a read-only probe and only
+// the accepted one is allocated, so a failed Establish leaves the
+// fabric as it found it — only the plan cache and the loss stream,
+// which budget checks draw from, move — and returns ErrNoPath (or a
+// budget error).
 func (a *Allocator) Establish(req Request, now unit.Seconds) (*Circuit, error) {
 	if req.A == req.B {
 		return nil, fmt.Errorf("route: circuit endpoints are the same chip %d", req.A)
@@ -437,24 +441,42 @@ func (a *Allocator) Establish(req Request, now unit.Seconds) (*Circuit, error) {
 	defer a.endOp("establish")
 	//lightpath:arena
 	plans := a.plansFor(req.A, req.B)
-	var lastErr error = ErrNoPath
-	for _, p := range plans {
-		c, err := a.commit(req, p, now)
-		if err == nil {
+	if len(plans) == 0 {
+		return nil, &noPathError{a: req.A, b: req.B, cause: ErrNoPath}
+	}
+	last := plans[len(plans)-1]
+	// Endpoint lasers and ports do not depend on the plan: when either
+	// end is short, no plan can succeed and none is walked. The error
+	// still names the last plan's own cause where it has one.
+	if err := a.endpointCause(req); err != nil {
+		if v := a.probe(req, last); v.cause != causeNone {
+			err = a.causeOf(req, last, v)
+		}
+		return nil, &noPathError{a: req.A, b: req.B, cause: err}
+	}
+	for _, p := range plans[:len(plans)-1] {
+		if c, _, _ := a.tryPlan(req, p, now); c != nil {
 			return c, nil
 		}
-		lastErr = err
+	}
+	c, v, link := a.tryPlan(req, last, now)
+	if c != nil {
+		return c, nil
 	}
 	// Both sentinels stay unwrappable: errors.Is sees ErrNoPath and
-	// whatever sentinel the last commit attempt surfaced. The message is
-	// formatted only if someone reads it — on a saturated fabric this is
-	// the common Establish outcome, too hot for fmt.Errorf.
-	return nil, &noPathError{a: req.A, b: req.B, cause: lastErr}
+	// whatever sentinel the last plan's cause carries. The message is
+	// formatted only if someone reads it — on a saturated fabric this
+	// is the common Establish outcome, too hot for fmt.Errorf.
+	var cause error = &budgetError{a: req.A, b: req.B, link: link}
+	if v.cause != causeNone {
+		cause = a.causeOf(req, last, v)
+	}
+	return nil, &noPathError{a: req.A, b: req.B, cause: cause}
 }
 
 // noPathError is the establish failure after every candidate plan was
 // rejected. Error formats lazily; Unwrap exposes both ErrNoPath and
-// the last commit failure to errors.Is/As.
+// the last plan's cause to errors.Is/As.
 type noPathError struct {
 	a, b  int
 	cause error
@@ -466,85 +488,227 @@ func (e *noPathError) Error() string {
 
 func (e *noPathError) Unwrap() []error { return []error{ErrNoPath, e.cause} }
 
-// commit attempts to allocate everything a plan needs, rolling back on
-// failure.
-func (a *Allocator) commit(req Request, p plan, now unit.Seconds) (c *Circuit, err error) {
-	a.beginOp()
-	defer a.endOp("commit")
-	// The path is staged in scratch; only a successful commit copies it
-	// into the circuit (setPath), so failed attempts allocate nothing.
-	segs := a.scratch.segs[:0]
-	fibers := a.scratch.fibers[:0]
-	defer func() {
-		a.scratch.segs = segs[:0]
-		a.scratch.fibers = fibers[:0]
-	}()
-	reservedA, reservedB := false, false
-	defer func() {
-		if err == nil {
-			return
-		}
-		for _, s := range segs {
-			a.rack.Wafer(s.Wafer).FreeBus(s.Ref)
-		}
-		for _, f := range fibers {
-			a.rack.FreeFiber(f)
-			a.trackFiber(f, -1)
-		}
-		if reservedA {
-			a.releaseEndpoint(req.A, req.Width)
-		}
-		if reservedB {
-			a.releaseEndpoint(req.B, req.Width)
-		}
-	}()
+// tryPlan runs one plan of a request whose endpoints have room: the
+// probe, then the optical budget, then placement. It returns the
+// circuit, or nil with the probe's verdict — causeNone and the link
+// report when the budget turned an accepted plan down.
+func (a *Allocator) tryPlan(req Request, p plan, now unit.Seconds) (*Circuit, verdict, phy.LinkReport) {
+	if v := a.probe(req, p); v.cause != causeNone {
+		return nil, v, phy.LinkReport{}
+	}
+	link := a.evaluate(p)
+	if a.CheckBudget && !link.Feasible {
+		return nil, verdict{}, link
+	}
+	return a.place(req, p, link, now), verdict{}, link
+}
 
-	// Severed bus segments and stuck switches are hard health failures:
-	// prune the plan before allocating anything so the rollback path
-	// never has to undo switch programming.
-	for _, st := range p.steps {
+// endpointCause returns the error reserving both endpoints would hit
+// (A first), or nil when both have the lasers and a port for the
+// request's width. It reserves nothing.
+func (a *Allocator) endpointCause(req Request) error {
+	ta, tb := a.rack.TileOf(req.A), a.rack.TileOf(req.B)
+	if err := ta.CanReserve(req.Width); err != nil {
+		return err
+	}
+	if ta == tb {
+		// Only a same-chip request names one tile twice (Establish
+		// refuses those; the decentralized batch does not). B's check
+		// must see A's share, so hold it for the length of the check.
+		_ = ta.Reserve(req.Width) // cannot fail: checked just above
+		err := tb.CanReserve(req.Width)
+		ta.Release(req.Width)
+		return err
+	}
+	return tb.CanReserve(req.Width)
+}
+
+// causeKind names the check a plan failed. The constants are in report
+// order: a plan that fails several checks is reported by the first.
+type causeKind uint8
+
+const (
+	causeNone causeKind = iota
+	causeSevered
+	causeStuck
+	causeBus
+	causeFiber
+)
+
+// verdict is the probe's answer for one plan: causeNone, or the first
+// check that failed and where. It is a value — turning it into an
+// error is left to the one plan whose cause gets reported.
+type verdict struct {
+	cause causeKind
+	step  int       // index into the plan's steps (severed, bus)
+	sw    switchUse // the stuck switch
+}
+
+// causeOf turns plan p's verdict into the error a failed Establish
+// reports. The probe tests fibers first because that rejection is the
+// cheapest and most common, but in report order a plan that is also
+// severed, stuck or out of buses reports that instead. Fiber
+// exhaustion stays the wafer's static sentinel; the other causes
+// format only when read.
+func (a *Allocator) causeOf(req Request, p plan, v verdict) error {
+	if v.cause == causeFiber {
+		if pv := a.probePath(req, p); pv.cause != causeNone {
+			v = pv
+		}
+	}
+	switch v.cause {
+	case causeSevered:
+		return &severedError{st: p.steps[v.step]}
+	case causeStuck:
+		return &stuckError{row: v.sw.tile.Row, col: v.sw.tile.Col, sw: v.sw.sw}
+	case causeBus:
+		st := p.steps[v.step]
+		return &wafer.LaneExhaustedError{Orient: st.o, Lane: st.lane, Capacity: a.rack.Config().BusesPerLane}
+	case causeFiber:
+		return wafer.ErrFibersExhausted
+	}
+	return nil
+}
+
+// severedError reports a plan span crossing a severed waveguide
+// segment.
+type severedError struct{ st planStep }
+
+func (e *severedError) Error() string {
+	return fmt.Sprintf("route: %s lane %d span [%d,%d] on wafer %d crosses a severed segment",
+		e.st.o, e.st.lane, e.st.span.Lo, e.st.span.Hi, e.st.wafer)
+}
+
+// stuckError reports a switch a plan must program that is stuck.
+type stuckError struct{ row, col, sw int }
+
+func (e *stuckError) Error() string {
+	return fmt.Sprintf("route: tile (%d,%d) switch %d is stuck", e.row, e.col, e.sw)
+}
+
+// budgetError reports a plan whose optical loss exceeds the budget.
+type budgetError struct {
+	a, b int
+	link phy.LinkReport
+}
+
+func (e *budgetError) Error() string {
+	return fmt.Sprintf("route: circuit %d<->%d infeasible: %v", e.a, e.b, e.link)
+}
+
+// probe reports whether place(req, p) can allocate everything plan p
+// needs — endpoints aside, which Establish checks once per request —
+// and if not, why. It has no side effects. A free fiber on each trunk
+// row, read from the rack, is checked first: full rows are the most
+// common rejection and the cheapest to see.
+//
+//lightpath:hotloop
+func (a *Allocator) probe(req Request, p plan) verdict {
+	for i, tr := range p.trunks {
+		// A plan crosses each trunk once, but count repeats anyway:
+		// every crossing takes its own fiber.
+		need := 1
+		for _, prev := range p.trunks[:i] {
+			if prev == tr {
+				need++
+			}
+		}
+		if !a.rack.FibersFree(tr, p.fiberRow, need) {
+			return verdict{cause: causeFiber}
+		}
+	}
+	return a.probePath(req, p)
+}
+
+// probePath is the rest of the probe, in report order: severed spans,
+// stuck switches, then bus availability. A lane with at least one
+// never-touched bus per plan step fits whatever the spans; any other
+// lane gets an exact first-fit check that counts the plan's own
+// earlier steps on it.
+//
+//lightpath:hotloop
+func (a *Allocator) probePath(req Request, p plan) verdict {
+	for i, st := range p.steps {
 		if a.rack.Wafer(st.wafer).SpanSevered(st.o, st.lane, st.span) {
-			return nil, fmt.Errorf("route: %s lane %d span [%d,%d] on wafer %d crosses a severed segment",
-				st.o, st.lane, st.span.Lo, st.span.Hi, st.wafer)
+			return verdict{cause: causeSevered, step: i}
 		}
 	}
 	for _, su := range a.planSwitches(req, p) {
 		if !su.tile.SwitchHealthy(su.sw) {
-			return nil, fmt.Errorf("route: tile (%d,%d) switch %d is stuck", su.tile.Row, su.tile.Col, su.sw)
+			return verdict{cause: causeStuck, sw: su}
 		}
 	}
+	// fit[i] is the bus the exact check placed step i on, -1 for steps
+	// on lanes with fresh headroom.
+	fit := a.scratch.fit[:0]
+	for i, st := range p.steps {
+		w := a.rack.Wafer(st.wafer)
+		if w.FreshBuses(st.o, st.lane) >= len(p.steps) {
+			fit = append(fit, -1)
+			continue
+		}
+		pending := a.scratch.pending[:0]
+		for j, prev := range p.steps[:i] {
+			if fit[j] >= 0 && prev.wafer == st.wafer && prev.o == st.o && prev.lane == st.lane {
+				pending = append(pending, wafer.BusRef{Orient: prev.o, Lane: prev.lane, Bus: fit[j], Span: prev.span})
+			}
+		}
+		a.scratch.pending = pending
+		bus, ok := w.FirstFitBus(st.o, st.lane, st.span, pending)
+		if !ok {
+			a.scratch.fit = fit
+			return verdict{cause: causeBus, step: i}
+		}
+		fit = append(fit, bus)
+	}
+	a.scratch.fit = fit
+	return verdict{}
+}
 
+// place allocates a plan the probe accepted: buses and fibers
+// first-fit, both endpoints, then the switches, and appends the
+// circuit. None of it can fail — the probe checked each resource —
+// and a failure here is a broken invariant, not a rejected plan.
+//
+//lightpath:hotloop
+func (a *Allocator) place(req Request, p plan, link phy.LinkReport, now unit.Seconds) *Circuit {
+	// The path is staged in scratch; setPath copies it into the
+	// circuit.
+	segs := a.scratch.segs[:0]
 	for _, st := range p.steps {
-		ref, aerr := a.rack.Wafer(st.wafer).AllocBus(st.o, st.lane, st.span)
-		if aerr != nil {
-			return nil, aerr
+		ref, err := a.rack.Wafer(st.wafer).AllocBus(st.o, st.lane, st.span)
+		if err != nil {
+			panic(err)
 		}
 		segs = append(segs, Segment{Wafer: st.wafer, Ref: ref})
 	}
+	fibers := a.scratch.fibers[:0]
 	for _, tr := range p.trunks {
-		ref, aerr := a.rack.AllocFiber(tr, p.fiberRow)
-		if aerr != nil {
-			return nil, aerr
+		ref, err := a.rack.AllocFiber(tr, p.fiberRow)
+		if err != nil {
+			panic(err)
 		}
 		fibers = append(fibers, ref)
 		a.trackFiber(ref, +1)
 	}
-	if err = a.reserveEndpoint(req.A, req.Width); err != nil {
-		return nil, err
+	for _, chip := range [2]int{req.A, req.B} {
+		if err := a.reserveEndpoint(chip, req.Width); err != nil {
+			panic(err)
+		}
 	}
-	reservedA = true
-	if err = a.reserveEndpoint(req.B, req.Width); err != nil {
-		return nil, err
+	// Programming starts each switch's settle clock, making ReadyAt =
+	// now + 3.7 us observable hardware state; the port assignment is
+	// cosmetic for the simulation. The probe found every switch
+	// healthy, so Program cannot fail.
+	for i, su := range a.planSwitches(req, p) {
+		port := 1
+		if i < 2 {
+			// The endpoint switch routes the Tx/Rx block to the bus.
+			port = 0
+		}
+		_ = su.tile.Switches[su.sw].Program(port, now)
 	}
-	reservedB = true
-
-	link := a.evaluate(p, segs, fibers)
-	if a.CheckBudget && !link.Feasible {
-		return nil, fmt.Errorf("route: circuit %d<->%d infeasible: %v", req.A, req.B, link)
-	}
-
-	a.programSwitches(req, p, now)
-	c = &Circuit{
+	c := &Circuit{
 		ID:            a.nextID,
 		A:             req.A,
 		B:             req.B,
@@ -554,9 +718,10 @@ func (a *Allocator) commit(req Request, p plan, now unit.Seconds) (c *Circuit, e
 		Link:          link,
 	}
 	c.setPath(segs, fibers)
+	a.scratch.segs, a.scratch.fibers = segs[:0], fibers[:0]
 	a.nextID++
 	a.circuits = append(a.circuits, c)
-	return c, nil
+	return c
 }
 
 // Release tears down a circuit and returns its resources. Releasing a
@@ -585,26 +750,28 @@ func (a *Allocator) Release(c *Circuit) {
 	a.releaseEndpoint(c.B, c.Width)
 }
 
-// evaluate computes the circuit's optical budget: couplings at the
+// evaluate computes a plan's optical budget: couplings at the
 // endpoints, two MZI stages per switch traversed (endpoints plus one
 // switch per turn), one crossing per pass-through tile and per turn
 // (the signal crosses the orthogonal bus bundle), one reticle stitch
 // per tile boundary, propagation over the Manhattan length, and one
-// loss element per fiber hop.
-func (a *Allocator) evaluate(p plan, segs []Segment, fibers []wafer.FiberRef) phy.LinkReport {
+// loss element per fiber hop. It reads only the steps' wafers, lanes
+// and spans and the trunk count — never which bus or fiber a step
+// would get — so it runs before anything is allocated, and a plan
+// the budget rejects leaves nothing to undo.
+func (a *Allocator) evaluate(p plan) phy.LinkReport {
 	cfg := a.rack.Config()
-	// The element list is rebuilt for every candidate plan commit tries;
+	// The element list is rebuilt for every plan the probe accepts;
 	// reuse the scratch buffer (Budget.Evaluate does not retain it).
 	elems := a.scratch.elems[:0]
-	defer func() { a.scratch.elems = elems }()
 	elems = append(elems, a.loss.Coupling(), a.loss.Coupling())
 	switches := 2 + p.turns
 	for i := 0; i < switches; i++ {
 		elems = append(elems, a.loss.MZIPass(), a.loss.MZIPass())
 	}
 	//lightpath:hotloop
-	for _, s := range segs {
-		length := s.Ref.Span.Hi - s.Ref.Span.Lo
+	for _, st := range p.steps {
+		length := st.span.Hi - st.span.Lo
 		for b := 0; b < length; b++ {
 			elems = append(elems, a.loss.Stitch())
 		}
@@ -618,16 +785,17 @@ func (a *Allocator) evaluate(p plan, segs []Segment, fibers []wafer.FiberRef) ph
 		// waveguide faults) is charged like any other loss element, so
 		// a degraded-but-surviving path is accepted exactly when its
 		// budget still closes.
-		if extra := a.rack.Wafer(s.Wafer).SpanExtraLossDB(s.Ref.Orient, s.Ref.Lane, s.Ref.Span); extra > 0 {
+		if extra := a.rack.Wafer(st.wafer).SpanExtraLossDB(st.o, st.lane, st.span); extra > 0 {
 			elems = append(elems, phy.LossElement{Kind: phy.LossDefect, DB: unit.Decibel(extra)})
 		}
 	}
 	for t := 0; t < p.turns; t++ {
 		elems = append(elems, a.loss.Crossing())
 	}
-	for range fibers {
+	for range p.trunks {
 		elems = append(elems, a.loss.FiberHop())
 	}
+	a.scratch.elems = elems
 	return a.Budget.Evaluate(elems)
 }
 
@@ -639,14 +807,12 @@ type switchUse struct {
 
 // planSwitches lists the switches a plan needs to program: switch 0 at
 // each endpoint tile (facing the Tx/Rx block) and switch 1 at each
-// turn tile, where one step ends and the next begins. commit checks
-// these for stuck-state health before allocating, and programSwitches
-// drives them after.
+// turn tile, where one step ends and the next begins. The probe checks
+// them for stuck state; place programs them.
 // The returned slice lives in the allocator's scratch and is valid
 // only until the next planSwitches call.
 func (a *Allocator) planSwitches(req Request, p plan) []switchUse {
 	uses := a.scratch.uses[:0]
-	defer func() { a.scratch.uses = uses }()
 	uses = append(uses,
 		switchUse{tile: a.rack.TileOf(req.A), sw: 0},
 		switchUse{tile: a.rack.TileOf(req.B), sw: 0},
@@ -667,23 +833,8 @@ func (a *Allocator) planSwitches(req Request, p plan) []switchUse {
 		}
 		uses = append(uses, switchUse{tile: a.rack.Wafer(st.wafer).Tile(row, col), sw: 1})
 	}
+	a.scratch.uses = uses
 	return uses
-}
-
-// programSwitches drives the plan's MZI switches toward the circuit's
-// buses. The concrete port assignment is cosmetic for the simulation;
-// what matters is that the settle clock starts, making ReadyAt =
-// now + 3.7 us observable hardware state. commit verified the switches
-// are healthy, so Program cannot fail here.
-func (a *Allocator) programSwitches(req Request, p plan, now unit.Seconds) {
-	for i, su := range a.planSwitches(req, p) {
-		port := 1
-		if i < 2 {
-			// The endpoint switch routes the Tx/Rx block to the bus.
-			port = 0
-		}
-		_ = su.tile.Switches[su.sw].Program(port, now)
-	}
 }
 
 // clampToSpan picks the junction coordinate between two consecutive

@@ -431,3 +431,46 @@ func TestLossMonotoneInWaferDistance(t *testing.T) {
 		a.Release(c)
 	}
 }
+
+// Regression: fiber packing on a ring ranked the rows of both
+// directions by the clockwise trunks' occupancy, so rows full on a
+// clockwise trunk were dropped from the counterclockwise candidates
+// too, and a circuit that routes counterclockwise without packing was
+// refused with it.
+func TestRingPackFibersRanksEachDirection(t *testing.T) {
+	for _, pack := range []bool{false, true} {
+		rack, err := wafer.NewRackTopology(wafer.DefaultConfig(), 3, wafer.RingTopology)
+		if err != nil {
+			t.Fatal(err)
+		}
+		a := NewAllocator(rack, rng.New(3))
+		a.PackFibers = pack
+		cfg := rack.Config()
+		trunk0Full := func() bool {
+			for row := 0; row < cfg.Rows; row++ {
+				if a.FiberRowUsage(0, row) < cfg.FibersPerEdge {
+					return false
+				}
+			}
+			return true
+		}
+		// Fill every row of trunk 0 with wafer-0 <-> wafer-1 circuits.
+		for i := 0; !trunk0Full(); i++ {
+			if i >= 2*cfg.Tiles() {
+				t.Fatalf("pack=%v: trunk 0 still not full after %d circuits", pack, i)
+			}
+			tile := i % cfg.Tiles()
+			req := Request{A: rack.ChipAt(0, tile/cfg.Cols, tile%cfg.Cols), B: rack.ChipAt(1, tile/cfg.Cols, tile%cfg.Cols), Width: 1}
+			if _, err := a.Establish(req, 0); err != nil {
+				t.Fatalf("pack=%v: filling trunk 0: %v", pack, err)
+			}
+		}
+		c, err := a.Establish(Request{A: rack.ChipAt(0, 1, 7), B: rack.ChipAt(2, 2, 0), Width: 1}, 0)
+		if err != nil {
+			t.Fatalf("pack=%v: (0,1,7)->(2,2,0) refused: %v", pack, err)
+		}
+		if len(c.Fibers) != 1 || c.Fibers[0].Trunk != 2 {
+			t.Fatalf("pack=%v: fibers %v, want one counterclockwise hop over trunk 2", pack, c.Fibers)
+		}
+	}
+}

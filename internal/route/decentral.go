@@ -9,7 +9,7 @@ import (
 type BatchOutcome struct {
 	Circuits []*Circuit
 	Failed   []Request
-	// Attempts counts commit attempts, including conflicts; the
+	// Attempts counts plan attempts, including conflicts; the
 	// centralized allocator's global view needs ~1 per request, the
 	// decentralized one pays extra attempts for optimistic conflicts.
 	Attempts int
@@ -89,6 +89,9 @@ func (d *Decentralized) EstablishBatch(reqs []Request, now unit.Seconds) BatchOu
 			}
 		}
 		// Commit in randomized order: no coordination between tiles.
+		// Each proposal is probed against the fabric as the earlier
+		// commits of the round left it; one that lost a race to them
+		// allocates nothing and moves to its next candidate.
 		order := make([]int, len(proposals))
 		for i := range order {
 			order[i] = i
@@ -104,8 +107,8 @@ func (d *Decentralized) EstablishBatch(reqs []Request, now unit.Seconds) BatchOu
 				continue
 			}
 			out.Attempts++
-			c, err := d.Alloc.commit(pr.req, pr.plan, now)
-			if err != nil {
+			c := d.Alloc.tryProposal(pr.req, pr.plan, now)
+			if c == nil {
 				next = append(next, pending{req: pr.req, candidate: pr.candidate + 1})
 				continue
 			}
@@ -117,6 +120,20 @@ func (d *Decentralized) EstablishBatch(reqs []Request, now unit.Seconds) BatchOu
 		out.Failed = append(out.Failed, p.req)
 	}
 	return out
+}
+
+// tryProposal tries one proposed plan against the fabric as it
+// stands now, endpoints included, through Establish's own probe and
+// placement: nil means the proposal lost a resource race (or never
+// fit) and nothing was allocated.
+func (a *Allocator) tryProposal(req Request, p plan, now unit.Seconds) *Circuit {
+	a.beginOp()
+	defer a.endOp("commit")
+	if a.endpointCause(req) != nil {
+		return nil
+	}
+	c, _, _ := a.tryPlan(req, p, now)
+	return c
 }
 
 // FailFiberRow marks every fiber of one trunk row as failed — a cut

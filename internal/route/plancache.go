@@ -5,7 +5,7 @@ package route
 // plan enumeration for a chip pair depends only on the rack geometry
 // (immutable after construction) and on which trunk rows are marked
 // failed — not on occupancy, endpoint health or switch state, all of
-// which commit re-checks per attempt. So a cached plan list is exact
+// which the probe re-checks per attempt. So a cached plan list is exact
 // until the failed-row set changes; the epoch counter is bumped by
 // every fault/repair-class mutation (ApplyFault, FailFiberRow,
 // RestoreFiberRow) and a cached entry is trusted only when its stamp

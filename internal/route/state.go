@@ -46,9 +46,14 @@ func (a *Allocator) EncodeState(e *snapshot.Encoder) {
 		encodeCircuit(e, c)
 	}
 
+	// Only rows with fibers in use: a zero count reads the same as an
+	// absent key everywhere, so the encoding leaves it out and depends
+	// only on what is held. RestoreState reads either form.
 	keys := make([]fiberRowKey, 0, len(a.fibersUsed))
-	for k := range a.fibersUsed {
-		keys = append(keys, k)
+	for k, n := range a.fibersUsed {
+		if n != 0 {
+			keys = append(keys, k)
+		}
 	}
 	sort.Slice(keys, func(i, j int) bool { return fiberRowKeyLess(keys[i], keys[j]) })
 	e.Len(len(keys))

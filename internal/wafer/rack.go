@@ -181,6 +181,25 @@ func (r *Rack) AllocFiber(trunk, row int) (FiberRef, error) {
 	return FiberRef{}, ErrFibersExhausted
 }
 
+// FibersFree reports whether the trunk row has at least n unoccupied
+// fibers, that is, whether n AllocFiber(trunk, row) calls in a row
+// would all succeed. An out-of-range row has none.
+func (r *Rack) FibersFree(trunk, row, n int) bool {
+	t, err := r.trunk(trunk, row)
+	if err != nil {
+		return n <= 0
+	}
+	for _, used := range t.used[row] {
+		if n <= 0 {
+			break
+		}
+		if !used {
+			n--
+		}
+	}
+	return n <= 0
+}
+
 // FreeFiber releases a previously allocated fiber. It panics on a
 // double free — that is a caller bug.
 func (r *Rack) FreeFiber(ref FiberRef) {

@@ -163,11 +163,20 @@ func (t *Tile) restoreState(d *snapshot.Decoder) {
 	}
 }
 
+// encodeLanes writes each lane's buses up to its last occupied one.
+// Empty buses past it — left by a release of the lane's highest bus —
+// are indistinguishable from never-touched ones to first-fit and to
+// every reader, so the encoding leaves them out and depends only on
+// what the lane holds. restoreLanes reads either form.
 func encodeLanes(e *snapshot.Encoder, lanes []*busLane) {
 	e.Len(len(lanes))
 	for _, l := range lanes {
-		e.Len(len(l.buses))
-		for _, ivs := range l.buses {
+		n := len(l.buses)
+		for n > 0 && len(l.buses[n-1]) == 0 {
+			n--
+		}
+		e.Len(n)
+		for _, ivs := range l.buses[:n] {
 			e.Len(len(ivs))
 			for _, iv := range ivs {
 				e.Int(iv.Lo)

@@ -114,6 +114,17 @@ func (t *Tile) UsedPorts() int { return t.portsUsed }
 // Reserve takes width wavelengths and one SerDes port for a circuit
 // endpoint.
 func (t *Tile) Reserve(width int) error {
+	if err := t.CanReserve(width); err != nil {
+		return err
+	}
+	t.lasersUsed += width
+	t.portsUsed++
+	return nil
+}
+
+// CanReserve returns the error Reserve(width) would return, nil when
+// it would succeed, and reserves nothing.
+func (t *Tile) CanReserve(width int) error {
 	if width <= 0 {
 		return fmt.Errorf("wafer: non-positive circuit width %d", width)
 	}
@@ -126,8 +137,6 @@ func (t *Tile) Reserve(width int) error {
 	if t.FreePorts() < 1 {
 		return ErrPortsExhausted
 	}
-	t.lasersUsed += width
-	t.portsUsed++
 	return nil
 }
 

@@ -59,23 +59,36 @@ type busLane struct {
 	buses [][]Interval
 }
 
+// LaneExhaustedError reports a bus lane where every bus already
+// carries an interval overlapping the requested span. The message is
+// formatted only when read: route probes hit this on every plan a
+// crowded lane turns down.
+type LaneExhaustedError struct {
+	Orient   Orient
+	Lane     int
+	Capacity int
+}
+
+// Error names the lane and its bus count.
+func (e *LaneExhaustedError) Error() string {
+	return fmt.Sprintf("wafer: %s lane %d: wafer: lane exhausted (%d buses all occupied)", e.Orient, e.Lane, e.Capacity)
+}
+
 // alloc finds the first bus whose existing intervals do not overlap
-// iv, occupies it, and returns the bus index.
-func (l *busLane) alloc(iv Interval) (int, error) {
-	if iv.Lo > iv.Hi {
-		return 0, fmt.Errorf("wafer: inverted interval [%d,%d]", iv.Lo, iv.Hi)
-	}
+// iv, occupies it, and returns the bus index; false means every bus of
+// the lane overlaps iv.
+func (l *busLane) alloc(iv Interval) (int, bool) {
 	for i := range l.buses {
 		if !overlapsAny(l.buses[i], iv) {
 			l.buses[i] = append(l.buses[i], iv)
-			return i, nil
+			return i, true
 		}
 	}
 	if len(l.buses) >= l.capacity {
-		return 0, fmt.Errorf("wafer: lane exhausted (%d buses all occupied)", l.capacity)
+		return 0, false
 	}
 	l.buses = append(l.buses, []Interval{iv})
-	return len(l.buses) - 1, nil
+	return len(l.buses) - 1, true
 }
 
 // free releases the interval from the bus. It panics if the interval
@@ -201,26 +214,63 @@ func (w *Wafer) TileByIndex(i int) *Tile {
 func (w *Wafer) TileIndex(row, col int) int { return row*w.cfg.Cols + col }
 
 // AllocBus occupies a free bus of the given orientation and lane over
-// the span, returning a reference for later release.
+// the span, returning a reference for later release. A lane with no
+// bus free over the whole span fails with a *LaneExhaustedError.
 func (w *Wafer) AllocBus(o Orient, lane int, span Interval) (BusRef, error) {
 	l, err := w.lane(o, lane)
 	if err != nil {
 		return BusRef{}, err
 	}
-	bus, err := l.alloc(span)
-	if err != nil {
-		return BusRef{}, fmt.Errorf("wafer: %s lane %d: %w", o, lane, err)
+	if span.Lo > span.Hi {
+		return BusRef{}, fmt.Errorf("wafer: %s lane %d: wafer: inverted interval [%d,%d]", o, lane, span.Lo, span.Hi)
+	}
+	bus, ok := l.alloc(span)
+	if !ok {
+		return BusRef{}, &LaneExhaustedError{Orient: o, Lane: lane, Capacity: l.capacity}
 	}
 	return BusRef{Orient: o, Lane: lane, Bus: bus, Span: span}, nil
 }
 
+// FreshBuses returns how many buses of the lane have never been
+// touched. Each of them is empty, so up to that many allocations on
+// the lane succeed whatever their spans. The lane must be in range.
+func (w *Wafer) FreshBuses(o Orient, lane int) int {
+	l := w.mustLane(o, lane)
+	return l.capacity - len(l.buses)
+}
+
+// FirstFitBus returns the bus AllocBus(o, lane, span) would occupy if
+// the pending references — allocations on the same lane that are
+// planned but not yet made — were already in place, and false where
+// AllocBus would fail with a *LaneExhaustedError. It changes nothing.
+// The lane must be in range and span must not be inverted.
+func (w *Wafer) FirstFitBus(o Orient, lane int, span Interval, pending []BusRef) (int, bool) {
+	l := w.mustLane(o, lane)
+	for bus := 0; bus < l.capacity; bus++ {
+		if bus < len(l.buses) && overlapsAny(l.buses[bus], span) {
+			continue
+		}
+		if !pendingOverlaps(pending, bus, span) {
+			return bus, true
+		}
+	}
+	return 0, false
+}
+
+// pendingOverlaps reports whether a pending reference holds bus over
+// a position of span.
+func pendingOverlaps(pending []BusRef, bus int, span Interval) bool {
+	for _, p := range pending {
+		if p.Bus == bus && p.Span.overlaps(span) {
+			return true
+		}
+	}
+	return false
+}
+
 // FreeBus releases a previously allocated bus segment.
 func (w *Wafer) FreeBus(ref BusRef) {
-	l, err := w.lane(ref.Orient, ref.Lane)
-	if err != nil {
-		panic(err)
-	}
-	l.free(ref.Bus, ref.Span)
+	w.mustLane(ref.Orient, ref.Lane).free(ref.Bus, ref.Span)
 }
 
 // BusSpanAllocated reports whether the exact interval of ref is
@@ -268,6 +318,16 @@ func (w *Wafer) BusesInUse() (horizontal, vertical int) {
 		vertical += l.inUse()
 	}
 	return
+}
+
+// mustLane is lane for callers whose lane is in range by
+// construction; a bad one is a caller bug.
+func (w *Wafer) mustLane(o Orient, lane int) *busLane {
+	l, err := w.lane(o, lane)
+	if err != nil {
+		panic(err)
+	}
+	return l
 }
 
 func (w *Wafer) lane(o Orient, lane int) (*busLane, error) {
