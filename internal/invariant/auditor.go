@@ -31,13 +31,12 @@ type Auditor struct {
 	audits    int
 	count     int
 	recorded  []Violation
-	// ctx is the audit loop's reusable working storage; a clean pass
-	// over a warm auditor allocates nothing.
-	ctx checkCtx
-	// idx is a Sampled auditor's index for delta audits (delta.go).
-	// deltas counts the delta audits since the last sampled full pass;
-	// fullPasses counts the sampled audits that ran as full passes.
-	idx        liveIndex
+	// ctx is the audit loop's reusable working storage, the live index
+	// delta audits run against included; a clean pass over a warm
+	// auditor allocates nothing. deltas counts the delta audits since
+	// the last sampled full pass; fullPasses counts the sampled audits
+	// that ran as full passes.
+	ctx        checkCtx
 	deltas     int
 	fullPasses int
 }
@@ -69,7 +68,7 @@ func (d *Auditor) mutated(op string) []Violation {
 		return d.run(op)
 	case Sampled:
 		if !deltaOp(op) {
-			d.idx.valid = false
+			d.ctx.idx.valid = false
 		}
 		if d.mutations%d.stride == 0 {
 			return d.sample(op)
@@ -81,28 +80,26 @@ func (d *Auditor) mutated(op string) []Violation {
 // sample runs one Sampled audit. It is a delta audit when the index
 // is valid and fewer than fullPassEvery-1 deltas have run since the
 // last full pass; otherwise, or when the delta finds anything amiss,
-// it is a full pass, which rebuilds the index when it comes out clean.
+// it is a full pass, which leaves the index valid when it comes out
+// clean.
 func (d *Auditor) sample(op string) []Violation {
-	if d.idx.valid && d.deltas < fullPassEvery-1 && d.idx.delta(&d.ctx, d.alloc) {
+	if d.ctx.idx.valid && d.deltas < fullPassEvery-1 && d.ctx.delta(d.alloc) {
 		d.audits++
 		d.deltas++
 		return nil
 	}
 	d.deltas = 0
 	d.fullPasses++
-	vs := d.run(op)
-	if len(vs) == 0 {
-		d.idx.rebuild(&d.ctx, d.alloc)
-	}
-	return vs
+	return d.run(op)
 }
 
 // Audit runs the full registry immediately, regardless of mode, and
 // returns the violations found by this pass.
 func (d *Auditor) Audit(op string) []Violation { return d.run(op) }
 
-// run is one full pass. A pass that finds violations leaves the delta
-// index invalid, so the next sampled audit is a full pass too.
+// run is one full pass, which rebuilds the live index. A pass that
+// finds violations leaves the index invalid, so the next sampled audit
+// is a full pass too.
 func (d *Auditor) run(op string) []Violation {
 	d.audits++
 	var fresh []Violation
@@ -115,7 +112,7 @@ func (d *Auditor) run(op string) []Violation {
 	if len(fresh) == 0 {
 		return nil
 	}
-	d.idx.valid = false
+	d.ctx.idx.valid = false
 	d.count += len(fresh)
 	if room := maxRecorded - len(d.recorded); room > 0 {
 		n := len(fresh)

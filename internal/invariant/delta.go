@@ -33,13 +33,16 @@ func deltaOp(op string) bool {
 	return op == "establish" || op == "commit" || op == "release"
 }
 
-// liveIndex is the delta audits' record of the live circuits, built by
-// a clean sampled full pass and brought up to date by each delta. It
-// holds its own copy of what each circuit holds, so removing a
-// circuit never rereads the released route.Circuit.
+// liveIndex is the auditor's record of the live circuits and the one
+// structure that decides disjointness. Every full pass rebuilds it from
+// the circuit table, and each delta audit brings it up to date. It
+// holds its own copy of what each circuit holds, so removing a circuit
+// never rereads the released route.Circuit. What the indexed circuits
+// hold is tallied in the pass's checkCtx.t.
 type liveIndex struct {
 	// valid reports whether the index matches the circuit table as of
-	// the last sampled audit, with no untrusted mutation since.
+	// the last clean full pass or delta, with no untrusted mutation
+	// since.
 	valid bool
 	// live lists the indexed circuits in ID order. spans and fibers
 	// hold their resources, circuit after circuit in the same order.
@@ -51,11 +54,8 @@ type liveIndex struct {
 	// fiber slot (see fiberKey).
 	busy      [][]uint64
 	fiberHeld []bool
-	// t tallies what the indexed circuits hold.
-	t tally
-	// The index's geometry, from the rack it was built on.
-	geo                       geometry
-	cols, buses, fibersPerRow int
+	// geo is the geometry of the rack the index was built on.
+	geo geometry
 	// touchedChips and touchedRowSlots collect the chips and trunk
 	// rows (trunk*rows + row) the current delta's circuits touch.
 	touchedChips, touchedRowSlots []int
@@ -76,26 +76,27 @@ type heldSpan struct {
 	span      uint64
 }
 
-// rebuild indexes the circuits a clean full pass just walked,
-// adopting its tallies. It leaves the index invalid when the table is
-// out of ID order or a circuit's keys do not fit.
-func (x *liveIndex) rebuild(ctx *checkCtx, a *route.Allocator) {
+// rebuild indexes the circuits of the table a full pass just walked,
+// on a rack of geometry g, and reports whether they are disjoint. It
+// fails, leaving the index invalid, when two circuits (or one circuit
+// twice) claim a bus position or a fiber, when an endpoint or a key
+// lies off the rack, when the table is out of ID order, or when a
+// wafer is more than 64 tiles on a side.
+func (x *liveIndex) rebuild(circuits []*route.Circuit, g geometry) bool {
 	x.valid = false
-	rack := a.Rack()
-	cfg := rack.Config()
+	x.geo = g
 	// A bus's positions must fit one mask word.
-	if cfg.Rows > 64 || cfg.Cols > 64 {
-		return
+	if g.rows > 64 || g.cols > 64 {
+		return false
 	}
-	x.geo, x.cols, x.buses, x.fibersPerRow = ctx.geo, cfg.Cols, cfg.BusesPerLane, cfg.FibersPerEdge
-	lanes := x.geo.wafers * (x.geo.rows + x.cols)
+	lanes := g.wafers * (g.rows + g.cols)
 	if len(x.busy) != lanes {
 		x.busy = make([][]uint64, lanes)
 	}
 	for _, lane := range x.busy {
 		clear(lane)
 	}
-	if n := x.geo.trunks * x.geo.rows * x.fibersPerRow; len(x.fiberHeld) != n {
+	if n := g.trunks * g.rows * g.fibersPerRow; len(x.fiberHeld) != n {
 		x.fiberHeld = make([]bool, n)
 	} else {
 		clear(x.fiberHeld)
@@ -103,17 +104,15 @@ func (x *liveIndex) rebuild(ctx *checkCtx, a *route.Allocator) {
 	x.live, x.spans, x.fibers = x.live[:0], x.spans[:0], x.fibers[:0]
 	x.touchedChips, x.touchedRowSlots = x.touchedChips[:0], x.touchedRowSlots[:0]
 	last := math.MinInt
-	for _, c := range ctx.circuits {
+	//lightpath:hotloop
+	for _, c := range circuits {
 		if c.ID <= last || !x.hold(c) {
-			return
+			return false
 		}
 		last = c.ID
 	}
-	x.t.segments, x.t.fibers = ctx.t.segments, ctx.t.fibers
-	x.t.perRow = append(x.t.perRow[:0], ctx.t.perRow...)
-	x.t.lasers = append(x.t.lasers[:0], ctx.t.lasers...)
-	x.t.ports = append(x.t.ports[:0], ctx.t.ports...)
 	x.valid = true
+	return true
 }
 
 // delta audits the circuits added and removed since the index was
@@ -124,9 +123,11 @@ func (x *liveIndex) rebuild(ctx *checkCtx, a *route.Allocator) {
 // circuits past the last indexed ID were added. False means a check
 // failed or the delta cannot be trusted (a table out of ID order, an
 // indexed ID now naming another circuit, a key that does not fit); the
-// index is then half updated, and the caller must run a full pass.
-func (x *liveIndex) delta(ctx *checkCtx, a *route.Allocator) bool {
+// index and the tallies are then half updated, and the caller must run
+// a full pass.
+func (ctx *checkCtx) delta(a *route.Allocator) bool {
 	ctx.begin(a)
+	x := &ctx.idx
 	cur := ctx.circuits
 	x.touchedChips, x.touchedRowSlots = x.touchedChips[:0], x.touchedRowSlots[:0]
 	last := math.MinInt
@@ -150,7 +151,7 @@ func (x *liveIndex) delta(ctx *checkCtx, a *route.Allocator) bool {
 		case i < len(cur) && cur[i].ID < e.id:
 			return false
 		default:
-			x.unhold(e, spans, fibers)
+			x.unhold(&ctx.t, e, spans, fibers)
 		}
 	}
 	x.live, x.spans, x.fibers = x.live[:kept], x.spans[:spanW], x.fibers[:fibW]
@@ -160,35 +161,35 @@ func (x *liveIndex) delta(ctx *checkCtx, a *route.Allocator) bool {
 			return false
 		}
 		last = c.ID
-		if ctx.check(a, c, &x.t); !ctx.clean() || !x.hold(c) {
+		if ctx.check(a, c); !ctx.clean() || !x.hold(c) {
 			return false
 		}
 	}
-	return x.matchesRack(a)
+	return x.matchesRack(a, &ctx.t)
 }
 
-// matchesRack compares the running tallies with the rack: the
+// matchesRack compares the running tallies t with the rack: the
 // allocated span and occupied fiber totals, and the allocator's row
 // mirror and the tile counters where the delta touched them.
-func (x *liveIndex) matchesRack(a *route.Allocator) bool {
+func (x *liveIndex) matchesRack(a *route.Allocator, t *tally) bool {
 	rack := a.Rack()
 	allocated := 0
 	for w := 0; w < x.geo.wafers; w++ {
 		allocated += rack.Wafer(w).AllocatedSpans()
 	}
-	if allocated != x.t.segments || rack.FibersInUse() != x.t.fibers {
+	if allocated != t.segments || rack.FibersInUse() != t.fibers {
 		return false
 	}
 	//lightpath:hotloop
 	for _, slot := range x.touchedRowSlots {
-		if a.FiberRowUsage(slot/x.geo.rows, slot%x.geo.rows) != x.t.perRow[slot] {
+		if a.FiberRowUsage(slot/x.geo.rows, slot%x.geo.rows) != t.perRow[slot] {
 			return false
 		}
 	}
 	//lightpath:hotloop
 	for _, chip := range x.touchedChips {
-		t := rack.TileOf(chip)
-		if t.UsedLasers() != x.t.lasers[chip] || t.UsedPorts() != x.t.ports[chip] || t.FreeLasers() < 0 || t.FreePorts() < 0 {
+		tile := rack.TileOf(chip)
+		if tile.UsedLasers() != t.lasers[chip] || tile.UsedPorts() != t.ports[chip] || tile.FreeLasers() < 0 || tile.FreePorts() < 0 {
 			return false
 		}
 	}
@@ -224,7 +225,7 @@ func (x *liveIndex) hold(c *route.Circuit) bool {
 		}
 		x.fiberHeld[slot] = true
 		x.fibers = append(x.fibers, slot)
-		x.touchedRowSlots = append(x.touchedRowSlots, slot/x.fibersPerRow)
+		x.touchedRowSlots = append(x.touchedRowSlots, slot/x.geo.fibersPerRow)
 	}
 	x.live = append(x.live, indexed{c: c, id: c.ID, a: c.A, b: c.B, width: c.Width,
 		spans: len(c.Segments), fibers: len(c.Fibers)})
@@ -233,22 +234,22 @@ func (x *liveIndex) hold(c *route.Circuit) bool {
 }
 
 // unhold releases a removed circuit's resources from the index and
-// its holdings from the tallies, from the index's own copies.
-func (x *liveIndex) unhold(e indexed, spans []heldSpan, fibers []int) {
+// its holdings from the tallies t, from the index's own copies.
+func (x *liveIndex) unhold(t *tally, e indexed, spans []heldSpan, fibers []int) {
 	for _, h := range spans {
 		x.busy[h.lane][h.bus] &^= h.span
 	}
 	for _, slot := range fibers {
 		x.fiberHeld[slot] = false
-		row := slot / x.fibersPerRow
-		x.t.perRow[row]--
+		row := slot / x.geo.fibersPerRow
+		t.perRow[row]--
 		x.touchedRowSlots = append(x.touchedRowSlots, row)
 	}
-	x.t.segments -= e.spans
-	x.t.fibers -= e.fibers
+	t.segments -= e.spans
+	t.fibers -= e.fibers
 	for _, chip := range [2]int{e.a, e.b} {
-		x.t.lasers[chip] -= e.width
-		x.t.ports[chip]--
+		t.lasers[chip] -= e.width
+		t.ports[chip]--
 	}
 	x.touchedChips = append(x.touchedChips, e.a, e.b)
 }
@@ -258,25 +259,28 @@ func (x *liveIndex) unhold(e indexed, spans []heldSpan, fibers []int) {
 // and the mask of the positions its span covers. ok is false when any
 // of them lies off the rack or the span is inverted.
 func (x *liveIndex) spanKey(s route.Segment) (lane, bus int, span uint64, ok bool) {
-	lanes, positions, first := x.geo.rows, x.cols, 0
+	lanes, positions, first := x.geo.rows, x.geo.cols, 0
 	switch s.Ref.Orient {
 	case wafer.Horizontal:
 	case wafer.Vertical:
-		lanes, positions, first = x.cols, x.geo.rows, x.geo.rows
+		lanes, positions, first = x.geo.cols, x.geo.rows, x.geo.rows
 	default:
 		return 0, 0, 0, false
 	}
 	sp := s.Ref.Span
 	if s.Wafer < 0 || s.Wafer >= x.geo.wafers || s.Ref.Lane < 0 || s.Ref.Lane >= lanes ||
-		s.Ref.Bus < 0 || s.Ref.Bus >= x.buses || sp.Lo < 0 || sp.Lo > sp.Hi || sp.Hi >= positions {
+		s.Ref.Bus < 0 || s.Ref.Bus >= x.geo.buses || sp.Lo < 0 || sp.Lo > sp.Hi || sp.Hi >= positions {
 		return 0, 0, 0, false
 	}
-	lane = s.Wafer*(x.geo.rows+x.cols) + first + s.Ref.Lane
+	lane = s.Wafer*(x.geo.rows+x.geo.cols) + first + s.Ref.Lane
 	return lane, s.Ref.Bus, spanMask(sp), true
 }
 
 // spanMask has bits Lo through Hi set.
 func spanMask(sp wafer.Interval) uint64 { return mask(uint(sp.Hi+1)) &^ mask(uint(sp.Lo)) }
+
+// mask has the low w bits set (all 64 for w = 64).
+func mask(w uint) uint64 { return uint64(1)<<w - 1 }
 
 // busWord returns the held-position word of one bus, growing the lane
 // to reach it.
@@ -290,8 +294,8 @@ func (x *liveIndex) busWord(lane, bus int) *uint64 {
 // fiberKey is a fiber's slot, (trunk*rows + row)*fibersPerRow + fiber;
 // ok is false when the fiber lies off the rack.
 func (x *liveIndex) fiberKey(f wafer.FiberRef) (int, bool) {
-	if f.Trunk < 0 || f.Trunk >= x.geo.trunks || f.Row < 0 || f.Row >= x.geo.rows || f.Fiber < 0 || f.Fiber >= x.fibersPerRow {
+	if f.Trunk < 0 || f.Trunk >= x.geo.trunks || f.Row < 0 || f.Row >= x.geo.rows || f.Fiber < 0 || f.Fiber >= x.geo.fibersPerRow {
 		return 0, false
 	}
-	return (f.Trunk*x.geo.rows+f.Row)*x.fibersPerRow + f.Fiber, true
+	return (f.Trunk*x.geo.rows+f.Row)*x.geo.fibersPerRow + f.Fiber, true
 }

@@ -86,9 +86,10 @@ func randomStream(t testing.TB, seed uint64, weights [3]int) (*route.Allocator, 
 	}
 }
 
-// wideValues are the out-of-range field values the sabotages plant:
-// small negatives pack at a shifted offset, the extremes overflow any
-// 64-bit layout and force the comparator fallback.
+// wideValues are the out-of-range field values the sabotages plant.
+// Each lies off the rack, so the live index refuses to vouch for a
+// state carrying one and the reporter names the pairs; the extremes
+// hold its comparisons to the ends of the int range.
 var wideValues = []int{-1, -7, 1 << 40, -(1 << 40), 1 << 62, math.MaxInt, math.MinInt, math.MaxInt - 1, math.MinInt + 1}
 
 func wide(r *rng.Rand) int { return wideValues[r.Intn(len(wideValues))] }
@@ -283,10 +284,10 @@ var sabotages = []sabotage{
 
 // unspecifiedTie reports whether one circuit holds two segments on the
 // same bus that start at the same position but end at different ones.
-// The comparator sort left such ties in whatever order its algorithm
-// produced, which the sweep's output can depend on, so there is no
-// reference answer; the packed keys order them by end
-// (TestPackedSweepOrdersTiesByEnd pins that).
+// The reference's comparator sort leaves such ties in whatever order
+// its algorithm produces, which the sweep's output can depend on, so
+// there is no reference answer; the reporter orders them by end
+// (TestReporterOrdersTiesByEnd pins that).
 func unspecifiedTie(cs []*route.Circuit) bool {
 	for _, c := range cs {
 		for i, s := range c.Segments {
@@ -301,17 +302,21 @@ func unspecifiedTie(cs []*route.Circuit) bool {
 	return false
 }
 
-// outcome classifies one differential comparison. reporting marks the
-// registered invariants (by registry position) the reference found
-// violated; only disjointness is compared when the audit is not.
+// outcome classifies one differential comparison. vouched marks a
+// state whose disjointness the live index proved, so the reporter did
+// not run. reporting marks the registered invariants (by registry
+// position) the reference found violated; only disjointness is
+// compared when the audit is not.
 type outcome struct {
-	compared, fullAudit, fallback, violating bool
-	reporting                                []bool
+	compared, fullAudit, vouched bool
+	reporting                    []bool
 }
 
 // compareWithReference sabotages a with the given sabotage indices and
-// compares the packed sweep against the reference: the disjointness
-// check always, and the full audit when every sabotage is audit-safe.
+// compares the audit against the reference: the disjointness check
+// always, and the full audit when every sabotage is audit-safe. It
+// also runs the reporter on every state and requires it to name no
+// pair where the index vouched.
 func compareWithReference(t *testing.T, seed uint64, a *route.Allocator, picks []int) outcome {
 	t.Helper()
 	cs := a.Circuits()
@@ -333,11 +338,13 @@ func compareWithReference(t *testing.T, seed uint64, a *route.Allocator, picks [
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("seed %d sabotages %v: disjointness\n got %q\nwant %q", seed, picks, got, want)
 	}
-	o.violating = len(want) > 0
 	o.reporting = make([]bool, len(invariant.Registry()))
-	o.reporting[0] = o.violating
-	segs, fibs := invariant.PackedSweep(a)
-	o.fallback = !segs || !fibs
+	o.reporting[0] = len(want) > 0
+	var pairs []string
+	o.vouched, pairs = invariant.IndexVouches(a)
+	if o.vouched && len(pairs) > 0 {
+		t.Fatalf("seed %d sabotages %v: the index vouched, but the reporter names %q", seed, picks, pairs)
+	}
 	if safe {
 		o.fullAudit = true
 		aud := invariant.Attach(a, invariant.Off)
@@ -358,12 +365,13 @@ func compareWithReference(t *testing.T, seed uint64, a *route.Allocator, picks [
 
 // TestAuditMatchesReference compares Auditor.Audit and every
 // registered Check with the reference on hundreds of seeded states:
-// clean ones, and ones carrying one to four sabotages, covering both
-// the packed path and the comparator fallback, and each registered
-// invariant reporting violations in at least 20 compared states.
+// clean ones, and ones carrying one to four sabotages, with at least
+// 100 states the live index vouched for and 100 it left to the
+// reporter, and each registered invariant reporting violations in at
+// least 20 compared states.
 func TestAuditMatchesReference(t *testing.T) {
 	t.Cleanup(invariant.ResetGlobal)
-	var full, disjoint, fallback, packedViolating int
+	var full, disjoint, vouched int
 	reporting := make([]int, len(invariant.Registry()))
 	for seed := uint64(1); seed <= 400; seed++ {
 		r := rng.New(seed).Split("picks")
@@ -379,10 +387,8 @@ func TestAuditMatchesReference(t *testing.T) {
 		if o.fullAudit {
 			full++
 		}
-		if o.fallback {
-			fallback++
-		} else if o.violating {
-			packedViolating++
+		if o.vouched {
+			vouched++
 		}
 		for i, hit := range o.reporting {
 			if hit {
@@ -390,11 +396,11 @@ func TestAuditMatchesReference(t *testing.T) {
 			}
 		}
 	}
-	t.Logf("compared %d states (%d full audits): %d on the fallback, %d packed with disjointness violations; states reporting each invariant: %v",
-		disjoint, full, fallback, packedViolating, reporting)
-	if full < 200 || fallback < 20 || packedViolating < 50 {
-		t.Fatalf("coverage too thin: %d full audits (want 200), %d on the fallback (want 20), %d packed violating (want 50)",
-			full, fallback, packedViolating)
+	t.Logf("compared %d states (%d full audits): the index vouched in %d, the reporter ran in %d; states reporting each invariant: %v",
+		disjoint, full, vouched, disjoint-vouched, reporting)
+	if full < 200 || vouched < 100 || disjoint-vouched < 100 {
+		t.Fatalf("coverage too thin: %d full audits (want 200), the index vouched in %d (want 100), the reporter ran in %d (want 100)",
+			full, vouched, disjoint-vouched)
 	}
 	for i, inv := range invariant.Registry() {
 		if reporting[i] < 20 {
@@ -404,9 +410,9 @@ func TestAuditMatchesReference(t *testing.T) {
 }
 
 // FuzzDisjointness builds a seeded allocator state, applies the
-// sabotages the fuzz bytes select, and demands the packed sweep agree
-// with the reference. The committed corpus under testdata/fuzz runs in
-// normal test mode.
+// sabotages the fuzz bytes select, and demands the audit agree with
+// the reference and the reporter with the index. The committed corpus
+// under testdata/fuzz runs in normal test mode.
 func FuzzDisjointness(f *testing.F) {
 	f.Add(uint64(1), []byte{0, 2})
 	f.Add(uint64(2024), []byte{5, 10, 1})

@@ -2,14 +2,15 @@ package invariant
 
 import "lightpath/internal/route"
 
-// PackedSweep reports whether the disjointness check packs the segment
-// and the fiber sort keys of a's current circuits; false means that
-// class takes the comparator fallback. The differential tests use it to
-// prove they exercise both paths.
-func PackedSweep(a *route.Allocator) (segs, fibs bool) {
+// IndexVouches runs a full pass over a's current circuits and reports
+// whether the live index proved them disjoint, with the pairs the
+// reporter names on the same circuits; the reporter runs here whether
+// or not the index vouched. The differential tests use it to hold the
+// two to each other and to prove they exercise both outcomes.
+func IndexVouches(a *route.Allocator) (vouched bool, pairs []string) {
 	var ctx checkCtx
 	ctx.audit(a)
-	return ctx.seg.fit(), ctx.fib.fit()
+	return ctx.idx.valid, ctx.sweepFibers(ctx.sweepSegments(nil))
 }
 
 // MutatedReport is Mutated returning the violations its audit found,
@@ -21,4 +22,4 @@ func (d *Auditor) FullPasses() int { return d.fullPasses }
 
 // DeltaNext reports whether the next Sampled audit will try a delta
 // audit, as far as the mutations seen so far decide.
-func (d *Auditor) DeltaNext() bool { return d.idx.valid && d.deltas < fullPassEvery-1 }
+func (d *Auditor) DeltaNext() bool { return d.ctx.idx.valid && d.deltas < fullPassEvery-1 }

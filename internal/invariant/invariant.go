@@ -15,11 +15,15 @@
 // DefaultStride-th mutation, and most of those audits are delta
 // audits: they check only the circuits established or released since
 // the previous audit, against an index of the live circuits the
-// auditor keeps. Every 16th sampled audit is a full pass, and so is
-// the next one after a mutation other than an establish or a release
-// (a fault, a fiber row failed or restored, a repair), after an audit
-// that found violations, after RestoreState, and whenever the circuit
-// table is out of ID order or holds a key off the rack. A delta that
+// auditor keeps. Every full pass rebuilds that index, and it is the
+// one structure that decides disjointness: a clean rebuild proves that
+// no two circuits share a bus position or a fiber, and only a failed
+// one runs the sort-and-sweep reporter that names the sharing pairs.
+// Every 16th sampled audit is a full pass, and so is the next one
+// after a mutation other than an establish or a release (a fault, a
+// fiber row failed or restored, a repair), after an audit that found
+// violations, after RestoreState, and whenever the circuit table is
+// out of ID order or holds a key off the rack. A delta that
 // finds anything amiss hands over to a full pass on the same state, so
 // it reports exactly what the full registry does. The auditor never
 // panics and never mutates the state it audits: violations are
@@ -169,10 +173,11 @@ func view(i int) func(a *route.Allocator) []string {
 }
 
 // checkCtx is the reusable working storage of one audit pass: the
-// circuit list, per-invariant detail buffers, the tallies and the
-// disjointness sweep's keys. An attached Auditor keeps one across
-// audits so the steady-state audit stops allocating; the public
-// registry builds a throwaway one per Check call.
+// circuit list, per-invariant detail buffers, the tallies, the live
+// index and the disjointness reporter's sort buffers. An attached
+// Auditor keeps one across audits so the steady-state audit stops
+// allocating; the public registry builds a throwaway one per Check
+// call.
 type checkCtx struct {
 	circuits []*route.Circuit
 	switches []route.SwitchExpectation
@@ -181,21 +186,19 @@ type checkCtx struct {
 	out [numInvariants][]string
 	// geo is the audited rack's geometry, read once per pass.
 	geo geometry
-	// t is what a full pass's circuits account for.
+	// t is what the indexed circuits account for: a full pass's, kept
+	// up to date by each delta audit.
 	t tally
-	// seg and fib are the packed-key layouts, their value ranges
-	// observed by the walk. keys holds the sweep's sort keys; segs and
-	// fibs serve its comparator fallback (see sweep.go).
-	seg  segLayout
-	fib  fibLayout
-	keys []uint64
+	// idx decides disjointness (delta.go); segs and fibs are the
+	// reporter's sort buffers (sweep.go).
+	idx  liveIndex
 	segs []segOwner
 	fibs []fibOwner
 }
 
 // geometry is the rack dimensions an audit indexes by.
 type geometry struct {
-	wafers, chips, trunks, rows int
+	wafers, chips, trunks, rows, cols, buses, fibersPerRow int
 }
 
 // tally is what a set of circuits accounts for: bus segments and
@@ -234,7 +237,9 @@ func (ctx *checkCtx) begin(a *route.Allocator) {
 		ctx.out[i] = ctx.out[i][:0]
 	}
 	rack := a.Rack()
-	ctx.geo = geometry{wafers: rack.NumWafers(), chips: rack.NumChips(), trunks: rack.NumTrunks(), rows: rack.Config().Rows}
+	cfg := rack.Config()
+	ctx.geo = geometry{wafers: rack.NumWafers(), chips: rack.NumChips(), trunks: rack.NumTrunks(),
+		rows: cfg.Rows, cols: cfg.Cols, buses: cfg.BusesPerLane, fibersPerRow: cfg.FibersPerEdge}
 }
 
 // clean reports whether the pass has found nothing so far.
@@ -248,22 +253,22 @@ func (ctx *checkCtx) clean() bool {
 }
 
 // audit runs every invariant over a in one pass. A single walk over
-// the ID-ordered circuit table does each circuit's checks and tallies
-// and records the packed-key value ranges; the rack-wide totals and
-// the two disjointness sweeps follow. Corrupted indices never panic: a
-// segment on a wafer off the rack is an unallocated span, an endpoint
-// off the rack is a budget-health violation, and every other check
-// skips that element.
+// the ID-ordered circuit table does each circuit's checks and tallies;
+// the rack-wide totals follow. Then the live index is rebuilt from the
+// table: a clean rebuild proves the circuits disjoint, and only a
+// failed one runs the reporter that names the sharing pairs.
+// Corrupted indices never panic: a segment on a wafer off the rack is
+// an unallocated span, an endpoint off the rack is a budget-health
+// violation, and every other check skips that element.
 func (ctx *checkCtx) audit(a *route.Allocator) {
 	ctx.begin(a)
 	out := &ctx.out
 	rack := a.Rack()
 	g := ctx.geo
 	ctx.t.reset(g)
-	ctx.seg, ctx.fib = newSegLayout(), newFibLayout()
 	//lightpath:hotloop
 	for _, c := range ctx.circuits {
-		ctx.check(a, c, &ctx.t)
+		ctx.check(a, c)
 	}
 
 	allocated := 0
@@ -298,18 +303,20 @@ func (ctx *checkCtx) audit(a *route.Allocator) {
 			out[endpointConservation] = append(out[endpointConservation], fmt.Sprintf("chip %d tile (%d,%d) is over-committed: %d free SerDes ports", chip, t.Row, t.Col, t.FreePorts()))
 		}
 	}
-	out[disjointness] = ctx.sweepSegments(out[disjointness])
-	out[disjointness] = ctx.sweepFibers(out[disjointness])
+	if !ctx.idx.rebuild(ctx.circuits, g) {
+		out[disjointness] = ctx.sweepSegments(out[disjointness])
+		out[disjointness] = ctx.sweepFibers(out[disjointness])
+	}
 }
 
 // check runs c's per-circuit checks, appending what fails to ctx.out,
-// adds what c holds to t, and widens the packed-key ranges by c's
-// segments and fibers. The full walk runs it on every circuit, a delta
-// audit on the circuits added since the last one.
+// and adds what c holds to ctx.t. The full walk runs it on every
+// circuit, a delta audit on the circuits added since the last one.
 //
 //lightpath:hotloop
-func (ctx *checkCtx) check(a *route.Allocator, c *route.Circuit, t *tally) {
+func (ctx *checkCtx) check(a *route.Allocator, c *route.Circuit) {
 	out := &ctx.out
+	t := &ctx.t
 	rack := a.Rack()
 	g := ctx.geo
 	if c.Width < 1 {
@@ -328,7 +335,6 @@ func (ctx *checkCtx) check(a *route.Allocator, c *route.Circuit, t *tally) {
 	}
 	t.segments += len(c.Segments)
 	for _, s := range c.Segments {
-		ctx.seg.observe(c.ID, s)
 		var w *wafer.Wafer
 		if s.Wafer >= 0 && s.Wafer < g.wafers {
 			w = rack.Wafer(s.Wafer)
@@ -342,7 +348,6 @@ func (ctx *checkCtx) check(a *route.Allocator, c *route.Circuit, t *tally) {
 	}
 	t.fibers += len(c.Fibers)
 	for _, f := range c.Fibers {
-		ctx.fib.observe(c.ID, f)
 		if !rack.FiberAllocated(f) {
 			out[fiberConservation] = append(out[fiberConservation], fmt.Sprintf("circuit %d fiber %v is not occupied in the rack", c.ID, f))
 		}

@@ -224,8 +224,8 @@ func TestAuditSurvivesCorruptIndices(t *testing.T) {
 			// Sampled auditor's last audit.
 			a, _ = auditFixture(t)
 			d := Attach(a, Sampled)
-			if vs := d.sample("warm"); len(vs) != 0 || !d.idx.valid {
-				t.Fatalf("warm-up pass: violations %v, index valid %v", vs, d.idx.valid)
+			if vs := d.sample("warm"); len(vs) != 0 || !d.ctx.idx.valid {
+				t.Fatalf("warm-up pass: violations %v, index valid %v", vs, d.ctx.idx.valid)
 			}
 			added, err := a.Establish(route.Request{A: 2, B: 27, Width: 1}, 0)
 			if err != nil || len(added.Segments) < 2 {
@@ -243,13 +243,13 @@ func TestAuditSurvivesCorruptIndices(t *testing.T) {
 	}
 }
 
-// TestPackedSweepOrdersTiesByEnd pins the one case the comparator sort
-// left unspecified: a circuit holding two segments on one bus that
-// start together and end apart. The packed key orders them by end, so
-// the violations no longer depend on the order the segments are held
+// TestReporterOrdersTiesByEnd pins the one case the old comparator
+// sort left unspecified: a circuit holding two segments on one bus
+// that start together and end apart. The reporter orders them by end,
+// so the violations do not depend on the order the segments are held
 // in — here, circuit 2 overlaps circuit 1's reach twice before its
 // longer segment takes the reach over.
-func TestPackedSweepOrdersTiesByEnd(t *testing.T) {
+func TestReporterOrdersTiesByEnd(t *testing.T) {
 	seg := func(lo, hi int) route.Segment {
 		return route.Segment{Ref: wafer.BusRef{Orient: wafer.Horizontal, Lane: 1, Bus: 3, Span: wafer.Interval{Lo: lo, Hi: hi}}}
 	}
@@ -258,15 +258,10 @@ func TestPackedSweepOrdersTiesByEnd(t *testing.T) {
 		"circuits 1 and 2 share a bus segment or fiber",
 	}
 	for _, held := range [][]route.Segment{{seg(2, 9), seg(2, 3)}, {seg(2, 3), seg(2, 9)}} {
-		ctx := checkCtx{seg: newSegLayout(), circuits: []*route.Circuit{
+		ctx := checkCtx{circuits: []*route.Circuit{
 			{ID: 1, Width: 1, Segments: []route.Segment{seg(0, 5)}},
 			{ID: 2, Width: 1, Segments: held},
 		}}
-		for _, c := range ctx.circuits {
-			for _, s := range c.Segments {
-				ctx.seg.observe(c.ID, s)
-			}
-		}
 		if got := ctx.sweepSegments(nil); !reflect.DeepEqual(got, want) {
 			t.Fatalf("segments held as %v: got %q, want %q", held, got, want)
 		}
@@ -411,7 +406,7 @@ func TestSampledFallsBackToFullPass(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			a, _ := auditFixture(t)
 			d := Attach(a, Sampled)
-			for d.fullPasses == 0 || !d.idx.valid {
+			for d.fullPasses == 0 || !d.ctx.idx.valid {
 				c, err := a.Establish(route.Request{A: 3, B: 30, Width: 1}, 0)
 				if err != nil {
 					t.Fatal(err)
@@ -461,8 +456,8 @@ func TestDeltaCatchesSharingAlone(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			a, _ := auditFixture(t)
 			d := Attach(a, Sampled)
-			if vs := d.sample("warm"); len(vs) != 0 || !d.idx.valid {
-				t.Fatalf("warm-up pass: violations %v, index valid %v", vs, d.idx.valid)
+			if vs := d.sample("warm"); len(vs) != 0 || !d.ctx.idx.valid {
+				t.Fatalf("warm-up pass: violations %v, index valid %v", vs, d.ctx.idx.valid)
 			}
 			held := firstCircuit(t, a)
 			if tc.name == "fiber" {

@@ -15,7 +15,7 @@ import (
 // one-walk audit against: the six separate checks the auditor ran
 // before it folded them into a single pass over the circuit table,
 // copied verbatim — the comparator sort-and-sweep disjointness check
-// that preceded the packed keys, and the five conservation, health and
+// that preceded the live index, and the five conservation, health and
 // switch checks (only the scratch context is declared here, since the
 // auditor's own is private).
 

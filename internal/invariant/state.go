@@ -45,7 +45,7 @@ func (d *Auditor) RestoreState(dec *snapshot.Decoder) error {
 			Detail:    dec.String(),
 		})
 	}
-	d.idx.valid, d.deltas = false, 0
+	d.ctx.idx.valid, d.deltas = false, 0
 	if err := dec.Err(); err != nil {
 		return err
 	}

@@ -210,6 +210,15 @@ type plan struct {
 	turns    int
 }
 
+// clone copies p out of the scratch or cache its steps and trunks
+// point into, for a caller that keeps it past the next candidatePlans
+// call.
+func (p plan) clone() plan {
+	p.steps = slices.Clone(p.steps)
+	p.trunks = slices.Clone(p.trunks)
+	return p
+}
+
 // span builds an interval from two positions in either order.
 func span(a, b int) wafer.Interval {
 	if a <= b {

@@ -73,7 +73,8 @@ func (d *Decentralized) EstablishBatch(reqs []Request, now unit.Seconds) BatchOu
 	for round := 0; round < d.MaxRounds && len(queue) > 0; round++ {
 		out.Rounds++
 		// Each pending request proposes its current candidate based on
-		// the round-start view.
+		// the round-start view. A proposal keeps its own copy of the
+		// plan: the next candidatePlans call reuses the scratch.
 		type proposal struct {
 			pending
 			plan plan
@@ -83,7 +84,7 @@ func (d *Decentralized) EstablishBatch(reqs []Request, now unit.Seconds) BatchOu
 		for i, p := range queue {
 			plans := d.Alloc.candidatePlans(p.req.A, p.req.B)
 			if p.candidate < len(plans) {
-				proposals[i] = proposal{pending: p, plan: plans[p.candidate], ok: true}
+				proposals[i] = proposal{pending: p, plan: plans[p.candidate].clone(), ok: true}
 			} else {
 				proposals[i] = proposal{pending: p}
 			}

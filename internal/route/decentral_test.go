@@ -54,6 +54,33 @@ func TestDecentralizedEstablishesAll(t *testing.T) {
 	}
 }
 
+// TestDecentralizedProposalsKeepTheirOwnPaths: every proposal of a
+// round is computed before any commits, so each must hold its own copy
+// of its plan. A batch that does not contend on an empty rack must
+// establish each circuit over a path between its own endpoints: every
+// circuit holds a segment on the wafer of each endpoint.
+func TestDecentralizedProposalsKeepTheirOwnPaths(t *testing.T) {
+	rack := twoWaferRack(t)
+	a := NewAllocator(rack, rng.New(71))
+	reqs := []Request{{A: 0, B: 27, Width: 1}, {A: 9, B: 50, Width: 1}, {A: 14, B: 3, Width: 1}, {A: 40, B: 61, Width: 1}}
+	out := NewDecentralized(a, nil).EstablishBatch(reqs, 0)
+	if len(out.Circuits) != len(reqs) {
+		t.Fatalf("established %d of %d requests on an empty rack", len(out.Circuits), len(reqs))
+	}
+	for _, c := range out.Circuits {
+		for _, chip := range [2]int{c.A, c.B} {
+			w, _, _ := rack.Place(chip)
+			onWafer := false
+			for _, s := range c.Segments {
+				onWafer = onWafer || s.Wafer == w
+			}
+			if !onWafer {
+				t.Errorf("circuit %d (%d<->%d) holds no segment on wafer %d of chip %d: %v", c.ID, c.A, c.B, w, chip, c.Segments)
+			}
+		}
+	}
+}
+
 func TestDecentralizedPaysConflictAttempts(t *testing.T) {
 	// Ablation: with scarce buses, the decentralized allocator needs
 	// at least as many attempts as the centralized one for the same

@@ -191,7 +191,7 @@ func (d *Decentralized) referenceEstablishBatch(reqs []Request, now unit.Seconds
 		for i, p := range queue {
 			plans := d.Alloc.candidatePlans(p.req.A, p.req.B)
 			if p.candidate < len(plans) {
-				proposals[i] = proposal{pending: p, plan: plans[p.candidate], ok: true}
+				proposals[i] = proposal{pending: p, plan: plans[p.candidate].clone(), ok: true}
 			} else {
 				proposals[i] = proposal{pending: p}
 			}
