@@ -22,18 +22,21 @@ race:
 
 ## race-stress: the scheduling-dependent tests — Fig5's
 ## parallel-vs-sequential planning, the daemon's concurrent connections
-## and pipelined frames over one buffered reader, and soak trials
-## writing their checkpoints concurrently through the shared
-## kill/resume trial runner — under the race detector, 20 times at each
-## of 1, 2 and 8 Ps, so a trial that shares mutable state with another
-## fails every time rather than one run in several. Only tests that
-## start goroutines belong here: the auditor and event-queue
-## differentials reach neither engine, ctrl nor a command (see `go list
-## -test -deps`) and run once under `make race` like everything else.
+## and pipelined frames over one buffered reader, soak trials writing
+## their checkpoints concurrently through the shared kill/resume trial
+## runner, and the event loop's background checkpoint writes (its two
+## encoders, its write errors, and campaign kills at any boundary) —
+## under the race detector, 20 times at each of 1, 2 and 8 Ps, so a
+## trial that shares mutable state with another fails every time rather
+## than one run in several. Only tests that start goroutines belong
+## here: the auditor and event-queue differentials reach neither
+## engine, ctrl, a checkpoint write nor a command (see `go list -test
+## -deps`) and run once under `make race` like everything else.
 race-stress:
 	$(GO) test -race -count=20 -cpu 1,2,8 -run '^TestFig5ParallelMatchesSequential$$' ./internal/experiments
 	$(GO) test -race -count=20 -cpu 1,2,8 -run '^(TestDaemonConcurrentClients|TestServeConnPipelinedFrames)$$' ./internal/ctrl
 	$(GO) test -race -count=20 -cpu 1,2,8 -run '^TestKillResumeCSVIdentical$$' ./cmd/lightpath-sim
+	$(GO) test -race -count=20 -cpu 1,2,8 -run '^(TestLoopCadenceAndStop|TestLoopWriteErrorNotDropped|TestLoopEncodersNeverAlias)$$|^TestKillResumeAnyBoundary$$' ./internal/evloop ./internal/ctrl/loadgen
 
 ## lint: formatting check, go vet, and the repo-specific analyzers
 ## (per-analyzer counts printed; error-severity findings fail).

@@ -34,7 +34,9 @@ type CheckpointOptions = evloop.Options
 var ErrStopped = evloop.ErrStopped
 
 // RunCheckpointed executes the campaign like Run, additionally writing
-// a checkpoint every opts.EveryEvents event boundaries.
+// a checkpoint every opts.EveryEvents event boundaries. Writes overlap
+// the campaign, but all have finished when RunCheckpointed returns,
+// and a failed one fails the run.
 func RunCheckpointed(cfg Config, opts CheckpointOptions) (*Result, error) {
 	c, err := build(cfg, opts)
 	if err != nil {
@@ -65,7 +67,8 @@ func Resume(cfg Config, opts CheckpointOptions) (*Result, error) {
 
 // configDigest encodes every campaign field that shapes the event
 // stream (the controller's own config digest travels inside its
-// nested state). Resume compares byte-for-byte.
+// nested state). Resume compares byte-for-byte. build computes it once
+// into c.digest.
 func (c *campaign) configDigest() []byte {
 	var e snapshot.Encoder
 	cfg := c.cfg
@@ -90,7 +93,7 @@ func (c *campaign) configDigest() []byte {
 
 // encodeState serializes the full campaign at an event boundary.
 func (c *campaign) encodeState(e *snapshot.Encoder) {
-	e.String(string(c.configDigest()))
+	e.String(c.digest)
 	c.srv.EncodeState(e)
 
 	e.Len(len(c.agents))
@@ -102,11 +105,12 @@ func (c *campaign) encodeState(e *snapshot.Encoder) {
 	}
 
 	e.Len(len(c.sessions))
-	ids := make([]int, 0, len(c.sessions))
+	ids := c.ids[:0]
 	for id := range c.sessions {
 		ids = append(ids, id)
 	}
 	sort.Ints(ids)
+	c.ids = ids
 	for _, id := range ids {
 		s := c.sessions[id]
 		e.Int(id)
@@ -165,7 +169,7 @@ func (c *campaign) decodeEvent(d *snapshot.Decoder) (event, error) {
 // restoreState replays a checkpoint payload into a freshly built
 // campaign skeleton.
 func (c *campaign) restoreState(d *snapshot.Decoder) error {
-	if err := d.CheckDigest(c.configDigest()); err != nil {
+	if err := d.CheckDigest([]byte(c.digest)); err != nil {
 		return err
 	}
 	if err := c.srv.RestoreState(d); err != nil {

@@ -12,6 +12,7 @@
 package loadgen
 
 import (
+	"errors"
 	"fmt"
 
 	"lightpath/internal/chaos"
@@ -179,6 +180,7 @@ type agentState struct {
 // campaign is the full simulation state.
 type campaign struct {
 	cfg      Config
+	digest   string // configDigest of cfg, which never changes
 	srv      *ctrl.Server
 	agents   []*agentState
 	schedule []chaos.Fault
@@ -188,6 +190,7 @@ type campaign struct {
 	nextSession int
 	sessions    map[int]*session
 	byCircuit   map[int]int // live circuit id -> session id
+	ids         []int       // encodeState's sorted session-ID scratch
 
 	quant     *sketch.Quantile
 	requests  int
@@ -217,6 +220,7 @@ func build(cfg Config, opts CheckpointOptions) (*campaign, error) {
 		loop:      evloop.New(opts, checkpointVersion, checkpointEvery),
 		quant:     sketch.NewQuantile(0, root.Split("loadgen/sketch")),
 	}
+	c.digest = string(c.configDigest())
 	chips := srv.Allocator().Rack().NumChips()
 	if chips < 2 {
 		return nil, fmt.Errorf("loadgen: need at least 2 chips, rack has %d", chips)
@@ -267,7 +271,19 @@ func Run(cfg Config) (*Result, error) {
 }
 
 // run drains the event queue, checkpointing at the configured cadence.
+// It returns only once the last checkpoint write has finished, with
+// that write's error joined to whatever the run itself returned.
 func (c *campaign) run() (*Result, error) {
+	res, err := c.drain()
+	if ferr := c.loop.Flush(); ferr != nil {
+		return nil, errors.Join(err, ferr)
+	}
+	return res, err
+}
+
+// drain pops and handles events until the queue is empty, ticking the
+// event loop at every boundary.
+func (c *campaign) drain() (*Result, error) {
 	encode := c.encodeState
 	for c.events.Len() > 0 {
 		at, ev := c.events.Pop()

@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"syscall"
 	"testing"
 
 	"lightpath/internal/chaos"
@@ -250,6 +251,32 @@ func TestResumeRejectsConfigChange(t *testing.T) {
 		invariant.ResetGlobal()
 		if _, err := Resume(bad, CheckpointOptions{Path: path}); !errors.Is(err, snapshot.ErrConfigMismatch) {
 			t.Errorf("%s change resumed anyway: %v", name, err)
+		}
+	}
+}
+
+// TestRunCheckpointedWriteFailure pins that a checkpoint the disk
+// refuses fails the run: with the path under a regular file,
+// RunCheckpointed returns the write's error and no Result, both when a
+// later checkpoint collects the failed write and when the failed write
+// is the run's last one, dispatched at the final event.
+func TestRunCheckpointedWriteFailure(t *testing.T) {
+	t.Cleanup(invariant.ResetGlobal)
+	cfg := smallConfig(5)
+	plain, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	file := filepath.Join(t.TempDir(), "file")
+	if err := os.WriteFile(file, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, every := range []uint64{128, plain.Events} {
+		invariant.ResetGlobal()
+		opts := CheckpointOptions{Path: filepath.Join(file, "dir", "c.ckpt"), EveryEvents: every}
+		res, err := RunCheckpointed(cfg, opts)
+		if res != nil || !errors.Is(err, syscall.ENOTDIR) {
+			t.Fatalf("every %d, unwritable checkpoint: result %v, err %v; want no result and ENOTDIR", every, res, err)
 		}
 	}
 }

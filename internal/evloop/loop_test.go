@@ -1,9 +1,12 @@
 package evloop
 
 import (
+	"bytes"
 	"errors"
+	"os"
 	"path/filepath"
 	"reflect"
+	"syscall"
 	"testing"
 
 	"lightpath/internal/snapshot"
@@ -41,6 +44,94 @@ func TestLoopCadenceAndStop(t *testing.T) {
 	}
 	if _, err := Open(path, 6); !errors.Is(err, snapshot.ErrCorruptSnapshot) {
 		t.Fatalf("wrong format version: %v, want ErrCorruptSnapshot", err)
+	}
+}
+
+// unwritablePath returns a checkpoint path inside a directory whose
+// parent is a regular file, so every write to it fails.
+func unwritablePath(t *testing.T) string {
+	t.Helper()
+	file := filepath.Join(t.TempDir(), "file")
+	if err := os.WriteFile(file, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return filepath.Join(file, "dir", "loop.ckpt")
+}
+
+// TestLoopWriteErrorNotDropped pins the background write's error
+// path: a failed write is returned by the next cadence Tick, by Flush,
+// or by the stop Tick in place of ErrStopped, and never lost.
+func TestLoopWriteErrorNotDropped(t *testing.T) {
+	path := unwritablePath(t)
+	encode := func(e *snapshot.Encoder) { e.U64(1) }
+
+	l := New(Options{Path: path, EveryEvents: 2}, 1, 1024)
+	for i := 1; i <= 3; i++ {
+		if err := l.Tick(encode); err != nil {
+			t.Fatalf("tick %d: %v before the next checkpoint boundary", i, err)
+		}
+	}
+	if err := l.Tick(encode); !errors.Is(err, syscall.ENOTDIR) {
+		t.Fatalf("next cadence tick: %v, want the first write's ENOTDIR", err)
+	}
+
+	l = New(Options{Path: path, EveryEvents: 1}, 1, 1024)
+	if err := l.Tick(encode); err != nil {
+		t.Fatalf("dispatching tick: %v", err)
+	}
+	if err := l.Flush(); !errors.Is(err, syscall.ENOTDIR) {
+		t.Fatalf("Flush: %v, want the write's ENOTDIR", err)
+	}
+	if err := l.Flush(); err != nil {
+		t.Fatalf("second Flush with nothing in flight: %v", err)
+	}
+
+	l = New(Options{Path: path, EveryEvents: 8, StopAfterEvents: 1}, 1, 1024)
+	if err := l.Tick(encode); !errors.Is(err, syscall.ENOTDIR) || errors.Is(err, ErrStopped) {
+		t.Fatalf("stop tick: %v, want the stop write's ENOTDIR", err)
+	}
+}
+
+// TestLoopEncodersNeverAlias checkpoints at every boundary, each one a
+// distinct multi-KB payload, so an encode into bytes still being
+// written would tear a file (or trip the race detector). Once Flush
+// returns, the file holds exactly the last boundary's payload, its
+// rotation the one before, and no temporary file is left.
+func TestLoopEncodersNeverAlias(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "alias.ckpt")
+	l := New(Options{Path: path, EveryEvents: 1}, 3, 1024)
+	body := func(k uint64) []byte {
+		return bytes.Repeat([]byte{byte(k), byte(k >> 8)}, 1024+256*int(k%5))
+	}
+	encode := func(e *snapshot.Encoder) {
+		k := l.Events()
+		e.U64(k)
+		e.String(string(body(k)))
+	}
+	const n = 40
+	for i := 0; i < n; i++ {
+		if err := l.Tick(encode); err != nil {
+			t.Fatalf("tick %d: %v", i+1, err)
+		}
+	}
+	if err := l.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range []struct {
+		path string
+		k    uint64
+	}{{path, n}, {snapshot.PrevPath(path), n - 1}} {
+		v, payload, err := snapshot.Read(f.path)
+		if err != nil || v != 3 {
+			t.Fatalf("%s: version %d, %v", f.path, v, err)
+		}
+		d := snapshot.NewDecoder(payload)
+		if k, b := d.U64(), d.StringBytes(); k != f.k || !bytes.Equal(b, body(f.k)) || d.Finish() != nil {
+			t.Fatalf("%s holds boundary %d (%d bytes, %v), want boundary %d", f.path, k, len(b), d.Err(), f.k)
+		}
+	}
+	if _, err := os.Stat(path + ".tmp"); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("temporary file left behind: %v", err)
 	}
 }
 

@@ -1,7 +1,8 @@
 // Package evloop is the deterministic event loop the long-running
 // simulators share: a (time, seq) min-heap whose pop order is total,
-// and a checkpointed loop that counts event boundaries, writes a
-// snapshot on a fixed cadence, and halts at an injected stop. The
+// and a checkpointed loop that counts event boundaries, encodes a
+// snapshot on a fixed cadence and writes it to disk while the
+// simulation runs on, and halts at an injected stop. The
 // fleet soak and the controller load campaign each keep only their
 // own event handlers and state encoding on top of it.
 package evloop

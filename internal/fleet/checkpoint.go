@@ -36,7 +36,9 @@ var ErrStopped = evloop.ErrStopped
 // RunCheckpointed executes the soak like Run, additionally writing a
 // checkpoint every opts.EveryEvents event boundaries. The write is
 // atomic (temp file, fsync, rename) and rotates the previous good
-// snapshot aside, so a crash mid-write can always fall back.
+// snapshot aside, so a crash mid-write can always fall back. Writes
+// overlap the soak, but all have finished when RunCheckpointed
+// returns, and a failed one fails the run.
 func RunCheckpointed(cfg Config, opts CheckpointOptions) (*Outcome, error) {
 	cfg = cfg.withDefaults()
 	if err := cfg.validate(); err != nil {

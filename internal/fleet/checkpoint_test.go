@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"syscall"
 	"testing"
 
 	"lightpath/internal/chaos"
@@ -54,6 +55,30 @@ func TestResumeByteIdenticalAtEveryBoundary(t *testing.T) {
 		}
 		os.Remove(path)
 		os.Remove(snapshot.PrevPath(path))
+	}
+}
+
+// TestRunCheckpointedWriteFailure pins that a checkpoint the disk
+// refuses fails the soak: with the path under a regular file,
+// RunCheckpointed returns the write's error and no Outcome, both when a
+// later checkpoint collects the failed write and when the failed write
+// is the soak's last one, dispatched at the final event.
+func TestRunCheckpointedWriteFailure(t *testing.T) {
+	cfg := crashCfg()
+	plain, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	file := filepath.Join(t.TempDir(), "file")
+	if err := os.WriteFile(file, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, every := range []uint64{4, plain.Events} {
+		opts := CheckpointOptions{Path: filepath.Join(file, "dir", "ckpt"), EveryEvents: every}
+		out, err := RunCheckpointed(cfg, opts)
+		if out != nil || !errors.Is(err, syscall.ENOTDIR) {
+			t.Fatalf("every %d, unwritable checkpoint: outcome %v, err %v; want no outcome and ENOTDIR", every, out, err)
+		}
 	}
 }
 

@@ -18,6 +18,7 @@
 package fleet
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 
@@ -365,10 +366,20 @@ func Run(cfg Config) (*Outcome, error) {
 }
 
 // run drives the event loop to the horizon (or to an injected stop).
-// It merges the three ordered event streams; ties are broken by kind
-// — repairs land before faults, faults before samples — so the order
-// is total and reproducible.
+// It returns only once the last checkpoint write has finished, with
+// that write's error joined to whatever the soak itself returned.
 func (s *soak) run(faults []chaos.Fault) (*Outcome, error) {
+	out, err := s.drive(faults)
+	if ferr := s.loop.Flush(); ferr != nil {
+		return nil, errors.Join(err, ferr)
+	}
+	return out, err
+}
+
+// drive merges the three ordered event streams; ties are broken by
+// kind — repairs land before faults, faults before samples — so the
+// order is total and reproducible.
+func (s *soak) drive(faults []chaos.Fault) (*Outcome, error) {
 	encode := s.encodeState
 	for {
 		const inf = unit.Seconds(1e18)

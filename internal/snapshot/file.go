@@ -15,8 +15,10 @@ import (
 // the rename has not happened and the old file (or its rotation) is
 // intact, or it has and the new file is complete — rename is atomic
 // on POSIX filesystems. Load validates the envelope and falls back to
-// the rotation when the primary is corrupt, so a torn write costs one
-// checkpoint interval, never the run.
+// the rotation when the primary is corrupt, so a torn write costs the
+// checkpoints since the last complete one, never the run. Write is
+// synchronous; internal/evloop runs it on a goroutine of its own, one
+// write at a time, while the event loop runs on.
 
 // prevSuffix names the rotated previous-generation snapshot.
 const prevSuffix = ".prev"
