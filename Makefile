@@ -21,7 +21,8 @@ race:
 	$(GO) test -race -timeout 20m ./...
 
 ## race-stress: the scheduling-dependent tests — Fig5's
-## parallel-vs-sequential planning, the daemon's concurrent connections
+## parallel-vs-sequential planning, Repairability's fan-out over the
+## racks its sequential scan built, the daemon's concurrent connections
 ## and pipelined frames over one buffered reader, soak trials writing
 ## their checkpoints concurrently through the shared kill/resume trial
 ## runner, and the event loop's background checkpoint writes (its two
@@ -34,6 +35,7 @@ race:
 ## -deps`) and run once under `make race` like everything else.
 race-stress:
 	$(GO) test -race -count=20 -cpu 1,2,8 -run '^TestFig5ParallelMatchesSequential$$' ./internal/experiments
+	$(GO) test -race -count=20 -cpu 1,2,8 -run '^TestParallelMatchesSequential$$/^repairability$$' ./internal/experiments
 	$(GO) test -race -count=20 -cpu 1,2,8 -run '^(TestDaemonConcurrentClients|TestServeConnPipelinedFrames)$$' ./internal/ctrl
 	$(GO) test -race -count=20 -cpu 1,2,8 -run '^TestKillResumeCSVIdentical$$' ./cmd/lightpath-sim
 	$(GO) test -race -count=20 -cpu 1,2,8 -run '^(TestLoopCadenceAndStop|TestLoopWriteErrorNotDropped|TestLoopEncodersNeverAlias)$$|^TestKillResumeAnyBoundary$$' ./internal/evloop ./internal/ctrl/loadgen

@@ -133,171 +133,69 @@ func run(args []string, out printer) error {
 		KillAfterEvents: *killAt,
 		Resume:          *resume,
 	}
-	// checkpointed runs a soak or controller campaign under ck and
-	// emits it; in crash-injection mode the trials checkpointed and
-	// halted as requested, and a later -resume run completes them.
-	checkpointed := func(name string, campaign func() (fmt.Stringer, error)) error {
+	// checkpointed runs a soak or controller campaign under ck; in
+	// crash-injection mode the trials checkpointed and halted as
+	// requested, and a later -resume run completes them.
+	checkpointed := func(name string, campaign func() (fmt.Stringer, error)) (fmt.Stringer, error) {
 		if ck.Dir != "" {
 			if err := os.MkdirAll(ck.Dir, 0o755); err != nil {
-				return fmt.Errorf("%s: checkpoint dir: %w", name, err)
+				return nil, fmt.Errorf("%s: checkpoint dir: %w", name, err)
 			}
 		}
 		r, err := campaign()
 		if errors.Is(err, evloop.ErrStopped) {
-			_, werr := fmt.Fprintf(out, "%s: trials stopped at event %d, checkpoints in %s\n", name, ck.KillAfterEvents, ck.Dir)
-			return werr
+			return text(fmt.Sprintf("%s: trials stopped at event %d, checkpoints in %s\n", name, ck.KillAfterEvents, ck.Dir)), nil
 		}
-		if err := emit(out, r, err); err != nil {
-			return err
-		}
-		return emitCSV(*csvDir, name, r)
+		return r, err
 	}
 
-	commands := map[string]func() error{
-		"info": func() error { return emit(out, experiments.Info(), nil) },
-		"fig3a": func() error {
-			r, err := experiments.Fig3a(*seed)
-			if err := emit(out, r, err); err != nil {
-				return err
-			}
-			return emitCSV(*csvDir, "fig3a", r)
+	// Each command returns its result; emit prints it and, with -csv,
+	// writes <command>.csv when the result carries a data series.
+	commands := map[string]func() (fmt.Stringer, error){
+		"info":   func() (fmt.Stringer, error) { return experiments.Info(), nil },
+		"fig3a":  func() (fmt.Stringer, error) { return experiments.Fig3a(*seed) },
+		"fig3b":  func() (fmt.Stringer, error) { return experiments.Fig3b(*seed, *samples) },
+		"fig4":   func() (fmt.Stringer, error) { return experiments.Fig4(), nil },
+		"table1": func() (fmt.Stringer, error) { return experiments.Table1(*elements) },
+		"table2": func() (fmt.Stringer, error) { return experiments.Table2(*elements) },
+		"fig5": func() (fmt.Stringer, error) {
+			return experiments.Fig5(experiments.TableBufferBytes(*elements), *seed)
 		},
-		"fig3b": func() error {
-			r, err := experiments.Fig3b(*seed, *samples)
-			if err := emit(out, r, err); err != nil {
-				return err
-			}
-			return emitCSV(*csvDir, "fig3b", r)
+		"fig6a": func() (fmt.Stringer, error) { return experiments.Fig6a() },
+		"fig6b": func() (fmt.Stringer, error) { return experiments.Fig6b() },
+		"fig7":  func() (fmt.Stringer, error) { return experiments.Fig7(*seed) },
+		"blast": func() (fmt.Stringer, error) { return experiments.Blast(), nil },
+		"chaos": func() (fmt.Stringer, error) {
+			return experiments.Chaos(*seed, *trials, experiments.TableBufferBytes(*elements))
 		},
-		"fig4": func() error { return emit(out, experiments.Fig4(), nil) },
-		"table1": func() error {
-			r, err := experiments.Table1(*elements)
-			if err := emit(out, r, err); err != nil {
-				return err
-			}
-			return emitCSV(*csvDir, "table1", r)
-		},
-		"table2": func() error {
-			r, err := experiments.Table2(*elements)
-			if err := emit(out, r, err); err != nil {
-				return err
-			}
-			return emitCSV(*csvDir, "table2", r)
-		},
-		"fig5": func() error {
-			r, err := experiments.Fig5(experiments.TableBufferBytes(*elements), *seed)
-			if err := emit(out, r, err); err != nil {
-				return err
-			}
-			return emitCSV(*csvDir, "fig5", r)
-		},
-		"fig6a": func() error {
-			r, err := experiments.Fig6a()
-			if err := emit(out, r, err); err != nil {
-				return err
-			}
-			return emitCSV(*csvDir, "fig6a", r)
-		},
-		"fig6b": func() error {
-			r, err := experiments.Fig6b()
-			if err := emit(out, r, err); err != nil {
-				return err
-			}
-			return emitCSV(*csvDir, "fig6b", r)
-		},
-		"fig7": func() error {
-			r, err := experiments.Fig7(*seed)
-			if err := emit(out, r, err); err != nil {
-				return err
-			}
-			return emitCSV(*csvDir, "fig7", r)
-		},
-		"blast": func() error { return emit(out, experiments.Blast(), nil) },
-		"chaos": func() error {
-			r, err := experiments.Chaos(*seed, *trials, experiments.TableBufferBytes(*elements))
-			if err := emit(out, r, err); err != nil {
-				return err
-			}
-			return emitCSV(*csvDir, "chaos", r)
-		},
-		"soak": func() error {
+		"soak": func() (fmt.Stringer, error) {
 			return checkpointed("soak", func() (fmt.Stringer, error) {
 				return experiments.SoakWithOptions(*seed, *trials, ck)
 			})
 		},
-		"controller": func() error {
+		"controller": func() (fmt.Stringer, error) {
 			return checkpointed("controller", func() (fmt.Stringer, error) {
 				return experiments.ControllerWithOptions(*seed, experiments.ControllerOptions{Trials: *trials, Checkpointing: ck})
 			})
 		},
-		"sweep": func() error {
-			r, err := experiments.Sweep(experiments.DefaultSweepBuffers(), *seed)
-			if err := emit(out, r, err); err != nil {
-				return err
-			}
-			return emitCSV(*csvDir, "sweep", r)
+		"sweep": func() (fmt.Stringer, error) {
+			return experiments.Sweep(experiments.DefaultSweepBuffers(), *seed)
 		},
-		"moe":    func() error { return runMoE(out, *seed) },
-		"ablate": func() error { return runAblations(out, *seed) },
-		"hostnet": func() error {
-			r, err := experiments.Hostnet(*seed, 400)
-			if err := emit(out, r, err); err != nil {
-				return err
-			}
-			return emitCSV(*csvDir, "hostnet", r)
+		"moe":       func() (fmt.Stringer, error) { return runMoE(*seed) },
+		"ablate":    func() (fmt.Stringer, error) { return runAblations(*seed) },
+		"hostnet":   func() (fmt.Stringer, error) { return experiments.Hostnet(*seed, 400) },
+		"tenants":   func() (fmt.Stringer, error) { return experiments.TenantSweep(*seed, 50) },
+		"ber":       func() (fmt.Stringer, error) { return experiments.Waterfall(), nil },
+		"alltoall":  func() (fmt.Stringer, error) { return experiments.AllToAll(experiments.DefaultAllToAllBuffers()) },
+		"repair":    func() (fmt.Stringer, error) { return experiments.Repairability(*seed, 60) },
+		"show":      runShow,
+		"protocols": func() (fmt.Stringer, error) { return experiments.Protocols(), nil },
+		"moesweep":  func() (fmt.Stringer, error) { return experiments.MoE(*seed) },
+		"scale": func() (fmt.Stringer, error) {
+			return experiments.Scale(experiments.TableBufferBytes(*elements), *seed)
 		},
-		"tenants": func() error {
-			r, err := experiments.TenantSweep(*seed, 50)
-			if err := emit(out, r, err); err != nil {
-				return err
-			}
-			return emitCSV(*csvDir, "tenants", r)
-		},
-		"ber": func() error {
-			r := experiments.Waterfall()
-			if err := emit(out, r, nil); err != nil {
-				return err
-			}
-			return emitCSV(*csvDir, "ber", r)
-		},
-		"alltoall": func() error {
-			r, err := experiments.AllToAll(experiments.DefaultAllToAllBuffers())
-			if err := emit(out, r, err); err != nil {
-				return err
-			}
-			return emitCSV(*csvDir, "alltoall", r)
-		},
-		"repair": func() error {
-			r, err := experiments.Repairability(*seed, 60)
-			if err := emit(out, r, err); err != nil {
-				return err
-			}
-			return emitCSV(*csvDir, "repair", r)
-		},
-		"show": func() error { return runShow(out) },
-		"protocols": func() error {
-			r := experiments.Protocols()
-			if err := emit(out, r, nil); err != nil {
-				return err
-			}
-			return emitCSV(*csvDir, "protocols", r)
-		},
-		"moesweep": func() error {
-			r, err := experiments.MoE(*seed)
-			if err := emit(out, r, err); err != nil {
-				return err
-			}
-			return emitCSV(*csvDir, "moesweep", r)
-		},
-		"scale": func() error {
-			r, err := experiments.Scale(experiments.TableBufferBytes(*elements), *seed)
-			if err := emit(out, r, err); err != nil {
-				return err
-			}
-			return emitCSV(*csvDir, "scale", r)
-		},
-		"topo": func() error { return runTopology(out, *topology) },
-		"rail": func() error {
+		"topo": func() (fmt.Stringer, error) { return runTopology(*topology) },
+		"rail": func() (fmt.Stringer, error) {
 			cfg := experiments.DefaultRailFabricConfig()
 			if *rails > 0 {
 				cfg.Rails = *rails
@@ -308,19 +206,22 @@ func run(args []string, out printer) error {
 			if *waves > 0 {
 				cfg.Waves = *waves
 			}
-			r, err := experiments.RailFabric(cfg)
-			if err := emit(out, r, err); err != nil {
-				return err
-			}
-			return emitCSV(*csvDir, "rail", r)
+			return experiments.RailFabric(cfg)
 		},
-		"scheduler": func() error {
-			r, err := experiments.Scheduler(*seed, 24)
-			if err := emit(out, r, err); err != nil {
-				return err
-			}
-			return emitCSV(*csvDir, "scheduler", r)
-		},
+		"scheduler": func() (fmt.Stringer, error) { return experiments.Scheduler(*seed, 24) },
+	}
+	emit := func(name string) error {
+		r, err := commands[name]()
+		if err != nil {
+			return err
+		}
+		if _, err := fmt.Fprint(out, r.String()); err != nil {
+			return err
+		}
+		if t, ok := r.(experiments.Tabular); ok && *csvDir != "" {
+			return experiments.WriteCSV(filepath.Join(*csvDir, name+".csv"), t)
+		}
+		return nil
 	}
 
 	if cmd == "all" {
@@ -329,50 +230,29 @@ func run(args []string, out printer) error {
 			"blast", "chaos", "soak", "controller", "sweep", "alltoall", "scheduler", "moe", "moesweep", "hostnet",
 			"protocols", "ablate"}
 		for _, name := range order {
-			if err := commands[name](); err != nil {
+			if err := emit(name); err != nil {
 				return fmt.Errorf("%s: %w", name, err)
 			}
 			fmt.Fprintln(out)
 		}
 		return nil
 	}
-	fn, ok := commands[cmd]
-	if !ok {
+	if _, ok := commands[cmd]; !ok {
 		return fmt.Errorf("unknown command %q", cmd)
 	}
-	return fn()
+	return emit(cmd)
 }
 
-// emit prints a result's String rendering unless err is set, and —
-// when a CSV directory is configured and the result carries a data
-// series — writes <dir>/<name>.csv alongside.
-func emit(out printer, r fmt.Stringer, err error) error {
-	if err != nil {
-		return err
-	}
-	if _, werr := fmt.Fprint(out, r.String()); werr != nil {
-		return werr
-	}
-	return nil
-}
+// text is a command's already-rendered output.
+type text string
 
-// emitCSV writes the result's series when requested.
-func emitCSV(csvDir, name string, r fmt.Stringer) error {
-	if csvDir == "" {
-		return nil
-	}
-	t, ok := r.(experiments.Tabular)
-	if !ok {
-		return nil
-	}
-	return experiments.WriteCSV(filepath.Join(csvDir, name+".csv"), t)
-}
+func (t text) String() string { return string(t) }
 
 // runTopology demonstrates the generalized Topology interface: build
 // the named fabric at demo scale, place a deterministic neighbor-ring
 // workload through the link allocator, and solve it with the
 // component-sharded max-min solver.
-func runTopology(out printer, name string) error {
+func runTopology(name string) (fmt.Stringer, error) {
 	var (
 		fabric topo.Topology
 		err    error
@@ -385,10 +265,10 @@ func runTopology(out printer, name string) error {
 	case "mesh":
 		fabric, err = topo.NewMesh(4, wafer.DefaultConfig(), unit.GBps(200))
 	default:
-		return fmt.Errorf("unknown -topology %q (want rail, torus, or mesh)", name)
+		return nil, fmt.Errorf("unknown -topology %q (want rail, torus, or mesh)", name)
 	}
 	if err != nil {
-		return err
+		return nil, err
 	}
 	a := route.NewLinkAllocator(fabric)
 	const demoWaves = 2
@@ -400,79 +280,63 @@ func runTopology(out printer, name string) error {
 	var sim netsim.Sim[int]
 	res, err := sim.RunSharded(a.Flows(), a.Capacities())
 	if err != nil {
-		return err
+		return nil, err
 	}
 	link, load := a.MaxLoad()
-	_, err = fmt.Fprintf(out,
+	return text(fmt.Sprintf(
 		"Topology demo: %s fabric behind the generalized Topology interface\n"+
 			"  %d endpoints, %d links; %d neighbor-ring flows placed by the link allocator\n"+
 			"  peak link load: %d flows on link %d\n"+
 			"  sharded max-min solve: makespan %v\n",
-		fabric.Name(), fabric.Endpoints(), fabric.Links(), a.Len(), load, link, res.Makespan)
-	return err
+		fabric.Name(), fabric.Endpoints(), fabric.Links(), a.Len(), load, link, res.Makespan)), nil
 }
 
 // runShow draws the paper's scenario racks.
-func runShow(out printer) error {
-	if _, err := fmt.Fprintln(out, "Figure 5b rack (four tenants, fully allocated):"); err != nil {
-		return err
-	}
+func runShow() (fmt.Stringer, error) {
 	tor, a, err := alloc.Fig5b()
 	if err != nil {
-		return err
-	}
-	if _, err := fmt.Fprint(out, viz.RackLayers(tor, a, nil)); err != nil {
-		return err
+		return nil, err
 	}
 	sc, err := alloc.Fig6a()
 	if err != nil {
-		return err
+		return nil, err
 	}
-	if _, err := fmt.Fprintln(out, "\nFigure 6a rack (failed chip X, spares .):"); err != nil {
-		return err
-	}
-	_, err = fmt.Fprint(out, viz.RackLayers(sc.Torus, sc.Alloc, map[int]bool{sc.FailedChip: true}))
-	return err
+	return text("Figure 5b rack (four tenants, fully allocated):\n" +
+		viz.RackLayers(tor, a, nil) +
+		"\nFigure 6a rack (failed chip X, spares .):\n" +
+		viz.RackLayers(sc.Torus, sc.Alloc, map[int]bool{sc.FailedChip: true})), nil
 }
 
-func runMoE(out printer, seed uint64) error {
+func runMoE(seed uint64) (fmt.Stringer, error) {
 	fabric, err := core.New(core.Options{Seed: seed})
 	if err != nil {
-		return err
+		return nil, err
 	}
 	res, err := fabric.RunMoE(core.DefaultMoEConfig())
 	if err != nil {
-		return err
+		return nil, err
 	}
-	_, err = fmt.Fprintf(out,
+	return text(fmt.Sprintf(
 		"Mixture-of-Experts dynamic circuits (§5): %d batches\n"+
 			"  circuits: %d new, %d reused, %d evicted\n"+
 			"  time: %v reconfiguration + %v transfer = %v total\n"+
 			"  reconfiguration overhead: %.2f%%\n",
 		res.Batches, res.NewCircuits, res.ReusedCircuits, res.Evictions,
-		res.ReconfigTime, res.TransferTime, res.Makespan, res.OverheadFraction()*100)
-	return err
+		res.ReconfigTime, res.TransferTime, res.Makespan, res.OverheadFraction()*100)), nil
 }
 
-func runAblations(out printer, seed uint64) error {
+func runAblations(seed uint64) (fmt.Stringer, error) {
 	a, err := experiments.AblationAllocation(seed, 8)
 	if err != nil {
-		return err
-	}
-	if _, err := fmt.Fprint(out, a.String()); err != nil {
-		return err
+		return nil, err
 	}
 	f, err := experiments.AblationFiber(seed)
 	if err != nil {
-		return err
-	}
-	if _, err := fmt.Fprint(out, f.String()); err != nil {
-		return err
+		return nil, err
 	}
 	s, err := experiments.AblationSimultaneous(3 << 12)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	_, err = fmt.Fprint(out, s.String())
-	return err
+	return text(a.String() + f.String() + s.String()), nil
 }

@@ -24,8 +24,8 @@
 //   - exportdoc: exported identifiers under internal/... are documented.
 //   - hotalloc: loops marked //lightpath:hotloop may not allocate
 //     slices or maps per iteration.
-//   - parcapture: closures passed as trial bodies to engine.Map and
-//     engine.Stream may not write state captured from the enclosing
+//   - parcapture: closures passed as trial bodies to engine.Map may
+//     not write state captured from the enclosing function's
 //     scope, directly or by calling a method that writes through its
 //     receiver (the data-race class fixed by hand in PR 3, and the
 //     Fig5 shared-fabric race).

@@ -58,7 +58,7 @@ func TestDeterminismEnvFixture(t *testing.T) {
 }
 
 // TestParCaptureFixture proves the analyzer catches the PR 3 bug
-// class: mutable state captured and written by engine.Map/Stream trial
+// class: mutable state captured and written by engine.Map trial
 // closures (the fixture's Sum reconstructs the historical defect).
 func TestParCaptureFixture(t *testing.T) {
 	runFixtureTest(t, ParCapture, "parcapture", "fixture/parcapture")

@@ -6,12 +6,16 @@ import (
 )
 
 // enginePath is the deterministic parallel campaign runner; its Map
-// and Stream entry points fan trial closures across worker goroutines.
+// fans trial closures across worker goroutines.
 const enginePath = "lightpath/internal/engine"
 
+// engineMap is the fan-out entry point; its second argument is the
+// concurrently-executed trial closure.
+const engineMap = enginePath + ".Map"
+
 // ParCapture enforces leg 1 of internal/engine's determinism contract
-// at the source level: a trial closure handed to engine.Map or
-// engine.Stream runs concurrently with its siblings, so it must never
+// at the source level: a trial closure handed to engine.Map runs in
+// parallel with the other trials of its campaign, so it must never
 // write state captured from the enclosing scope. PR 3 fixed exactly
 // this bug by hand — an accumulator mutated inside a Map closure,
 // racy under the pool and order-dependent even without the race — and
@@ -32,21 +36,13 @@ const enginePath = "lightpath/internal/engine"
 //
 // Reads of captured state stay legal — shared read-only inputs are the
 // whole point of clone-per-trial campaigns — as do writes to the
-// closure's own parameters and locals. Stream's consume callback runs
-// sequentially in index order and is exempt; only the trial argument
-// of Map and Stream is checked. A closure bound to a local variable
-// and passed by name is resolved through the enclosing function.
+// closure's own parameters and locals. A closure bound to a local
+// variable and passed by name is resolved through the enclosing
+// function.
 var ParCapture = &Analyzer{
 	Name: "parcapture",
-	Doc:  "forbid trial closures passed to engine.Map/engine.Stream from writing captured state",
+	Doc:  "forbid trial closures passed to engine.Map from writing captured state",
 	Run:  runParCapture,
-}
-
-// trialArgIndex maps the engine entry points to the position of the
-// concurrently-executed trial closure among their arguments.
-var trialArgIndex = map[string]int{
-	enginePath + ".Map":    1,
-	enginePath + ".Stream": 1,
 }
 
 func runParCapture(pass *Pass) error {
@@ -67,15 +63,11 @@ func runParCapture(pass *Pass) error {
 					return true
 				}
 				fn := calleeFunc(pass, call)
-				if fn == nil {
+				if fn == nil || fn.FullName() != engineMap || len(call.Args) != 2 {
 					return true
 				}
-				idx, ok := trialArgIndex[fn.FullName()]
-				if !ok || idx >= len(call.Args) {
-					return true
-				}
-				if lit := resolveFuncLit(pass, fd, call.Args[idx]); lit != nil {
-					checkTrialClosure(pass, fn.Name(), lit)
+				if lit := resolveFuncLit(pass, fd, call.Args[1]); lit != nil {
+					checkTrialClosure(pass, lit)
 				}
 				return true
 			})
@@ -136,7 +128,7 @@ func resolveFuncLit(pass *Pass, enclosing *ast.FuncDecl, arg ast.Expr) *ast.Func
 
 // checkTrialClosure reports every write to captured state inside one
 // trial closure.
-func checkTrialClosure(pass *Pass, entry string, lit *ast.FuncLit) {
+func checkTrialClosure(pass *Pass, lit *ast.FuncLit) {
 	captured := func(e ast.Expr) *ast.Ident {
 		id := rootIdent(e)
 		if id == nil || id.Name == "_" {
@@ -160,29 +152,29 @@ func checkTrialClosure(pass *Pass, entry string, lit *ast.FuncLit) {
 		case *ast.AssignStmt:
 			for _, lhs := range n.Lhs {
 				if id := captured(lhs); id != nil {
-					pass.Reportf(lhs.Pos(), "trial closure passed to engine.%s writes captured %q; trials run concurrently — keep per-trial state local and merge via the returned results", entry, id.Name)
+					pass.Reportf(lhs.Pos(), "trial closure passed to engine.Map writes captured %q; trials run concurrently — keep per-trial state local and merge via the returned results", id.Name)
 				}
 			}
 		case *ast.IncDecStmt:
 			if id := captured(n.X); id != nil {
-				pass.Reportf(n.X.Pos(), "trial closure passed to engine.%s mutates captured %q with %s; trials run concurrently — keep per-trial state local and merge via the returned results", entry, id.Name, n.Tok)
+				pass.Reportf(n.X.Pos(), "trial closure passed to engine.Map mutates captured %q with %s; trials run concurrently — keep per-trial state local and merge via the returned results", id.Name, n.Tok)
 			}
 		case *ast.SendStmt:
 			if id := captured(n.Chan); id != nil {
-				pass.Reportf(n.Pos(), "trial closure passed to engine.%s sends on captured channel %q; arrival order depends on the worker schedule — return results and let the engine merge in index order", entry, id.Name)
+				pass.Reportf(n.Pos(), "trial closure passed to engine.Map sends on captured channel %q; arrival order depends on the worker schedule — return results and let the engine merge in index order", id.Name)
 			}
 		case *ast.CallExpr:
 			if name := builtinName(pass.Info, n); name == "delete" || name == "clear" {
 				if len(n.Args) > 0 {
 					if id := captured(n.Args[0]); id != nil {
-						pass.Reportf(n.Pos(), "trial closure passed to engine.%s calls %s on captured %q; trials run concurrently — keep per-trial state local and merge via the returned results", entry, name, id.Name)
+						pass.Reportf(n.Pos(), "trial closure passed to engine.Map calls %s on captured %q; trials run concurrently — keep per-trial state local and merge via the returned results", name, id.Name)
 					}
 				}
 			}
 			if sel, ok := ast.Unparen(n.Fun).(*ast.SelectorExpr); ok && pass.Facts != nil {
 				fn := calleeFunc(pass, n)
 				if id := captured(sel.X); id != nil && fn != nil && pass.Facts.MutatesReceiver(fn) {
-					pass.Reportf(n.Pos(), "trial closure passed to engine.%s calls %s on captured %q, which writes through its receiver; trials run concurrently — give each trial its own copy (a Clone) instead of sharing one", entry, fn.Name(), id.Name)
+					pass.Reportf(n.Pos(), "trial closure passed to engine.Map calls %s on captured %q, which writes through its receiver; trials run concurrently — give each trial its own copy (a Clone) instead of sharing one", fn.Name(), id.Name)
 				}
 			}
 		}

@@ -1,8 +1,9 @@
 // Package fixture exercises the parcapture analyzer: trial closures
-// handed to engine.Map/engine.Stream must not write captured state,
-// while local writes, reads of shared inputs, and sequential consume
-// callbacks must pass. Sum reconstructs the historical PR 3 bug — a
-// float accumulator mutated inside a Map trial — verbatim in shape.
+// handed to engine.Map must not write captured state, while local
+// writes, reads of shared inputs, and sequential folds over the
+// returned results must pass. Sum reconstructs the historical
+// closure-capture bug — a float accumulator mutated inside a Map
+// trial — verbatim in shape.
 package fixture
 
 import "lightpath/internal/engine"
@@ -46,20 +47,20 @@ func ChannelFanIn(n int) error {
 	return err
 }
 
-// StreamTrialWrites checks the Stream entry point's trial argument;
-// the consume callback below it runs sequentially and stays exempt.
-func StreamTrialWrites(n int) error {
+// CountAttempts tallies attempts in a captured counter from inside
+// the trial; the running total folded after Map returns is sequential
+// and stays legal.
+func CountAttempts(n int) (int, error) {
 	attempts := 0
+	squares, err := engine.Map(n, func(i int) (int, error) {
+		attempts++ // want `trial closure passed to engine.Map mutates captured "attempts" with \+\+`
+		return i * i, nil
+	})
 	total := 0
-	return engine.Stream(n,
-		func(i int) (int, error) {
-			attempts++ // want `trial closure passed to engine.Stream mutates captured "attempts" with \+\+`
-			return i * i, nil
-		},
-		func(i, r int) (bool, error) {
-			total += r // consume is sequential: allowed
-			return total < 100, nil
-		})
+	for _, r := range squares {
+		total += r // sequential fold after the fan-out: allowed
+	}
+	return total, err
 }
 
 // NamedTrial resolves a trial bound to a local variable before the

@@ -81,15 +81,14 @@ type Rig struct{ exec *Executor }
 // SharedThroughField calls mutating methods on an executor reached from
 // a captured struct, and on the executor directly.
 func SharedThroughField(rig Rig, exec *Executor, n int) error {
-	return engine.Stream(n,
-		func(i int) (int, error) {
-			exec.Note(i)                // want `trial closure passed to engine.Stream calls Note on captured "exec", which writes through its receiver`
-			return rig.exec.Run(i), nil // want `trial closure passed to engine.Stream calls Run on captured "rig", which writes through its receiver`
-		},
-		func(i, r int) (bool, error) {
-			exec.Note(r) // consume is sequential: allowed
-			return true, nil
-		})
+	runs, err := engine.Map(n, func(i int) (int, error) {
+		exec.Note(i)                // want `trial closure passed to engine.Map calls Note on captured "exec", which writes through its receiver`
+		return rig.exec.Run(i), nil // want `trial closure passed to engine.Map calls Run on captured "rig", which writes through its receiver`
+	})
+	for _, r := range runs {
+		exec.Note(r) // sequential, after the fan-out: allowed
+	}
+	return err
 }
 
 // SyncShared shares only sync and sync/atomic values, which exist to

@@ -1,4 +1,4 @@
-// Package engine is the deterministic parallel campaign runner: it
+// Package engine is the deterministic parallel campaign runner: Map
 // fans independent Monte-Carlo trials across a pool of worker
 // goroutines while guaranteeing bit-for-bit identical results to a
 // sequential run of the same campaign.
@@ -13,14 +13,15 @@
 //  2. Randomness is index-derived: rng.Rand.Split reads the parent
 //     stream's state without advancing it, so trial i's stream is the
 //     same value whether it is computed first, last, or concurrently.
-//  3. Merging is ordered: the engine hands results to the caller in
-//     trial-index order, so non-associative reductions (float sums,
-//     formatted output, "first N valid trials win" cutoffs) fold
+//  3. Merging is ordered: Map returns results in trial-index order, so
+//     non-associative reductions (float sums, formatted output) fold
 //     exactly as the sequential loop folded them.
 //
-// Under that contract Map and Stream are drop-in replacements for a
-// sequential for-loop: same results, same errors, only the wall-clock
-// changes.
+// Under that contract Map is a drop-in replacement for a sequential
+// for-loop: same results, same errors, only the wall-clock changes. A
+// campaign whose trial count depends on the data ("keep drawing random
+// scenarios until N are usable") picks its inputs first, in a
+// sequential scan, and maps over only the ones it keeps.
 package engine
 
 import (
@@ -76,96 +77,28 @@ func Map[R any](n int, trial func(i int) (R, error)) ([]R, error) {
 		}
 		return results, nil
 	}
+	// Workers take indices from an atomic counter until none remain.
 	errs := make([]error, n)
-	runPool(0, n, func(i int) {
-		results[i], errs[i] = trial(i)
-	})
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := min(Workers(), n); w > 0; w-- {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				i := int(next.Add(1)) - 1
+				if i >= n {
+					return
+				}
+				results[i], errs[i] = trial(i)
+			}
+		}()
+	}
+	wg.Wait()
 	for _, err := range errs {
 		if err != nil {
 			return nil, err
 		}
 	}
 	return results, nil
-}
-
-// Stream runs trials 0, 1, 2, ... and feeds each result to consume in
-// strict index order until consume returns false, an error occurs, or
-// limit trials have run. It exists for campaigns whose trial count is
-// data-dependent ("keep drawing random scenarios until N are valid"):
-// the consumer applies the acceptance logic sequentially, so the
-// accepted set is bit-identical to the sequential loop's, while the
-// trial bodies still execute in parallel batches. Wasted work past an
-// early stop is bounded by one batch (a few times the worker count).
-func Stream[R any](limit int, trial func(i int) (R, error), consume func(i int, r R) (more bool, err error)) error {
-	if limit <= 0 {
-		return nil
-	}
-	if Workers() == 1 {
-		for i := 0; i < limit; i++ {
-			r, err := trial(i)
-			if err != nil {
-				return err
-			}
-			more, err := consume(i, r)
-			if err != nil {
-				return err
-			}
-			if !more {
-				return nil
-			}
-		}
-		return nil
-	}
-	batch := Workers() * 4
-	results := make([]R, batch)
-	errs := make([]error, batch)
-	for lo := 0; lo < limit; lo += batch {
-		hi := lo + batch
-		if hi > limit {
-			hi = limit
-		}
-		runPool(lo, hi, func(i int) {
-			results[i-lo], errs[i-lo] = trial(i)
-		})
-		for i := lo; i < hi; i++ {
-			if errs[i-lo] != nil {
-				return errs[i-lo]
-			}
-			more, err := consume(i, results[i-lo])
-			if err != nil {
-				return err
-			}
-			if !more {
-				return nil
-			}
-		}
-	}
-	return nil
-}
-
-// runPool executes fn(i) for every i in [lo, hi) across Workers()
-// goroutines, dispatching indices from an atomic counter, and returns
-// when all are done.
-func runPool(lo, hi int, fn func(i int)) {
-	workers := Workers()
-	if span := hi - lo; workers > span {
-		workers = span
-	}
-	var next atomic.Int64
-	next.Store(int64(lo))
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= hi {
-					return
-				}
-				fn(i)
-			}
-		}()
-	}
-	wg.Wait()
 }

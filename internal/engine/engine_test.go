@@ -91,86 +91,6 @@ func TestMapEmpty(t *testing.T) {
 	}
 }
 
-// TestStreamMatchesSequential checks the early-stopping contract: the
-// accepted prefix must be identical in both modes, including which
-// trial index the stream stopped at.
-func TestStreamMatchesSequential(t *testing.T) {
-	parent := rng.New(7)
-	trial := func(i int) (int, error) {
-		s := parent.Split(fmt.Sprintf("t-%d", i))
-		return s.Intn(10), nil
-	}
-	run := func() (accepted []int, last int) {
-		valid := 0
-		err := Stream(400, trial, func(i int, r int) (bool, error) {
-			last = i
-			if r >= 5 { // acceptance rule: half the trials are invalid
-				return true, nil
-			}
-			accepted = append(accepted, r)
-			valid++
-			return valid < 20, nil
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return accepted, last
-	}
-	pinWorkers(t, 1)
-	seqAcc, seqLast := run()
-	pinWorkers(t, 8)
-	parAcc, parLast := run()
-	if len(seqAcc) != 20 || len(parAcc) != 20 {
-		t.Fatalf("accepted %d/%d, want 20", len(seqAcc), len(parAcc))
-	}
-	if seqLast != parLast {
-		t.Fatalf("stopped at %d sequential vs %d parallel", seqLast, parLast)
-	}
-	for i := range seqAcc {
-		if seqAcc[i] != parAcc[i] {
-			t.Fatalf("accepted[%d]: %d != %d", i, seqAcc[i], parAcc[i])
-		}
-	}
-}
-
-// TestStreamError propagates the trial error at the right index.
-func TestStreamError(t *testing.T) {
-	sentinel := errors.New("bad trial")
-	pinWorkers(t, 4)
-	var consumed atomic.Int64
-	err := Stream(100, func(i int) (int, error) {
-		if i == 9 {
-			return 0, sentinel
-		}
-		return i, nil
-	}, func(i int, r int) (bool, error) {
-		consumed.Add(1)
-		return true, nil
-	})
-	if !errors.Is(err, sentinel) {
-		t.Fatalf("got %v, want trial error", err)
-	}
-	if consumed.Load() != 9 {
-		t.Fatalf("consumed %d results before the failing index, want 9", consumed.Load())
-	}
-}
-
-// TestStreamConsumeError stops the campaign on a consumer error.
-func TestStreamConsumeError(t *testing.T) {
-	sentinel := errors.New("consumer rejects")
-	pinWorkers(t, 4)
-	err := Stream(50, func(i int) (int, error) { return i, nil },
-		func(i int, r int) (bool, error) {
-			if i == 3 {
-				return false, sentinel
-			}
-			return true, nil
-		})
-	if !errors.Is(err, sentinel) {
-		t.Fatalf("got %v, want consumer error", err)
-	}
-}
-
 // TestWorkersOverride checks the override round-trips and clamps.
 func TestWorkersOverride(t *testing.T) {
 	prev := SetWorkers(6)

@@ -39,11 +39,12 @@ func (r AblationAllocResult) String() string {
 }
 
 // AblationAllocation runs the allocation ablation on a scarce-bus
-// wafer.
+// wafer: 2 buses per lane, so requests that share a lane collide in
+// the decentralized allocator's round-start proposals.
 func AblationAllocation(seed uint64, requests int) (AblationAllocResult, error) {
 	mkRack := func() (*wafer.Rack, error) {
 		cfg := wafer.DefaultConfig()
-		cfg.BusesPerLane = 4
+		cfg.BusesPerLane = 2
 		return wafer.NewRack(cfg, 1)
 	}
 	// The two regimes are independent (each builds its own rack,

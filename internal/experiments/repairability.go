@@ -39,12 +39,17 @@ func (r RepairabilityResult) String() string {
 	return b.String()
 }
 
-// repairTrial is one scenario's outcome, computed in parallel and
-// folded sequentially by the consumer below.
-type repairTrial struct {
-	// skip marks a scenario that does not count as a trial (nothing
-	// placed, no spares, single-chip victim, or a ring-less repair).
-	skip       bool
+// repairScenario is one usable rack/failure draw: a packed rack, the
+// chip that fails in it, and the seed of its optical repair.
+type repairScenario struct {
+	t           *torus.Torus
+	a           *torus.Allocation
+	failed      int
+	opticalSeed uint64
+}
+
+// repairOutcome is one scenario's two repair attempts.
+type repairOutcome struct {
 	elecOK     bool
 	congestion int
 	congested  bool
@@ -53,91 +58,109 @@ type repairTrial struct {
 
 // Repairability runs the sweep: each trial packs a 4x4x4 rack with
 // random tenants (leaving spares), fails a random ring-carrying chip,
-// and attempts both repairs. The campaign keeps drawing scenarios
-// until `trials` are valid (capped at 4x the budget); the scenario
-// bodies run in parallel batches while the acceptance cutoff is
-// applied in strict index order, so the accepted set — and therefore
-// the result — is bit-identical to a sequential run.
+// and attempts both repairs. A sequential scan over scenario indices
+// keeps the first `trials` usable draws (capped at 4x the budget);
+// only those fan out to engine.Map, and their outcomes fold in index
+// order, so the result is bit-identical to a sequential run.
 func Repairability(seed uint64, trials int) (RepairabilityResult, error) {
-	r := rng.New(seed)
-	res := RepairabilityResult{}
-	var congestionSum, congestionN int
-	err := engine.Stream(trials*4, func(trial int) (repairTrial, error) {
-		var out repairTrial
-		stream := r.Split(fmt.Sprintf("trial-%d", trial))
-		t := torus.New(torus.TPUv4RackShape)
-		placer := alloc.NewPlacer(t)
-		// Up to 3 tenants so spares remain for repair.
-		placed := alloc.RandomTenants(placer, stream, 3)
-		if len(placed) == 0 || placer.FreeCount() == 0 {
-			out.skip = true
-			return out, nil
-		}
-		a, err := placer.Allocation()
-		if err != nil {
-			return out, err
-		}
-		// Fail a random allocated chip belonging to a multi-chip slice.
-		victim := placed[stream.Intn(len(placed))]
-		if victim.Size() < 2 {
-			out.skip = true
-			return out, nil
-		}
-		chips := victim.Chips(t)
-		failed := chips[stream.Intn(len(chips))]
-
-		elecFabric, err := failure.NewFabric(t, []*torus.Allocation{a}, 2)
-		if err != nil {
-			return out, err
-		}
-		plan, err := elecFabric.ElectricalRepair(0, failed, 16)
-		switch {
-		case err == nil:
-			out.elecOK = true
-		case errors.Is(err, failure.ErrNoCongestionFreeRepair):
-			if plan != nil {
-				out.congestion = plan.Congestion
-				out.congested = true
-			}
-		default:
-			// "carries no rings": nothing to repair; not a trial.
-			out.skip = true
-			return out, nil
-		}
-
-		optFabric, err := failure.NewFabric(t, []*torus.Allocation{a}, 2)
-		if err != nil {
-			return out, err
-		}
-		if _, err := optFabric.OpticalRepair(0, failed, 2, 0, stream.Uint64()); err == nil {
-			out.optOK = true
-		}
-		return out, nil
-	}, func(_ int, tr repairTrial) (bool, error) {
-		if tr.skip {
-			return true, nil
-		}
-		if tr.elecOK {
-			res.ElectricalOK++
-		}
-		if tr.congested {
-			congestionSum += tr.congestion
-			congestionN++
-		}
-		if tr.optOK {
-			res.OpticalOK++
-		}
-		res.Trials++
-		return res.Trials < trials, nil
+	scenarios, err := repairScenarios(rng.New(seed), trials)
+	if err != nil {
+		return RepairabilityResult{}, err
+	}
+	if len(scenarios) == 0 {
+		return RepairabilityResult{}, fmt.Errorf("experiments: repairability produced no valid trials")
+	}
+	outcomes, err := engine.Map(len(scenarios), func(i int) (repairOutcome, error) {
+		return repairOne(scenarios[i])
 	})
 	if err != nil {
-		return res, err
+		return RepairabilityResult{}, err
 	}
-	if res.Trials == 0 {
-		return res, fmt.Errorf("experiments: repairability produced no valid trials")
+	res := RepairabilityResult{Trials: len(outcomes)}
+	var congestionSum, congestionN int
+	for _, o := range outcomes {
+		if o.elecOK {
+			res.ElectricalOK++
+		}
+		if o.congested {
+			congestionSum += o.congestion
+			congestionN++
+		}
+		if o.optOK {
+			res.OpticalOK++
+		}
 	}
 	if congestionN > 0 {
 		res.MeanCongestion = float64(congestionSum) / float64(congestionN)
 	}
 	return res, nil
+}
+
+// repairScenarios draws scenarios 0, 1, 2, ... from r's index-derived
+// streams and keeps the usable ones until it has `trials` of them or
+// has drawn 4*trials. A draw is unusable when nothing was placed, no
+// spare is left, the victim is a single chip, or the failed chip
+// carries no rings.
+func repairScenarios(r *rng.Rand, trials int) ([]repairScenario, error) {
+	var kept []repairScenario
+	for i := 0; i < 4*trials && len(kept) < trials; i++ {
+		stream := r.Split(fmt.Sprintf("trial-%d", i))
+		t := torus.New(torus.TPUv4RackShape)
+		placer := alloc.NewPlacer(t)
+		// Up to 3 tenants so spares remain for repair.
+		placed := alloc.RandomTenants(placer, stream, 3)
+		if len(placed) == 0 || placer.FreeCount() == 0 {
+			continue
+		}
+		a, err := placer.Allocation()
+		if err != nil {
+			return nil, err
+		}
+		// Fail a random allocated chip belonging to a multi-chip slice.
+		victim := placed[stream.Intn(len(placed))]
+		if victim.Size() < 2 {
+			continue
+		}
+		chips := victim.Chips(t)
+		sc := repairScenario{t: t, a: a, failed: chips[stream.Intn(len(chips))], opticalSeed: stream.Uint64()}
+		fabric, err := failure.NewFabric(t, []*torus.Allocation{a}, 2)
+		if err != nil {
+			return nil, err
+		}
+		if _, err := fabric.RepairEndpoints(0, sc.failed); err != nil {
+			continue // the chip carries no rings: nothing to repair
+		}
+		kept = append(kept, sc)
+	}
+	return kept, nil
+}
+
+// repairOne attempts the electrical and the optical repair of one
+// scenario, each on a fabric of its own.
+func repairOne(sc repairScenario) (repairOutcome, error) {
+	var out repairOutcome
+	elecFabric, err := failure.NewFabric(sc.t, []*torus.Allocation{sc.a}, 2)
+	if err != nil {
+		return out, err
+	}
+	plan, err := elecFabric.ElectricalRepair(0, sc.failed, 16)
+	switch {
+	case err == nil:
+		out.elecOK = true
+	case errors.Is(err, failure.ErrNoCongestionFreeRepair):
+		if plan != nil {
+			out.congestion = plan.Congestion
+			out.congested = true
+		}
+	default:
+		return out, err
+	}
+	optFabric, err := failure.NewFabric(sc.t, []*torus.Allocation{sc.a}, 2)
+	if err != nil {
+		return out, err
+	}
+	if _, err := optFabric.OpticalRepair(0, sc.failed, 2, 0, sc.opticalSeed); err == nil {
+		out.optOK = true
+	}
+	return out, nil
 }
