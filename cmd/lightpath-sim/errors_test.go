@@ -6,10 +6,12 @@ import (
 	"testing"
 
 	"lightpath/internal/chaos"
+	"lightpath/internal/collective"
 	"lightpath/internal/ctrl"
 	"lightpath/internal/invariant"
 	"lightpath/internal/netsim"
 	"lightpath/internal/route"
+	"lightpath/internal/torus"
 	"lightpath/internal/unit"
 	"lightpath/internal/wafer"
 )
@@ -30,7 +32,6 @@ func TestErrorTaxonomyFromTheTop(t *testing.T) {
 		}
 		return route.NewAllocator(rack, nil)
 	}
-	stallPolicy := netsim.RetryPolicy{Detection: 1, Backoff: 0.5, BackoffFactor: 2, MaxRetries: 4}
 
 	cases := []struct {
 		name     string
@@ -66,31 +67,21 @@ func TestErrorTaxonomyFromTheTop(t *testing.T) {
 			},
 		},
 		{
-			name:     "flow retries exhausted",
-			sentinel: netsim.ErrRetriesExhausted,
-			context:  "flow",
+			name:     "starved flow in a schedule step",
+			sentinel: netsim.ErrStarvedFlow,
+			context:  "step 0",
 			trigger: func(t *testing.T) error {
-				flows := []netsim.Flow[string]{{Bytes: unit.GB, Via: []string{"l"}}}
-				caps := map[string]unit.BitRate{"l": unit.GBps(1)}
-				events := []netsim.Event[string]{
-					{At: 0.1, Fail: []string{"l"}},
-					{At: 1 << 20, Restore: []string{"l"}},
+				// A detour function that finds no links leaves a
+				// positive-byte transfer with nothing to cross.
+				sched := &collective.Schedule{
+					N: 8, ElemBytes: 4,
+					Steps: []collective.Step{{Transfers: []collective.Transfer{
+						{From: 0, To: 1, Range: collective.Range{Lo: 0, Hi: 8}},
+					}}},
 				}
-				_, err := netsim.RunEvents(flows, caps, events, stallPolicy)
-				return err
-			},
-		},
-		{
-			name:     "flows stalled forever",
-			sentinel: netsim.ErrStalledForever,
-			context:  "t=",
-			trigger: func(t *testing.T) error {
-				flows := []netsim.Flow[string]{{Bytes: unit.GB, Via: []string{"l"}}}
-				caps := map[string]unit.BitRate{"l": unit.GBps(1)}
-				events := []netsim.Event[string]{{At: 0.1, Fail: []string{"l"}}}
-				pol := stallPolicy
-				pol.MaxRetries = 1 << 30
-				_, err := netsim.RunEvents(flows, caps, events, pol)
+				noPath := func(collective.Transfer) []torus.Link { return nil }
+				var e netsim.Executor
+				_, err := e.Electrical(sched, torus.New(torus.Shape{4, 4, 4}), unit.GBps(1), noPath, netsim.ExecOptions{})
 				return err
 			},
 		},

@@ -55,8 +55,8 @@ type ChaosPolicy struct {
 	Width int
 }
 
-// DefaultChaosPolicy matches the netsim retry defaults: 10 us
-// detection, width-4 repair circuits (the Figure 7 width).
+// DefaultChaosPolicy is 10 us detection (a handful of round trips at
+// rack scale) and width-4 repair circuits (the Figure 7 width).
 func DefaultChaosPolicy() ChaosPolicy {
 	return ChaosPolicy{Detection: 10 * unit.Microsecond, Width: 4}
 }
@@ -395,8 +395,8 @@ func (f *Fabric) stepOverhead(s *collective.Schedule, i int) unit.Seconds {
 }
 
 // stepDataTime is the data phase of one step on dedicated circuits:
-// the largest per-chip payload at circuit bandwidth (the ExecuteOptical
-// model).
+// the largest per-chip payload at circuit bandwidth (the
+// netsim.Executor.Optical model).
 func (f *Fabric) stepDataTime(s *collective.Schedule, i int, circuitBW unit.BitRate) unit.Seconds {
 	if len(f.stepChipBytes) < f.torus.Size() {
 		f.stepChipBytes = make([]unit.Bytes, f.torus.Size())

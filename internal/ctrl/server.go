@@ -309,60 +309,42 @@ func (s *Server) Submit(req Request, arrival unit.Seconds) (Response, unit.Secon
 	s.busyUntil = finish
 	s.pending = append(s.pending, finish)
 
-	switch req.Op {
-	case OpEstablish:
-		c, degraded, err := s.alloc.EstablishDegraded(
-			route.Request{A: req.A, B: req.B, Width: req.Width}, start)
-		if err != nil {
-			brk.Failure(start)
-			resp.Status = statusOf(err)
-			resp.Detail = setupDetail(resp.Status, err)
-			s.countSetupFailure(err)
-			return resp, finish
-		}
-		brk.Success()
-		s.stats.Served++
-		if degraded {
-			s.stats.Degraded++
-		}
-		resp.Status = StatusOK
-		resp.Circuit = c.ID
-		resp.Width = c.Width
-		resp.Degraded = degraded
-		return resp, finish
-
-	case OpRelease:
+	if req.Op == OpRelease {
 		c, _ := s.alloc.CircuitByID(req.Circuit) // validated above
 		s.alloc.Release(c)
 		s.stats.Served++
 		resp.Status = StatusOK
 		resp.Circuit = req.Circuit
 		return resp, finish
+	}
 
-	default: // OpReroute, validated above
+	// Establish and reroute share the degrade ladder: a reroute frees
+	// its circuit (validated above) and asks for the same endpoints and
+	// width again.
+	rr := route.Request{A: req.A, B: req.B, Width: req.Width}
+	if req.Op == OpReroute {
 		c, _ := s.alloc.CircuitByID(req.Circuit)
-		want := c.Width
+		rr = route.Request{A: c.A, B: c.B, Width: c.Width}
 		s.alloc.Release(c)
-		nc, degraded, err := s.alloc.EstablishDegraded(
-			route.Request{A: c.A, B: c.B, Width: want}, start)
-		if err != nil {
-			brk.Failure(start)
-			resp.Status = statusOf(err)
-			resp.Detail = setupDetail(resp.Status, err)
-			s.countSetupFailure(err)
-			return resp, finish
-		}
-		brk.Success()
-		s.stats.Served++
-		if degraded {
-			s.stats.Degraded++
-		}
-		resp.Status = StatusOK
-		resp.Circuit = nc.ID
-		resp.Width = nc.Width
-		resp.Degraded = degraded
+	}
+	c, degraded, err := s.alloc.EstablishDegraded(rr, start)
+	if err != nil {
+		brk.Failure(start)
+		resp.Status = statusOf(err)
+		resp.Detail = setupDetail(resp.Status, err)
+		s.countSetupFailure(err)
 		return resp, finish
 	}
+	brk.Success()
+	s.stats.Served++
+	if degraded {
+		s.stats.Degraded++
+	}
+	resp.Status = StatusOK
+	resp.Circuit = c.ID
+	resp.Width = c.Width
+	resp.Degraded = degraded
+	return resp, finish
 }
 
 // regions returns the server-owned health scratch resized to n,

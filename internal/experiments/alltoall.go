@@ -57,6 +57,7 @@ func AllToAll(buffers []unit.Bytes) (AllToAllResult, error) {
 	p := cost.DefaultParams()
 	res := AllToAllResult{Chips: len(chips)}
 
+	var exec netsim.Executor
 	for _, buf := range buffers {
 		n := int(buf / 4)
 		if n < len(chips) {
@@ -80,13 +81,13 @@ func AllToAll(buffers []unit.Bytes) (AllToAllResult, error) {
 		// Electrical: dimension-ordered routing over the torus; every
 		// hop contends for the per-dimension link share.
 		pathOf := func(tr collective.Transfer) []torus.Link { return t.DORPath(tr.From, tr.To) }
-		elec, err := netsim.ExecuteElectrical(elecSched, t, p.ChipBandwidth/unit.BitRate(p.PhysDims), pathOf, netsim.ExecOptions{Alpha: p.Alpha})
+		elec, err := exec.Electrical(elecSched, t, p.ChipBandwidth/unit.BitRate(p.PhysDims), pathOf, netsim.ExecOptions{Alpha: p.Alpha})
 		if err != nil {
 			return AllToAllResult{}, err
 		}
 		// Optical: one dedicated circuit per chip per step at the full
 		// egress (only one partner at a time), reprogrammed each step.
-		opt, err := netsim.ExecuteOptical(optSched, p.ChipBandwidth, netsim.ExecOptions{Alpha: p.Alpha, Reconfig: p.Reconfig})
+		opt, err := exec.Optical(optSched, p.ChipBandwidth, netsim.ExecOptions{Alpha: p.Alpha, Reconfig: p.Reconfig})
 		if err != nil {
 			return AllToAllResult{}, err
 		}

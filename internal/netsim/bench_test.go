@@ -7,50 +7,6 @@ import (
 	"lightpath/internal/unit"
 )
 
-// BenchmarkRunEvents exercises the fluid solver's hot loop — many
-// flows contending on shared links through a fail/restore cycle — to
-// pin the per-iteration scratch reuse (rate vectors, residual maps)
-// introduced for the campaign fan-out. The paper metric is the run's
-// makespan, seed-free and exactly reproducible.
-func BenchmarkRunEvents(b *testing.B) {
-	const n = 32
-	flows := make([]Flow[string], n)
-	for i := range flows {
-		flows[i] = Flow[string]{
-			Bytes: unit.GB,
-			Via:   []string{fmt.Sprintf("l%d", i%8), "trunk"},
-		}
-	}
-	caps := map[string]unit.BitRate{"trunk": unit.GBps(64)}
-	for i := 0; i < 8; i++ {
-		caps[fmt.Sprintf("l%d", i)] = unit.GBps(4)
-	}
-	events := []Event[string]{
-		{At: 0.5, Fail: []string{"l3"}},
-		{At: 1.5, Restore: []string{"l3"}},
-	}
-	pol := RetryPolicy{Detection: 2, Backoff: 0.5, BackoffFactor: 2, MaxRetries: 4}
-	var makespan float64
-	var sim Sim[string]
-	// One untimed call warms the Sim's scratch so the measurement is
-	// the steady state the campaigns run in (under `make bench`'s
-	// small time budget a cold first iteration would otherwise charge
-	// the one-time scratch construction to the result).
-	if _, err := sim.RunEvents(flows, caps, events, pol); err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res, err := sim.RunEvents(flows, caps, events, pol)
-		if err != nil {
-			b.Fatal(err)
-		}
-		makespan = float64(res.Makespan)
-	}
-	b.ReportMetric(makespan, "makespan_s")
-}
-
 // benchFlows builds f flows each crossing via shared resources drawn
 // from a pool of r links, with hops resources per flow — the knobs the
 // FairRates microbenchmarks turn to separate per-flow from

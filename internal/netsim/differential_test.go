@@ -143,8 +143,9 @@ func checkAgainstOracle(t testing.TB, flows []Flow[int], caps map[int]unit.BitRa
 		}
 	}
 
-	// End-to-end: completion times and delivered bytes.
-	got, gotErr := Run(flows, caps)
+	// End-to-end: completion times and delivered bytes, through the
+	// same Sim (Run rebuilds every structure the retirements touched).
+	got, gotErr := sim.Run(flows, caps)
 	ref, refErr := oracleRun(flows, caps)
 	if (gotErr == nil) != (refErr == nil) {
 		t.Fatalf("error divergence: CSR %v, oracle %v", gotErr, refErr)

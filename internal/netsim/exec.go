@@ -29,8 +29,7 @@ type ExecOptions struct {
 // every per-step structure — the flow list, the capacity map, the
 // per-chip payload tally, and the solver's own scratch — across steps
 // and calls. A zero Executor is ready to use; it must not be shared
-// between goroutines. The package-level ExecuteElectrical and
-// ExecuteOptical are shims over a fresh Executor for one-shot callers.
+// between goroutines.
 type Executor struct {
 	sim     Sim[torus.Link]
 	flows   []Flow[torus.Link]
@@ -123,18 +122,4 @@ func (e *Executor) Optical(s *collective.Schedule, circuitBW unit.BitRate, opt E
 		total += opt.Alpha + worst
 	}
 	return total, nil
-}
-
-// ExecuteElectrical is Executor.Electrical on a fresh Executor —
-// convenient for one-shot callers; loops should hold an Executor.
-func ExecuteElectrical(s *collective.Schedule, t *torus.Torus, linkBW unit.BitRate, pathOf func(collective.Transfer) []torus.Link, opt ExecOptions) (unit.Seconds, error) {
-	var e Executor
-	return e.Electrical(s, t, linkBW, pathOf, opt)
-}
-
-// ExecuteOptical is Executor.Optical on a fresh Executor — convenient
-// for one-shot callers; loops should hold an Executor.
-func ExecuteOptical(s *collective.Schedule, circuitBW unit.BitRate, opt ExecOptions) (unit.Seconds, error) {
-	var e Executor
-	return e.Optical(s, circuitBW, opt)
 }

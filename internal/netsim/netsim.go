@@ -43,19 +43,6 @@ type Result struct {
 // bytes but traverses no resource or a zero-capacity resource.
 var ErrStarvedFlow = errors.New("netsim: flow can never complete")
 
-// Run simulates the flows sharing the given resource capacities until
-// all complete, returning per-flow completion times. Flows with zero
-// bytes complete at time zero. Resources not present in caps are an
-// error — silently treating them as infinite would hide modeling bugs.
-//
-// Run is a convenience shim over a fresh Sim; callers simulating many
-// flow sets hold a Sim and call its Run method to reuse the solver's
-// interning tables, CSR incidence and result storage across calls.
-func Run[R comparable](flows []Flow[R], caps map[R]unit.BitRate) (Result, error) {
-	var s Sim[R]
-	return s.Run(flows, caps)
-}
-
 // rateScratch is the reusable working storage of the max-min fair
 // rate computation. The fluid simulators recompute rates once per
 // completion event, so allocating these five structures per call

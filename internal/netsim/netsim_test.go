@@ -19,7 +19,8 @@ func approx(a, b unit.Seconds, tol float64) bool {
 func TestSingleFlowExactTime(t *testing.T) {
 	flows := []Flow[string]{{Bytes: unit.GB, Via: []string{"l"}}}
 	caps := map[string]unit.BitRate{"l": unit.GBps(1)}
-	res, err := Run(flows, caps)
+	var sim Sim[string]
+	res, err := sim.Run(flows, caps)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,7 +40,8 @@ func TestTwoFlowsShareLink(t *testing.T) {
 		{Bytes: unit.GB, Via: []string{"l"}},
 	}
 	caps := map[string]unit.BitRate{"l": unit.GBps(1)}
-	res, err := Run(flows, caps)
+	var sim Sim[string]
+	res, err := sim.Run(flows, caps)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,7 +59,8 @@ func TestUnequalFlowsFreeCapacityEarly(t *testing.T) {
 		{Bytes: unit.GB, Via: []string{"l"}},
 	}
 	caps := map[string]unit.BitRate{"l": unit.GBps(1)}
-	res, err := Run(flows, caps)
+	var sim Sim[string]
+	res, err := sim.Run(flows, caps)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +96,8 @@ func approxF(a, b float64) bool { return math.Abs(a-b)/b < 1e-9 }
 
 func TestZeroByteFlowsCompleteImmediately(t *testing.T) {
 	flows := []Flow[string]{{Bytes: 0, Via: nil}}
-	res, err := Run(flows, map[string]unit.BitRate{})
+	var sim Sim[string]
+	res, err := sim.Run(flows, map[string]unit.BitRate{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,16 +108,17 @@ func TestZeroByteFlowsCompleteImmediately(t *testing.T) {
 
 func TestRunErrors(t *testing.T) {
 	caps := map[string]unit.BitRate{"l": unit.GBps(1), "dead": 0}
-	if _, err := Run([]Flow[string]{{Bytes: 1, Via: nil}}, caps); !errors.Is(err, ErrStarvedFlow) {
+	var sim Sim[string]
+	if _, err := sim.Run([]Flow[string]{{Bytes: 1, Via: nil}}, caps); !errors.Is(err, ErrStarvedFlow) {
 		t.Errorf("no-resource flow: %v", err)
 	}
-	if _, err := Run([]Flow[string]{{Bytes: 1, Via: []string{"dead"}}}, caps); !errors.Is(err, ErrStarvedFlow) {
+	if _, err := sim.Run([]Flow[string]{{Bytes: 1, Via: []string{"dead"}}}, caps); !errors.Is(err, ErrStarvedFlow) {
 		t.Errorf("zero-capacity flow: %v", err)
 	}
-	if _, err := Run([]Flow[string]{{Bytes: 1, Via: []string{"missing"}}}, caps); err == nil {
+	if _, err := sim.Run([]Flow[string]{{Bytes: 1, Via: []string{"missing"}}}, caps); err == nil {
 		t.Error("unknown resource accepted")
 	}
-	if _, err := Run([]Flow[string]{{Bytes: -1, Via: []string{"l"}}}, caps); err == nil {
+	if _, err := sim.Run([]Flow[string]{{Bytes: -1, Via: []string{"l"}}}, caps); err == nil {
 		t.Error("negative size accepted")
 	}
 }
@@ -121,6 +126,7 @@ func TestRunErrors(t *testing.T) {
 // Conservation invariant (DESIGN.md): bytes delivered per flow equal
 // bytes requested, for arbitrary flow sets.
 func TestConservationProperty(t *testing.T) {
+	var sim Sim[string]
 	f := func(sizes []uint16, linkChoices []uint8) bool {
 		if len(sizes) == 0 {
 			return true
@@ -142,7 +148,7 @@ func TestConservationProperty(t *testing.T) {
 			}
 			flows = append(flows, Flow[string]{Bytes: unit.Bytes(s), Via: via})
 		}
-		res, err := Run(flows, caps)
+		res, err := sim.Run(flows, caps)
 		if err != nil {
 			return false
 		}
@@ -164,6 +170,7 @@ func TestConservationProperty(t *testing.T) {
 // Work-conservation lower bound: the makespan is at least the most
 // loaded link's total bytes over its capacity.
 func TestMakespanMeetsLinkLoadBound(t *testing.T) {
+	var sim Sim[string]
 	f := func(sizes []uint16) bool {
 		if len(sizes) == 0 {
 			return true
@@ -175,7 +182,7 @@ func TestMakespanMeetsLinkLoadBound(t *testing.T) {
 			total += unit.Bytes(s) + 1
 		}
 		caps := map[string]unit.BitRate{"l": unit.GBps(1)}
-		res, err := Run(flows, caps)
+		res, err := sim.Run(flows, caps)
 		if err != nil {
 			return false
 		}

@@ -104,7 +104,7 @@ func components(flows []Flow[int]) (compOfFlow []int, nComp int) {
 // fairRates oracle run on the component's flows alone.
 func checkShardedCase(t testing.TB, flows []Flow[int], caps map[int]unit.BitRate) {
 	t.Helper()
-	var sim Sim[int]
+	var sim, solo Sim[int]
 	got, err := sim.RunSharded(flows, caps)
 	if err != nil {
 		return
@@ -119,7 +119,7 @@ func checkShardedCase(t testing.TB, flows []Flow[int], caps map[int]unit.BitRate
 				idx = append(idx, i)
 			}
 		}
-		want, err := Run(sub, caps)
+		want, err := solo.Run(sub, caps)
 		if err != nil {
 			t.Fatalf("component %d: %v", c, err)
 		}
@@ -165,8 +165,8 @@ func TestShardedSingleComponentMatchesRun(t *testing.T) {
 		if _, nComp := components(flows); nComp != 1 {
 			continue
 		}
-		want, wantErr := Run(flows, caps)
-		var sim Sim[int]
+		var seq, sim Sim[int]
+		want, wantErr := seq.Run(flows, caps)
 		got, gotErr := sim.RunSharded(flows, caps)
 		if (wantErr == nil) != (gotErr == nil) {
 			t.Fatalf("seed %d: error divergence: Run %v, RunSharded %v", seed, wantErr, gotErr)

@@ -25,10 +25,9 @@ import (
 //   - Flows and resources are partitioned into connected components
 //     of the sharing graph once per call. Rates in one component
 //     never depend on another component's flows, so when a
-//     completion, failure, or restore event changes a flow's
-//     activity, only its component is refilled; every other
-//     component keeps its cached rates. A full refill happens
-//     exactly once per Run/RunEvents call, when everything starts
+//     completion retires a flow, only its component is refilled;
+//     every other component keeps its cached rates. A full refill
+//     happens exactly once per Run call, when everything starts
 //     dirty. (DESIGN.md "Performance engineering" gives the
 //     byte-identity argument.)
 //
@@ -37,11 +36,11 @@ import (
 // executors, the campaign loops — runs allocation-free at steady
 // state. A Sim must not be used from multiple goroutines at once.
 
-// Sim is a reusable fluid-flow simulator. The package-level Run and
-// RunEvents are shims that run a fresh Sim per call; callers on a hot
-// path hold one Sim and call its methods so every scratch structure —
-// the interning table, the CSR incidence, rate vectors, and the
-// returned result slices — is reused.
+// Sim is a reusable fluid-flow simulator with two entry points: Run
+// advances one global clock from completion to completion, and
+// RunSharded (shard.go) runs one clock per component. Every scratch
+// structure — the interning table, the CSR incidence, rate vectors,
+// and the returned result slices — is reused across calls.
 type Sim[R comparable] struct {
 	// Interning: resource -> dense id in first-use order, and back.
 	ids   map[R]int32
@@ -74,9 +73,8 @@ type Sim[R comparable] struct {
 	refillOrder   []int32 // per-refill bottleneck scan order scratch
 
 	// Progressive-filling state. active[f] is whether flow f takes
-	// part in the rate computation (positive remaining bytes and, for
-	// RunEvents, running phase); dirty[c] marks components whose
-	// activity changed since their last refill.
+	// part in the rate computation (positive remaining bytes); dirty[c]
+	// marks components with a completion since their last refill.
 	rates    []float64
 	frozen   []bool
 	residual []float64
@@ -84,26 +82,13 @@ type Sim[R comparable] struct {
 	active   []bool
 	dirty    []bool
 
-	// Event-loop scratch, hoisted out of RunEvents so repeated calls
-	// do not re-allocate it (the old per-call dead map, phase,
-	// deadline and runRemaining slices).
+	// remaining[f] is flow f's undelivered bytes.
 	remaining []float64
-	deadRes   []bool
-	phase     []flowPhase
-	deadline  []float64
-	// Per-event failed/restored resource ids, CSR by event index, so
-	// the event loop applies health changes without map lookups.
-	evFailStart    []int32
-	evFail         []int32
-	evRestoreStart []int32
-	evRestore      []int32
 
-	// Result storage. The slices returned in Result/EventResult alias
-	// these and are valid until the next call on the same Sim.
+	// Result storage. The slices returned in Result alias these and
+	// are valid until the next call on the same Sim.
 	flowEnd   []unit.Seconds
 	delivered []unit.Bytes
-	retries   []int
-	stalled   []unit.Seconds
 }
 
 // grow returns s with length n, reusing capacity. Contents are
@@ -116,7 +101,7 @@ func grow[T any](s []T, n int) []T {
 }
 
 // growZero returns s with length n and every element zeroed.
-func growZero[T ~int32 | ~float64 | ~int | ~int64 | bool](s []T, n int) []T {
+func growZero[T ~int32 | ~float64](s []T, n int) []T {
 	s = grow(s, n)
 	var zero T
 	for i := range s {
@@ -126,10 +111,10 @@ func growZero[T ~int32 | ~float64 | ~int | ~int64 | bool](s []T, n int) []T {
 }
 
 // build interns the flow set and constructs the CSR incidence, the
-// reverse index, and the component partition. It performs the same
-// validation, in the same order, as the original Run/RunEvents
-// prologue (negative sizes, empty Via, unknown and zero-capacity
-// resources) and returns the number of flows with positive bytes.
+// reverse index, and the component partition. It validates the flows
+// in index order (negative sizes, empty Via, unknown and
+// zero-capacity resources) and returns the number of flows with
+// positive bytes.
 func (s *Sim[R]) build(flows []Flow[R], caps map[R]unit.BitRate) (int, error) {
 	n := len(flows)
 	if s.ids == nil {
@@ -311,8 +296,8 @@ func (s *Sim[R]) find(x int32) int32 {
 	return x
 }
 
-// markFlowDirty schedules flow f's component for refilling after its
-// activity changed (completion, stall, or resume).
+// markFlowDirty schedules flow f's component for refilling after the
+// flow completed.
 func (s *Sim[R]) markFlowDirty(f int) {
 	if c := s.compOfFlow[f]; c >= 0 {
 		s.dirty[c] = true
@@ -403,9 +388,11 @@ func (s *Sim[R]) refill(c int32) {
 }
 
 // Run simulates the flows sharing the given resource capacities until
-// all complete, exactly like the package-level Run, reusing the Sim's
-// storage. The returned slices alias that storage and are valid until
-// the next call on this Sim.
+// all complete, returning per-flow completion times. Flows with zero
+// bytes complete at time zero. Resources not present in caps are an
+// error — silently treating them as infinite would hide modeling bugs.
+// The returned slices alias the Sim's storage and are valid until the
+// next call on this Sim.
 func (s *Sim[R]) Run(flows []Flow[R], caps map[R]unit.BitRate) (Result, error) {
 	active, err := s.build(flows, caps)
 	if err != nil {
@@ -453,218 +440,6 @@ func (s *Sim[R]) Run(flows []Flow[R], caps map[R]unit.BitRate) (Result, error) {
 				active--
 				s.active[i] = false
 				s.markFlowDirty(i)
-			}
-		}
-	}
-	for i := range flows {
-		if res.FlowEnd[i] > res.Makespan {
-			res.Makespan = res.FlowEnd[i]
-		}
-	}
-	return res, nil
-}
-
-// buildEvents interns the events' failed/restored resources into flat
-// CSR form. Resources no flow crosses are dropped: failing or
-// restoring them cannot stall anyone, exactly as with the oracle's
-// dead-set map.
-func (s *Sim[R]) buildEvents(events []Event[R]) {
-	s.evFailStart = grow(s.evFailStart, len(events)+1)
-	s.evRestoreStart = grow(s.evRestoreStart, len(events)+1)
-	s.evFail = s.evFail[:0]
-	s.evRestore = s.evRestore[:0]
-	s.evFailStart[0] = 0
-	s.evRestoreStart[0] = 0
-	for i, ev := range events {
-		for _, r := range ev.Fail {
-			if id, ok := s.ids[r]; ok {
-				s.evFail = append(s.evFail, id)
-			}
-		}
-		for _, r := range ev.Restore {
-			if id, ok := s.ids[r]; ok {
-				s.evRestore = append(s.evRestore, id)
-			}
-		}
-		s.evFailStart[i+1] = int32(len(s.evFail))
-		s.evRestoreStart[i+1] = int32(len(s.evRestore))
-	}
-}
-
-// healthy reports whether none of flow f's resources is failed.
-func (s *Sim[R]) healthy(f int) bool {
-	for k := s.viaStart[f]; k < s.viaStart[f+1]; k++ {
-		if s.deadRes[s.viaRes[k]] {
-			return false
-		}
-	}
-	return true
-}
-
-// RunEvents simulates the flows under the failure events, exactly
-// like the package-level RunEvents, reusing the Sim's storage. The
-// returned slices alias that storage and are valid until the next
-// call on this Sim.
-func (s *Sim[R]) RunEvents(flows []Flow[R], caps map[R]unit.BitRate, events []Event[R], pol RetryPolicy) (EventResult, error) {
-	if err := pol.validate(); err != nil {
-		return EventResult{}, err
-	}
-	for i := 1; i < len(events); i++ {
-		if events[i].At < events[i-1].At {
-			return EventResult{}, fmt.Errorf("netsim: events not sorted by time (event %d at %v after %v)",
-				i, events[i].At, events[i-1].At)
-		}
-	}
-	active, err := s.build(flows, caps)
-	if err != nil {
-		return EventResult{}, err
-	}
-	s.buildEvents(events)
-	n := len(flows)
-	s.flowEnd = growZero(s.flowEnd, n)
-	s.delivered = growZero(s.delivered, n)
-	s.retries = growZero(s.retries, n)
-	s.stalled = growZero(s.stalled, n)
-	res := EventResult{
-		Result:  Result{FlowEnd: s.flowEnd, Delivered: s.delivered},
-		Retries: s.retries,
-		Stalled: s.stalled,
-	}
-	s.remaining = grow(s.remaining, n)
-	s.phase = grow(s.phase, n)
-	s.deadline = grow(s.deadline, n)
-	remaining, phase, deadline := s.remaining, s.phase, s.deadline
-	for i, f := range flows {
-		remaining[i] = float64(f.Bytes)
-		deadline[i] = 0
-		if f.Bytes > 0 {
-			phase[i] = phaseRunning
-		} else {
-			phase[i] = phaseDone
-		}
-	}
-	s.deadRes = growZero(s.deadRes, len(s.names))
-
-	// Stalled flows transmit nothing, so they are excluded from the
-	// rate computation entirely (inactive) and the survivors share
-	// the full configured capacities.
-	now := 0.0
-	eventIdx := 0
-	//lightpath:hotloop
-	for active > 0 {
-		// Rates over running flows only; only components whose
-		// activity changed since the previous iteration refill.
-		s.computeRates()
-		rates := s.rates
-
-		// Advance to the next transition: a completion, an external
-		// event, a detection expiry, or a backoff expiry.
-		dt := math.Inf(1)
-		for i := range flows {
-			switch phase[i] {
-			case phaseRunning:
-				if rates[i] <= 0 {
-					return EventResult{}, fmt.Errorf("%w: flow %d received zero rate", ErrStarvedFlow, i)
-				}
-				if t := remaining[i] / rates[i]; t < dt {
-					dt = t
-				}
-			case phaseStalled, phaseBackoff:
-				if t := deadline[i] - now; t < dt {
-					dt = t
-				}
-			}
-		}
-		if eventIdx < len(events) {
-			if t := float64(events[eventIdx].At) - now; t < dt {
-				dt = t
-			}
-		}
-		if math.IsInf(dt, 1) {
-			return EventResult{}, fmt.Errorf("%w (t=%v)", ErrStalledForever, unit.Seconds(now))
-		}
-		if dt < 0 {
-			dt = 0
-		}
-		now += dt
-
-		// Progress and stall accounting.
-		for i := range flows {
-			switch phase[i] {
-			case phaseRunning:
-				remaining[i] -= rates[i] * dt
-				if remaining[i] <= 1e-6 {
-					remaining[i] = 0
-					phase[i] = phaseDone
-					res.FlowEnd[i] = unit.Seconds(now)
-					res.Delivered[i] = flows[i].Bytes
-					active--
-					s.active[i] = false
-					s.markFlowDirty(i)
-				}
-			case phaseStalled, phaseBackoff:
-				res.Stalled[i] += unit.Seconds(dt)
-			}
-		}
-
-		// External events at now.
-		for eventIdx < len(events) && float64(events[eventIdx].At) <= now+1e-15 {
-			for _, r := range s.evFail[s.evFailStart[eventIdx]:s.evFailStart[eventIdx+1]] {
-				s.deadRes[r] = true
-			}
-			for _, r := range s.evRestore[s.evRestoreStart[eventIdx]:s.evRestoreStart[eventIdx+1]] {
-				s.deadRes[r] = false
-			}
-			eventIdx++
-		}
-
-		// Phase transitions driven by health and deadlines. Every
-		// running<->not-running transition dirties the flow's
-		// component; stalled<->backoff moves do not change rates.
-		for i := range flows {
-			switch phase[i] {
-			case phaseRunning:
-				if !s.healthy(i) {
-					phase[i] = phaseStalled
-					deadline[i] = now + float64(pol.Detection)
-					s.active[i] = false
-					s.markFlowDirty(i)
-				}
-			case phaseStalled:
-				if s.healthy(i) {
-					// Healed inside the detection window: transparent
-					// resume, no retransmission.
-					phase[i] = phaseRunning
-					s.active[i] = true
-					s.markFlowDirty(i)
-					continue
-				}
-				if now >= deadline[i]-1e-15 {
-					// Declared dead: abandon the attempt, pay the
-					// backoff, retransmit from scratch.
-					res.WastedBytes += flows[i].Bytes - unit.Bytes(remaining[i])
-					res.Retries[i]++
-					if res.Retries[i] > pol.MaxRetries {
-						return EventResult{}, fmt.Errorf("%w: flow %d after %d attempts", ErrRetriesExhausted, i, res.Retries[i])
-					}
-					remaining[i] = float64(flows[i].Bytes)
-					backoff := float64(pol.Backoff) * math.Pow(pol.BackoffFactor, float64(res.Retries[i]-1))
-					phase[i] = phaseBackoff
-					deadline[i] = now + backoff
-				}
-			case phaseBackoff:
-				if now >= deadline[i]-1e-15 {
-					if s.healthy(i) {
-						phase[i] = phaseRunning
-						s.active[i] = true
-						s.markFlowDirty(i)
-					} else {
-						// Retry into a dead fabric: stall again and
-						// let detection charge the next retry.
-						phase[i] = phaseStalled
-						deadline[i] = now + float64(pol.Detection)
-					}
-				}
 			}
 		}
 	}

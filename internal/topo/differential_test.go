@@ -12,8 +12,8 @@ import (
 
 // This file carries the cross-topology leg of the sharded-solver
 // differential contract: on every Topology implementation, each
-// connected component's netsim.RunSharded results must be
-// bit-identical to netsim.Run — the solver the existing netsim
+// connected component's Sim.RunSharded results must be
+// bit-identical to Sim.Run — the solver the existing netsim
 // differential tests hold bit-for-bit to the fairRates oracle — on
 // that component's flows alone.
 
@@ -106,7 +106,7 @@ func TestShardedSolveAcrossTopologies(t *testing.T) {
 			for seed := uint64(0); seed < 20; seed++ {
 				flows := genTraffic(tp, seed, 200)
 
-				var sim netsim.Sim[int]
+				var sim, solo netsim.Sim[int]
 				got, err := sim.RunSharded(flows, caps)
 				if err != nil {
 					t.Fatalf("seed %d: %v", seed, err)
@@ -124,7 +124,7 @@ func TestShardedSolveAcrossTopologies(t *testing.T) {
 							idx = append(idx, i)
 						}
 					}
-					want, err := netsim.Run(sub, caps)
+					want, err := solo.Run(sub, caps)
 					if err != nil {
 						t.Fatalf("seed %d component %d: %v", seed, c, err)
 					}

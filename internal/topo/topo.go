@@ -57,7 +57,7 @@ type Topology interface {
 }
 
 // Capacities materializes a topology's link capacities as the
-// resource-capacity map netsim.Run / netsim.RunSharded consume, keyed
+// resource-capacity map netsim.Sim.Run / Sim.RunSharded consume, keyed
 // by dense link id.
 func Capacities(t Topology) map[int]unit.BitRate {
 	caps := make(map[int]unit.BitRate, t.Links())
