@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: all build test race race-stress lint fmt vet vet-sarif check chaos-smoke soak-smoke soak-resume-smoke rail-smoke controller-smoke bench bench-smoke
+.PHONY: all build test race race-stress fuzz-smoke lint fmt vet vet-sarif check chaos-smoke soak-smoke soak-resume-smoke rail-smoke controller-smoke bench bench-smoke
 
 all: check
 
@@ -39,6 +39,16 @@ race-stress:
 	$(GO) test -race -count=20 -cpu 1,2,8 -run '^(TestDaemonConcurrentClients|TestServeConnPipelinedFrames)$$' ./internal/ctrl
 	$(GO) test -race -count=20 -cpu 1,2,8 -run '^TestKillResumeCSVIdentical$$' ./cmd/lightpath-sim
 	$(GO) test -race -count=20 -cpu 1,2,8 -run '^(TestLoopCadenceAndStop|TestLoopWriteErrorNotDropped|TestLoopEncodersNeverAlias)$$|^TestKillResumeAnyBoundary$$' ./internal/evloop ./internal/ctrl/loadgen
+
+## fuzz-smoke: fuzz the fluid solver's two differential targets for
+## 10s each beyond their committed corpora (which every `go test`
+## replays): FuzzFairRates (rates and per-component completion times
+## against the reference oracle) and FuzzComponentPartition (the
+## component partition Sim.Run gives each clock to). A failing input
+## is written under internal/netsim/testdata/fuzz.
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz '^FuzzFairRates$$' -fuzztime 10s ./internal/netsim
+	$(GO) test -run '^$$' -fuzz '^FuzzComponentPartition$$' -fuzztime 10s ./internal/netsim
 
 ## lint: formatting check, go vet, and the repo-specific analyzers
 ## (per-analyzer counts printed; error-severity findings fail).
@@ -105,9 +115,10 @@ soak-resume-smoke:
 	if [ $$rc -ne 0 ]; then echo "resumed soak CSV diverged from golden (seed 2024)" >&2; exit 1; fi
 
 ## rail-smoke: run the acceptance-scale rail campaign (10,240
-## endpoints, 1,310,720 flows through the component-sharded solver)
-## once under the race detector and diff the CSV against the committed
-## golden. Any divergence means the sharded solve's arithmetic moved.
+## endpoints, 1,310,720 flows through the fluid solver, one clock per
+## component) once under the race detector and diff the CSV against
+## the committed golden. Any divergence means the solve's arithmetic
+## moved.
 rail-smoke:
 	@tmp=$$(mktemp -d); rc=0; \
 	$(GO) run -race ./cmd/lightpath-sim rail -csv $$tmp >/dev/null && \
@@ -162,4 +173,4 @@ bench-smoke:
 	$(BENCH_CMD) | $(GO) run ./cmd/lightpath-bench -baseline BENCH_baseline.json
 
 ## check: everything CI runs, in the same order.
-check: build lint race race-stress chaos-smoke soak-smoke soak-resume-smoke rail-smoke controller-smoke bench-smoke
+check: build lint race race-stress fuzz-smoke chaos-smoke soak-smoke soak-resume-smoke rail-smoke controller-smoke bench-smoke

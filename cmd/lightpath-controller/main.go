@@ -23,6 +23,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"math"
 	"net"
 	"os"
 	"path/filepath"
@@ -56,14 +57,17 @@ func run(args []string, out printer) error {
 	seed := fs.Uint64("seed", 2024, "deterministic seed for the allocator's stochastic components")
 	tickUS := fs.Float64("tick-us", 1, "virtual microseconds each request advances the clock (0 stacks all requests on one instant)")
 	ckpt := fs.String("checkpoint", "", "snapshot file for crash tolerance (empty disables)")
-	ckptEvery := fs.Uint64("ckpt-every", 4096, "checkpoint cadence in requests (with -checkpoint)")
+	ckptEvery := fs.Uint64("ckpt-every", 4096, "checkpoint cadence in requests (with -checkpoint; must be positive)")
 	resume := fs.Bool("resume", false, "boot from the -checkpoint snapshot instead of an empty rack")
 	selfcheck := fs.Bool("selfcheck", false, "boot a daemon on a loopback port, run the robustness drill against it, and exit")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if *tickUS < 0 {
-		return fmt.Errorf("-tick-us %v is negative", *tickUS)
+	if *tickUS < 0 || math.IsNaN(*tickUS) || math.IsInf(*tickUS, 0) {
+		return fmt.Errorf("-tick-us %v is not a finite non-negative number", *tickUS)
+	}
+	if *ckpt != "" && *ckptEvery == 0 {
+		return errors.New("-ckpt-every 0 with -checkpoint would never write a checkpoint")
 	}
 	opts := options{
 		listen:    *listen,

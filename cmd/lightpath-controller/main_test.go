@@ -52,6 +52,18 @@ func TestRunFlagErrors(t *testing.T) {
 	if err := run([]string{"-tick-us", "-3"}, &buf); err == nil {
 		t.Error("negative tick accepted")
 	}
+	// Each row below would start serving if its flags were accepted;
+	// -listen names an out-of-range port so that regression fails at
+	// once with a listen error instead of hanging.
+	for _, tick := range []string{"NaN", "+Inf"} {
+		if err := run([]string{"-tick-us", tick, "-listen", "127.0.0.1:99999"}, &buf); err == nil || !strings.Contains(err.Error(), "-tick-us") {
+			t.Errorf("-tick-us %s: got %v, want a -tick-us error", tick, err)
+		}
+	}
+	ckpt := filepath.Join(t.TempDir(), "d.ckpt")
+	if err := run([]string{"-checkpoint", ckpt, "-ckpt-every", "0", "-listen", "127.0.0.1:99999"}, &buf); err == nil || !strings.Contains(err.Error(), "-ckpt-every") {
+		t.Errorf("-checkpoint with -ckpt-every 0: got %v, want a -ckpt-every error", err)
+	}
 	if err := run([]string{"-resume"}, &buf); err == nil {
 		t.Error("-resume without -checkpoint accepted")
 	}

@@ -278,7 +278,7 @@ func runTopology(name string) (fmt.Stringer, error) {
 		}
 	}
 	var sim netsim.Sim[int]
-	res, err := sim.RunSharded(a.Flows(), a.Capacities())
+	res, err := sim.Run(a.Flows(), a.Capacities())
 	if err != nil {
 		return nil, err
 	}

@@ -12,8 +12,9 @@ import (
 
 // This file is the rail-scale fabric campaign: the Opus follow-on's
 // rail-optimized datacenter topology driven at 10k+ endpoints with
-// over a million concurrent flows through the component-sharded fluid
-// solver (netsim.RunSharded). It is the repo's scale proof — the same
+// over a million concurrent flows through the fluid solver
+// (netsim.Sim.Run), one clock per connected component. It is the
+// repo's scale proof — the same
 // max-min arithmetic the single-wafer experiments use, three orders
 // of magnitude more flows — and its golden CSV is the `make
 // rail-smoke` determinism gate: every run must reproduce it byte for
@@ -193,10 +194,10 @@ func (r RailFabricResult) CSV() ([]string, [][]string) {
 }
 
 // RailFabric places the structured rail traffic and solves it with
-// the component-sharded fluid solver. The run is fully deterministic
-// — no randomness, and RunSharded solves its components in a fixed
-// order — so two invocations with the same config always produce the
-// same Result down to the last bit.
+// the fluid solver. The run is fully deterministic — no randomness,
+// and Sim.Run solves its components in a fixed order — so two
+// invocations with the same config always produce the same Result
+// down to the last bit.
 func RailFabric(cfg RailFabricConfig) (RailFabricResult, error) {
 	if err := cfg.Validate(); err != nil {
 		return RailFabricResult{}, err
@@ -240,7 +241,7 @@ func RailFabric(cfg RailFabricConfig) (RailFabricResult, error) {
 
 	flows := a.Flows()
 	var sim netsim.Sim[int]
-	solved, err := sim.RunSharded(flows, a.Capacities())
+	solved, err := sim.Run(flows, a.Capacities())
 	if err != nil {
 		return RailFabricResult{}, err
 	}

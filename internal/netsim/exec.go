@@ -45,7 +45,10 @@ type Executor struct {
 // transfer occupies the single directed link between its endpoints
 // (they must be torus-adjacent) and each link has capacity linkBW
 // (= B/D_phys). Concurrent transfers crossing the same link share it —
-// the congestion the paper defines in §4.1.
+// the congestion the paper defines in §4.1. Each step is one Sim.Run,
+// so transfers that share no link, directly or through other
+// transfers, advance on separate clocks; the step lasts until its
+// last transfer completes.
 //
 // pathOf, when non-nil, overrides the per-transfer path (used by the
 // failure experiments to route repair detours over multi-hop paths).
@@ -93,7 +96,7 @@ func (e *Executor) Electrical(s *collective.Schedule, t *torus.Torus, linkBW uni
 
 // Optical runs the schedule on a photonic fabric where every transfer
 // rides a dedicated contention-free circuit of capacity circuitBW
-// (= B / active ring dimensions, per the redirection model).
+// (= B / ring dimensions in use, per the redirection model).
 // Reconfiguration-marked steps pay opt.Reconfig before data moves.
 func (e *Executor) Optical(s *collective.Schedule, circuitBW unit.BitRate, opt ExecOptions) (unit.Seconds, error) {
 	if circuitBW <= 0 {

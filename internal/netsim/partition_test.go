@@ -7,10 +7,9 @@ import (
 	"lightpath/internal/unit"
 )
 
-// This file differentially tests the component-sharded solver
-// (RunSharded, shard.go): each component's results must be
-// bit-identical to running the whole solver — and the fairRates
-// oracle — on that component's flows alone.
+// This file tests the component partition Sim.Run shards its solve
+// by: no flow and no resource may span two components, and each
+// component must solve as if it were alone.
 
 // genShardCase derives a random flow set with a *known* component
 // structure from a seed: up to six resource clusters with disjoint id
@@ -99,121 +98,28 @@ func components(flows []Flow[int]) (compOfFlow []int, nComp int) {
 	return compOfFlow, nComp
 }
 
-// checkShardedCase runs the full differential stack on one flow set:
-// every component bit-identical to both the production solver and the
-// fairRates oracle run on the component's flows alone.
-func checkShardedCase(t testing.TB, flows []Flow[int], caps map[int]unit.BitRate) {
-	t.Helper()
-	var sim, solo Sim[int]
-	got, err := sim.RunSharded(flows, caps)
-	if err != nil {
-		return
-	}
-	compOfFlow, nComp := components(flows)
-	for c := 0; c < nComp; c++ {
-		var sub []Flow[int]
-		var idx []int
-		for i, f := range flows {
-			if compOfFlow[i] == c {
-				sub = append(sub, f)
-				idx = append(idx, i)
-			}
-		}
-		want, err := solo.Run(sub, caps)
-		if err != nil {
-			t.Fatalf("component %d: %v", c, err)
-		}
-		oracle, err := oracleRun(sub, caps)
-		if err != nil {
-			t.Fatalf("component %d oracle: %v", c, err)
-		}
-		for j, i := range idx {
-			if got.FlowEnd[i] != want.FlowEnd[j] {
-				t.Fatalf("component %d flow %d end: sharded %v, solo solve %v", c, i, got.FlowEnd[i], want.FlowEnd[j])
-			}
-			if got.FlowEnd[i] != oracle.FlowEnd[j] {
-				t.Fatalf("component %d flow %d end: sharded %v, oracle %v", c, i, got.FlowEnd[i], oracle.FlowEnd[j])
-			}
-			if got.Delivered[i] != want.Delivered[j] {
-				t.Fatalf("component %d flow %d delivered: sharded %v, solo solve %v", c, i, got.Delivered[i], want.Delivered[j])
-			}
-		}
-	}
-	// Zero-byte flows finish at t=0 in every implementation.
-	for i, f := range flows {
-		if f.Bytes == 0 && got.FlowEnd[i] != 0 {
-			t.Fatalf("zero-byte flow %d ended at %v", i, got.FlowEnd[i])
-		}
-	}
-}
-
 // TestShardedMatchesSequentialAndOracle sweeps seeded multi-component
-// flow sets through the whole differential stack.
+// flow sets through the whole differential stack: rates and completion
+// times of every component bit-identical to the oracle run on that
+// component's flows alone.
 func TestShardedMatchesSequentialAndOracle(t *testing.T) {
-	for seed := uint64(0); seed < 150; seed++ {
+	for seed := uint64(0); seed < 200; seed++ {
 		flows, caps := genShardCase(seed)
-		checkShardedCase(t, flows, caps)
-	}
-}
-
-// TestShardedSingleComponentMatchesRun pins the contract's anchor
-// case: with one component, RunSharded and Run interleave completions
-// identically, so the whole Result must be bitwise equal.
-func TestShardedSingleComponentMatchesRun(t *testing.T) {
-	for seed := uint64(0); seed < 50; seed++ {
-		flows, caps := genCase(seed) // single shared pool: usually one component
-		if _, nComp := components(flows); nComp != 1 {
-			continue
-		}
-		var seq, sim Sim[int]
-		want, wantErr := seq.Run(flows, caps)
-		got, gotErr := sim.RunSharded(flows, caps)
-		if (wantErr == nil) != (gotErr == nil) {
-			t.Fatalf("seed %d: error divergence: Run %v, RunSharded %v", seed, wantErr, gotErr)
-		}
-		if wantErr != nil {
-			continue
-		}
-		if got.Makespan != want.Makespan {
-			t.Fatalf("seed %d: makespan: RunSharded %v, Run %v", seed, got.Makespan, want.Makespan)
-		}
-		for i := range flows {
-			if got.FlowEnd[i] != want.FlowEnd[i] {
-				t.Fatalf("seed %d: flow %d end: RunSharded %v, Run %v", seed, i, got.FlowEnd[i], want.FlowEnd[i])
-			}
+		if err := diffAgainstOracle(flows, caps); err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
 		}
 	}
 }
 
-// TestShardedReuseAcrossCases reruns many cases through one Sim:
-// stale scratch from a larger prior case must never leak into a later
-// case.
+// TestShardedReuseAcrossCases reruns multi-component cases through one
+// Sim: stale per-component scratch from a larger prior case must never
+// leak into a later case.
 func TestShardedReuseAcrossCases(t *testing.T) {
-	var sim Sim[int]
-	for seed := uint64(0); seed < 60; seed++ {
-		flows, caps := genShardCase(seed)
-		got, gotErr := sim.RunSharded(flows, caps)
-		var fresh Sim[int]
-		want, wantErr := fresh.RunSharded(flows, caps)
-		if (gotErr == nil) != (wantErr == nil) {
-			t.Fatalf("seed %d: error divergence: reused %v, fresh %v", seed, gotErr, wantErr)
-		}
-		if gotErr != nil {
-			continue
-		}
-		if got.Makespan != want.Makespan {
-			t.Fatalf("seed %d: makespan: reused %v, fresh %v", seed, got.Makespan, want.Makespan)
-		}
-		for i := range flows {
-			if got.FlowEnd[i] != want.FlowEnd[i] {
-				t.Fatalf("seed %d: flow %d end: reused %v, fresh %v", seed, i, got.FlowEnd[i], want.FlowEnd[i])
-			}
-		}
-	}
+	checkReuse(t, genShardCase)
 }
 
-// TestShardedBuildErrors checks the validation prologue rejects the
-// same invalid flow sets as Run.
+// TestShardedBuildErrors checks the validation prologue rejects
+// invalid flow sets before any component is solved.
 func TestShardedBuildErrors(t *testing.T) {
 	caps := map[int]unit.BitRate{0: unit.GBps(1)}
 	cases := []struct {
@@ -226,8 +132,8 @@ func TestShardedBuildErrors(t *testing.T) {
 	}
 	for _, tc := range cases {
 		var sim Sim[int]
-		if _, err := sim.RunSharded(tc.flows, caps); err == nil {
-			t.Errorf("%s: RunSharded accepted an invalid flow set", tc.name)
+		if _, err := sim.Run(tc.flows, caps); err == nil {
+			t.Errorf("%s: Run accepted an invalid flow set", tc.name)
 		}
 	}
 }
@@ -236,7 +142,7 @@ func TestShardedBuildErrors(t *testing.T) {
 // contract rests on: no flow and no resource may span two shards.
 // Every flow's resources share its component, the component groupings
 // cover every flow and resource exactly once, and each component
-// solves bit-identically to Run and the oracle on its flows alone. The
+// solves bit-identically to the oracle on its flows alone. The
 // committed corpus under testdata/fuzz keeps the structurally
 // interesting partitions (single cluster, many clusters, zero-byte
 // mixes) replaying on every `go test` run.
@@ -247,7 +153,7 @@ func FuzzComponentPartition(f *testing.F) {
 	f.Fuzz(func(t *testing.T, seed uint64) {
 		flows, caps := genShardCase(seed)
 		var sim Sim[int]
-		if _, err := sim.build(flows, caps); err != nil {
+		if err := sim.build(flows, caps); err != nil {
 			t.Fatalf("build: %v", err)
 		}
 
@@ -318,6 +224,8 @@ func FuzzComponentPartition(f *testing.F) {
 
 		// And the partition's purpose holds: each component solves as
 		// if it were alone.
-		checkShardedCase(t, flows, caps)
+		if err := diffRun(&sim, flows, caps); err != nil {
+			t.Fatal(err)
+		}
 	})
 }

@@ -7,15 +7,16 @@ import (
 	"lightpath/internal/unit"
 )
 
-// This file is the production solver. The generic, map-indexed
-// fairRates in netsim.go stays as the reference oracle; Sim computes
-// the same max-min fair rates — bit for bit — over an interned,
-// integer-indexed representation:
+// This file is the fluid solver. The generic, map-indexed reference
+// oracle (differential_test.go) computes max-min fair rates over
+// resource maps; Sim computes the same rates — bit for bit — over an
+// interned, integer-indexed representation, and advances one clock
+// per connected component of the sharing graph:
 //
 //   - Each distinct resource R is interned to a dense int32 on first
 //     sight, scanning flows in index order and each flow's Via in
 //     order. Bottleneck tie-breaks do not come from these ids but
-//     from a per-refill census order over the active flows (see
+//     from a per-refill census order over the unfinished flows (see
 //     refill), which reproduces the oracle's `order` slice exactly.
 //   - The flow→resource incidence is stored as a CSR (compressed
 //     sparse row) pair viaStart/viaRes, and the reverse resource→flow
@@ -23,24 +24,24 @@ import (
 //     filling then runs over slice indexing only — no map hashing on
 //     the hot path.
 //   - Flows and resources are partitioned into connected components
-//     of the sharing graph once per call. Rates in one component
-//     never depend on another component's flows, so when a
-//     completion retires a flow, only its component is refilled;
-//     every other component keeps its cached rates. A full refill
-//     happens exactly once per Run call, when everything starts
-//     dirty. (DESIGN.md "Performance engineering" gives the
-//     byte-identity argument.)
+//     of the sharing graph once per call. Components never exchange
+//     bytes, so Run solves each one as an independent simulation, in
+//     ascending component order: a completion refills and rescans
+//     only its own component. That is how netsim scales from the
+//     thousands of flows a wafer carries to the millions a
+//     rail-optimized datacenter fabric carries (the RailFabric
+//     campaign). The contract: each component's results are
+//     bit-identical to the oracle simulation run on that component's
+//     flows alone (DESIGN.md "Performance engineering").
 //
 // A zero Sim is ready to use and reuses all internal storage across
 // calls, so a caller that simulates many flow sets — the schedule
 // executors, the campaign loops — runs allocation-free at steady
 // state. A Sim must not be used from multiple goroutines at once.
 
-// Sim is a reusable fluid-flow simulator with two entry points: Run
-// advances one global clock from completion to completion, and
-// RunSharded (shard.go) runs one clock per component. Every scratch
-// structure — the interning table, the CSR incidence, rate vectors,
-// and the returned result slices — is reused across calls.
+// Sim is a reusable fluid-flow simulator. Every scratch structure —
+// the interning table, the CSR incidence, rate vectors, and the
+// returned result slices — is reused across Run calls.
 type Sim[R comparable] struct {
 	// Interning: resource -> dense id in first-use order, and back.
 	ids   map[R]int32
@@ -72,17 +73,14 @@ type Sim[R comparable] struct {
 	tmp           []int32 // counting-sort cursor scratch
 	refillOrder   []int32 // per-refill bottleneck scan order scratch
 
-	// Progressive-filling state. active[f] is whether flow f takes
-	// part in the rate computation (positive remaining bytes); dirty[c]
-	// marks components with a completion since their last refill.
+	// Progressive-filling state.
 	rates    []float64
 	frozen   []bool
 	residual []float64
 	users    []int32
-	active   []bool
-	dirty    []bool
 
-	// remaining[f] is flow f's undelivered bytes.
+	// remaining[f] is flow f's undelivered bytes; a flow takes part in
+	// the rate computation while it is positive.
 	remaining []float64
 
 	// Result storage. The slices returned in Result alias these and
@@ -111,11 +109,10 @@ func growZero[T ~int32 | ~float64](s []T, n int) []T {
 }
 
 // build interns the flow set and constructs the CSR incidence, the
-// reverse index, and the component partition. It validates the flows
-// in index order (negative sizes, empty Via, unknown and
-// zero-capacity resources) and returns the number of flows with
-// positive bytes.
-func (s *Sim[R]) build(flows []Flow[R], caps map[R]unit.BitRate) (int, error) {
+// reverse index, the component partition, and the per-flow remaining
+// bytes. It validates the flows in index order (negative sizes, empty
+// Via, unknown and zero-capacity resources).
+func (s *Sim[R]) build(flows []Flow[R], caps map[R]unit.BitRate) error {
 	n := len(flows)
 	if s.ids == nil {
 		s.ids = make(map[R]int32, len(caps))
@@ -127,27 +124,26 @@ func (s *Sim[R]) build(flows []Flow[R], caps map[R]unit.BitRate) (int, error) {
 	s.viaStart = grow(s.viaStart, n+1)
 	s.viaRes = s.viaRes[:0]
 	s.viaStart[0] = 0
-	positive := 0
 	for i, f := range flows {
 		if f.Bytes < 0 {
-			return 0, fmt.Errorf("netsim: flow %d has negative size", i)
+			return fmt.Errorf("netsim: flow %d has negative size", i)
 		}
 		if f.Bytes == 0 {
 			s.viaStart[i+1] = int32(len(s.viaRes))
 			continue
 		}
 		if len(f.Via) == 0 {
-			return 0, fmt.Errorf("%w: flow %d traverses no resources", ErrStarvedFlow, i)
+			return fmt.Errorf("%w: flow %d traverses no resources", ErrStarvedFlow, i)
 		}
 		for _, r := range f.Via {
 			id, ok := s.ids[r]
 			if !ok {
 				c, okc := caps[r]
 				if !okc {
-					return 0, fmt.Errorf("netsim: flow %d uses unknown resource %v", i, r)
+					return fmt.Errorf("netsim: flow %d uses unknown resource %v", i, r)
 				}
 				if c <= 0 {
-					return 0, fmt.Errorf("%w: flow %d crosses zero-capacity resource %v", ErrStarvedFlow, i, r)
+					return fmt.Errorf("%w: flow %d crosses zero-capacity resource %v", ErrStarvedFlow, i, r)
 				}
 				id = int32(len(s.names))
 				s.ids[r] = id
@@ -157,7 +153,6 @@ func (s *Sim[R]) build(flows []Flow[R], caps map[R]unit.BitRate) (int, error) {
 			s.viaRes = append(s.viaRes, id)
 		}
 		s.viaStart[i+1] = int32(len(s.viaRes))
-		positive++
 	}
 	nRes := len(s.names)
 
@@ -248,7 +243,7 @@ func (s *Sim[R]) build(flows []Flow[R], caps map[R]unit.BitRate) (int, error) {
 	for c := 0; c < s.nComp; c++ {
 		s.compFlowStart[c+1] += s.compFlowStart[c]
 	}
-	s.compFlows = grow(s.compFlows, positiveViaFlows(s.compOfFlow))
+	s.compFlows = grow(s.compFlows, int(s.compFlowStart[s.nComp]))
 	copy(s.tmp, s.compFlowStart[:s.nComp])
 	for f := 0; f < n; f++ {
 		c := s.compOfFlow[f]
@@ -259,32 +254,15 @@ func (s *Sim[R]) build(flows []Flow[R], caps map[R]unit.BitRate) (int, error) {
 		s.tmp[c]++
 	}
 
-	// Filling state: everything starts dirty, every positive flow
-	// active.
 	s.rates = growZero(s.rates, n)
 	s.frozen = grow(s.frozen, n)
 	s.residual = grow(s.residual, nRes)
 	s.users = grow(s.users, nRes)
-	s.active = grow(s.active, n)
-	for f := 0; f < n; f++ {
-		s.active[f] = s.viaStart[f] != s.viaStart[f+1]
+	s.remaining = grow(s.remaining, n)
+	for i, f := range flows {
+		s.remaining[i] = float64(f.Bytes)
 	}
-	s.dirty = grow(s.dirty, s.nComp)
-	for c := range s.dirty {
-		s.dirty[c] = true
-	}
-	return positive, nil
-}
-
-// positiveViaFlows counts flows assigned to a component.
-func positiveViaFlows(compOfFlow []int32) int {
-	n := 0
-	for _, c := range compOfFlow {
-		if c >= 0 {
-			n++
-		}
-	}
-	return n
+	return nil
 }
 
 // find is union-find lookup with path halving.
@@ -296,39 +274,18 @@ func (s *Sim[R]) find(x int32) int32 {
 	return x
 }
 
-// markFlowDirty schedules flow f's component for refilling after the
-// flow completed.
-func (s *Sim[R]) markFlowDirty(f int) {
-	if c := s.compOfFlow[f]; c >= 0 {
-		s.dirty[c] = true
-	}
-}
-
-// computeRates brings s.rates up to date by refilling every dirty
-// component. Clean components keep their cached rates — the
-// incremental-recompute contract: a component's rates depend only on
-// its own members' activity, so they are exactly what a full refill
-// would produce.
-func (s *Sim[R]) computeRates() {
-	for c := 0; c < s.nComp; c++ {
-		if s.dirty[c] {
-			s.refill(int32(c))
-			s.dirty[c] = false
-		}
-	}
-}
-
 // refill runs progressive filling over one component: repeatedly find
 // its most constrained resource (minimal residual per user), freeze
 // that resource's unfrozen flows at the fair share, and charge their
 // crossings. Ties between equally constrained resources resolve by
-// census order — first use scanning the component's *active* flows
+// census order — first use scanning the component's unfinished flows
 // ascending, each flow's Via in order — which is exactly the oracle's
 // `order` slice restricted to this component; interned-id order is
 // NOT equivalent, because a retired flow may have been a resource's
 // first user. With the scan order matched, the float operations and
-// their sequence are identical to fairRatesInto over the same active
-// set, so the computed rates are bit-identical to the oracle's.
+// their sequence are identical to the oracle's progressive filling
+// over the same unfinished flows, so the computed rates are
+// bit-identical to the oracle's.
 func (s *Sim[R]) refill(c int32) {
 	res := s.compRes[s.compResStart[c]:s.compResStart[c+1]]
 	fls := s.compFlows[s.compFlowStart[c]:s.compFlowStart[c+1]]
@@ -339,7 +296,7 @@ func (s *Sim[R]) refill(c int32) {
 	order := s.refillOrder[:0]
 	for _, f := range fls {
 		s.rates[f] = 0
-		if !s.active[f] {
+		if s.remaining[f] <= 0 {
 			s.frozen[f] = true
 			continue
 		}
@@ -388,65 +345,78 @@ func (s *Sim[R]) refill(c int32) {
 }
 
 // Run simulates the flows sharing the given resource capacities until
-// all complete, returning per-flow completion times. Flows with zero
-// bytes complete at time zero. Resources not present in caps are an
-// error — silently treating them as infinite would hide modeling bugs.
-// The returned slices alias the Sim's storage and are valid until the
-// next call on this Sim.
+// all complete, solving each connected component of the sharing graph
+// as an independent simulation with its own clock, and returns
+// per-flow completion times. Flows with zero bytes complete at time
+// zero. Resources not present in caps are an error — silently
+// treating them as infinite would hide modeling bugs. It returns the
+// first failing component's error. The returned slices alias the
+// Sim's storage and are valid until the next call on this Sim.
 func (s *Sim[R]) Run(flows []Flow[R], caps map[R]unit.BitRate) (Result, error) {
-	active, err := s.build(flows, caps)
-	if err != nil {
+	if err := s.build(flows, caps); err != nil {
 		return Result{}, err
 	}
 	n := len(flows)
 	s.flowEnd = growZero(s.flowEnd, n)
 	s.delivered = growZero(s.delivered, n)
-	res := Result{FlowEnd: s.flowEnd, Delivered: s.delivered}
-	s.remaining = grow(s.remaining, n)
-	remaining := s.remaining
-	for i, f := range flows {
-		remaining[i] = float64(f.Bytes)
+	for c := 0; c < s.nComp; c++ {
+		if err := s.runComponent(int32(c), flows); err != nil {
+			return Result{}, err
+		}
 	}
 
-	now := 0.0
-	//lightpath:hotloop
-	for active > 0 {
-		s.computeRates()
-		rates := s.rates
-		// Advance to the earliest completion.
-		dt := math.Inf(1)
-		for i := range flows {
-			if remaining[i] <= 0 {
-				continue
-			}
-			if rates[i] <= 0 {
-				return Result{}, fmt.Errorf("%w: flow %d received zero rate", ErrStarvedFlow, i)
-			}
-			if t := remaining[i] / rates[i]; t < dt {
-				dt = t
-			}
-		}
-		now += dt
-		for i := range flows {
-			if remaining[i] <= 0 {
-				continue
-			}
-			remaining[i] -= rates[i] * dt
-			// Tolerate float round-off at the completion boundary.
-			if remaining[i] <= 1e-6 {
-				remaining[i] = 0
-				res.FlowEnd[i] = unit.Seconds(now)
-				res.Delivered[i] = flows[i].Bytes
-				active--
-				s.active[i] = false
-				s.markFlowDirty(i)
-			}
-		}
-	}
+	res := Result{FlowEnd: s.flowEnd, Delivered: s.delivered}
 	for i := range flows {
 		if res.FlowEnd[i] > res.Makespan {
 			res.Makespan = res.FlowEnd[i]
 		}
 	}
 	return res, nil
+}
+
+// runComponent runs the complete fluid simulation of one component:
+// refill the component's rates, advance to its earliest completion,
+// retire finished flows, repeat. Apart from the refill census
+// scratch, it writes only state indexed by the component's own flows
+// and resources.
+func (s *Sim[R]) runComponent(c int32, flows []Flow[R]) error {
+	fls := s.compFlows[s.compFlowStart[c]:s.compFlowStart[c+1]]
+	remaining := s.remaining
+	// Every flow in a component has positive bytes: build assigns
+	// zero-byte flows to none.
+	left := len(fls)
+	now := 0.0
+	//lightpath:hotloop
+	for left > 0 {
+		s.refill(c)
+		rates := s.rates
+		// Advance to the component's earliest completion.
+		dt := math.Inf(1)
+		for _, f := range fls {
+			if remaining[f] <= 0 {
+				continue
+			}
+			if rates[f] <= 0 {
+				return fmt.Errorf("%w: flow %d received zero rate", ErrStarvedFlow, f)
+			}
+			if t := remaining[f] / rates[f]; t < dt {
+				dt = t
+			}
+		}
+		now += dt
+		for _, f := range fls {
+			if remaining[f] <= 0 {
+				continue
+			}
+			remaining[f] -= rates[f] * dt
+			// Tolerate float round-off at the completion boundary.
+			if remaining[f] <= 1e-6 {
+				remaining[f] = 0
+				s.flowEnd[f] = unit.Seconds(now)
+				s.delivered[f] = flows[f].Bytes
+				left--
+			}
+		}
+	}
+	return nil
 }

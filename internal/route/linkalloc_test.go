@@ -68,7 +68,7 @@ func TestLinkAllocatorPlacement(t *testing.T) {
 	}
 }
 
-// TestLinkAllocatorSolves runs the placed flows through the sharded
+// TestLinkAllocatorSolves runs the placed flows through the fluid
 // solver end to end.
 func TestLinkAllocatorSolves(t *testing.T) {
 	rail := testRail(t)
@@ -77,7 +77,7 @@ func TestLinkAllocatorSolves(t *testing.T) {
 		a.Place(rail.Endpoint(0, s), rail.Endpoint(0, (s+1)%rail.Servers()), 8*unit.MB)
 	}
 	var sim netsim.Sim[int]
-	res, err := sim.RunSharded(a.Flows(), a.Capacities())
+	res, err := sim.Run(a.Flows(), a.Capacities())
 	if err != nil {
 		t.Fatal(err)
 	}

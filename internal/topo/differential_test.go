@@ -10,12 +10,12 @@ import (
 	"lightpath/internal/wafer"
 )
 
-// This file carries the cross-topology leg of the sharded-solver
-// differential contract: on every Topology implementation, each
-// connected component's Sim.RunSharded results must be
-// bit-identical to Sim.Run — the solver the existing netsim
-// differential tests hold bit-for-bit to the fairRates oracle — on
-// that component's flows alone.
+// This file carries the cross-topology leg of the solver's
+// per-component contract: on every Topology implementation, each
+// connected component's results from one Sim.Run over the whole flow
+// set must be bit-identical to Sim.Run on that component's flows
+// alone — which the netsim differential tests hold bit-for-bit to the
+// fairRates oracle.
 
 // genTraffic draws random transfers over a topology's paths.
 func genTraffic(tp Topology, seed uint64, n int) []netsim.Flow[int] {
@@ -107,13 +107,13 @@ func TestShardedSolveAcrossTopologies(t *testing.T) {
 				flows := genTraffic(tp, seed, 200)
 
 				var sim, solo netsim.Sim[int]
-				got, err := sim.RunSharded(flows, caps)
+				got, err := sim.Run(flows, caps)
 				if err != nil {
 					t.Fatalf("seed %d: %v", seed, err)
 				}
 
-				// Each component bit-identical to the oracle-anchored
-				// solver on its flows alone.
+				// Each component bit-identical to a solve of its flows
+				// alone.
 				compOfFlow, nComp := flowComponents(flows)
 				for c := 0; c < nComp; c++ {
 					var sub []netsim.Flow[int]
@@ -130,7 +130,7 @@ func TestShardedSolveAcrossTopologies(t *testing.T) {
 					}
 					for j, i := range idx {
 						if got.FlowEnd[i] != want.FlowEnd[j] {
-							t.Fatalf("seed %d component %d flow %d: sharded %v, solo solve %v",
+							t.Fatalf("seed %d component %d flow %d: whole solve %v, solo solve %v",
 								seed, c, i, got.FlowEnd[i], want.FlowEnd[j])
 						}
 						if got.Delivered[i] != want.Delivered[j] {

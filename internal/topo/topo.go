@@ -57,8 +57,8 @@ type Topology interface {
 }
 
 // Capacities materializes a topology's link capacities as the
-// resource-capacity map netsim.Sim.Run / Sim.RunSharded consume, keyed
-// by dense link id.
+// resource-capacity map netsim.Sim.Run consumes, keyed by dense link
+// id.
 func Capacities(t Topology) map[int]unit.BitRate {
 	caps := make(map[int]unit.BitRate, t.Links())
 	for l := 0; l < t.Links(); l++ {
