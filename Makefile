@@ -23,7 +23,9 @@ race:
 ## race-stress: the scheduling-dependent tests — Fig5's
 ## parallel-vs-sequential planning, Repairability's fan-out over the
 ## racks its sequential scan built, the daemon's concurrent connections
-## and pipelined frames over one buffered reader, soak trials writing
+## with periodic checkpoints written under them, its pipelined frames
+## over one buffered reader and its checkpoint writes (re-arming
+## mid-write, failed writes, Flush), soak trials writing
 ## their checkpoints concurrently through the shared kill/resume trial
 ## runner, and the event loop's background checkpoint writes (its two
 ## encoders, its write errors, and campaign kills at any boundary) —
@@ -36,7 +38,7 @@ race:
 race-stress:
 	$(GO) test -race -count=20 -cpu 1,2,8 -run '^TestFig5ParallelMatchesSequential$$' ./internal/experiments
 	$(GO) test -race -count=20 -cpu 1,2,8 -run '^TestParallelMatchesSequential$$/^repairability$$' ./internal/experiments
-	$(GO) test -race -count=20 -cpu 1,2,8 -run '^(TestDaemonConcurrentClients|TestServeConnPipelinedFrames)$$' ./internal/ctrl
+	$(GO) test -race -count=20 -cpu 1,2,8 -run '^(TestDaemonConcurrentClients|TestServeConnPipelinedFrames|TestHandlerPeriodicCheckpoint)$$' ./internal/ctrl
 	$(GO) test -race -count=20 -cpu 1,2,8 -run '^TestKillResumeCSVIdentical$$' ./cmd/lightpath-sim
 	$(GO) test -race -count=20 -cpu 1,2,8 -run '^(TestLoopCadenceAndStop|TestLoopWriteErrorNotDropped|TestLoopEncodersNeverAlias)$$|^TestKillResumeAnyBoundary$$' ./internal/evloop ./internal/ctrl/loadgen
 
@@ -130,7 +132,8 @@ rail-smoke:
 ## binary's selfcheck drill under the race detector: a real daemon on
 ## a loopback port driven through every rung of the robustness ladder
 ## (hostile frame, impossible deadlines, chip death -> breaker trips,
-## overload shedding, checkpoint -> kill -> resume). Then the pinned-
+## overload shedding, then kill -> resume from the daemon's periodic
+## checkpoint, flushed through Handler.Flush). Then the pinned-
 ## seed load campaign — 256k requests across 256 agents — in both
 ## -parallel modes, diffed byte-for-byte against the committed golden.
 ## Finally crash injection: kill every trial at a mid-run event

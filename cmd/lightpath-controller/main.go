@@ -15,8 +15,9 @@
 //
 // With -checkpoint the daemon snapshots its full state (allocator,
 // auditor, breakers, clock, backlog, counters) every -ckpt-every
-// requests; -resume boots from that snapshot instead of empty, and a
-// torn final write falls back to the previous good snapshot.
+// requests, writing in the background; a failed write keeps it serving
+// and becomes its exit error. -resume boots from that snapshot instead
+// of empty, and a torn final write falls back to the previous good one.
 package main
 
 import (
@@ -118,10 +119,7 @@ func serve(opts options, out printer) error {
 		rack.NumChips(), l.Addr(), opts.seed, opts.tick, srv.Allocator().NumCircuits()); err != nil {
 		return err
 	}
-	if err := h.Serve(l); err != nil {
-		return err
-	}
-	return h.CheckpointErr()
+	return errors.Join(h.Serve(l), h.Flush())
 }
 
 // runSelfcheck boots a real daemon on a loopback port and drills every
@@ -243,9 +241,13 @@ func runSelfcheck(opts options, out printer) error {
 		return errors.New("selfcheck: overload burst produced no ErrOverloaded")
 	}
 
-	// Rung 5: crash -> resume. Snapshot now, kill the daemon, boot a
-	// replacement from the checkpoint, and demand identical state.
-	if err := h.Checkpoint(ckpt); err != nil {
+	// Rung 5: crash -> resume. Re-arm at cadence 1 so the next request
+	// writes a periodic checkpoint, flush it (with any earlier write's
+	// failure), kill the daemon, resume from the file, and demand
+	// identical state.
+	h.SetCheckpoint(ckpt, 1)
+	_, err = c.Health()
+	if err = errors.Join(err, h.Flush()); err != nil {
 		return fmt.Errorf("selfcheck: checkpoint: %w", err)
 	}
 	before := h.Stats()
@@ -265,9 +267,6 @@ func runSelfcheck(opts options, out printer) error {
 	}
 	if _, ok := restored.Allocator().CircuitByID(first.Circuit); !ok {
 		return fmt.Errorf("selfcheck: circuit %d lost across resume", first.Circuit)
-	}
-	if err := h.CheckpointErr(); err != nil {
-		return fmt.Errorf("selfcheck: periodic checkpoint: %w", err)
 	}
 
 	_, err = fmt.Fprintf(out,

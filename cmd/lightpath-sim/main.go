@@ -83,7 +83,7 @@ func run(args []string, out printer) error {
 	checkpoint := fs.String("checkpoint", "", "directory for per-trial soak/controller checkpoints (enables crash tolerance)")
 	resume := fs.Bool("resume", false, "resume soak/controller trials from their checkpoints instead of starting fresh")
 	ckptInterval := fs.Uint64("ckpt-interval", 0, "soak/controller checkpoint cadence in event boundaries (0 = campaign default)")
-	killAt := fs.Uint64("kill-at", 0, "stop every soak/controller trial at this event boundary after checkpointing (crash-injection test mode)")
+	killAt := fs.Uint64("kill-at", 0, "stop every soak/controller trial at this event boundary after checkpointing (crash-injection test mode; needs -checkpoint)")
 	topology := fs.String("topology", "rail", "fabric for the topo command: rail, torus, or mesh")
 	rails := fs.Int("rails", 0, "rail count for the rail campaign (0 = acceptance-scale default)")
 	servers := fs.Int("servers", 0, "servers per rail for the rail campaign (0 = acceptance-scale default)")
@@ -97,6 +97,9 @@ func run(args []string, out printer) error {
 	cmd := args[0]
 	if err := fs.Parse(args[1:]); err != nil {
 		return err
+	}
+	if *killAt > 0 && *checkpoint == "" {
+		return errors.New("-kill-at needs -checkpoint: a killed trial can only resume from its checkpoint")
 	}
 	if !*parallel {
 		defer engine.SetWorkers(engine.SetWorkers(1))

@@ -116,6 +116,13 @@ func TestRunErrors(t *testing.T) {
 	if err := run([]string{"info", "-badflag"}, &buf); err == nil {
 		t.Error("bad flag accepted")
 	}
+	// Without a checkpoint directory a kill leaves nothing to resume.
+	for _, cmd := range []string{"soak", "controller"} {
+		err := run([]string{cmd, "-seed", "7", "-trials", "1", "-kill-at", "50"}, &buf)
+		if err == nil || !strings.Contains(err.Error(), "-kill-at needs -checkpoint") {
+			t.Errorf("%s -kill-at without -checkpoint: got %v, want a -kill-at error", cmd, err)
+		}
+	}
 }
 
 func TestRunAll(t *testing.T) {

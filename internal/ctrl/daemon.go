@@ -8,6 +8,7 @@ import (
 	"sync"
 
 	"lightpath/internal/chaos"
+	"lightpath/internal/evloop"
 	"lightpath/internal/unit"
 )
 
@@ -28,39 +29,48 @@ type Handler struct {
 	srv     *Server
 	tick    unit.Seconds
 	arrival unit.Seconds
-
-	// Optional durability: when ckptEvery > 0, every ckptEvery-th
-	// request snapshots the server to ckptPath at the request boundary.
-	ckptPath  string
-	ckptEvery uint64
-	requests  uint64
-	ckptErr   error
+	loop    *evloop.Loop // one boundary per request; its count is not checkpointed
+	ckptErr error        // the first checkpoint write failure
 }
+
+// checkpointEvery is SetCheckpoint's cadence in requests when given zero.
+const checkpointEvery = 4096
 
 // NewHandler wraps a server. Each submitted request arrives `tick`
 // simulated seconds after the previous one; a zero tick lands every
 // request on the same virtual instant, which engages the bounded
 // queue and shedding under bursts (useful for overload drills).
 func NewHandler(srv *Server, tick unit.Seconds) *Handler {
-	return &Handler{srv: srv, tick: tick, arrival: srv.Clock()}
+	l := evloop.New(evloop.Options{}, CheckpointVersion, checkpointEvery)
+	return &Handler{srv: srv, tick: tick, arrival: srv.Clock(), loop: l}
 }
 
 // SetCheckpoint arms periodic durability: every `every`-th request the
-// handler snapshots the server to path. The first write failure is
-// latched (see CheckpointErr) and disarms further attempts so a full
-// disk degrades durability, not service.
+// server's state is encoded at the boundary and written to path in the
+// background, after the replaced loop's write in flight has landed. A
+// failed write costs durability, not service; the next boundary on the
+// cadence tries again, and Flush reports the first failure.
 func (h *Handler) SetCheckpoint(path string, every uint64) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	h.ckptPath = path
-	h.ckptEvery = every
+	h.keepErr(h.loop.Flush())
+	h.loop = evloop.New(evloop.Options{Path: path, EveryEvents: every}, CheckpointVersion, checkpointEvery)
 }
 
-// CheckpointErr reports the latched periodic-checkpoint failure, if any.
-func (h *Handler) CheckpointErr() error {
+// Flush waits for the checkpoint write in flight, if any, and returns
+// the first checkpoint write error the handler has seen.
+func (h *Handler) Flush() error {
 	h.mu.Lock()
 	defer h.mu.Unlock()
+	h.keepErr(h.loop.Flush())
 	return h.ckptErr
+}
+
+// keepErr records the handler's first checkpoint write failure.
+func (h *Handler) keepErr(err error) {
+	if h.ckptErr == nil {
+		h.ckptErr = err
+	}
 }
 
 // Submit runs one request through the server at the next logical
@@ -70,13 +80,7 @@ func (h *Handler) Submit(req Request) Response {
 	defer h.mu.Unlock()
 	resp, _ := h.srv.Submit(req, h.arrival)
 	h.arrival += h.tick
-	h.requests++
-	if h.ckptEvery > 0 && h.requests%h.ckptEvery == 0 {
-		if err := h.srv.SaveCheckpoint(h.ckptPath); err != nil {
-			h.ckptErr = err
-			h.ckptEvery = 0
-		}
-	}
+	h.keepErr(h.loop.Tick(h.srv.EncodeState))
 	return resp
 }
 
@@ -86,13 +90,6 @@ func (h *Handler) ApplyFault(f chaos.Fault) (FaultReport, error) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	return h.srv.ApplyFault(f, h.arrival)
-}
-
-// Checkpoint writes the server's state to path at a request boundary.
-func (h *Handler) Checkpoint(path string) error {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.srv.SaveCheckpoint(path)
 }
 
 // Stats returns a copy of the server's counters.

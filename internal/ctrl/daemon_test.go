@@ -1,14 +1,18 @@
 package ctrl
 
 import (
+	"bytes"
 	"errors"
 	"net"
+	"os"
 	"path/filepath"
 	"sync"
 	"sync/atomic"
+	"syscall"
 	"testing"
 
 	"lightpath/internal/invariant"
+	"lightpath/internal/snapshot"
 	"lightpath/internal/unit"
 )
 
@@ -99,7 +103,12 @@ func TestDaemonEndToEnd(t *testing.T) {
 // covers every server touch; functionally it checks conservation:
 // every request is answered and the final health tally balances.
 func TestDaemonConcurrentClients(t *testing.T) {
-	h, dial := newTestHandler(t, Config{Seed: 22, QueueCap: 4096}, 500*unit.Nanosecond)
+	cfg := Config{Seed: 22, QueueCap: 4096}
+	h, dial := newTestHandler(t, cfg, 500*unit.Nanosecond)
+	// A small cadence puts background checkpoint writes under the
+	// concurrent Submits.
+	path := filepath.Join(t.TempDir(), "concurrent.ckpt")
+	h.SetCheckpoint(path, 16)
 
 	const clients, perClient = 8, 50
 	var wg sync.WaitGroup
@@ -142,6 +151,12 @@ func TestDaemonConcurrentClients(t *testing.T) {
 		stats.NoPath + stats.EndpointFailed + stats.BadRequest + stats.UnknownCircuit
 	if answered != stats.Arrivals {
 		t.Fatalf("answered %d of %d arrivals: some vanished", answered, stats.Arrivals)
+	}
+	if err := h.Flush(); err != nil {
+		t.Fatalf("periodic checkpoint: %v", err)
+	}
+	if _, err := LoadCheckpoint(cfg, path); err != nil {
+		t.Fatalf("restore of the last periodic checkpoint: %v", err)
 	}
 }
 
@@ -202,45 +217,166 @@ func TestHandlerTickAdvancesClock(t *testing.T) {
 	}
 }
 
-// TestHandlerPeriodicCheckpoint arms SetCheckpoint and checks a
-// snapshot exists after the configured number of requests and restores
-// to the handler's exact state.
+// TestHandlerPeriodicCheckpoint pins the daemon's periodic
+// checkpoints, which run through the handler's evloop.Loop: what lands
+// on disk, what a failed write does, re-arming mid-write, the default
+// cadence, and the hot path's allocations.
 func TestHandlerPeriodicCheckpoint(t *testing.T) {
 	cfg := Config{Seed: 25}
-	s, err := NewServer(cfg)
-	if err != nil {
-		t.Fatal(err)
+	newHandler := func(t *testing.T) (*Handler, *Server) {
+		t.Helper()
+		s, err := NewServer(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(invariant.ResetGlobal)
+		return NewHandler(s, unit.Microsecond), s
 	}
-	t.Cleanup(invariant.ResetGlobal)
-	h := NewHandler(s, unit.Microsecond)
-	path := filepath.Join(t.TempDir(), "periodic.ckpt")
-	h.SetCheckpoint(path, 8)
+	req := func(i int) Request {
+		if i%3 == 2 {
+			return Request{Op: OpHealth}
+		}
+		return Request{Op: OpEstablish, A: i % 4, B: 30 + i%4, Width: 1}
+	}
+	submitOK := func(t *testing.T, h *Handler, from, to int) {
+		t.Helper()
+		for i := from; i < to; i++ {
+			if resp := h.Submit(req(i)); resp.Status != StatusOK {
+				t.Fatalf("request %d answered %+v", i, resp)
+			}
+		}
+	}
+	restoresTo := func(t *testing.T, path string, want Stats) {
+		t.Helper()
+		r, err := LoadCheckpoint(cfg, path)
+		if err != nil {
+			t.Fatalf("restore: %v", err)
+		}
+		if r.Stats() != want {
+			t.Fatalf("checkpoint restored stats %+v, want %+v", r.Stats(), want)
+		}
+	}
 
-	for i := 0; i < 8; i++ {
-		h.Submit(Request{Op: OpEstablish, A: i % 4, B: 30 + i%4, Width: 1})
-	}
-	if err := h.CheckpointErr(); err != nil {
-		t.Fatalf("periodic checkpoint failed: %v", err)
-	}
-	r, err := LoadCheckpoint(cfg, path)
-	if err != nil {
-		t.Fatalf("restore of the periodic checkpoint: %v", err)
-	}
-	if r.Stats() != s.Stats() {
-		t.Fatalf("periodic checkpoint restored stale stats %+v, want %+v", r.Stats(), s.Stats())
-	}
+	// The file after N requests is the sealed EncodeState of a twin
+	// server given the same requests at the same arrivals, and its
+	// rotation holds the boundary before.
+	t.Run("byte identity", func(t *testing.T) {
+		h, _ := newHandler(t)
+		twin, err := NewServer(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		path := filepath.Join(t.TempDir(), "periodic.ckpt")
+		const every = 8
+		h.SetCheckpoint(path, every)
+		at := twin.Clock()
+		var seal [2][]byte
+		for i := 0; i < 2*every; i++ {
+			h.Submit(req(i))
+			twin.Submit(req(i), at)
+			at += unit.Microsecond
+			if (i+1)%every == 0 {
+				var e snapshot.Encoder
+				twin.EncodeState(&e)
+				seal[i/every] = snapshot.Seal(CheckpointVersion, e.Bytes())
+			}
+		}
+		if err := h.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		for k, p := range []string{snapshot.PrevPath(path), path} {
+			got, err := os.ReadFile(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, seal[k]) {
+				t.Fatalf("%s: %d bytes differ from the twin's checkpoint at request %d (%d bytes)",
+					p, len(got), (k+1)*every, len(seal[k]))
+			}
+		}
+	})
 
-	// A failing path latches the error and disarms instead of breaking
-	// service.
-	h.SetCheckpoint(filepath.Join(t.TempDir(), "no-such-dir", "x", "y.ckpt"), 1)
-	h.Submit(Request{Op: OpHealth})
-	if h.CheckpointErr() == nil {
-		t.Fatal("unwritable checkpoint path did not latch an error")
-	}
-	resp := h.Submit(Request{Op: OpHealth})
-	if resp.Status != StatusOK {
-		t.Fatalf("service degraded after checkpoint failure: %+v", resp)
-	}
+	// An unwritable path costs durability, not service, and does not
+	// disarm: once the directory exists the next boundary writes.
+	t.Run("failure", func(t *testing.T) {
+		h, s := newHandler(t)
+		blocker := filepath.Join(t.TempDir(), "blocker")
+		if err := os.WriteFile(blocker, nil, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		path := filepath.Join(blocker, "ckpt", "d.ckpt")
+		h.SetCheckpoint(path, 4)
+		// Request 8's boundary collects request 4's failure and writes
+		// (and fails) again.
+		submitOK(t, h, 0, 8)
+		if err := h.Flush(); !errors.Is(err, syscall.ENOTDIR) {
+			t.Fatalf("Flush after failed writes: %v, want ENOTDIR", err)
+		}
+		if err := os.Remove(blocker); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		submitOK(t, h, 8, 12)
+		if err := h.Flush(); !errors.Is(err, syscall.ENOTDIR) {
+			t.Fatalf("Flush after recovery: %v, want the first failure still reported", err)
+		}
+		restoresTo(t, path, s.Stats())
+	})
+
+	// Re-arming flushes the loop it replaces: the write in flight lands
+	// and its error is kept.
+	t.Run("re-arm", func(t *testing.T) {
+		h, s := newHandler(t)
+		dir := t.TempDir()
+		first := filepath.Join(dir, "first.ckpt")
+		h.SetCheckpoint(first, 1)
+		submitOK(t, h, 0, 1)
+		h.SetCheckpoint(filepath.Join(dir, "no-such-dir", "d.ckpt"), 1)
+		restoresTo(t, first, s.Stats())
+		submitOK(t, h, 1, 2)
+		h.SetCheckpoint(filepath.Join(dir, "second.ckpt"), 1)
+		if err := h.Flush(); !errors.Is(err, os.ErrNotExist) {
+			t.Fatalf("Flush after re-arming over a failed write: %v, want its not-exist error", err)
+		}
+	})
+
+	// A zero cadence takes the default, one checkpoint per 4096
+	// requests, instead of dividing by zero.
+	t.Run("default cadence", func(t *testing.T) {
+		h, s := newHandler(t)
+		path := filepath.Join(t.TempDir(), "default.ckpt")
+		h.SetCheckpoint(path, 0)
+		for i := 1; i < 4096; i++ {
+			h.Submit(Request{Op: OpHealth})
+		}
+		if err := h.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := os.Stat(path); !errors.Is(err, os.ErrNotExist) {
+			t.Fatalf("checkpoint before request 4096: %v", err)
+		}
+		h.Submit(Request{Op: OpHealth})
+		if err := h.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		restoresTo(t, path, s.Stats())
+	})
+
+	// Submit allocates nothing unarmed or between armed boundaries.
+	t.Run("allocs", func(t *testing.T) {
+		h, _ := newHandler(t)
+		health := func() { h.Submit(Request{Op: OpHealth}) }
+		health()
+		if n := testing.AllocsPerRun(100, health); n != 0 {
+			t.Fatalf("unarmed Submit allocates %v times, want 0", n)
+		}
+		h.SetCheckpoint(filepath.Join(t.TempDir(), "rare.ckpt"), 1<<20)
+		if n := testing.AllocsPerRun(100, health); n != 0 {
+			t.Fatalf("armed Submit between boundaries allocates %v times, want 0", n)
+		}
+	})
 }
 
 // countingConn counts the Read calls made on a connection; the count

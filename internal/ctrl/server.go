@@ -8,7 +8,6 @@ import (
 	"lightpath/internal/invariant"
 	"lightpath/internal/rng"
 	"lightpath/internal/route"
-	"lightpath/internal/snapshot"
 	"lightpath/internal/unit"
 	"lightpath/internal/wafer"
 )
@@ -127,8 +126,6 @@ type Server struct {
 
 	// regionScratch backs health responses' Regions slice; see Submit.
 	regionScratch []RegionHealth
-	// ckptEnc is SaveCheckpoint's reusable payload encoder.
-	ckptEnc snapshot.Encoder
 	// queueFullDetail is the precomputed shed message — shedding happens
 	// at full arrival rate during overload, too hot for Sprintf.
 	queueFullDetail string

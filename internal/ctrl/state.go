@@ -139,19 +139,17 @@ func (s *Server) RestoreState(d *snapshot.Decoder) error {
 }
 
 // SaveCheckpoint atomically writes the server's state to path, keeping
-// the previous good snapshot beside it for torn-write fallback. The
-// encoder is owned by the server and reused across checkpoints, so a
-// periodic-durability cadence does not re-grow a megabyte-scale buffer
-// every interval.
+// the previous good snapshot beside it for torn-write fallback.
 func (s *Server) SaveCheckpoint(path string) error {
-	s.ckptEnc.Reset()
-	s.EncodeState(&s.ckptEnc)
-	return snapshot.Write(path, CheckpointVersion, s.ckptEnc.Bytes())
+	var e snapshot.Encoder
+	s.EncodeState(&e)
+	return snapshot.Write(path, CheckpointVersion, e.Bytes())
 }
 
 // LoadCheckpoint builds a server from cfg and restores the checkpoint
 // at path into it. A corrupted or torn primary snapshot falls back to
-// the previous good one (snapshot.Load's contract).
+// the previous good one (snapshot.Load's contract), and a payload the
+// restore does not consume exactly is ErrCorruptSnapshot.
 func LoadCheckpoint(cfg Config, path string) (*Server, error) {
 	d, err := evloop.Open(path, CheckpointVersion)
 	if err != nil {
@@ -162,6 +160,9 @@ func LoadCheckpoint(cfg Config, path string) (*Server, error) {
 		return nil, err
 	}
 	if err := s.RestoreState(d); err != nil {
+		return nil, err
+	}
+	if err := d.Finish(); err != nil {
 		return nil, err
 	}
 	return s, nil

@@ -163,8 +163,8 @@ func TestCheckpointConfigMismatch(t *testing.T) {
 }
 
 // TestCheckpointCorruption pins the failure taxonomy for damaged
-// snapshot files: truncation and bit-flips surface ErrCorruptSnapshot,
-// never a panic or a silently wrong server.
+// snapshot files: truncation, bit-flips and trailing payload bytes
+// surface ErrCorruptSnapshot, never a panic or a silently wrong server.
 func TestCheckpointCorruption(t *testing.T) {
 	cfg := Config{Seed: 5}
 	s, err := NewServer(cfg)
@@ -197,6 +197,19 @@ func TestCheckpointCorruption(t *testing.T) {
 		} else if !errors.Is(err, snapshot.ErrCorruptSnapshot) && !errors.Is(err, snapshot.ErrConfigMismatch) {
 			t.Errorf("%s: error %v outside the snapshot taxonomy", name, err)
 		}
+	}
+
+	// A well-sealed payload with bytes past the state is a schema
+	// mismatch: the restore must consume the payload exactly.
+	var e snapshot.Encoder
+	s.EncodeState(&e)
+	e.U64(0)
+	p := filepath.Join(dir, "trailing")
+	if err := os.WriteFile(p, snapshot.Seal(CheckpointVersion, e.Bytes()), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := LoadCheckpoint(cfg, p); !errors.Is(err, snapshot.ErrCorruptSnapshot) {
+		t.Errorf("trailing payload bytes: %v, want ErrCorruptSnapshot", err)
 	}
 }
 

@@ -72,17 +72,17 @@ func (l *Loop) SetEvents(n uint64) { l.events = n }
 // or is the stop, encode appends the simulator's full state to the
 // loop's encoder there and then, and the write to disk starts in the
 // background once the previous one has finished; that write's error is
-// returned here. At the stop Tick waits for the final write and
-// returns ErrStopped, so the stop checkpoint is on disk when it does.
+// returned here. A failed write does not cost the next one: this
+// boundary's write starts before the error returns. At the stop Tick
+// waits for the final write and returns ErrStopped, so the stop
+// checkpoint is on disk when it does.
 func (l *Loop) Tick(encode func(*snapshot.Encoder)) error {
 	l.events++
 	stopping := l.opts.StopAfterEvents > 0 && l.events >= l.opts.StopAfterEvents
 	if l.opts.Path != "" && (stopping || l.events%l.opts.EveryEvents == 0) {
 		l.enc.Reset()
 		encode(&l.enc)
-		if err := l.Flush(); err != nil {
-			return err
-		}
+		prev := l.Flush()
 		l.enc, l.writing = l.writing, l.enc
 		l.busy = true
 		path, version, payload, at, done := l.opts.Path, l.version, l.writing.Bytes(), l.events, l.done
@@ -93,6 +93,9 @@ func (l *Loop) Tick(encode func(*snapshot.Encoder)) error {
 			}
 			done <- nil
 		}()
+		if prev != nil {
+			return prev
+		}
 	}
 	if stopping {
 		if err := l.Flush(); err != nil {

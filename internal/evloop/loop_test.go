@@ -60,7 +60,8 @@ func unwritablePath(t *testing.T) string {
 
 // TestLoopWriteErrorNotDropped pins the background write's error
 // path: a failed write is returned by the next cadence Tick, by Flush,
-// or by the stop Tick in place of ErrStopped, and never lost.
+// or by the stop Tick in place of ErrStopped, and never lost. The Tick
+// that returns a failure still starts its own boundary's write.
 func TestLoopWriteErrorNotDropped(t *testing.T) {
 	path := unwritablePath(t)
 	encode := func(e *snapshot.Encoder) { e.U64(1) }
@@ -73,6 +74,9 @@ func TestLoopWriteErrorNotDropped(t *testing.T) {
 	}
 	if err := l.Tick(encode); !errors.Is(err, syscall.ENOTDIR) {
 		t.Fatalf("next cadence tick: %v, want the first write's ENOTDIR", err)
+	}
+	if err := l.Flush(); !errors.Is(err, syscall.ENOTDIR) {
+		t.Fatalf("Flush after the failed tick: %v, want its own write's ENOTDIR (the tick must still write)", err)
 	}
 
 	l = New(Options{Path: path, EveryEvents: 1}, 1, 1024)
