@@ -73,13 +73,14 @@ vet:
 	$(GO) vet ./...
 
 ## chaos-smoke: run the fault-injection experiment with the pinned seed
-## — once parallel, once sequential — and diff both CSVs against the
-## committed golden. Any divergence means the failure lifecycle lost
-## bit-for-bit determinism (or the parallel engine broke its contract).
+## — once parallel, once sequential, both under the race detector — and
+## diff both CSVs against the committed golden. Any divergence means the
+## failure lifecycle lost bit-for-bit determinism (or the parallel
+## engine broke its contract).
 chaos-smoke:
 	@tmp=$$(mktemp -d); rc=0; \
 	for par in true false; do \
-		$(GO) run ./cmd/lightpath-sim chaos -seed 2024 -trials 8 -n 262144 -parallel=$$par -csv $$tmp >/dev/null && \
+		$(GO) run -race ./cmd/lightpath-sim chaos -seed 2024 -trials 8 -n 262144 -parallel=$$par -csv $$tmp >/dev/null && \
 		diff -u cmd/lightpath-sim/testdata/chaos_golden.csv $$tmp/chaos.csv || rc=1; \
 	done; rm -rf $$tmp; \
 	if [ $$rc -ne 0 ]; then echo "chaos CSV diverged from golden (seed 2024)" >&2; exit 1; fi

@@ -98,6 +98,9 @@ func run(args []string, out printer) error {
 	if err := fs.Parse(args[1:]); err != nil {
 		return err
 	}
+	if *elements < 1 {
+		return fmt.Errorf("-n must be at least 1 element, got %d", *elements)
+	}
 	if *killAt > 0 && *checkpoint == "" {
 		return errors.New("-kill-at needs -checkpoint: a killed trial can only resume from its checkpoint")
 	}

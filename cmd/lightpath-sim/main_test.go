@@ -123,6 +123,13 @@ func TestRunErrors(t *testing.T) {
 			t.Errorf("%s -kill-at without -checkpoint: got %v, want a -kill-at error", cmd, err)
 		}
 	}
+	// An empty or negative buffer is refused before any experiment runs.
+	for _, args := range [][]string{{"chaos", "-n", "-5"}, {"table1", "-n", "0"}, {"fig5", "-n", "0"}} {
+		err := run(args, &buf)
+		if err == nil || !strings.Contains(err.Error(), "-n") {
+			t.Errorf("%v: got %v, want a -n error", args, err)
+		}
+	}
 }
 
 func TestRunAll(t *testing.T) {
@@ -143,12 +150,6 @@ func TestRunAll(t *testing.T) {
 func TestParallelFlagOutputIdentical(t *testing.T) {
 	// The -parallel flag must be invisible in the output: same bytes on
 	// stdout and in the exported CSV either way.
-	if raceEnabled {
-		// Two full chaos campaigns don't fit the package's race-mode
-		// timeout budget; the same parallel/sequential equivalence runs
-		// under -race in internal/experiments (TestParallelMatchesSequential).
-		t.Skip("covered under -race by internal/experiments")
-	}
 	outs := make(map[string]string, 2)
 	csvs := make(map[string]string, 2)
 	for _, par := range []string{"true", "false"} {

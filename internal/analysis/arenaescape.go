@@ -27,10 +27,14 @@ import (
 //     the same block (deferred Puts, the borrow-scoped idiom, are the
 //     sanctioned pattern and stay legal).
 //
-// Storing one arena alias inside another arena-tainted structure (the
-// chaosScratch pattern: slices of the arena parked in the pooled
-// struct's own map) is fine — the whole object graph returns to the
-// pool together.
+// Storing one arena alias inside another arena-tainted structure
+// (slices of the arena parked in the pooled struct's own fields, the
+// fixture's scratch.ref = b case) is fine — the whole object graph
+// returns to the pool together.
+//
+// The one live site is the route plan cache: Allocator.Establish
+// borrows its plan slice under //lightpath:arena. No sync.Pool is
+// left in non-test code; the fixture keeps the pooled shapes.
 var ArenaEscape = &Analyzer{
 	Name: "arenaescape",
 	Doc:  "forbid sync.Pool-obtained or //lightpath:arena-marked buffers from escaping the borrowing function",

@@ -8,8 +8,9 @@ package fixture
 
 import "sync"
 
-// scratch is the pooled per-trial workspace, mirroring core's
-// chaosScratch: one backing arena plus a derived reference slice.
+// scratch is the pooled per-trial workspace in the shape core's
+// chaosScratch had before the chaos run moved onto schedule atoms: one
+// backing arena plus a derived reference slice.
 type scratch struct {
 	arena []float64
 	ref   []float64

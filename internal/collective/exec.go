@@ -16,11 +16,13 @@ import (
 type State map[int][]float64
 
 // NewState allocates an n-element buffer per chip, filled by fill
-// (which receives the chip ID and element index).
+// (which receives the chip ID and element index). The buffers share
+// one backing array, each capped at its own n elements.
 func NewState(chips []int, n int, fill func(chip, i int) float64) State {
 	st := make(State, len(chips))
-	for _, c := range chips {
-		buf := make([]float64, n)
+	backing := make([]float64, len(chips)*n)
+	for ci, c := range chips {
+		buf := backing[ci*n : (ci+1)*n : (ci+1)*n]
 		if fill != nil {
 			for i := range buf {
 				buf[i] = fill(c, i)
@@ -55,13 +57,12 @@ func (st State) Execute(s *Schedule) error {
 	return ip.Execute(st, s)
 }
 
-// delivery is one staged transfer: the payload has been read from the
-// pre-step state and waits to be applied.
+// delivery is one staged transfer: its payload, read from the
+// pre-step state, sits at payloads[off:off+n] and waits to be applied.
 type delivery struct {
-	to      int
-	lo      int
-	reduce  bool
-	payload []float64
+	to, lo int
+	off, n int
+	reduce bool
 }
 
 // Interp is a reusable schedule interpreter. The per-step delivery
@@ -94,7 +95,11 @@ func (ip *Interp) Execute(st State, s *Schedule) error {
 // (and again after mutating it).
 func (ip *Interp) ExecuteStep(st State, s *Schedule, si int) error {
 	step := &s.Steps[si]
+	// Read-before-write: every payload is staged before any delivery
+	// lands, so a transfer writing into another's source range cannot
+	// change what that transfer sends.
 	ip.deliveries = ip.deliveries[:0]
+	ip.payloads = ip.payloads[:0]
 	for ti, tr := range step.Transfers {
 		src, ok := st[tr.From]
 		if !ok {
@@ -110,81 +115,29 @@ func (ip *Interp) ExecuteStep(st State, s *Schedule, si int) error {
 		if dst.Hi > len(st[tr.To]) {
 			return fmt.Errorf("collective: step %d transfer %d destination %v exceeds buffer %d", si, ti, dst, len(st[tr.To]))
 		}
-		// The payload aliases the source buffer for now; it is staged
-		// into the arena below only if some delivery would overwrite it.
-		ip.deliveries = append(ip.deliveries, delivery{to: tr.To, lo: dst.Lo, reduce: tr.Reduce, payload: src[tr.Range.Lo:tr.Range.Hi]})
-	}
-	// Read-before-write: a payload must be staged only when another
-	// transfer of the same step writes into its source range. Ring and
-	// bucket schedules never do (a chip always forwards a chunk other
-	// than the one it receives), so the common case applies payloads
-	// straight from the source buffers with no copy.
-	if ip.stepConflicts(st, step) {
-		total := 0
-		for _, tr := range step.Transfers {
-			total += tr.Range.Len()
-		}
-		// The arena is sized up front so the payload subslices are
-		// never invalidated by growth.
-		if cap(ip.payloads) < total {
-			ip.payloads = make([]float64, 0, total)
-		}
-		ip.payloads = ip.payloads[:0]
-		for di := range ip.deliveries {
-			d := &ip.deliveries[di]
-			lo := len(ip.payloads)
-			ip.payloads = append(ip.payloads, d.payload...)
-			d.payload = ip.payloads[lo:]
-		}
+		ip.deliveries = append(ip.deliveries, delivery{to: tr.To, lo: dst.Lo, off: len(ip.payloads), n: dst.Len(), reduce: tr.Reduce})
+		ip.payloads = append(ip.payloads, src[tr.Range.Lo:tr.Range.Hi]...)
 	}
 	for _, d := range ip.deliveries {
-		// Subslicing to the exact destination window lets the compiler
-		// drop the per-element bounds checks in the reduce loop.
-		dst := st[d.to][d.lo : d.lo+len(d.payload)]
+		// Subslicing to the exact windows lets the compiler drop the
+		// per-element bounds checks in the reduce loop.
+		payload := ip.payloads[d.off : d.off+d.n]
+		dst := st[d.to][d.lo : d.lo+d.n]
 		if d.reduce {
-			for i, v := range d.payload {
+			for i, v := range payload {
 				dst[i] += v
 			}
 		} else {
-			copy(dst, d.payload)
+			copy(dst, payload)
 		}
 	}
 	return nil
 }
 
-// stepConflicts reports whether any transfer of the step writes into a
-// range another transfer of the same step reads.
-func (ip *Interp) stepConflicts(st State, step *Step) bool {
-	for i := range step.Transfers {
-		tr := &step.Transfers[i]
-		for j := range ip.deliveries {
-			d := &ip.deliveries[j]
-			if tr.From != d.to {
-				continue
-			}
-			if tr.Range.Lo < d.lo+len(d.payload) && d.lo < tr.Range.Hi {
-				return true
-			}
-		}
-	}
-	return false
-}
-
 // ReduceAcross returns the element-wise sum of the chips' initial
 // buffers — the reference result of an AllReduce with summation.
 func ReduceAcross(st State, chips []int, n int) []float64 {
-	return ReduceAcrossInto(nil, st, chips, n)
-}
-
-// ReduceAcrossInto is ReduceAcross into a caller-owned slice, grown as
-// needed and returned — the fault campaigns call it per trial and keep
-// the reference buffer out of their steady-state allocation count.
-func ReduceAcrossInto(dst []float64, st State, chips []int, n int) []float64 {
-	if cap(dst) < n {
-		dst = make([]float64, n)
-	}
-	dst = dst[:n]
-	clear(dst)
+	dst := make([]float64, n)
 	for _, c := range chips {
 		for i, v := range st[c] {
 			dst[i] += v
@@ -202,10 +155,7 @@ func CheckAllReduce(st State, chips []int, ref []float64) error {
 			return fmt.Errorf("collective: chip %d buffer length %d, want %d", c, len(buf), len(ref))
 		}
 		for i, v := range buf {
-			// Exact equality inline: most elements match bit for bit,
-			// and the comparison avoids a call per element on what is
-			// the campaigns' single hottest check.
-			if v != ref[i] && !approxEqual(v, ref[i]) {
+			if !approxEqual(v, ref[i]) {
 				return fmt.Errorf("collective: chip %d element %d = %v, want %v", c, i, v, ref[i])
 			}
 		}
@@ -245,10 +195,8 @@ func approxEqual(a, b float64) bool {
 	if a == b {
 		return true
 	}
-	// Max by comparison rather than math.Max: unlike Abs, Max is not an
-	// intrinsic, and this runs per element of every checked buffer. NaN
-	// still fails: diff is NaN whenever a or b is, and NaN <= x is
-	// false for every x.
+	// NaN fails: diff is NaN whenever a or b is, and NaN <= x is false
+	// for every x.
 	diff := math.Abs(a - b)
 	scale := math.Abs(a)
 	if ab := math.Abs(b); ab > scale {

@@ -15,6 +15,7 @@ package collective
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 
 	"lightpath/internal/unit"
@@ -118,16 +119,63 @@ type Schedule struct {
 // Clone deep-copies the schedule. The failure experiments splice a
 // replacement chip into a schedule in place, so a campaign that plans
 // once and runs many fault trials hands each trial its own clone.
+// The steps share one transfer array, each capped at its own length.
 func (s *Schedule) Clone() *Schedule {
 	out := &Schedule{Name: s.Name, N: s.N, ElemBytes: s.ElemBytes}
 	out.Steps = make([]Step, len(s.Steps))
+	trs := make([]Transfer, 0, s.numTransfers())
 	for i, st := range s.Steps {
-		out.Steps[i] = Step{
-			Transfers: append([]Transfer(nil), st.Transfers...),
-			Reconfig:  st.Reconfig,
-		}
+		lo := len(trs)
+		trs = append(trs, st.Transfers...)
+		out.Steps[i] = Step{Transfers: trs[lo:len(trs):len(trs)], Reconfig: st.Reconfig}
 	}
 	return out
+}
+
+// numTransfers counts the transfers across all steps.
+func (s *Schedule) numTransfers() int {
+	n := 0
+	for _, st := range s.Steps {
+		n += len(st.Transfers)
+	}
+	return n
+}
+
+// Atoms returns a copy of a valid in-place schedule with every Range
+// renumbered onto its atoms: the transfer boundaries cut [0, N) into
+// intervals, each element of an interval sees exactly the same copies
+// and reduces, so one element per atom decides an AllReduce check
+// exactly as all N do. The copy's N is the number of atoms and its
+// timing and byte figures are meaningless; keep s for those. Atoms
+// errors if s is invalid or any transfer is not InPlace.
+func (s *Schedule) Atoms() (*Schedule, error) {
+	if err := s.Validate(); err != nil {
+		return nil, err
+	}
+	cuts := append(make([]int, 0, 2+2*s.numTransfers()), 0, s.N)
+	for si, st := range s.Steps {
+		for ti, tr := range st.Transfers {
+			if tr.DstLo != InPlace {
+				return nil, fmt.Errorf("collective: %q step %d transfer %d is not in place", s.Name, si, ti)
+			}
+			cuts = append(cuts, tr.Range.Lo, tr.Range.Hi)
+		}
+	}
+	sort.Ints(cuts)
+	cuts = slices.Compact(cuts)
+	atom := func(x int) int {
+		i, _ := slices.BinarySearch(cuts, x)
+		return i
+	}
+	out := s.Clone()
+	out.N = len(cuts) - 1
+	for _, st := range out.Steps {
+		for ti := range st.Transfers {
+			r := &st.Transfers[ti].Range
+			*r = Range{Lo: atom(r.Lo), Hi: atom(r.Hi)}
+		}
+	}
+	return out, nil
 }
 
 // Chips returns the sorted set of chips that appear in the schedule.

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"sort"
-	"sync"
 
 	"lightpath/internal/chaos"
 	"lightpath/internal/collective"
@@ -12,21 +11,6 @@ import (
 	"lightpath/internal/torus"
 	"lightpath/internal/unit"
 )
-
-// chaosScratch backs one fault run's buffers: the arena holds the
-// input ramp, every chip's buffer and the replacement's checkpoint,
-// fully rewritten (never zeroed) each run; ref holds the reference
-// reduction. The pool is shared across fabrics because a campaign
-// clones a fresh Fabric per trial — pooling lets a few arenas serve
-// the whole campaign, sequential or fanned out, instead of each trial
-// allocating (and the collector retiring) tens of megabytes.
-type chaosScratch struct {
-	state collective.State
-	arena []float64
-	ref   []float64
-}
-
-var chaosScratchPool = sync.Pool{New: func() any { return new(chaosScratch) }}
 
 // This file is the top of the failure lifecycle: it executes a planned
 // AllReduce step by step against real buffers and a simulated clock,
@@ -164,46 +148,20 @@ func (f *Fabric) RunPlannedAllReduceUnderFault(a *torus.Allocation, plan *Collec
 	}
 
 	circuitBW := f.params.ChipBandwidth / unit.BitRate(plan.ActiveDims)
-	// Deterministic per-chip inputs: any values work (the interpreter
-	// checks against the exact reference reduction); a chip- and
-	// index-dependent ramp catches swapped or stale buffers. The
-	// index-dependent term is computed once — the per-chip fills then
-	// add the chip base to the same template values, so every buffer
-	// holds exactly the floats the inline division produced. Buffers
-	// come from a pooled arena: every element is written below, so
-	// reuse skips the zero-fill a fresh NewState would pay per trial.
-	scr := chaosScratchPool.Get().(*chaosScratch)
-	defer chaosScratchPool.Put(scr)
-	n := sched.N
-	if need := (len(chips) + 2) * n; cap(scr.arena) < need {
-		scr.arena = make([]float64, need)
-	}
-	arena := scr.arena
-	ramp := arena[:n:n]
-	for i := range ramp {
-		ramp[i] = float64(i) / float64(n)
-	}
-	if scr.state == nil {
-		scr.state = make(collective.State, len(chips))
-	}
-	clear(scr.state)
-	st := scr.state
-	for ci, c := range chips {
-		buf := arena[(1+ci)*n : (2+ci)*n : (2+ci)*n]
-		base := float64(c + 1)
-		for i := range buf {
-			buf[i] = ramp[i] + base
-		}
-		st[c] = buf
-	}
-	scr.ref = collective.ReduceAcrossInto(scr.ref, st, chips, n)
-	ref := scr.ref
-	// The schedule is validated once here and re-validated after the
-	// repair splices the replacement in; the per-step executions below
-	// then skip re-validation (Interp.ExecuteStep's contract).
-	if err := sched.Validate(); err != nil {
+	// Timing and byte figures come from sched; the buffers run on its
+	// atoms (Schedule.Atoms validates sched), so a check of one value
+	// per atom gives the verdict a check of every element would.
+	atoms, err := sched.Atoms()
+	if err != nil {
 		return nil, err
 	}
+	// Deterministic per-chip inputs: any values work (the check is
+	// against the exact reference reduction); a chip- and
+	// atom-dependent ramp catches swapped or stale buffers.
+	st := collective.NewState(chips, atoms.N, func(c, i int) float64 {
+		return float64(c+1) + float64(i)/float64(atoms.N)
+	})
+	ref := collective.ReduceAcross(st, chips, atoms.N)
 
 	out := &ChaosOutcome{
 		Victim:      victim,
@@ -217,7 +175,7 @@ func (f *Fabric) RunPlannedAllReduceUnderFault(a *torus.Allocation, plan *Collec
 	var clock unit.Seconds
 	// Healthy prefix: steps before the failure complete normally.
 	for i := 0; i < failStep; i++ {
-		if err := f.executeStep(st, sched, i); err != nil {
+		if err := f.executeStep(st, atoms, i); err != nil {
 			return nil, err
 		}
 		clock += f.stepTime(sched, i, circuitBW)
@@ -262,13 +220,13 @@ func (f *Fabric) RunPlannedAllReduceUnderFault(a *torus.Allocation, plan *Collec
 
 	// Logical splice: the replacement takes over the victim's role in
 	// every remaining step and inherits its step-boundary checkpoint.
-	remapVictim(sched, victim, repl, failStep)
-	if err := sched.Validate(); err != nil {
-		return nil, fmt.Errorf("core: schedule invalid after splice: %w", err)
+	for _, s := range []*collective.Schedule{sched, atoms} {
+		remapVictim(s, victim, repl, failStep)
+		if err := s.Validate(); err != nil {
+			return nil, fmt.Errorf("core: schedule invalid after splice: %w", err)
+		}
 	}
-	buf := arena[(1+len(chips))*n : (2+len(chips))*n : (2+len(chips))*n]
-	copy(buf, st[victim])
-	st[repl] = buf
+	st[repl] = st[victim]
 	delete(st, victim)
 	for i := range chips {
 		if chips[i] == victim {
@@ -279,7 +237,7 @@ func (f *Fabric) RunPlannedAllReduceUnderFault(a *torus.Allocation, plan *Collec
 
 	// Resume: replay the interrupted step, then the rest.
 	for i := failStep; i < sched.NumSteps(); i++ {
-		if err := f.executeStep(st, sched, i); err != nil {
+		if err := f.executeStep(st, atoms, i); err != nil {
 			return nil, err
 		}
 		clock += f.stepTime(sched, i, circuitBW)

@@ -146,3 +146,24 @@ func TestRunAllReduceUnderFaultDeterministic(t *testing.T) {
 		t.Fatalf("outcomes diverged:\n%v\n%v", a, b)
 	}
 }
+
+// TestRunPlannedAllReduceUnderFaultCatchesBrokenPlan: the check runs on
+// the schedule's atoms, and must still see a wrong sum. A plan with one
+// transfer dropped completes its recovery but reports Correct false.
+func TestRunPlannedAllReduceUnderFaultCatchesBrokenPlan(t *testing.T) {
+	f, sc, chips := chaosSetup(t)
+	plan, err := f.PlanAllReduce(sc.Alloc, 1, unit.MB)
+	if err != nil {
+		t.Fatal(err)
+	}
+	broken := plan.Clone()
+	step := &broken.Schedule.Steps[1]
+	step.Transfers = step.Transfers[1:]
+	out, err := f.RunPlannedAllReduceUnderFault(sc.Alloc, broken, chips[0], 3, DefaultChaosPolicy())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out.Correct {
+		t.Fatal("AllReduce with a dropped transfer reported correct")
+	}
+}
