@@ -98,8 +98,15 @@ func run(args []string, out printer) error {
 	if err := fs.Parse(args[1:]); err != nil {
 		return err
 	}
-	if *elements < 1 {
-		return fmt.Errorf("-n must be at least 1 element, got %d", *elements)
+	// Sizes are checked before any experiment runs, so a bad one fails
+	// naming its flag rather than deep inside a campaign.
+	for _, f := range []struct {
+		name   string
+		v, min int
+	}{{"-n", *elements, 1}, {"-samples", *samples, 1}, {"-rails", *rails, 0}, {"-servers", *servers, 0}, {"-waves", *waves, 0}} {
+		if f.v < f.min {
+			return fmt.Errorf("%s must be at least %d, got %d", f.name, f.min, f.v)
+		}
 	}
 	if *killAt > 0 && *checkpoint == "" {
 		return errors.New("-kill-at needs -checkpoint: a killed trial can only resume from its checkpoint")

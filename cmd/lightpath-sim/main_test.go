@@ -130,6 +130,17 @@ func TestRunErrors(t *testing.T) {
 			t.Errorf("%v: got %v, want a -n error", args, err)
 		}
 	}
+	// So are a sample count below one and a negative rail size, which
+	// would otherwise panic or silently run the default scale.
+	for _, args := range [][]string{
+		{"fig3b", "-samples", "-3"}, {"fig3b", "-samples", "0"},
+		{"rail", "-rails", "-1"}, {"rail", "-servers", "-1"}, {"rail", "-waves", "-1"},
+	} {
+		err := run(args, &buf)
+		if err == nil || !strings.Contains(err.Error(), args[1]) {
+			t.Errorf("%v: got %v, want a %s error", args, err, args[1])
+		}
+	}
 }
 
 func TestRunAll(t *testing.T) {

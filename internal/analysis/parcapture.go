@@ -35,7 +35,7 @@ const engineMap = enginePath + ".Map"
 //     planning method reached a reused executor and rebuilt its maps.
 //
 // Reads of captured state stay legal — shared read-only inputs are the
-// whole point of clone-per-trial campaigns — as do writes to the
+// whole point of build-per-trial campaigns — as do writes to the
 // closure's own parameters and locals. A closure bound to a local
 // variable and passed by name is resolved through the enclosing
 // function.
@@ -174,7 +174,7 @@ func checkTrialClosure(pass *Pass, lit *ast.FuncLit) {
 			if sel, ok := ast.Unparen(n.Fun).(*ast.SelectorExpr); ok && pass.Facts != nil {
 				fn := calleeFunc(pass, n)
 				if id := captured(sel.X); id != nil && fn != nil && pass.Facts.MutatesReceiver(fn) {
-					pass.Reportf(n.Pos(), "trial closure passed to engine.Map calls %s on captured %q, which writes through its receiver; trials run concurrently — give each trial its own copy (a Clone) instead of sharing one", fn.Name(), id.Name)
+					pass.Reportf(n.Pos(), "trial closure passed to engine.Map calls %s on captured %q, which writes through its receiver; trials run concurrently — give each trial its own copy", fn.Name(), id.Name)
 				}
 			}
 		}

@@ -9,10 +9,10 @@ import (
 )
 
 // TestMain raises the process-wide audit mode to Paranoid, so every
-// fabric any test here builds (New and Clone alike) carries an
-// auditor that re-checks the full invariant registry after each
-// circuit mutation — recovery loops, MoE churn, chaos trials, all of
-// it. The process-wide tally is asserted empty at exit.
+// fabric any test here builds carries an auditor that re-checks the
+// full invariant registry after each circuit mutation — recovery
+// loops, MoE churn, chaos trials, all of it. The process-wide tally is
+// asserted empty at exit.
 func TestMain(m *testing.M) {
 	invariant.SetDefaultMode(invariant.Paranoid)
 	code := m.Run()

@@ -52,7 +52,7 @@ type Fabric struct {
 	// scratch across the many executions a fabric performs (planning,
 	// chaos trials); stepChip is the per-step payload tally of the
 	// fault runs. A Fabric is single-goroutine, like its rand;
-	// campaigns clone per trial.
+	// campaigns build one per trial.
 	exec   netsim.Executor
 	interp collective.Interp
 	// stepChipBytes/stepChipTouched tally one step's per-chip payload,

@@ -154,7 +154,8 @@ func Chaos(seed uint64, trials int, bufferBytes unit.Bytes) (ChaosResult, error)
 	// Planning is deterministic given the seed and allocation, so the
 	// campaign plans the collective once on a probe fabric; each trial
 	// receives its own Clone (the repair splice mutates the schedule).
-	probe, err := core.New(core.Options{RackShape: sc.Torus.Shape(), Seed: seed})
+	opts := core.Options{RackShape: sc.Torus.Shape(), Seed: seed}
+	probe, err := core.New(opts)
 	if err != nil {
 		return ChaosResult{}, err
 	}
@@ -163,15 +164,6 @@ func Chaos(seed uint64, trials int, bufferBytes unit.Bytes) (ChaosResult, error)
 		return ChaosResult{}, err
 	}
 	numSteps := probePlan.Schedule.NumSteps()
-
-	// One pristine fabric, cloned per trial: a clone of an untouched
-	// fabric is bit-identical to calling core.New with the same seed
-	// (the random streams are never advanced before cloning), so the
-	// campaign skips the full hardware construction in every trial.
-	proto, err := core.New(core.Options{RackShape: sc.Torus.Shape(), Seed: seed})
-	if err != nil {
-		return ChaosResult{}, err
-	}
 
 	res := ChaosResult{AllCorrect: true, WithinBound: true}
 	var sumMTTR, sumGoodput float64
@@ -182,7 +174,7 @@ func Chaos(seed uint64, trials int, bufferBytes unit.Bytes) (ChaosResult, error)
 		bound    unit.Seconds
 		overTwox bool
 	}
-	// Trials are independent: each clones its own hardware and its
+	// Trials are independent: each builds its own hardware and its
 	// inputs (fault arrival, fail step) are precomputed above, so the
 	// engine fans them out and the loop below merges in trial order.
 	outcomes, err := engine.Map(trials, func(i int) (chaosOutcome, error) {
@@ -200,7 +192,10 @@ func Chaos(seed uint64, trials int, bufferBytes unit.Bytes) (ChaosResult, error)
 
 		// Fresh hardware per trial: failures must not accumulate
 		// across the campaign.
-		fabric := proto.Clone()
+		fabric, err := core.New(opts)
+		if err != nil {
+			return chaosOutcome{}, err
+		}
 		outcome, err := fabric.RunPlannedAllReduceUnderFault(sc.Alloc, probePlan.Clone(), victim, failStep, pol)
 		if err != nil {
 			return chaosOutcome{}, fmt.Errorf("experiments: trial %d (chip %d, step %d): %w", i, victim, failStep, err)

@@ -38,6 +38,11 @@ func TestFig3b(t *testing.T) {
 	if len(res.String()) == 0 {
 		t.Fatal("empty render")
 	}
+	for _, n := range []int{0, -3} {
+		if _, err := Fig3b(2, n); err == nil {
+			t.Errorf("Fig3b with %d samples accepted", n)
+		}
+	}
 }
 
 func TestFig4(t *testing.T) {

@@ -54,18 +54,18 @@ func Fig5(buffer unit.Bytes, seed uint64) (Fig5Result, error) {
 	if err != nil {
 		return Fig5Result{}, err
 	}
-	fabric, err := core.New(core.Options{Seed: seed})
-	if err != nil {
-		return Fig5Result{}, err
-	}
 	var res Fig5Result
 	util := core.UtilizationReport(a)
 	// PlanAllReduce reuses the fabric's simulator scratch, so each
-	// per-slice trial plans on its own clone; MaxDrop folds in slice
+	// per-slice trial plans on its own fabric; MaxDrop folds in slice
 	// order.
 	rows, err := engine.Map(len(util), func(si int) (Fig5Row, error) {
 		u := util[si]
-		plan, err := fabric.Clone().PlanAllReduce(a, si, buffer)
+		fabric, err := core.New(core.Options{Seed: seed})
+		if err != nil {
+			return Fig5Row{}, err
+		}
+		plan, err := fabric.PlanAllReduce(a, si, buffer)
 		if err != nil {
 			return Fig5Row{}, fmt.Errorf("experiments: plan for %s: %w", u.Slice, err)
 		}
@@ -135,17 +135,17 @@ func Sweep(buffers []unit.Bytes, seed uint64) (SweepResult, error) {
 	if err != nil {
 		return SweepResult{}, err
 	}
-	fabric, err := core.New(core.Options{Seed: seed})
-	if err != nil {
-		return SweepResult{}, err
-	}
 	res := SweepResult{Slice: "Slice-1"}
-	// Each buffer size plans on its own clone of the fabric (planning
-	// reuses the fabric's simulator scratch); the crossover scan below
-	// runs on the merged, ordered points so the "smallest winning
-	// buffer" answer is unchanged.
+	// Each buffer size plans on its own fabric (planning reuses the
+	// fabric's simulator scratch); the crossover scan below runs on the
+	// merged, ordered points so the "smallest winning buffer" answer is
+	// unchanged.
 	points, err := engine.Map(len(buffers), func(i int) (SweepPoint, error) {
-		plan, err := fabric.Clone().PlanAllReduce(a, 0, buffers[i])
+		fabric, err := core.New(core.Options{Seed: seed})
+		if err != nil {
+			return SweepPoint{}, err
+		}
+		plan, err := fabric.PlanAllReduce(a, 0, buffers[i])
 		if err != nil {
 			return SweepPoint{}, err
 		}

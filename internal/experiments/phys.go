@@ -101,6 +101,9 @@ func (r Fig3bResult) String() string {
 // Fig3b samples the stitch-loss distribution and fits the Gaussian
 // the figure overlays.
 func Fig3b(seed uint64, samples int) (Fig3bResult, error) {
+	if samples < 1 {
+		return Fig3bResult{}, fmt.Errorf("experiments: fig3b needs at least 1 sample, got %d", samples)
+	}
 	m := phy.NewLossModel(rng.New(seed).Split("fig3b"))
 	vals := make([]float64, 0, samples)
 	for i := 0; i < samples; i++ {

@@ -115,17 +115,6 @@ func NewLossModel(r *rng.Rand) *LossModel {
 	return &LossModel{rand: r}
 }
 
-// Clone returns an independent copy of the model, including the
-// position of its random stream, so a cloned fabric samples exactly
-// the stitch losses a freshly built one would.
-func (m *LossModel) Clone() *LossModel {
-	c := *m
-	if m.rand != nil {
-		c.rand = m.rand.Clone()
-	}
-	return &c
-}
-
 func (m *LossModel) crossing() unit.Decibel {
 	if m.CrossingDB > 0 {
 		return m.CrossingDB

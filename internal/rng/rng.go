@@ -58,16 +58,6 @@ func (r *Rand) Split(label string) *Rand {
 	return New(seed)
 }
 
-// Clone returns an independent copy of the stream at its current
-// position: the clone and the original produce the same future values
-// but advance separately. It exists so a pristine prototype (a fabric,
-// a loss model) can be duplicated per Monte-Carlo trial with exactly
-// the state a freshly seeded construction would have.
-func (r *Rand) Clone() *Rand {
-	c := *r
-	return &c
-}
-
 // State returns the stream's current internal state — its exact
 // position in the xoshiro256** sequence. Together with SetState it
 // lets a checkpoint serialize a stream mid-run and resume it so the

@@ -52,21 +52,21 @@ type Allocator struct {
 
 	// rowOrder[srcRow] is the precomputed non-packing fiber-row
 	// preference order (source row first, then the rest ascending). It
-	// is immutable after construction and shared by clones.
+	// is immutable after construction.
 	rowOrder [][]int
 	// auditHook, when set, runs after every completed top-level
 	// mutation with the operation's name; mutDepth tracks nesting so
 	// compound operations (ApplyFault releasing circuits) fire the
-	// hook once, when the state is consistent again. Clones start with
-	// no hook — the attaching layer decides per allocator.
+	// hook once, when the state is consistent again. The attaching
+	// layer decides per allocator.
 	auditHook func(op string)
 	mutDepth  int
 	// scratch holds the buffers Establish reuses across calls so the
 	// pathfinding hot path stops allocating per circuit. Nothing in it
-	// survives a call; clones start with fresh (zero) scratch.
+	// survives a call.
 	scratch allocScratch
 	// plans memoizes candidatePlans per chip pair, invalidated by the
-	// fabric epoch (see plancache.go). Clones start cold.
+	// fabric epoch (see plancache.go).
 	plans planCache
 	// noPlanCache forces every Establish to re-derive plans from
 	// scratch; the differential tests use it as the reference arm.
@@ -735,11 +735,11 @@ func (a *Allocator) place(req Request, p plan, link phy.LinkReport, now unit.Sec
 
 // Release tears down a circuit and returns its resources. Releasing a
 // circuit this allocator does not currently hold — a double release,
-// or a circuit belonging to a different allocator (a clone's, say) —
-// is a no-op: fault-driven teardown can race a caller-driven one, and
-// the loser must never corrupt the occupancy counts. The identity
-// check is by pointer, not ID, so a clone's circuit with a coinciding
-// ID cannot free this allocator's resources.
+// or a circuit belonging to a different allocator — is a no-op:
+// fault-driven teardown can race a caller-driven one, and the loser
+// must never corrupt the occupancy counts. The identity check is by
+// pointer, not ID, so another allocator's circuit with a coinciding ID
+// cannot free this allocator's resources.
 func (a *Allocator) Release(c *Circuit) {
 	i, ok := a.circuitIndex(c.ID)
 	if !ok || a.circuits[i] != c {

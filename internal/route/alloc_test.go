@@ -173,8 +173,9 @@ func TestReleaseUnknownAndDoubleReleaseAreNoOps(t *testing.T) {
 	// panicked here — exactly the class of defect the auditor flags as a
 	// conservation violation.
 	a.Release(c)
-	// A circuit this allocator never established (a clone's twin with a
-	// coinciding ID, or a fabricated one) must not free anything either.
+	// A circuit this allocator never established (another allocator's
+	// with a coinciding ID, or a fabricated one) must not free anything
+	// either.
 	a.Release(&Circuit{ID: keep.ID, A: keep.A, B: keep.B, Width: keep.Width})
 	a.Release(&Circuit{ID: 99})
 

@@ -101,7 +101,7 @@ func FuzzFaultRecovery(f *testing.F) {
 			Wafers:          rack.NumWafers(),
 			Rows:            cfg.Rows,
 			Cols:            cfg.Cols,
-			Trunks:          rack.NumWafers(),
+			Trunks:          rack.NumTrunks(),
 		}, rates)
 		if err != nil {
 			t.Fatal(err)

@@ -86,6 +86,12 @@ func (a *Allocator) ApplyFault(f chaos.Fault) ([]*Circuit, error) {
 		return a.releaseAll(broken), nil
 
 	case chaos.FiberCut:
+		if f.Trunk < 0 || f.Trunk >= a.rack.NumTrunks() {
+			return nil, fmt.Errorf("route: fault trunk %d out of range [0, %d)", f.Trunk, a.rack.NumTrunks())
+		}
+		if rows := a.rack.Config().Rows; f.Row < 0 || f.Row >= rows {
+			return nil, fmt.Errorf("route: fault row %d out of range [0, %d)", f.Row, rows)
+		}
 		return a.FailFiberRow(f.Trunk, f.Row), nil
 	}
 	return nil, fmt.Errorf("route: unknown fault class %d", int(f.Class))

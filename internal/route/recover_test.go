@@ -1,6 +1,7 @@
 package route
 
 import (
+	"bytes"
 	"errors"
 	"testing"
 
@@ -203,6 +204,31 @@ func TestApplyFaultRejectsUnknownClassAndBadChip(t *testing.T) {
 	}
 	if _, err := a.ApplyFault(chaos.Fault{Class: chaos.ChipFailure, Chip: 1 << 20}); err == nil {
 		t.Fatal("out-of-range chip accepted")
+	}
+}
+
+// TestApplyFaultRejectsOutOfRangeFiberCut: a cut naming a trunk or row
+// the rack does not have is an error and leaves no phantom failed row
+// in the allocator's state.
+func TestApplyFaultRejectsOutOfRangeFiberCut(t *testing.T) {
+	a := recoverAllocator(t)
+	trunks, rows := a.Rack().NumTrunks(), a.Rack().Config().Rows
+	want := encodeAllocator(a)
+	for _, f := range []chaos.Fault{
+		{Class: chaos.FiberCut, Trunk: -1, Row: 0},
+		{Class: chaos.FiberCut, Trunk: trunks, Row: 0},
+		{Class: chaos.FiberCut, Trunk: 0, Row: -1},
+		{Class: chaos.FiberCut, Trunk: 0, Row: rows},
+	} {
+		if _, err := a.ApplyFault(f); err == nil {
+			t.Errorf("cut at trunk %d row %d accepted (rack has %d trunks, %d rows)", f.Trunk, f.Row, trunks, rows)
+		}
+		if a.RowFailed(f.Trunk, f.Row) {
+			t.Errorf("rejected cut left trunk %d row %d marked failed", f.Trunk, f.Row)
+		}
+	}
+	if !bytes.Equal(encodeAllocator(a), want) {
+		t.Fatal("rejected cuts changed the checkpoint state")
 	}
 }
 

@@ -91,7 +91,7 @@ func (m *mapLoss) encodeState(e *snapshot.Encoder, w *Wafer) {
 // span loss bit for bit and severance over in-range, out-of-range and
 // empty spans and lanes of either (or an unknown) orientation; the
 // degraded-position count; and the checkpoint bytes, before and after
-// a restore and a clone.
+// a restore.
 func TestLossGridMatchesMap(t *testing.T) {
 	cfg := DefaultConfig()
 	orients := []Orient{Horizontal, Vertical, 'X'}
@@ -137,12 +137,10 @@ func TestLossGridMatchesMap(t *testing.T) {
 		if !bytes.Equal(got.Bytes(), want.Bytes()) {
 			t.Fatalf("seed %d: checkpoint bytes diverge from the map encoding", seed)
 		}
-		for _, c := range []*Wafer{w.Clone(), mustRestore(t, cfg, got.Bytes())} {
-			var again snapshot.Encoder
-			c.encodeState(&again)
-			if !bytes.Equal(again.Bytes(), want.Bytes()) {
-				t.Fatalf("seed %d: clone or restore re-encodes differently", seed)
-			}
+		var again snapshot.Encoder
+		mustRestore(t, cfg, got.Bytes()).encodeState(&again)
+		if !bytes.Equal(again.Bytes(), want.Bytes()) {
+			t.Fatalf("seed %d: restore re-encodes differently", seed)
 		}
 	}
 }

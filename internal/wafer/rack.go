@@ -81,15 +81,15 @@ func NewRackTopology(cfg Config, numWafers int, topo Topology) (*Rack, error) {
 	if topo != Chain && topo != RingTopology {
 		return nil, fmt.Errorf("wafer: unknown topology %d", int(topo))
 	}
-	r := &Rack{cfg: cfg, topology: topo}
+	r := &Rack{cfg: cfg, topology: topo, chips: make([]*Tile, 0, numWafers*cfg.Tiles())}
 	for i := 0; i < numWafers; i++ {
 		w, err := New(cfg)
 		if err != nil {
 			return nil, err
 		}
 		r.wafers = append(r.wafers, w)
+		r.chips = append(r.chips, w.tiles...)
 	}
-	r.indexChips()
 	numTrunks := numWafers - 1
 	if topo == RingTopology && numWafers >= 2 {
 		numTrunks = numWafers
@@ -102,14 +102,6 @@ func NewRackTopology(cfg Config, numWafers int, topo Topology) (*Rack, error) {
 		r.trunks = append(r.trunks, t)
 	}
 	return r, nil
-}
-
-// indexChips builds the chip→tile table from the wafers.
-func (r *Rack) indexChips() {
-	r.chips = make([]*Tile, 0, r.NumChips())
-	for _, w := range r.wafers {
-		r.chips = append(r.chips, w.tiles...)
-	}
 }
 
 // Config returns the per-wafer configuration.
