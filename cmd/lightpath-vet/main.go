@@ -1,9 +1,8 @@
 // Command lightpath-vet runs the repository's static-analysis suite:
 // repo-specific analyzers that enforce determinism, unit safety (both
 // per-package and interprocedurally), the package layering DAG, error
-// handling, export documentation, allocation-free hot loops, safe
-// closure capture in parallel trials, and arena borrow discipline. It
-// is built entirely on the standard library (go/parser + go/types) so
+// handling, export documentation, allocation-free hot loops and safe
+// closure capture in parallel trials. It is built entirely on the standard library (go/parser + go/types) so
 // the module stays dependency-free.
 //
 // Usage:

@@ -11,8 +11,8 @@ import (
 // TestRepoIsClean is the acceptance gate for the analyzer suite: the
 // repository itself must pass every lightpath-vet analyzer. A failure
 // here means a change reintroduced a determinism, unit-safety,
-// layering, error-handling, concurrency-capture, arena-escape, or
-// documentation violation.
+// layering, error-handling, concurrency-capture or documentation
+// violation.
 func TestRepoIsClean(t *testing.T) {
 	var stdout, stderr strings.Builder
 	if code := run([]string{"./..."}, &stdout, &stderr); code != 0 {
@@ -30,7 +30,7 @@ func TestListAnalyzers(t *testing.T) {
 	}
 	for _, name := range []string{
 		"determinism", "unitsafety", "unittaint", "layering", "errdrop",
-		"exportdoc", "hotalloc", "parcapture", "arenaescape",
+		"exportdoc", "hotalloc", "parcapture",
 	} {
 		if !strings.Contains(stdout.String(), name) {
 			t.Errorf("-list output missing analyzer %q:\n%s", name, stdout.String())
@@ -190,7 +190,7 @@ func TestCountsOutput(t *testing.T) {
 	if !strings.Contains(out, "findings by analyzer") {
 		t.Fatalf("-counts printed no tally:\n%s", out)
 	}
-	for _, name := range []string{"determinism", "parcapture", "arenaescape", "unittaint"} {
+	for _, name := range []string{"determinism", "parcapture", "unittaint"} {
 		if !strings.Contains(out, name) {
 			t.Errorf("-counts tally missing analyzer %q:\n%s", name, out)
 		}

@@ -10,7 +10,8 @@
 // argument depends on and that ordinary `go vet` cannot check:
 //
 //   - determinism: no wall-clock, global-rand, or process-environment
-//     entropy, no iteration-order-dependent output from map ranges.
+//     entropy, no sync.Pool, no iteration-order-dependent output from
+//     map ranges.
 //   - unitsafety: no arithmetic that launders distinct internal/unit
 //     newtypes through bare float64(...) casts, and no exact ==/!= on
 //     float-backed unit quantities.
@@ -29,9 +30,6 @@
 //     scope, directly or by calling a method that writes through its
 //     receiver (the data-race class fixed by hand in PR 3, and the
 //     Fig5 shared-fabric race).
-//   - arenaescape: pooled or //lightpath:arena-marked scratch buffers
-//     may not escape the function that borrowed them (the aliasing
-//     hazard class from PR 5's arena work).
 package analysis
 
 import (
@@ -138,7 +136,7 @@ type Analyzer struct {
 
 // All returns every analyzer in the suite, in stable order.
 func All() []*Analyzer {
-	return []*Analyzer{Determinism, UnitSafety, UnitTaint, Layering, ErrDrop, ExportDoc, Hotalloc, ParCapture, ArenaEscape}
+	return []*Analyzer{Determinism, UnitSafety, UnitTaint, Layering, ErrDrop, ExportDoc, Hotalloc, ParCapture}
 }
 
 // Run applies each analyzer to each package and returns the combined

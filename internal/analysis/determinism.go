@@ -17,7 +17,9 @@ const rngPath = "lightpath/internal/rng"
 // internal/rng, forbids process-environment reads (os.Getenv,
 // os.LookupEnv, os.Environ, os.ExpandEnv) inside internal/ packages —
 // simulation behavior must flow from explicit options and seeds, never
-// ambient machine state — and flags range-over-map loops whose bodies feed
+// ambient machine state — forbids sync.Pool, whose reuse order the
+// runtime chooses (and randomizes under -race), so scratch lives in a
+// field its owner resets — and flags range-over-map loops whose bodies feed
 // order-sensitive sinks: formatted output, appends that are never
 // sorted, non-associative accumulation (float or string), channel
 // sends, and returns of iteration-dependent values. Map ranges that
@@ -25,7 +27,7 @@ const rngPath = "lightpath/internal/rng"
 // slice are deterministic and pass.
 var Determinism = &Analyzer{
 	Name: "determinism",
-	Doc:  "forbid wall-clock, global rand, and map-iteration-order-dependent results outside internal/rng",
+	Doc:  "forbid wall-clock, global rand, sync.Pool, and map-iteration-order-dependent results outside internal/rng",
 	Run:  runDeterminism,
 }
 
@@ -71,6 +73,10 @@ func runDeterminism(pass *Pass) error {
 					if isInternal && forbiddenEnvFuncs[fn.FullName()] {
 						pass.Reportf(n.Pos(), "%s reads the process environment inside an internal package; thread configuration through explicit options and seeds instead", fn.FullName())
 					}
+				}
+			case *ast.SelectorExpr:
+				if tn, ok := pass.ObjectOf(n.Sel).(*types.TypeName); ok && tn.Pkg() != nil && tn.Pkg().Path() == "sync" && tn.Name() == "Pool" {
+					pass.Reportf(n.Pos(), "sync.Pool hands buffers back in an order the runtime chooses; keep reusable scratch in a field its owner resets")
 				}
 			case *ast.FuncDecl:
 				if n.Body != nil {

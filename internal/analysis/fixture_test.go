@@ -64,13 +64,6 @@ func TestParCaptureFixture(t *testing.T) {
 	runFixtureTest(t, ParCapture, "parcapture", "fixture/parcapture")
 }
 
-// TestArenaEscapeFixture proves the analyzer catches the PR 5 hazard
-// class: pooled scratch aliases outliving their borrow (the fixture's
-// LeakRates reconstructs the historical defect shape).
-func TestArenaEscapeFixture(t *testing.T) {
-	runFixtureTest(t, ArenaEscape, "arenaescape", "fixture/arenaescape")
-}
-
 func TestUnitTaintFixture(t *testing.T) {
 	runFixtureTest(t, UnitTaint, "unittaint", "fixture/unittaint")
 }

@@ -1,6 +1,6 @@
-// Package fixture exercises the determinism analyzer: entropy sources
-// and order-sensitive map iteration must be flagged, while sorted or
-// order-insensitive uses must pass.
+// Package fixture exercises the determinism analyzer: entropy sources,
+// sync.Pool and order-sensitive map iteration must be flagged, while
+// sorted or order-insensitive uses must pass.
 package fixture
 
 import (
@@ -8,11 +8,23 @@ import (
 	"math/rand" // want `import of math/rand is forbidden outside lightpath/internal/rng`
 	"os"
 	"sort"
+	"sync"
 	"time"
 )
 
 // Use the forbidden import so the fixture still type-checks.
 var _ = rand.Int
+
+// scratchPool hands buffers back in whatever order the runtime picks.
+var scratchPool = sync.Pool{New: func() any { return new([]int) }} // want `sync.Pool hands buffers back in an order the runtime chooses`
+
+// Borrow names the pool type again: every mention is reported.
+func Borrow(p *sync.Pool) any { // want `sync.Pool hands buffers back`
+	return p.Get()
+}
+
+// Mutex is the rest of package sync, which passes.
+var Mutex sync.Mutex
 
 // Now reads the wall clock.
 func Now() time.Time {

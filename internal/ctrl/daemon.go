@@ -166,6 +166,10 @@ type Client struct {
 	next   uint64
 	fio    frameIO // reusable wire buffers, guarded by mu
 	detail string  // the last response's Detail, shared by a next one that matches
+	// broken is the first error that left the stream out of step: a
+	// failed write or read, or a response for another request. Every
+	// later Call returns it without touching the connection.
+	broken error
 }
 
 // NewClient wraps an established connection.
@@ -174,18 +178,27 @@ func NewClient(conn io.ReadWriter) *Client { return &Client{conn: conn} }
 // Call sends one request and reads its response. Transport and frame
 // failures surface as errors; server-side rejections surface in the
 // response (use Response.Err to fold them into the error taxonomy).
+// A transport failure or a response for another request breaks the
+// client: the next response on the stream may belong to the failed
+// request, so that call and every later one return the first such
+// error without writing.
 func (c *Client) Call(req Request) (Response, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	if c.broken != nil {
+		return Response{}, c.broken
+	}
 	c.next++
 	req.ID = c.next
 	c.fio.enc.Reset()
 	EncodeRequestTo(&c.fio.enc, req)
 	if err := c.fio.write(c.conn); err != nil {
+		c.broken = err
 		return Response{}, err
 	}
 	payload, err := c.fio.read(c.conn)
 	if err != nil {
+		c.broken = err
 		return Response{}, err
 	}
 	resp, err := decodeResponse(payload, c.detail)
@@ -193,7 +206,8 @@ func (c *Client) Call(req Request) (Response, error) {
 		return Response{}, err
 	}
 	if resp.ID != req.ID {
-		return Response{}, fmt.Errorf("%w: response id %d for request %d", ErrBadFrame, resp.ID, req.ID)
+		c.broken = fmt.Errorf("%w: response id %d for request %d", ErrBadFrame, resp.ID, req.ID)
+		return Response{}, c.broken
 	}
 	c.detail = resp.Detail
 	return resp, nil

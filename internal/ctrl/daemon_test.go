@@ -525,3 +525,60 @@ func TestClientCallWarmAllocatesNothing(t *testing.T) {
 		check(t, 0, func() { call(t, c, establish(0), StatusOverloaded) })
 	})
 }
+
+// lateConn is a client connection whose server answers late: the
+// first Read fails with a deadline error, and later Reads deliver the
+// frames queued in late. It counts the Writes made on it.
+type lateConn struct {
+	writes   int
+	timedOut bool
+	late     []byte
+}
+
+func (c *lateConn) Write(p []byte) (int, error) {
+	c.writes++
+	return len(p), nil
+}
+
+func (c *lateConn) Read(p []byte) (int, error) {
+	if !c.timedOut {
+		c.timedOut = true
+		return 0, os.ErrDeadlineExceeded
+	}
+	n := copy(p, c.late)
+	c.late = c.late[n:]
+	return n, nil
+}
+
+// TestClientBrokenAfterTransportError pins that a failed exchange
+// breaks the client. After a read deadline fires, the stream's next
+// frame is the timed-out request's response, so a later Call must
+// return the first error without writing rather than read that stale
+// response as its own.
+func TestClientBrokenAfterTransportError(t *testing.T) {
+	conn := &lateConn{late: AppendFrame(nil, EncodeResponse(Response{ID: 1, Status: StatusOK, Circuit: 7}))}
+	c := NewClient(conn)
+	req := Request{Op: OpEstablish, A: 2, B: 17, Width: 1}
+	_, first := c.Call(req)
+	if !errors.Is(first, os.ErrDeadlineExceeded) {
+		t.Fatalf("first call: %v, want a deadline error", first)
+	}
+	for i := 0; i < 2; i++ {
+		if _, err := c.Call(req); err != first {
+			t.Fatalf("call %d after the timeout: %v, want the first error %v", i+2, err, first)
+		}
+	}
+	if conn.writes != 1 {
+		t.Fatalf("%d writes, want 1: a broken client must not write", conn.writes)
+	}
+
+	// A response for another request breaks the client the same way.
+	conn = &lateConn{timedOut: true, late: AppendFrame(nil, EncodeResponse(Response{ID: 9, Status: StatusOK}))}
+	c = NewClient(conn)
+	if _, first = c.Call(req); !errors.Is(first, ErrBadFrame) {
+		t.Fatalf("mismatched response id: %v, want ErrBadFrame", first)
+	}
+	if _, err := c.Call(req); err != first || conn.writes != 1 {
+		t.Fatalf("call after an id mismatch: %v with %d writes, want %v with 1", err, conn.writes, first)
+	}
+}

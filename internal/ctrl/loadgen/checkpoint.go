@@ -20,7 +20,8 @@ import (
 // run — the property the kill-sweep test asserts.
 
 // checkpointVersion is the current campaign checkpoint format.
-const checkpointVersion = 1
+// Version 2 dropped the allocator's route-plan cache section.
+const checkpointVersion = 2
 
 // checkpointEvery is the default checkpoint cadence in event
 // boundaries.

@@ -117,8 +117,9 @@ type Result struct {
 	// Violations is the invariant auditor's violation count (must be
 	// zero; Run also returns an error when it is not).
 	Violations int
-	// CacheHits and CacheMisses are the allocator's route-plan cache
-	// counters at campaign end.
+	// CacheHits and CacheMisses are always 0: the allocator keeps no
+	// route-plan cache. They remain only until the benchmark's
+	// per-layer report stops reading them.
 	CacheHits, CacheMisses uint64
 }
 
@@ -478,8 +479,6 @@ func (c *campaign) result() (*Result, error) {
 		Horizon:         horizon,
 		Events:          c.loop.Events(),
 		Violations:      c.srv.Auditor().Count(),
-		CacheHits:       st.PlanCacheHits,
-		CacheMisses:     st.PlanCacheMisses,
 	}
 	if c.quant.Count() > 0 {
 		r.P50us = c.quant.Query(0.5)

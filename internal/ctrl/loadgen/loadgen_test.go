@@ -3,9 +3,12 @@ package loadgen
 import (
 	"bytes"
 	"errors"
+	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"syscall"
 	"testing"
 
@@ -15,6 +18,10 @@ import (
 	"lightpath/internal/snapshot"
 	"lightpath/internal/unit"
 )
+
+// update makes TestParentCheckpointFixture rewrite its fixture from
+// this build instead of checking it.
+var update = flag.Bool("update", false, "rewrite testdata/parent-campaign-event500.ckpt from this build")
 
 // smallConfig is a fast campaign that still exercises every mechanism:
 // contention for shedding, tight deadlines for misses, chaos for
@@ -184,17 +191,18 @@ func canonicalCheckpoint(t *testing.T, cfg Config, file []byte) []byte {
 }
 
 // TestParentCheckpointFixture holds the checkpoint format still: the
-// committed file was written by the campaign before it moved onto
-// evloop, stopped at event 500 of smallConfig(1234) with a 256-event
-// cadence. Today's campaign must write the bytes that file re-encodes
-// to at that boundary, and resuming the committed file as it stands
-// must reach the uninterrupted Result.
+// committed file is the campaign's checkpoint at event 500 of
+// smallConfig(1234) with a 256-event cadence, in format v2. Today's
+// campaign must write the bytes that file re-encodes to at that
+// boundary, and resuming the committed file as it stands must reach
+// the uninterrupted Result, while its payload sealed as the previous
+// format must be refused. A change that moves the bytes on purpose
+// bumps checkpointVersion and regenerates the file with
+//
+//	go test -run '^TestParentCheckpointFixture$' ./internal/ctrl/loadgen -update
 func TestParentCheckpointFixture(t *testing.T) {
 	t.Cleanup(invariant.ResetGlobal)
-	fixture, err := os.ReadFile(filepath.Join("testdata", "parent-campaign-event500.ckpt"))
-	if err != nil {
-		t.Fatal(err)
-	}
+	fixturePath := filepath.Join("testdata", "parent-campaign-event500.ckpt")
 	cfg := smallConfig(1234)
 	dir := t.TempDir()
 	path := filepath.Join(dir, "now.ckpt")
@@ -202,6 +210,15 @@ func TestParentCheckpointFixture(t *testing.T) {
 		t.Fatalf("err = %v, want ErrStopped", err)
 	}
 	got, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if *update {
+		if err := os.WriteFile(fixturePath, got, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	fixture, err := os.ReadFile(fixturePath)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,6 +242,22 @@ func TestParentCheckpointFixture(t *testing.T) {
 	}
 	if !reflect.DeepEqual(out, want) {
 		t.Fatalf("resumed committed checkpoint diverges:\n  resumed %+v\n  want    %+v", out, want)
+	}
+
+	// The same payload sealed as the previous format is refused as
+	// corrupt, naming both versions.
+	_, payload, err := snapshot.Open(fixture)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prevPath := filepath.Join(dir, "previous.ckpt")
+	if err := os.WriteFile(prevPath, snapshot.Seal(checkpointVersion-1, payload), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, err = Resume(cfg, CheckpointOptions{Path: prevPath})
+	msg := fmt.Sprintf("checkpoint format v%d, this build reads v%d", checkpointVersion-1, checkpointVersion)
+	if !errors.Is(err, snapshot.ErrCorruptSnapshot) || !strings.Contains(err.Error(), msg) {
+		t.Fatalf("previous-version resume: %v, want ErrCorruptSnapshot naming %q", err, msg)
 	}
 }
 

@@ -103,10 +103,10 @@ type Stats struct {
 	// transparently rerouted (RerouteDegraded of them at reduced
 	// width), and circuits lost outright.
 	FaultsApplied, Reroutes, RerouteDegraded, RerouteFailed, CircuitsLost int
-	// PlanCacheHits and PlanCacheMisses mirror the allocator's
-	// route-plan cache counters. They are read live from the allocator
-	// by Stats (the allocator also checkpoints them), not accumulated
-	// here.
+	// PlanCacheHits and PlanCacheMisses are always 0: the allocator
+	// keeps no route-plan cache and enumerates its plans on every
+	// establish. They remain only until the benchmark's per-layer
+	// report stops reading them.
 	PlanCacheHits, PlanCacheMisses uint64
 }
 
@@ -163,9 +163,7 @@ func (s *Server) Config() Config { return s.cfg }
 
 // Stats returns a copy of the lifetime counters.
 func (s *Server) Stats() Stats {
-	st := s.stats
-	st.PlanCacheHits, st.PlanCacheMisses = s.alloc.PlanCacheStats()
-	return st
+	return s.stats
 }
 
 // Auditor returns the invariant auditor watching the allocator.

@@ -16,8 +16,9 @@ import (
 // The load generator embeds this state inside its own campaign
 // checkpoint; the daemon writes it to a standalone file.
 
-// CheckpointVersion is the daemon checkpoint payload format.
-const CheckpointVersion = 1
+// CheckpointVersion is the daemon checkpoint payload format. Version
+// 2 dropped the allocator's route-plan cache section.
+const CheckpointVersion = 2
 
 // configDigest encodes every Config field that shapes controller
 // behavior. Restores compare digests byte-for-byte: a checkpoint is

@@ -2,9 +2,11 @@ package ctrl
 
 import (
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"lightpath/internal/chaos"
@@ -210,6 +212,19 @@ func TestCheckpointCorruption(t *testing.T) {
 	}
 	if _, err := LoadCheckpoint(cfg, p); !errors.Is(err, snapshot.ErrCorruptSnapshot) {
 		t.Errorf("trailing payload bytes: %v, want ErrCorruptSnapshot", err)
+	}
+
+	// The previous format version is refused, naming both versions.
+	e.Reset()
+	s.EncodeState(&e)
+	p = filepath.Join(dir, "previous")
+	if err := os.WriteFile(p, snapshot.Seal(CheckpointVersion-1, e.Bytes()), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, err = LoadCheckpoint(cfg, p)
+	want := fmt.Sprintf("checkpoint format v%d, this build reads v%d", CheckpointVersion-1, CheckpointVersion)
+	if !errors.Is(err, snapshot.ErrCorruptSnapshot) || !strings.Contains(err.Error(), want) {
+		t.Errorf("previous version: %v, want ErrCorruptSnapshot naming %q", err, want)
 	}
 }
 

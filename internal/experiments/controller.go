@@ -136,23 +136,13 @@ func (r ControllerResult) CSV() ([]string, [][]string) {
 			f64(float64(o.Horizon)),
 			fmt.Sprintf("%d", o.Events),
 			fmt.Sprintf("%d", o.Violations),
-			f64(cacheHitRatio(o.CacheHits, o.CacheMisses)),
 		})
 	}
 	return []string{"trial", "requests", "attempts", "served", "degraded", "shed",
 		"deadline_miss", "breaker_rejects", "no_path", "endpoint_failed", "retries",
 		"lost", "leaked", "breaker_trips", "faults", "reroutes", "reroute_degraded",
 		"circuits_lost", "goodput_ws", "p50_us", "p99_us", "rps", "horizon_s",
-		"events", "violations", "cache_hit_ratio"}, rows
-}
-
-// cacheHitRatio folds the route-plan cache counters into a [0,1] hit
-// ratio; a trial that never consulted the cache reports 0.
-func cacheHitRatio(hits, misses uint64) float64 {
-	if hits+misses == 0 {
-		return 0
-	}
-	return float64(hits) / float64(hits+misses)
+		"events", "violations"}, rows
 }
 
 // ControllerOptions sets the load campaign's trial count and its

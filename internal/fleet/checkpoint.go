@@ -19,8 +19,9 @@ import (
 // to the uninterrupted run — the property the crash-injection tests
 // sweep over every boundary.
 
-// checkpointVersion is the current checkpoint payload format.
-const checkpointVersion = 1
+// checkpointVersion is the current checkpoint payload format. Version
+// 2 dropped the allocator's route-plan cache section.
+const checkpointVersion = 2
 
 // checkpointEvery is the default checkpoint cadence in event
 // boundaries.

@@ -3,9 +3,12 @@ package fleet
 import (
 	"bytes"
 	"errors"
+	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"syscall"
 	"testing"
 
@@ -13,6 +16,10 @@ import (
 	"lightpath/internal/snapshot"
 	"lightpath/internal/unit"
 )
+
+// update makes TestParentCheckpointFixture rewrite its fixture from
+// this build instead of checking it.
+var update = flag.Bool("update", false, "rewrite testdata/parent-soak-event55.ckpt from this build")
 
 // crashCfg is a small but busy soak: a short horizon with dense
 // faults, so the sweep over kill points stays fast while still
@@ -111,16 +118,16 @@ func canonicalCheckpoint(t *testing.T, cfg Config, file []byte) []byte {
 }
 
 // TestParentCheckpointFixture holds the checkpoint format still: the
-// committed file was written by the soak before it moved onto
-// evloop, stopped at event 55 of crashCfg. Today's soak must write
-// the bytes that file re-encodes to at that boundary, and resuming
-// the committed file as it stands must reach the uninterrupted
-// Outcome.
+// committed file is the soak's checkpoint at event 55 of crashCfg in
+// format v2. Today's soak must write the bytes that file re-encodes
+// to at that boundary, and resuming the committed file as it stands
+// must reach the uninterrupted Outcome, while its payload sealed as
+// the previous format must be refused. A change that moves the bytes
+// on purpose bumps checkpointVersion and regenerates the file with
+//
+//	go test -run '^TestParentCheckpointFixture$' ./internal/fleet -update
 func TestParentCheckpointFixture(t *testing.T) {
-	fixture, err := os.ReadFile(filepath.Join("testdata", "parent-soak-event55.ckpt"))
-	if err != nil {
-		t.Fatal(err)
-	}
+	fixturePath := filepath.Join("testdata", "parent-soak-event55.ckpt")
 	cfg := crashCfg()
 	dir := t.TempDir()
 	path := filepath.Join(dir, "now.ckpt")
@@ -128,6 +135,15 @@ func TestParentCheckpointFixture(t *testing.T) {
 		t.Fatalf("err = %v, want ErrStopped", err)
 	}
 	got, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if *update {
+		if err := os.WriteFile(fixturePath, got, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	fixture, err := os.ReadFile(fixturePath)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,6 +165,22 @@ func TestParentCheckpointFixture(t *testing.T) {
 	}
 	if !reflect.DeepEqual(out, want) {
 		t.Fatalf("resumed committed checkpoint diverges:\ngot  %+v\nwant %+v", out, want)
+	}
+
+	// The same payload sealed as the previous format is refused as
+	// corrupt, naming both versions.
+	_, payload, err := snapshot.Open(fixture)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prevPath := filepath.Join(dir, "previous.ckpt")
+	if err := os.WriteFile(prevPath, snapshot.Seal(checkpointVersion-1, payload), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, err = Resume(cfg, CheckpointOptions{Path: prevPath})
+	msg := fmt.Sprintf("checkpoint format v%d, this build reads v%d", checkpointVersion-1, checkpointVersion)
+	if !errors.Is(err, snapshot.ErrCorruptSnapshot) || !strings.Contains(err.Error(), msg) {
+		t.Fatalf("previous-version resume: %v, want ErrCorruptSnapshot naming %q", err, msg)
 	}
 }
 

@@ -65,12 +65,6 @@ type Allocator struct {
 	// pathfinding hot path stops allocating per circuit. Nothing in it
 	// survives a call.
 	scratch allocScratch
-	// plans memoizes candidatePlans per chip pair, invalidated by the
-	// fabric epoch (see plancache.go).
-	plans planCache
-	// noPlanCache forces every Establish to re-derive plans from
-	// scratch; the differential tests use it as the reference arm.
-	noPlanCache bool
 }
 
 // allocScratch is the per-allocator reusable working storage of the
@@ -78,6 +72,7 @@ type Allocator struct {
 // kept) at the start of the call that uses it.
 type allocScratch struct {
 	plans   []plan
+	dirs    []direction
 	rowUses []rowUse
 	rows    []int
 	elems   []phy.LossElement
@@ -102,6 +97,29 @@ func (s *allocScratch) nextPlan() *plan {
 	p.fiberRow = 0
 	p.turns = 0
 	return p
+}
+
+// direction is one way around the wafer cascade a cross-wafer plan
+// can take.
+type direction struct {
+	trunks            []int
+	inters            []int // intermediate wafers in path order
+	exitCol, enterCol int   // source exit / destination entry columns
+}
+
+// nextDirection appends an empty direction to the scratch, recycling
+// the slot's trunks/inters capacity from earlier calls, like nextPlan.
+func (s *allocScratch) nextDirection(exitCol, enterCol int) *direction {
+	if len(s.dirs) < cap(s.dirs) {
+		s.dirs = s.dirs[:len(s.dirs)+1]
+	} else {
+		s.dirs = append(s.dirs, direction{})
+	}
+	d := &s.dirs[len(s.dirs)-1]
+	d.trunks = d.trunks[:0]
+	d.inters = d.inters[:0]
+	d.exitCol, d.enterCol = exitCol, enterCol
+	return d
 }
 
 // rowUse ranks a trunk row for the fiber-packing heuristic.
@@ -210,9 +228,8 @@ type plan struct {
 	turns    int
 }
 
-// clone copies p out of the scratch or cache its steps and trunks
-// point into, for a caller that keeps it past the next candidatePlans
-// call.
+// clone copies p out of the scratch its steps and trunks point into,
+// for a caller that keeps it past the next candidatePlans call.
 func (p plan) clone() plan {
 	p.steps = slices.Clone(p.steps)
 	p.trunks = slices.Clone(p.trunks)
@@ -264,6 +281,7 @@ func (a *Allocator) candidatePlans(chipA, chipB int) []plan {
 
 	s := &a.scratch
 	s.plans = s.plans[:0]
+	s.dirs = s.dirs[:0]
 	if wA == wB {
 		for _, hFirst := range [2]bool{true, false} {
 			p := s.nextPlan()
@@ -306,35 +324,28 @@ func (a *Allocator) candidatePlans(chipA, chipB int) []plan {
 	// topology also offers the counterclockwise way around, which is
 	// shorter when the wafers are more than half the cascade apart.
 	nw := a.rack.NumWafers()
-	type direction struct {
-		trunks            []int
-		inters            []int // intermediate wafers in path order
-		exitCol, enterCol int   // source exit / destination entry columns
-	}
-	var dirs []direction
-	cw := direction{exitCol: cfg.Cols - 1, enterCol: 0}
+	cw := s.nextDirection(cfg.Cols-1, 0)
 	for t := wA; t != wB; t = (t + 1) % nw {
 		cw.trunks = append(cw.trunks, t)
 		if next := (t + 1) % nw; next != wB {
 			cw.inters = append(cw.inters, next)
 		}
 	}
-	dirs = append(dirs, cw)
 	if a.rack.Topology() == wafer.RingTopology && nw >= 2 {
-		ccw := direction{exitCol: 0, enterCol: cfg.Cols - 1}
+		// nextDirection may move s.dirs, so cw is not used past here.
+		ccw := s.nextDirection(0, cfg.Cols-1)
 		for w := wA; w != wB; w = (w - 1 + nw) % nw {
 			ccw.trunks = append(ccw.trunks, (w-1+nw)%nw)
 			if prev := (w - 1 + nw) % nw; prev != wB {
 				ccw.inters = append(ccw.inters, prev)
 			}
 		}
-		dirs = append(dirs, ccw)
-		if len(ccw.trunks) < len(cw.trunks) {
-			dirs[0], dirs[1] = dirs[1], dirs[0]
+		if len(s.dirs[1].trunks) < len(s.dirs[0].trunks) {
+			s.dirs[0], s.dirs[1] = s.dirs[1], s.dirs[0]
 		}
 	}
 
-	for _, dir := range dirs {
+	for _, dir := range s.dirs {
 		for _, row := range a.fiberRowOrder(rA, dir.trunks) {
 			if !a.rowUsable(row, dir.trunks) {
 				continue
@@ -424,11 +435,11 @@ type Request struct {
 
 // Establish finds a path for the request, allocates its buses, fibers
 // and endpoint resources, programs the switches, and returns the
-// circuit. Candidate plans are judged by a read-only probe and only
-// the accepted one is allocated, so a failed Establish leaves the
-// fabric as it found it — only the plan cache and the loss stream,
-// which budget checks draw from, move — and returns ErrNoPath (or a
-// budget error).
+// circuit. Candidate plans are enumerated afresh on every call, judged
+// by a read-only probe, and only the accepted one is allocated, so a
+// failed Establish leaves the fabric as it found it — only the loss
+// stream, which budget checks draw from, moves — and returns ErrNoPath
+// (or a budget error).
 func (a *Allocator) Establish(req Request, now unit.Seconds) (*Circuit, error) {
 	if req.A == req.B {
 		return nil, fmt.Errorf("route: circuit endpoints are the same chip %d", req.A)
@@ -448,8 +459,7 @@ func (a *Allocator) Establish(req Request, now unit.Seconds) (*Circuit, error) {
 	}
 	a.beginOp()
 	defer a.endOp("establish")
-	//lightpath:arena
-	plans := a.plansFor(req.A, req.B)
+	plans := a.candidatePlans(req.A, req.B)
 	if len(plans) == 0 {
 		return nil, &noPathError{a: req.A, b: req.B, cause: ErrNoPath}
 	}

@@ -475,3 +475,39 @@ func TestRingPackFibersRanksEachDirection(t *testing.T) {
 		}
 	}
 }
+
+// TestEstablishAllocatesOnlyTheCircuit pins the establish floor: with
+// plans enumerated afresh on every call, a warm Establish+Release
+// allocates exactly one object, the &Circuit it returns. The pairs
+// cover a same-wafer circuit, a cross-wafer one going clockwise and
+// one going counterclockwise over a ring's closing trunk, each in both
+// fiber-row regimes.
+func TestEstablishAllocatesOnlyTheCircuit(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		req  Request
+	}{
+		{"same-wafer", Request{A: 0, B: 13, Width: 1}},
+		{"clockwise", Request{A: 0, B: 40, Width: 1}},
+		{"counterclockwise", Request{A: 0, B: 96, Width: 2}},
+	} {
+		for _, pack := range []bool{false, true} {
+			rack, err := wafer.NewRackTopology(wafer.DefaultConfig(), 4, wafer.RingTopology)
+			if err != nil {
+				t.Fatal(err)
+			}
+			a := NewAllocator(rack, rng.New(3))
+			a.PackFibers = pack
+			allocs := testing.AllocsPerRun(20, func() {
+				c, err := a.Establish(tc.req, 0)
+				if err != nil {
+					t.Fatalf("%s pack=%v: %v", tc.name, pack, err)
+				}
+				a.Release(c)
+			})
+			if allocs != 1 {
+				t.Errorf("%s pack=%v: Establish+Release allocates %v times, want 1", tc.name, pack, allocs)
+			}
+		}
+	}
+}

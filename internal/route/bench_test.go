@@ -43,36 +43,3 @@ func BenchmarkEstablish(b *testing.B) {
 	}
 	b.ReportMetric(loss, "loss_db")
 }
-
-// BenchmarkEstablishWarm measures the cached fast path explicitly: the
-// same chip pair over and over on a warm allocator, so every iteration
-// after the first is a plan-cache hit and the candidate search never
-// reruns. The cache_hit_ratio metric is the proof — it must approach
-// 1.0 — and allocs/op must hold at the &Circuit minimum.
-func BenchmarkEstablishWarm(b *testing.B) {
-	rack, err := wafer.NewRack(wafer.DefaultConfig(), 2)
-	if err != nil {
-		b.Fatal(err)
-	}
-	a := NewAllocator(rack, rng.New(7))
-	req := Request{A: 0, B: 40, Width: 1}
-	c, err := a.Establish(req, 0)
-	if err != nil {
-		b.Fatal(err)
-	}
-	a.Release(c)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		c, err := a.Establish(req, unit.Seconds(0))
-		if err != nil {
-			b.Fatal(err)
-		}
-		a.Release(c)
-	}
-	b.StopTimer()
-	hits, misses := a.PlanCacheStats()
-	if hits+misses > 0 {
-		b.ReportMetric(float64(hits)/float64(hits+misses), "cache_hit_ratio")
-	}
-}

@@ -145,7 +145,6 @@ func (a *Allocator) tryProposal(req Request, p plan, now unit.Seconds) *Circuit 
 func (a *Allocator) FailFiberRow(trunk, row int) []*Circuit {
 	a.beginOp()
 	defer a.endOp("fail-fiber-row")
-	a.bumpPlanEpoch()
 	key := fiberRowKey{trunk: trunk, row: row}
 	if a.failedRows == nil {
 		a.failedRows = make(map[fiberRowKey]bool)
@@ -174,7 +173,6 @@ func (a *Allocator) FailFiberRow(trunk, row int) []*Circuit {
 func (a *Allocator) RestoreFiberRow(trunk, row int) {
 	a.beginOp()
 	defer a.endOp("restore-fiber-row")
-	a.bumpPlanEpoch()
 	delete(a.failedRows, fiberRowKey{trunk: trunk, row: row})
 }
 

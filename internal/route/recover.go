@@ -34,10 +34,6 @@ import (
 func (a *Allocator) ApplyFault(f chaos.Fault) ([]*Circuit, error) {
 	a.beginOp()
 	defer a.endOp("apply-fault")
-	// Any fault class can reshape the viable-plan set (chip and fiber
-	// faults directly; the others via hardware health the plans bake
-	// in conservatively) — invalidate the plan cache wholesale.
-	a.bumpPlanEpoch()
 	switch f.Class {
 	case chaos.ChipFailure:
 		if err := a.checkChip(f.Chip); err != nil {

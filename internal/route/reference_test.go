@@ -41,7 +41,7 @@ func (a *Allocator) referenceEstablish(req Request, now unit.Seconds) (*Circuit,
 	}
 	a.beginOp()
 	defer a.endOp("establish")
-	plans := a.plansFor(req.A, req.B)
+	plans := a.candidatePlans(req.A, req.B)
 	var lastErr error = ErrNoPath
 	for _, p := range plans {
 		c, err := a.commit(req, p, now)

@@ -75,22 +75,6 @@ func (a *Allocator) EncodeState(e *snapshot.Encoder) {
 		e.Int(k.trunk)
 		e.Int(k.row)
 	}
-
-	// The plan cache: hit/miss counters plus the set of chip pairs
-	// valid at the current epoch. The cached plans themselves are a
-	// pure function of geometry and the failed-row set (both encoded
-	// above), so Restore re-derives them from this pair list and the
-	// rewarmed cache is bit-identical to the serialized one — the
-	// absolute epoch value carries no behavior and is not encoded.
-	hits, misses := a.PlanCacheStats()
-	e.U64(hits)
-	e.U64(misses)
-	valid := a.planCacheValidList(nil)
-	e.Len(len(valid))
-	for _, p := range valid {
-		e.Int(p[0])
-		e.Int(p[1])
-	}
 }
 
 // RestoreState replays state captured by EncodeState into this
@@ -143,28 +127,6 @@ func (a *Allocator) RestoreState(d *snapshot.Decoder) error {
 	for i := 0; i < n; i++ {
 		a.failedRows[fiberRowKey{trunk: d.Int(), row: d.Int()}] = true
 	}
-
-	a.resetPlanCache()
-	hits, misses := d.U64(), d.U64()
-	n = d.Len()
-	chips := a.rack.NumChips()
-	pairs := make([][2]int, 0, n)
-	for i := 0; i < n; i++ {
-		p := [2]int{d.Int(), d.Int()}
-		if d.Err() == nil && (p[0] < 0 || p[0] >= chips || p[1] < 0 || p[1] >= chips) {
-			return fmt.Errorf("%w: plan-cache pair %d<->%d outside [0, %d)",
-				snapshot.ErrCorruptSnapshot, p[0], p[1], chips)
-		}
-		pairs = append(pairs, p)
-	}
-	if d.Err() != nil {
-		return d.Err()
-	}
-	// Re-warm after the failed-row set is in place: the re-derived
-	// plans are then exactly the ones that were cached at encode time,
-	// and the counters resume from their serialized values.
-	a.rewarmPlanCache(pairs)
-	a.plans.hits, a.plans.misses = hits, misses
 	return d.Err()
 }
 
