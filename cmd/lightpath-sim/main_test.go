@@ -2,11 +2,15 @@ package main
 
 import (
 	"bytes"
+	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 )
+
+var update = flag.Bool("update", false, "rewrite testdata/all_golden.txt from this build")
 
 func TestRunEachCommand(t *testing.T) {
 	cases := map[string]string{
@@ -143,6 +147,11 @@ func TestRunErrors(t *testing.T) {
 	}
 }
 
+// TestRunAll holds every experiment's printed figures still: the
+// stdout of "all" must match testdata/all_golden.txt byte for byte. A
+// change that moves a figure on purpose regenerates the file with
+//
+//	go test -run '^TestRunAll$' ./cmd/lightpath-sim -update
 func TestRunAll(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full suite in -short mode")
@@ -151,11 +160,37 @@ func TestRunAll(t *testing.T) {
 	if err := run([]string{"all", "-samples", "2000", "-rails", "4", "-servers", "16", "-waves", "4", "-trials", "2"}, &buf); err != nil {
 		t.Fatal(err)
 	}
-	for _, marker := range []string{"Figure 3a", "Table 1", "Figure 7", "Ablation", "Controller load"} {
-		if !strings.Contains(buf.String(), marker) {
-			t.Errorf("all output missing %q", marker)
+	goldenPath := filepath.Join("testdata", "all_golden.txt")
+	if *update {
+		if err := os.WriteFile(goldenPath, buf.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
 		}
 	}
+	golden, err := os.ReadFile(goldenPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := buf.String(); got != string(golden) {
+		t.Errorf("all output differs from %s:\n%s", goldenPath, firstDiff(got, string(golden)))
+	}
+}
+
+// firstDiff names the first line where got and want part ways.
+func firstDiff(got, want string) string {
+	g, w := strings.Split(got, "\n"), strings.Split(want, "\n")
+	for i := 0; i < len(g) || i < len(w); i++ {
+		var gl, wl string
+		if i < len(g) {
+			gl = g[i]
+		}
+		if i < len(w) {
+			wl = w[i]
+		}
+		if gl != wl {
+			return fmt.Sprintf("line %d:\n got  %q\n want %q", i+1, gl, wl)
+		}
+	}
+	return "no line differs"
 }
 
 func TestParallelFlagOutputIdentical(t *testing.T) {
