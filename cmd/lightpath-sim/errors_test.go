@@ -59,7 +59,9 @@ func TestErrorTaxonomyFromTheTop(t *testing.T) {
 				rack := a.Rack()
 				for trunk := 0; trunk < rack.NumTrunks(); trunk++ {
 					for row := 0; row < rack.Config().Rows; row++ {
-						a.FailFiberRow(trunk, row)
+						if _, err := a.ApplyFault(chaos.Fault{Class: chaos.FiberCut, Trunk: trunk, Row: row}); err != nil {
+							t.Fatal(err)
+						}
 					}
 				}
 				_, err := a.Establish(route.Request{A: 0, B: 40, Width: 1}, 0)

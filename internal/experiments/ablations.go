@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 
+	"lightpath/internal/chaos"
 	"lightpath/internal/collective"
 	"lightpath/internal/cost"
 	"lightpath/internal/engine"
@@ -125,7 +126,10 @@ func AblationFiber(seed uint64) (AblationFiberResult, error) {
 		spare = a.SpareFullRows(0)
 		// Cut the row carrying the first circuit.
 		row := out.Circuits[0].Fibers[0].Row
-		affected := a.FailFiberRow(0, row)
+		affected, err := a.ApplyFault(chaos.Fault{Class: chaos.FiberCut, Trunk: 0, Row: row})
+		if err != nil {
+			return 0, 0, err
+		}
 		for _, c := range affected {
 			if _, err := a.Establish(route.Request{A: c.A, B: c.B, Width: c.Width}, 0); err == nil {
 				survived++

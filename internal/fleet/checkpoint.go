@@ -20,8 +20,11 @@ import (
 // sweep over every boundary.
 
 // checkpointVersion is the current checkpoint payload format. Version
-// 2 dropped the allocator's route-plan cache section.
-const checkpointVersion = 2
+// 2 dropped the allocator's route-plan cache section. Version 3 counts
+// repairs as the auditor's mutations only when an audit hook observes
+// them, as every other mutation is counted: an Off-mode soak's
+// checkpointed mutation count is now zero.
+const checkpointVersion = 3
 
 // checkpointEvery is the default checkpoint cadence in event
 // boundaries.

@@ -119,7 +119,7 @@ func canonicalCheckpoint(t *testing.T, cfg Config, file []byte) []byte {
 
 // TestParentCheckpointFixture holds the checkpoint format still: the
 // committed file is the soak's checkpoint at event 55 of crashCfg in
-// format v2. Today's soak must write the bytes that file re-encodes
+// format v3. Today's soak must write the bytes that file re-encodes
 // to at that boundary, and resuming the committed file as it stands
 // must reach the uninterrupted Outcome, while its payload sealed as
 // the previous format must be refused. A change that moves the bytes

@@ -402,7 +402,9 @@ func (s *soak) drive(faults []chaos.Fault) (*Outcome, error) {
 			s.finish()
 			return &s.out, s.aud.Err()
 		case rt <= ft && rt <= st:
-			s.completeRepair(s.repairs.Pop())
+			if err := s.completeRepair(s.repairs.Pop()); err != nil {
+				return nil, err
+			}
 		case ft <= st:
 			if err := s.applyFault(faults[s.fi]); err != nil {
 				return nil, err
@@ -534,35 +536,18 @@ func (s *soak) dispatch(now unit.Seconds) {
 // completeRepair restores the failed component, returns repaired
 // chips to the spare pool, and lets admission control re-admit shed
 // jobs and upgrade degraded ones against the recovered capacity.
-func (s *soak) completeRepair(at unit.Seconds, f chaos.Fault) {
-	switch f.Class {
-	case chaos.LaserDeath:
-		s.rack.TileOf(f.Chip).RepairLasers(1)
-	case chaos.MZIStuck:
-		_ = s.rack.TileOf(f.Chip).RepairSwitch(f.Switch)
-	case chaos.WaveguideLoss:
-		o := wafer.Vertical
-		if f.Horizontal {
-			o = wafer.Horizontal
-		}
-		_ = s.rack.Wafer(f.Wafer).RepairSegment(o, f.Lane, f.Pos)
-	case chaos.FiberCut:
-		s.alloc.RestoreFiberRow(f.Trunk, f.Row)
-	case chaos.ChipFailure:
-		s.rack.TileOf(f.Chip).RepairChip()
-		if !s.chipInUse(f.Chip) {
-			s.returnSpare(f.Chip)
-		}
+func (s *soak) completeRepair(at unit.Seconds, f chaos.Fault) error {
+	if err := s.alloc.Repair(f); err != nil {
+		return fmt.Errorf("fleet: repair %v: %w", f, err)
+	}
+	if f.Class == chaos.ChipFailure && !s.chipInUse(f.Chip) {
+		s.returnSpare(f.Chip)
 	}
 	s.out.Repairs++
 	s.busy--
-	// Hardware repairs bypass the allocator, so tell the auditor
-	// directly; fiber-row restoration already fired the hook.
-	if f.Class != chaos.FiberCut {
-		s.aud.Mutated("repair")
-	}
 	s.dispatch(at)
 	s.recover(at)
+	return nil
 }
 
 // chipInUse reports whether a chip is an endpoint of any job or

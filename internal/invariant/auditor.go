@@ -19,10 +19,11 @@ const maxRecorded = 64
 
 // Auditor runs the invariant registry against one allocator. It is
 // attached through the allocator's audit hook, so it observes every
-// completed top-level mutation; it may also be invoked directly via
-// Audit after mutations that bypass the allocator (hardware repairs).
-// An Auditor is not safe for concurrent use — like the allocator it
-// watches, it belongs to a single trial.
+// completed top-level mutation — and every fault and repair is one,
+// since the allocator is the only way fault state enters or leaves
+// the hardware. Audit runs the registry on demand. An Auditor is not
+// safe for concurrent use — like the allocator it watches, it belongs
+// to a single trial.
 type Auditor struct {
 	alloc     *route.Allocator
 	mode      Mode
@@ -42,25 +43,19 @@ type Auditor struct {
 }
 
 // Attach builds an auditor in the given mode and registers it as the
-// allocator's audit hook (except in Off mode, which leaves the hook
-// untouched so the hot path stays a nil check).
+// allocator's audit hook. In Off mode it leaves the hook untouched, so
+// the hot path stays a nil check and the auditor counts no mutations.
 func Attach(a *route.Allocator, mode Mode) *Auditor {
 	d := &Auditor{alloc: a, mode: mode, stride: DefaultStride}
 	if mode != Off {
-		a.SetAuditHook(d.Mutated)
+		a.SetAuditHook(func(op string) { d.mutated(op) })
 	}
 	return d
 }
 
-// Mutated notes one completed top-level mutation and, depending on
-// the mode, runs the registry. It is the function Attach installs as
-// the allocator's audit hook; callers that mutate hardware behind the
-// allocator's back (repair crews) invoke it directly with their own
-// operation name.
-func (d *Auditor) Mutated(op string) { d.mutated(op) }
-
-// mutated is Mutated returning the violations its audit found, if it
-// ran one.
+// mutated notes one completed top-level mutation and, depending on
+// the mode, runs the registry, returning the violations its audit
+// found, if it ran one. It is the allocator's audit hook.
 func (d *Auditor) mutated(op string) []Violation {
 	d.mutations++
 	switch d.mode {

@@ -13,8 +13,8 @@ func IndexVouches(a *route.Allocator) (vouched bool, pairs []string) {
 	return ctx.idx.valid, ctx.sweepFibers(ctx.sweepSegments(nil))
 }
 
-// MutatedReport is Mutated returning the violations its audit found,
-// if it ran one.
+// MutatedReport is the audit hook Attach installs, returning the
+// violations its audit found, if it ran one.
 func (d *Auditor) MutatedReport(op string) []Violation { return d.mutated(op) }
 
 // FullPasses returns how many Sampled audits ran as full passes.

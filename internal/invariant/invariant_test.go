@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"lightpath/internal/chaos"
 	"lightpath/internal/route"
 	"lightpath/internal/snapshot"
 	"lightpath/internal/wafer"
@@ -363,6 +364,9 @@ func TestDefaultModeRoundTrip(t *testing.T) {
 // RestoreState, a table out of ID order and a key off the rack. Each
 // case starts from a warm index and drives one audit point.
 func TestSampledFallsBackToFullPass(t *testing.T) {
+	// A chip no circuit uses, failed before the auditor attaches, so
+	// the "chip repaired" case has real hardware to repair.
+	deadChip := chaos.Fault{Class: chaos.ChipFailure, Chip: 7}
 	for _, tc := range []struct {
 		name string
 		// before runs ahead of the audit point's mutations; delta says
@@ -372,10 +376,14 @@ func TestSampledFallsBackToFullPass(t *testing.T) {
 	}{
 		{"establishes and releases only", func(*testing.T, *route.Allocator, *Auditor) {}, true},
 		{"fiber row failed", func(t *testing.T, a *route.Allocator, d *Auditor) {
-			a.FailFiberRow(0, 3)
+			if _, err := a.ApplyFault(chaos.Fault{Class: chaos.FiberCut, Trunk: 0, Row: 3}); err != nil {
+				t.Fatal(err)
+			}
 		}, false},
-		{"repair behind the allocator", func(t *testing.T, a *route.Allocator, d *Auditor) {
-			d.Mutated("repair")
+		{"chip repaired", func(t *testing.T, a *route.Allocator, d *Auditor) {
+			if err := a.Repair(deadChip); err != nil {
+				t.Fatal(err)
+			}
 		}, false},
 		{"restored", func(t *testing.T, a *route.Allocator, d *Auditor) {
 			var e snapshot.Encoder
@@ -405,6 +413,9 @@ func TestSampledFallsBackToFullPass(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			a, _ := auditFixture(t)
+			if _, err := a.ApplyFault(deadChip); err != nil {
+				t.Fatal(err)
+			}
 			d := Attach(a, Sampled)
 			for d.fullPasses == 0 || !d.ctx.idx.valid {
 				c, err := a.Establish(route.Request{A: 3, B: 30, Width: 1}, 0)
@@ -416,9 +427,9 @@ func TestSampledFallsBackToFullPass(t *testing.T) {
 			tc.before(t, a, d)
 			full := d.fullPasses
 			for d.mutations%d.stride != d.stride-1 {
-				d.Mutated("release")
+				d.mutated("release")
 			}
-			d.Mutated("establish")
+			d.mutated("establish")
 			if delta := d.fullPasses == full; delta != tc.delta {
 				t.Fatalf("audit ran as a delta: %v, want %v", delta, tc.delta)
 			}

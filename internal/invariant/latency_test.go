@@ -200,7 +200,7 @@ func detectionLag(t *testing.T, seed uint64, plant int, touched bool, mode strin
 				aud.Audit(op)
 			}
 		default:
-			aud.Mutated(op)
+			aud.MutatedReport(op)
 		}
 		if n%invariant.DefaultStride == 0 {
 			boundaryID = maxID

@@ -156,8 +156,8 @@ func NewAllocator(rack *wafer.Rack, r *rng.Rand) *Allocator {
 
 // SetAuditHook registers fn to run after every completed top-level
 // mutation of the allocator's shared optical state (Establish,
-// Release, ApplyFault, FailFiberRow, RestoreFiberRow, and the
-// decentralized commit path), with the operation's name. Nested
+// Release, ApplyFault, Repair and the decentralized commit path),
+// with the operation's name. Nested
 // mutations — a fault tearing down circuits mid-application — fire
 // the hook only once, at the outermost level, so the hook always
 // observes a consistent allocator. A nil fn detaches. The hook must

@@ -136,73 +136,3 @@ func (a *Allocator) tryProposal(req Request, p plan, now unit.Seconds) *Circuit 
 	c, _, _ := a.tryPlan(req, p, now)
 	return c
 }
-
-// FailFiberRow marks every fiber of one trunk row as failed — a cut
-// bundle. In-flight circuits using the row are torn down and
-// returned so the caller can re-establish them over surviving rows
-// (§5, "dynamically reconfiguring the network in real-time, ensuring
-// continued operation despite faults").
-func (a *Allocator) FailFiberRow(trunk, row int) []*Circuit {
-	a.beginOp()
-	defer a.endOp("fail-fiber-row")
-	key := fiberRowKey{trunk: trunk, row: row}
-	if a.failedRows == nil {
-		a.failedRows = make(map[fiberRowKey]bool)
-	}
-	a.failedRows[key] = true
-
-	var affected []*Circuit
-	for _, c := range a.Circuits() {
-		for _, f := range c.Fibers {
-			if f.Trunk == trunk && f.Row == row {
-				affected = append(affected, c)
-				break
-			}
-		}
-	}
-	for _, c := range affected {
-		a.Release(c)
-	}
-	return affected
-}
-
-// RestoreFiberRow returns a previously cut trunk row to service:
-// subsequent establishes may allocate its fibers again. Restoring a
-// row that is not failed is a no-op. Torn-down circuits are not
-// re-established here — that is the recovery loop's decision.
-func (a *Allocator) RestoreFiberRow(trunk, row int) {
-	a.beginOp()
-	defer a.endOp("restore-fiber-row")
-	delete(a.failedRows, fiberRowKey{trunk: trunk, row: row})
-}
-
-// RowFailed reports whether a trunk row has been marked failed.
-func (a *Allocator) RowFailed(trunk, row int) bool {
-	return a.failedRows[fiberRowKey{trunk: trunk, row: row}]
-}
-
-// rowUsable reports whether row survives on every trunk of the path.
-func (a *Allocator) rowUsable(row int, trunks []int) bool {
-	for _, tr := range trunks {
-		if a.failedRows[fiberRowKey{trunk: tr, row: row}] {
-			return false
-		}
-	}
-	return true
-}
-
-// SpareFullRows counts trunk rows (over the given trunk) with no
-// fiber in use and no failure — fully spare capacity available for
-// repair. The fiber-packing ablation compares this between packing
-// policies.
-func (a *Allocator) SpareFullRows(trunk int) int {
-	cfg := a.rack.Config()
-	n := 0
-	for row := 0; row < cfg.Rows; row++ {
-		key := fiberRowKey{trunk: trunk, row: row}
-		if a.fibersUsed[key] == 0 && !a.failedRows[key] {
-			n++
-		}
-	}
-	return n
-}

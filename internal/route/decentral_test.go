@@ -3,6 +3,7 @@ package route
 import (
 	"testing"
 
+	"lightpath/internal/chaos"
 	"lightpath/internal/rng"
 	"lightpath/internal/wafer"
 )
@@ -124,7 +125,7 @@ func TestDecentralizedRespectsMaxRounds(t *testing.T) {
 	}
 }
 
-func TestFailFiberRowReroutesCircuits(t *testing.T) {
+func TestFiberCutReroutesCircuits(t *testing.T) {
 	rack := twoWaferRack(t)
 	a := NewAllocator(rack, rng.New(41))
 	c, err := a.Establish(Request{A: 0, B: 32, Width: 1}, 0)
@@ -132,7 +133,10 @@ func TestFailFiberRowReroutesCircuits(t *testing.T) {
 		t.Fatal(err)
 	}
 	row := c.Fibers[0].Row
-	affected := a.FailFiberRow(0, row)
+	affected, err := a.ApplyFault(chaos.Fault{Class: chaos.FiberCut, Trunk: 0, Row: row})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(affected) != 1 || affected[0].ID != c.ID {
 		t.Fatalf("affected = %v", affected)
 	}
@@ -153,7 +157,9 @@ func TestFailAllRowsMakesCrossWaferImpossible(t *testing.T) {
 	rack := twoWaferRack(t)
 	a := NewAllocator(rack, rng.New(51))
 	for row := 0; row < rack.Config().Rows; row++ {
-		a.FailFiberRow(0, row)
+		if _, err := a.ApplyFault(chaos.Fault{Class: chaos.FiberCut, Trunk: 0, Row: row}); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if _, err := a.Establish(Request{A: 0, B: 32, Width: 1}, 0); err == nil {
 		t.Fatal("cross-wafer circuit established with all trunk rows failed")

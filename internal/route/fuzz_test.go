@@ -57,9 +57,10 @@ func checkRecoveryInvariants(t *testing.T, a *route.Allocator, aud *invariant.Au
 
 // FuzzFaultRecovery drives a random circuit population through a
 // random fault schedule, re-establishing broken circuits after every
-// fault, and asserts the recovery invariants throughout — both the
-// spot checks below and the full invariant registry, which the
-// Paranoid auditor replays after every Establish/Release/ApplyFault.
+// fault and then repairing the fault before it, and asserts the
+// recovery invariants throughout — both the spot checks below and the
+// full invariant registry, which the Paranoid auditor replays after
+// every Establish/Release/ApplyFault/Repair.
 // The fuzz inputs seed both the circuit mix and the fault engine, so
 // every failing input replays deterministically; the committed corpus
 // under testdata/fuzz pins the seeds that run in normal test mode.
@@ -110,7 +111,7 @@ func FuzzFaultRecovery(f *testing.F) {
 		if len(faults) > int(nFaults) {
 			faults = faults[:nFaults]
 		}
-		for _, fault := range faults {
+		for i, fault := range faults {
 			broken, err := a.ApplyFault(fault)
 			if err != nil {
 				t.Fatalf("%v: %v", fault, err)
@@ -121,6 +122,14 @@ func FuzzFaultRecovery(f *testing.F) {
 			// are legitimate outcomes, but must not corrupt state.
 			for _, c := range broken {
 				_, _, _ = a.EstablishDegraded(route.Request{A: c.A, B: c.B, Width: c.Width}, 0)
+				checkRecoveryInvariants(t, a, aud)
+			}
+			// The previous fault's repair lands under live circuits
+			// and the fault just applied.
+			if i > 0 {
+				if err := a.Repair(faults[i-1]); err != nil {
+					t.Fatalf("repair %v: %v", faults[i-1], err)
+				}
 				checkRecoveryInvariants(t, a, aud)
 			}
 		}

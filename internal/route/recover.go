@@ -3,6 +3,7 @@ package route
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"lightpath/internal/chaos"
 	"lightpath/internal/phy"
@@ -10,11 +11,13 @@ import (
 	"lightpath/internal/wafer"
 )
 
-// This file is the routing half of the failure lifecycle: it maps the
+// This file is the routing half of the failure lifecycle, and the only
+// way fault state enters or leaves the hardware: ApplyFault maps the
 // chaos engine's faults onto the hardware's health state, decides
-// which established circuits a fault invalidates, tears those down,
-// and re-establishes them over surviving resources — at reduced
-// wavelength width when full-width repair is impossible.
+// which established circuits a fault invalidates and tears those
+// down; Repair undoes a fault; EstablishDegraded re-establishes torn
+// circuits over surviving resources, at reduced wavelength width when
+// full-width repair is impossible.
 
 // ApplyFault applies one fault to the rack hardware and tears down
 // every established circuit the fault invalidates, returning the
@@ -30,28 +33,28 @@ import (
 //     established paths keep working; only new programs fail.
 //   - WaveguideLoss: circuits crossing the degraded position whose
 //     optical budget no longer closes (or whose span is severed).
-//   - FiberCut: every circuit using the cut trunk row.
+//   - FiberCut: every circuit using the cut trunk row (§5,
+//     "dynamically reconfiguring the network in real-time, ensuring
+//     continued operation despite faults").
 func (a *Allocator) ApplyFault(f chaos.Fault) ([]*Circuit, error) {
 	a.beginOp()
 	defer a.endOp("apply-fault")
+	if err := a.checkFault(f); err != nil {
+		return nil, err
+	}
+	atChip := func(c *Circuit) bool { return c.A == f.Chip || c.B == f.Chip }
 	switch f.Class {
 	case chaos.ChipFailure:
-		if err := a.checkChip(f.Chip); err != nil {
-			return nil, err
-		}
 		a.rack.TileOf(f.Chip).FailChip()
-		return a.releaseAll(a.CircuitsAt(f.Chip)), nil
+		return a.releaseAll(a.circuitsWhere(atChip)), nil
 
 	case chaos.LaserDeath:
-		if err := a.checkChip(f.Chip); err != nil {
-			return nil, err
-		}
 		tile := a.rack.TileOf(f.Chip)
 		tile.FailLasers(1)
 		// Over-commit: shed the newest circuits first until the tile's
 		// remaining lasers cover the survivors.
 		var shed []*Circuit
-		at := a.CircuitsAt(f.Chip)
+		at := a.circuitsWhere(atChip)
 		for i := len(at) - 1; i >= 0 && tile.FreeLasers() < 0; i-- {
 			a.Release(at[i])
 			shed = append(shed, at[i])
@@ -59,75 +62,126 @@ func (a *Allocator) ApplyFault(f chaos.Fault) ([]*Circuit, error) {
 		return shed, nil
 
 	case chaos.MZIStuck:
-		if err := a.checkChip(f.Chip); err != nil {
-			return nil, err
-		}
 		return nil, a.rack.TileOf(f.Chip).FailSwitch(f.Switch)
 
 	case chaos.WaveguideLoss:
-		if f.Wafer < 0 || f.Wafer >= a.rack.NumWafers() {
-			return nil, fmt.Errorf("route: fault wafer %d out of range [0, %d)", f.Wafer, a.rack.NumWafers())
-		}
-		w := a.rack.Wafer(f.Wafer)
 		o := orientOf(f.Horizontal)
-		if err := w.DegradeSegment(o, f.Lane, f.Pos, f.ExtraLossDB); err != nil {
+		if err := a.rack.Wafer(f.Wafer).DegradeSegment(o, f.Lane, f.Pos, f.ExtraLossDB); err != nil {
 			return nil, err
 		}
-		var broken []*Circuit
-		for _, c := range a.CircuitsOverSegment(f.Wafer, f.Horizontal, f.Lane, f.Pos) {
-			if !a.StillFeasible(c) {
-				broken = append(broken, c)
-			}
+		crosses := func(s Segment) bool {
+			return s.Wafer == f.Wafer && s.Ref.Orient == o && s.Ref.Lane == f.Lane &&
+				s.Ref.Span.Lo <= f.Pos && f.Pos <= s.Ref.Span.Hi
 		}
-		return a.releaseAll(broken), nil
+		return a.releaseAll(a.circuitsWhere(func(c *Circuit) bool {
+			return slices.ContainsFunc(c.Segments, crosses) && !a.StillFeasible(c)
+		})), nil
 
-	case chaos.FiberCut:
-		if f.Trunk < 0 || f.Trunk >= a.rack.NumTrunks() {
-			return nil, fmt.Errorf("route: fault trunk %d out of range [0, %d)", f.Trunk, a.rack.NumTrunks())
+	default: // chaos.FiberCut: checkFault refuses every other class.
+		if a.failedRows == nil {
+			a.failedRows = make(map[fiberRowKey]bool)
 		}
-		if rows := a.rack.Config().Rows; f.Row < 0 || f.Row >= rows {
-			return nil, fmt.Errorf("route: fault row %d out of range [0, %d)", f.Row, rows)
-		}
-		return a.FailFiberRow(f.Trunk, f.Row), nil
+		a.failedRows[fiberRowKey{trunk: f.Trunk, row: f.Row}] = true
+		onRow := func(g wafer.FiberRef) bool { return g.Trunk == f.Trunk && g.Row == f.Row }
+		return a.releaseAll(a.circuitsWhere(func(c *Circuit) bool {
+			return slices.ContainsFunc(c.Fibers, onRow)
+		})), nil
 	}
-	return nil, fmt.Errorf("route: unknown fault class %d", int(f.Class))
 }
 
-// checkChip validates a fault's chip id against the rack.
-func (a *Allocator) checkChip(chip int) error {
-	if chip < 0 || chip >= a.rack.NumChips() {
-		return fmt.Errorf("route: fault chip %d out of range [0, %d)", chip, a.rack.NumChips())
+// Repair undoes one fault ApplyFault applied: the chip is replaced, one
+// laser restored, the switch replaced, the degraded position re-worked
+// (all its extra loss cleared) or the cut row returned to service.
+// Repairing healthy hardware is a no-op. Circuits ApplyFault tore down
+// are not re-established here — that is the recovery loop's decision.
+func (a *Allocator) Repair(f chaos.Fault) error {
+	a.beginOp()
+	defer a.endOp("repair")
+	if err := a.checkFault(f); err != nil {
+		return err
+	}
+	switch f.Class {
+	case chaos.ChipFailure:
+		a.rack.TileOf(f.Chip).RepairChip()
+	case chaos.LaserDeath:
+		a.rack.TileOf(f.Chip).RepairLasers(1)
+	case chaos.MZIStuck:
+		return a.rack.TileOf(f.Chip).RepairSwitch(f.Switch)
+	case chaos.WaveguideLoss:
+		return a.rack.Wafer(f.Wafer).RepairSegment(orientOf(f.Horizontal), f.Lane, f.Pos)
+	case chaos.FiberCut:
+		delete(a.failedRows, fiberRowKey{trunk: f.Trunk, row: f.Row})
 	}
 	return nil
 }
 
-// CircuitsAt returns the established circuits terminating at the
-// chip, in ID order.
-func (a *Allocator) CircuitsAt(chip int) []*Circuit {
+// checkFault validates a fault's class and the chip, wafer or trunk
+// row it names against the rack; the switch, lane and position are
+// the hardware's to check.
+func (a *Allocator) checkFault(f chaos.Fault) error {
+	switch f.Class {
+	case chaos.ChipFailure, chaos.LaserDeath, chaos.MZIStuck:
+		if f.Chip < 0 || f.Chip >= a.rack.NumChips() {
+			return fmt.Errorf("route: fault chip %d out of range [0, %d)", f.Chip, a.rack.NumChips())
+		}
+	case chaos.WaveguideLoss:
+		if f.Wafer < 0 || f.Wafer >= a.rack.NumWafers() {
+			return fmt.Errorf("route: fault wafer %d out of range [0, %d)", f.Wafer, a.rack.NumWafers())
+		}
+	case chaos.FiberCut:
+		if f.Trunk < 0 || f.Trunk >= a.rack.NumTrunks() {
+			return fmt.Errorf("route: fault trunk %d out of range [0, %d)", f.Trunk, a.rack.NumTrunks())
+		}
+		if rows := a.rack.Config().Rows; f.Row < 0 || f.Row >= rows {
+			return fmt.Errorf("route: fault row %d out of range [0, %d)", f.Row, rows)
+		}
+	default:
+		return fmt.Errorf("route: unknown fault class %d", int(f.Class))
+	}
+	return nil
+}
+
+// circuitsWhere returns the established circuits keep holds for, in
+// ID order.
+func (a *Allocator) circuitsWhere(keep func(*Circuit) bool) []*Circuit {
 	var out []*Circuit
-	for _, c := range a.Circuits() {
-		if c.A == chip || c.B == chip {
+	for _, c := range a.circuits {
+		if keep(c) {
 			out = append(out, c)
 		}
 	}
 	return out
 }
 
-// CircuitsOverSegment returns the established circuits whose path
-// crosses one tile position of a bus lane, in ID order.
-func (a *Allocator) CircuitsOverSegment(waferIdx int, horizontal bool, lane, pos int) []*Circuit {
-	o := orientOf(horizontal)
-	var out []*Circuit
-	for _, c := range a.Circuits() {
-		for _, s := range c.Segments {
-			if s.Wafer == waferIdx && s.Ref.Orient == o && s.Ref.Lane == lane &&
-				s.Ref.Span.Lo <= pos && pos <= s.Ref.Span.Hi {
-				out = append(out, c)
-				break
-			}
+// RowFailed reports whether a trunk row has been marked failed.
+func (a *Allocator) RowFailed(trunk, row int) bool {
+	return a.failedRows[fiberRowKey{trunk: trunk, row: row}]
+}
+
+// rowUsable reports whether row survives on every trunk of the path.
+func (a *Allocator) rowUsable(row int, trunks []int) bool {
+	for _, tr := range trunks {
+		if a.failedRows[fiberRowKey{trunk: tr, row: row}] {
+			return false
 		}
 	}
-	return out
+	return true
+}
+
+// SpareFullRows counts trunk rows (over the given trunk) with no
+// fiber in use and no failure — fully spare capacity available for
+// repair. The fiber-packing ablation compares this between packing
+// policies.
+func (a *Allocator) SpareFullRows(trunk int) int {
+	cfg := a.rack.Config()
+	n := 0
+	for row := 0; row < cfg.Rows; row++ {
+		key := fiberRowKey{trunk: trunk, row: row}
+		if a.fibersUsed[key] == 0 && !a.failedRows[key] {
+			n++
+		}
+	}
+	return n
 }
 
 // StillFeasible re-checks a circuit's optical budget against the

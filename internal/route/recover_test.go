@@ -3,6 +3,7 @@ package route
 import (
 	"bytes"
 	"errors"
+	"reflect"
 	"testing"
 
 	"lightpath/internal/chaos"
@@ -194,22 +195,29 @@ func TestApplyFaultFiberCut(t *testing.T) {
 	}
 }
 
+// TestApplyFaultRejectsUnknownClassAndBadChip: ApplyFault and Repair
+// refuse the same malformed faults with the same errors.
 func TestApplyFaultRejectsUnknownClassAndBadChip(t *testing.T) {
 	a := recoverAllocator(t)
-	if _, err := a.ApplyFault(chaos.Fault{Class: chaos.Class(99)}); err == nil {
-		t.Fatal("unknown class accepted")
-	}
-	if _, err := a.ApplyFault(chaos.Fault{Class: chaos.ChipFailure, Chip: -1}); err == nil {
-		t.Fatal("negative chip accepted")
-	}
-	if _, err := a.ApplyFault(chaos.Fault{Class: chaos.ChipFailure, Chip: 1 << 20}); err == nil {
-		t.Fatal("out-of-range chip accepted")
+	for _, f := range []chaos.Fault{
+		{Class: chaos.Class(99)},
+		{Class: chaos.ChipFailure, Chip: -1},
+		{Class: chaos.ChipFailure, Chip: 1 << 20},
+	} {
+		_, err := a.ApplyFault(f)
+		if err == nil {
+			t.Errorf("%+v accepted", f)
+		}
+		if rerr := a.Repair(f); errString(rerr) != errString(err) {
+			t.Errorf("repair %+v: error %q, want ApplyFault's %q", f, errString(rerr), errString(err))
+		}
 	}
 }
 
 // TestApplyFaultRejectsOutOfRangeFiberCut: a cut naming a trunk or row
 // the rack does not have is an error and leaves no phantom failed row
-// in the allocator's state.
+// in the allocator's state. Repair refuses the same faults with the
+// same errors.
 func TestApplyFaultRejectsOutOfRangeFiberCut(t *testing.T) {
 	a := recoverAllocator(t)
 	trunks, rows := a.Rack().NumTrunks(), a.Rack().Config().Rows
@@ -220,15 +228,54 @@ func TestApplyFaultRejectsOutOfRangeFiberCut(t *testing.T) {
 		{Class: chaos.FiberCut, Trunk: 0, Row: -1},
 		{Class: chaos.FiberCut, Trunk: 0, Row: rows},
 	} {
-		if _, err := a.ApplyFault(f); err == nil {
+		_, err := a.ApplyFault(f)
+		if err == nil {
 			t.Errorf("cut at trunk %d row %d accepted (rack has %d trunks, %d rows)", f.Trunk, f.Row, trunks, rows)
 		}
 		if a.RowFailed(f.Trunk, f.Row) {
 			t.Errorf("rejected cut left trunk %d row %d marked failed", f.Trunk, f.Row)
 		}
+		if rerr := a.Repair(f); errString(rerr) != errString(err) {
+			t.Errorf("repair at trunk %d row %d: error %q, want ApplyFault's %q", f.Trunk, f.Row, errString(rerr), errString(err))
+		}
 	}
 	if !bytes.Equal(encodeAllocator(a), want) {
 		t.Fatal("rejected cuts changed the checkpoint state")
+	}
+}
+
+// TestRepairUndoesFault: on an idle allocator, repairing a fault of
+// any class restores the state the fault changed, checkpoint bytes and
+// all, and each of ApplyFault and Repair is one top-level mutation.
+func TestRepairUndoesFault(t *testing.T) {
+	for _, f := range []chaos.Fault{
+		{Class: chaos.ChipFailure, Chip: 3},
+		{Class: chaos.LaserDeath, Chip: 3},
+		{Class: chaos.MZIStuck, Chip: 3, Switch: 2},
+		{Class: chaos.WaveguideLoss, Wafer: 1, Horizontal: true, Lane: 2, Pos: 5, ExtraLossDB: wafer.SeveredSegmentDB},
+		{Class: chaos.FiberCut, Trunk: 0, Row: 3},
+	} {
+		t.Run(f.Class.String(), func(t *testing.T) {
+			a := recoverAllocator(t)
+			var ops []string
+			a.SetAuditHook(func(op string) { ops = append(ops, op) })
+			fresh := encodeAllocator(a)
+			if _, err := a.ApplyFault(f); err != nil {
+				t.Fatal(err)
+			}
+			if bytes.Equal(encodeAllocator(a), fresh) {
+				t.Fatal("the fault changed no state")
+			}
+			if err := a.Repair(f); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(encodeAllocator(a), fresh) {
+				t.Fatal("state after the repair differs from the fresh allocator's")
+			}
+			if want := []string{"apply-fault", "repair"}; !reflect.DeepEqual(ops, want) {
+				t.Fatalf("audit hook saw %q, want %q", ops, want)
+			}
+		})
 	}
 }
 

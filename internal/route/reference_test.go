@@ -466,16 +466,18 @@ func (ls *lockstep) step(r *rng.Rand) {
 		if rack.NumTrunks() == 0 {
 			return
 		}
-		trunk, row := r.Intn(rack.NumTrunks()), r.Intn(rack.Config().Rows)
-		ls.dropLive("fail-row", prod.FailFiberRow(trunk, row), ref.FailFiberRow(trunk, row))
+		f := chaos.Fault{Class: chaos.FiberCut, Trunk: r.Intn(rack.NumTrunks()), Row: r.Intn(rack.Config().Rows)}
+		pb, perr := prod.ApplyFault(f)
+		rb, rerr := ref.ApplyFault(f)
+		ls.sameOutcome(fmt.Sprintf("cut %v", f), nil, nil, perr, rerr)
+		ls.dropLive(fmt.Sprintf("cut %v", f), pb, rb)
 
 	default:
 		if rack.NumTrunks() == 0 {
 			return
 		}
-		trunk, row := r.Intn(rack.NumTrunks()), r.Intn(rack.Config().Rows)
-		prod.RestoreFiberRow(trunk, row)
-		ref.RestoreFiberRow(trunk, row)
+		f := chaos.Fault{Class: chaos.FiberCut, Trunk: r.Intn(rack.NumTrunks()), Row: r.Intn(rack.Config().Rows)}
+		ls.sameOutcome(fmt.Sprintf("repair %v", f), nil, nil, prod.Repair(f), ref.Repair(f))
 	}
 	ls.sameState()
 }

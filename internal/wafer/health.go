@@ -7,9 +7,12 @@ import (
 // This file is the hardware half of the failure lifecycle: per-
 // component health state and the fault-application entry points the
 // chaos engine's faults map onto. The wafer layer only records what is
-// broken; deciding which circuits that invalidates and how to route
-// around it is internal/route's job, and the detect/repair/resume loop
-// lives in internal/core.
+// broken. Outside tests, internal/route's Allocator.ApplyFault and
+// Allocator.Repair are the only callers of the fail and repair entry
+// points, and they also decide which circuits a fault invalidates.
+// Re-routing around a fault and deciding when to repair belong to the
+// recovery loops above route (internal/core, internal/fleet,
+// internal/ctrl).
 
 // SeveredSegmentDB is the extra insertion loss at which a degraded
 // bus-lane segment is treated as severed: no budget can absorb it, so
