@@ -166,8 +166,10 @@ controller-smoke:
 ## budget keeps the second-scale campaign benchmarks at one iteration
 ## while the micro-benchmarks average allocs/op over many. -cpu 1 pins
 ## the engine to one worker, so every allocation count is the same on
-## every host. Wall-clock numbers come from benchmark/, not from here.
-BENCH_CMD = $(GO) test -run '^$$' -bench . -benchmem -benchtime 100ms -cpu 1 ./internal/...
+## every host. The root package's paper benchmarks (one per table and
+## figure) run in the same pass. Wall-clock numbers come from
+## benchmark/, not from here.
+BENCH_CMD = $(GO) test -run '^$$' -bench . -benchmem -benchtime 100ms -cpu 1 . ./internal/...
 bench:
 	$(BENCH_CMD) | $(GO) run ./cmd/lightpath-bench -o BENCH.json
 

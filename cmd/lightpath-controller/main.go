@@ -258,6 +258,12 @@ func runSelfcheck(opts options, out printer) error {
 	if err := <-serveErr; err != nil {
 		return fmt.Errorf("selfcheck: serve: %w", err)
 	}
+	// No connection holds the server now: one full audit of the state
+	// every rung left behind, and the verdict over the daemon's life.
+	srv.Auditor().Audit("selfcheck")
+	if err := srv.Auditor().Err(); err != nil {
+		return fmt.Errorf("selfcheck: %w", err)
+	}
 	restored, err := ctrl.LoadCheckpoint(cfg, ckpt)
 	if err != nil {
 		return fmt.Errorf("selfcheck: resume: %w", err)
@@ -268,13 +274,18 @@ func runSelfcheck(opts options, out printer) error {
 	if _, ok := restored.Allocator().CircuitByID(first.Circuit); !ok {
 		return fmt.Errorf("selfcheck: circuit %d lost across resume", first.Circuit)
 	}
+	restored.Auditor().Audit("resume")
+	if err := restored.Auditor().Err(); err != nil {
+		return fmt.Errorf("selfcheck: resumed state: %w", err)
+	}
 
 	_, err = fmt.Fprintf(out,
 		"selfcheck: ok\n"+
 			"  served a circuit, survived a hostile frame, %d impossible deadlines refused\n"+
 			"  chip %d killed (%d held circuits affected): %d clean endpoint failures, then %d fast breaker rejects\n"+
 			"  overload burst: %d of %d establishes shed\n"+
-			"  crash -> resume: stats identical, circuit %d intact\n",
+			"  crash -> resume: stats identical, circuit %d intact\n"+
+			"  audit: clean\n",
 		deadline, victim, len(report.Moves), endpoint, breaker,
 		shed, 2*cfg.QueueCap, first.Circuit)
 	return err

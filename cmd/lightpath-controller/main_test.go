@@ -5,15 +5,12 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
-
-	"lightpath/internal/invariant"
 )
 
 // TestSelfcheck runs the full robustness drill: a real daemon on a
 // loopback port, driven over the wire through every rung of the
 // degradation ladder, killed, and resumed from its checkpoint.
 func TestSelfcheck(t *testing.T) {
-	t.Cleanup(invariant.ResetGlobal)
 	var buf bytes.Buffer
 	if err := run([]string{"-selfcheck"}, &buf); err != nil {
 		t.Fatalf("selfcheck failed: %v\n%s", err, buf.String())
@@ -25,6 +22,7 @@ func TestSelfcheck(t *testing.T) {
 		"fast breaker rejects",
 		"establishes shed",
 		"crash -> resume: stats identical",
+		"audit: clean",
 	} {
 		if !strings.Contains(out, marker) {
 			t.Errorf("selfcheck output missing %q:\n%s", marker, out)
@@ -36,7 +34,6 @@ func TestSelfcheck(t *testing.T) {
 // the ladder must hold regardless of the allocator's stochastic
 // stream.
 func TestSelfcheckOtherSeed(t *testing.T) {
-	t.Cleanup(invariant.ResetGlobal)
 	var buf bytes.Buffer
 	if err := run([]string{"-selfcheck", "-seed", "99"}, &buf); err != nil {
 		t.Fatalf("selfcheck with seed 99 failed: %v\n%s", err, buf.String())

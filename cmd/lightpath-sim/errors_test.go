@@ -96,7 +96,6 @@ func TestErrorTaxonomyFromTheTop(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				t.Cleanup(invariant.ResetGlobal)
 				// A same-instant burst: the queue holds 2, the rest shed.
 				var last ctrl.Response
 				for i := 0; i < 8; i++ {
@@ -114,7 +113,6 @@ func TestErrorTaxonomyFromTheTop(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				t.Cleanup(invariant.ResetGlobal)
 				// Default establish service is 2 us; a 1 us budget can
 				// never be met and is refused before consuming capacity.
 				resp, _ := s.Submit(ctrl.Request{
@@ -135,7 +133,6 @@ func TestErrorTaxonomyFromTheTop(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				t.Cleanup(invariant.ResetGlobal)
 				if _, err := s.ApplyFault(chaos.Fault{Class: chaos.ChipFailure, Chip: 5}, 0); err != nil {
 					t.Fatal(err)
 				}
@@ -157,7 +154,6 @@ func TestErrorTaxonomyFromTheTop(t *testing.T) {
 			trigger: func(t *testing.T) error {
 				a := newAlloc(t)
 				aud := invariant.Attach(a, invariant.Paranoid)
-				t.Cleanup(invariant.ResetGlobal)
 				if _, err := a.Establish(route.Request{A: 0, B: 5, Width: 2}, 0); err != nil {
 					t.Fatal(err)
 				}

@@ -1,25 +1,56 @@
 package core
 
 import (
-	"fmt"
+	"errors"
 	"os"
 	"testing"
 
 	"lightpath/internal/invariant"
+	"lightpath/internal/unit"
 )
 
 // TestMain raises the process-wide audit mode to Paranoid, so every
 // fabric any test here builds carries an auditor that re-checks the
 // full invariant registry after each circuit mutation — recovery
-// loops, MoE churn, chaos trials, all of it. The process-wide tally is
-// asserted empty at exit.
+// loops, MoE churn, chaos trials, all of it. RunMoE and
+// RunPlannedAllReduceUnderFault return their fabric's verdict, and
+// newFabric fails any test whose fabric recorded a violation.
 func TestMain(m *testing.M) {
 	invariant.SetDefaultMode(invariant.Paranoid)
-	code := m.Run()
-	if n := invariant.GlobalCount(); n > 0 && code == 0 {
-		fmt.Fprintf(os.Stderr, "invariant auditor recorded %d violation(s) during the test run; first: %s\n",
-			n, invariant.GlobalViolations()[0])
-		code = 1
+	os.Exit(m.Run())
+}
+
+// TestRunsSurfaceViolations corrupts the hardware behind the allocator
+// and demands that both runs which change circuits return the
+// auditor's verdict, so a caller learns of the corruption from the
+// run itself.
+func TestRunsSurfaceViolations(t *testing.T) {
+	sabotage := func(t *testing.T, f *Fabric) {
+		t.Helper()
+		if err := f.Hardware().TileOf(20).Reserve(1); err != nil {
+			t.Fatal(err)
+		}
 	}
-	os.Exit(code)
+	t.Run("moe", func(t *testing.T) {
+		f, err := New(Options{Seed: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sabotage(t, f)
+		cfg := MoEConfig{Chips: 8, Experts: 4, TopK: 2, Batches: 2, BytesPerExpert: unit.MB, CircuitWidth: 1}
+		if _, err := f.RunMoE(cfg); !errors.Is(err, invariant.ErrViolated) {
+			t.Fatalf("RunMoE on corrupted hardware: err = %v, want ErrViolated", err)
+		}
+	})
+	t.Run("fault", func(t *testing.T) {
+		f, sc, chips := chaosSetup(t)
+		plan, err := f.PlanAllReduce(sc.Alloc, 1, unit.MB)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sabotage(t, f)
+		if _, err := f.RunPlannedAllReduceUnderFault(sc.Alloc, plan, chips[0], 3, DefaultChaosPolicy()); !errors.Is(err, invariant.ErrViolated) {
+			t.Fatalf("RunPlannedAllReduceUnderFault on corrupted hardware: err = %v, want ErrViolated", err)
+		}
+	})
 }

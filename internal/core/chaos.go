@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"lightpath/internal/chaos"
@@ -110,7 +111,8 @@ func (o *ChaosOutcome) String() string {
 // to exchange with, restores the victim's last step-boundary
 // checkpoint onto the replacement, and resumes from the interrupted
 // step. The outcome carries correctness, MTTR and blast-radius
-// measurements.
+// measurements; it comes with an error wrapping invariant.ErrViolated
+// when the fabric's auditor has recorded a violation.
 func (f *Fabric) RunAllReduceUnderFault(a *torus.Allocation, si int, bufferBytes unit.Bytes, victim, failStep int, pol ChaosPolicy) (*ChaosOutcome, error) {
 	if pol.Detection < 0 {
 		return nil, fmt.Errorf("core: negative detection latency %v", pol.Detection)
@@ -140,7 +142,7 @@ func (f *Fabric) RunPlannedAllReduceUnderFault(a *torus.Allocation, plan *Collec
 	}
 	sched := plan.Schedule
 	chips := sched.Chips()
-	if !containsInt(chips, victim) {
+	if !slices.Contains(chips, victim) {
 		return nil, fmt.Errorf("core: victim chip %d is not part of the collective", victim)
 	}
 	if failStep < 0 || failStep >= sched.NumSteps() {
@@ -249,7 +251,7 @@ func (f *Fabric) RunPlannedAllReduceUnderFault(a *torus.Allocation, plan *Collec
 	out.StallElectrical = f.torus.Size()
 	useful := float64(sched.TotalBytes())
 	out.GoodputFraction = useful / (useful + float64(out.WastedBytes))
-	return out, nil
+	return out, f.aud.Err()
 }
 
 // spliceReplacement picks a free, healthy chip and establishes repair
@@ -260,7 +262,7 @@ func (f *Fabric) RunPlannedAllReduceUnderFault(a *torus.Allocation, plan *Collec
 func (f *Fabric) spliceReplacement(a *torus.Allocation, inCollective, peers []int, width int, now unit.Seconds) (int, []*route.Circuit, bool, error) {
 	var candidates []int
 	for _, c := range a.FreeChips() {
-		if containsInt(inCollective, c) {
+		if slices.Contains(inCollective, c) {
 			continue
 		}
 		if c < f.rack.NumChips() && f.rack.TileOf(c).ChipHealthy() {
@@ -391,13 +393,4 @@ func stepBytes(s *collective.Schedule, i int) unit.Bytes {
 		total += tr.Bytes(s.ElemBytes)
 	}
 	return total
-}
-
-func containsInt(xs []int, v int) bool {
-	for _, x := range xs {
-		if x == v {
-			return true
-		}
-	}
-	return false
 }

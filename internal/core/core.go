@@ -46,6 +46,7 @@ type Fabric struct {
 	torus  *torus.Torus
 	rack   *wafer.Rack
 	alloc  *route.Allocator
+	aud    *invariant.Auditor // watches alloc; the runs that change circuits return its verdict
 	params cost.Params
 	rand   *rng.Rand
 	// exec and interp reuse the fluid-simulator and schedule-interpreter
@@ -86,13 +87,11 @@ func New(opts Options) (*Fabric, error) {
 	// Tests raise the process default to Paranoid, so every fabric they
 	// build is continuously audited; production defaults to Off, which
 	// keeps the hot path a nil hook check.
-	if m := invariant.DefaultMode(); m != invariant.Off {
-		invariant.Attach(alloc, m)
-	}
 	return &Fabric{
 		torus:  t,
 		rack:   hw,
 		alloc:  alloc,
+		aud:    invariant.Attach(alloc, invariant.DefaultMode()),
 		params: opts.Cost,
 		rand:   r,
 	}, nil

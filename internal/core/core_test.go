@@ -22,6 +22,13 @@ func newFabric(t *testing.T) *Fabric {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Tests that drive f.Circuits() directly get no run's verdict, so
+	// the auditor's is checked when the test ends.
+	t.Cleanup(func() {
+		if err := f.aud.Err(); err != nil {
+			t.Error(err)
+		}
+	})
 	return f
 }
 

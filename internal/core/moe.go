@@ -86,7 +86,9 @@ func (r *MoEResult) OverheadFraction() float64 {
 // RunMoE executes the MoE workload on the fabric, managing circuits
 // dynamically with an LRU-less direct cache: a circuit per
 // (source, expert) pair lives until the source needs a different
-// expert and has no free endpoint resources.
+// expert and has no free endpoint resources. The result comes with an
+// error wrapping invariant.ErrViolated when the fabric's auditor has
+// recorded a violation.
 func (f *Fabric) RunMoE(cfg MoEConfig) (*MoEResult, error) {
 	if cfg.Chips < 2 || cfg.Chips > f.rack.NumChips() {
 		return nil, fmt.Errorf("core: MoE chips %d out of range [2, %d]", cfg.Chips, f.rack.NumChips())
@@ -200,7 +202,7 @@ func (f *Fabric) RunMoE(cfg MoEConfig) (*MoEResult, error) {
 		}
 	}
 	res.Makespan = now
-	return res, nil
+	return res, f.aud.Err()
 }
 
 // establishWithEviction tries to establish src->dst, evicting cached

@@ -11,7 +11,6 @@ import (
 	"syscall"
 	"testing"
 
-	"lightpath/internal/invariant"
 	"lightpath/internal/snapshot"
 	"lightpath/internal/unit"
 )
@@ -25,7 +24,6 @@ func newTestHandler(t *testing.T, cfg Config, tick unit.Seconds) (*Handler, func
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(invariant.ResetGlobal)
 	h := NewHandler(s, tick)
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -204,7 +202,6 @@ func TestHandlerTickAdvancesClock(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(invariant.ResetGlobal)
 	tick := 3 * unit.Microsecond
 	h := NewHandler(s, tick)
 	for i := 0; i < 10; i++ {
@@ -229,7 +226,6 @@ func TestHandlerPeriodicCheckpoint(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		t.Cleanup(invariant.ResetGlobal)
 		return NewHandler(s, unit.Microsecond), s
 	}
 	req := func(i int) Request {
@@ -401,7 +397,6 @@ func servePipe(t testing.TB, cfg Config, tick unit.Seconds) (server, client *cou
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(invariant.ResetGlobal)
 	h := NewHandler(s, tick)
 	srvEnd, cliEnd := net.Pipe()
 	server, client = &countingConn{Conn: srvEnd}, &countingConn{Conn: cliEnd}

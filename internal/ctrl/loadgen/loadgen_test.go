@@ -54,12 +54,10 @@ func smallConfig(seed uint64) Config {
 // identical Results in every field — latencies, goodput and event
 // count included.
 func TestRunDeterministic(t *testing.T) {
-	t.Cleanup(invariant.ResetGlobal)
 	a, err := Run(smallConfig(42))
 	if err != nil {
 		t.Fatal(err)
 	}
-	invariant.ResetGlobal()
 	b, err := Run(smallConfig(42))
 	if err != nil {
 		t.Fatal(err)
@@ -75,7 +73,6 @@ func TestRunDeterministic(t *testing.T) {
 // On the server side, every submitted attempt ends in exactly one
 // terminal outcome counter, as ctrl.Stats promises.
 func TestRunConservesRequests(t *testing.T) {
-	t.Cleanup(invariant.ResetGlobal)
 	for _, seed := range []uint64{1, 2, 3, 42, 2024} {
 		runConserved(t, smallConfig(seed))
 	}
@@ -135,7 +132,6 @@ func runConserved(t *testing.T, cfg Config) *Result {
 // Result be identical to the uninterrupted run — kill-at-any-boundary
 // crash tolerance.
 func TestKillResumeAnyBoundary(t *testing.T) {
-	t.Cleanup(invariant.ResetGlobal)
 	cfg := smallConfig(1234)
 	want, err := Run(cfg)
 	if err != nil {
@@ -147,11 +143,9 @@ func TestKillResumeAnyBoundary(t *testing.T) {
 	for _, stopAt := range []uint64{1, 17, 500, want.Events / 2, want.Events - 1} {
 		path := filepath.Join(t.TempDir(), "kill.ckpt")
 		opts := CheckpointOptions{Path: path, EveryEvents: 256, StopAfterEvents: stopAt}
-		invariant.ResetGlobal()
 		if _, err := RunCheckpointed(cfg, opts); !errors.Is(err, ErrStopped) {
 			t.Fatalf("stop at %d: %v, want ErrStopped", stopAt, err)
 		}
-		invariant.ResetGlobal()
 		got, err := Resume(cfg, CheckpointOptions{Path: path, EveryEvents: 256})
 		if err != nil {
 			t.Fatalf("resume from boundary %d: %v", stopAt, err)
@@ -201,7 +195,6 @@ func canonicalCheckpoint(t *testing.T, cfg Config, file []byte) []byte {
 //
 //	go test -run '^TestParentCheckpointFixture$' ./internal/ctrl/loadgen -update
 func TestParentCheckpointFixture(t *testing.T) {
-	t.Cleanup(invariant.ResetGlobal)
 	fixturePath := filepath.Join("testdata", "parent-campaign-event500.ckpt")
 	cfg := smallConfig(1234)
 	dir := t.TempDir()
@@ -222,11 +215,9 @@ func TestParentCheckpointFixture(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	invariant.ResetGlobal()
 	if canon := canonicalCheckpoint(t, cfg, fixture); !bytes.Equal(got, canon) {
 		t.Fatalf("checkpoint at event 500 differs from the committed one re-encoded (%d vs %d bytes)", len(got), len(canon))
 	}
-	invariant.ResetGlobal()
 
 	want, err := Run(cfg)
 	if err != nil {
@@ -264,7 +255,6 @@ func TestParentCheckpointFixture(t *testing.T) {
 // TestResumeRejectsConfigChange pins the digest gate: a checkpoint
 // taken under one campaign config must refuse to resume under another.
 func TestResumeRejectsConfigChange(t *testing.T) {
-	t.Cleanup(invariant.ResetGlobal)
 	cfg := smallConfig(5)
 	path := filepath.Join(t.TempDir(), "c.ckpt")
 	opts := CheckpointOptions{Path: path, EveryEvents: 128, StopAfterEvents: 400}
@@ -281,7 +271,6 @@ func TestResumeRejectsConfigChange(t *testing.T) {
 	} {
 		bad := cfg
 		mutate(&bad)
-		invariant.ResetGlobal()
 		if _, err := Resume(bad, CheckpointOptions{Path: path}); !errors.Is(err, snapshot.ErrConfigMismatch) {
 			t.Errorf("%s change resumed anyway: %v", name, err)
 		}
@@ -294,7 +283,6 @@ func TestResumeRejectsConfigChange(t *testing.T) {
 // later checkpoint collects the failed write and when the failed write
 // is the run's last one, dispatched at the final event.
 func TestRunCheckpointedWriteFailure(t *testing.T) {
-	t.Cleanup(invariant.ResetGlobal)
 	cfg := smallConfig(5)
 	plain, err := Run(cfg)
 	if err != nil {
@@ -305,7 +293,6 @@ func TestRunCheckpointedWriteFailure(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, every := range []uint64{128, plain.Events} {
-		invariant.ResetGlobal()
 		opts := CheckpointOptions{Path: filepath.Join(file, "dir", "c.ckpt"), EveryEvents: every}
 		res, err := RunCheckpointed(cfg, opts)
 		if res != nil || !errors.Is(err, syscall.ENOTDIR) {

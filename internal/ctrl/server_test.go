@@ -20,7 +20,6 @@ func newTestServer(t *testing.T, mutate func(*Config)) *Server {
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(invariant.ResetGlobal)
 	return s
 }
 

@@ -52,7 +52,6 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(invariant.ResetGlobal)
 	workServer(t, s)
 
 	path := filepath.Join(t.TempDir(), "ctrl.ckpt")
@@ -99,7 +98,6 @@ func TestCheckpointBacklogBeyondQueueCap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(invariant.ResetGlobal)
 	// Held circuits to tear down later, established with the queue idle.
 	var circuits []int
 	for i := 0; i < 6; i++ {
@@ -147,7 +145,6 @@ func TestCheckpointConfigMismatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(invariant.ResetGlobal)
 	path := filepath.Join(t.TempDir(), "ctrl.ckpt")
 	if err := s.SaveCheckpoint(path); err != nil {
 		t.Fatal(err)
@@ -173,7 +170,6 @@ func TestCheckpointCorruption(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(invariant.ResetGlobal)
 	workServer(t, s)
 	dir := t.TempDir()
 	path := filepath.Join(dir, "ctrl.ckpt")
@@ -236,7 +232,6 @@ func TestCheckpointTornWriteFallsBack(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(invariant.ResetGlobal)
 	path := filepath.Join(t.TempDir(), "ctrl.ckpt")
 	if err := s.SaveCheckpoint(path); err != nil {
 		t.Fatal(err)

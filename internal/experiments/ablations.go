@@ -35,7 +35,7 @@ func (r AblationAllocResult) String() string {
 	fmt.Fprintf(&b, "  decentralized: %d established, %d commit attempts over %d rounds\n",
 		r.DecentralEstablished, r.DecentralAttempts, r.DecentralRounds)
 	fmt.Fprintf(&b, "  conflict overhead: %.2fx attempts\n",
-		float64(r.DecentralAttempts)/float64(maxOf(r.CentralAttempts, 1)))
+		float64(r.DecentralAttempts)/float64(max(r.CentralAttempts, 1)))
 	return b.String()
 }
 
@@ -201,11 +201,4 @@ func AblationSimultaneous(n int) (AblationSimultaneousResult, error) {
 		RedirectedTotal:   oc.Total(),
 		SimultaneousTotal: ec.Total(),
 	}, nil
-}
-
-func maxOf(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -31,9 +31,9 @@ func (r RepairabilityResult) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Repairability sweep: %d random rack/failure scenarios\n", r.Trials)
 	fmt.Fprintf(&b, "  congestion-free electrical repair: %d/%d (%.0f%%)\n",
-		r.ElectricalOK, r.Trials, 100*float64(r.ElectricalOK)/float64(maxOf(r.Trials, 1)))
+		r.ElectricalOK, r.Trials, 100*float64(r.ElectricalOK)/float64(max(r.Trials, 1)))
 	fmt.Fprintf(&b, "  optical circuit repair:            %d/%d (%.0f%%)\n",
-		r.OpticalOK, r.Trials, 100*float64(r.OpticalOK)/float64(maxOf(r.Trials, 1)))
+		r.OpticalOK, r.Trials, 100*float64(r.OpticalOK)/float64(max(r.Trials, 1)))
 	fmt.Fprintf(&b, "  mean congestion of best electrical plan when congestion-free fails: %.1f units\n",
 		r.MeanCongestion)
 	return b.String()

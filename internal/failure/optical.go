@@ -77,7 +77,7 @@ func (f *Fabric) tryOptical(alloc *route.Allocator, eps []RepairEndpoint, repl, 
 	seen := map[[2]int]bool{}
 	for _, ep := range eps {
 		for _, peer := range [2]int{ep.Pred, ep.Succ} {
-			key := [2]int{minInt(peer, repl), maxIntPair(peer, repl)}
+			key := [2]int{min(peer, repl), max(peer, repl)}
 			if seen[key] {
 				continue // bidirectional circuit already covers this pair
 			}
@@ -164,18 +164,4 @@ func (p *OpticalPlan) RepairBandwidth() unit.BitRate {
 		return 0
 	}
 	return p.Circuits[0].Bandwidth(phy.WavelengthCapacity)
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func maxIntPair(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -2,7 +2,6 @@ package invariant
 
 import (
 	"fmt"
-	"sync"
 	"sync/atomic"
 
 	"lightpath/internal/route"
@@ -110,13 +109,8 @@ func (d *Auditor) run(op string) []Violation {
 	d.ctx.idx.valid = false
 	d.count += len(fresh)
 	if room := maxRecorded - len(d.recorded); room > 0 {
-		n := len(fresh)
-		if n > room {
-			n = room
-		}
-		d.recorded = append(d.recorded, fresh[:n]...)
+		d.recorded = append(d.recorded, fresh[:min(len(fresh), room)]...)
 	}
-	recordGlobal(fresh)
 	return fresh
 }
 
@@ -159,49 +153,3 @@ func SetDefaultMode(m Mode) Mode {
 // DefaultMode returns the process-wide default audit mode (Off unless
 // something raised it).
 func DefaultMode() Mode { return Mode(defaultMode.Load()) }
-
-// The global tally aggregates violations across every auditor in the
-// process, so a test binary can assert "zero violations anywhere"
-// after fanning trials across goroutines.
-var (
-	globalMu       sync.Mutex
-	globalCount    int
-	globalRecorded []Violation
-)
-
-func recordGlobal(vs []Violation) {
-	globalMu.Lock()
-	defer globalMu.Unlock()
-	globalCount += len(vs)
-	if room := maxRecorded - len(globalRecorded); room > 0 {
-		n := len(vs)
-		if n > room {
-			n = room
-		}
-		globalRecorded = append(globalRecorded, vs[:n]...)
-	}
-}
-
-// GlobalCount returns the process-wide violation total.
-func GlobalCount() int {
-	globalMu.Lock()
-	defer globalMu.Unlock()
-	return globalCount
-}
-
-// GlobalViolations returns a copy of the retained process-wide
-// violations.
-func GlobalViolations() []Violation {
-	globalMu.Lock()
-	defer globalMu.Unlock()
-	return append([]Violation(nil), globalRecorded...)
-}
-
-// ResetGlobal clears the process-wide tally; tests that provoke
-// violations on purpose call it before handing control back.
-func ResetGlobal() {
-	globalMu.Lock()
-	defer globalMu.Unlock()
-	globalCount = 0
-	globalRecorded = nil
-}

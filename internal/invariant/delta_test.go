@@ -24,7 +24,6 @@ func trustedOp(op string) bool { return op == "establish" || op == "commit" || o
 // planted on the circuits added since the previous audit point; the
 // delta must then report exactly what the full pass does.
 func TestDeltaMatchesFullAudit(t *testing.T) {
-	t.Cleanup(invariant.ResetGlobal)
 	var audits, cleanDeltas, planted, caught int
 	reporting := map[string]int{}
 	for seed := uint64(1); seed <= 120; seed++ {
@@ -104,7 +103,6 @@ func TestDeltaMatchesFullAudit(t *testing.T) {
 // resumed run counts the same audits and mutations as the
 // uninterrupted one.
 func TestRestoredAuditorStartsWithFullPass(t *testing.T) {
-	t.Cleanup(invariant.ResetGlobal)
 	const steps, killAt = 3000, 1234
 	var v victim
 	a, step := campaignStream(t, 3, &v)

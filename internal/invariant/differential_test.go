@@ -370,7 +370,6 @@ func compareWithReference(t *testing.T, seed uint64, a *route.Allocator, picks [
 // reporter, and each registered invariant reporting violations in at
 // least 20 compared states.
 func TestAuditMatchesReference(t *testing.T) {
-	t.Cleanup(invariant.ResetGlobal)
 	var full, disjoint, vouched int
 	reporting := make([]int, len(invariant.Registry()))
 	for seed := uint64(1); seed <= 400; seed++ {
@@ -417,7 +416,6 @@ func FuzzDisjointness(f *testing.F) {
 	f.Add(uint64(1), []byte{0, 2})
 	f.Add(uint64(2024), []byte{5, 10, 1})
 	f.Fuzz(func(t *testing.T, seed uint64, ops []byte) {
-		t.Cleanup(invariant.ResetGlobal)
 		if len(ops) > 8 {
 			ops = ops[:8]
 		}

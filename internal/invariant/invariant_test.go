@@ -33,7 +33,6 @@ func auditFixture(t *testing.T) (*route.Allocator, *Auditor) {
 			t.Fatal(err)
 		}
 	}
-	t.Cleanup(ResetGlobal)
 	return a, Attach(a, Off)
 }
 
@@ -163,9 +162,6 @@ func TestAuditCatchesEveryCorruption(t *testing.T) {
 			err := aud.Err()
 			if !errors.Is(err, ErrViolated) {
 				t.Fatalf("Err() = %v, does not wrap ErrViolated", err)
-			}
-			if GlobalCount() == 0 {
-				t.Fatal("violation missing from the process-wide tally")
 			}
 		})
 	}

@@ -259,7 +259,6 @@ func placement(touched bool) string {
 // Sampled auditor (within DefaultStride), and any other within one
 // full-pass cycle plus a stride. Run with -v for the table.
 func TestDetectionLatency(t *testing.T) {
-	t.Cleanup(invariant.ResetGlobal)
 	const seeds = 8
 	lags := map[string][]int{}
 	var fullShares []float64

@@ -9,10 +9,7 @@ import (
 // This file serializes the auditor's counters and retained violations
 // for the fleet checkpoint. A resumed soak must report the same
 // Mutations/Audits/Count columns — and the same Err() text — as the
-// uninterrupted run, so the whole observation record rides along. The
-// process-wide global tally is deliberately NOT restored: it
-// aggregates across trials in one process, and re-adding a resumed
-// trial's history would double-count.
+// uninterrupted run, so the whole observation record rides along.
 
 // EncodeState appends the auditor's counters and retained violations
 // to the encoder. Mode and stride are configuration, not state — the

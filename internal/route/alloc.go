@@ -287,7 +287,7 @@ func (a *Allocator) candidatePlans(chipA, chipB int) []plan {
 			p := s.nextPlan()
 			p.steps = intraWaferSteps(p.steps, wA, rA, cA, rB, cB, hFirst)
 			p.fiberRow = -1
-			p.turns = maxInt(0, len(p.steps)-1)
+			p.turns = max(0, len(p.steps)-1)
 		}
 		// Z-shaped detours: when both L variants are blocked by bus
 		// exhaustion, route via an intermediate column (H-V-H) or row
@@ -362,7 +362,7 @@ func (a *Allocator) candidatePlans(chipA, chipB int) []plan {
 				// Destination wafer: from the entry edge.
 				p.steps = intraWaferSteps(p.steps, wB, row, dir.enterCol, rB, cB, hFirst)
 				p.trunks = append(p.trunks, dir.trunks...)
-				p.turns = maxInt(0, len(p.steps)-1)
+				p.turns = max(0, len(p.steps)-1)
 			}
 		}
 	}
@@ -946,11 +946,4 @@ func (a *Allocator) reserveEndpoint(chip, width int) error {
 
 func (a *Allocator) releaseEndpoint(chip, width int) {
 	a.rack.TileOf(chip).Release(width)
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
