@@ -20,8 +20,10 @@ import (
 // run — the property the kill-sweep test asserts.
 
 // checkpointVersion is the current campaign checkpoint format.
-// Version 2 dropped the allocator's route-plan cache section.
-const checkpointVersion = 2
+// Version 2 dropped the allocator's route-plan cache section. Version 3
+// moved the cut fiber rows from the allocator's section into the
+// rack's and dropped the allocator's per-row fiber counts.
+const checkpointVersion = 3
 
 // checkpointEvery is the default checkpoint cadence in event
 // boundaries.

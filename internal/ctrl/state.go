@@ -17,8 +17,10 @@ import (
 // checkpoint; the daemon writes it to a standalone file.
 
 // CheckpointVersion is the daemon checkpoint payload format. Version
-// 2 dropped the allocator's route-plan cache section.
-const CheckpointVersion = 2
+// 2 dropped the allocator's route-plan cache section. Version 3 moved
+// the cut fiber rows from the allocator's section into the rack's and
+// dropped the allocator's per-row fiber counts.
+const CheckpointVersion = 3
 
 // configDigest encodes every Config field that shapes controller
 // behavior. Restores compare digests byte-for-byte: a checkpoint is

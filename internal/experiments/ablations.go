@@ -123,7 +123,7 @@ func AblationFiber(seed uint64) (AblationFiberResult, error) {
 		if len(out.Failed) > 0 {
 			return 0, 0, fmt.Errorf("experiments: %d establish failures", len(out.Failed))
 		}
-		spare = a.SpareFullRows(0)
+		spare = rack.SpareFullRows(0)
 		// Cut the row carrying the first circuit.
 		row := out.Circuits[0].Fibers[0].Row
 		affected, err := a.ApplyFault(chaos.Fault{Class: chaos.FiberCut, Trunk: 0, Row: row})

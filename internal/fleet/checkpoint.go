@@ -23,8 +23,10 @@ import (
 // 2 dropped the allocator's route-plan cache section. Version 3 counts
 // repairs as the auditor's mutations only when an audit hook observes
 // them, as every other mutation is counted: an Off-mode soak's
-// checkpointed mutation count is now zero.
-const checkpointVersion = 3
+// checkpointed mutation count is now zero. Version 4 moved the cut
+// fiber rows from the allocator's section into the rack's and dropped
+// the allocator's per-row fiber counts.
+const checkpointVersion = 4
 
 // checkpointEvery is the default checkpoint cadence in event
 // boundaries.

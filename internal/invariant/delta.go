@@ -26,9 +26,8 @@ const fullPassEvery = 16
 
 // deltaOp reports whether a delta audit can follow op: establishing
 // and releasing circuits add and remove circuits and change nothing
-// else. Every other mutation (a fault, a fiber row failed or
-// restored, a repair behind the allocator) makes the next sampled
-// audit a full pass.
+// else. Every other mutation (a fault or a repair) makes the next
+// sampled audit a full pass.
 func deltaOp(op string) bool {
 	return op == "establish" || op == "commit" || op == "release"
 }
@@ -169,8 +168,8 @@ func (ctx *checkCtx) delta(a *route.Allocator) bool {
 }
 
 // matchesRack compares the running tallies t with the rack: the
-// allocated span and occupied fiber totals, and the allocator's row
-// mirror and the tile counters where the delta touched them.
+// allocated span and occupied fiber totals, and the per-row fiber
+// counts and the tile counters where the delta touched them.
 func (x *liveIndex) matchesRack(a *route.Allocator, t *tally) bool {
 	rack := a.Rack()
 	allocated := 0
@@ -182,7 +181,7 @@ func (x *liveIndex) matchesRack(a *route.Allocator, t *tally) bool {
 	}
 	//lightpath:hotloop
 	for _, slot := range x.touchedRowSlots {
-		if a.FiberRowUsage(slot/x.geo.rows, slot%x.geo.rows) != t.perRow[slot] {
+		if rack.FibersInRow(slot/x.geo.rows, slot%x.geo.rows) != t.perRow[slot] {
 			return false
 		}
 	}

@@ -1,6 +1,6 @@
 // Package invariant is a cross-layer runtime auditor for the shared
 // optical state of a rack: it re-derives, from first principles, what
-// the wafer hardware occupancy, the route allocator's mirrors, and the
+// the wafer hardware state (occupancy, health, cut fiber rows) and the
 // established circuit table must agree on, and reports structured
 // Violations when they do not. The checks are the executable form of
 // DESIGN.md's disjointness and conservation invariants — no
@@ -20,15 +20,15 @@
 // no two circuits share a bus position or a fiber, and only a failed
 // one runs the sort-and-sweep reporter that names the sharing pairs.
 // Every 16th sampled audit is a full pass, and so is the next one
-// after a mutation other than an establish or a release (a fault, a
-// fiber row failed or restored, a repair), after an audit that found
-// violations, after RestoreState, and whenever the circuit table is
-// out of ID order or holds a key off the rack. A delta that
-// finds anything amiss hands over to a full pass on the same state, so
-// it reports exactly what the full registry does. The auditor never
-// panics and never mutates the state it audits: violations are
-// recorded on the auditor (and tallied globally for test harnesses) so
-// the simulation can keep running while the defect is reported.
+// after a mutation other than an establish or a release (a fault or a
+// repair), after an audit that found violations, after RestoreState,
+// and whenever the circuit table is out of ID order or holds a key off
+// the rack. A delta that finds anything amiss hands over to a full
+// pass on the same state, so it reports exactly what the full registry
+// does. The auditor never panics and never mutates the state it
+// audits: violations are recorded on the auditor, whose owner reports
+// them, so the simulation can keep running while the defect is
+// reported.
 package invariant
 
 import (
@@ -61,10 +61,10 @@ const (
 	// falls back to one).
 	Sampled
 	// Paranoid audits after every completed top-level mutation
-	// (Establish, Release, ApplyFault, EstablishDegraded, fiber-row
-	// fail/restore). All tests run in this mode, except that
-	// cmd/lightpath-sim's full-scale campaign replays drop to Sampled
-	// under -race to stay inside the race detector's time budget.
+	// (Establish, Release, ApplyFault, EstablishDegraded, Repair). All
+	// tests run in this mode, except that cmd/lightpath-sim's
+	// full-scale campaign replays drop to Sampled under -race to stay
+	// inside the race detector's time budget.
 	Paranoid
 )
 
@@ -138,7 +138,7 @@ var registry = []Invariant{
 	},
 	fiberConservation: {
 		Name:  "fiber-conservation",
-		Doc:   "every circuit fiber is occupied in the rack, the rack's occupied-fiber count equals the circuits' fiber count, and the allocator's per-row mirror matches",
+		Doc:   "every circuit fiber is occupied in the rack, and the rack's occupied-fiber count equals the circuits' fiber count in total and on every trunk row",
 		Check: view(fiberConservation),
 	},
 	endpointConservation: {
@@ -283,8 +283,8 @@ func (ctx *checkCtx) audit(a *route.Allocator) {
 	}
 	for trunk := 0; trunk < g.trunks; trunk++ {
 		for row := 0; row < g.rows; row++ {
-			if got, want := a.FiberRowUsage(trunk, row), ctx.t.perRow[trunk*g.rows+row]; got != want {
-				out[fiberConservation] = append(out[fiberConservation], fmt.Sprintf("allocator mirror says trunk %d row %d uses %d fibers, circuits use %d", trunk, row, got, want))
+			if got, want := rack.FibersInRow(trunk, row), ctx.t.perRow[trunk*g.rows+row]; got != want {
+				out[fiberConservation] = append(out[fiberConservation], fmt.Sprintf("rack says trunk %d row %d uses %d fibers, circuits use %d", trunk, row, got, want))
 			}
 		}
 	}
@@ -354,7 +354,7 @@ func (ctx *checkCtx) check(a *route.Allocator, c *route.Circuit) {
 		if f.Trunk >= 0 && f.Trunk < g.trunks && f.Row >= 0 && f.Row < g.rows {
 			t.perRow[f.Trunk*g.rows+f.Row]++
 		}
-		if a.RowFailed(f.Trunk, f.Row) {
+		if rack.FiberRowCut(f.Trunk, f.Row) {
 			out[budgetHealth] = append(out[budgetHealth], fmt.Sprintf("circuit %d uses cut fiber row (trunk %d, row %d)", c.ID, f.Trunk, f.Row))
 		}
 	}

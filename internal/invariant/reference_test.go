@@ -229,8 +229,8 @@ func checkFiberConservation(a *route.Allocator, ctx *checkCtx) []string {
 	}
 	for trunk := 0; trunk < rack.NumTrunks(); trunk++ {
 		for row := 0; row < rows; row++ {
-			if got, want := a.FiberRowUsage(trunk, row), ctx.perRow[trunk*rows+row]; got != want {
-				out = append(out, fmt.Sprintf("allocator mirror says trunk %d row %d uses %d fibers, circuits use %d", trunk, row, got, want))
+			if got, want := rack.FibersInRow(trunk, row), ctx.perRow[trunk*rows+row]; got != want {
+				out = append(out, fmt.Sprintf("rack says trunk %d row %d uses %d fibers, circuits use %d", trunk, row, got, want))
 			}
 		}
 	}
@@ -284,7 +284,7 @@ func checkBudgetHealth(a *route.Allocator, ctx *checkCtx) []string {
 			}
 		}
 		for _, f := range c.Fibers {
-			if a.RowFailed(f.Trunk, f.Row) {
+			if a.Rack().FiberRowCut(f.Trunk, f.Row) {
 				out = append(out, fmt.Sprintf("circuit %d uses cut fiber row (trunk %d, row %d)", c.ID, f.Trunk, f.Row))
 			}
 		}

@@ -44,11 +44,6 @@ type Allocator struct {
 	// deletes in place, and the ID-ordered accessors are plain copies.
 	circuits []*Circuit
 	nextID   int
-	// fibersUsed mirrors the rack's fiber occupancy per (trunk, row)
-	// so the packing heuristic can rank rows cheaply.
-	fibersUsed map[fiberRowKey]int
-	// failedRows marks trunk rows taken out by fiber failures.
-	failedRows map[fiberRowKey]bool
 
 	// rowOrder[srcRow] is the precomputed non-packing fiber-row
 	// preference order (source row first, then the rest ascending). It
@@ -125,16 +120,13 @@ func (s *allocScratch) nextDirection(exitCol, enterCol int) *direction {
 // rowUse ranks a trunk row for the fiber-packing heuristic.
 type rowUse struct{ row, used, free int }
 
-type fiberRowKey struct{ trunk, row int }
-
 // NewAllocator builds a centralized allocator over the rack. The
 // stochastic stitch losses draw from r; a nil r uses mean losses.
 func NewAllocator(rack *wafer.Rack, r *rng.Rand) *Allocator {
 	a := &Allocator{
-		rack:       rack,
-		loss:       phy.NewLossModel(r),
-		Budget:     phy.DefaultBudget(),
-		fibersUsed: make(map[fiberRowKey]int),
+		rack:   rack,
+		loss:   phy.NewLossModel(r),
+		Budget: phy.DefaultBudget(),
 	}
 	// Precompute the shortest-path fiber-row preference order for every
 	// source row: it depends only on the wafer geometry, so computing it
@@ -173,12 +165,6 @@ func (a *Allocator) endOp(op string) {
 	if a.mutDepth == 0 && a.auditHook != nil {
 		a.auditHook(op)
 	}
-}
-
-// trackFiber updates the occupancy mirror by delta (+1 on allocate,
-// -1 on free).
-func (a *Allocator) trackFiber(ref wafer.FiberRef, delta int) {
-	a.fibersUsed[fiberRowKey{trunk: ref.Trunk, row: ref.Row}] += delta
 }
 
 // Rack returns the underlying hardware.
@@ -417,7 +403,7 @@ func (a *Allocator) fiberRowOccupancy(row int, trunks []int) (used, free int) {
 	cfg := a.rack.Config()
 	free = cfg.FibersPerEdge
 	for _, tr := range trunks {
-		u := a.fibersUsed[fiberRowKey{trunk: tr, row: row}]
+		u := a.rack.FibersInRow(tr, row)
 		used += u
 		if f := cfg.FibersPerEdge - u; f < free {
 			free = f
@@ -708,7 +694,6 @@ func (a *Allocator) place(req Request, p plan, link phy.LinkReport, now unit.Sec
 			panic(err)
 		}
 		fibers = append(fibers, ref)
-		a.trackFiber(ref, +1)
 	}
 	for _, chip := range [2]int{req.A, req.B} {
 		if err := a.reserveEndpoint(chip, req.Width); err != nil {
@@ -763,7 +748,6 @@ func (a *Allocator) Release(c *Circuit) {
 	}
 	for _, f := range c.Fibers {
 		a.rack.FreeFiber(f)
-		a.trackFiber(f, -1)
 	}
 	a.releaseEndpoint(c.A, c.Width)
 	a.releaseEndpoint(c.B, c.Width)
@@ -931,13 +915,6 @@ func (a *Allocator) AppendCircuitSwitches(dst []SwitchExpectation, c *Circuit) [
 		}
 	}
 	return dst
-}
-
-// FiberRowUsage returns the allocator's occupancy-mirror count for one
-// trunk row — how many fibers it believes are in use there. The
-// invariant auditor cross-checks this against the rack's ground truth.
-func (a *Allocator) FiberRowUsage(trunk, row int) int {
-	return a.fibersUsed[fiberRowKey{trunk: trunk, row: row}]
 }
 
 func (a *Allocator) reserveEndpoint(chip, width int) error {

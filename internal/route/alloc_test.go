@@ -449,7 +449,7 @@ func TestRingPackFibersRanksEachDirection(t *testing.T) {
 		cfg := rack.Config()
 		trunk0Full := func() bool {
 			for row := 0; row < cfg.Rows; row++ {
-				if a.FiberRowUsage(0, row) < cfg.FibersPerEdge {
+				if rack.FibersInRow(0, row) < cfg.FibersPerEdge {
 					return false
 				}
 			}

@@ -45,17 +45,18 @@ type Decentralized struct {
 	// Alloc owns the hardware state; Decentralized only schedules
 	// commit attempts against it.
 	Alloc *Allocator
-	// MaxRounds bounds retries; requests still pending after that
-	// many rounds are reported failed.
-	MaxRounds int
 
 	rand *rng.Rand
 }
 
+// maxRounds bounds a batch's retries; requests still pending after
+// that many rounds are reported failed.
+const maxRounds = 16
+
 // NewDecentralized wraps an allocator. A nil stream fixes the round
 // ordering to request order (deterministic worst-case contention).
 func NewDecentralized(a *Allocator, r *rng.Rand) *Decentralized {
-	return &Decentralized{Alloc: a, MaxRounds: 16, rand: r}
+	return &Decentralized{Alloc: a, rand: r}
 }
 
 // EstablishBatch runs the optimistic rounds.
@@ -70,7 +71,7 @@ func (d *Decentralized) EstablishBatch(reqs []Request, now unit.Seconds) BatchOu
 	}
 
 	var out BatchOutcome
-	for round := 0; round < d.MaxRounds && len(queue) > 0; round++ {
+	for round := 0; round < maxRounds && len(queue) > 0; round++ {
 		out.Rounds++
 		// Each pending request proposes its current candidate based on
 		// the round-start view. A proposal keeps its own copy of the

@@ -111,17 +111,31 @@ func TestDecentralizedPaysConflictAttempts(t *testing.T) {
 	}
 }
 
-func TestDecentralizedRespectsMaxRounds(t *testing.T) {
-	rack := scarceRack(t)
-	a := NewAllocator(rack, rng.New(31))
-	d := NewDecentralized(a, rng.New(32))
-	d.MaxRounds = 1
-	out := d.EstablishBatch(contendingRequests(16), 0)
-	if out.Rounds != 1 {
-		t.Fatalf("rounds = %d, want 1", out.Rounds)
+// TestDecentralizedStopsAtRoundLimit: a request that loses every
+// commit walks one candidate per round. Across a two-wafer ring it has
+// 16 candidates (two directions, four rows, two L-shapes), so it would
+// need a 17th round to run out of them; the round limit reports it
+// failed after round maxRounds.
+func TestDecentralizedStopsAtRoundLimit(t *testing.T) {
+	rack, err := wafer.NewRackTopology(wafer.DefaultConfig(), 2, wafer.RingTopology)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if len(out.Circuits)+len(out.Failed) != 16 {
-		t.Fatal("requests lost")
+	a := NewAllocator(rack, rng.New(31))
+	// An endpoint with no free laser fails every commit.
+	if err := rack.TileOf(0).Reserve(rack.TileOf(0).FreeLasers()); err != nil {
+		t.Fatal(err)
+	}
+	req := Request{A: 0, B: 32, Width: 1}
+	if n := len(a.candidatePlans(req.A, req.B)); n < maxRounds {
+		t.Fatalf("%d candidate plans run out before the %d-round limit", n, maxRounds)
+	}
+	out := NewDecentralized(a, rng.New(32)).EstablishBatch([]Request{req}, 0)
+	if out.Rounds != maxRounds || out.Attempts != maxRounds {
+		t.Fatalf("rounds = %d, attempts = %d, want %d each", out.Rounds, out.Attempts, maxRounds)
+	}
+	if len(out.Circuits) != 0 || len(out.Failed) != 1 {
+		t.Fatalf("%d circuits, %d failed, want the request failed", len(out.Circuits), len(out.Failed))
 	}
 }
 
@@ -140,8 +154,8 @@ func TestFiberCutReroutesCircuits(t *testing.T) {
 	if len(affected) != 1 || affected[0].ID != c.ID {
 		t.Fatalf("affected = %v", affected)
 	}
-	if !a.RowFailed(0, row) {
-		t.Fatal("row not marked failed")
+	if !rack.FiberRowCut(0, row) {
+		t.Fatal("row not marked cut")
 	}
 	// Re-establish: must avoid the failed row.
 	c2, err := a.Establish(Request{A: 0, B: 32, Width: 1}, 0)
@@ -190,7 +204,7 @@ func TestFiberPackingKeepsSpareRows(t *testing.T) {
 		t.Fatal("packed failed requests")
 	}
 
-	if s, p := spread.SpareFullRows(0), packed.SpareFullRows(0); p <= s {
+	if s, p := spread.Rack().SpareFullRows(0), packed.Rack().SpareFullRows(0); p <= s {
 		t.Fatalf("packing spare rows = %d, spread = %d; packing should preserve more", p, s)
 	}
 }

@@ -17,7 +17,7 @@ import (
 
 // checkRecoveryInvariants asserts what must hold after any fault and
 // any recovery: established circuits are pairwise disjoint, cross no
-// severed segment, use no failed fiber row, and terminate only at
+// severed segment, use no cut fiber row, and terminate only at
 // healthy chips. The attached Paranoid auditor re-derives the same
 // properties (and more) from the hardware occupancy after every
 // mutation; aud carries its verdict.
@@ -27,6 +27,7 @@ func checkRecoveryInvariants(t *testing.T, a *route.Allocator, aud *invariant.Au
 		vs := aud.Violations()
 		t.Fatalf("auditor found %d violation(s) after %d audits; first: %s", aud.Count(), aud.Audits(), vs[0])
 	}
+	rack := a.Rack()
 	circuits := a.Circuits()
 	for i, c := range circuits {
 		for j := i + 1; j < len(circuits); j++ {
@@ -38,17 +39,17 @@ func checkRecoveryInvariants(t *testing.T, a *route.Allocator, aud *invariant.Au
 			t.Fatalf("circuit %d has width %d", c.ID, c.Width)
 		}
 		for _, ep := range [2]int{c.A, c.B} {
-			if !a.Rack().TileOf(ep).ChipHealthy() {
+			if !rack.TileOf(ep).ChipHealthy() {
 				t.Fatalf("circuit %d terminates at dead chip %d", c.ID, ep)
 			}
 		}
 		for _, s := range c.Segments {
-			if a.Rack().Wafer(s.Wafer).SpanSevered(s.Ref.Orient, s.Ref.Lane, s.Ref.Span) {
+			if rack.Wafer(s.Wafer).SpanSevered(s.Ref.Orient, s.Ref.Lane, s.Ref.Span) {
 				t.Fatalf("circuit %d crosses a severed segment %v", c.ID, s)
 			}
 		}
 		for _, f := range c.Fibers {
-			if a.RowFailed(f.Trunk, f.Row) {
+			if rack.FiberRowCut(f.Trunk, f.Row) {
 				t.Fatalf("circuit %d uses cut fiber row (%d,%d)", c.ID, f.Trunk, f.Row)
 			}
 		}

@@ -78,10 +78,9 @@ func (a *Allocator) ApplyFault(f chaos.Fault) ([]*Circuit, error) {
 		})), nil
 
 	default: // chaos.FiberCut: checkFault refuses every other class.
-		if a.failedRows == nil {
-			a.failedRows = make(map[fiberRowKey]bool)
+		if err := a.rack.CutFiberRow(f.Trunk, f.Row); err != nil {
+			return nil, err
 		}
-		a.failedRows[fiberRowKey{trunk: f.Trunk, row: f.Row}] = true
 		onRow := func(g wafer.FiberRef) bool { return g.Trunk == f.Trunk && g.Row == f.Row }
 		return a.releaseAll(a.circuitsWhere(func(c *Circuit) bool {
 			return slices.ContainsFunc(c.Fibers, onRow)
@@ -110,14 +109,14 @@ func (a *Allocator) Repair(f chaos.Fault) error {
 	case chaos.WaveguideLoss:
 		return a.rack.Wafer(f.Wafer).RepairSegment(orientOf(f.Horizontal), f.Lane, f.Pos)
 	case chaos.FiberCut:
-		delete(a.failedRows, fiberRowKey{trunk: f.Trunk, row: f.Row})
+		return a.rack.RepairFiberRow(f.Trunk, f.Row)
 	}
 	return nil
 }
 
-// checkFault validates a fault's class and the chip, wafer or trunk
-// row it names against the rack; the switch, lane and position are
-// the hardware's to check.
+// checkFault validates a fault's class and the chip or wafer it names
+// against the rack; the switch, lane, position, trunk and row are the
+// hardware's to check.
 func (a *Allocator) checkFault(f chaos.Fault) error {
 	switch f.Class {
 	case chaos.ChipFailure, chaos.LaserDeath, chaos.MZIStuck:
@@ -129,12 +128,6 @@ func (a *Allocator) checkFault(f chaos.Fault) error {
 			return fmt.Errorf("route: fault wafer %d out of range [0, %d)", f.Wafer, a.rack.NumWafers())
 		}
 	case chaos.FiberCut:
-		if f.Trunk < 0 || f.Trunk >= a.rack.NumTrunks() {
-			return fmt.Errorf("route: fault trunk %d out of range [0, %d)", f.Trunk, a.rack.NumTrunks())
-		}
-		if rows := a.rack.Config().Rows; f.Row < 0 || f.Row >= rows {
-			return fmt.Errorf("route: fault row %d out of range [0, %d)", f.Row, rows)
-		}
 	default:
 		return fmt.Errorf("route: unknown fault class %d", int(f.Class))
 	}
@@ -153,35 +146,14 @@ func (a *Allocator) circuitsWhere(keep func(*Circuit) bool) []*Circuit {
 	return out
 }
 
-// RowFailed reports whether a trunk row has been marked failed.
-func (a *Allocator) RowFailed(trunk, row int) bool {
-	return a.failedRows[fiberRowKey{trunk: trunk, row: row}]
-}
-
-// rowUsable reports whether row survives on every trunk of the path.
+// rowUsable reports whether row is cut on no trunk of the path.
 func (a *Allocator) rowUsable(row int, trunks []int) bool {
 	for _, tr := range trunks {
-		if a.failedRows[fiberRowKey{trunk: tr, row: row}] {
+		if a.rack.FiberRowCut(tr, row) {
 			return false
 		}
 	}
 	return true
-}
-
-// SpareFullRows counts trunk rows (over the given trunk) with no
-// fiber in use and no failure — fully spare capacity available for
-// repair. The fiber-packing ablation compares this between packing
-// policies.
-func (a *Allocator) SpareFullRows(trunk int) int {
-	cfg := a.rack.Config()
-	n := 0
-	for row := 0; row < cfg.Rows; row++ {
-		key := fiberRowKey{trunk: trunk, row: row}
-		if a.fibersUsed[key] == 0 && !a.failedRows[key] {
-			n++
-		}
-	}
-	return n
 }
 
 // StillFeasible re-checks a circuit's optical budget against the

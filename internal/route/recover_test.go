@@ -180,8 +180,8 @@ func TestApplyFaultFiberCut(t *testing.T) {
 	if len(broken) != 1 || broken[0].ID != c.ID {
 		t.Fatalf("fiber cut broke %v, want the crossing circuit", broken)
 	}
-	if !a.RowFailed(f.Trunk, f.Row) {
-		t.Fatal("cut row not marked failed")
+	if !a.Rack().FiberRowCut(f.Trunk, f.Row) {
+		t.Fatal("cut row not marked cut")
 	}
 	// Re-establishment routes over a surviving row.
 	re, _, err := a.EstablishDegraded(Request{A: c.A, B: c.B, Width: c.Width}, 0)
@@ -232,8 +232,8 @@ func TestApplyFaultRejectsOutOfRangeFiberCut(t *testing.T) {
 		if err == nil {
 			t.Errorf("cut at trunk %d row %d accepted (rack has %d trunks, %d rows)", f.Trunk, f.Row, trunks, rows)
 		}
-		if a.RowFailed(f.Trunk, f.Row) {
-			t.Errorf("rejected cut left trunk %d row %d marked failed", f.Trunk, f.Row)
+		if a.Rack().FiberRowCut(f.Trunk, f.Row) {
+			t.Errorf("rejected cut left trunk %d row %d marked cut", f.Trunk, f.Row)
 		}
 		if rerr := a.Repair(f); errString(rerr) != errString(err) {
 			t.Errorf("repair at trunk %d row %d: error %q, want ApplyFault's %q", f.Trunk, f.Row, errString(rerr), errString(err))
@@ -266,8 +266,15 @@ func TestRepairUndoesFault(t *testing.T) {
 			if bytes.Equal(encodeAllocator(a), fresh) {
 				t.Fatal("the fault changed no state")
 			}
+			cut := f.Class == chaos.FiberCut
+			if cut && !a.Rack().FiberRowCut(f.Trunk, f.Row) {
+				t.Fatal("the rack does not report the row cut")
+			}
 			if err := a.Repair(f); err != nil {
 				t.Fatal(err)
+			}
+			if cut && a.Rack().FiberRowCut(f.Trunk, f.Row) {
+				t.Fatal("the rack still reports the row cut after the repair")
 			}
 			if !bytes.Equal(encodeAllocator(a), fresh) {
 				t.Fatal("state after the repair differs from the fresh allocator's")

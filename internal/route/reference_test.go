@@ -74,7 +74,6 @@ func (a *Allocator) commit(req Request, p plan, now unit.Seconds) (c *Circuit, e
 		}
 		for _, f := range fibers {
 			a.rack.FreeFiber(f)
-			a.trackFiber(f, -1)
 		}
 		if reservedA {
 			a.releaseEndpoint(req.A, req.Width)
@@ -109,7 +108,6 @@ func (a *Allocator) commit(req Request, p plan, now unit.Seconds) (c *Circuit, e
 			return nil, aerr
 		}
 		fibers = append(fibers, ref)
-		a.trackFiber(ref, +1)
 	}
 	if err = a.reserveEndpoint(req.A, req.Width); err != nil {
 		return nil, err
@@ -180,7 +178,7 @@ func (d *Decentralized) referenceEstablishBatch(reqs []Request, now unit.Seconds
 	}
 
 	var out BatchOutcome
-	for round := 0; round < d.MaxRounds && len(queue) > 0; round++ {
+	for round := 0; round < maxRounds && len(queue) > 0; round++ {
 		out.Rounds++
 		type proposal struct {
 			pending

@@ -3,7 +3,6 @@ package route
 import (
 	"fmt"
 	"slices"
-	"sort"
 
 	"lightpath/internal/phy"
 	"lightpath/internal/snapshot"
@@ -12,14 +11,14 @@ import (
 )
 
 // This file serializes the allocator for the fleet checkpoint: the
-// rack it manages, the circuit table, the occupancy mirrors, and the
-// position of the stochastic loss stream. Restore replays into a
-// freshly constructed allocator over a freshly constructed rack —
-// geometry is rebuilt, state is replayed — and reproduces an
-// allocator that behaves bit-for-bit like the one that was
-// serialized: same circuit IDs, same pathfinding preferences, same
-// future stitch-loss draws. Maps are written in sorted key order; the
-// snapshot is part of a byte-identical-resume contract.
+// rack it manages (which alone holds fiber occupancy and cut fiber
+// rows), the position of the stochastic loss stream, and the circuit
+// table in ID order. Restore replays into a freshly constructed
+// allocator over a freshly constructed rack — geometry is rebuilt,
+// state is replayed — and reproduces an allocator that behaves
+// bit-for-bit like the one that was serialized: same circuit IDs, same
+// pathfinding preferences, same future stitch-loss draws. The snapshot
+// is part of a byte-identical-resume contract.
 
 // stateFormatNote: the allocator encodes its state inline in the
 // fleet snapshot payload rather than as its own envelope; versioning
@@ -44,36 +43,6 @@ func (a *Allocator) EncodeState(e *snapshot.Encoder) {
 	e.Len(len(a.circuits))
 	for _, c := range a.circuits {
 		encodeCircuit(e, c)
-	}
-
-	// Only rows with fibers in use: a zero count reads the same as an
-	// absent key everywhere, so the encoding leaves it out and depends
-	// only on what is held. RestoreState reads either form.
-	keys := make([]fiberRowKey, 0, len(a.fibersUsed))
-	for k, n := range a.fibersUsed {
-		if n != 0 {
-			keys = append(keys, k)
-		}
-	}
-	sort.Slice(keys, func(i, j int) bool { return fiberRowKeyLess(keys[i], keys[j]) })
-	e.Len(len(keys))
-	for _, k := range keys {
-		e.Int(k.trunk)
-		e.Int(k.row)
-		e.Int(a.fibersUsed[k])
-	}
-
-	failed := make([]fiberRowKey, 0, len(a.failedRows))
-	for k, v := range a.failedRows {
-		if v {
-			failed = append(failed, k)
-		}
-	}
-	sort.Slice(failed, func(i, j int) bool { return fiberRowKeyLess(failed[i], failed[j]) })
-	e.Len(len(failed))
-	for _, k := range failed {
-		e.Int(k.trunk)
-		e.Int(k.row)
 	}
 }
 
@@ -111,22 +80,6 @@ func (a *Allocator) RestoreState(d *snapshot.Decoder) error {
 		}
 		a.circuits = slices.Insert(a.circuits, at, c)
 	}
-
-	n = d.Len()
-	a.fibersUsed = make(map[fiberRowKey]int, n)
-	for i := 0; i < n; i++ {
-		k := fiberRowKey{trunk: d.Int(), row: d.Int()}
-		a.fibersUsed[k] = d.Int()
-	}
-
-	n = d.Len()
-	a.failedRows = nil
-	if n > 0 {
-		a.failedRows = make(map[fiberRowKey]bool, n)
-	}
-	for i := 0; i < n; i++ {
-		a.failedRows[fiberRowKey{trunk: d.Int(), row: d.Int()}] = true
-	}
 	return d.Err()
 }
 
@@ -140,13 +93,6 @@ func (a *Allocator) CircuitByID(id int) (*Circuit, bool) {
 		return nil, false
 	}
 	return a.circuits[i], true
-}
-
-func fiberRowKeyLess(a, b fiberRowKey) bool {
-	if a.trunk != b.trunk {
-		return a.trunk < b.trunk
-	}
-	return a.row < b.row
 }
 
 func encodeCircuit(e *snapshot.Encoder, c *Circuit) {

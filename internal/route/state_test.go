@@ -71,6 +71,10 @@ func TestAllocatorStateRoundTrip(t *testing.T) {
 	if got := encodeAllocator(restored); string(got) != string(payload) {
 		t.Fatalf("re-encoded state differs: %d bytes vs %d", len(got), len(payload))
 	}
+	// The fiber cut travels with the rack.
+	if !restored.Rack().FiberRowCut(0, 1) {
+		t.Fatal("restored rack lost the cut of trunk 0 row 1")
+	}
 
 	// The two allocators must now behave identically, stochastic loss
 	// draws included.

@@ -93,6 +93,36 @@ func (t *Tile) SwitchHealthy(i int) bool {
 // Stuck reports whether the switch has failed into its current state.
 func (s *Switch13) Stuck() bool { return s.stuck }
 
+// CutFiberRow marks a trunk row as cut (§5: a trunk-row fiber
+// failure). Fibers already allocated there stay allocated: the caller
+// tears down the circuits using them.
+func (r *Rack) CutFiberRow(trunk, row int) error {
+	t, err := r.trunk(trunk, row)
+	if err != nil {
+		return err
+	}
+	t.cut[row] = true
+	return nil
+}
+
+// RepairFiberRow returns a cut trunk row to service. Repairing an
+// uncut row is a no-op.
+func (r *Rack) RepairFiberRow(trunk, row int) error {
+	t, err := r.trunk(trunk, row)
+	if err != nil {
+		return err
+	}
+	t.cut[row] = false
+	return nil
+}
+
+// FiberRowCut reports whether a trunk row is cut. An out-of-range row
+// is not.
+func (r *Rack) FiberRowCut(trunk, row int) bool {
+	t, err := r.trunk(trunk, row)
+	return err == nil && t.cut[row]
+}
+
 // The fault-induced extra loss lives in a dense per-wafer grid with
 // one cell per (orientation, lane, position): the horizontal lanes
 // first, then the vertical ones, each lane's positions contiguous. A
@@ -223,42 +253,5 @@ func (w *Wafer) SpanSevered(o Orient, lane int, span Interval) bool {
 }
 
 // DegradedSegments counts tile positions carrying fault-induced loss
-// (including 0 dB records), for health reporting.
+// (including 0 dB records).
 func (w *Wafer) DegradedSegments() int { return w.degraded }
-
-// HealthReport summarizes a rack's component health for dashboards
-// and experiment output.
-type HealthReport struct {
-	// FailedChips and StuckSwitches count dead components.
-	FailedChips, StuckSwitches int
-	// FailedLasers is the total burned-out lasers across tiles.
-	FailedLasers int
-	// DegradedSegments counts bus-lane positions with extra loss.
-	DegradedSegments int
-}
-
-// String renders the report in one line.
-func (h HealthReport) String() string {
-	return fmt.Sprintf("chips failed=%d, switches stuck=%d, lasers dead=%d, segments degraded=%d",
-		h.FailedChips, h.StuckSwitches, h.FailedLasers, h.DegradedSegments)
-}
-
-// Health scans the rack's component state.
-func (r *Rack) Health() HealthReport {
-	var h HealthReport
-	for _, w := range r.wafers {
-		h.DegradedSegments += w.DegradedSegments()
-		for _, t := range w.tiles {
-			if !t.ChipHealthy() {
-				h.FailedChips++
-			}
-			h.FailedLasers += t.FailedLasers()
-			for i := range t.Switches {
-				if t.Switches[i].Stuck() {
-					h.StuckSwitches++
-				}
-			}
-		}
-	}
-	return h
-}

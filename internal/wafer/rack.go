@@ -50,6 +50,9 @@ type Rack struct {
 type fiberTrunk struct {
 	// used[row][fiber] marks occupied fibers.
 	used [][]bool
+	// cut[row] marks a row taken out by a fiber cut. The rack records
+	// the cut; routing consults it, like a severed span.
+	cut []bool
 }
 
 // FiberRef identifies one allocated inter-wafer fiber.
@@ -95,7 +98,7 @@ func NewRackTopology(cfg Config, numWafers int, topo Topology) (*Rack, error) {
 		numTrunks = numWafers
 	}
 	for i := 0; i < numTrunks; i++ {
-		t := &fiberTrunk{used: make([][]bool, cfg.Rows)}
+		t := &fiberTrunk{used: make([][]bool, cfg.Rows), cut: make([]bool, cfg.Rows)}
 		for row := range t.used {
 			t.used[row] = make([]bool, cfg.FibersPerEdge)
 		}
@@ -225,6 +228,36 @@ func (r *Rack) FibersInUse() int {
 					n++
 				}
 			}
+		}
+	}
+	return n
+}
+
+// FibersInRow counts the occupied fibers of one trunk row. An
+// out-of-range row has none.
+func (r *Rack) FibersInRow(trunk, row int) int {
+	t, err := r.trunk(trunk, row)
+	if err != nil {
+		return 0
+	}
+	n := 0
+	for _, used := range t.used[row] {
+		if used {
+			n++
+		}
+	}
+	return n
+}
+
+// SpareFullRows counts the rows of a trunk with no fiber in use and
+// no cut — whole rows of spare capacity available for repair (§5,
+// "Minimizing fiber requirement for fault tolerance"). The
+// fiber-packing ablation compares this between packing policies.
+func (r *Rack) SpareFullRows(trunk int) int {
+	n := 0
+	for row := 0; row < r.cfg.Rows; row++ {
+		if r.FibersInRow(trunk, row) == 0 && !r.FiberRowCut(trunk, row) {
+			n++
 		}
 	}
 	return n

@@ -2,6 +2,8 @@ package wafer
 
 import (
 	"testing"
+
+	"lightpath/internal/snapshot"
 )
 
 func TestNewRackValidation(t *testing.T) {
@@ -114,6 +116,57 @@ func TestFiberAllocationErrors(t *testing.T) {
 	}
 	if _, err := r.AllocFiber(0, 4); err == nil {
 		t.Error("out-of-range row accepted")
+	}
+}
+
+// TestFiberRowCut: a cut is range-checked like an allocation, survives
+// a checkpoint round trip next to the fibers in use, and takes its row
+// out of the spare count, as a used row is.
+func TestFiberRowCut(t *testing.T) {
+	r, _ := NewRack(DefaultConfig(), 2)
+	for _, bad := range [][2]int{{1, 0}, {-1, 0}, {0, 4}, {0, -1}} {
+		if err := r.CutFiberRow(bad[0], bad[1]); err == nil {
+			t.Errorf("cut of trunk %d row %d accepted", bad[0], bad[1])
+		}
+		if err := r.RepairFiberRow(bad[0], bad[1]); err == nil {
+			t.Errorf("repair of trunk %d row %d accepted", bad[0], bad[1])
+		}
+	}
+	if r.SpareFullRows(0) != 4 {
+		t.Fatalf("fresh rack spares %d rows, want 4", r.SpareFullRows(0))
+	}
+	if err := r.CutFiberRow(0, 1); err != nil {
+		t.Fatal(err)
+	}
+	ref, err := r.AllocFiber(0, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := r.SpareFullRows(0); got != 2 {
+		t.Fatalf("spare rows = %d with one row cut and one used, want 2", got)
+	}
+
+	var e snapshot.Encoder
+	r.EncodeState(&e)
+	fresh, _ := NewRack(DefaultConfig(), 2)
+	if err := fresh.RestoreState(snapshot.NewDecoder(e.Bytes())); err != nil {
+		t.Fatal(err)
+	}
+	if !fresh.FiberRowCut(0, 1) || fresh.FiberRowCut(0, 2) {
+		t.Fatal("cut row not restored")
+	}
+	if !fresh.FiberAllocated(ref) || fresh.FibersInRow(0, 2) != 1 || fresh.FibersInUse() != 1 {
+		t.Fatalf("occupied fiber %v not restored", ref)
+	}
+
+	if err := fresh.RepairFiberRow(0, 1); err != nil || fresh.FiberRowCut(0, 1) {
+		t.Fatalf("repaired row still cut (err %v)", err)
+	}
+	if err := fresh.RepairFiberRow(0, 1); err != nil {
+		t.Fatalf("repair of an uncut row: %v", err)
+	}
+	if got := fresh.SpareFullRows(0); got != 3 {
+		t.Fatalf("spare rows = %d after the repair, want 3", got)
 	}
 }
 

@@ -8,11 +8,11 @@ import (
 )
 
 // This file serializes the rack's mutable hardware state — occupancy,
-// health, switch programming, fault-induced degradation — for the
-// fleet checkpoint. Geometry is NOT serialized: a resume rebuilds the
-// rack from its Config and then replays this state into it, so the
-// snapshot stays small and the constructor remains the single source
-// of structural truth. Every map is written in sorted key order; a
+// health, switch programming, fault-induced degradation, cut fiber
+// rows — for the fleet checkpoint. Geometry is NOT serialized: a
+// resume rebuilds the rack from its Config and then replays this state
+// into it, so the snapshot stays small and the constructor remains the
+// single source of structural truth. Every map is written in sorted key order; a
 // snapshot is part of a byte-identical-resume contract, so nothing
 // may depend on Go's map iteration order.
 
@@ -25,11 +25,12 @@ func (r *Rack) EncodeState(e *snapshot.Encoder) {
 	e.Len(len(r.trunks))
 	for _, t := range r.trunks {
 		e.Len(len(t.used))
-		for _, fibers := range t.used {
+		for row, fibers := range t.used {
 			e.Len(len(fibers))
 			for _, used := range fibers {
 				e.Bool(used)
 			}
+			e.Bool(t.cut[row])
 		}
 	}
 }
@@ -65,6 +66,7 @@ func (r *Rack) RestoreState(d *snapshot.Decoder) error {
 			for f := range t.used[row] {
 				t.used[row][f] = d.Bool()
 			}
+			t.cut[row] = d.Bool()
 		}
 	}
 	return d.Err()
