@@ -22,8 +22,11 @@ import (
 // checkpointVersion is the current campaign checkpoint format.
 // Version 2 dropped the allocator's route-plan cache section. Version 3
 // moved the cut fiber rows from the allocator's section into the
-// rack's and dropped the allocator's per-row fiber counts.
-const checkpointVersion = 3
+// rack's and dropped the allocator's per-row fiber counts. Version 4
+// drops the request and attempt counts, which the next session ID and
+// the server's arrival count already hold, and carries the server's
+// version 4 state.
+const checkpointVersion = 4
 
 // checkpointEvery is the default checkpoint cadence in event
 // boundaries.
@@ -133,8 +136,6 @@ func (c *campaign) encodeState(e *snapshot.Encoder) {
 	e.Int(c.nextSession)
 
 	c.quant.EncodeState(e)
-	e.Int(c.requests)
-	e.Int(c.attempts)
 	e.Int(c.retries)
 	e.Int(c.lost)
 	e.Int(c.leaked)
@@ -243,8 +244,6 @@ func (c *campaign) restoreState(d *snapshot.Decoder) error {
 	if err := c.quant.RestoreState(d); err != nil {
 		return err
 	}
-	c.requests = d.Int()
-	c.attempts = d.Int()
 	c.retries = d.Int()
 	c.lost = d.Int()
 	c.leaked = d.Int()

@@ -186,16 +186,18 @@ type campaign struct {
 	agents   []*agentState
 	schedule []chaos.Fault
 
-	events      evloop.Queue[event]
-	loop        *evloop.Loop
+	events evloop.Queue[event]
+	loop   *evloop.Loop
+	// nextSession is the next session ID; sessions are only created by
+	// fresh arrivals, so it also counts the fresh requests issued.
 	nextSession int
 	sessions    map[int]*session
 	byCircuit   map[int]int // live circuit id -> session id
 	ids         []int       // encodeState's sorted session-ID scratch
 
+	// Result statistics. Attempts need no counter: submit is the
+	// server's only caller, so its Stats.Arrivals counts them.
 	quant     *sketch.Quantile
-	requests  int
-	attempts  int
 	retries   int
 	lost      int
 	leaked    int
@@ -324,7 +326,6 @@ func (c *campaign) onArrival(at unit.Seconds, ev event) {
 		circuit: -1,
 	}
 	c.sessions[id] = s
-	c.requests++
 	c.submit(id, s, 0, at)
 
 	ag.issued++
@@ -409,7 +410,6 @@ func (c *campaign) submit(id int, s *session, attempt int, at unit.Seconds) {
 		req = ctrl.Request{Op: ctrl.OpEstablish, A: s.a, B: s.b, Width: s.width, Deadline: c.cfg.Deadline}
 	}
 	resp, done := c.srv.Submit(req, at)
-	c.attempts++
 
 	switch {
 	case resp.Status == ctrl.StatusOK:
@@ -458,8 +458,8 @@ func (c *campaign) result() (*Result, error) {
 	st := c.srv.Stats()
 	horizon := c.srv.Clock()
 	r := &Result{
-		Requests:        c.requests,
-		Attempts:        c.attempts,
+		Requests:        c.nextSession,
+		Attempts:        st.Arrivals,
 		Served:          st.Served,
 		Degraded:        st.Degraded,
 		Shed:            st.Shed,
@@ -485,7 +485,7 @@ func (c *campaign) result() (*Result, error) {
 		r.P99us = c.quant.Query(0.99)
 	}
 	if horizon > 0 {
-		r.RPS = float64(c.attempts) / float64(horizon)
+		r.RPS = float64(st.Arrivals) / float64(horizon)
 	}
 	if err := c.srv.Auditor().Err(); err != nil {
 		return r, err

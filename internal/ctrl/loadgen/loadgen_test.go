@@ -186,12 +186,13 @@ func canonicalCheckpoint(t *testing.T, cfg Config, file []byte) []byte {
 
 // TestParentCheckpointFixture holds the checkpoint format still: the
 // committed file is the campaign's checkpoint at event 500 of
-// smallConfig(1234) with a 256-event cadence, in format v2. Today's
-// campaign must write the bytes that file re-encodes to at that
-// boundary, and resuming the committed file as it stands must reach
-// the uninterrupted Result, while its payload sealed as the previous
-// format must be refused. A change that moves the bytes on purpose
-// bumps checkpointVersion and regenerates the file with
+// smallConfig(1234) with a 256-event cadence, in the format
+// checkpointVersion names. Today's campaign must write the bytes that
+// file re-encodes to at that boundary, and resuming the committed file
+// as it stands must reach the uninterrupted Result, while its payload
+// sealed as the previous format must be refused. A change that moves
+// the bytes on purpose bumps checkpointVersion and regenerates the
+// file with
 //
 //	go test -run '^TestParentCheckpointFixture$' ./internal/ctrl/loadgen -update
 func TestParentCheckpointFixture(t *testing.T) {

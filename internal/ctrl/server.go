@@ -120,9 +120,12 @@ type Server struct {
 	aud      *invariant.Auditor
 	breakers []*Breaker
 
-	now       unit.Seconds   // virtual clock: latest observed event time
-	busyUntil unit.Seconds   // when all admitted work completes
-	pending   []unit.Seconds // completion times of admitted, unfinished work
+	now unit.Seconds // virtual clock: latest observed event time
+	// pending holds the completion times of admitted, unfinished work
+	// in commit order. Each commit starts no earlier than the one
+	// before it finishes, so the times strictly increase and the last
+	// is when all admitted work completes.
+	pending []unit.Seconds
 
 	// regionScratch backs health responses' Regions slice; see Submit.
 	regionScratch []RegionHealth
@@ -261,8 +264,8 @@ func (s *Server) Submit(req Request, arrival unit.Seconds) (Response, unit.Secon
 	}
 
 	start := arrival
-	if s.busyUntil > start {
-		start = s.busyUntil
+	if n := len(s.pending); n > 0 {
+		start = max(start, s.pending[n-1])
 	}
 	service := s.serviceTime(req.Op)
 	finish := start + service
@@ -301,7 +304,6 @@ func (s *Server) Submit(req Request, arrival unit.Seconds) (Response, unit.Secon
 
 	// The request is committed: it consumes controller time whether
 	// the allocator succeeds or not (a failed path search is work).
-	s.busyUntil = finish
 	s.pending = append(s.pending, finish)
 
 	if req.Op == OpRelease {

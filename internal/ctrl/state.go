@@ -19,8 +19,9 @@ import (
 // CheckpointVersion is the daemon checkpoint payload format. Version
 // 2 dropped the allocator's route-plan cache section. Version 3 moved
 // the cut fiber rows from the allocator's section into the rack's and
-// dropped the allocator's per-row fiber counts.
-const CheckpointVersion = 3
+// dropped the allocator's per-row fiber counts. Version 4 drops the
+// busy-until time, which is the backlog's last completion time.
+const CheckpointVersion = 4
 
 // configDigest encodes every Config field that shapes controller
 // behavior. Restores compare digests byte-for-byte: a checkpoint is
@@ -57,7 +58,6 @@ func (s *Server) EncodeState(e *snapshot.Encoder) {
 		b.EncodeState(e)
 	}
 	snapshot.Unit(e, s.now)
-	snapshot.Unit(e, s.busyUntil)
 	e.Len(len(s.pending))
 	for _, t := range s.pending {
 		snapshot.Unit(e, t)
@@ -104,7 +104,6 @@ func (s *Server) RestoreState(d *snapshot.Decoder) error {
 		}
 	}
 	s.now = snapshot.DecodeUnit[unit.Seconds](d)
-	s.busyUntil = snapshot.DecodeUnit[unit.Seconds](d)
 	// No cap check on the backlog length: releases are exempt from
 	// queue-full shedding, so a live server's backlog legitimately
 	// exceeds QueueCap whenever teardowns arrive at a full queue.

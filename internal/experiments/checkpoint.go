@@ -31,6 +31,20 @@ type Checkpointing struct {
 	Resume bool
 }
 
+// trialStride separates per-trial seed streams; it is the splitmix64
+// golden-gamma increment, so consecutive trials land in well-separated
+// regions of the seed space.
+const trialStride = 0x9e3779b97f4a7c15
+
+// trialSeeds returns the seed of each of a campaign's trials.
+func trialSeeds(seed uint64, trials int) []uint64 {
+	seeds := make([]uint64, trials)
+	for i := range seeds {
+		seeds[i] = seed + uint64(i)*trialStride
+	}
+	return seeds
+}
+
 // checkpointedTrials fans `trials` checkpointed simulator runs across
 // CPUs: trial i runs config(i) fresh through run, or through resume
 // when ck.Resume is set, checkpointing to <file>-trial-<i>.ckpt under

@@ -23,10 +23,6 @@ import (
 // and its CSV is byte-identical across sequential/parallel execution
 // and across kill→resume from any event boundary.
 
-// ctrlTrialStride separates per-trial seed streams (the splitmix64
-// golden-gamma increment, like the other campaigns).
-const ctrlTrialStride = 0x9e3779b97f4a7c15
-
 // Controller campaign shape: controllerTrialAgents agents per trial
 // each issuing controllerArrivals fresh requests.
 const (
@@ -172,15 +168,15 @@ func ControllerWithOptions(seed uint64, opts ControllerOptions) (ControllerResul
 	if trials < 1 {
 		return ControllerResult{}, fmt.Errorf("experiments: controller trials %d < 1", trials)
 	}
-	config := func(i int) loadgen.Config { return controllerTrialConfig(seed + uint64(i)*ctrlTrialStride) }
+	seeds := trialSeeds(seed, trials)
+	config := func(i int) loadgen.Config { return controllerTrialConfig(seeds[i]) }
 	outcomes, err := checkpointedTrials(opts.Checkpointing, "controller", "ctrl", trials, config,
 		loadgen.RunCheckpointed, loadgen.Resume)
 	if err != nil {
 		return ControllerResult{}, err
 	}
-	var res ControllerResult
-	for i, o := range outcomes {
-		res.Seeds = append(res.Seeds, seed+uint64(i)*ctrlTrialStride)
+	res := ControllerResult{Seeds: seeds}
+	for _, o := range outcomes {
 		res.Trials = append(res.Trials, o)
 		res.Requests += o.Requests
 		res.Attempts += o.Attempts

@@ -17,11 +17,6 @@ import (
 // It extends the paper's single-fault blast-radius story (§4.2) to
 // the compounding-failure regime a real fleet lives in.
 
-// soakTrialStride separates per-trial seed streams; it is the
-// splitmix64 golden-gamma increment, so consecutive trials land in
-// well-separated regions of the seed space.
-const soakTrialStride = 0x9e3779b97f4a7c15
-
 // soakHorizon is the campaign's simulated duration per trial.
 const soakHorizon = 3 * unit.Day
 
@@ -99,9 +94,10 @@ func SoakWithOptions(seed uint64, trials int, ck Checkpointing) (SoakResult, err
 	if trials < 1 {
 		return SoakResult{}, fmt.Errorf("experiments: soak trials %d < 1", trials)
 	}
+	seeds := trialSeeds(seed, trials)
 	config := func(i int) fleet.Config {
 		return fleet.Config{
-			Seed:       seed + uint64(i)*soakTrialStride,
+			Seed:       seeds[i],
 			Horizon:    soakHorizon,
 			Audit:      invariant.Paranoid,
 			SampleMode: fleet.SampleExact,
@@ -111,9 +107,8 @@ func SoakWithOptions(seed uint64, trials int, ck Checkpointing) (SoakResult, err
 	if err != nil {
 		return SoakResult{}, err
 	}
-	res := SoakResult{WorstAvailability: 1}
-	for i, o := range outcomes {
-		res.Seeds = append(res.Seeds, seed+uint64(i)*soakTrialStride)
+	res := SoakResult{Seeds: seeds, WorstAvailability: 1}
+	for _, o := range outcomes {
 		res.Trials = append(res.Trials, o)
 		res.MeanAvailability += o.Availability
 		res.MeanGoodput += o.MeanGoodput

@@ -3,7 +3,6 @@ package fleet
 import (
 	"fmt"
 
-	"lightpath/internal/chaos"
 	"lightpath/internal/evloop"
 	"lightpath/internal/snapshot"
 	"lightpath/internal/unit"
@@ -12,12 +11,13 @@ import (
 // This file is the soak's crash-tolerance layer. A checkpoint is one
 // snapshot-envelope file capturing everything the event loop needs to
 // continue: RNG stream positions, the allocator and hardware state,
-// job/spare/crew/repair-queue state, accumulated statistics and the
-// loop cursors. Checkpoints land only on event boundaries, and the
-// fault schedule is recomputed from the config on resume, so the file
-// stays small and a resumed soak produces an Outcome byte-identical
-// to the uninterrupted run — the property the crash-injection tests
-// sweep over every boundary.
+// job/spare/repair-queue state, accumulated statistics and the loop
+// cursors. Checkpoints land only on event boundaries, and the fault
+// schedule is recomputed from the config on resume (queued and
+// in-repair faults travel as indexes into it), so the file stays
+// small and a resumed soak produces an Outcome byte-identical to the
+// uninterrupted run — the property the crash-injection tests sweep
+// over every boundary.
 
 // checkpointVersion is the current checkpoint payload format. Version
 // 2 dropped the allocator's route-plan cache section. Version 3 counts
@@ -25,8 +25,10 @@ import (
 // them, as every other mutation is counted: an Off-mode soak's
 // checkpointed mutation count is now zero. Version 4 moved the cut
 // fiber rows from the allocator's section into the rack's and dropped
-// the allocator's per-row fiber counts.
-const checkpointVersion = 4
+// the allocator's per-row fiber counts. Version 5 writes queued and
+// in-repair faults as schedule indexes, the fault count once, and no
+// busy-crew count or goodput quantile sketch.
+const checkpointVersion = 5
 
 // checkpointEvery is the default checkpoint cadence in event
 // boundaries.
@@ -50,12 +52,12 @@ func RunCheckpointed(cfg Config, opts CheckpointOptions) (*Outcome, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	s, faults, err := buildSoak(cfg, opts)
+	s, err := buildSoak(cfg, opts)
 	if err != nil {
 		return nil, err
 	}
 	s.place()
-	return s.run(faults)
+	return s.run()
 }
 
 // Resume continues a soak from the checkpoint at opts.Path, written
@@ -73,14 +75,14 @@ func Resume(cfg Config, opts CheckpointOptions) (*Outcome, error) {
 	if err != nil {
 		return nil, err
 	}
-	s, faults, err := buildSoak(cfg, opts)
+	s, err := buildSoak(cfg, opts)
 	if err != nil {
 		return nil, err
 	}
-	if err := s.restoreState(d, len(faults)); err != nil {
+	if err := s.restoreState(d); err != nil {
 		return nil, err
 	}
-	return s.run(faults)
+	return s.run()
 }
 
 // configDigest encodes every Config field that shapes the event
@@ -115,7 +117,7 @@ func (s *soak) configDigest() []byte {
 func (s *soak) encodeState(e *snapshot.Encoder) {
 	e.String(string(s.configDigest()))
 	e.U64(s.loop.Events())
-	e.Int(s.fi)
+	e.Int(s.out.Faults)
 	snapshot.Unit(e, s.nextSample)
 	for _, w := range s.mttr.State() {
 		e.U64(w)
@@ -140,13 +142,11 @@ func (s *soak) encodeState(e *snapshot.Encoder) {
 		e.Int(chip)
 	}
 	e.Len(len(s.pending))
-	for _, f := range s.pending {
-		encodeFault(e, f)
+	for _, i := range s.pending {
+		e.Int(i)
 	}
-	e.Int(s.busy)
-	s.repairs.EncodeState(e, encodeFault)
+	s.repairs.EncodeState(e, (*snapshot.Encoder).Int)
 
-	e.Int(s.out.Faults)
 	e.Int(s.out.Repairs)
 	e.Int(s.out.ShedEvents)
 	e.Int(s.out.Readmissions)
@@ -162,17 +162,17 @@ func (s *soak) encodeState(e *snapshot.Encoder) {
 		encodeSample(e, row)
 	}
 	s.res.EncodeState(e, encodeSample)
-	s.quant.EncodeState(e)
 }
 
 // restoreState replays a checkpoint payload into a freshly built soak
-// skeleton. numFaults bounds the schedule cursor.
-func (s *soak) restoreState(d *snapshot.Decoder, numFaults int) error {
+// skeleton, rejecting any state the soak could not have reached: a
+// CRC-valid payload must never make the resumed soak panic.
+func (s *soak) restoreState(d *snapshot.Decoder) error {
 	if err := d.CheckDigest(s.configDigest()); err != nil {
 		return err
 	}
 	s.loop.SetEvents(d.U64())
-	s.fi = d.Int()
+	s.out.Faults = d.Int()
 	s.nextSample = snapshot.DecodeUnit[unit.Seconds](d)
 	var st [4]uint64
 	for i := range st {
@@ -185,23 +185,33 @@ func (s *soak) restoreState(d *snapshot.Decoder, numFaults int) error {
 	if err := s.aud.RestoreState(d); err != nil {
 		return err
 	}
-	if d.Err() == nil && (s.fi < 0 || s.fi > numFaults) {
+	if d.Err() == nil && (s.out.Faults < 0 || s.out.Faults > len(s.faults)) {
 		return fmt.Errorf("%w: fault cursor %d outside schedule of %d",
-			snapshot.ErrCorruptSnapshot, s.fi, numFaults)
+			snapshot.ErrCorruptSnapshot, s.out.Faults, len(s.faults))
 	}
 
 	if n := d.Len(); d.Err() == nil && n != s.cfg.Jobs {
 		return fmt.Errorf("%w: checkpoint has %d jobs, config says %d",
 			snapshot.ErrCorruptSnapshot, n, s.cfg.Jobs)
 	}
+	chips := s.rack.NumChips()
 	for i := 0; i < s.cfg.Jobs && d.Err() == nil; i++ {
 		j := &job{a: d.Int(), b: d.Int(), want: d.Int()}
+		if j.a < 0 || j.a >= chips || j.b < 0 || j.b >= chips {
+			return fmt.Errorf("%w: job %d endpoints (%d,%d) outside [0, %d)",
+				snapshot.ErrCorruptSnapshot, i, j.a, j.b, chips)
+		}
 		st := d.Int()
 		if st < int(jobUp) || st > int(jobShed) {
 			return fmt.Errorf("%w: job %d in unknown state %d", snapshot.ErrCorruptSnapshot, i, st)
 		}
 		j.state = jobState(st)
-		if cid := d.Int(); cid >= 0 {
+		cid := d.Int()
+		if (cid >= 0) != (j.state != jobShed) {
+			return fmt.Errorf("%w: job %d in state %d holds circuit %d",
+				snapshot.ErrCorruptSnapshot, i, st, cid)
+		}
+		if cid >= 0 {
 			c, ok := s.alloc.CircuitByID(cid)
 			if !ok {
 				return fmt.Errorf("%w: job %d references unknown circuit %d",
@@ -218,25 +228,30 @@ func (s *soak) restoreState(d *snapshot.Decoder, numFaults int) error {
 		s.jobs = append(s.jobs, j)
 	}
 	n := d.Len()
-	for i := 0; i < n; i++ {
-		s.spares = append(s.spares, d.Int())
+	for i := 0; i < n && d.Err() == nil; i++ {
+		chip := d.Int()
+		if chip < 0 || chip >= chips || (i > 0 && chip <= s.spares[i-1]) {
+			return fmt.Errorf("%w: spare %d is chip %d, not ascending in [0, %d)",
+				snapshot.ErrCorruptSnapshot, i, chip, chips)
+		}
+		s.spares = append(s.spares, chip)
 	}
 	n = d.Len()
-	for i := 0; i < n; i++ {
-		s.pending = append(s.pending, decodeFault(d))
+	for i := 0; i < n && d.Err() == nil; i++ {
+		fi, err := s.queuedFault(d)
+		if err != nil {
+			return err
+		}
+		s.pending = append(s.pending, fi)
 	}
-	s.busy = d.Int()
-	if err := s.repairs.RestoreState(d, func(d *snapshot.Decoder) (chaos.Fault, error) {
-		return decodeFault(d), nil
-	}); err != nil {
+	if err := s.repairs.RestoreState(d, s.queuedFault); err != nil {
 		return err
 	}
-	if s.busy != s.repairs.Len() {
-		return fmt.Errorf("%w: %d busy crews but %d in-flight repairs",
-			snapshot.ErrCorruptSnapshot, s.busy, s.repairs.Len())
+	if s.repairs.Len() > s.cfg.Crews {
+		return fmt.Errorf("%w: %d in-flight repairs but %d crews",
+			snapshot.ErrCorruptSnapshot, s.repairs.Len(), s.cfg.Crews)
 	}
 
-	s.out.Faults = d.Int()
 	s.out.Repairs = d.Int()
 	s.out.ShedEvents = d.Int()
 	s.out.Readmissions = d.Int()
@@ -254,40 +269,19 @@ func (s *soak) restoreState(d *snapshot.Decoder, numFaults int) error {
 	if err := s.res.RestoreState(d, decodeSample); err != nil {
 		return err
 	}
-	if err := s.quant.RestoreState(d); err != nil {
-		return err
-	}
 	return d.Finish()
 }
 
-func encodeFault(e *snapshot.Encoder, f chaos.Fault) {
-	snapshot.Unit(e, f.Time)
-	e.Int(int(f.Class))
-	e.Int(f.Chip)
-	e.Int(f.Switch)
-	e.Int(f.Wafer)
-	e.Bool(f.Horizontal)
-	e.Int(f.Lane)
-	e.Int(f.Pos)
-	e.F64(f.ExtraLossDB)
-	e.Int(f.Trunk)
-	e.Int(f.Row)
-}
-
-func decodeFault(d *snapshot.Decoder) chaos.Fault {
-	return chaos.Fault{
-		Time:        snapshot.DecodeUnit[unit.Seconds](d),
-		Class:       chaos.Class(d.Int()),
-		Chip:        d.Int(),
-		Switch:      d.Int(),
-		Wafer:       d.Int(),
-		Horizontal:  d.Bool(),
-		Lane:        d.Int(),
-		Pos:         d.Int(),
-		ExtraLossDB: d.F64(),
-		Trunk:       d.Int(),
-		Row:         d.Int(),
+// queuedFault reads the schedule index of one queued or in-repair
+// fault. Only applied faults get queued, so the index must lie below
+// the restored cursor.
+func (s *soak) queuedFault(d *snapshot.Decoder) (int, error) {
+	i := d.Int()
+	if d.Err() == nil && (i < 0 || i >= s.out.Faults) {
+		return i, fmt.Errorf("%w: queued fault %d outside the %d applied",
+			snapshot.ErrCorruptSnapshot, i, s.out.Faults)
 	}
+	return i, nil
 }
 
 func encodeSample(e *snapshot.Encoder, row Sample) {

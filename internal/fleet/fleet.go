@@ -37,10 +37,9 @@ type SampleMode int
 
 const (
 	// SampleStreaming, the default, holds a fixed-capacity reservoir
-	// of rows plus a streaming quantile sketch of the goodput column:
-	// memory stays flat no matter how long the horizon. Soaks shorter
-	// than ReservoirCap rows are still retained exactly, so the
-	// default differs from SampleExact only at long horizons.
+	// of rows: memory stays flat no matter how long the horizon.
+	// Soaks shorter than ReservoirCap rows are still retained exactly,
+	// so the default differs from SampleExact only at long horizons.
 	SampleStreaming SampleMode = iota
 	// SampleExact appends every row — O(Horizon/SampleEvery) memory —
 	// for golden time series that must reproduce byte-identically.
@@ -236,10 +235,6 @@ type Outcome struct {
 	// Availability is the mean over samples of the live-job fraction
 	// (up or degraded); MeanGoodput averages the goodput column.
 	Availability, MeanGoodput float64
-	// GoodputP05 and GoodputP50 are streaming quantile estimates of
-	// the goodput column — the tail and the median of delivered
-	// bandwidth — computed in both sample modes from the same sketch.
-	GoodputP05, GoodputP50 float64
 	// Violations and Audits report the invariant auditor's findings
 	// and effort over the whole soak.
 	Violations, Audits int
@@ -269,43 +264,46 @@ type soak struct {
 	aud   *invariant.Auditor
 	mttr  *rng.Rand
 
-	jobs    []*job
-	jobOf   map[int]*job // established circuit ID -> owning job
-	spares  []int        // ascending chip ids
-	pending []chaos.Fault
-	busy    int
-	// repairs holds each crew's fault, keyed by completion time and
-	// ordered within an instant by service start.
-	repairs evloop.Queue[chaos.Fault]
+	// faults is the whole fault schedule, a pure function of the
+	// config; out.Faults is the cursor into it, since faults apply in
+	// schedule order.
+	faults []chaos.Fault
 
-	// Event-loop cursors, part of the checkpoint: the index into the
-	// precomputed fault schedule, the next sample time, and the loop
-	// that counts processed event boundaries.
-	fi         int
+	jobs   []*job
+	jobOf  map[int]*job // established circuit ID -> owning job
+	spares []int        // ascending chip ids
+	// pending holds the schedule indexes of applied faults waiting for
+	// a crew, in arrival order; repairs holds each busy crew's fault
+	// index, keyed by completion time and ordered within an instant by
+	// service start. A crew is busy exactly while its repair is queued.
+	pending []int
+	repairs evloop.Queue[int]
+
+	// Event-loop cursors, part of the checkpoint: the next sample time
+	// and the loop that counts processed event boundaries.
 	nextSample unit.Seconds
 	loop       *evloop.Loop
 
 	// Streaming aggregates: running sums for the headline means
 	// (accumulated at sample time in chronological order, so both
-	// sample modes produce bit-identical results), a bounded
-	// reservoir of rows, and a quantile sketch of the goodput column.
+	// sample modes produce bit-identical results) and a bounded
+	// reservoir of rows.
 	liveSum float64
 	goodSum float64
 	res     *sketch.Reservoir[Sample]
-	quant   *sketch.Quantile
 
 	out      Outcome
 	blastSum int
 }
 
 // buildSoak constructs the soak skeleton — hardware, allocator,
-// auditor, RNG streams, sketches, fault schedule — without tenant
+// auditor, RNG streams, reservoir, fault schedule — without tenant
 // placement, which is the part a resume replays from the checkpoint
 // instead. cfg must already have defaults applied and be valid.
-func buildSoak(cfg Config, opts CheckpointOptions) (*soak, []chaos.Fault, error) {
+func buildSoak(cfg Config, opts CheckpointOptions) (*soak, error) {
 	rack, err := wafer.NewRack(cfg.Wafer, cfg.Wafers)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	root := rng.New(cfg.Seed)
 	s := &soak{
@@ -317,7 +315,6 @@ func buildSoak(cfg Config, opts CheckpointOptions) (*soak, []chaos.Fault, error)
 		nextSample: cfg.SampleEvery,
 		loop:       evloop.New(opts, checkpointVersion, checkpointEvery),
 		res:        sketch.NewReservoir[Sample](cfg.ReservoirCap, root.Split("fleet/reservoir")),
-		quant:      sketch.NewQuantile(0, root.Split("fleet/sketch")),
 	}
 	s.aud = invariant.Attach(s.alloc, cfg.Audit)
 
@@ -334,9 +331,10 @@ func buildSoak(cfg Config, opts CheckpointOptions) (*soak, []chaos.Fault, error)
 		Trunks:          rack.NumTrunks(),
 	}, cfg.Rates)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	return s, eng.Schedule(cfg.Horizon), nil
+	s.faults = eng.Schedule(cfg.Horizon)
+	return s, nil
 }
 
 // place runs tenant placement: a seeded permutation of the non-spare
@@ -368,8 +366,8 @@ func Run(cfg Config) (*Outcome, error) {
 // run drives the event loop to the horizon (or to an injected stop).
 // It returns only once the last checkpoint write has finished, with
 // that write's error joined to whatever the soak itself returned.
-func (s *soak) run(faults []chaos.Fault) (*Outcome, error) {
-	out, err := s.drive(faults)
+func (s *soak) run() (*Outcome, error) {
+	out, err := s.drive()
 	if ferr := s.loop.Flush(); ferr != nil {
 		return nil, errors.Join(err, ferr)
 	}
@@ -379,13 +377,13 @@ func (s *soak) run(faults []chaos.Fault) (*Outcome, error) {
 // drive merges the three ordered event streams; ties are broken by
 // kind — repairs land before faults, faults before samples — so the
 // order is total and reproducible.
-func (s *soak) drive(faults []chaos.Fault) (*Outcome, error) {
+func (s *soak) drive() (*Outcome, error) {
 	encode := s.encodeState
 	for {
 		const inf = unit.Seconds(1e18)
 		ft, rt, st := inf, inf, inf
-		if s.fi < len(faults) {
-			ft = faults[s.fi].Time
+		if s.out.Faults < len(s.faults) {
+			ft = s.faults[s.out.Faults].Time
 		}
 		// Repairs finishing after the horizon are outside the soak:
 		// the clock stops at Horizon, backlog and all.
@@ -406,10 +404,9 @@ func (s *soak) drive(faults []chaos.Fault) (*Outcome, error) {
 				return nil, err
 			}
 		case ft <= st:
-			if err := s.applyFault(faults[s.fi]); err != nil {
+			if err := s.applyFault(s.out.Faults); err != nil {
 				return nil, err
 			}
-			s.fi++
 		default:
 			s.sample(s.nextSample)
 			s.nextSample += s.cfg.SampleEvery
@@ -439,9 +436,10 @@ func (s *soak) establish(j *job, now unit.Seconds) bool {
 	return true
 }
 
-// applyFault routes one fault through the hardware and runs the
-// self-healing loop over every circuit it tore down.
-func (s *soak) applyFault(f chaos.Fault) error {
+// applyFault routes schedule fault i through the hardware and runs
+// the self-healing loop over every circuit it tore down.
+func (s *soak) applyFault(i int) error {
+	f := s.faults[i]
 	broken, err := s.alloc.ApplyFault(f)
 	if err != nil {
 		return fmt.Errorf("fleet: %v: %w", f, err)
@@ -457,7 +455,7 @@ func (s *soak) applyFault(f chaos.Fault) error {
 			}
 		}
 	}
-	s.scheduleRepair(f)
+	s.scheduleRepair(i)
 	for _, c := range broken {
 		j, ok := s.jobOf[c.ID]
 		if !ok {
@@ -513,30 +511,31 @@ func (s *soak) takeSpare() (int, bool) {
 	return 0, false
 }
 
-// scheduleRepair queues the fault for a crew; a free crew starts
-// immediately, otherwise the fault waits in arrival order.
-func (s *soak) scheduleRepair(f chaos.Fault) {
-	s.pending = append(s.pending, f)
-	s.dispatch(f.Time)
+// scheduleRepair queues schedule fault i for a crew; a free crew
+// starts immediately, otherwise the fault waits in arrival order.
+func (s *soak) scheduleRepair(i int) {
+	s.pending = append(s.pending, i)
+	s.dispatch(s.faults[i].Time)
 }
 
 // dispatch hands queued faults to free crews. Repair durations draw
 // from the dedicated MTTR stream in service-start order, which the
 // deterministic event order fixes.
 func (s *soak) dispatch(now unit.Seconds) {
-	for s.busy < s.cfg.Crews && len(s.pending) > 0 {
-		f := s.pending[0]
+	for s.repairs.Len() < s.cfg.Crews && len(s.pending) > 0 {
+		i := s.pending[0]
 		s.pending = s.pending[1:]
-		s.busy++
-		d := unit.Seconds(s.mttr.Exp(float64(s.cfg.MeanRepair[f.Class])))
-		s.repairs.Push(now+d, f)
+		d := unit.Seconds(s.mttr.Exp(float64(s.cfg.MeanRepair[s.faults[i].Class])))
+		s.repairs.Push(now+d, i)
 	}
 }
 
-// completeRepair restores the failed component, returns repaired
-// chips to the spare pool, and lets admission control re-admit shed
-// jobs and upgrade degraded ones against the recovered capacity.
-func (s *soak) completeRepair(at unit.Seconds, f chaos.Fault) error {
+// completeRepair restores the component schedule fault i broke,
+// returns repaired chips to the spare pool, and lets admission control
+// re-admit shed jobs and upgrade degraded ones against the recovered
+// capacity.
+func (s *soak) completeRepair(at unit.Seconds, i int) error {
+	f := s.faults[i]
 	if err := s.alloc.Repair(f); err != nil {
 		return fmt.Errorf("fleet: repair %v: %w", f, err)
 	}
@@ -544,7 +543,6 @@ func (s *soak) completeRepair(at unit.Seconds, f chaos.Fault) error {
 		s.returnSpare(f.Chip)
 	}
 	s.out.Repairs++
-	s.busy--
 	s.dispatch(at)
 	s.recover(at)
 	return nil
@@ -636,10 +634,9 @@ func (s *soak) sample(t unit.Seconds) {
 	}
 	// The headline means accumulate here, in chronological order, so
 	// both sample modes run the identical float additions and agree
-	// bit for bit; the sketch sees every row in both modes too.
+	// bit for bit.
 	s.liveSum += float64(row.Up+row.Degraded) / float64(len(s.jobs))
 	s.goodSum += row.Goodput
-	s.quant.Add(row.Goodput)
 	s.out.SamplesSeen++
 	if s.cfg.SampleMode == SampleExact {
 		s.out.Samples = append(s.out.Samples, row)
@@ -667,6 +664,4 @@ func (s *soak) finish() {
 	n := float64(s.out.SamplesSeen)
 	s.out.Availability = s.liveSum / n
 	s.out.MeanGoodput = s.goodSum / n
-	s.out.GoodputP05 = s.quant.Query(0.05)
-	s.out.GoodputP50 = s.quant.Query(0.50)
 }

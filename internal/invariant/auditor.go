@@ -26,7 +26,6 @@ const maxRecorded = 64
 type Auditor struct {
 	alloc     *route.Allocator
 	mode      Mode
-	stride    int
 	mutations int
 	audits    int
 	count     int
@@ -45,7 +44,7 @@ type Auditor struct {
 // allocator's audit hook. In Off mode it leaves the hook untouched, so
 // the hot path stays a nil check and the auditor counts no mutations.
 func Attach(a *route.Allocator, mode Mode) *Auditor {
-	d := &Auditor{alloc: a, mode: mode, stride: DefaultStride}
+	d := &Auditor{alloc: a, mode: mode}
 	if mode != Off {
 		a.SetAuditHook(func(op string) { d.mutated(op) })
 	}
@@ -64,7 +63,7 @@ func (d *Auditor) mutated(op string) []Violation {
 		if !deltaOp(op) {
 			d.ctx.idx.valid = false
 		}
-		if d.mutations%d.stride == 0 {
+		if d.mutations%DefaultStride == 0 {
 			return d.sample(op)
 		}
 	}

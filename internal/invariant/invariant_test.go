@@ -422,7 +422,7 @@ func TestSampledFallsBackToFullPass(t *testing.T) {
 			}
 			tc.before(t, a, d)
 			full := d.fullPasses
-			for d.mutations%d.stride != d.stride-1 {
+			for d.mutations%DefaultStride != DefaultStride-1 {
 				d.mutated("release")
 			}
 			d.mutated("establish")

@@ -12,7 +12,7 @@ import (
 // uninterrupted run, so the whole observation record rides along.
 
 // EncodeState appends the auditor's counters and retained violations
-// to the encoder. Mode and stride are configuration, not state — the
+// to the encoder. The mode is configuration, not state — the
 // resuming side reconstructs the auditor with the same Config.
 func (d *Auditor) EncodeState(e *snapshot.Encoder) {
 	e.Int(d.mutations)
