@@ -25,11 +25,14 @@ type entry[P any] struct {
 
 // Queue is a min-heap of payloads ordered by (time, seq). Push stamps
 // seq from the queue's own counter, so events due at the same instant
-// pop in push order and the order is total. The sift-up and sift-down
-// steps are container/heap's exactly: a checkpoint carries the raw
-// array, and every golden depends on the pop order, so the layout
-// after each operation must match the one earlier builds wrote. The
-// zero value is an empty queue.
+// pop in push order and the order is total. A checkpoint carries the
+// raw array, and every golden depends on the pop order, so the layout
+// after each operation must match the one container/heap's sift-up
+// and sift-down write. Push and Pop sift with a hole instead: each
+// level moves one entry into the hole and the sifted entry is written
+// once, where the swaps would have left it, so the comparisons and the
+// resulting array are container/heap's exactly. The zero value is an
+// empty queue.
 type Queue[P any] struct {
 	items []entry[P]
 	next  int
@@ -38,31 +41,33 @@ type Queue[P any] struct {
 // Len returns the number of queued events.
 func (q *Queue[P]) Len() int { return len(q.items) }
 
-func (q *Queue[P]) less(i, j int) bool {
-	a, b := &q.items[i], &q.items[j]
-	if a.at < b.at {
+// before reports whether x pops before y.
+func before[P any](x, y *entry[P]) bool {
+	if x.at < y.at {
 		return true
 	}
-	if b.at < a.at {
+	if y.at < x.at {
 		return false
 	}
-	return a.seq < b.seq
+	return x.seq < y.seq
 }
 
 // Push queues p at time at (container/heap's Push and up).
 func (q *Queue[P]) Push(at unit.Seconds, p P) {
-	q.items = append(q.items, entry[P]{at: at, seq: q.next, p: p})
+	x := entry[P]{at: at, seq: q.next, p: p}
 	q.next++
+	q.items = append(q.items, x)
 	s := q.items
 	j := len(s) - 1
-	for {
+	for j > 0 {
 		i := (j - 1) / 2 // parent
-		if i == j || !q.less(j, i) {
+		if !before(&x, &s[i]) {
 			break
 		}
-		s[i], s[j] = s[j], s[i]
+		s[j] = s[i]
 		j = i
 	}
+	s[j] = x
 }
 
 // Peek returns the earliest event without removing it. The queue must
@@ -72,31 +77,30 @@ func (q *Queue[P]) Peek() (unit.Seconds, P) {
 }
 
 // Pop removes and returns the earliest event (container/heap's Pop:
-// swap the root to the end, sift the new root down over the shortened
-// prefix, take the former root off the end). The queue must not be
-// empty.
+// the last entry replaces the root and sifts down over the shortened
+// prefix). The queue must not be empty.
 func (q *Queue[P]) Pop() (unit.Seconds, P) {
 	s := q.items
 	n := len(s) - 1
-	s[0], s[n] = s[n], s[0]
+	top, x := s[0], s[n]
 	i := 0
 	for {
-		j1 := 2*i + 1
-		if j1 >= n || j1 < 0 { // j1 < 0 after int overflow
+		j := 2*i + 1 // left child; j < 0 after int overflow
+		if j >= n || j < 0 {
 			break
 		}
-		j := j1 // left child
-		if j2 := j1 + 1; j2 < n && q.less(j2, j1) {
+		if j2 := j + 1; j2 < n && before(&s[j2], &s[j]) {
 			j = j2 // right child
 		}
-		if !q.less(j, i) {
+		if !before(&s[j], &x) {
 			break
 		}
-		s[i], s[j] = s[j], s[i]
+		s[i] = s[j]
 		i = j
 	}
+	s[i] = x
 	q.items = s[:n]
-	return s[n].at, s[n].p
+	return top.at, top.p
 }
 
 // EncodeState appends the queue in its raw array layout — the length,
@@ -141,7 +145,7 @@ func (q *Queue[P]) RestoreState(d *snapshot.Decoder, dec func(*snapshot.Decoder)
 			return fmt.Errorf("%w: queued event seq %d outside [0, %d)",
 				snapshot.ErrCorruptSnapshot, it.seq, q.next)
 		}
-		if i > 0 && q.less(i, (i-1)/2) {
+		if i > 0 && before(&q.items[i], &q.items[(i-1)/2]) {
 			return fmt.Errorf("%w: queued event %d sorts before its heap parent",
 				snapshot.ErrCorruptSnapshot, i)
 		}

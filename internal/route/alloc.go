@@ -66,8 +66,8 @@ type Allocator struct {
 // Establish hot path. Every field is reset (length zero, capacity
 // kept) at the start of the call that uses it.
 type allocScratch struct {
-	plans   []plan
-	dirs    []direction
+	gen     planGen
+	plan    plan
 	rowUses []rowUse
 	rows    []int
 	elems   []phy.LossElement
@@ -78,43 +78,12 @@ type allocScratch struct {
 	pending []wafer.BusRef
 }
 
-// nextPlan appends an empty plan slot to the scratch, recycling the
-// slot's steps/trunks capacity from earlier calls.
-func (s *allocScratch) nextPlan() *plan {
-	if len(s.plans) < cap(s.plans) {
-		s.plans = s.plans[:len(s.plans)+1]
-	} else {
-		s.plans = append(s.plans, plan{})
-	}
-	p := &s.plans[len(s.plans)-1]
-	p.steps = p.steps[:0]
-	p.trunks = p.trunks[:0]
-	p.fiberRow = 0
-	p.turns = 0
-	return p
-}
-
 // direction is one way around the wafer cascade a cross-wafer plan
 // can take.
 type direction struct {
 	trunks            []int
 	inters            []int // intermediate wafers in path order
 	exitCol, enterCol int   // source exit / destination entry columns
-}
-
-// nextDirection appends an empty direction to the scratch, recycling
-// the slot's trunks/inters capacity from earlier calls, like nextPlan.
-func (s *allocScratch) nextDirection(exitCol, enterCol int) *direction {
-	if len(s.dirs) < cap(s.dirs) {
-		s.dirs = s.dirs[:len(s.dirs)+1]
-	} else {
-		s.dirs = append(s.dirs, direction{})
-	}
-	d := &s.dirs[len(s.dirs)-1]
-	d.trunks = d.trunks[:0]
-	d.inters = d.inters[:0]
-	d.exitCol, d.enterCol = exitCol, enterCol
-	return d
 }
 
 // rowUse ranks a trunk row for the fiber-packing heuristic.
@@ -206,16 +175,39 @@ type planStep struct {
 	span  wafer.Interval
 }
 
-// plan is a fully specified candidate path.
+// planKind is the shape of a candidate plan.
+type planKind uint8
+
+const (
+	planL         planKind = iota // same-wafer L-shape
+	planDetourCol                 // same-wafer H-V-H detour via a column
+	planDetourRow                 // same-wafer V-H-V detour via a row
+	planCross                     // cross-wafer: an L-shape at each end
+)
+
+// planKey names one candidate plan before its steps are built: a
+// same-wafer L-shape or detour lane, or a cross-wafer direction, fiber
+// row and turn order. The trunks and fiber row are all the probe's
+// first check reads, so a plan on a full fiber row is turned down
+// without its steps ever being built.
+type planKey struct {
+	kind     planKind
+	hFirst   bool  // L-shapes: the horizontal leg comes first
+	lane     int   // detours: the middle leg's column or row
+	dir      int   // cross-wafer: index into the generator's directions
+	fiberRow int   // tile row used for every fiber hop; -1 on one wafer
+	trunks   []int // trunk indices crossed, in path order
+}
+
+// plan is a candidate path: its key and, once built, its steps.
 type plan struct {
-	steps    []planStep
-	trunks   []int // trunk indices crossed, ascending
-	fiberRow int   // tile row used for every fiber hop
-	turns    int
+	planKey
+	steps []planStep
+	turns int
 }
 
 // clone copies p out of the scratch its steps and trunks point into,
-// for a caller that keeps it past the next candidatePlans call.
+// for a caller that keeps it past the generator's next start.
 func (p plan) clone() plan {
 	p.steps = slices.Clone(p.steps)
 	p.trunks = slices.Clone(p.trunks)
@@ -252,107 +244,175 @@ func intraWaferSteps(steps []planStep, w, r1, c1, r2, c2 int, hFirst bool) []pla
 	return steps
 }
 
-// candidatePlans enumerates paths between two chips in preference
-// order: for each candidate fiber row (same-wafer circuits have none),
-// the horizontal-first and vertical-first L-shapes. The returned slice
-// and everything it references live in the allocator's scratch and are
-// valid only until the next candidatePlans call.
-func (a *Allocator) candidatePlans(chipA, chipB int) []plan {
-	cfg := a.rack.Config()
-	wA, rA, cA := a.rack.Place(chipA)
-	wB, rB, cB := a.rack.Place(chipB)
-	if wA > wB {
-		wA, rA, cA, wB, rB, cB = wB, rB, cB, wA, rA, cA
-	}
+// planGen is the one enumerator of candidate plans between two chips.
+// next yields them in preference order, as keys; build turns a key
+// into its steps. It lives in the allocator's scratch: everything a
+// key or a built plan points into stays valid until the next
+// startPlans.
+type planGen struct {
+	a                      *Allocator
+	wA, rA, cA, wB, rB, cB int // endpoints, the lower wafer first
+	dirs                   []direction
+	// The cursor. On one wafer i counts through the L-shapes and the
+	// detour lanes; across wafers dir is the current direction, rows
+	// its fiber-row order once ranked, and i counts two keys a row.
+	i      int
+	dir    int
+	rows   []int
+	ranked bool
+}
 
-	s := &a.scratch
-	s.plans = s.plans[:0]
-	s.dirs = s.dirs[:0]
-	if wA == wB {
-		for _, hFirst := range [2]bool{true, false} {
-			p := s.nextPlan()
-			p.steps = intraWaferSteps(p.steps, wA, rA, cA, rB, cB, hFirst)
-			p.fiberRow = -1
-			p.turns = max(0, len(p.steps)-1)
-		}
-		// Z-shaped detours: when both L variants are blocked by bus
-		// exhaustion, route via an intermediate column (H-V-H) or row
-		// (V-H-V). The photonic mesh's path diversity is the point of
-		// Figure 4's 10,000 waveguides.
-		//lightpath:hotloop
-		for cm := 0; cm < cfg.Cols; cm++ {
-			if cm == cA || cm == cB || rA == rB {
-				continue
-			}
-			p := s.nextPlan()
-			p.fiberRow = -1
-			p.steps = append(p.steps, planStep{wafer: wA, o: wafer.Horizontal, lane: rA, span: span(cA, cm)})
-			p.steps = append(p.steps, planStep{wafer: wA, o: wafer.Vertical, lane: cm, span: span(rA, rB)})
-			p.steps = append(p.steps, planStep{wafer: wA, o: wafer.Horizontal, lane: rB, span: span(cm, cB)})
-			p.turns = 2
-		}
-		//lightpath:hotloop
-		for rm := 0; rm < cfg.Rows; rm++ {
-			if rm == rA || rm == rB || cA == cB {
-				continue
-			}
-			p := s.nextPlan()
-			p.fiberRow = -1
-			p.steps = append(p.steps, planStep{wafer: wA, o: wafer.Vertical, lane: cA, span: span(rA, rm)})
-			p.steps = append(p.steps, planStep{wafer: wA, o: wafer.Horizontal, lane: rm, span: span(cA, cB)})
-			p.steps = append(p.steps, planStep{wafer: wA, o: wafer.Vertical, lane: cB, span: span(rm, rB)})
-			p.turns = 2
-		}
-		return s.plans
+// startPlans resets the scratch generator for a chip pair and returns
+// it. A cross-wafer pair gets its cascade directions here: clockwise
+// always; the ring topology also offers the counterclockwise way
+// around, which is shorter when the wafers are more than half the
+// cascade apart, and the shorter direction goes first.
+func (a *Allocator) startPlans(chipA, chipB int) *planGen {
+	g := &a.scratch.gen
+	g.a = a
+	g.wA, g.rA, g.cA = a.rack.Place(chipA)
+	g.wB, g.rB, g.cB = a.rack.Place(chipB)
+	if g.wA > g.wB {
+		g.wA, g.rA, g.cA, g.wB, g.rB, g.cB = g.wB, g.rB, g.cB, g.wA, g.rA, g.cA
 	}
-
-	// Enumerate cascade directions: clockwise always; the ring
-	// topology also offers the counterclockwise way around, which is
-	// shorter when the wafers are more than half the cascade apart.
-	nw := a.rack.NumWafers()
-	cw := s.nextDirection(cfg.Cols-1, 0)
-	for t := wA; t != wB; t = (t + 1) % nw {
+	g.dirs = g.dirs[:0]
+	g.i, g.dir, g.rows, g.ranked = 0, 0, nil, false
+	if g.wA == g.wB {
+		return g
+	}
+	cols, nw := a.rack.Config().Cols, a.rack.NumWafers()
+	cw := g.nextDirection(cols-1, 0)
+	for t := g.wA; t != g.wB; t = (t + 1) % nw {
 		cw.trunks = append(cw.trunks, t)
-		if next := (t + 1) % nw; next != wB {
+		if next := (t + 1) % nw; next != g.wB {
 			cw.inters = append(cw.inters, next)
 		}
 	}
 	if a.rack.Topology() == wafer.RingTopology && nw >= 2 {
-		// nextDirection may move s.dirs, so cw is not used past here.
-		ccw := s.nextDirection(0, cfg.Cols-1)
-		for w := wA; w != wB; w = (w - 1 + nw) % nw {
+		// nextDirection may move g.dirs, so cw is not used past here.
+		ccw := g.nextDirection(0, cols-1)
+		for w := g.wA; w != g.wB; w = (w - 1 + nw) % nw {
 			ccw.trunks = append(ccw.trunks, (w-1+nw)%nw)
-			if prev := (w - 1 + nw) % nw; prev != wB {
+			if prev := (w - 1 + nw) % nw; prev != g.wB {
 				ccw.inters = append(ccw.inters, prev)
 			}
 		}
-		if len(s.dirs[1].trunks) < len(s.dirs[0].trunks) {
-			s.dirs[0], s.dirs[1] = s.dirs[1], s.dirs[0]
+		if len(g.dirs[1].trunks) < len(g.dirs[0].trunks) {
+			g.dirs[0], g.dirs[1] = g.dirs[1], g.dirs[0]
 		}
 	}
+	return g
+}
 
-	for _, dir := range s.dirs {
-		for _, row := range a.fiberRowOrder(rA, dir.trunks) {
-			if !a.rowUsable(row, dir.trunks) {
+// nextDirection appends an empty direction, recycling the slot's
+// trunks/inters capacity from earlier starts.
+func (g *planGen) nextDirection(exitCol, enterCol int) *direction {
+	if len(g.dirs) < cap(g.dirs) {
+		g.dirs = g.dirs[:len(g.dirs)+1]
+	} else {
+		g.dirs = append(g.dirs, direction{})
+	}
+	d := &g.dirs[len(g.dirs)-1]
+	d.trunks = d.trunks[:0]
+	d.inters = d.inters[:0]
+	d.exitCol, d.enterCol = exitCol, enterCol
+	return d
+}
+
+// next returns the next candidate plan's key in preference order, or
+// false when there are no more. On one wafer: the horizontal-first and
+// vertical-first L-shapes, then Z-shaped detours — when both L
+// variants are blocked by bus exhaustion, route via an intermediate
+// column (H-V-H) or row (V-H-V); the photonic mesh's path diversity is
+// the point of Figure 4's 10,000 waveguides. Across wafers: for each
+// direction and each usable fiber row in preference order, the two L
+// orders. A direction's rows are ranked when the walk reaches it,
+// which sees the fabric ranking them all up front would have seen:
+// nothing is allocated until the walk stops.
+func (g *planGen) next() (planKey, bool) {
+	if g.wA == g.wB {
+		return g.nextOnWafer()
+	}
+	for g.dir < len(g.dirs) {
+		trunks := g.dirs[g.dir].trunks
+		if !g.ranked {
+			g.rows, g.ranked, g.i = g.a.fiberRowOrder(g.rA, trunks), true, 0
+		}
+		for g.i < 2*len(g.rows) {
+			i := g.i
+			g.i++
+			row := g.rows[i/2]
+			if i%2 == 0 && !g.a.rowUsable(row, trunks) {
+				g.i++ // neither L order can use the row
 				continue
 			}
-			for _, hFirst := range [2]bool{true, false} {
-				p := s.nextPlan()
-				p.fiberRow = row
-				// Source wafer: to the exit edge at the fiber row.
-				p.steps = intraWaferSteps(p.steps, wA, rA, cA, row, dir.exitCol, hFirst)
-				// Intermediate wafers: straight across the fiber row.
-				for _, w := range dir.inters {
-					p.steps = append(p.steps, planStep{wafer: w, o: wafer.Horizontal, lane: row, span: wafer.Interval{Lo: 0, Hi: cfg.Cols - 1}})
-				}
-				// Destination wafer: from the entry edge.
-				p.steps = intraWaferSteps(p.steps, wB, row, dir.enterCol, rB, cB, hFirst)
-				p.trunks = append(p.trunks, dir.trunks...)
-				p.turns = max(0, len(p.steps)-1)
+			return planKey{kind: planCross, hFirst: i%2 == 0, dir: g.dir, fiberRow: row, trunks: trunks}, true
+		}
+		g.dir++
+		g.ranked = false
+	}
+	return planKey{}, false
+}
+
+// nextOnWafer is next for a same-wafer pair.
+func (g *planGen) nextOnWafer() (planKey, bool) {
+	cfg := g.a.rack.Config()
+	for ; g.i < 2+cfg.Cols+cfg.Rows; g.i++ {
+		switch i := g.i; {
+		case i < 2:
+			g.i++
+			return planKey{kind: planL, hFirst: i == 0, fiberRow: -1}, true
+		case i < 2+cfg.Cols:
+			if cm := i - 2; g.rA != g.rB && cm != g.cA && cm != g.cB {
+				g.i++
+				return planKey{kind: planDetourCol, lane: cm, fiberRow: -1}, true
+			}
+		default:
+			if rm := i - 2 - cfg.Cols; g.cA != g.cB && rm != g.rA && rm != g.rB {
+				g.i++
+				return planKey{kind: planDetourRow, lane: rm, fiberRow: -1}, true
 			}
 		}
 	}
-	return s.plans
+	return planKey{}, false
+}
+
+// buildPlan is build, held in a variable only so the package's tests
+// can count the plans whose steps get built.
+var buildPlan = (*planGen).build
+
+// build fills in the steps and turns of the plan p's key names.
+//
+//lightpath:hotloop
+func (g *planGen) build(p *plan) {
+	steps := p.steps[:0]
+	switch p.kind {
+	case planL:
+		steps = intraWaferSteps(steps, g.wA, g.rA, g.cA, g.rB, g.cB, p.hFirst)
+	case planDetourCol:
+		steps = append(steps,
+			planStep{wafer: g.wA, o: wafer.Horizontal, lane: g.rA, span: span(g.cA, p.lane)},
+			planStep{wafer: g.wA, o: wafer.Vertical, lane: p.lane, span: span(g.rA, g.rB)},
+			planStep{wafer: g.wA, o: wafer.Horizontal, lane: g.rB, span: span(p.lane, g.cB)})
+	case planDetourRow:
+		steps = append(steps,
+			planStep{wafer: g.wA, o: wafer.Vertical, lane: g.cA, span: span(g.rA, p.lane)},
+			planStep{wafer: g.wA, o: wafer.Horizontal, lane: p.lane, span: span(g.cA, g.cB)},
+			planStep{wafer: g.wA, o: wafer.Vertical, lane: g.cB, span: span(p.lane, g.rB)})
+	case planCross:
+		dir, row := &g.dirs[p.dir], p.fiberRow
+		// Source wafer: to the exit edge at the fiber row.
+		steps = intraWaferSteps(steps, g.wA, g.rA, g.cA, row, dir.exitCol, p.hFirst)
+		// Intermediate wafers: straight across the fiber row.
+		full := wafer.Interval{Lo: 0, Hi: g.a.rack.Config().Cols - 1}
+		for _, w := range dir.inters {
+			steps = append(steps, planStep{wafer: w, o: wafer.Horizontal, lane: row, span: full})
+		}
+		// Destination wafer: from the entry edge.
+		steps = intraWaferSteps(steps, g.wB, row, dir.enterCol, g.rB, g.cB, p.hFirst)
+	}
+	p.steps = steps
+	p.turns = max(0, len(steps)-1)
 }
 
 // fiberRowOrder returns candidate trunk rows in preference order. In
@@ -421,11 +481,14 @@ type Request struct {
 
 // Establish finds a path for the request, allocates its buses, fibers
 // and endpoint resources, programs the switches, and returns the
-// circuit. Candidate plans are enumerated afresh on every call, judged
-// by a read-only probe, and only the accepted one is allocated, so a
-// failed Establish leaves the fabric as it found it — only the loss
-// stream, which budget checks draw from, moves — and returns ErrNoPath
-// (or a budget error).
+// circuit. It walks the candidate plans' keys in preference order,
+// reading each key's trunk fibers first; only a plan whose fibers are
+// free gets its steps built and the rest of the read-only probe, and
+// the walk stops at the first plan placed. Only the accepted plan is
+// allocated, so a failed Establish leaves the fabric as it found it —
+// only the loss stream, which budget checks draw from, moves — and
+// returns ErrNoPath wrapping the last plan's cause (a budget error
+// when the budget turned it down).
 func (a *Allocator) Establish(req Request, now unit.Seconds) (*Circuit, error) {
 	if req.A == req.B {
 		return nil, fmt.Errorf("route: circuit endpoints are the same chip %d", req.A)
@@ -445,68 +508,78 @@ func (a *Allocator) Establish(req Request, now unit.Seconds) (*Circuit, error) {
 	}
 	a.beginOp()
 	defer a.endOp("establish")
-	plans := a.candidatePlans(req.A, req.B)
-	if len(plans) == 0 {
-		return nil, &noPathError{a: req.A, b: req.B, cause: ErrNoPath}
-	}
-	last := plans[len(plans)-1]
+	g := a.startPlans(req.A, req.B)
+	p := &a.scratch.plan
+	walked := false
 	// Endpoint lasers and ports do not depend on the plan: when either
-	// end is short, no plan can succeed and none is walked. The error
-	// still names the last plan's own cause where it has one.
+	// end is short, no plan can succeed and none is tried. The error
+	// still names the last plan's own cause where it has one, so the
+	// keys are walked to the last and only that plan is built.
 	if err := a.endpointCause(req); err != nil {
-		if v := a.probe(req, last); v.cause != causeNone {
-			err = a.causeOf(req, last, v)
+		for k, ok := g.next(); ok; k, ok = g.next() {
+			p.planKey, walked = k, true
 		}
-		return nil, &noPathError{a: req.A, b: req.B, cause: err}
-	}
-	for _, p := range plans[:len(plans)-1] {
-		if c, _, _ := a.tryPlan(req, p, now); c != nil {
-			return c, nil
+		if !walked {
+			return nil, newNoPathError(req, ErrNoPath)
 		}
+		buildPlan(g, p)
+		if v := a.probe(req, *p); v.cause != causeNone {
+			err = a.causeOf(req, *p, v)
+		}
+		return nil, newNoPathError(req, err)
 	}
-	c, v, link := a.tryPlan(req, last, now)
-	if c != nil {
-		return c, nil
+	var v verdict
+	var link phy.LinkReport
+	for k, ok := g.next(); ok; k, ok = g.next() {
+		p.planKey, walked = k, true
+		if v = a.probeFibers(k); v.cause != causeNone {
+			continue
+		}
+		buildPlan(g, p)
+		if v = a.probePath(req, *p); v.cause != causeNone {
+			continue
+		}
+		if link = a.evaluate(*p); a.CheckBudget && !link.Feasible {
+			continue
+		}
+		return a.place(req, *p, link, now), nil
 	}
-	// Both sentinels stay unwrappable: errors.Is sees ErrNoPath and
-	// whatever sentinel the last plan's cause carries. The message is
-	// formatted only if someone reads it — on a saturated fabric this
-	// is the common Establish outcome, too hot for fmt.Errorf.
-	var cause error = &budgetError{a: req.A, b: req.B, link: link}
-	if v.cause != causeNone {
-		cause = a.causeOf(req, last, v)
+	// p holds the last plan. Both sentinels stay unwrappable: errors.Is
+	// sees ErrNoPath and whatever sentinel the last plan's cause
+	// carries. The message is formatted only if someone reads it — on a
+	// saturated fabric this is the common Establish outcome, too hot
+	// for fmt.Errorf.
+	switch {
+	case !walked:
+		return nil, newNoPathError(req, ErrNoPath)
+	case v.cause == causeNone:
+		return nil, newNoPathError(req, &budgetError{a: req.A, b: req.B, link: link})
+	case v.cause == causeFiber:
+		// Turned down on its fibers, the last plan has no steps yet,
+		// and causeOf checks them for a cause reported first.
+		buildPlan(g, p)
 	}
-	return nil, &noPathError{a: req.A, b: req.B, cause: cause}
+	return nil, newNoPathError(req, a.causeOf(req, *p, v))
 }
 
 // noPathError is the establish failure after every candidate plan was
 // rejected. Error formats lazily; Unwrap exposes both ErrNoPath and
-// the last plan's cause to errors.Is/As.
+// the last plan's cause to errors.Is/As, from a pair filled in at
+// construction so that unwrapping allocates nothing.
 type noPathError struct {
-	a, b  int
-	cause error
+	a, b int
+	errs [2]error // ErrNoPath, then the cause
+}
+
+func newNoPathError(req Request, cause error) *noPathError {
+	return &noPathError{a: req.A, b: req.B, errs: [2]error{ErrNoPath, cause}}
 }
 
 func (e *noPathError) Error() string {
-	return fmt.Sprintf("%v: chips %d<->%d: %v", ErrNoPath, e.a, e.b, e.cause)
+	return fmt.Sprintf("%v: chips %d<->%d: %v", ErrNoPath, e.a, e.b, e.errs[1])
 }
 
-func (e *noPathError) Unwrap() []error { return []error{ErrNoPath, e.cause} }
-
-// tryPlan runs one plan of a request whose endpoints have room: the
-// probe, then the optical budget, then placement. It returns the
-// circuit, or nil with the probe's verdict — causeNone and the link
-// report when the budget turned an accepted plan down.
-func (a *Allocator) tryPlan(req Request, p plan, now unit.Seconds) (*Circuit, verdict, phy.LinkReport) {
-	if v := a.probe(req, p); v.cause != causeNone {
-		return nil, v, phy.LinkReport{}
-	}
-	link := a.evaluate(p)
-	if a.CheckBudget && !link.Feasible {
-		return nil, verdict{}, link
-	}
-	return a.place(req, p, link, now), verdict{}, link
-}
+func (e *noPathError) Unwrap() []error { return e.errs[:] }
 
 // endpointCause returns the error reserving both endpoints would hit
 // (A first), or nil when both have the lasers and a port for the
@@ -609,20 +682,31 @@ func (e *budgetError) Error() string {
 //
 //lightpath:hotloop
 func (a *Allocator) probe(req Request, p plan) verdict {
-	for i, tr := range p.trunks {
+	if v := a.probeFibers(p.planKey); v.cause != causeNone {
+		return v
+	}
+	return a.probePath(req, p)
+}
+
+// probeFibers is the probe's first check, which needs only the plan's
+// key: a free fiber on the fiber row of every trunk crossed.
+//
+//lightpath:hotloop
+func (a *Allocator) probeFibers(k planKey) verdict {
+	for i, tr := range k.trunks {
 		// A plan crosses each trunk once, but count repeats anyway:
 		// every crossing takes its own fiber.
 		need := 1
-		for _, prev := range p.trunks[:i] {
+		for _, prev := range k.trunks[:i] {
 			if prev == tr {
 				need++
 			}
 		}
-		if !a.rack.FibersFree(tr, p.fiberRow, need) {
+		if !a.rack.FibersFree(tr, k.fiberRow, need) {
 			return verdict{cause: causeFiber}
 		}
 	}
-	return a.probePath(req, p)
+	return verdict{}
 }
 
 // probePath is the rest of the probe, in report order: severed spans,

@@ -2,6 +2,7 @@ package route
 
 import (
 	"errors"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -509,5 +510,115 @@ func TestEstablishAllocatesOnlyTheCircuit(t *testing.T) {
 				t.Errorf("%s pack=%v: Establish+Release allocates %v times, want 1", tc.name, pack, allocs)
 			}
 		}
+	}
+}
+
+// fillFiberRows takes every fiber of the first rows tile rows on every
+// trunk, straight from the rack.
+func fillFiberRows(tb testing.TB, rack *wafer.Rack, rows int) {
+	tb.Helper()
+	for tr := 0; tr < rack.NumTrunks(); tr++ {
+		for row := 0; row < rows; row++ {
+			for rack.FibersFree(tr, row, 1) {
+				if _, err := rack.AllocFiber(tr, row); err != nil {
+					tb.Fatal(err)
+				}
+			}
+		}
+	}
+}
+
+// planKeys drains a fresh generator for the pair.
+func planKeys(a *Allocator, req Request) []planKey {
+	var keys []planKey
+	g := a.startPlans(req.A, req.B)
+	for k, ok := g.next(); ok; k, ok = g.next() {
+		keys = append(keys, k)
+	}
+	return keys
+}
+
+// recordBuilds swaps buildPlan for one that also records the key of
+// every plan whose steps get built, until the test ends.
+func recordBuilds(t *testing.T) *[]planKey {
+	built := new([]planKey)
+	build := buildPlan
+	buildPlan = func(g *planGen, p *plan) {
+		*built = append(*built, p.planKey)
+		build(g, p)
+	}
+	t.Cleanup(func() { buildPlan = build })
+	return built
+}
+
+// TestEstablishBuildsOnlyWhatItTries counts the plans whose steps an
+// Establish builds. An idle pair builds the one plan it places. With
+// every fiber row but the last full, the full rows' plans are turned
+// down on their keys and only a last-row plan is built. When an
+// endpoint is short, or every row is full, only the last plan is
+// built, for the failure report.
+func TestEstablishBuildsOnlyWhatItTries(t *testing.T) {
+	req := Request{A: 0, B: 40, Width: 1}
+	rows := wafer.DefaultConfig().Rows
+	for _, tc := range []struct {
+		name    string
+		setup   func(*wafer.Rack)
+		ok      bool
+		wantRow int // fiber row of every built plan
+	}{
+		{"idle", func(*wafer.Rack) {}, true, 0},
+		{"last row free", func(r *wafer.Rack) { fillFiberRows(t, r, rows-1) }, true, rows - 1},
+		{"endpoint short", func(r *wafer.Rack) {
+			if err := r.TileOf(req.A).Reserve(r.TileOf(req.A).FreeLasers()); err != nil {
+				t.Fatal(err)
+			}
+		}, false, rows - 1},
+		{"every row full", func(r *wafer.Rack) { fillFiberRows(t, r, rows) }, false, rows - 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			rack := twoWaferRack(t)
+			tc.setup(rack)
+			a := NewAllocator(rack, rng.New(5))
+			keys := planKeys(a, req)
+			built := recordBuilds(t)
+			c, err := a.Establish(req, 0)
+			if (c != nil) != tc.ok {
+				t.Fatalf("circuit %v, error %v; want success %v", c, err, tc.ok)
+			}
+			if len(*built) != 1 {
+				t.Fatalf("built %d of %d plans (%+v), want 1", len(*built), len(keys), *built)
+			}
+			if b := (*built)[0]; b.fiberRow != tc.wantRow {
+				t.Errorf("built the plan on fiber row %d, want %d", b.fiberRow, tc.wantRow)
+			}
+			if !tc.ok && !reflect.DeepEqual((*built)[0], keys[len(keys)-1]) {
+				t.Errorf("a failure built %+v, want the last plan %+v", (*built)[0], keys[len(keys)-1])
+			}
+		})
+	}
+}
+
+// TestFailedEstablishAllocatesOnlyTheError pins the failure path's
+// floor: a cross-wafer Establish on a rack whose every fiber row is
+// full allocates exactly one object, its error, and errors.Is on that
+// error allocates nothing.
+func TestFailedEstablishAllocatesOnlyTheError(t *testing.T) {
+	rack := twoWaferRack(t)
+	fillFiberRows(t, rack, rack.Config().Rows)
+	a := NewAllocator(rack, rng.New(3))
+	req := Request{A: 0, B: 40, Width: 1}
+	var err error
+	allocs := testing.AllocsPerRun(20, func() {
+		_, err = a.Establish(req, 0)
+	})
+	if allocs != 1 {
+		t.Errorf("failed Establish allocates %v times, want 1", allocs)
+	}
+	is := func() bool { return errors.Is(err, ErrNoPath) && errors.Is(err, wafer.ErrFibersExhausted) }
+	if !is() {
+		t.Fatalf("error %v does not wrap ErrNoPath and ErrFibersExhausted", err)
+	}
+	if allocs := testing.AllocsPerRun(20, func() { is() }); allocs != 0 {
+		t.Errorf("errors.Is on the error allocates %v times, want 0", allocs)
 	}
 }

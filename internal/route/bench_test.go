@@ -43,3 +43,26 @@ func BenchmarkEstablish(b *testing.B) {
 	}
 	b.ReportMetric(loss, "loss_db")
 }
+
+// BenchmarkEstablishNoFiber measures the failure path: a cross-wafer
+// establish on a rack whose every trunk row is full. Every plan is
+// turned down on its fibers before its steps are built, and the only
+// allocation is the returned error. The paper metric is the number of
+// candidate plans each call turns down.
+func BenchmarkEstablishNoFiber(b *testing.B) {
+	rack, err := wafer.NewRack(wafer.DefaultConfig(), 2)
+	if err != nil {
+		b.Fatal(err)
+	}
+	fillFiberRows(b, rack, rack.Config().Rows)
+	a := NewAllocator(rack, rng.New(7))
+	req := Request{A: 0, B: 40, Width: 1}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := a.Establish(req, 0); err == nil {
+			b.Fatal("established a circuit across full fiber rows")
+		}
+	}
+	b.ReportMetric(float64(len(planKeys(a, req))), "plans")
+}

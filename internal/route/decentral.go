@@ -74,8 +74,7 @@ func (d *Decentralized) EstablishBatch(reqs []Request, now unit.Seconds) BatchOu
 	for round := 0; round < maxRounds && len(queue) > 0; round++ {
 		out.Rounds++
 		// Each pending request proposes its current candidate based on
-		// the round-start view. A proposal keeps its own copy of the
-		// plan: the next candidatePlans call reuses the scratch.
+		// the round-start view.
 		type proposal struct {
 			pending
 			plan plan
@@ -83,12 +82,8 @@ func (d *Decentralized) EstablishBatch(reqs []Request, now unit.Seconds) BatchOu
 		}
 		proposals := make([]proposal, len(queue))
 		for i, p := range queue {
-			plans := d.Alloc.candidatePlans(p.req.A, p.req.B)
-			if p.candidate < len(plans) {
-				proposals[i] = proposal{pending: p, plan: plans[p.candidate].clone(), ok: true}
-			} else {
-				proposals[i] = proposal{pending: p}
-			}
+			proposals[i].pending = p
+			proposals[i].plan, proposals[i].ok = d.Alloc.candidate(p.req, p.candidate)
 		}
 		// Commit in randomized order: no coordination between tiles.
 		// Each proposal is probed against the fabric as the earlier
@@ -124,6 +119,24 @@ func (d *Decentralized) EstablishBatch(reqs []Request, now unit.Seconds) BatchOu
 	return out
 }
 
+// candidate returns the request's k-th candidate plan (from 0), the
+// only one whose steps it builds, cloned out of the scratch so that it
+// outlives the next walk; false when there are no more than k.
+func (a *Allocator) candidate(req Request, k int) (plan, bool) {
+	g := a.startPlans(req.A, req.B)
+	p := &a.scratch.plan
+	for key, ok := g.next(); ok; key, ok = g.next() {
+		if k > 0 {
+			k--
+			continue
+		}
+		p.planKey = key
+		buildPlan(g, p)
+		return p.clone(), true
+	}
+	return plan{}, false
+}
+
 // tryProposal tries one proposed plan against the fabric as it
 // stands now, endpoints included, through Establish's own probe and
 // placement: nil means the proposal lost a resource race (or never
@@ -131,9 +144,12 @@ func (d *Decentralized) EstablishBatch(reqs []Request, now unit.Seconds) BatchOu
 func (a *Allocator) tryProposal(req Request, p plan, now unit.Seconds) *Circuit {
 	a.beginOp()
 	defer a.endOp("commit")
-	if a.endpointCause(req) != nil {
+	if a.endpointCause(req) != nil || a.probe(req, p).cause != causeNone {
 		return nil
 	}
-	c, _, _ := a.tryPlan(req, p, now)
-	return c
+	link := a.evaluate(p)
+	if a.CheckBudget && !link.Feasible {
+		return nil
+	}
+	return a.place(req, p, link, now)
 }

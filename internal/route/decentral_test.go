@@ -127,7 +127,7 @@ func TestDecentralizedStopsAtRoundLimit(t *testing.T) {
 		t.Fatal(err)
 	}
 	req := Request{A: 0, B: 32, Width: 1}
-	if n := len(a.candidatePlans(req.A, req.B)); n < maxRounds {
+	if n := len(planKeys(a, req)); n < maxRounds {
 		t.Fatalf("%d candidate plans run out before the %d-round limit", n, maxRounds)
 	}
 	out := NewDecentralized(a, rng.New(32)).EstablishBatch([]Request{req}, 0)

@@ -1,10 +1,11 @@
 package route
 
-// The reference establish path: the allocate-then-roll-back commit and
-// the plan loops that drove it, kept verbatim (bar evaluate's
-// signature) so the differential test below can hold the probe/place
-// path to exactly the circuits, errors, loss draws and checkpoint
-// bytes the rollback path produced.
+// The reference establish path: the allocate-then-roll-back commit,
+// the plan loops that drove it and the eager plan enumerator that fed
+// them, kept verbatim (bar evaluate's signature and the enumerator's
+// buffers) so the differential test below can hold the probe/place
+// path and its lazy plan generator to exactly the circuits, errors,
+// loss draws and checkpoint bytes the rollback path produced.
 
 import (
 	"bytes"
@@ -41,7 +42,7 @@ func (a *Allocator) referenceEstablish(req Request, now unit.Seconds) (*Circuit,
 	}
 	a.beginOp()
 	defer a.endOp("establish")
-	plans := a.candidatePlans(req.A, req.B)
+	plans := a.referencePlans(req.A, req.B)
 	var lastErr error = ErrNoPath
 	for _, p := range plans {
 		c, err := a.commit(req, p, now)
@@ -50,7 +51,101 @@ func (a *Allocator) referenceEstablish(req Request, now unit.Seconds) (*Circuit,
 		}
 		lastErr = err
 	}
-	return nil, &noPathError{a: req.A, b: req.B, cause: lastErr}
+	return nil, newNoPathError(req, lastErr)
+}
+
+// referencePlans enumerates paths between two chips in preference
+// order, every plan built up front: for each candidate fiber row
+// (same-wafer circuits have none), the horizontal-first and
+// vertical-first L-shapes. It is the enumerator Establish used before
+// plans were generated as keys, writing into fresh slices instead of
+// the scratch.
+func (a *Allocator) referencePlans(chipA, chipB int) []plan {
+	cfg := a.rack.Config()
+	wA, rA, cA := a.rack.Place(chipA)
+	wB, rB, cB := a.rack.Place(chipB)
+	if wA > wB {
+		wA, rA, cA, wB, rB, cB = wB, rB, cB, wA, rA, cA
+	}
+
+	var plans []plan
+	nextPlan := func() *plan {
+		plans = append(plans, plan{})
+		return &plans[len(plans)-1]
+	}
+	if wA == wB {
+		for _, hFirst := range [2]bool{true, false} {
+			p := nextPlan()
+			p.steps = intraWaferSteps(p.steps, wA, rA, cA, rB, cB, hFirst)
+			p.fiberRow = -1
+			p.turns = max(0, len(p.steps)-1)
+		}
+		for cm := 0; cm < cfg.Cols; cm++ {
+			if cm == cA || cm == cB || rA == rB {
+				continue
+			}
+			p := nextPlan()
+			p.fiberRow = -1
+			p.steps = append(p.steps, planStep{wafer: wA, o: wafer.Horizontal, lane: rA, span: span(cA, cm)})
+			p.steps = append(p.steps, planStep{wafer: wA, o: wafer.Vertical, lane: cm, span: span(rA, rB)})
+			p.steps = append(p.steps, planStep{wafer: wA, o: wafer.Horizontal, lane: rB, span: span(cm, cB)})
+			p.turns = 2
+		}
+		for rm := 0; rm < cfg.Rows; rm++ {
+			if rm == rA || rm == rB || cA == cB {
+				continue
+			}
+			p := nextPlan()
+			p.fiberRow = -1
+			p.steps = append(p.steps, planStep{wafer: wA, o: wafer.Vertical, lane: cA, span: span(rA, rm)})
+			p.steps = append(p.steps, planStep{wafer: wA, o: wafer.Horizontal, lane: rm, span: span(cA, cB)})
+			p.steps = append(p.steps, planStep{wafer: wA, o: wafer.Vertical, lane: cB, span: span(rm, rB)})
+			p.turns = 2
+		}
+		return plans
+	}
+
+	nw := a.rack.NumWafers()
+	dirs := []direction{{exitCol: cfg.Cols - 1, enterCol: 0}}
+	for t := wA; t != wB; t = (t + 1) % nw {
+		dirs[0].trunks = append(dirs[0].trunks, t)
+		if next := (t + 1) % nw; next != wB {
+			dirs[0].inters = append(dirs[0].inters, next)
+		}
+	}
+	if a.rack.Topology() == wafer.RingTopology && nw >= 2 {
+		ccw := direction{exitCol: 0, enterCol: cfg.Cols - 1}
+		for w := wA; w != wB; w = (w - 1 + nw) % nw {
+			ccw.trunks = append(ccw.trunks, (w-1+nw)%nw)
+			if prev := (w - 1 + nw) % nw; prev != wB {
+				ccw.inters = append(ccw.inters, prev)
+			}
+		}
+		dirs = append(dirs, ccw)
+		if len(dirs[1].trunks) < len(dirs[0].trunks) {
+			dirs[0], dirs[1] = dirs[1], dirs[0]
+		}
+	}
+
+	for _, dir := range dirs {
+		for _, row := range a.fiberRowOrder(rA, dir.trunks) {
+			if !a.rowUsable(row, dir.trunks) {
+				continue
+			}
+			for _, hFirst := range [2]bool{true, false} {
+				p := nextPlan()
+				p.fiberRow = row
+				p.steps = intraWaferSteps(p.steps, wA, rA, cA, row, dir.exitCol, hFirst)
+				for _, w := range dir.inters {
+					p.steps = append(p.steps, planStep{wafer: w, o: wafer.Horizontal, lane: row, span: wafer.Interval{Lo: 0, Hi: cfg.Cols - 1}})
+				}
+				p.steps = intraWaferSteps(p.steps, wB, row, dir.enterCol, rB, cB, hFirst)
+				p.trunks = append(p.trunks, dir.trunks...)
+				p.turns = max(0, len(p.steps)-1)
+			}
+		}
+	}
+	return plans
 }
 
 // commit attempts to allocate everything a plan needs, rolling back on
@@ -187,7 +282,7 @@ func (d *Decentralized) referenceEstablishBatch(reqs []Request, now unit.Seconds
 		}
 		proposals := make([]proposal, len(queue))
 		for i, p := range queue {
-			plans := d.Alloc.candidatePlans(p.req.A, p.req.B)
+			plans := d.Alloc.referencePlans(p.req.A, p.req.B)
 			if p.candidate < len(plans) {
 				proposals[i] = proposal{pending: p, plan: plans[p.candidate].clone(), ok: true}
 			} else {
