@@ -54,6 +54,7 @@ import (
 	"lightpath/internal/engine"
 	"lightpath/internal/evloop"
 	"lightpath/internal/experiments"
+	"lightpath/internal/invariant"
 	"lightpath/internal/netsim"
 	"lightpath/internal/route"
 	"lightpath/internal/topo"
@@ -321,7 +322,7 @@ func runShow() (fmt.Stringer, error) {
 }
 
 func runMoE(seed uint64) (fmt.Stringer, error) {
-	fabric, err := core.New(core.Options{Seed: seed})
+	fabric, err := core.New(core.Options{Seed: seed, Audit: invariant.Sampled})
 	if err != nil {
 		return nil, err
 	}

@@ -1,8 +1,9 @@
 // Command lightpath-vet runs the repository's static-analysis suite:
 // repo-specific analyzers that enforce determinism, unit safety (both
 // per-package and interprocedurally), the package layering DAG, error
-// handling, export documentation, allocation-free hot loops and safe
-// closure capture in parallel trials. It is built entirely on the standard library (go/parser + go/types) so
+// handling, export documentation, allocation-free hot loops, safe
+// closure capture in parallel trials, and exported API with a caller.
+// It is built entirely on the standard library (go/parser + go/types) so
 // the module stays dependency-free.
 //
 // Usage:
@@ -27,6 +28,8 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"path/filepath"
+	"slices"
 	"strings"
 
 	"lightpath/internal/analysis"
@@ -87,12 +90,23 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "lightpath-vet:", err)
 		return 2
 	}
+	program := pkgs
+	if slices.Contains(analyzers, analysis.DeadExport) {
+		// An export's verdict depends on every package that could use
+		// it, so deadexport runs over the whole module and only the
+		// findings inside the named packages print.
+		if program, err = loader.LoadPatterns(append([]string{"./..."}, patterns...)); err != nil {
+			fmt.Fprintln(stderr, "lightpath-vet:", err)
+			return 2
+		}
+	}
 
-	findings, err := analysis.Run(pkgs, analyzers)
+	findings, err := analysis.Run(program, analyzers)
 	if err != nil {
 		fmt.Fprintln(stderr, "lightpath-vet:", err)
 		return 2
 	}
+	findings = within(findings, pkgs)
 
 	if *asSARIF {
 		if err := analysis.WriteSARIF(stdout, root, analyzers, findings); err != nil {
@@ -127,6 +141,21 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "lightpath-vet: %d warning(s) in %d package(s), no errors\n", len(findings), len(pkgs))
 	}
 	return 0
+}
+
+// within keeps the findings located in one of pkgs' directories.
+func within(findings []analysis.Finding, pkgs []*analysis.Package) []analysis.Finding {
+	dirs := map[string]bool{}
+	for _, p := range pkgs {
+		dirs[p.Dir] = true
+	}
+	var out []analysis.Finding
+	for _, f := range findings {
+		if dirs[filepath.Dir(f.Pos.Filename)] {
+			out = append(out, f)
+		}
+	}
+	return out
 }
 
 // printCounts renders a per-analyzer finding tally in suite order.

@@ -12,7 +12,7 @@ import (
 // repository itself must pass every lightpath-vet analyzer. A failure
 // here means a change reintroduced a determinism, unit-safety,
 // layering, error-handling, concurrency-capture or documentation
-// violation.
+// violation, or an export nothing outside tests uses.
 func TestRepoIsClean(t *testing.T) {
 	var stdout, stderr strings.Builder
 	if code := run([]string{"./..."}, &stdout, &stderr); code != 0 {
@@ -30,7 +30,7 @@ func TestListAnalyzers(t *testing.T) {
 	}
 	for _, name := range []string{
 		"determinism", "unitsafety", "unittaint", "layering", "errdrop",
-		"exportdoc", "hotalloc", "parcapture",
+		"exportdoc", "hotalloc", "parcapture", "deadexport",
 	} {
 		if !strings.Contains(stdout.String(), name) {
 			t.Errorf("-list output missing analyzer %q:\n%s", name, stdout.String())

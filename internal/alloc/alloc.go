@@ -36,9 +36,6 @@ func (p *Placer) FreeCount() int {
 	return n
 }
 
-// Slices returns the placed slices.
-func (p *Placer) Slices() []*torus.Slice { return p.slices }
-
 // Place finds the first origin (row-major) where a slice of the shape
 // fits entirely on free chips, places it, and returns it. TPUv4-style
 // realizability is enforced: every extent must be 1, 2 or the full
@@ -76,20 +73,6 @@ func (p *Placer) Place(name string, shape torus.Shape) (*torus.Slice, error) {
 			return nil, fmt.Errorf("alloc: no free region for %q (%v)", name, shape)
 		}
 	}
-}
-
-// Remove releases a previously placed slice.
-func (p *Placer) Remove(s *torus.Slice) {
-	for i, placed := range p.slices {
-		if placed == s {
-			for _, chip := range s.Chips(p.t) {
-				p.occupied[chip] = false
-			}
-			p.slices = append(p.slices[:i], p.slices[i+1:]...)
-			return
-		}
-	}
-	panic(fmt.Sprintf("alloc: remove of unplaced slice %q", s.Name))
 }
 
 // Allocation freezes the current placement into a validated

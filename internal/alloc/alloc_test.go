@@ -1,6 +1,8 @@
 package alloc
 
 import (
+	"fmt"
+	"slices"
 	"testing"
 
 	"lightpath/internal/rng"
@@ -15,21 +17,21 @@ func TestPlacerFirstFit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !s1.Origin.Equal(torus.Coord{0, 0, 0}) {
+	if !slices.Equal(s1.Origin, torus.Coord{0, 0, 0}) {
 		t.Fatalf("first slice at %v", s1.Origin)
 	}
 	s2, err := p.Place("b", torus.Shape{4, 4, 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !s2.Origin.Equal(torus.Coord{0, 0, 2}) {
+	if !slices.Equal(s2.Origin, torus.Coord{0, 0, 2}) {
 		t.Fatalf("second slice at %v", s2.Origin)
 	}
 	if p.FreeCount() != 64-32-16 {
 		t.Fatalf("free = %d", p.FreeCount())
 	}
-	if len(p.Slices()) != 2 {
-		t.Fatalf("slices = %d", len(p.Slices()))
+	if len(p.slices) != 2 {
+		t.Fatalf("slices = %d", len(p.slices))
 	}
 }
 
@@ -128,7 +130,7 @@ func TestRandomTenantsDeterministic(t *testing.T) {
 		t.Fatalf("nondeterministic: %d vs %d tenants", len(a), len(b))
 	}
 	for i := range a {
-		if !a[i].Shape.Equal(b[i].Shape) || !a[i].Origin.Equal(b[i].Origin) {
+		if !slices.Equal(a[i].Shape, b[i].Shape) || !slices.Equal(a[i].Origin, b[i].Origin) {
 			t.Fatalf("tenant %d differs", i)
 		}
 	}
@@ -194,4 +196,18 @@ func TestFig6bScenario(t *testing.T) {
 	if c := sc.RackTorus.Coord(sc.FailedChip); c[2] != 3 {
 		t.Fatalf("failed chip at %v, want z=3", c)
 	}
+}
+
+// Remove releases a previously placed slice.
+func (p *Placer) Remove(s *torus.Slice) {
+	for i, placed := range p.slices {
+		if placed == s {
+			for _, chip := range s.Chips(p.t) {
+				p.occupied[chip] = false
+			}
+			p.slices = append(p.slices[:i], p.slices[i+1:]...)
+			return
+		}
+	}
+	panic(fmt.Sprintf("alloc: remove of unplaced slice %q", s.Name))
 }

@@ -30,6 +30,9 @@
 //     scope, directly or by calling a method that writes through its
 //     receiver (the data-race class fixed by hand in PR 3, and the
 //     Fig5 shared-fabric race).
+//   - deadexport: every exported func, method, type, const and var of
+//     a non-main package has a use outside tests somewhere in the
+//     module; an export only tests reach moves into a _test.go file.
 package analysis
 
 import (
@@ -136,19 +139,23 @@ type Analyzer struct {
 
 // All returns every analyzer in the suite, in stable order.
 func All() []*Analyzer {
-	return []*Analyzer{Determinism, UnitSafety, UnitTaint, Layering, ErrDrop, ExportDoc, Hotalloc, ParCapture}
+	return []*Analyzer{Determinism, UnitSafety, UnitTaint, Layering, ErrDrop, ExportDoc, Hotalloc, ParCapture, DeadExport}
 }
 
 // Run applies each analyzer to each package and returns the combined
 // findings sorted by position. Before the first analyzer executes it
 // builds the shared fact base (symbol table + call graph) over the
 // whole package set, so interprocedural analyzers see call sites in
-// every loaded package, not just the one their pass covers. An
-// analyzer error aborts the run.
+// every loaded package, not just the one their pass covers. A
+// TestOnly package feeds only the fact base's uses; no analyzer runs
+// on it. An analyzer error aborts the run.
 func Run(pkgs []*Package, analyzers []*Analyzer) ([]Finding, error) {
 	facts := BuildFacts(pkgs)
 	var findings []Finding
 	for _, pkg := range pkgs {
+		if pkg.TestOnly {
+			continue
+		}
 		for _, a := range analyzers {
 			pass := &Pass{
 				Fset:     pkg.Fset,

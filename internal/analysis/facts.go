@@ -3,8 +3,8 @@ package analysis
 import (
 	"go/ast"
 	"go/types"
+	"slices"
 	"sort"
-	"strings"
 )
 
 // This file is the shared-facts layer of the multi-pass framework. A
@@ -66,6 +66,8 @@ type Facts struct {
 	// functions it calls directly, sorted by full name.
 	Callees map[*types.Func][]*types.Func
 
+	// pkgs is the loaded package set the facts were built from.
+	pkgs []*Package
 	// callerOrder lists Callees' keys in first-edge order (a
 	// deterministic product of the sorted package/file walk), so
 	// normalization never iterates the map.
@@ -74,6 +76,11 @@ type Facts struct {
 	paramUnits map[*types.Func][]map[*types.Named]bool
 	// mutators is the lazily-built parcapture fact; see MutatesReceiver.
 	mutators map[*types.Func]bool
+	// used is the lazily-built deadexport fact; see Used.
+	used map[types.Object]bool
+	// ifaces indexes every interface the loaded packages declare, use
+	// or import by method name; see ImplementsInterface.
+	ifaces map[string][]*types.Interface
 }
 
 // BuildFacts constructs the shared fact base for one analyzer run over
@@ -82,8 +89,12 @@ func BuildFacts(pkgs []*Package) *Facts {
 	f := &Facts{
 		Decls:   map[*types.Func]*FuncInfo{},
 		Callees: map[*types.Func][]*types.Func{},
+		pkgs:    pkgs,
 	}
 	for _, pkg := range pkgs {
+		if pkg.TestOnly {
+			continue
+		}
 		for _, file := range pkg.Files {
 			for _, decl := range file.Decls {
 				fd, ok := decl.(*ast.FuncDecl)
@@ -97,6 +108,9 @@ func BuildFacts(pkgs []*Package) *Facts {
 		}
 	}
 	for _, pkg := range pkgs {
+		if pkg.TestOnly {
+			continue
+		}
 		for _, file := range pkg.Files {
 			for _, decl := range file.Decls {
 				fd, _ := decl.(*ast.FuncDecl)
@@ -148,11 +162,147 @@ func (f *Facts) addEdge(caller, callee *types.Func) {
 	f.Callees[caller] = append(f.Callees[caller], callee)
 }
 
-// DeclOf returns the declaration site of fn, or nil if fn was not
-// declared in the loaded packages (stdlib, or a package outside the
-// analysis roots).
-func (f *Facts) DeclOf(fn *types.Func) *FuncInfo {
-	return f.Decls[fn]
+// Used reports whether a loaded package uses obj, a package-level
+// object or a method, outside obj's own declaration: a function's
+// recursive calls and the receiver lists of a type's methods do not
+// count. A use of a generic instantiation counts for its origin. The
+// fact covers every loaded package, TestOnly ones included, and is
+// built once, on first use.
+func (f *Facts) Used(obj types.Object) bool {
+	if f.used == nil {
+		f.buildUsed()
+	}
+	return f.used[obj]
+}
+
+// buildUsed walks each top-level declaration and marks every object
+// its identifiers use, except the objects the declaration itself
+// defines. Info.Uses records the selected identifier of every selector
+// too, so field and method selections need no separate pass.
+func (f *Facts) buildUsed() {
+	f.used = map[types.Object]bool{}
+	mark := func(info *types.Info, own []types.Object, n ast.Node) {
+		ast.Inspect(n, func(n ast.Node) bool {
+			id, ok := n.(*ast.Ident)
+			if !ok {
+				return true
+			}
+			obj := info.Uses[id]
+			switch o := obj.(type) {
+			case *types.Func:
+				obj = o.Origin()
+			case *types.Var:
+				obj = o.Origin()
+			}
+			if obj != nil && !slices.Contains(own, obj) {
+				f.used[obj] = true
+			}
+			return true
+		})
+	}
+	for _, pkg := range f.pkgs {
+		for _, file := range pkg.Files {
+			for _, decl := range file.Decls {
+				switch d := decl.(type) {
+				case *ast.FuncDecl:
+					own := []types.Object{pkg.Info.Defs[d.Name]}
+					mark(pkg.Info, own, d.Type)
+					if d.Body != nil {
+						mark(pkg.Info, own, d.Body)
+					}
+				case *ast.GenDecl:
+					for _, spec := range d.Specs {
+						var own []types.Object
+						switch s := spec.(type) {
+						case *ast.TypeSpec:
+							own = append(own, pkg.Info.Defs[s.Name])
+						case *ast.ValueSpec:
+							for _, name := range s.Names {
+								own = append(own, pkg.Info.Defs[name])
+							}
+						}
+						mark(pkg.Info, own, spec)
+					}
+				}
+			}
+		}
+	}
+}
+
+// ImplementsInterface reports whether the method fn implements a
+// method of an interface that a loaded package declares, spells out
+// in a type expression, or reaches through its imports, the standard
+// library and the predeclared error included. Such a method can be
+// called through the interface, where Info.Uses never names it. The
+// interface index is built once, on first use.
+func (f *Facts) ImplementsInterface(fn *types.Func) bool {
+	if f.ifaces == nil {
+		f.buildIfaces()
+	}
+	sig, ok := fn.Type().(*types.Signature)
+	if !ok || sig.Recv() == nil {
+		return false
+	}
+	recv := sig.Recv().Type()
+	if p, ok := recv.(*types.Pointer); ok {
+		recv = p.Elem()
+	}
+	for _, iface := range f.ifaces[fn.Name()] {
+		if types.Implements(recv, iface) || types.Implements(types.NewPointer(recv), iface) {
+			return true
+		}
+	}
+	return false
+}
+
+// buildIfaces indexes the non-generic named interfaces of every
+// package reachable from the loaded ones, error, and the interface
+// literals the loaded packages write.
+func (f *Facts) buildIfaces() {
+	f.ifaces = map[string][]*types.Interface{}
+	add := func(t types.Type) {
+		iface, ok := t.(*types.Interface)
+		if !ok {
+			return
+		}
+		for i := 0; i < iface.NumMethods(); i++ {
+			name := iface.Method(i).Name()
+			f.ifaces[name] = append(f.ifaces[name], iface)
+		}
+	}
+	add(types.Universe.Lookup("error").Type().Underlying())
+	seen := map[*types.Package]bool{}
+	var visit func(p *types.Package)
+	visit = func(p *types.Package) {
+		if seen[p] {
+			return
+		}
+		seen[p] = true
+		scope := p.Scope()
+		for _, name := range scope.Names() {
+			tn, ok := scope.Lookup(name).(*types.TypeName)
+			if !ok || tn.IsAlias() {
+				continue
+			}
+			if named, ok := tn.Type().(*types.Named); ok && named.TypeParams().Len() == 0 {
+				add(named.Underlying())
+			}
+		}
+		for _, imp := range p.Imports() {
+			visit(imp)
+		}
+	}
+	for _, pkg := range f.pkgs {
+		visit(pkg.Types)
+		for _, file := range pkg.Files {
+			ast.Inspect(file, func(n ast.Node) bool {
+				if lit, ok := n.(*ast.InterfaceType); ok {
+					add(pkg.Info.TypeOf(lit))
+				}
+				return true
+			})
+		}
+	}
 }
 
 // ParamUnits returns, for the declared function fn, one set per
@@ -418,19 +568,4 @@ func rootIdent(e ast.Expr) *ast.Ident {
 			return nil
 		}
 	}
-}
-
-// directiveLines collects the source lines holding a given directive
-// comment (the comment's exact text on a line of its own), so checks
-// can match "directive on the line directly above a statement".
-func directiveLines(pass *Pass, file *ast.File, directive string) map[int]bool {
-	lines := map[int]bool{}
-	for _, cg := range file.Comments {
-		for _, c := range cg.List {
-			if strings.TrimSpace(c.Text) == directive {
-				lines[pass.Fset.Position(c.Pos()).Line] = true
-			}
-		}
-	}
-	return lines
 }

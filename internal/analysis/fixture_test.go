@@ -68,6 +68,14 @@ func TestUnitTaintFixture(t *testing.T) {
 	runFixtureTest(t, UnitTaint, "unittaint", "fixture/unittaint")
 }
 
+// TestDeadExportFixture loads a main package and a package made only
+// of _test.go files beside the fixture, so uses from another package,
+// an instantiation and a test-only program are all in the run.
+func TestDeadExportFixture(t *testing.T) {
+	const dir = "testdata/src/deadexport"
+	runFixtureTest(t, DeadExport, "deadexport", modulePath+"/internal/analysis/"+dir, "deadexport/user", "deadexport/harness")
+}
+
 // wantRe matches one `// want `regexp“ expectation comment.
 var wantRe = regexp.MustCompile("// want `([^`]*)`")
 
@@ -78,9 +86,10 @@ type want struct {
 }
 
 // runFixtureTest loads testdata/src/<fixture> as a package named
-// asPath, runs a single analyzer, and diffs findings against the
-// fixture's want comments.
-func runFixtureTest(t *testing.T, a *Analyzer, fixture, asPath string) {
+// asPath and each extra fixture under its own module path, runs a
+// single analyzer over them, and diffs findings against the fixtures'
+// want comments.
+func runFixtureTest(t *testing.T, a *Analyzer, fixture, asPath string, extra ...string) {
 	t.Helper()
 	root, err := FindModuleRoot(".")
 	if err != nil {
@@ -95,11 +104,23 @@ func runFixtureTest(t *testing.T, a *Analyzer, fixture, asPath string) {
 	if err != nil {
 		t.Fatalf("loading fixture %s: %v", fixture, err)
 	}
-	findings, err := Run([]*Package{pkg}, []*Analyzer{a})
+	pkgs := []*Package{pkg}
+	wants := parseWants(t, dir)
+	for _, e := range extra {
+		dir := filepath.Join("testdata", "src", e)
+		pkg, err := loader.LoadDirAs(dir, modulePath+"/internal/analysis/"+filepath.ToSlash(dir))
+		if err != nil {
+			t.Fatalf("loading fixture %s: %v", e, err)
+		}
+		pkgs = append(pkgs, pkg)
+		for key, ws := range parseWants(t, dir) {
+			wants[key] = append(wants[key], ws...)
+		}
+	}
+	findings, err := Run(pkgs, []*Analyzer{a})
 	if err != nil {
 		t.Fatal(err)
 	}
-	wants := parseWants(t, dir)
 	for _, f := range findings {
 		key := fmt.Sprintf("%s:%d", filepath.Base(f.Pos.Filename), f.Pos.Line)
 		ok := false

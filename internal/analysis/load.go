@@ -21,12 +21,17 @@ type Package struct {
 	Dir string
 	// Fset is the file set shared by every package in one Loader.
 	Fset *token.FileSet
-	// Files are the parsed non-test source files, sorted by file name.
+	// Files are the parsed non-test source files, sorted by file name;
+	// for a TestOnly package, its _test.go files.
 	Files []*ast.File
 	// Types is the type-checked package.
 	Types *types.Package
 	// Info holds the type-checker's maps for the package's files.
 	Info *types.Info
+	// TestOnly marks a directory made only of _test.go files, such as
+	// the benchmark harness. It is a separate program: Run collects its
+	// uses for deadexport and runs no analyzer on it.
+	TestOnly bool
 }
 
 // Loader parses and type-checks packages of a single module, resolving
@@ -115,9 +120,10 @@ func (l *Loader) Load(path string) (*Package, error) {
 }
 
 // LoadDirAs parses and type-checks the non-test .go files in dir as a
-// package with the given import path. The path does not have to match
-// the directory: fixture tests use this to check testdata sources under
-// a synthetic in-module path.
+// package with the given import path; a directory with no non-test
+// file loads its _test.go files as a TestOnly package. The path does
+// not have to match the directory: fixture tests use this to check
+// testdata sources under a synthetic in-module path.
 func (l *Loader) LoadDirAs(dir, path string) (*Package, error) {
 	if pkg, ok := l.pkgs[path]; ok {
 		return pkg, nil
@@ -128,12 +134,16 @@ func (l *Loader) LoadDirAs(dir, path string) (*Package, error) {
 	l.loading[path] = true
 	defer delete(l.loading, path)
 
-	files, err := l.parseDir(dir)
+	files, err := l.parseDir(dir, false)
+	testOnly := err == nil && len(files) == 0
+	if testOnly {
+		files, err = l.parseDir(dir, true)
+	}
 	if err != nil {
 		return nil, err
 	}
 	if len(files) == 0 {
-		return nil, fmt.Errorf("analysis: no non-test Go files in %s", dir)
+		return nil, fmt.Errorf("analysis: no Go files in %s", dir)
 	}
 
 	info := &types.Info{
@@ -157,7 +167,7 @@ func (l *Loader) LoadDirAs(dir, path string) (*Package, error) {
 	if err != nil {
 		return nil, fmt.Errorf("analysis: type-checking %s: %w", path, err)
 	}
-	pkg := &Package{Path: path, Dir: dir, Fset: l.fset, Files: files, Types: tpkg, Info: info}
+	pkg := &Package{Path: path, Dir: dir, Fset: l.fset, Files: files, Types: tpkg, Info: info, TestOnly: testOnly}
 	l.pkgs[path] = pkg
 	return pkg, nil
 }
@@ -213,9 +223,10 @@ func (l *Loader) LoadPatterns(patterns []string) ([]*Package, error) {
 	return pkgs, nil
 }
 
-// parseDir parses every non-test .go file in dir, sorted by name so
-// that analysis order (and thus finding order) is deterministic.
-func (l *Loader) parseDir(dir string) ([]*ast.File, error) {
+// parseDir parses every non-test .go file in dir, or with tests set
+// every _test.go file, sorted by name so that analysis order (and thus
+// finding order) is deterministic.
+func (l *Loader) parseDir(dir string, tests bool) ([]*ast.File, error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		return nil, fmt.Errorf("analysis: reading %s: %w", dir, err)
@@ -223,7 +234,7 @@ func (l *Loader) parseDir(dir string) ([]*ast.File, error) {
 	var names []string
 	for _, e := range entries {
 		name := e.Name()
-		if e.IsDir() || !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
+		if e.IsDir() || !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") != tests {
 			continue
 		}
 		names = append(names, name)
@@ -265,7 +276,7 @@ func (l *Loader) pathForDir(dir string) (string, bool) {
 }
 
 // goSourceDirs returns every directory under root that contains at
-// least one non-test .go file, skipping testdata, vendor, and hidden
+// least one .go file, skipping testdata, vendor, and hidden
 // directories.
 func goSourceDirs(root string) ([]string, error) {
 	var dirs []string
@@ -280,8 +291,7 @@ func goSourceDirs(root string) ([]string, error) {
 			}
 			return nil
 		}
-		name := d.Name()
-		if strings.HasSuffix(name, ".go") && !strings.HasSuffix(name, "_test.go") {
+		if strings.HasSuffix(d.Name(), ".go") {
 			dir := filepath.Dir(path)
 			if len(dirs) == 0 || dirs[len(dirs)-1] != dir {
 				dirs = append(dirs, dir)

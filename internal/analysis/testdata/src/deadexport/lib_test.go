@@ -1,0 +1,10 @@
+package deadexport
+
+import "testing"
+
+func TestOnlyTests(t *testing.T) {
+	if OnlyTests() != 2 {
+		t.Fatal("OnlyTests")
+	}
+	helper()
+}

@@ -282,14 +282,3 @@ func boolInt(b bool) int {
 	}
 	return 0
 }
-
-// CountByClass tallies a schedule per class, for experiment summaries.
-func CountByClass(faults []Fault) [NumClasses]int {
-	var out [NumClasses]int
-	for _, f := range faults {
-		if f.Class >= 0 && int(f.Class) < NumClasses {
-			out[f.Class]++
-		}
-	}
-	return out
-}

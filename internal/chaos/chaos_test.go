@@ -146,3 +146,14 @@ func TestNewEngineRejectsBadInputs(t *testing.T) {
 		t.Fatal("negative loss bound accepted")
 	}
 }
+
+// CountByClass tallies a schedule per class, for experiment summaries.
+func CountByClass(faults []Fault) [NumClasses]int {
+	var out [NumClasses]int
+	for _, f := range faults {
+		if f.Class >= 0 && int(f.Class) < NumClasses {
+			out[f.Class]++
+		}
+	}
+	return out
+}

@@ -72,44 +72,3 @@ func AllToAll(name string, chips []int, n int, elemBytes unit.Bytes, markReconfi
 	}
 	return sched, nil
 }
-
-// CheckAllToAll verifies the post-state of an AllToAll executed from
-// a state where chip chips[i]'s send half had block j filled by
-// fill(i, j, element): afterwards chip chips[j]'s recv half must hold
-// fill(i, j, element) in block i for every i != j, and every send
-// half must be untouched.
-func CheckAllToAll(st State, chips []int, n int, fill func(i, j, el int) float64) error {
-	p := len(chips)
-	send := Range{Lo: 0, Hi: n}
-	for j, chip := range chips {
-		buf := st[chip]
-		if len(buf) != 2*n {
-			return fmt.Errorf("collective: chip %d buffer length %d, want %d", chip, len(buf), 2*n)
-		}
-		// Send half untouched.
-		for jj := 0; jj < p; jj++ {
-			block := send.Sub(jj, p)
-			for el := block.Lo; el < block.Hi; el++ {
-				if want := fill(j, jj, el-block.Lo); !approxEqual(buf[el], want) {
-					return fmt.Errorf("collective: chip %d send block %d mutated: element %d = %v, want %v",
-						chip, jj, el-block.Lo, buf[el], want)
-				}
-			}
-		}
-		// Recv half holds block i from chip i, for i != j.
-		for i := 0; i < p; i++ {
-			if i == j {
-				continue
-			}
-			block := send.Sub(i, p)
-			for el := block.Lo; el < block.Hi; el++ {
-				got := buf[n+el]
-				if want := fill(i, j, el-block.Lo); !approxEqual(got, want) {
-					return fmt.Errorf("collective: chip %d recv block %d element %d = %v, want %v",
-						chip, i, el-block.Lo, got, want)
-				}
-			}
-		}
-	}
-	return nil
-}

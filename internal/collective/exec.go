@@ -3,7 +3,6 @@ package collective
 import (
 	"fmt"
 	"math"
-	"sort"
 )
 
 // This file is the schedule interpreter: it executes a Schedule
@@ -33,30 +32,6 @@ func NewState(chips []int, n int, fill func(chip, i int) float64) State {
 	return st
 }
 
-// Clone deep-copies the state.
-func (st State) Clone() State {
-	out := make(State, len(st))
-	for c, buf := range st {
-		b := make([]float64, len(buf))
-		copy(b, buf)
-		out[c] = b
-	}
-	return out
-}
-
-// Execute applies the schedule's steps in order. Within a step, all
-// payloads are read from the pre-step state before any write is
-// applied, so concurrent transfers behave as they would on real
-// hardware where sends and receives of a step overlap in time.
-//
-// Execute is a convenience shim over a fresh Interp; callers running
-// many schedules (the chaos trials) hold an Interp so the per-step
-// payload staging is reused instead of reallocated.
-func (st State) Execute(s *Schedule) error {
-	var ip Interp
-	return ip.Execute(st, s)
-}
-
 // delivery is one staged transfer: its payload, read from the
 // pre-step state, sits at payloads[off:off+n] and waits to be applied.
 type delivery struct {
@@ -72,20 +47,6 @@ type delivery struct {
 type Interp struct {
 	deliveries []delivery
 	payloads   []float64
-}
-
-// Execute validates the schedule and applies its steps in order, like
-// State.Execute, reusing the interpreter's scratch.
-func (ip *Interp) Execute(st State, s *Schedule) error {
-	if err := s.Validate(); err != nil {
-		return err
-	}
-	for si := range s.Steps {
-		if err := ip.ExecuteStep(st, s, si); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // ExecuteStep applies step si only — the resume path of the failure
@@ -158,34 +119,6 @@ func CheckAllReduce(st State, chips []int, ref []float64) error {
 			if !approxEqual(v, ref[i]) {
 				return fmt.Errorf("collective: chip %d element %d = %v, want %v", c, i, v, ref[i])
 			}
-		}
-	}
-	return nil
-}
-
-// CheckReduceScatter verifies each chip's owned range holds the
-// reference reduction, that owned ranges are disjoint, and that they
-// jointly cover [0, n).
-func CheckReduceScatter(st State, owned map[int]Range, ref []float64) error {
-	covered := make([]int, len(ref))
-	chips := make([]int, 0, len(owned))
-	for c := range owned {
-		chips = append(chips, c)
-	}
-	sort.Ints(chips)
-	for _, c := range chips {
-		r := owned[c]
-		buf := st[c]
-		for i := r.Lo; i < r.Hi; i++ {
-			if !approxEqual(buf[i], ref[i]) {
-				return fmt.Errorf("collective: chip %d owned element %d = %v, want %v", c, i, buf[i], ref[i])
-			}
-			covered[i]++
-		}
-	}
-	for i, n := range covered {
-		if n != 1 {
-			return fmt.Errorf("collective: element %d covered %d times, want exactly once", i, n)
 		}
 	}
 	return nil

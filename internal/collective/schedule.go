@@ -220,25 +220,6 @@ func (s *Schedule) TotalBytes() unit.Bytes {
 	return total
 }
 
-// MaxBytesPerChipStep returns, for each step, the largest payload any
-// single chip sends in that step — the quantity the alpha-beta model
-// divides by per-chip bandwidth.
-func (s *Schedule) MaxBytesPerChipStep() []unit.Bytes {
-	out := make([]unit.Bytes, len(s.Steps))
-	for i, st := range s.Steps {
-		perChip := map[int]unit.Bytes{}
-		for _, tr := range st.Transfers {
-			perChip[tr.From] += tr.Bytes(s.ElemBytes)
-		}
-		for _, b := range perChip {
-			if b > out[i] {
-				out[i] = b
-			}
-		}
-	}
-	return out
-}
-
 // Validate checks structural sanity: non-negative ranges inside
 // [0, N), no self-transfers, and no two transfers in one step writing
 // overlapping destination ranges on the same chip (which would make

@@ -179,3 +179,22 @@ func TestMaxBytesPerChipStepAggregatesPerSender(t *testing.T) {
 		t.Fatalf("max = %v, want 8 (chip 0 sends 4+4)", maxes[0])
 	}
 }
+
+// MaxBytesPerChipStep returns, for each step, the largest payload any
+// single chip sends in that step — the quantity the alpha-beta model
+// divides by per-chip bandwidth.
+func (s *Schedule) MaxBytesPerChipStep() []unit.Bytes {
+	out := make([]unit.Bytes, len(s.Steps))
+	for i, st := range s.Steps {
+		perChip := map[int]unit.Bytes{}
+		for _, tr := range st.Transfers {
+			perChip[tr.From] += tr.Bytes(s.ElemBytes)
+		}
+		for _, b := range perChip {
+			if b > out[i] {
+				out[i] = b
+			}
+		}
+	}
+	return out
+}

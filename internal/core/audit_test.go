@@ -2,23 +2,11 @@ package core
 
 import (
 	"errors"
-	"os"
 	"testing"
 
 	"lightpath/internal/invariant"
 	"lightpath/internal/unit"
 )
-
-// TestMain raises the process-wide audit mode to Paranoid, so every
-// fabric any test here builds carries an auditor that re-checks the
-// full invariant registry after each circuit mutation — recovery
-// loops, MoE churn, chaos trials, all of it. RunMoE and
-// RunPlannedAllReduceUnderFault return their fabric's verdict, and
-// newFabric fails any test whose fabric recorded a violation.
-func TestMain(m *testing.M) {
-	invariant.SetDefaultMode(invariant.Paranoid)
-	os.Exit(m.Run())
-}
 
 // TestRunsSurfaceViolations corrupts the hardware behind the allocator
 // and demands that both runs which change circuits return the
@@ -32,7 +20,7 @@ func TestRunsSurfaceViolations(t *testing.T) {
 		}
 	}
 	t.Run("moe", func(t *testing.T) {
-		f, err := New(Options{Seed: 1})
+		f, err := New(Options{Seed: 1, Audit: invariant.Paranoid})
 		if err != nil {
 			t.Fatal(err)
 		}

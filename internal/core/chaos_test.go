@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"lightpath/internal/alloc"
+	"lightpath/internal/invariant"
 	"lightpath/internal/unit"
 )
 
@@ -16,7 +17,7 @@ func chaosSetup(t *testing.T) (*Fabric, *alloc.Fig6aScenario, []int) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f, err := New(Options{RackShape: sc.Torus.Shape(), Seed: 7})
+	f, err := New(Options{RackShape: sc.Torus.Shape(), Seed: 7, Audit: invariant.Paranoid})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +88,7 @@ func TestRunAllReduceUnderFaultEveryStep(t *testing.T) {
 	}
 	steps := plan.Schedule.NumSteps()
 	for step := 0; step < steps; step++ {
-		fresh, err := New(Options{RackShape: sc.Torus.Shape(), Seed: 7})
+		fresh, err := New(Options{RackShape: sc.Torus.Shape(), Seed: 7, Audit: invariant.Paranoid})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -11,7 +11,6 @@ package core
 
 import (
 	"fmt"
-	"strings"
 
 	"lightpath/internal/collective"
 	"lightpath/internal/cost"
@@ -21,7 +20,6 @@ import (
 	"lightpath/internal/route"
 	"lightpath/internal/torus"
 	"lightpath/internal/unit"
-	"lightpath/internal/viz"
 	"lightpath/internal/wafer"
 )
 
@@ -38,6 +36,10 @@ type Options struct {
 	// Seed drives every stochastic component (loss sampling, workload
 	// generation); runs are reproducible given the seed.
 	Seed uint64
+	// Audit is how often the fabric's auditor re-checks the invariant
+	// registry; the zero value, Off, attaches no hook. The runs that
+	// change circuits return the auditor's verdict.
+	Audit invariant.Mode
 }
 
 // Fabric is a multi-accelerator server (or rack of servers) whose
@@ -84,14 +86,11 @@ func New(opts Options) (*Fabric, error) {
 	}
 	r := rng.New(opts.Seed)
 	alloc := route.NewAllocator(hw, r.Split("loss"))
-	// Tests raise the process default to Paranoid, so every fabric they
-	// build is continuously audited; production defaults to Off, which
-	// keeps the hot path a nil hook check.
 	return &Fabric{
 		torus:  t,
 		rack:   hw,
 		alloc:  alloc,
-		aud:    invariant.Attach(alloc, invariant.DefaultMode()),
+		aud:    invariant.Attach(alloc, opts.Audit),
 		params: opts.Cost,
 		rand:   r,
 	}, nil
@@ -106,9 +105,6 @@ func (f *Fabric) Hardware() *wafer.Rack { return f.rack }
 // Circuits returns the circuit allocator for direct circuit
 // management.
 func (f *Fabric) Circuits() *route.Allocator { return f.alloc }
-
-// Params returns the cost model in use.
-func (f *Fabric) Params() cost.Params { return f.params }
 
 // CollectivePlan compares one collective on the electrical
 // direct-connect torus versus the photonic fabric.
@@ -273,18 +269,4 @@ func UtilizationReport(a *torus.Allocation) []SliceUtilization {
 		})
 	}
 	return out
-}
-
-// Status renders a human-readable dashboard of the fabric: per-wafer
-// tile laser occupancy, bus and fiber utilization, and the live
-// circuit list.
-func (f *Fabric) Status() string {
-	var b strings.Builder
-	b.WriteString(viz.WaferOccupancy(f.rack))
-	circuits := f.alloc.Circuits()
-	fmt.Fprintf(&b, "circuits established: %d\n", len(circuits))
-	for _, c := range circuits {
-		fmt.Fprintf(&b, "  %v\n", c)
-	}
-	return b.String()
 }

@@ -2,10 +2,10 @@ package core
 
 import (
 	"math"
-	"strings"
 	"testing"
 
 	"lightpath/internal/alloc"
+	"lightpath/internal/invariant"
 	"lightpath/internal/route"
 	"lightpath/internal/torus"
 	"lightpath/internal/unit"
@@ -18,7 +18,7 @@ func routeRequest(a, b, width int) route.Request {
 
 func newFabric(t *testing.T) *Fabric {
 	t.Helper()
-	f, err := New(Options{Seed: 1})
+	f, err := New(Options{Seed: 1, Audit: invariant.Paranoid})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,7 +40,7 @@ func TestNewDefaults(t *testing.T) {
 	if f.Hardware().NumWafers() != 2 {
 		t.Fatalf("wafers = %d, want 2 for 64 chips", f.Hardware().NumWafers())
 	}
-	if f.Params().PhysDims != 3 {
+	if f.params.PhysDims != 3 {
 		t.Fatal("default cost params missing")
 	}
 	if f.Circuits() == nil {
@@ -189,8 +189,8 @@ func TestRunMoEDefaults(t *testing.T) {
 }
 
 func TestRunMoEReproducible(t *testing.T) {
-	f1, _ := New(Options{Seed: 7})
-	f2, _ := New(Options{Seed: 7})
+	f1, _ := New(Options{Seed: 7, Audit: invariant.Paranoid})
+	f2, _ := New(Options{Seed: 7, Audit: invariant.Paranoid})
 	r1, err := f1.RunMoE(DefaultMoEConfig())
 	if err != nil {
 		t.Fatal(err)
@@ -205,14 +205,14 @@ func TestRunMoEReproducible(t *testing.T) {
 }
 
 func TestRunMoESkewCreatesHotExpertPressure(t *testing.T) {
-	f1, _ := New(Options{Seed: 9})
+	f1, _ := New(Options{Seed: 9, Audit: invariant.Paranoid})
 	uniform := DefaultMoEConfig()
 	uniform.Batches = 16
 	ru, err := f1.RunMoE(uniform)
 	if err != nil {
 		t.Fatal(err)
 	}
-	f2, _ := New(Options{Seed: 9})
+	f2, _ := New(Options{Seed: 9, Audit: invariant.Paranoid})
 	skewed := uniform
 	skewed.Skew = 0.9
 	rs, err := f2.RunMoE(skewed)
@@ -265,67 +265,5 @@ func TestRunMoEEviction(t *testing.T) {
 	}
 	if res.Evictions == 0 {
 		t.Fatal("expected evictions under port scarcity")
-	}
-}
-
-func TestPlanAllToAll(t *testing.T) {
-	f := newFabric(t)
-	_, a, err := alloc.Fig5b()
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Slice-3 (4x4x1, 16 chips), 32 MB per chip: beta-dominated, so
-	// the photonic fabric wins despite 15 reprogram steps.
-	plan, err := f.PlanAllToAll(a, 2, 32*unit.MB)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if plan.Algorithm != "all-to-all" {
-		t.Fatalf("algorithm = %s", plan.Algorithm)
-	}
-	if plan.Schedule.NumSteps() != 15 || plan.Schedule.Reconfigs() != 15 {
-		t.Fatalf("steps/reconfigs = %d/%d", plan.Schedule.NumSteps(), plan.Schedule.Reconfigs())
-	}
-	if plan.Speedup() <= 1.5 {
-		t.Fatalf("speedup = %v at 32MB, want > 1.5", plan.Speedup())
-	}
-	// Tiny payloads: reconfiguration dominates, electrical wins.
-	small, err := f.PlanAllToAll(a, 2, 16*unit.KB)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if small.Speedup() >= 1 {
-		t.Fatalf("small speedup = %v, want < 1", small.Speedup())
-	}
-}
-
-func TestPlanAllToAllValidation(t *testing.T) {
-	f := newFabric(t)
-	_, a, _ := alloc.Fig5b()
-	if _, err := f.PlanAllToAll(a, 9, unit.MB); err == nil {
-		t.Fatal("bad slice index accepted")
-	}
-	tor := f.Torus()
-	one, err := torus.NewAllocation(tor, []*torus.Slice{
-		{Name: "one", Origin: torus.Coord{0, 0, 0}, Shape: torus.Shape{1, 1, 1}},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.PlanAllToAll(one, 0, unit.MB); err == nil {
-		t.Fatal("1-chip all-to-all accepted")
-	}
-}
-
-func TestStatusDashboard(t *testing.T) {
-	f := newFabric(t)
-	if _, err := f.Circuits().Establish(routeRequest(0, 40, 2), 0); err != nil {
-		t.Fatal(err)
-	}
-	out := f.Status()
-	for _, want := range []string{"wafer 0", "wafer 1", "fibers in use: 1", "circuits established: 1"} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("status missing %q:\n%s", want, out)
-		}
 	}
 }

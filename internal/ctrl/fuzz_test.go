@@ -21,12 +21,12 @@ import (
 // strings, where non-canonical-but-decodable prefixes exist, so they
 // only promise classified errors).
 func FuzzCtrlDecode(f *testing.F) {
-	f.Add(EncodeRequest(Request{ID: 1, Op: OpEstablish, A: 3, B: 9, Width: 2, Deadline: unit.Millisecond}))
-	f.Add(EncodeRequest(Request{ID: 2, Op: OpRelease, Circuit: 17}))
-	f.Add(EncodeResponse(Response{ID: 3, Status: StatusOK, Circuit: 4, Width: 2}))
-	f.Add(EncodeResponse(Response{ID: 4, Status: StatusOverloaded, Detail: "queue 512 full",
+	f.Add(requestBytes(Request{ID: 1, Op: OpEstablish, A: 3, B: 9, Width: 2, Deadline: unit.Millisecond}))
+	f.Add(requestBytes(Request{ID: 2, Op: OpRelease, Circuit: 17}))
+	f.Add(responseBytes(Response{ID: 3, Status: StatusOK, Circuit: 4, Width: 2}))
+	f.Add(responseBytes(Response{ID: 4, Status: StatusOverloaded, Detail: "queue 512 full",
 		Regions: []RegionHealth{{State: BreakerOpen, Trips: 3}}}))
-	f.Add(AppendFrame(nil, EncodeRequest(Request{Op: OpHealth})))
+	f.Add(AppendFrame(nil, requestBytes(Request{Op: OpHealth})))
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff})
 	f.Add([]byte{})
 	f.Add([]byte{0x10, 0x00, 0x00, 0x00, 1, 2, 3})
@@ -36,7 +36,7 @@ func FuzzCtrlDecode(f *testing.F) {
 			if !errors.Is(err, ErrBadFrame) {
 				t.Fatalf("DecodeRequest error outside taxonomy: %v", err)
 			}
-		} else if !bytes.Equal(EncodeRequest(req), data) {
+		} else if !bytes.Equal(requestBytes(req), data) {
 			t.Fatalf("request %+v re-encodes differently than its source", req)
 		}
 

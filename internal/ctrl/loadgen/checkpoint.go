@@ -39,8 +39,12 @@ type CheckpointOptions = evloop.Options
 // at the StopAfterEvents boundary instead of draining.
 var ErrStopped = evloop.ErrStopped
 
-// RunCheckpointed executes the campaign like Run, additionally writing
-// a checkpoint every opts.EveryEvents event boundaries. Writes overlap
+// RunCheckpointed executes the campaign to completion. The returned
+// error is non-nil when a fault cannot be applied or the invariant
+// auditor found violations — robust serving on corrupted state must
+// not look like robust serving on correct state. With opts set it
+// writes a checkpoint every opts.EveryEvents event boundaries, and
+// StopAfterEvents halts it with evloop.ErrStopped. Writes overlap
 // the campaign, but all have finished when RunCheckpointed returns,
 // and a failed one fails the run.
 func RunCheckpointed(cfg Config, opts CheckpointOptions) (*Result, error) {

@@ -265,14 +265,6 @@ func build(cfg Config, opts CheckpointOptions) (*campaign, error) {
 	return c, nil
 }
 
-// Run executes the campaign to completion. The returned error is
-// non-nil when a fault cannot be applied or the invariant auditor
-// found violations — robust serving on corrupted state must not look
-// like robust serving on correct state.
-func Run(cfg Config) (*Result, error) {
-	return RunCheckpointed(cfg, CheckpointOptions{})
-}
-
 // run drains the event queue, checkpointing at the configured cadence.
 // It returns only once the last checkpoint write has finished, with
 // that write's error joined to whatever the run itself returned.

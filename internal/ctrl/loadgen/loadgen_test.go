@@ -54,11 +54,11 @@ func smallConfig(seed uint64) Config {
 // identical Results in every field — latencies, goodput and event
 // count included.
 func TestRunDeterministic(t *testing.T) {
-	a, err := Run(smallConfig(42))
+	a, err := RunCheckpointed(smallConfig(42), CheckpointOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Run(smallConfig(42))
+	b, err := RunCheckpointed(smallConfig(42), CheckpointOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +133,7 @@ func runConserved(t *testing.T, cfg Config) *Result {
 // crash tolerance.
 func TestKillResumeAnyBoundary(t *testing.T) {
 	cfg := smallConfig(1234)
-	want, err := Run(cfg)
+	want, err := RunCheckpointed(cfg, CheckpointOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,7 +220,7 @@ func TestParentCheckpointFixture(t *testing.T) {
 		t.Fatalf("checkpoint at event 500 differs from the committed one re-encoded (%d vs %d bytes)", len(got), len(canon))
 	}
 
-	want, err := Run(cfg)
+	want, err := RunCheckpointed(cfg, CheckpointOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -285,7 +285,7 @@ func TestResumeRejectsConfigChange(t *testing.T) {
 // is the run's last one, dispatched at the final event.
 func TestRunCheckpointedWriteFailure(t *testing.T) {
 	cfg := smallConfig(5)
-	plain, err := Run(cfg)
+	plain, err := RunCheckpointed(cfg, CheckpointOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

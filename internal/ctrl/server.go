@@ -188,10 +188,6 @@ func (s *Server) BreakerTrips() int {
 	return total
 }
 
-// QueueDepth returns the admitted-but-unfinished backlog as of the
-// virtual clock.
-func (s *Server) QueueDepth() int { return len(s.pending) }
-
 // AdvanceTo moves the virtual clock forward to t (never backward) and
 // retires completed work from the backlog.
 func (s *Server) AdvanceTo(t unit.Seconds) {

@@ -126,7 +126,7 @@ func TestServerDeadline(t *testing.T) {
 	if resp := submit(s, Request{Op: OpEstablish, A: 0, B: 9, Width: 1, Deadline: unit.Microsecond}, 0); resp.Status != StatusDeadline {
 		t.Fatalf("sub-service deadline: %+v", resp)
 	}
-	if depth := s.QueueDepth(); depth != 0 {
+	if depth := len(s.pending); depth != 0 {
 		t.Fatalf("deadline miss consumed queue capacity: depth %d", depth)
 	}
 	if resp := submit(s, Request{Op: OpEstablish, A: 0, B: 9, Width: 1, Deadline: 0}, 0); resp.Status != StatusOK {

@@ -65,9 +65,9 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	if r.Stats() != s.Stats() {
 		t.Fatalf("stats diverge:\n  orig %+v\n  rest %+v", s.Stats(), r.Stats())
 	}
-	if r.Clock() != s.Clock() || r.QueueDepth() != s.QueueDepth() || r.BreakerTrips() != s.BreakerTrips() {
+	if r.Clock() != s.Clock() || len(r.pending) != len(s.pending) || r.BreakerTrips() != s.BreakerTrips() {
 		t.Fatalf("clock/queue/trips diverge: %v/%d/%d vs %v/%d/%d",
-			r.Clock(), r.QueueDepth(), r.BreakerTrips(), s.Clock(), s.QueueDepth(), s.BreakerTrips())
+			r.Clock(), len(r.pending), r.BreakerTrips(), s.Clock(), len(s.pending), s.BreakerTrips())
 	}
 	want, got := s.Allocator().Circuits(), r.Allocator().Circuits()
 	if len(want) != len(got) {
@@ -119,7 +119,7 @@ func TestCheckpointBacklogBeyondQueueCap(t *testing.T) {
 			t.Fatalf("release %d rejected: %+v", id, resp)
 		}
 	}
-	if depth := s.QueueDepth(); depth <= cfg.QueueCap {
+	if depth := len(s.pending); depth <= cfg.QueueCap {
 		t.Fatalf("backlog %d did not exceed QueueCap %d: the scenario lost its point", depth, cfg.QueueCap)
 	}
 
@@ -131,9 +131,9 @@ func TestCheckpointBacklogBeyondQueueCap(t *testing.T) {
 	if err != nil {
 		t.Fatalf("restore of an over-cap backlog checkpoint: %v", err)
 	}
-	if r.Stats() != s.Stats() || r.QueueDepth() != s.QueueDepth() {
+	if r.Stats() != s.Stats() || len(r.pending) != len(s.pending) {
 		t.Fatalf("restored server diverges: stats %+v vs %+v, depth %d vs %d",
-			r.Stats(), s.Stats(), r.QueueDepth(), s.QueueDepth())
+			r.Stats(), s.Stats(), len(r.pending), len(s.pending))
 	}
 }
 

@@ -172,13 +172,6 @@ func (r Response) Err() error {
 	}
 }
 
-// EncodeRequest serializes a request payload.
-func EncodeRequest(req Request) []byte {
-	var e snapshot.Encoder
-	EncodeRequestTo(&e, req)
-	return e.Bytes()
-}
-
 // EncodeRequestTo appends the request payload to e. Long-lived callers
 // (the client's call loop) Reset and reuse one encoder so steady-state
 // encoding allocates nothing.
@@ -212,13 +205,6 @@ func DecodeRequest(payload []byte) (Request, error) {
 		return Request{}, fmt.Errorf("%w: unknown op %d", ErrBadFrame, int(req.Op))
 	}
 	return req, nil
-}
-
-// EncodeResponse serializes a response payload.
-func EncodeResponse(resp Response) []byte {
-	var e snapshot.Encoder
-	EncodeResponseTo(&e, resp)
-	return e.Bytes()
 }
 
 // EncodeResponseTo appends the response payload to e. Long-lived
@@ -391,13 +377,4 @@ func AppendFrame(dst, payload []byte) []byte {
 	}
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(payload)))
 	return append(dst, payload...)
-}
-
-// WriteFrame writes one length-prefixed frame to w.
-func WriteFrame(w io.Writer, payload []byte) error {
-	frame := AppendFrame(make([]byte, 0, frameHeaderSize+len(payload)), payload)
-	if _, err := w.Write(frame); err != nil {
-		return fmt.Errorf("ctrl: write frame: %w", err)
-	}
-	return nil
 }

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"lightpath/internal/rng"
+	"lightpath/internal/snapshot"
 	"lightpath/internal/unit"
 )
 
@@ -28,9 +29,7 @@ func TestWireRoundTrip(t *testing.T) {
 			Circuit:  r.Intn(1000) - 1,
 			Deadline: unit.Seconds(r.Float64()) * unit.Millisecond,
 		}
-		if err := WriteFrame(&buf, EncodeRequest(req)); err != nil {
-			t.Fatal(err)
-		}
+		buf.Write(AppendFrame(nil, requestBytes(req)))
 		payload, err := fio.read(&buf)
 		if err != nil {
 			t.Fatal(err)
@@ -59,9 +58,7 @@ func TestWireRoundTrip(t *testing.T) {
 			})
 		}
 		buf.Reset()
-		if err := WriteFrame(&buf, EncodeResponse(resp)); err != nil {
-			t.Fatal(err)
-		}
+		buf.Write(AppendFrame(nil, responseBytes(resp)))
 		payload, err = fio.read(&buf)
 		if err != nil {
 			t.Fatal(err)
@@ -80,13 +77,13 @@ func TestWireRoundTrip(t *testing.T) {
 // must come back as a wrapped ErrBadFrame, never a panic and never a
 // zero-error success.
 func TestWireMalformed(t *testing.T) {
-	valid := EncodeRequest(Request{ID: 7, Op: OpEstablish, A: 1, B: 2, Width: 4})
+	valid := requestBytes(Request{ID: 7, Op: OpEstablish, A: 1, B: 2, Width: 4})
 	cases := map[string][]byte{
 		"empty":          {},
 		"truncated":      valid[:len(valid)-3],
 		"trailing junk":  append(append([]byte{}, valid...), 0xaa, 0xbb),
-		"unknown op":     EncodeRequest(Request{Op: numOps + 3}),
-		"negative op":    EncodeRequest(Request{Op: -2}),
+		"unknown op":     requestBytes(Request{Op: numOps + 3}),
+		"negative op":    requestBytes(Request{Op: -2}),
 		"random garbage": {0x01, 0x02, 0x03, 0x04, 0x05, 0x06, 0x07},
 	}
 	for name, payload := range cases {
@@ -95,12 +92,12 @@ func TestWireMalformed(t *testing.T) {
 		}
 	}
 
-	validResp := EncodeResponse(Response{Status: StatusOK, Regions: []RegionHealth{{State: BreakerOpen}}})
+	validResp := responseBytes(Response{Status: StatusOK, Regions: []RegionHealth{{State: BreakerOpen}}})
 	respCases := map[string][]byte{
 		"empty":          {},
 		"truncated":      validResp[:len(validResp)-2],
-		"unknown status": EncodeResponse(Response{Status: numStatuses}),
-		"bad breaker":    EncodeResponse(Response{Regions: []RegionHealth{{State: 77}}}),
+		"unknown status": responseBytes(Response{Status: numStatuses}),
+		"bad breaker":    responseBytes(Response{Regions: []RegionHealth{{State: 77}}}),
 	}
 	for name, payload := range respCases {
 		if _, err := DecodeResponse(payload); !errors.Is(err, ErrBadFrame) {
@@ -140,7 +137,7 @@ func TestReadFrameHostilePrefix(t *testing.T) {
 	// A hostile prefix behind a good frame in the same chunk: the frame
 	// is served from the buffer, then the prefix is rejected with
 	// neither another Read nor a grown buffer.
-	good := EncodeRequest(Request{Op: OpHealth})
+	good := requestBytes(Request{Op: OpHealth})
 	chunk := append(AppendFrame(nil, good), 0xff, 0xff, 0xff, 0xff, 1, 2, 3)
 	cr := &countingReader{r: bytes.NewReader(chunk)}
 	var f frameIO
@@ -166,4 +163,18 @@ func TestAppendFramePanicsOversized(t *testing.T) {
 		}
 	}()
 	AppendFrame(nil, make([]byte, MaxFrame+1))
+}
+
+// requestBytes encodes req into a fresh payload.
+func requestBytes(req Request) []byte {
+	var e snapshot.Encoder
+	EncodeRequestTo(&e, req)
+	return e.Bytes()
+}
+
+// responseBytes encodes resp into a fresh payload.
+func responseBytes(resp Response) []byte {
+	var e snapshot.Encoder
+	EncodeResponseTo(&e, resp)
+	return e.Bytes()
 }

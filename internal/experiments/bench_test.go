@@ -63,10 +63,10 @@ func BenchmarkChaos(b *testing.B) {
 
 func BenchmarkSoak(b *testing.B) {
 	var res SoakResult
-	warmup(b, func() error { _, err := Soak(2024, 2); return err })
+	warmup(b, func() error { _, err := SoakWithOptions(2024, 2, Checkpointing{}); return err })
 	for i := 0; i < b.N; i++ {
 		var err error
-		if res, err = Soak(2024, 2); err != nil {
+		if res, err = SoakWithOptions(2024, 2, Checkpointing{}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -9,6 +9,7 @@ import (
 	"lightpath/internal/chaos"
 	"lightpath/internal/core"
 	"lightpath/internal/engine"
+	"lightpath/internal/invariant"
 	"lightpath/internal/unit"
 )
 
@@ -154,7 +155,7 @@ func Chaos(seed uint64, trials int, bufferBytes unit.Bytes) (ChaosResult, error)
 	// Planning is deterministic given the seed and allocation, so the
 	// campaign plans the collective once on a probe fabric; each trial
 	// receives its own Clone (the repair splice mutates the schedule).
-	opts := core.Options{RackShape: sc.Torus.Shape(), Seed: seed}
+	opts := core.Options{RackShape: sc.Torus.Shape(), Seed: seed, Audit: invariant.Paranoid}
 	probe, err := core.New(opts)
 	if err != nil {
 		return ChaosResult{}, err

@@ -150,16 +150,11 @@ type ControllerOptions struct {
 	Checkpointing
 }
 
-// Controller runs the full load campaign: 8 independent trials (1,024
-// agents, 1,024,000 fresh requests in total) fanned across CPUs by
-// the experiment engine, byte-identical whether the trials ran
-// sequentially or in parallel.
-func Controller(seed uint64) (ControllerResult, error) {
-	return ControllerWithOptions(seed, ControllerOptions{})
-}
-
-// ControllerWithOptions is Controller with trial-count and
-// checkpoint/resume control.
+// ControllerWithOptions runs the load campaign: by default 8
+// independent trials (1,024 agents, 1,024,000 fresh requests in total)
+// fanned across CPUs by the experiment engine, byte-identical whether
+// the trials ran sequentially or in parallel. opts sets the trial
+// count and checkpoint/resume control.
 func ControllerWithOptions(seed uint64, opts ControllerOptions) (ControllerResult, error) {
 	trials := opts.Trials
 	if trials == 0 {

@@ -7,6 +7,7 @@ import (
 	"lightpath/internal/alloc"
 	"lightpath/internal/core"
 	"lightpath/internal/engine"
+	"lightpath/internal/invariant"
 	"lightpath/internal/unit"
 )
 
@@ -61,7 +62,7 @@ func Fig5(buffer unit.Bytes, seed uint64) (Fig5Result, error) {
 	// order.
 	rows, err := engine.Map(len(util), func(si int) (Fig5Row, error) {
 		u := util[si]
-		fabric, err := core.New(core.Options{Seed: seed})
+		fabric, err := core.New(core.Options{Seed: seed, Audit: invariant.Paranoid})
 		if err != nil {
 			return Fig5Row{}, err
 		}
@@ -141,7 +142,7 @@ func Sweep(buffers []unit.Bytes, seed uint64) (SweepResult, error) {
 	// merged, ordered points so the "smallest winning buffer" answer is
 	// unchanged.
 	points, err := engine.Map(len(buffers), func(i int) (SweepPoint, error) {
-		fabric, err := core.New(core.Options{Seed: seed})
+		fabric, err := core.New(core.Options{Seed: seed, Audit: invariant.Paranoid})
 		if err != nil {
 			return SweepPoint{}, err
 		}

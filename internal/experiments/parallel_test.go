@@ -82,7 +82,7 @@ var parallelCampaigns = []struct {
 		return r.String(), err
 	}},
 	{"soak", func() (string, error) {
-		r, err := Soak(2024, 2)
+		r, err := SoakWithOptions(2024, 2, Checkpointing{})
 		if err != nil {
 			return "", err
 		}

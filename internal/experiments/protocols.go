@@ -6,6 +6,7 @@ import (
 
 	"lightpath/internal/core"
 	"lightpath/internal/hostnet"
+	"lightpath/internal/invariant"
 	"lightpath/internal/unit"
 )
 
@@ -118,7 +119,7 @@ func MoE(seed uint64) (MoEResult, error) {
 	base.Batches = 32
 	res := MoEResult{Config: base}
 	for _, bytes := range []unit.Bytes{16 * unit.KB, 256 * unit.KB, 4 * unit.MB} {
-		fabric, err := core.New(core.Options{Seed: seed})
+		fabric, err := core.New(core.Options{Seed: seed, Audit: invariant.Sampled})
 		if err != nil {
 			return res, err
 		}

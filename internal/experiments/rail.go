@@ -104,11 +104,6 @@ func (c RailFabricConfig) Components() int {
 	return c.Rails*c.GroupsPerRail() + c.XRailServers
 }
 
-// FlowCount returns the total flows the campaign places.
-func (c RailFabricConfig) FlowCount() int {
-	return c.Rails*c.GroupsPerRail()*c.GroupSize*c.Waves + c.XRailServers*c.Rails*c.Waves
-}
-
 // RailStat is one rail's ring-traffic aggregate.
 type RailStat struct {
 	// Rail is the rail index.

@@ -122,3 +122,8 @@ func TestDefaultRailFabricConfigScale(t *testing.T) {
 		t.Fatalf("default campaign has %d flows, want >= 1M", cfg.FlowCount())
 	}
 }
+
+// FlowCount returns the total flows the campaign places.
+func (c RailFabricConfig) FlowCount() int {
+	return c.Rails*c.GroupsPerRail()*c.GroupSize*c.Waves + c.XRailServers*c.Rails*c.Waves
+}

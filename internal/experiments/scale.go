@@ -5,6 +5,7 @@ import (
 	"strings"
 
 	"lightpath/internal/core"
+	"lightpath/internal/invariant"
 	"lightpath/internal/torus"
 	"lightpath/internal/unit"
 )
@@ -79,7 +80,7 @@ func Scale(buffer unit.Bytes, seed uint64) (ScaleResult, error) {
 			}
 		}
 		shape := torus.Shape{4, 4, 4 * cubes}
-		fabric, err := core.New(core.Options{RackShape: shape, Seed: seed})
+		fabric, err := core.New(core.Options{RackShape: shape, Seed: seed, Audit: invariant.Paranoid})
 		if err != nil {
 			return res, err
 		}

@@ -77,17 +77,12 @@ func (r SoakResult) CSV() ([]string, [][]string) {
 		"faults", "repairs", "mean_blast", "spares", "violations"}, rows
 }
 
-// Soak runs the availability campaign: `trials` independent fleet
-// soaks at the default three-day horizon, fanned across CPUs by the
-// experiment engine. Each trial derives its own seed stream, every
-// trial runs under the Paranoid auditor, and the merged result is
-// byte-identical whether the trials ran sequentially or in parallel.
-func Soak(seed uint64, trials int) (SoakResult, error) {
-	return SoakWithOptions(seed, trials, Checkpointing{})
-}
-
-// SoakWithOptions is Soak with checkpoint/resume control. The trial
-// configs retain the exact time series (fleet.SampleExact): the
+// SoakWithOptions runs the availability campaign: `trials`
+// independent fleet soaks at the default three-day horizon, fanned
+// across CPUs by the experiment engine, with checkpoint/resume control.
+// Each trial derives its own seed stream, every trial runs under the
+// Paranoid auditor, and the merged result is byte-identical whether the
+// trials ran sequentially or in parallel. The trial configs retain the exact time series (fleet.SampleExact): the
 // golden CSV is the full series, so the campaign opts out of the
 // streaming default.
 func SoakWithOptions(seed uint64, trials int, ck Checkpointing) (SoakResult, error) {

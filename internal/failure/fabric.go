@@ -60,12 +60,6 @@ func NewFabric(t *torus.Torus, allocs []*torus.Allocation, spliceDim int) (*Fabr
 	}, nil
 }
 
-// Racks returns the number of racks.
-func (f *Fabric) Racks() int { return len(f.allocs) }
-
-// RackSize returns chips per rack.
-func (f *Fabric) RackSize() int { return f.t.Size() }
-
 // Size returns total chips.
 func (f *Fabric) Size() int { return len(f.allocs) * f.t.Size() }
 

@@ -7,7 +7,6 @@ import (
 	"lightpath/internal/alloc"
 	"lightpath/internal/collective"
 	"lightpath/internal/phy"
-	"lightpath/internal/route"
 	"lightpath/internal/torus"
 )
 
@@ -58,8 +57,8 @@ func TestGlobalSplitRoundTrip(t *testing.T) {
 			t.Fatalf("round trip failed at %d", g)
 		}
 	}
-	if f.Racks() != 2 || f.RackSize() != 64 || f.Size() != 128 {
-		t.Fatalf("geometry: %d racks x %d", f.Racks(), f.RackSize())
+	if len(f.allocs) != 2 || f.t.Size() != 64 || f.Size() != 128 {
+		t.Fatalf("geometry: %d racks x %d", len(f.allocs), f.t.Size())
 	}
 }
 
@@ -380,73 +379,6 @@ func TestOwnerAndFreeChips(t *testing.T) {
 	}
 }
 
-// TestMultiOpticalRepair: two simultaneous failures in different
-// slices repair with one shared allocator, all circuits across both
-// plans mutually disjoint.
-func TestMultiOpticalRepair(t *testing.T) {
-	f, sc := fig6aFabric(t)
-	// Second failure inside Slice-4 (interior chip at (1,1,1)).
-	second := sc.Torus.Index(torus.Coord{1, 1, 1})
-	plans, err := f.MultiOpticalRepair([][2]int{{0, sc.FailedChip}, {0, second}}, 2, 0, 7)
-	if err != nil {
-		t.Fatalf("multi repair: %v", err)
-	}
-	if len(plans) != 2 {
-		t.Fatalf("plans = %d", len(plans))
-	}
-	if plans[0].Replacement == plans[1].Replacement {
-		t.Fatal("both failures took the same replacement chip")
-	}
-	var all []*route.Circuit
-	for _, p := range plans {
-		if !p.Disjoint() {
-			t.Fatal("intra-plan overlap")
-		}
-		all = append(all, p.Circuits...)
-	}
-	for i := range all {
-		for j := i + 1; j < len(all); j++ {
-			if all[i].SharesResources(all[j]) {
-				t.Fatal("cross-plan circuits share resources")
-			}
-		}
-	}
-}
-
-// TestMultiOpticalRepairExhaustsSpares: more failures than free chips
-// must fail cleanly.
-func TestMultiOpticalRepairExhaustsSpares(t *testing.T) {
-	tor := torus.New(torus.TPUv4RackShape)
-	// One victim slice occupying everything but one spare.
-	slices := []*torus.Slice{
-		{Name: "big", Origin: torus.Coord{0, 0, 0}, Shape: torus.Shape{4, 4, 2}},
-		{Name: "mid", Origin: torus.Coord{0, 0, 2}, Shape: torus.Shape{4, 4, 1}},
-		{Name: "top", Origin: torus.Coord{0, 0, 3}, Shape: torus.Shape{4, 2, 1}},
-		{Name: "pad", Origin: torus.Coord{0, 2, 3}, Shape: torus.Shape{4, 1, 1}},
-		{Name: "pad2", Origin: torus.Coord{0, 3, 3}, Shape: torus.Shape{2, 1, 1}},
-	}
-	a, err := torus.NewAllocation(tor, slices)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := len(a.FreeChips()); got != 2 {
-		t.Fatalf("free chips = %d, want 2", got)
-	}
-	f, err := NewFabric(tor, []*torus.Allocation{a}, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Three failures, two spares.
-	failures := [][2]int{
-		{0, tor.Index(torus.Coord{1, 1, 0})},
-		{0, tor.Index(torus.Coord{2, 2, 0})},
-		{0, tor.Index(torus.Coord{1, 1, 2})},
-	}
-	if _, err := f.MultiOpticalRepair(failures, 1, 0, 9); err == nil {
-		t.Fatal("repair with too few spares accepted")
-	}
-}
-
 // TestRepairedRingCollectiveCorrect ties the repair to the collective
 // machinery end to end: after replacing the failed chip in the victim's
 // broken rings with the optical plan's replacement, the repaired ring
@@ -499,8 +431,14 @@ func TestRepairedRingCollectiveCorrect(t *testing.T) {
 		return float64(chip*100 + i)
 	})
 	ref := collective.ReduceAcross(st, xRing, n)
-	if err := st.Execute(sched); err != nil {
+	if err := sched.Validate(); err != nil {
 		t.Fatal(err)
+	}
+	var ip collective.Interp
+	for si := range sched.Steps {
+		if err := ip.ExecuteStep(st, sched, si); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if err := collective.CheckAllReduce(st, xRing, ref); err != nil {
 		t.Fatal(err)

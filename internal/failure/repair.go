@@ -42,15 +42,6 @@ type searchContext struct {
 	maxCost int
 }
 
-// ownChip reports whether the global chip belongs to the victim slice.
-func (sc *searchContext) ownChip(g int) bool {
-	rack, chip := sc.f.Split(g)
-	if rack != sc.rack {
-		return false
-	}
-	return sc.victim.ContainsIndex(sc.f.t, chip)
-}
-
 // linkCost returns the congestion units of crossing l.
 func (sc *searchContext) linkCost(l torus.Link) int {
 	cost := 0

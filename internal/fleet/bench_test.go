@@ -25,7 +25,7 @@ func BenchmarkSoakYearStreaming(b *testing.B) {
 		cfg.Rates.MTBF[c] = cfg.Horizon / 600
 	}
 	run := func() *Outcome {
-		out, err := Run(cfg)
+		out, err := RunCheckpointed(cfg, CheckpointOptions{})
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -37,11 +37,11 @@ const checkpointEvery = 1024
 // CheckpointOptions configures periodic snapshotting of a soak.
 type CheckpointOptions = evloop.Options
 
-// ErrStopped is returned by RunCheckpointed when the soak halted at
-// the StopAfterEvents boundary instead of reaching the horizon.
-var ErrStopped = evloop.ErrStopped
-
-// RunCheckpointed executes the soak like Run, additionally writing a
+// RunCheckpointed executes the soak and returns its availability time
+// series. The returned error is non-nil when the fault schedule cannot
+// be applied or when the invariant auditor found violations (wrapping
+// invariant.ErrViolated) — a clean soak on corrupted logic must not
+// look like a clean soak on correct logic. With opts set it writes a
 // checkpoint every opts.EveryEvents event boundaries. The write is
 // atomic (temp file, fsync, rename) and rotates the previous good
 // snapshot aside, so a crash mid-write can always fall back. Writes

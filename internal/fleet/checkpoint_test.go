@@ -13,6 +13,7 @@ import (
 	"testing"
 
 	"lightpath/internal/chaos"
+	"lightpath/internal/evloop"
 	"lightpath/internal/snapshot"
 	"lightpath/internal/unit"
 )
@@ -38,7 +39,7 @@ func crashCfg() Config {
 // to the uninterrupted run.
 func TestResumeByteIdenticalAtEveryBoundary(t *testing.T) {
 	cfg := crashCfg()
-	want, err := Run(cfg)
+	want, err := RunCheckpointed(cfg, CheckpointOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,8 +51,8 @@ func TestResumeByteIdenticalAtEveryBoundary(t *testing.T) {
 	for kill := uint64(1); kill <= want.Events; kill += stride {
 		path := filepath.Join(dir, "ckpt")
 		_, err := RunCheckpointed(cfg, CheckpointOptions{Path: path, StopAfterEvents: kill})
-		if !errors.Is(err, ErrStopped) {
-			t.Fatalf("kill at %d: err = %v, want ErrStopped", kill, err)
+		if !errors.Is(err, evloop.ErrStopped) {
+			t.Fatalf("kill at %d: err = %v, want evloop.ErrStopped", kill, err)
 		}
 		got, err := Resume(cfg, CheckpointOptions{Path: path})
 		if err != nil {
@@ -72,7 +73,7 @@ func TestResumeByteIdenticalAtEveryBoundary(t *testing.T) {
 // is the soak's last one, dispatched at the final event.
 func TestRunCheckpointedWriteFailure(t *testing.T) {
 	cfg := crashCfg()
-	plain, err := Run(cfg)
+	plain, err := RunCheckpointed(cfg, CheckpointOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,8 +136,8 @@ func TestParentCheckpointFixture(t *testing.T) {
 	cfg := crashCfg()
 	dir := t.TempDir()
 	path := filepath.Join(dir, "now.ckpt")
-	if _, err := RunCheckpointed(cfg, CheckpointOptions{Path: path, StopAfterEvents: 55}); !errors.Is(err, ErrStopped) {
-		t.Fatalf("err = %v, want ErrStopped", err)
+	if _, err := RunCheckpointed(cfg, CheckpointOptions{Path: path, StopAfterEvents: 55}); !errors.Is(err, evloop.ErrStopped) {
+		t.Fatalf("err = %v, want evloop.ErrStopped", err)
 	}
 	got, err := os.ReadFile(path)
 	if err != nil {
@@ -155,7 +156,7 @@ func TestParentCheckpointFixture(t *testing.T) {
 		t.Fatalf("checkpoint at event 55 differs from the committed one re-encoded (%d vs %d bytes)", len(got), len(canon))
 	}
 
-	want, err := Run(cfg)
+	want, err := RunCheckpointed(cfg, CheckpointOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,7 +195,7 @@ func TestParentCheckpointFixture(t *testing.T) {
 // the identical Outcome.
 func TestResumeFallsBackOnTornSnapshot(t *testing.T) {
 	cfg := crashCfg()
-	want, err := Run(cfg)
+	want, err := RunCheckpointed(cfg, CheckpointOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,8 +204,8 @@ func TestResumeFallsBackOnTornSnapshot(t *testing.T) {
 	// and the rotated .prev exist and differ.
 	kill := want.Events / 2
 	_, err = RunCheckpointed(cfg, CheckpointOptions{Path: path, EveryEvents: 5, StopAfterEvents: kill})
-	if !errors.Is(err, ErrStopped) {
-		t.Fatalf("err = %v, want ErrStopped", err)
+	if !errors.Is(err, evloop.ErrStopped) {
+		t.Fatalf("err = %v, want evloop.ErrStopped", err)
 	}
 	prev, err := os.ReadFile(snapshot.PrevPath(path))
 	if err != nil {
@@ -262,8 +263,8 @@ func TestResumeFallsBackOnTornSnapshot(t *testing.T) {
 func TestResumeRejectsConfigMismatch(t *testing.T) {
 	cfg := crashCfg()
 	path := filepath.Join(t.TempDir(), "ckpt")
-	if _, err := RunCheckpointed(cfg, CheckpointOptions{Path: path, StopAfterEvents: 10}); !errors.Is(err, ErrStopped) {
-		t.Fatalf("err = %v, want ErrStopped", err)
+	if _, err := RunCheckpointed(cfg, CheckpointOptions{Path: path, StopAfterEvents: 10}); !errors.Is(err, evloop.ErrStopped) {
+		t.Fatalf("err = %v, want evloop.ErrStopped", err)
 	}
 	other := cfg
 	other.Seed++
@@ -296,11 +297,11 @@ func TestStreamingMatchesExactAggregates(t *testing.T) {
 
 	exact := cfg
 	exact.SampleMode = SampleExact
-	eo, err := Run(exact)
+	eo, err := RunCheckpointed(exact, CheckpointOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	so, err := Run(cfg)
+	so, err := RunCheckpointed(cfg, CheckpointOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -333,13 +334,13 @@ func TestStreamingMatchesExactAggregates(t *testing.T) {
 	// Short soaks: streaming retains everything, so the default mode
 	// change cannot perturb existing consumers.
 	short := Config{Seed: 5}
-	a, err := Run(short)
+	a, err := RunCheckpointed(short, CheckpointOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	shortExact := short
 	shortExact.SampleMode = SampleExact
-	b, err := Run(shortExact)
+	b, err := RunCheckpointed(shortExact, CheckpointOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -355,8 +356,8 @@ func TestStreamingMatchesExactAggregates(t *testing.T) {
 func TestResumeRejectsUnreachableState(t *testing.T) {
 	cfg := crashCfg()
 	path := filepath.Join(t.TempDir(), "ckpt")
-	if _, err := RunCheckpointed(cfg, CheckpointOptions{Path: path, StopAfterEvents: 55}); !errors.Is(err, ErrStopped) {
-		t.Fatalf("err = %v, want ErrStopped", err)
+	if _, err := RunCheckpointed(cfg, CheckpointOptions{Path: path, StopAfterEvents: 55}); !errors.Is(err, evloop.ErrStopped) {
+		t.Fatalf("err = %v, want evloop.ErrStopped", err)
 	}
 	_, payload, err := snapshot.Read(path)
 	if err != nil {

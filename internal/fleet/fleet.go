@@ -354,15 +354,6 @@ func (s *soak) place() {
 	}
 }
 
-// Run executes the soak and returns its availability time series. The
-// returned error is non-nil when the fault schedule cannot be applied
-// or when the invariant auditor found violations (wrapping
-// invariant.ErrViolated) — a clean soak on corrupted logic must not
-// look like a clean soak on correct logic.
-func Run(cfg Config) (*Outcome, error) {
-	return RunCheckpointed(cfg, CheckpointOptions{})
-}
-
 // run drives the event loop to the horizon (or to an injected stop).
 // It returns only once the last checkpoint write has finished, with
 // that write's error joined to whatever the soak itself returned.

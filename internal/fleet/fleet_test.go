@@ -14,11 +14,11 @@ import (
 // campaign's byte-identical CSV guarantee rests on.
 func TestSoakDeterministic(t *testing.T) {
 	cfg := Config{Seed: 2024, Audit: invariant.Paranoid}
-	a, err := Run(cfg)
+	a, err := RunCheckpointed(cfg, CheckpointOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Run(cfg)
+	b, err := RunCheckpointed(cfg, CheckpointOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -33,11 +33,11 @@ func TestSoakDeterministic(t *testing.T) {
 // TestSoakSeedsDiffer guards against the degenerate determinism of a
 // simulator that ignores its seed.
 func TestSoakSeedsDiffer(t *testing.T) {
-	a, err := Run(Config{Seed: 1})
+	a, err := RunCheckpointed(Config{Seed: 1}, CheckpointOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Run(Config{Seed: 2})
+	b, err := RunCheckpointed(Config{Seed: 2}, CheckpointOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,7 +57,7 @@ func TestSoakThousandFaultsAuditClean(t *testing.T) {
 	for c := 0; c < chaos.NumClasses; c++ {
 		cfg.Rates.MTBF[c] = cfg.Horizon / 250
 	}
-	out, err := Run(cfg)
+	out, err := RunCheckpointed(cfg, CheckpointOptions{})
 	if err != nil {
 		t.Fatalf("soak failed: %v", err)
 	}
@@ -95,7 +95,7 @@ func TestSoakThousandFaultsAuditClean(t *testing.T) {
 // counters.
 func TestSoakSampleCadence(t *testing.T) {
 	cfg := Config{Seed: 3, Horizon: unit.Day, SampleEvery: unit.Hour}
-	out, err := Run(cfg)
+	out, err := RunCheckpointed(cfg, CheckpointOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +130,7 @@ func TestSoakConfigValidation(t *testing.T) {
 		{Spares: -1},            // negative spares
 	}
 	for i, cfg := range cases {
-		if _, err := Run(cfg); err == nil {
+		if _, err := RunCheckpointed(cfg, CheckpointOptions{}); err == nil {
 			t.Errorf("case %d: config %+v accepted", i, cfg)
 		}
 	}

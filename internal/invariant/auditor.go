@@ -2,7 +2,6 @@ package invariant
 
 import (
 	"fmt"
-	"sync/atomic"
 
 	"lightpath/internal/route"
 )
@@ -120,16 +119,6 @@ func (d *Auditor) Count() int { return d.count }
 // delta or full, every Paranoid mutation and every direct Audit.
 func (d *Auditor) Audits() int { return d.audits }
 
-// Mutations returns how many top-level mutations the auditor has
-// observed.
-func (d *Auditor) Mutations() int { return d.mutations }
-
-// Violations returns a copy of the retained violations (at most
-// maxRecorded; Count reports the true total).
-func (d *Auditor) Violations() []Violation {
-	return append([]Violation(nil), d.recorded...)
-}
-
 // Err returns nil when the auditor has seen no violation, and
 // otherwise an error wrapping ErrViolated that names the first one.
 func (d *Auditor) Err() error {
@@ -138,17 +127,3 @@ func (d *Auditor) Err() error {
 	}
 	return fmt.Errorf("%w: %d violation(s), first: %s", ErrViolated, d.count, d.recorded[0])
 }
-
-// defaultMode is the process-wide mode layers like core consult when
-// building fabrics; tests flip it to Paranoid in TestMain.
-var defaultMode atomic.Int32
-
-// SetDefaultMode sets the process-wide default audit mode and returns
-// the previous one.
-func SetDefaultMode(m Mode) Mode {
-	return Mode(defaultMode.Swap(int32(m)))
-}
-
-// DefaultMode returns the process-wide default audit mode (Off unless
-// something raised it).
-func DefaultMode() Mode { return Mode(defaultMode.Load()) }

@@ -272,7 +272,7 @@ var sabotages = []sabotage{
 		cs[r.Intn(len(cs))].ReadyAt += unit.Seconds(1+r.Intn(100)) * unit.Microsecond
 	}},
 	{"switch flipped", true, func(r *rng.Rand, a *route.Allocator, cs []*route.Circuit) {
-		ses := a.CircuitSwitches(cs[r.Intn(len(cs))])
+		ses := a.AppendCircuitSwitches(nil, cs[r.Intn(len(cs))])
 		if len(ses) == 0 {
 			return
 		}

@@ -23,3 +23,17 @@ func (d *Auditor) FullPasses() int { return d.fullPasses }
 // DeltaNext reports whether the next Sampled audit will try a delta
 // audit, as far as the mutations seen so far decide.
 func (d *Auditor) DeltaNext() bool { return d.ctx.idx.valid && d.deltas < fullPassEvery-1 }
+
+// Registry returns the registered invariants in audit order. The
+// returned slice is shared; callers must not modify it.
+func Registry() []Invariant { return registry }
+
+// Mutations returns how many top-level mutations the auditor has
+// observed.
+func (d *Auditor) Mutations() int { return d.mutations }
+
+// Violations returns a copy of the retained violations (at most
+// maxRecorded; Count reports the true total).
+func (d *Auditor) Violations() []Violation {
+	return append([]Violation(nil), d.recorded...)
+}

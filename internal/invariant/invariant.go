@@ -158,10 +158,6 @@ var registry = []Invariant{
 	},
 }
 
-// Registry returns the registered invariants in audit order. The
-// returned slice is shared; callers must not modify it.
-func Registry() []Invariant { return registry }
-
 // view is invariant i's public Check: one audit pass on a fresh
 // context, returning that invariant's details.
 func view(i int) func(a *route.Allocator) []string {

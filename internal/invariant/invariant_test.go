@@ -118,7 +118,7 @@ var corruptions = []struct {
 		name:      "switch reprogrammed behind the allocator",
 		invariant: "switch-consistency",
 		sabotage: func(t *testing.T, a *route.Allocator) {
-			se := a.CircuitSwitches(firstCircuit(t, a))[0]
+			se := a.AppendCircuitSwitches(nil, firstCircuit(t, a))[0]
 			if err := se.Tile.Switches[se.Switch].Program(se.Port+1, 0); err != nil {
 				t.Fatal(err)
 			}
@@ -341,16 +341,6 @@ func TestRegistryAndModeStrings(t *testing.T) {
 		if m.String() != want {
 			t.Fatalf("Mode(%d).String() = %q, want %q", int(m), m.String(), want)
 		}
-	}
-}
-
-// TestDefaultModeRoundTrip covers the process-wide switch core
-// consults when building fabrics.
-func TestDefaultModeRoundTrip(t *testing.T) {
-	prev := SetDefaultMode(Paranoid)
-	defer SetDefaultMode(prev)
-	if DefaultMode() != Paranoid {
-		t.Fatal("default mode did not stick")
 	}
 }
 

@@ -232,7 +232,7 @@ func detectionLag(t *testing.T, seed uint64, plant int, touched bool, mode strin
 // switch refuses the flip, and the plant does not take.
 func plantOn(t *testing.T, a *route.Allocator, plant int, c *route.Circuit, r *rng.Rand) bool {
 	t.Helper()
-	ses := a.CircuitSwitches(c)
+	ses := a.AppendCircuitSwitches(nil, c)
 	sabotageNamed(latencyPlants[plant].sabotage).apply(r.Split("plant"), a, []*route.Circuit{c})
 	for _, se := range ses {
 		if se.Tile.Switches[se.Switch].Port() != se.Port {

@@ -116,28 +116,6 @@ func BERForReceivedPower(rx, sensitivity unit.DBm) float64 {
 // "One wavelength can sustain up to 224 Gbps bandwidth".
 const WavelengthCapacity = 224 * unit.Gbps
 
-// ExtinctionPenaltyDB returns the power penalty of a finite
-// transmitter/switch extinction ratio for on-off keying: with
-// extinction r (linear power ratio of "one" to residual "zero"), the
-// eye closes by a factor (r-1)/(r+1), costing
-// -10 log10((r-1)/(r+1)) dB of effective receiver sensitivity. An
-// ideal infinite extinction costs 0 dB; 10 dB extinction costs
-// ~0.87 dB. It panics for extinction <= 1 (no eye at all).
-func ExtinctionPenaltyDB(extinction unit.Decibel) unit.Decibel {
-	r := extinction.Linear()
-	if r <= 1 {
-		panic("phy: extinction ratio must exceed 1 (0 dB)")
-	}
-	return unit.FromLinear((r + 1) / (r - 1))
-}
-
-// BERWithExtinction estimates OOK BER including the extinction
-// penalty of the cascaded MZI switches: the received power is
-// derated by ExtinctionPenaltyDB before the thermal-noise Q model.
-func BERWithExtinction(rx, sensitivity unit.DBm, extinction unit.Decibel) float64 {
-	return BERForReceivedPower(rx.Sub(ExtinctionPenaltyDB(extinction)), sensitivity)
-}
-
 // WaterfallPoint is one point of a BER-versus-received-power curve.
 type WaterfallPoint struct {
 	Rx  unit.DBm

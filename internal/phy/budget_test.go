@@ -332,3 +332,25 @@ func TestWaterfallSinglePoint(t *testing.T) {
 		t.Fatalf("point at %v, want -15 dBm", points[0].Rx)
 	}
 }
+
+// BERWithExtinction estimates OOK BER including the extinction
+// penalty of the cascaded MZI switches: the received power is
+// derated by ExtinctionPenaltyDB before the thermal-noise Q model.
+func BERWithExtinction(rx, sensitivity unit.DBm, extinction unit.Decibel) float64 {
+	return BERForReceivedPower(rx.Sub(ExtinctionPenaltyDB(extinction)), sensitivity)
+}
+
+// ExtinctionPenaltyDB returns the power penalty of a finite
+// transmitter/switch extinction ratio for on-off keying: with
+// extinction r (linear power ratio of "one" to residual "zero"), the
+// eye closes by a factor (r-1)/(r+1), costing
+// -10 log10((r-1)/(r+1)) dB of effective receiver sensitivity. An
+// ideal infinite extinction costs 0 dB; 10 dB extinction costs
+// ~0.87 dB. It panics for extinction <= 1 (no eye at all).
+func ExtinctionPenaltyDB(extinction unit.Decibel) unit.Decibel {
+	r := math.Pow(10, float64(extinction)/10)
+	if r <= 1 {
+		panic("phy: extinction ratio must exceed 1 (0 dB)")
+	}
+	return unit.Decibel(10 * math.Log10((r+1)/(r-1)))
+}

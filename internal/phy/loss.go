@@ -198,15 +198,6 @@ func TotalLossDB(elements []LossElement) unit.Decibel {
 // exactly like the map it replaced.
 type LossBreakdown [NumLossKinds]unit.Decibel
 
-// Total sums the breakdown.
-func (b LossBreakdown) Total() unit.Decibel {
-	var total unit.Decibel
-	for _, v := range b {
-		total += v
-	}
-	return total
-}
-
 // LossByKind aggregates the per-kind contributions, useful for loss
 // breakdown reports.
 func LossByKind(elements []LossElement) LossBreakdown {

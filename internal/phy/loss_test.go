@@ -170,3 +170,12 @@ func TestLossKindString(t *testing.T) {
 		t.Errorf("unknown kind = %q", got)
 	}
 }
+
+// Total sums the breakdown.
+func (b LossBreakdown) Total() unit.Decibel {
+	var total unit.Decibel
+	for _, v := range b {
+		total += v
+	}
+	return total
+}

@@ -84,10 +84,6 @@ const (
 	// constant implied by a 3.7 us settling time at the 2% (4 tau)
 	// criterion.
 	DefaultMZITimeConstant = ReconfigLatency / 4
-
-	// DefaultExtinctionDB is a typical extinction ratio for a
-	// well-balanced integrated MZI.
-	DefaultExtinctionDB unit.Decibel = 25
 )
 
 func (m *MZI) tau() unit.Seconds {
@@ -95,13 +91,6 @@ func (m *MZI) tau() unit.Seconds {
 		return m.Tau
 	}
 	return DefaultMZITimeConstant
-}
-
-func (m *MZI) extinction() unit.Decibel {
-	if m.ExtinctionDB > 0 {
-		return m.ExtinctionDB
-	}
-	return DefaultExtinctionDB
 }
 
 // settle advances the internal phase to the given simulated time.
@@ -124,41 +113,6 @@ func (m *MZI) Program(s MZIState, now unit.Seconds) {
 	m.settle(now)
 	m.targetPhase = s.phaseFor()
 }
-
-// SettledAt returns the simulated time at which the MZI is within 2% of
-// its commanded state, measured from the given programming time. This
-// is the per-switch reconfiguration delay.
-func (m *MZI) SettledAt(programmedAt unit.Seconds) unit.Seconds {
-	return programmedAt + unit.Seconds(4)*m.tau()
-}
-
-// CrossCoupling returns the fraction of input power emerging at the
-// cross port at simulated time now, in [0, 1]. An ideal settled Cross
-// MZI returns ~1; an ideal settled Bar MZI returns ~0 (limited by the
-// extinction ratio).
-func (m *MZI) CrossCoupling(now unit.Seconds) float64 {
-	m.settle(now)
-	// Ideal interferometer: cross power = sin^2(phase/2).
-	ideal := math.Sin(m.phase / 2)
-	cross := ideal * ideal
-	// Fold in finite extinction: the achievable range is
-	// [leak, 1-leak] rather than [0, 1].
-	leak := unit.Decibel(-m.extinction()).Linear()
-	return leak + cross*(1-2*leak)
-}
-
-// State returns the commanded routing state (the target, not the
-// instantaneous analog condition).
-func (m *MZI) State() MZIState {
-	if m.targetPhase < math.Pi/2 {
-		return Bar
-	}
-	return Cross
-}
-
-// InsertionLossDB returns the MZI's insertion loss contribution for a
-// signal passing through it, independent of state.
-func (m *MZI) InsertionLossDB() unit.Decibel { return MZIInsertionLossDB }
 
 // MZIInsertionLossDB is the per-MZI insertion loss assumed by the link
 // budget, a typical figure for foundry silicon-photonic MZI switches.

@@ -142,3 +142,45 @@ func TestCustomTau(t *testing.T) {
 		t.Fatalf("SettledAt with tau=2us = %v, want 8us", got)
 	}
 }
+
+// SettledAt returns the simulated time at which the MZI is within 2% of
+// its commanded state, measured from the given programming time. This
+// is the per-switch reconfiguration delay.
+func (m *MZI) SettledAt(programmedAt unit.Seconds) unit.Seconds {
+	return programmedAt + unit.Seconds(4)*m.tau()
+}
+
+// CrossCoupling returns the fraction of input power emerging at the
+// cross port at simulated time now, in [0, 1]. An ideal settled Cross
+// MZI returns ~1; an ideal settled Bar MZI returns ~0 (limited by the
+// extinction ratio).
+func (m *MZI) CrossCoupling(now unit.Seconds) float64 {
+	m.settle(now)
+	// Ideal interferometer: cross power = sin^2(phase/2).
+	ideal := math.Sin(m.phase / 2)
+	cross := ideal * ideal
+	// Fold in finite extinction: the achievable range is
+	// [leak, 1-leak] rather than [0, 1].
+	leak := math.Pow(10, -float64(m.extinction())/10)
+	return leak + cross*(1-2*leak)
+}
+
+// State returns the commanded routing state (the target, not the
+// instantaneous analog condition).
+func (m *MZI) State() MZIState {
+	if m.targetPhase < math.Pi/2 {
+		return Bar
+	}
+	return Cross
+}
+
+func (m *MZI) extinction() unit.Decibel {
+	if m.ExtinctionDB > 0 {
+		return m.ExtinctionDB
+	}
+	return DefaultExtinctionDB
+}
+
+// DefaultExtinctionDB is a typical extinction ratio for a
+// well-balanced integrated MZI.
+const DefaultExtinctionDB unit.Decibel = 25

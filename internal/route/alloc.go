@@ -933,7 +933,7 @@ func clampToSpan(prev, cur planStep) int {
 
 // junction is the step-junction rule on primitive fields, shared by
 // the plan-time switch listing and the segment-time reconstruction in
-// CircuitSwitches: the previous step's lane is a position along the
+// AppendCircuitSwitches: the previous step's lane is a position along the
 // current span, clamped to it; a wafer change enters at the span's low
 // edge.
 func junction(prevWafer, prevLane, curWafer int, curSpan wafer.Interval) int {
@@ -957,23 +957,18 @@ type SwitchExpectation struct {
 	Port   int
 }
 
-// CircuitSwitches reconstructs, from a circuit's committed segments,
-// the switch programming its path required: switch 0 routed to port 0
-// at each endpoint tile (facing the Tx/Rx block) and switch 1 routed
-// to port 1 at each turn tile. Segments mirror the committed plan's
-// steps one-to-one in path order, so the reconstruction is exact; the
-// invariant auditor compares it against the hardware's actual switch
-// state.
-func (a *Allocator) CircuitSwitches(c *Circuit) []SwitchExpectation {
-	return a.AppendCircuitSwitches(nil, c)
-}
-
-// AppendCircuitSwitches appends c's expected switch states to dst and
-// returns the extended slice — CircuitSwitches without the per-call
-// allocation, for the audit hot path. An expectation whose tile lies
-// off the rack (an endpoint chip, wafer or tile index out of range,
-// which only a corrupted circuit can name) is left out rather than
-// panicking, so the auditor can reconstruct any circuit it is handed.
+// AppendCircuitSwitches reconstructs, from a circuit's committed
+// segments, the switch programming its path required: switch 0 routed
+// to port 0 at each endpoint tile (facing the Tx/Rx block) and switch 1
+// routed to port 1 at each turn tile. Segments mirror the committed
+// plan's steps one-to-one in path order, so the reconstruction is
+// exact; the invariant auditor compares it against the hardware's
+// actual switch state. It appends c's expected switch states to dst
+// and returns the extended slice, so the audit hot path reuses one
+// buffer. An expectation whose tile lies off the rack (an endpoint
+// chip, wafer or tile index out of range, which only a corrupted
+// circuit can name) is left out rather than panicking, so the auditor
+// can reconstruct any circuit it is handed.
 func (a *Allocator) AppendCircuitSwitches(dst []SwitchExpectation, c *Circuit) []SwitchExpectation {
 	chips, wafers := a.rack.NumChips(), a.rack.NumWafers()
 	for _, chip := range [2]int{c.A, c.B} {

@@ -141,9 +141,8 @@ func TestReleaseRestoresResources(t *testing.T) {
 	if rack.FibersInUse() != 0 {
 		t.Fatal("fiber not released")
 	}
-	h, v := rack.Wafer(0).BusesInUse()
-	if h+v != 0 {
-		t.Fatalf("buses still in use: %d/%d", h, v)
+	if n := rack.Wafer(0).AllocatedSpans(); n != 0 {
+		t.Fatalf("%d bus spans still allocated", n)
 	}
 	if len(a.Circuits()) != 0 {
 		t.Fatal("circuit still tracked")
@@ -162,9 +161,7 @@ func TestReleaseUnknownAndDoubleReleaseAreNoOps(t *testing.T) {
 		t.Fatal(err)
 	}
 	snapshot := func() [4]int {
-		h0, v0 := rack.Wafer(0).BusesInUse()
-		h1, v1 := rack.Wafer(1).BusesInUse()
-		return [4]int{rack.FibersInUse(), rack.TileOf(keep.A).FreeLasers(), h0 + v0, h1 + v1}
+		return [4]int{rack.FibersInUse(), rack.TileOf(keep.A).FreeLasers(), rack.Wafer(0).AllocatedSpans(), rack.Wafer(1).AllocatedSpans()}
 	}
 	a.Release(c)
 	want := snapshot()
@@ -225,8 +222,7 @@ func TestBudgetCheckRejectsLossyCircuits(t *testing.T) {
 		t.Fatal("infeasible circuit accepted")
 	}
 	// Rolled back fully.
-	h, v := rack.Wafer(0).BusesInUse()
-	if h+v != 0 {
+	if rack.Wafer(0).AllocatedSpans() != 0 {
 		t.Fatal("budget-rejected circuit leaked buses")
 	}
 }
@@ -273,12 +269,18 @@ func TestSwitchesProgrammedOnEstablish(t *testing.T) {
 	rack := twoWaferRack(t)
 	a := NewAllocator(rack, nil)
 	now := unit.Seconds(5)
-	if _, err := a.Establish(Request{A: 0, B: 11, Width: 1}, now); err != nil {
+	c, err := a.Establish(Request{A: 0, B: 11, Width: 1}, now)
+	if err != nil {
 		t.Fatal(err)
 	}
-	tile := rack.TileOf(0)
-	if got := tile.Switches[0].SettledAt(); got != now+phy.ReconfigLatency {
-		t.Fatalf("endpoint switch settles at %v, want %v", got, now+phy.ReconfigLatency)
+	ses := a.AppendCircuitSwitches(nil, c)
+	if len(ses) == 0 {
+		t.Fatal("circuit programs no switch")
+	}
+	for _, se := range ses {
+		if got := se.Tile.Switches[se.Switch].Port(); got != se.Port {
+			t.Fatalf("switch %d on port %d, circuit needs %d", se.Switch, got, se.Port)
+		}
 	}
 }
 
@@ -317,8 +319,7 @@ func TestAllocatorProperty(t *testing.T) {
 			return false
 		}
 		for w := 0; w < rack.NumWafers(); w++ {
-			h, v := rack.Wafer(w).BusesInUse()
-			if h+v != 0 {
+			if rack.Wafer(w).AllocatedSpans() != 0 {
 				return false
 			}
 		}
@@ -462,12 +463,12 @@ func TestRingPackFibersRanksEachDirection(t *testing.T) {
 				t.Fatalf("pack=%v: trunk 0 still not full after %d circuits", pack, i)
 			}
 			tile := i % cfg.Tiles()
-			req := Request{A: rack.ChipAt(0, tile/cfg.Cols, tile%cfg.Cols), B: rack.ChipAt(1, tile/cfg.Cols, tile%cfg.Cols), Width: 1}
+			req := Request{A: tile, B: cfg.Tiles() + tile, Width: 1} // the same tile on wafers 0 and 1
 			if _, err := a.Establish(req, 0); err != nil {
 				t.Fatalf("pack=%v: filling trunk 0: %v", pack, err)
 			}
 		}
-		c, err := a.Establish(Request{A: rack.ChipAt(0, 1, 7), B: rack.ChipAt(2, 2, 0), Width: 1}, 0)
+		c, err := a.Establish(Request{A: 1*cfg.Cols + 7, B: 2*cfg.Tiles() + 2*cfg.Cols, Width: 1}, 0)
 		if err != nil {
 			t.Fatalf("pack=%v: (0,1,7)->(2,2,0) refused: %v", pack, err)
 		}

@@ -48,9 +48,6 @@ func NewLinkAllocator(t topo.Topology) *LinkAllocator {
 	}
 }
 
-// Topology returns the fabric flows are placed on.
-func (a *LinkAllocator) Topology() topo.Topology { return a.topo }
-
 // Len returns the number of placed flows.
 func (a *LinkAllocator) Len() int { return len(a.bytes) }
 
@@ -70,21 +67,9 @@ func (a *LinkAllocator) Place(src, dst int, bytes unit.Bytes) {
 	a.flows = nil
 }
 
-// Reset drops every placement, keeping the arena capacity for reuse.
-func (a *LinkAllocator) Reset() {
-	a.arena = a.arena[:0]
-	a.starts = a.starts[:1]
-	a.bytes = a.bytes[:0]
-	for l := range a.load {
-		a.load[l] = 0
-	}
-	a.flows = nil
-}
-
 // Flows materializes the placed transfers as netsim flows, in
 // placement order. The Via slices alias the allocator's arena and the
-// returned slice is cached: both are valid until the next Place or
-// Reset.
+// returned slice is cached: both are valid until the next Place.
 func (a *LinkAllocator) Flows() []netsim.Flow[int] {
 	if a.flows != nil || len(a.bytes) == 0 {
 		return a.flows
@@ -103,9 +88,6 @@ func (a *LinkAllocator) Flows() []netsim.Flow[int] {
 func (a *LinkAllocator) Capacities() map[int]unit.BitRate {
 	return topo.Capacities(a.topo)
 }
-
-// Load returns the number of placed flows crossing a link.
-func (a *LinkAllocator) Load(link int) int { return a.load[link] }
 
 // MaxLoad returns the most-loaded link and its flow count (the
 // lowest-id link on ties; link -1 when nothing is placed).

@@ -73,8 +73,9 @@ func TestLinkAllocatorPlacement(t *testing.T) {
 func TestLinkAllocatorSolves(t *testing.T) {
 	rail := testRail(t)
 	a := NewLinkAllocator(rail)
-	for s := 0; s < rail.Servers(); s++ {
-		a.Place(rail.Endpoint(0, s), rail.Endpoint(0, (s+1)%rail.Servers()), 8*unit.MB)
+	const servers = 4 // testRail's
+	for s := 0; s < servers; s++ {
+		a.Place(rail.Endpoint(0, s), rail.Endpoint(0, (s+1)%servers), 8*unit.MB)
 	}
 	var sim netsim.Sim[int]
 	res, err := sim.Run(a.Flows(), a.Capacities())
@@ -152,3 +153,17 @@ func TestOversubscribedLinks(t *testing.T) {
 		t.Fatalf("OversubscribedLinks(1 GB/s) = %d, want 0", got)
 	}
 }
+
+// Reset drops every placement, keeping the arena capacity for reuse.
+func (a *LinkAllocator) Reset() {
+	a.arena = a.arena[:0]
+	a.starts = a.starts[:1]
+	a.bytes = a.bytes[:0]
+	for l := range a.load {
+		a.load[l] = 0
+	}
+	a.flows = nil
+}
+
+// Load returns the number of placed flows crossing a link.
+func (a *LinkAllocator) Load(link int) int { return a.load[link] }

@@ -81,15 +81,3 @@ func (h *HedgePolicy) Next(current Config, d Demand) Config {
 	// Follow the leader's decision, applied to the real state.
 	return h.experts[best].Next(current, d)
 }
-
-// Leader returns the currently best-weighted expert's threshold, for
-// introspection in experiments.
-func (h *HedgePolicy) Leader() float64 {
-	best := 0
-	for i := range h.weights {
-		if h.weights[i] > h.weights[best] {
-			best = i
-		}
-	}
-	return h.experts[best].Threshold
-}

@@ -64,9 +64,6 @@ func (c *Config) add(a, b int) {
 // Has reports whether a direct circuit exists between the chips.
 func (c Config) Has(a, b int) bool { return c.edges[norm(a, b)] }
 
-// Size returns the number of circuits.
-func (c Config) Size() int { return len(c.edges) }
-
 // Degree returns the number of circuits terminating at the chip.
 func (c Config) Degree(chip int) int {
 	n := 0

@@ -426,3 +426,18 @@ func TestHedgeLeaderIntrospection(t *testing.T) {
 		t.Fatalf("leader %v not in the expert set", h.Leader())
 	}
 }
+
+// Leader returns the currently best-weighted expert's threshold, for
+// introspection in experiments.
+func (h *HedgePolicy) Leader() float64 {
+	best := 0
+	for i := range h.weights {
+		if h.weights[i] > h.weights[best] {
+			best = i
+		}
+	}
+	return h.experts[best].Threshold
+}
+
+// Size returns the number of circuits.
+func (c Config) Size() int { return len(c.edges) }

@@ -55,12 +55,10 @@ func (s *Reservoir[T]) Add(v T) {
 	}
 }
 
-// Seen returns how many items the stream has offered.
-func (s *Reservoir[T]) Seen() uint64 { return s.seen }
-
-// Items returns a copy of the current sample. While Seen() <=
-// capacity the items are in arrival order; after that, slot order is
-// arbitrary and callers needing order must sort by their own key.
+// Items returns a copy of the current sample. Until the stream has
+// offered more than capacity items they are in arrival order; after
+// that, slot order is arbitrary and callers needing order must sort
+// by their own key.
 func (s *Reservoir[T]) Items() []T {
 	return append([]T(nil), s.items...)
 }
@@ -164,26 +162,6 @@ func (q *Quantile) compactFrom(h int) {
 			rest = append(rest, level[m])
 		}
 		q.levels[h] = rest
-	}
-}
-
-// Merge absorbs another sketch built with the same k. The receiver
-// afterward summarizes the concatenation of both streams; the donor
-// is left untouched. It panics on mismatched k — merging sketches of
-// different resolution is a construction bug.
-func (q *Quantile) Merge(o *Quantile) {
-	if o.k != q.k {
-		panic("sketch: merging quantile sketches with different k")
-	}
-	q.count += o.count
-	for h, level := range o.levels {
-		for h >= len(q.levels) {
-			q.levels = append(q.levels, make([]float64, 0, q.k))
-		}
-		q.levels[h] = append(q.levels[h], level...)
-	}
-	for h := 0; h < len(q.levels); h++ {
-		q.compactFrom(h)
 	}
 }
 

@@ -95,9 +95,6 @@ func NewDecoder(payload []byte) *Decoder { return &Decoder{buf: payload} }
 // Err returns the first decode failure, or nil.
 func (d *Decoder) Err() error { return d.err }
 
-// Remaining returns the number of unread payload bytes.
-func (d *Decoder) Remaining() int { return len(d.buf) - d.off }
-
 // Finish fails unless the payload was consumed exactly: trailing
 // bytes mean the writer and reader disagree about the schema, which
 // is as corrupt as a short read.

@@ -80,7 +80,7 @@ func FuzzSnapshotRoundTrip(f *testing.F) {
 		// A hostile decoder walk over the flipped payload region must
 		// never panic; errors are fine and must be typed.
 		hd := NewDecoder(mut)
-		for hd.Err() == nil && hd.Remaining() > 0 {
+		for hd.Err() == nil && hd.off < len(hd.buf) {
 			_ = hd.U64()
 			_ = hd.Bool()
 			_ = hd.String()

@@ -10,7 +10,8 @@ import (
 // Mesh cascades W LIGHTPATH wafers into a full mesh: every wafer pair
 // is joined by a dedicated trunk of attached fibers in each direction
 // (§4.2's "10s of fibers across servers"). Endpoints are tiles;
-// endpoint id = wafer*TilesPerWafer() + tile. Intra-wafer reach is
+// endpoint id = wafer*tiles + tile, with tiles per wafer from the
+// wafer config. Intra-wafer reach is
 // modeled through each tile's laser-limited egress/ingress (the wafer
 // fabric itself is circuit-switched and non-blocking once lasers are
 // committed), so a path is:
@@ -18,7 +19,7 @@ import (
 //	same wafer:  [up(src), down(dst)]
 //	cross wafer: [up(src), trunk(w1 -> w2), down(dst)]
 //
-// Link-id layout, with E = Endpoints() and W = Wafers():
+// Link-id layout, with E = Endpoints() and W wafers:
 //
 //	up(e)    = e                          tile egress    capacity TileEgress
 //	down(e)  = E + e                      tile ingress   capacity TileEgress
@@ -51,16 +52,10 @@ func NewMesh(wafers int, cfg wafer.Config, trunkBW unit.BitRate) (*Mesh, error) 
 // Name returns "mesh".
 func (m *Mesh) Name() string { return "mesh" }
 
-// Wafers returns the wafer count.
-func (m *Mesh) Wafers() int { return m.wafers }
-
-// TilesPerWafer returns the tiles (endpoints) per wafer.
-func (m *Mesh) TilesPerWafer() int { return m.cfg.Tiles() }
-
-// Endpoints returns Wafers() * TilesPerWafer().
+// Endpoints returns the wafer count times the tiles per wafer.
 func (m *Mesh) Endpoints() int { return m.wafers * m.cfg.Tiles() }
 
-// Links returns 2*Endpoints() + Wafers()*(Wafers()-1): an up and a
+// Links returns 2*Endpoints() + W*(W-1) for W wafers: an up and a
 // down link per tile plus one trunk per ordered wafer pair.
 func (m *Mesh) Links() int { return 2*m.Endpoints() + m.wafers*(m.wafers-1) }
 

@@ -45,20 +45,14 @@ func NewRail(rails, servers int, railBW, busBW unit.BitRate) (*Rail, error) {
 // Name returns "rail".
 func (r *Rail) Name() string { return "rail" }
 
-// Rails returns the number of rails.
-func (r *Rail) Rails() int { return r.rails }
-
-// Servers returns the number of servers (endpoints per rail).
-func (r *Rail) Servers() int { return r.servers }
-
-// Endpoints returns Rails() * Servers(); endpoint ids are rail-major:
-// id = rail*Servers() + server.
+// Endpoints returns rails * servers; endpoint ids are rail-major:
+// id = rail*servers + server.
 func (r *Rail) Endpoints() int { return r.rails * r.servers }
 
 // Endpoint returns the id of server s's NIC on rail rl.
 func (r *Rail) Endpoint(rl, s int) int { return rl*r.servers + s }
 
-// Links returns 2*Endpoints() + Servers(): an up and a down link per
+// Links returns 2*Endpoints() + servers: an up and a down link per
 // NIC plus one internal bus per server.
 func (r *Rail) Links() int { return 2*r.Endpoints() + r.servers }
 

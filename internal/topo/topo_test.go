@@ -185,13 +185,13 @@ func TestTorusFabricMatchesDOR(t *testing.T) {
 	for src := 0; src < f.Endpoints(); src++ {
 		for dst := 0; dst < f.Endpoints(); dst++ {
 			ids := f.AppendPath(nil, src, dst)
-			raw := f.Torus().DORPath(src, dst)
+			raw := f.t.DORPath(src, dst)
 			if len(ids) != len(raw) {
 				t.Fatalf("path %d->%d: %d ids vs %d torus links", src, dst, len(ids), len(raw))
 			}
 			for i, id := range ids {
-				if f.Link(id) != raw[i] {
-					t.Fatalf("path %d->%d hop %d: id %d maps to %v, want %v", src, dst, i, id, f.Link(id), raw[i])
+				if f.links[id] != raw[i] {
+					t.Fatalf("path %d->%d hop %d: id %d maps to %v, want %v", src, dst, i, id, f.links[id], raw[i])
 				}
 			}
 		}

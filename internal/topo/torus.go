@@ -43,9 +43,6 @@ func NewTorusFabric(shape torus.Shape, linkBW unit.BitRate) (*TorusFabric, error
 // Name returns "torus".
 func (f *TorusFabric) Name() string { return "torus" }
 
-// Torus returns the underlying torus geometry.
-func (f *TorusFabric) Torus() *torus.Torus { return f.t }
-
 // Endpoints returns the chip count.
 func (f *TorusFabric) Endpoints() int { return f.t.Size() }
 
@@ -54,9 +51,6 @@ func (f *TorusFabric) Links() int { return len(f.links) }
 
 // LinkCapacity returns the uniform per-link bandwidth.
 func (f *TorusFabric) LinkCapacity(int) unit.BitRate { return f.linkBW }
-
-// Link returns the torus link behind a dense link id.
-func (f *TorusFabric) Link(id int) torus.Link { return f.links[id] }
 
 // AppendPath appends the dense link ids of the dimension-ordered
 // route from src to dst.

@@ -2,7 +2,6 @@ package torus
 
 import (
 	"fmt"
-	"sort"
 )
 
 // Allocation is a set of tenant slices placed on one torus, with
@@ -161,70 +160,4 @@ func (u LinkUse) Add(links []Link) {
 	for _, l := range links {
 		u[l]++
 	}
-}
-
-// Remove un-records one use of each link, deleting entries that reach
-// zero.
-func (u LinkUse) Remove(links []Link) {
-	for _, l := range links {
-		if u[l] <= 1 {
-			delete(u, l)
-		} else {
-			u[l]--
-		}
-	}
-}
-
-// MaxCongestion returns the highest per-link use count (0 when empty).
-// A value above 1 means congestion.
-func (u LinkUse) MaxCongestion() int {
-	max := 0
-	for _, n := range u {
-		if n > max {
-			max = n
-		}
-	}
-	return max
-}
-
-// CongestedLinks returns the links used more than once, sorted for
-// deterministic output.
-func (u LinkUse) CongestedLinks() []Link {
-	var out []Link
-	for l, n := range u {
-		if n > 1 {
-			out = append(out, l)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].From != out[j].From {
-			return out[i].From < out[j].From
-		}
-		return out[i].To < out[j].To
-	})
-	return out
-}
-
-// Overlap returns the links present in both sets (each link counted
-// once), sorted for deterministic output.
-func Overlap(a, b []Link) []Link {
-	seen := make(map[Link]bool, len(a))
-	for _, l := range a {
-		seen[l] = true
-	}
-	var out []Link
-	emitted := make(map[Link]bool)
-	for _, l := range b {
-		if seen[l] && !emitted[l] {
-			out = append(out, l)
-			emitted[l] = true
-		}
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].From != out[j].From {
-			return out[i].From < out[j].From
-		}
-		return out[i].To < out[j].To
-	})
-	return out
 }

@@ -2,6 +2,7 @@ package torus
 
 import (
 	"math"
+	"sort"
 	"testing"
 )
 
@@ -205,18 +206,6 @@ func TestLinkUse(t *testing.T) {
 	}
 }
 
-func TestOverlap(t *testing.T) {
-	a := []Link{{1, 2}, {2, 3}, {3, 4}}
-	b := []Link{{3, 4}, {2, 3}, {9, 9}, {2, 3}}
-	got := Overlap(a, b)
-	if len(got) != 2 || got[0] != (Link{2, 3}) || got[1] != (Link{3, 4}) {
-		t.Fatalf("overlap = %v", got)
-	}
-	if got := Overlap(a, nil); len(got) != 0 {
-		t.Fatalf("overlap with empty = %v", got)
-	}
-}
-
 // TestSliceRingsDisjointWithinRack verifies the DESIGN.md invariant
 // on the Figure 5b rack: the usable rings of all slices, taken
 // together, are congestion-free — the under-utilization model is
@@ -236,4 +225,46 @@ func TestSliceRingsDisjointWithinRack(t *testing.T) {
 	if use.MaxCongestion() > 1 {
 		t.Fatalf("usable rings congest on %v", use.CongestedLinks())
 	}
+}
+
+// Remove un-records one use of each link, deleting entries that reach
+// zero.
+func (u LinkUse) Remove(links []Link) {
+	for _, l := range links {
+		if u[l] <= 1 {
+			delete(u, l)
+		} else {
+			u[l]--
+		}
+	}
+}
+
+// MaxCongestion returns the highest per-link use count (0 when empty).
+// A value above 1 means congestion.
+func (u LinkUse) MaxCongestion() int {
+	max := 0
+	for _, n := range u {
+		if n > max {
+			max = n
+		}
+	}
+	return max
+}
+
+// CongestedLinks returns the links used more than once, sorted for
+// deterministic output.
+func (u LinkUse) CongestedLinks() []Link {
+	var out []Link
+	for l, n := range u {
+		if n > 1 {
+			out = append(out, l)
+		}
+	}
+	sort.Slice(out, func(i, j int) bool {
+		if out[i].From != out[j].From {
+			return out[i].From < out[j].From
+		}
+		return out[i].To < out[j].To
+	})
+	return out
 }

@@ -69,12 +69,6 @@ func NewTPUv4Cluster() *Cluster {
 	return c
 }
 
-// Rack returns the per-rack torus.
-func (c *Cluster) Rack() *Torus { return c.rack }
-
-// NumRacks returns the rack count.
-func (c *Cluster) NumRacks() int { return c.numRacks }
-
 // RackSize returns the chips per rack.
 func (c *Cluster) RackSize() int { return c.rack.Size() }
 
@@ -130,7 +124,7 @@ func (c *Cluster) ServerChips(server int) []int {
 // larger torus along d in sequence order: rack seq[i]'s +d face
 // splices to seq[i+1]'s -d face, wrapping from the last back to the
 // first. Every rack must currently be standalone in d (its faces wrap
-// to itself); re-joining requires Isolate first.
+// to itself), so a rack joins a dimension at most once.
 func (c *Cluster) Join(d int, seq []int) error {
 	if d < 0 || d >= c.rack.Dims() {
 		return fmt.Errorf("torus: dimension %d out of range", d)
@@ -157,81 +151,4 @@ func (c *Cluster) Join(d int, seq []int) error {
 		c.prev[d][nxt] = r
 	}
 	return nil
-}
-
-// Isolate reprograms the OCSes so the rack is standalone along
-// dimension d again, splicing its former neighbors to each other.
-func (c *Cluster) Isolate(d, rack int) {
-	n, p := c.next[d][rack], c.prev[d][rack]
-	if n == rack {
-		return
-	}
-	if n == p && n != rack {
-		// Two-rack loop: the other rack becomes standalone too.
-		c.next[d][n] = n
-		c.prev[d][n] = n
-	} else {
-		c.next[d][p] = n
-		c.prev[d][n] = p
-	}
-	c.next[d][rack] = rack
-	c.prev[d][rack] = rack
-}
-
-// NeighborGlobal returns the global chip adjacent to g along
-// dimension d in direction dir (+1/-1), following OCS splices across
-// rack faces.
-func (c *Cluster) NeighborGlobal(g, d, dir int) int {
-	rack, chip := c.Split(g)
-	co := c.rack.Coord(chip)
-	e := c.rack.Extent(d)
-	v := co[d] + dir
-	switch {
-	case v >= e:
-		co[d] = 0
-		return c.GlobalID(c.next[d][rack], c.rack.Index(co))
-	case v < 0:
-		co[d] = e - 1
-		return c.GlobalID(c.prev[d][rack], c.rack.Index(co))
-	default:
-		co[d] = v
-		return c.GlobalID(rack, c.rack.Index(co))
-	}
-}
-
-// GlobalNeighbors returns every chip adjacent to g, over all
-// dimensions and directions. Extent-1 dimensions contribute no
-// neighbors for standalone racks, but do cross racks when spliced.
-func (c *Cluster) GlobalNeighbors(g int) []int {
-	var out []int
-	for d := 0; d < c.rack.Dims(); d++ {
-		for _, dir := range [2]int{+1, -1} {
-			n := c.NeighborGlobal(g, d, dir)
-			if n != g {
-				out = append(out, n)
-			}
-		}
-	}
-	return out
-}
-
-// InterRack reports whether a global link crosses racks (and hence
-// traverses an OCS and optical fiber rather than on-board wires).
-func (c *Cluster) InterRack(l Link) bool {
-	ra, _ := c.Split(l.From)
-	rb, _ := c.Split(l.To)
-	return ra != rb
-}
-
-// GlobalLinkDim returns the dimension of a global link, or -1 if the
-// chips are not adjacent in the spliced topology.
-func (c *Cluster) GlobalLinkDim(l Link) int {
-	for d := 0; d < c.rack.Dims(); d++ {
-		for _, dir := range [2]int{+1, -1} {
-			if c.NeighborGlobal(l.From, d, dir) == l.To {
-				return d
-			}
-		}
-	}
-	return -1
 }

@@ -20,8 +20,8 @@ func TestTPUv4ClusterScale(t *testing.T) {
 	if c.Size() != 4096 {
 		t.Fatalf("cluster size = %d, want 4096", c.Size())
 	}
-	if c.NumRacks() != 64 || c.RackSize() != 64 {
-		t.Fatalf("racks = %d x %d chips", c.NumRacks(), c.RackSize())
+	if c.numRacks != 64 || c.RackSize() != 64 {
+		t.Fatalf("racks = %d x %d chips", c.numRacks, c.RackSize())
 	}
 	servers := map[int]int{}
 	for chip := 0; chip < c.RackSize(); chip++ {
@@ -151,51 +151,6 @@ func TestJoinValidation(t *testing.T) {
 	}
 }
 
-func TestIsolate(t *testing.T) {
-	c, _ := NewCluster(Shape{4, 4, 4}, 3)
-	if err := c.Join(2, []int{0, 1, 2}); err != nil {
-		t.Fatal(err)
-	}
-	c.Isolate(2, 1)
-	tor := c.Rack()
-	// Rack 1 wraps to itself again.
-	edge := c.GlobalID(1, tor.Index(Coord{0, 0, 3}))
-	if got := c.NeighborGlobal(edge, 2, +1); got != c.GlobalID(1, tor.Index(Coord{0, 0, 0})) {
-		t.Fatalf("isolated rack does not self-wrap: %d", got)
-	}
-	// Racks 0 and 2 are spliced to each other.
-	a := c.GlobalID(0, tor.Index(Coord{0, 0, 3}))
-	b := c.GlobalID(2, tor.Index(Coord{0, 0, 0}))
-	if got := c.NeighborGlobal(a, 2, +1); got != b {
-		t.Fatalf("remaining racks not respliced: %d, want %d", got, b)
-	}
-	// Isolating an already standalone rack is a no-op.
-	c.Isolate(2, 1)
-}
-
-func TestIsolateTwoRackLoop(t *testing.T) {
-	c, _ := NewCluster(Shape{4, 4, 4}, 2)
-	if err := c.Join(2, []int{0, 1}); err != nil {
-		t.Fatal(err)
-	}
-	c.Isolate(2, 0)
-	tor := c.Rack()
-	for r := 0; r < 2; r++ {
-		edge := c.GlobalID(r, tor.Index(Coord{0, 0, 3}))
-		if got := c.NeighborGlobal(edge, 2, +1); got != c.GlobalID(r, tor.Index(Coord{0, 0, 0})) {
-			t.Fatalf("rack %d not standalone after isolate", r)
-		}
-	}
-}
-
-func TestGlobalNeighborsDegree(t *testing.T) {
-	c, _ := NewCluster(Shape{4, 4, 4}, 2)
-	g := c.GlobalID(0, c.Rack().Index(Coord{1, 1, 1}))
-	if n := len(c.GlobalNeighbors(g)); n != 6 {
-		t.Fatalf("interior chip degree = %d, want 6", n)
-	}
-}
-
 func TestGlobalLinkDim(t *testing.T) {
 	c, _ := NewCluster(Shape{4, 4, 4}, 2)
 	if err := c.Join(2, []int{0, 1}); err != nil {
@@ -212,3 +167,48 @@ func TestGlobalLinkDim(t *testing.T) {
 		t.Fatalf("non-adjacent dim = %d, want -1", got)
 	}
 }
+
+// InterRack reports whether a global link crosses racks (and hence
+// traverses an OCS and optical fiber rather than on-board wires).
+func (c *Cluster) InterRack(l Link) bool {
+	ra, _ := c.Split(l.From)
+	rb, _ := c.Split(l.To)
+	return ra != rb
+}
+
+// GlobalLinkDim returns the dimension of a global link, or -1 if the
+// chips are not adjacent in the spliced topology.
+func (c *Cluster) GlobalLinkDim(l Link) int {
+	for d := 0; d < c.rack.Dims(); d++ {
+		for _, dir := range [2]int{+1, -1} {
+			if c.NeighborGlobal(l.From, d, dir) == l.To {
+				return d
+			}
+		}
+	}
+	return -1
+}
+
+// NeighborGlobal returns the global chip adjacent to g along
+// dimension d in direction dir (+1/-1), following OCS splices across
+// rack faces.
+func (c *Cluster) NeighborGlobal(g, d, dir int) int {
+	rack, chip := c.Split(g)
+	co := c.rack.Coord(chip)
+	e := c.rack.Extent(d)
+	v := co[d] + dir
+	switch {
+	case v >= e:
+		co[d] = 0
+		return c.GlobalID(c.next[d][rack], c.rack.Index(co))
+	case v < 0:
+		co[d] = e - 1
+		return c.GlobalID(c.prev[d][rack], c.rack.Index(co))
+	default:
+		co[d] = v
+		return c.GlobalID(rack, c.rack.Index(co))
+	}
+}
+
+// Rack returns the per-rack torus.
+func (c *Cluster) Rack() *Torus { return c.rack }

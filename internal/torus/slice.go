@@ -42,24 +42,6 @@ func (s *Slice) Validate(t *Torus) error {
 // Size returns the number of chips in the slice.
 func (s *Slice) Size() int { return s.Shape.Size() }
 
-// Contains reports whether the chip at coordinate c belongs to the
-// slice. The slice may wrap around the parent torus.
-func (s *Slice) Contains(t *Torus, c Coord) bool {
-	for d := range c {
-		e := t.Extent(d)
-		rel := (c[d] - s.Origin[d] + e) % e
-		if rel >= s.Shape[d] {
-			return false
-		}
-	}
-	return true
-}
-
-// ContainsIndex reports whether chip index i belongs to the slice.
-func (s *Slice) ContainsIndex(t *Torus, i int) bool {
-	return s.Contains(t, t.Coord(i))
-}
-
 // Chips returns the chip indices of the slice in row-major order of
 // the slice's local coordinates.
 func (s *Slice) Chips(t *Torus) []int {
@@ -294,17 +276,4 @@ func (s *Slice) boustrophedon(t *Torus, a, b int) []int {
 		cycle = append(cycle, at(0, bv))
 	}
 	return cycle
-}
-
-// RingToLinks converts an ordered chip cycle into its directed links,
-// including the closing link from the last chip back to the first.
-func RingToLinks(ring []int) []Link {
-	if len(ring) < 2 {
-		return nil
-	}
-	links := make([]Link, len(ring))
-	for i := range ring {
-		links[i] = Link{From: ring[i], To: ring[(i+1)%len(ring)]}
-	}
-	return links
 }

@@ -284,3 +284,34 @@ func assertHamiltonianCycle(t *testing.T, tor *Torus, s *Slice, ring []int) {
 		t.Fatalf("snake ring self-congests on %v", use.CongestedLinks())
 	}
 }
+
+// RingToLinks converts an ordered chip cycle into its directed links,
+// including the closing link from the last chip back to the first.
+func RingToLinks(ring []int) []Link {
+	if len(ring) < 2 {
+		return nil
+	}
+	links := make([]Link, len(ring))
+	for i := range ring {
+		links[i] = Link{From: ring[i], To: ring[(i+1)%len(ring)]}
+	}
+	return links
+}
+
+// ContainsIndex reports whether chip index i belongs to the slice.
+func (s *Slice) ContainsIndex(t *Torus, i int) bool {
+	return s.Contains(t, t.Coord(i))
+}
+
+// Contains reports whether the chip at coordinate c belongs to the
+// slice. The slice may wrap around the parent torus.
+func (s *Slice) Contains(t *Torus, c Coord) bool {
+	for d := range c {
+		e := t.Extent(d)
+		rel := (c[d] - s.Origin[d] + e) % e
+		if rel >= s.Shape[d] {
+			return false
+		}
+	}
+	return true
+}

@@ -54,19 +54,6 @@ func (s Shape) Clone() Shape {
 	return c
 }
 
-// Equal reports whether two shapes are identical.
-func (s Shape) Equal(o Shape) bool {
-	if len(s) != len(o) {
-		return false
-	}
-	for i := range s {
-		if s[i] != o[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // String formats the shape as "4x4x4".
 func (s Shape) String() string {
 	out := ""
@@ -87,19 +74,6 @@ func (c Coord) Clone() Coord {
 	o := make(Coord, len(c))
 	copy(o, c)
 	return o
-}
-
-// Equal reports whether two coordinates are identical.
-func (c Coord) Equal(o Coord) bool {
-	if len(c) != len(o) {
-		return false
-	}
-	for i := range c {
-		if c[i] != o[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // String formats the coordinate as "(x,y,z)".

@@ -30,9 +30,6 @@ func TestShapeBasics(t *testing.T) {
 	if s[0] != 4 {
 		t.Fatal("clone aliases original")
 	}
-	if !s.Equal(Shape{4, 4, 4}) || s.Equal(Shape{4, 4}) || s.Equal(Shape{4, 4, 5}) {
-		t.Fatal("Equal misbehaves")
-	}
 }
 
 func TestCoordBasics(t *testing.T) {
@@ -44,9 +41,6 @@ func TestCoordBasics(t *testing.T) {
 	o[0] = 9
 	if c[0] != 1 {
 		t.Fatal("clone aliases original")
-	}
-	if !c.Equal(Coord{1, 2, 3}) || c.Equal(Coord{1, 2}) || c.Equal(Coord{1, 2, 4}) {
-		t.Fatal("Equal misbehaves")
 	}
 }
 

@@ -26,7 +26,6 @@ const (
 
 	KiB Bytes = 1 << 10
 	MiB Bytes = 1 << 20
-	GiB Bytes = 1 << 30
 )
 
 // Bits returns the size in bits.
@@ -139,23 +138,11 @@ func (s Seconds) String() string {
 // Decibel is a power ratio in dB. Optical losses are positive dB values.
 type Decibel float64
 
-// Linear returns the linear power ratio corresponding to d treated as a
-// gain: Linear(3 dB) ~= 2. A loss of x dB is a gain of -x dB.
-func (d Decibel) Linear() float64 { return math.Pow(10, float64(d)/10) }
-
-// FromLinear converts a linear power ratio to dB.
-func FromLinear(ratio float64) Decibel {
-	return Decibel(10 * math.Log10(ratio))
-}
-
 // DBm is an absolute optical power referenced to 1 mW.
 type DBm float64
 
 // Milliwatts returns the absolute power in mW.
 func (p DBm) Milliwatts() float64 { return math.Pow(10, float64(p)/10) }
-
-// DBmFromMilliwatts converts an absolute power in mW to dBm.
-func DBmFromMilliwatts(mw float64) DBm { return DBm(10 * math.Log10(mw)) }
 
 // Sub applies a loss in dB to an absolute power: p - loss.
 func (p DBm) Sub(loss Decibel) DBm { return p - DBm(loss) }

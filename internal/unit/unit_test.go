@@ -219,3 +219,15 @@ func TestSecondsPerByte(t *testing.T) {
 		t.Fatalf("1ms over 1KB = %v s/B, want 1e-6", got)
 	}
 }
+
+// DBmFromMilliwatts converts an absolute power in mW to dBm.
+func DBmFromMilliwatts(mw float64) DBm { return DBm(10 * math.Log10(mw)) }
+
+// Linear returns the linear power ratio corresponding to d treated as a
+// gain: Linear(3 dB) ~= 2. A loss of x dB is a gain of -x dB.
+func (d Decibel) Linear() float64 { return math.Pow(10, float64(d)/10) }
+
+// FromLinear converts a linear power ratio to dB.
+func FromLinear(ratio float64) Decibel {
+	return Decibel(10 * math.Log10(ratio))
+}

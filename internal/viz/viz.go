@@ -8,7 +8,6 @@ import (
 	"strings"
 
 	"lightpath/internal/torus"
-	"lightpath/internal/wafer"
 )
 
 // sliceSymbols indexes slices to single characters: 1-9 then A-Z.
@@ -85,37 +84,4 @@ func cellSymbol(t *torus.Torus, a *torus.Allocation, failed map[int]bool, c toru
 		return 'X'
 	}
 	return sliceSymbol(a.Owner(chip))
-}
-
-// WaferOccupancy renders each wafer of a rack as a tile grid showing
-// lasers in use per tile (0-9, '*' for 10+), plus bus and fiber
-// utilization counters — a quick view of how loaded the photonic
-// fabric is.
-func WaferOccupancy(r *wafer.Rack) string {
-	var b strings.Builder
-	cfg := r.Config()
-	for w := 0; w < r.NumWafers(); w++ {
-		wf := r.Wafer(w)
-		h, v := wf.BusesInUse()
-		fmt.Fprintf(&b, "wafer %d (buses in use: %d horizontal, %d vertical)\n", w, h, v)
-		for row := 0; row < cfg.Rows; row++ {
-			b.WriteString("  ")
-			for col := 0; col < cfg.Cols; col++ {
-				used := cfg.LasersPerTile - wf.Tile(row, col).FreeLasers()
-				switch {
-				case used == 0:
-					b.WriteByte('.')
-				case used < 10:
-					b.WriteByte(byte('0' + used))
-				default:
-					b.WriteByte('*')
-				}
-				b.WriteByte(' ')
-			}
-			b.WriteByte('\n')
-		}
-	}
-	fmt.Fprintf(&b, "fibers in use: %d (%s cascade, %d trunks)\n",
-		r.FibersInUse(), r.Topology(), r.NumTrunks())
-	return b.String()
 }

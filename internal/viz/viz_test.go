@@ -5,10 +5,7 @@ import (
 	"testing"
 
 	"lightpath/internal/alloc"
-	"lightpath/internal/rng"
-	"lightpath/internal/route"
 	"lightpath/internal/torus"
-	"lightpath/internal/wafer"
 )
 
 func TestRackLayersFig5b(t *testing.T) {
@@ -84,42 +81,5 @@ func TestSliceSymbolRange(t *testing.T) {
 	}
 	if sliceSymbol(35) != '?' {
 		t.Fatal("overflow symbol wrong")
-	}
-}
-
-func TestWaferOccupancy(t *testing.T) {
-	rack, err := wafer.NewRack(wafer.DefaultConfig(), 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a := route.NewAllocator(rack, rng.New(1))
-	if _, err := a.Establish(route.Request{A: 0, B: 33, Width: 4}, 0); err != nil {
-		t.Fatal(err)
-	}
-	out := WaferOccupancy(rack)
-	if !strings.Contains(out, "wafer 0") || !strings.Contains(out, "wafer 1") {
-		t.Fatalf("missing wafers:\n%s", out)
-	}
-	// Endpoint tiles show 4 lasers in use.
-	if !strings.Contains(out, "4") {
-		t.Fatalf("laser usage not shown:\n%s", out)
-	}
-	if !strings.Contains(out, "fibers in use: 1 (chain cascade, 1 trunks)") {
-		t.Fatalf("fiber line wrong:\n%s", out)
-	}
-}
-
-func TestWaferOccupancySaturatedTile(t *testing.T) {
-	cfg := wafer.DefaultConfig()
-	rack, err := wafer.NewRack(cfg, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Saturate tile 0's 16 lasers.
-	if err := rack.TileOf(0).Reserve(16); err != nil {
-		t.Fatal(err)
-	}
-	if out := WaferOccupancy(rack); !strings.Contains(out, "*") {
-		t.Fatalf("saturated tile not starred:\n%s", out)
 	}
 }

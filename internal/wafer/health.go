@@ -43,9 +43,6 @@ func (t *Tile) FailLasers(n int) {
 	}
 }
 
-// FailedLasers returns how many lasers have burned out.
-func (t *Tile) FailedLasers() int { return t.lasersFailed }
-
 // RepairChip replaces the tile's failed accelerator chip with a
 // working one; the tile can terminate circuits again. Repairing a
 // healthy chip is a no-op.
@@ -89,9 +86,6 @@ func (t *Tile) FailSwitch(i int) error {
 func (t *Tile) SwitchHealthy(i int) bool {
 	return i >= 0 && i < SwitchesPerTile && !t.Switches[i].stuck
 }
-
-// Stuck reports whether the switch has failed into its current state.
-func (s *Switch13) Stuck() bool { return s.stuck }
 
 // CutFiberRow marks a trunk row as cut (§5: a trunk-row fiber
 // failure). Fibers already allocated there stay allocated: the caller
@@ -251,7 +245,3 @@ func (w *Wafer) SpanSevered(o Orient, lane int, span Interval) bool {
 	}
 	return false
 }
-
-// DegradedSegments counts tile positions carrying fault-induced loss
-// (including 0 dB records).
-func (w *Wafer) DegradedSegments() int { return w.degraded }

@@ -32,11 +32,11 @@ func TestFailLasersSaturatesAndChargesFreePool(t *testing.T) {
 		t.Fatalf("free lasers = %d, want %d", got, free-3)
 	}
 	tile.FailLasers(1 << 20)
-	if got := tile.FailedLasers(); got != free {
+	if got := tile.lasersFailed; got != free {
 		t.Fatalf("failed lasers = %d, want saturation at %d", got, free)
 	}
 	tile.FailLasers(-5) // no-op
-	if got := tile.FailedLasers(); got != free {
+	if got := tile.lasersFailed; got != free {
 		t.Fatalf("negative failure changed count to %d", got)
 	}
 }
@@ -62,7 +62,7 @@ func TestFailSwitchRefusesProgramOnly(t *testing.T) {
 	if err := tile.FailSwitch(1); err != nil {
 		t.Fatal(err)
 	}
-	if tile.SwitchHealthy(1) || !tile.Switches[1].Stuck() {
+	if tile.SwitchHealthy(1) || !tile.Switches[1].stuck {
 		t.Fatal("stuck switch reported healthy")
 	}
 	if err := tile.Switches[1].Program(0, 0); err == nil {
@@ -106,8 +106,8 @@ func TestDegradeSegmentAccumulatesAndSevers(t *testing.T) {
 	if got := w.SpanExtraLossDB(Vertical, 1, span); got != 0 {
 		t.Fatalf("orthogonal lane degraded by %g", got)
 	}
-	if w.DegradedSegments() != 1 {
-		t.Fatalf("degraded segments = %d, want 1", w.DegradedSegments())
+	if w.degraded != 1 {
+		t.Fatalf("degraded segments = %d, want 1", w.degraded)
 	}
 }
 

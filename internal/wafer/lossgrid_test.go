@@ -115,7 +115,7 @@ func TestLossGridMatchesMap(t *testing.T) {
 					ref.degrade(o, lane, pos, db)
 				}
 			}
-			if got, want := w.DegradedSegments(), len(ref.degraded); got != want {
+			if got, want := w.degraded, len(ref.degraded); got != want {
 				t.Fatalf("seed %d step %d: %d degraded segments, map has %d", seed, step, got, want)
 			}
 			for q := 0; q < 20; q++ {

@@ -141,14 +141,6 @@ func (r *Rack) Place(chip int) (waferIdx, row, col int) {
 	return waferIdx, local / r.cfg.Cols, local % r.cfg.Cols
 }
 
-// ChipAt is the inverse of Place.
-func (r *Rack) ChipAt(waferIdx, row, col int) int {
-	if waferIdx < 0 || waferIdx >= len(r.wafers) {
-		panic(fmt.Sprintf("wafer: wafer %d out of range", waferIdx))
-	}
-	return waferIdx*r.cfg.Tiles() + row*r.cfg.Cols + col
-}
-
 // TileOf returns the tile hosting a chip.
 func (r *Rack) TileOf(chip int) *Tile {
 	if chip < 0 || chip >= len(r.chips) {

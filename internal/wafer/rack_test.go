@@ -1,6 +1,7 @@
 package wafer
 
 import (
+	"fmt"
 	"testing"
 
 	"lightpath/internal/snapshot"
@@ -236,4 +237,12 @@ func TestTopologies(t *testing.T) {
 	if Chain.String() != "chain" || RingTopology.String() != "ring" {
 		t.Fatal("topology names wrong")
 	}
+}
+
+// ChipAt is the inverse of Place.
+func (r *Rack) ChipAt(waferIdx, row, col int) int {
+	if waferIdx < 0 || waferIdx >= len(r.wafers) {
+		panic(fmt.Sprintf("wafer: wafer %d out of range", waferIdx))
+	}
+	return waferIdx*r.cfg.Tiles() + row*r.cfg.Cols + col
 }

@@ -60,13 +60,6 @@ func (s *Switch13) Program(port int, now unit.Seconds) error {
 	return nil
 }
 
-// SettledAt returns when the switch output is stable after the most
-// recent Program: both MZI stages drive concurrently, so it is one
-// reconfiguration latency after the program time, not two.
-func (s *Switch13) SettledAt() unit.Seconds {
-	return s.lastProgram + phy.ReconfigLatency
-}
-
 // Tile is one LIGHTPATH tile with a chip stacked on it.
 type Tile struct {
 	Row, Col int
@@ -147,10 +140,4 @@ func (t *Tile) Release(width int) {
 	if t.lasersUsed < 0 || t.portsUsed < 0 {
 		panic(fmt.Sprintf("wafer: tile (%d,%d) resource underflow", t.Row, t.Col))
 	}
-}
-
-// EndpointBandwidth returns the bandwidth of a circuit of the given
-// wavelength width terminating at this tile.
-func (t *Tile) EndpointBandwidth(width int) unit.BitRate {
-	return unit.BitRate(width) * t.capacity
 }

@@ -108,17 +108,6 @@ func (l *busLane) free(bus int, iv Interval) {
 	panic(fmt.Sprintf("wafer: free of unallocated interval [%d,%d] on bus %d", iv.Lo, iv.Hi, bus))
 }
 
-// inUse counts buses with at least one occupied interval.
-func (l *busLane) inUse() int {
-	n := 0
-	for _, ivs := range l.buses {
-		if len(ivs) > 0 {
-			n++
-		}
-	}
-	return n
-}
-
 func overlapsAny(ivs []Interval, iv Interval) bool {
 	for _, o := range ivs {
 		if o.overlaps(iv) {
@@ -181,9 +170,6 @@ func New(cfg Config) (*Wafer, error) {
 	return w, nil
 }
 
-// Config returns the wafer's configuration.
-func (w *Wafer) Config() Config { return w.cfg }
-
 // Tile returns the tile at (row, col).
 func (w *Wafer) Tile(row, col int) *Tile {
 	t := w.TileAt(row, col)
@@ -201,17 +187,6 @@ func (w *Wafer) TileAt(row, col int) *Tile {
 	}
 	return w.tiles[row*w.cfg.Cols+col]
 }
-
-// TileByIndex returns tile i in row-major order.
-func (w *Wafer) TileByIndex(i int) *Tile {
-	if i < 0 || i >= len(w.tiles) {
-		panic(fmt.Sprintf("wafer: tile index %d out of range", i))
-	}
-	return w.tiles[i]
-}
-
-// TileIndex converts (row, col) to the row-major index.
-func (w *Wafer) TileIndex(row, col int) int { return row*w.cfg.Cols + col }
 
 // AllocBus occupies a free bus of the given orientation and lane over
 // the span, returning a reference for later release. A lane with no
@@ -306,18 +281,6 @@ func (w *Wafer) AllocatedSpans() int {
 		}
 	}
 	return n
-}
-
-// BusesInUse reports the number of occupied buses per orientation,
-// for utilization reporting.
-func (w *Wafer) BusesInUse() (horizontal, vertical int) {
-	for _, l := range w.hLanes {
-		horizontal += l.inUse()
-	}
-	for _, l := range w.vLanes {
-		vertical += l.inUse()
-	}
-	return
 }
 
 // mustLane is lane for callers whose lane is in range by

@@ -1,6 +1,7 @@
 package wafer
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 
@@ -287,4 +288,51 @@ func TestBusRefString(t *testing.T) {
 	if s := ref.String(); s != "vertical lane 2 bus 7 span [1,3]" {
 		t.Fatalf("string = %q", s)
 	}
+}
+
+// SettledAt returns when the switch output is stable after the most
+// recent Program: both MZI stages drive concurrently, so it is one
+// reconfiguration latency after the program time, not two.
+func (s *Switch13) SettledAt() unit.Seconds {
+	return s.lastProgram + phy.ReconfigLatency
+}
+
+// EndpointBandwidth returns the bandwidth of a circuit of the given
+// wavelength width terminating at this tile.
+func (t *Tile) EndpointBandwidth(width int) unit.BitRate {
+	return unit.BitRate(width) * t.capacity
+}
+
+// TileByIndex returns tile i in row-major order.
+func (w *Wafer) TileByIndex(i int) *Tile {
+	if i < 0 || i >= len(w.tiles) {
+		panic(fmt.Sprintf("wafer: tile index %d out of range", i))
+	}
+	return w.tiles[i]
+}
+
+// TileIndex converts (row, col) to the row-major index.
+func (w *Wafer) TileIndex(row, col int) int { return row*w.cfg.Cols + col }
+
+// BusesInUse reports the number of occupied buses per orientation,
+// for utilization reporting.
+func (w *Wafer) BusesInUse() (horizontal, vertical int) {
+	for _, l := range w.hLanes {
+		horizontal += l.inUse()
+	}
+	for _, l := range w.vLanes {
+		vertical += l.inUse()
+	}
+	return
+}
+
+// inUse counts buses with at least one occupied interval.
+func (l *busLane) inUse() int {
+	n := 0
+	for _, ivs := range l.buses {
+		if len(ivs) > 0 {
+			n++
+		}
+	}
+	return n
 }

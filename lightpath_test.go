@@ -133,7 +133,4 @@ func TestEndToEndStory(t *testing.T) {
 	if _, err := fabric.RunMoE(moe); err != nil {
 		t.Fatal(err)
 	}
-	if status := fabric.Status(); len(status) == 0 {
-		t.Fatal("empty status")
-	}
 }
