@@ -62,6 +62,6 @@ func ExampleFabric_Circuits() {
 	if err != nil {
 		panic(err)
 	}
-	fmt.Println("ready at", c.ReadyAt)
+	fmt.Println("ready at", c.ReadyAt())
 	// Output: ready at 3.70us
 }

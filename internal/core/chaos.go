@@ -212,8 +212,8 @@ func (f *Fabric) RunPlannedAllReduceUnderFault(a *torus.Allocation, plan *Collec
 	out.Degraded = degraded
 	repairedAt := clock
 	for _, c := range circuits {
-		if c.ReadyAt > repairedAt {
-			repairedAt = c.ReadyAt
+		if r := c.ReadyAt(); r > repairedAt {
+			repairedAt = r
 		}
 	}
 	out.RepairTime = repairedAt - clock

@@ -25,8 +25,10 @@ import (
 // rack's and dropped the allocator's per-row fiber counts. Version 4
 // drops the request and attempt counts, which the next session ID and
 // the server's arrival count already hold, and carries the server's
-// version 4 state.
-const checkpointVersion = 4
+// version 4 state. Version 5 carries the server's version 5 state: the
+// rack and allocator sections drop the switch timing state and the
+// circuits' ready times.
+const checkpointVersion = 5
 
 // checkpointEvery is the default checkpoint cadence in event
 // boundaries.

@@ -21,7 +21,10 @@ import (
 // the cut fiber rows from the allocator's section into the rack's and
 // dropped the allocator's per-row fiber counts. Version 4 drops the
 // busy-until time, which is the backlog's last completion time.
-const CheckpointVersion = 4
+// Version 5 drops each switch's program time and MZI phase state from
+// the rack section and each circuit's ready time, which its
+// establishment time implies, from the allocator's.
+const CheckpointVersion = 5
 
 // configDigest encodes every Config field that shapes controller
 // behavior. Restores compare digests byte-for-byte: a checkpoint is

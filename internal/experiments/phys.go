@@ -46,9 +46,8 @@ func (r Fig3aResult) String() string {
 // MZI from bar to cross, sample the output with measurement noise,
 // and fit the exponential rise.
 func Fig3a(seed uint64) (Fig3aResult, error) {
-	var m phy.MZI
 	r := rng.New(seed).Split("fig3a")
-	trace := m.StepResponse(20*unit.Nanosecond, 12*unit.Microsecond, 0.02, r)
+	trace := phy.StepResponse(20*unit.Nanosecond, 12*unit.Microsecond, 0.02, r)
 	fit, err := phy.FitExponentialRise(trace)
 	if err != nil {
 		return Fig3aResult{}, err

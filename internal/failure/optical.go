@@ -16,8 +16,8 @@ import (
 type OpticalPlan struct {
 	Replacement int
 	Circuits    []*route.Circuit
-	// ReadyAt is when the repaired rings can resume: all circuit MZIs
-	// settled (establishment time + 3.7 us).
+	// ReadyAt is when the repaired rings can resume: the latest of the
+	// circuits' ready times.
 	ReadyAt unit.Seconds
 }
 
@@ -91,8 +91,8 @@ func (f *Fabric) tryOptical(alloc *route.Allocator, eps []RepairEndpoint, repl, 
 		}
 	}
 	for _, c := range plan.Circuits {
-		if c.ReadyAt > plan.ReadyAt {
-			plan.ReadyAt = c.ReadyAt
+		if c.ReadyAt() > plan.ReadyAt {
+			plan.ReadyAt = c.ReadyAt()
 		}
 	}
 	return plan, nil

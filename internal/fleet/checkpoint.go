@@ -27,8 +27,11 @@ import (
 // fiber rows from the allocator's section into the rack's and dropped
 // the allocator's per-row fiber counts. Version 5 writes queued and
 // in-repair faults as schedule indexes, the fault count once, and no
-// busy-crew count or goodput quantile sketch.
-const checkpointVersion = 5
+// busy-crew count or goodput quantile sketch. Version 6 drops each
+// switch's program time and MZI phase state from the rack section and
+// each circuit's ready time, which its establishment time implies,
+// from the allocator's.
+const checkpointVersion = 6
 
 // checkpointEvery is the default checkpoint cadence in event
 // boundaries.

@@ -268,8 +268,13 @@ var sabotages = []sabotage{
 		c := cs[r.Intn(len(cs))]
 		c.Width = max(c.Width, 0) + 1 + r.Intn(3)
 	}},
-	{"ready time shifted", true, func(r *rng.Rand, a *route.Allocator, cs []*route.Circuit) {
-		cs[r.Intn(len(cs))].ReadyAt += unit.Seconds(1+r.Intn(100)) * unit.Microsecond
+	{"endpoint chip failed", true, func(r *rng.Rand, a *route.Allocator, cs []*route.Circuit) {
+		c := cs[r.Intn(len(cs))]
+		ep := c.A
+		if r.Intn(2) == 0 {
+			ep = c.B
+		}
+		a.Rack().TileOf(ep).FailChip()
 	}},
 	{"switch flipped", true, func(r *rng.Rand, a *route.Allocator, cs []*route.Circuit) {
 		ses := a.AppendCircuitSwitches(nil, cs[r.Intn(len(cs))])
@@ -278,7 +283,7 @@ var sabotages = []sabotage{
 		}
 		se := ses[r.Intn(len(ses))]
 		// A stuck switch refuses; the state then stays consistent.
-		_ = se.Tile.Switches[se.Switch].Program((se.Port+1+r.Intn(wafer.SwitchDegree-1))%wafer.SwitchDegree, 0)
+		_ = se.Tile.Switches[se.Switch].Program((se.Port + 1 + r.Intn(wafer.SwitchDegree-1)) % wafer.SwitchDegree)
 	}},
 }
 

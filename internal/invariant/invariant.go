@@ -35,9 +35,7 @@ import (
 	"errors"
 	"fmt"
 
-	"lightpath/internal/phy"
 	"lightpath/internal/route"
-	"lightpath/internal/unit"
 	"lightpath/internal/wafer"
 )
 
@@ -148,7 +146,7 @@ var registry = []Invariant{
 	},
 	budgetHealth: {
 		Name:  "budget-health",
-		Doc:   "active circuits terminate at healthy chips on the rack, cross no severed span or failed fiber row, settle one reconfiguration latency after establishment, and (when budget checking is on) still close their optical budget",
+		Doc:   "active circuits terminate at healthy chips on the rack, cross no severed span or failed fiber row, and (when budget checking is on) still close their optical budget",
 		Check: view(budgetHealth),
 	},
 	switchConsistency: {
@@ -353,9 +351,6 @@ func (ctx *checkCtx) check(a *route.Allocator, c *route.Circuit) {
 		if rack.FiberRowCut(f.Trunk, f.Row) {
 			out[budgetHealth] = append(out[budgetHealth], fmt.Sprintf("circuit %d uses cut fiber row (trunk %d, row %d)", c.ID, f.Trunk, f.Row))
 		}
-	}
-	if !unit.ApproxEqual(c.ReadyAt, c.EstablishedAt+phy.ReconfigLatency) {
-		out[budgetHealth] = append(out[budgetHealth], fmt.Sprintf("circuit %d ready at %v, not one reconfiguration latency after %v", c.ID, c.ReadyAt, c.EstablishedAt))
 	}
 	// Without budget checking the allocator legitimately admits
 	// margin-negative circuits, so feasibility is only an invariant

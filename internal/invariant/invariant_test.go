@@ -119,7 +119,7 @@ var corruptions = []struct {
 		invariant: "switch-consistency",
 		sabotage: func(t *testing.T, a *route.Allocator) {
 			se := a.AppendCircuitSwitches(nil, firstCircuit(t, a))[0]
-			if err := se.Tile.Switches[se.Switch].Program(se.Port+1, 0); err != nil {
+			if err := se.Tile.Switches[se.Switch].Program(se.Port + 1); err != nil {
 				t.Fatal(err)
 			}
 		},
@@ -379,11 +379,12 @@ func TestSampledFallsBackToFullPass(t *testing.T) {
 			}
 		}, false},
 		{"violation found", func(t *testing.T, a *route.Allocator, d *Auditor) {
-			a.Circuits()[0].ReadyAt++
+			tile := a.Rack().TileOf(a.Circuits()[0].A)
+			tile.FailChip()
 			if len(d.Audit("sabotage")) == 0 {
 				t.Fatal("sabotage went unnoticed")
 			}
-			a.Circuits()[0].ReadyAt--
+			tile.RepairChip()
 		}, false},
 		{"table out of ID order", func(t *testing.T, a *route.Allocator, d *Auditor) {
 			cs := a.Circuits()

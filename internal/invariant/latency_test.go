@@ -31,7 +31,7 @@ var latencyPlants = []struct {
 	{"span dropped from the lane occupancy", func(c *route.Circuit) bool { return len(c.Segments) > 0 }},
 	{"dropped fiber", func(c *route.Circuit) bool { return len(c.Fibers) > 0 }},
 	{"width changed", func(*route.Circuit) bool { return true }},
-	{"ready time shifted", func(*route.Circuit) bool { return true }},
+	{"endpoint chip failed", func(*route.Circuit) bool { return true }},
 	{"switch flipped", func(*route.Circuit) bool { return true }},
 }
 

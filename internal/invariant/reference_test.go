@@ -5,9 +5,7 @@ import (
 	"sort"
 
 	"lightpath/internal/invariant"
-	"lightpath/internal/phy"
 	"lightpath/internal/route"
-	"lightpath/internal/unit"
 	"lightpath/internal/wafer"
 )
 
@@ -287,9 +285,6 @@ func checkBudgetHealth(a *route.Allocator, ctx *checkCtx) []string {
 			if a.Rack().FiberRowCut(f.Trunk, f.Row) {
 				out = append(out, fmt.Sprintf("circuit %d uses cut fiber row (trunk %d, row %d)", c.ID, f.Trunk, f.Row))
 			}
-		}
-		if !unit.ApproxEqual(c.ReadyAt, c.EstablishedAt+phy.ReconfigLatency) {
-			out = append(out, fmt.Sprintf("circuit %d ready at %v, not one reconfiguration latency after %v", c.ID, c.ReadyAt, c.EstablishedAt))
 		}
 		// Without budget checking the allocator legitimately admits
 		// margin-negative circuits, so feasibility is only an invariant

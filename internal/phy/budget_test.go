@@ -184,9 +184,9 @@ func TestExtinctionPenalty(t *testing.T) {
 	if math.Abs(float64(got)-0.872) > 0.005 {
 		t.Fatalf("penalty(10dB) = %v, want ~0.872", got)
 	}
-	// Better extinction, smaller penalty; 25 dB (the default MZI) is
-	// almost free.
-	if p25 := ExtinctionPenaltyDB(DefaultExtinctionDB); p25 >= got || p25 > 0.05 {
+	// Better extinction, smaller penalty; 25 dB (a well-balanced
+	// integrated MZI) is almost free.
+	if p25 := ExtinctionPenaltyDB(25); p25 >= got || p25 > 0.05 {
 		t.Fatalf("penalty(25dB) = %v", p25)
 	}
 	// Monotone decreasing in extinction.

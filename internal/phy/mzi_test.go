@@ -8,89 +8,9 @@ import (
 	"lightpath/internal/unit"
 )
 
-func TestMZIZeroValueIsBar(t *testing.T) {
-	var m MZI
-	if m.State() != Bar {
-		t.Fatalf("zero MZI state = %v, want bar", m.State())
-	}
-	if c := m.CrossCoupling(0); c > 0.01 {
-		t.Fatalf("zero MZI cross coupling = %v, want ~0", c)
-	}
-}
-
-func TestMZIProgramCrossSettles(t *testing.T) {
-	var m MZI
-	m.Program(Cross, 0)
-	// Immediately after programming, still mostly bar.
-	if c := m.CrossCoupling(10 * unit.Nanosecond); c > 0.1 {
-		t.Fatalf("coupling 10ns after program = %v, want <0.1", c)
-	}
-	// After the paper's 3.7us, within ~2% of full cross (amplitude in
-	// phase settles to 2%, power is even closer).
-	if c := m.CrossCoupling(ReconfigLatency); c < 0.95 {
-		t.Fatalf("coupling at 3.7us = %v, want >0.95", c)
-	}
-	if m.State() != Cross {
-		t.Fatalf("state = %v, want cross", m.State())
-	}
-}
-
-func TestMZISettledAt(t *testing.T) {
-	var m MZI
-	got := m.SettledAt(0)
-	if math.Abs(float64(got-ReconfigLatency)) > 1e-12 {
-		t.Fatalf("SettledAt(0) = %v, want %v", got, ReconfigLatency)
-	}
-	got = m.SettledAt(unit.Seconds(1))
-	want := unit.Seconds(1) + ReconfigLatency
-	if math.Abs(float64(got-want)) > 1e-9 {
-		t.Fatalf("SettledAt(1s) = %v, want %v", got, want)
-	}
-}
-
-func TestMZIExtinctionLimitsCoupling(t *testing.T) {
-	m := MZI{ExtinctionDB: 20}
-	m.Program(Cross, 0)
-	c := m.CrossCoupling(unit.Seconds(1)) // fully settled
-	// 20 dB extinction: leak 0.01, so max coupling 1 - 2*0.01 + 0.01 = 0.99.
-	if c > 0.995 || c < 0.97 {
-		t.Fatalf("settled coupling with 20dB extinction = %v, want ~0.99", c)
-	}
-	m.Program(Bar, unit.Seconds(1))
-	c = m.CrossCoupling(unit.Seconds(2))
-	if c < 0.005 || c > 0.03 {
-		t.Fatalf("bar-state leak with 20dB extinction = %v, want ~0.01", c)
-	}
-}
-
-func TestMZIBackwardTimeDoesNotPanic(t *testing.T) {
-	var m MZI
-	m.Program(Cross, unit.Seconds(1))
-	// Querying at an earlier time must not move the phase backward.
-	c1 := m.CrossCoupling(unit.Seconds(0.5))
-	c2 := m.CrossCoupling(unit.Seconds(1))
-	if c2 < c1 {
-		t.Fatalf("coupling decreased over time: %v then %v", c1, c2)
-	}
-}
-
-func TestMZIStateFlipsMidFlight(t *testing.T) {
-	var m MZI
-	m.Program(Cross, 0)
-	// Halfway through settling, command back to bar.
-	m.Program(Bar, 1*unit.Microsecond)
-	if m.State() != Bar {
-		t.Fatalf("state after reprogram = %v, want bar", m.State())
-	}
-	if c := m.CrossCoupling(unit.Seconds(1)); c > 0.01 {
-		t.Fatalf("settled coupling after reprogram = %v, want ~0", c)
-	}
-}
-
 func TestStepResponseShape(t *testing.T) {
-	var m MZI
 	r := rng.New(1)
-	trace := m.StepResponse(50*unit.Nanosecond, 10*unit.Microsecond, 0, r)
+	trace := StepResponse(50*unit.Nanosecond, 10*unit.Microsecond, 0, r)
 	if len(trace) < 100 {
 		t.Fatalf("trace too short: %d samples", len(trace))
 	}
@@ -106,23 +26,54 @@ func TestStepResponseShape(t *testing.T) {
 	}
 }
 
+// TestMZIProgramCrossSettles: the trace's time constant puts the 2%
+// settling point (4 tau) exactly at the paper's 3.7 us, so an MZI
+// commanded from bar to cross at t is ready at t + ReconfigLatency.
+func TestMZIProgramCrossSettles(t *testing.T) {
+	trace := StepResponse(ReconfigLatency/4, ReconfigLatency, 0, nil)
+	if len(trace) != 5 || trace[4].T != ReconfigLatency {
+		t.Fatalf("trace = %v, want 5 samples ending at %v", trace, ReconfigLatency)
+	}
+	if v := trace[3].V; v >= 0.98 {
+		t.Fatalf("amplitude at 3 tau = %v, want < 0.98 (not yet settled)", v)
+	}
+	if v := trace[4].V; v < 0.98 || v > 0.99 {
+		t.Fatalf("amplitude at %v = %v, want within 2%% of final", ReconfigLatency, v)
+	}
+}
+
+// TestMZISettledAt: a switch settles 4 time constants after it is
+// programmed, and the time constant a noiseless trace yields to the
+// Figure 3a fit puts that point at ReconfigLatency.
+func TestMZISettledAt(t *testing.T) {
+	if got := 4 * DefaultMZITimeConstant; math.Abs(float64(got-ReconfigLatency)) > 1e-12 {
+		t.Fatalf("4 tau = %v, want %v", got, ReconfigLatency)
+	}
+	trace := StepResponse(10*unit.Nanosecond, 20*ReconfigLatency, 0, nil)
+	fit, err := FitExponentialRise(trace)
+	if err != nil {
+		t.Fatalf("fit failed: %v", err)
+	}
+	if got := 4 * fit.Tau; math.Abs(float64(got-ReconfigLatency)) > 1e-3*float64(ReconfigLatency) {
+		t.Fatalf("fitted settle (4 tau) = %v, want %v", got, ReconfigLatency)
+	}
+}
+
 func TestStepResponsePanicsOnBadInterval(t *testing.T) {
 	defer func() {
 		if recover() == nil {
 			t.Fatal("StepResponse with zero interval did not panic")
 		}
 	}()
-	var m MZI
-	m.StepResponse(0, unit.Microsecond, 0, rng.New(1))
+	StepResponse(0, unit.Microsecond, 0, rng.New(1))
 }
 
 // TestFig3aReconfigurationLatency is the unit-test form of experiment
 // E1: simulate the scope trace, fit the exponential, and check the
 // fitted settling time reproduces the paper's 3.7 us within tolerance.
 func TestFig3aReconfigurationLatency(t *testing.T) {
-	var m MZI
 	r := rng.New(1234)
-	trace := m.StepResponse(20*unit.Nanosecond, 12*unit.Microsecond, 0.02, r)
+	trace := StepResponse(20*unit.Nanosecond, 12*unit.Microsecond, 0.02, r)
 	fit, err := FitExponentialRise(trace)
 	if err != nil {
 		t.Fatalf("fit failed: %v", err)
@@ -135,52 +86,3 @@ func TestFig3aReconfigurationLatency(t *testing.T) {
 		t.Fatalf("fit residual = %v, want < 0.05", fit.Residual)
 	}
 }
-
-func TestCustomTau(t *testing.T) {
-	m := MZI{Tau: 2 * unit.Microsecond}
-	if got := m.SettledAt(0); math.Abs(float64(got-8*unit.Microsecond)) > 1e-12 {
-		t.Fatalf("SettledAt with tau=2us = %v, want 8us", got)
-	}
-}
-
-// SettledAt returns the simulated time at which the MZI is within 2% of
-// its commanded state, measured from the given programming time. This
-// is the per-switch reconfiguration delay.
-func (m *MZI) SettledAt(programmedAt unit.Seconds) unit.Seconds {
-	return programmedAt + unit.Seconds(4)*m.tau()
-}
-
-// CrossCoupling returns the fraction of input power emerging at the
-// cross port at simulated time now, in [0, 1]. An ideal settled Cross
-// MZI returns ~1; an ideal settled Bar MZI returns ~0 (limited by the
-// extinction ratio).
-func (m *MZI) CrossCoupling(now unit.Seconds) float64 {
-	m.settle(now)
-	// Ideal interferometer: cross power = sin^2(phase/2).
-	ideal := math.Sin(m.phase / 2)
-	cross := ideal * ideal
-	// Fold in finite extinction: the achievable range is
-	// [leak, 1-leak] rather than [0, 1].
-	leak := math.Pow(10, -float64(m.extinction())/10)
-	return leak + cross*(1-2*leak)
-}
-
-// State returns the commanded routing state (the target, not the
-// instantaneous analog condition).
-func (m *MZI) State() MZIState {
-	if m.targetPhase < math.Pi/2 {
-		return Bar
-	}
-	return Cross
-}
-
-func (m *MZI) extinction() unit.Decibel {
-	if m.ExtinctionDB > 0 {
-		return m.ExtinctionDB
-	}
-	return DefaultExtinctionDB
-}
-
-// DefaultExtinctionDB is a typical extinction ratio for a
-// well-balanced integrated MZI.
-const DefaultExtinctionDB unit.Decibel = 25

@@ -1,28 +1,12 @@
 package phy
 
-import (
-	"lightpath/internal/rng"
-	"lightpath/internal/unit"
-)
+import "lightpath/internal/rng"
 
 // This file exposes the physical layer's mutable state for
-// checkpointing. The MZI's thermal phase and the loss model's
-// position in its stochastic stream are the only things in phy a
-// long-running simulation mutates; capturing both lets a resumed run
-// continue the physics exactly where the killed one stopped.
-
-// PhaseState returns the MZI's thermal state: the current and target
-// differential phases and the simulated time of the last settle.
-func (m *MZI) PhaseState() (phase, target float64, lastUpdate unit.Seconds) {
-	return m.phase, m.targetPhase, m.lastUpdate
-}
-
-// SetPhaseState restores thermal state captured by PhaseState.
-func (m *MZI) SetPhaseState(phase, target float64, lastUpdate unit.Seconds) {
-	m.phase = phase
-	m.targetPhase = target
-	m.lastUpdate = lastUpdate
-}
+// checkpointing. The loss model's position in its stochastic stream is
+// the only thing in phy a long-running simulation mutates; capturing
+// it lets a resumed run continue the physics exactly where the killed
+// one stopped.
 
 // RandState returns the loss model's position in its stochastic
 // stream. ok is false for a deterministic (nil-stream) model, which

@@ -784,17 +784,16 @@ func (a *Allocator) place(req Request, p plan, link phy.LinkReport, now unit.Sec
 			panic(err)
 		}
 	}
-	// Programming starts each switch's settle clock, making ReadyAt =
-	// now + 3.7 us observable hardware state; the port assignment is
-	// cosmetic for the simulation. The probe found every switch
-	// healthy, so Program cannot fail.
+	// Each switch on the path takes the port the circuit needs, which
+	// the switch-consistency invariant audits. The probe found every
+	// switch healthy, so Program cannot fail.
 	for i, su := range a.planSwitches(req, p) {
 		port := 1
 		if i < 2 {
 			// The endpoint switch routes the Tx/Rx block to the bus.
 			port = 0
 		}
-		_ = su.tile.Switches[su.sw].Program(port, now)
+		_ = su.tile.Switches[su.sw].Program(port)
 	}
 	c := &Circuit{
 		ID:            a.nextID,
@@ -802,7 +801,6 @@ func (a *Allocator) place(req Request, p plan, link phy.LinkReport, now unit.Sec
 		B:             req.B,
 		Width:         req.Width,
 		EstablishedAt: now,
-		ReadyAt:       now + phy.ReconfigLatency,
 		Link:          link,
 	}
 	c.setPath(segs, fibers)

@@ -37,8 +37,8 @@ func TestEstablishSameWafer(t *testing.T) {
 	if len(c.Segments) != 2 {
 		t.Fatalf("L-path segments = %d, want 2", len(c.Segments))
 	}
-	if c.ReadyAt != phy.ReconfigLatency {
-		t.Fatalf("ready at %v, want %v", c.ReadyAt, phy.ReconfigLatency)
+	if c.ReadyAt() != phy.ReconfigLatency {
+		t.Fatalf("ready at %v, want %v", c.ReadyAt(), phy.ReconfigLatency)
 	}
 	if bw := c.Bandwidth(rack.Config().WavelengthCapacity); bw != 4*224*unit.Gbps {
 		t.Fatalf("bandwidth = %v", bw)

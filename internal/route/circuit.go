@@ -43,9 +43,8 @@ type Circuit struct {
 	Segments []Segment
 	// Fibers are the allocated inter-wafer fibers, in path order.
 	Fibers []wafer.FiberRef
-	// EstablishedAt is when the MZI programming was issued; ReadyAt is
-	// when all switches have settled (EstablishedAt + 3.7 us).
-	EstablishedAt, ReadyAt unit.Seconds
+	// EstablishedAt is when the circuit's switches were programmed.
+	EstablishedAt unit.Seconds
 	// Link is the circuit's optical budget evaluation.
 	Link phy.LinkReport
 
@@ -74,6 +73,12 @@ func (c *Circuit) setPath(segs []Segment, fibers []wafer.FiberRef) {
 	}
 }
 
+// ReadyAt returns when the circuit carries traffic: every switch
+// along it settles one reconfiguration latency after programming.
+func (c *Circuit) ReadyAt() unit.Seconds {
+	return c.EstablishedAt + phy.ReconfigLatency
+}
+
 // Bandwidth returns the circuit's data rate for the given
 // per-wavelength capacity.
 func (c *Circuit) Bandwidth(perWavelength unit.BitRate) unit.BitRate {
@@ -83,7 +88,7 @@ func (c *Circuit) Bandwidth(perWavelength unit.BitRate) unit.BitRate {
 // String summarizes the circuit.
 func (c *Circuit) String() string {
 	return fmt.Sprintf("circuit %d: chip %d <-> chip %d, width %d, %d segments, %d fibers, ready %v",
-		c.ID, c.A, c.B, c.Width, len(c.Segments), len(c.Fibers), c.ReadyAt)
+		c.ID, c.A, c.B, c.Width, len(c.Segments), len(c.Fibers), c.ReadyAt())
 }
 
 // SharesResources reports whether two circuits overlap on any bus

@@ -225,7 +225,6 @@ func (a *Allocator) commit(req Request, p plan, now unit.Seconds) (c *Circuit, e
 		B:             req.B,
 		Width:         req.Width,
 		EstablishedAt: now,
-		ReadyAt:       now + phy.ReconfigLatency,
 		Link:          link,
 	}
 	c.setPath(segs, fibers)
@@ -240,7 +239,7 @@ func (a *Allocator) referenceProgramSwitches(req Request, p plan, now unit.Secon
 		if i < 2 {
 			port = 0
 		}
-		_ = su.tile.Switches[su.sw].Program(port, now)
+		_ = su.tile.Switches[su.sw].Program(port)
 	}
 }
 

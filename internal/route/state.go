@@ -116,7 +116,6 @@ func encodeCircuit(e *snapshot.Encoder, c *Circuit) {
 		e.Int(f.Fiber)
 	}
 	snapshot.Unit(e, c.EstablishedAt)
-	snapshot.Unit(e, c.ReadyAt)
 	encodeLink(e, c.Link)
 }
 
@@ -150,7 +149,6 @@ func decodeCircuit(d *snapshot.Decoder) *Circuit {
 	// one it mirrors (inline stores included).
 	c.setPath(segs, fibers)
 	c.EstablishedAt = snapshot.DecodeUnit[unit.Seconds](d)
-	c.ReadyAt = snapshot.DecodeUnit[unit.Seconds](d)
 	c.Link = decodeLink(d)
 	return c
 }

@@ -170,10 +170,7 @@ func (w *Wafer) markDegraded(i int, extraDB float64) {
 		w.loss = make([]float64, cells)
 		w.lossSet = make([]bool, cells)
 	}
-	if !w.lossSet[i] {
-		w.lossSet[i] = true
-		w.degraded++
-	}
+	w.lossSet[i] = true
 	w.loss[i] += extraDB
 }
 
@@ -204,7 +201,6 @@ func (w *Wafer) RepairSegment(o Orient, lane, pos int) error {
 	if w.loss != nil && w.lossSet[i] {
 		w.lossSet[i] = false
 		w.loss[i] = 0
-		w.degraded--
 	}
 	return nil
 }

@@ -1,6 +1,10 @@
 package wafer
 
-import "testing"
+import (
+	"testing"
+
+	"lightpath/internal/snapshot"
+)
 
 func healthRack(t *testing.T) *Rack {
 	t.Helper()
@@ -56,7 +60,7 @@ func TestFailedLasersCanOvercommitReservations(t *testing.T) {
 func TestFailSwitchRefusesProgramOnly(t *testing.T) {
 	r := healthRack(t)
 	tile := r.TileOf(0)
-	if err := tile.Switches[1].Program(2, 0); err != nil {
+	if err := tile.Switches[1].Program(2); err != nil {
 		t.Fatal(err)
 	}
 	if err := tile.FailSwitch(1); err != nil {
@@ -65,7 +69,7 @@ func TestFailSwitchRefusesProgramOnly(t *testing.T) {
 	if tile.SwitchHealthy(1) || !tile.Switches[1].stuck {
 		t.Fatal("stuck switch reported healthy")
 	}
-	if err := tile.Switches[1].Program(0, 0); err == nil {
+	if err := tile.Switches[1].Program(0); err == nil {
 		t.Fatal("stuck switch accepted a program")
 	}
 	// The frozen state survives: the established path keeps working.
@@ -74,6 +78,33 @@ func TestFailSwitchRefusesProgramOnly(t *testing.T) {
 	}
 	if err := tile.FailSwitch(SwitchesPerTile); err == nil {
 		t.Fatal("out-of-range switch index accepted")
+	}
+
+	// Every port and stuck flag survives a checkpoint round trip, and
+	// the restored stuck switch still refuses a program.
+	for chip, port := range []int{1, 2, 0, 2, 1} {
+		t2 := r.TileOf(chip * 13)
+		if err := t2.Switches[chip%SwitchesPerTile].Program(port); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var e snapshot.Encoder
+	r.EncodeState(&e)
+	back := healthRack(t)
+	if err := back.RestoreState(snapshot.NewDecoder(e.Bytes())); err != nil {
+		t.Fatal(err)
+	}
+	for chip := 0; chip < r.NumChips(); chip++ {
+		for i := range SwitchesPerTile {
+			got, want := &back.TileOf(chip).Switches[i], &r.TileOf(chip).Switches[i]
+			if got.Port() != want.Port() || got.stuck != want.stuck {
+				t.Fatalf("chip %d switch %d restored as port %d stuck %v, want port %d stuck %v",
+					chip, i, got.Port(), got.stuck, want.Port(), want.stuck)
+			}
+		}
+	}
+	if err := back.TileOf(0).Switches[1].Program(0); err == nil {
+		t.Fatal("restored stuck switch accepted a program")
 	}
 }
 
@@ -106,8 +137,8 @@ func TestDegradeSegmentAccumulatesAndSevers(t *testing.T) {
 	if got := w.SpanExtraLossDB(Vertical, 1, span); got != 0 {
 		t.Fatalf("orthogonal lane degraded by %g", got)
 	}
-	if w.degraded != 1 {
-		t.Fatalf("degraded segments = %d, want 1", w.degraded)
+	if got := recordCount(w); got != 1 {
+		t.Fatalf("checkpoint writes %d degraded segments, want 1", got)
 	}
 }
 

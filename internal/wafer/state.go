@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"lightpath/internal/snapshot"
-	"lightpath/internal/unit"
 )
 
 // This file serializes the rack's mutable hardware state — occupancy,
@@ -81,7 +80,13 @@ func (w *Wafer) encodeState(e *snapshot.Encoder) {
 	encodeLanes(e, w.vLanes)
 	// Fault-induced degradation, in sorted (orient, lane, pos) order —
 	// the loss grid's own index order.
-	e.Len(w.degraded)
+	n := 0
+	for _, set := range w.lossSet {
+		if set {
+			n++
+		}
+	}
+	e.Len(n)
 	for i, set := range w.lossSet {
 		if set {
 			o, lane, pos := w.cellPos(i)
@@ -107,7 +112,7 @@ func (w *Wafer) restoreState(d *snapshot.Decoder) error {
 	if err := restoreLanes(d, w.vLanes); err != nil {
 		return err
 	}
-	w.loss, w.lossSet, w.degraded = nil, nil, 0
+	w.loss, w.lossSet = nil, nil
 	n := d.Len()
 	for i := 0; i < n && d.Err() == nil; i++ {
 		o := Vertical
@@ -135,14 +140,7 @@ func (t *Tile) encodeState(e *snapshot.Encoder) {
 	for i := range t.Switches {
 		s := &t.Switches[i]
 		e.Int(s.port)
-		snapshot.Unit(e, s.lastProgram)
 		e.Bool(s.stuck)
-		for j := range s.stage {
-			phase, target, last := s.stage[j].PhaseState()
-			e.F64(phase)
-			e.F64(target)
-			snapshot.Unit(e, last)
-		}
 	}
 }
 
@@ -154,14 +152,7 @@ func (t *Tile) restoreState(d *snapshot.Decoder) {
 	for i := range t.Switches {
 		s := &t.Switches[i]
 		s.port = d.Int()
-		s.lastProgram = snapshot.DecodeUnit[unit.Seconds](d)
 		s.stuck = d.Bool()
-		for j := range s.stage {
-			phase := d.F64()
-			target := d.F64()
-			last := snapshot.DecodeUnit[unit.Seconds](d)
-			s.stage[j].SetPhaseState(phase, target, last)
-		}
 	}
 }
 

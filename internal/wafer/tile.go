@@ -1,11 +1,6 @@
 package wafer
 
-import (
-	"fmt"
-
-	"lightpath/internal/phy"
-	"lightpath/internal/unit"
-)
+import "fmt"
 
 // SwitchesPerTile is fixed by the hardware: "Each LIGHTPATH tile is
 // equipped with four optical switches; each switch has a degree of
@@ -18,14 +13,12 @@ const SwitchDegree = 3
 // Switch13 is one of a tile's four 1x3 optical switches, realized as
 // a two-stage binary tree of Mach-Zehnder interferometers (Figure
 // 2b): the first MZI selects output 0 versus the second stage, and
-// the second MZI selects output 1 versus output 2. Programming the
-// switch drives both stages; the switch is settled when the slower
-// stage settles.
+// the second MZI selects output 1 versus output 2. Both stages drive
+// in parallel, so a programmed switch settles phy.ReconfigLatency
+// later; the switch records only its commanded port and whether it is
+// stuck.
 type Switch13 struct {
-	stage [2]phy.MZI
-	port  int
-	// lastProgram is when the most recent Program was issued.
-	lastProgram unit.Seconds
+	port int
 	// stuck marks a failed switch frozen in its current state: the
 	// established path keeps working, but Program is refused.
 	stuck bool
@@ -35,28 +28,15 @@ type Switch13 struct {
 func (s *Switch13) Port() int { return s.port }
 
 // Program commands the switch to route its input to the given output
-// port at simulated time now.
-func (s *Switch13) Program(port int, now unit.Seconds) error {
+// port.
+func (s *Switch13) Program(port int) error {
 	if port < 0 || port >= SwitchDegree {
 		return fmt.Errorf("wafer: switch port %d out of range [0, %d)", port, SwitchDegree)
 	}
 	if s.stuck {
 		return fmt.Errorf("wafer: switch is stuck and cannot be reprogrammed")
 	}
-	// Stage 0: Bar selects port 0 directly; Cross forwards to stage 1.
-	// Stage 1: Bar selects port 1; Cross selects port 2.
-	if port == 0 {
-		s.stage[0].Program(phy.Bar, now)
-	} else {
-		s.stage[0].Program(phy.Cross, now)
-		if port == 1 {
-			s.stage[1].Program(phy.Bar, now)
-		} else {
-			s.stage[1].Program(phy.Cross, now)
-		}
-	}
 	s.port = port
-	s.lastProgram = now
 	return nil
 }
 
@@ -73,7 +53,6 @@ type Tile struct {
 	lasersFailed int
 	portsUsed    int
 	chipFailed   bool
-	capacity     unit.BitRate // per wavelength
 }
 
 func newTile(row, col int, cfg Config) *Tile {
@@ -82,7 +61,6 @@ func newTile(row, col int, cfg Config) *Tile {
 		Col:         col,
 		lasers:      cfg.LasersPerTile,
 		serdesPorts: cfg.SerDesPortsPerTile,
-		capacity:    cfg.WavelengthCapacity,
 	}
 }
 

@@ -144,10 +144,9 @@ type Wafer struct {
 	// loss is the dense grid of fault-induced extra loss in dB, one
 	// cell per bus-lane position (see health.go); nil until the first
 	// fault. lossSet flags the cells carrying a fault record — a 0 dB
-	// degradation counts until repaired — and degraded counts them.
-	loss     []float64
-	lossSet  []bool
-	degraded int
+	// degradation counts until repaired.
+	loss    []float64
+	lossSet []bool
 }
 
 // New constructs a wafer from the configuration.

@@ -5,7 +5,6 @@ import (
 	"testing"
 	"testing/quick"
 
-	"lightpath/internal/phy"
 	"lightpath/internal/unit"
 )
 
@@ -68,33 +67,18 @@ func TestConfigValidation(t *testing.T) {
 func TestSwitch13Programming(t *testing.T) {
 	var s Switch13
 	for port := 0; port < SwitchDegree; port++ {
-		if err := s.Program(port, 0); err != nil {
+		if err := s.Program(port); err != nil {
 			t.Fatalf("program %d: %v", port, err)
 		}
 		if s.Port() != port {
 			t.Fatalf("port = %d, want %d", s.Port(), port)
 		}
 	}
-	if err := s.Program(3, 0); err == nil {
+	if err := s.Program(3); err == nil {
 		t.Fatal("port 3 accepted on a 1x3 switch")
 	}
-	if err := s.Program(-1, 0); err == nil {
+	if err := s.Program(-1); err == nil {
 		t.Fatal("negative port accepted")
-	}
-}
-
-// TestSwitch13SettlesIn3_7us: experiment E12's switching headline —
-// both MZI stages drive in parallel, so the 1x3 switch settles one
-// reconfiguration latency (3.7 us) after programming.
-func TestSwitch13SettlesIn3_7us(t *testing.T) {
-	var s Switch13
-	now := unit.Seconds(1)
-	if err := s.Program(2, now); err != nil {
-		t.Fatal(err)
-	}
-	want := now + phy.ReconfigLatency
-	if got := s.SettledAt(); got != want {
-		t.Fatalf("settled at %v, want %v", got, want)
 	}
 }
 
@@ -132,15 +116,6 @@ func TestTileResourceAccounting(t *testing.T) {
 	}
 	if err := tile.Reserve(1); err == nil {
 		t.Fatal("17th port reservation accepted")
-	}
-}
-
-func TestEndpointBandwidth(t *testing.T) {
-	cfg := DefaultConfig()
-	w, _ := New(cfg)
-	tile := w.Tile(0, 0)
-	if got := tile.EndpointBandwidth(4); got != 4*224*unit.Gbps {
-		t.Fatalf("bandwidth(4) = %v", got)
 	}
 }
 
@@ -288,19 +263,6 @@ func TestBusRefString(t *testing.T) {
 	if s := ref.String(); s != "vertical lane 2 bus 7 span [1,3]" {
 		t.Fatalf("string = %q", s)
 	}
-}
-
-// SettledAt returns when the switch output is stable after the most
-// recent Program: both MZI stages drive concurrently, so it is one
-// reconfiguration latency after the program time, not two.
-func (s *Switch13) SettledAt() unit.Seconds {
-	return s.lastProgram + phy.ReconfigLatency
-}
-
-// EndpointBandwidth returns the bandwidth of a circuit of the given
-// wavelength width terminating at this tile.
-func (t *Tile) EndpointBandwidth(width int) unit.BitRate {
-	return unit.BitRate(width) * t.capacity
 }
 
 // TileByIndex returns tile i in row-major order.
