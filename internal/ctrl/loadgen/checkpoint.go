@@ -27,8 +27,9 @@ import (
 // the server's arrival count already hold, and carries the server's
 // version 4 state. Version 5 carries the server's version 5 state: the
 // rack and allocator sections drop the switch timing state and the
-// circuits' ready times.
-const checkpointVersion = 5
+// circuits' ready times. Version 6 carries the server's version 6
+// state: no failed-reroute count, and a digest of every wafer field.
+const checkpointVersion = 6
 
 // checkpointEvery is the default checkpoint cadence in event
 // boundaries.

@@ -98,11 +98,11 @@ type Stats struct {
 	// UnknownCircuit and BadRequest count semantically invalid
 	// requests.
 	UnknownCircuit, BadRequest int
-	// FaultsApplied, Reroutes, RerouteFailed and CircuitsLost track
-	// the fault path: faults applied to the fabric, broken circuits
-	// transparently rerouted (RerouteDegraded of them at reduced
-	// width), and circuits lost outright.
-	FaultsApplied, Reroutes, RerouteDegraded, RerouteFailed, CircuitsLost int
+	// FaultsApplied, Reroutes and CircuitsLost track the fault path:
+	// faults applied to the fabric, broken circuits transparently
+	// rerouted (RerouteDegraded of them at reduced width), and circuits
+	// whose reroute failed, lost outright.
+	FaultsApplied, Reroutes, RerouteDegraded, CircuitsLost int
 	// PlanCacheHits and PlanCacheMisses are always 0: the allocator
 	// keeps no route-plan cache and enumerates its plans on every
 	// establish. They remain only until the benchmark's per-layer
@@ -472,7 +472,6 @@ func (s *Server) ApplyFault(f chaos.Fault, at unit.Seconds) (FaultReport, error)
 		move := CircuitMove{OldID: c.ID, NewID: -1, OldWidth: c.Width}
 		nc, degraded, rerr := s.alloc.EstablishDegraded(route.Request{A: c.A, B: c.B, Width: c.Width}, s.now)
 		if rerr != nil {
-			s.stats.RerouteFailed++
 			s.stats.CircuitsLost++
 		} else {
 			s.stats.Reroutes++

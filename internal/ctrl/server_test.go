@@ -267,7 +267,7 @@ func TestServerFaultReroutesHeldCircuits(t *testing.T) {
 		t.Fatalf("circuit with a dead endpoint rerouted to %d", rep.Moves[0].NewID)
 	}
 	st := s.Stats()
-	if st.FaultsApplied != 1 || st.CircuitsLost != 1 || st.RerouteFailed != 1 {
+	if st.FaultsApplied != 1 || st.CircuitsLost != 1 {
 		t.Fatalf("fault stats %+v", st)
 	}
 	if s.Allocator().NumCircuits() != 0 {

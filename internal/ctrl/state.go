@@ -23,8 +23,10 @@ import (
 // busy-until time, which is the backlog's last completion time.
 // Version 5 drops each switch's program time and MZI phase state from
 // the rack section and each circuit's ready time, which its
-// establishment time implies, from the allocator's.
-const CheckpointVersion = 5
+// establishment time implies, from the allocator's. Version 6 drops
+// the failed-reroute count, which the lost-circuit count already
+// holds, and its config digest covers every wafer.Config field.
+const CheckpointVersion = 6
 
 // configDigest encodes every Config field that shapes controller
 // behavior. Restores compare digests byte-for-byte: a checkpoint is
@@ -38,8 +40,11 @@ func (s *Server) configDigest() []byte {
 	e.Int(c.WaferConfig.Cols)
 	e.Int(c.WaferConfig.LasersPerTile)
 	e.Int(c.WaferConfig.SerDesPortsPerTile)
+	snapshot.Unit(&e, c.WaferConfig.WavelengthCapacity)
 	e.Int(c.WaferConfig.BusesPerLane)
 	e.Int(c.WaferConfig.FibersPerEdge)
+	snapshot.Unit(&e, c.WaferConfig.TileEdge)
+	snapshot.Unit(&e, c.WaferConfig.WaveguidePitch)
 	e.Int(c.QueueCap)
 	snapshot.Unit(&e, c.EstablishService)
 	snapshot.Unit(&e, c.ReleaseService)
@@ -79,7 +84,6 @@ func (s *Server) EncodeState(e *snapshot.Encoder) {
 	e.Int(st.FaultsApplied)
 	e.Int(st.Reroutes)
 	e.Int(st.RerouteDegraded)
-	e.Int(st.RerouteFailed)
 	e.Int(st.CircuitsLost)
 }
 
@@ -137,7 +141,6 @@ func (s *Server) RestoreState(d *snapshot.Decoder) error {
 		FaultsApplied:   d.Int(),
 		Reroutes:        d.Int(),
 		RerouteDegraded: d.Int(),
-		RerouteFailed:   d.Int(),
 		CircuitsLost:    d.Int(),
 	}
 	return d.Err()

@@ -13,6 +13,7 @@ import (
 	"lightpath/internal/invariant"
 	"lightpath/internal/snapshot"
 	"lightpath/internal/unit"
+	"lightpath/internal/wafer"
 )
 
 // workServer drives a server through a representative mixed history:
@@ -158,6 +159,12 @@ func TestCheckpointConfigMismatch(t *testing.T) {
 	bad.Seed = 4
 	if _, err := LoadCheckpoint(bad, path); !errors.Is(err, snapshot.ErrConfigMismatch) {
 		t.Fatalf("seed change: %v, want ErrConfigMismatch", err)
+	}
+	bad = cfg
+	bad.WaferConfig = wafer.DefaultConfig()
+	bad.WaferConfig.TileEdge *= 2
+	if _, err := LoadCheckpoint(bad, path); !errors.Is(err, snapshot.ErrConfigMismatch) {
+		t.Fatalf("tile-edge change: %v, want ErrConfigMismatch", err)
 	}
 }
 

@@ -82,9 +82,8 @@ func (r SoakResult) CSV() ([]string, [][]string) {
 // across CPUs by the experiment engine, with checkpoint/resume control.
 // Each trial derives its own seed stream, every trial runs under the
 // Paranoid auditor, and the merged result is byte-identical whether the
-// trials ran sequentially or in parallel. The trial configs retain the exact time series (fleet.SampleExact): the
-// golden CSV is the full series, so the campaign opts out of the
-// streaming default.
+// trials ran sequentially or in parallel. Each trial keeps its whole
+// time series, one row per simulated hour, which the CSV writes out.
 func SoakWithOptions(seed uint64, trials int, ck Checkpointing) (SoakResult, error) {
 	if trials < 1 {
 		return SoakResult{}, fmt.Errorf("experiments: soak trials %d < 1", trials)
@@ -92,10 +91,9 @@ func SoakWithOptions(seed uint64, trials int, ck Checkpointing) (SoakResult, err
 	seeds := trialSeeds(seed, trials)
 	config := func(i int) fleet.Config {
 		return fleet.Config{
-			Seed:       seeds[i],
-			Horizon:    soakHorizon,
-			Audit:      invariant.Paranoid,
-			SampleMode: fleet.SampleExact,
+			Seed:    seeds[i],
+			Horizon: soakHorizon,
+			Audit:   invariant.Paranoid,
 		}
 	}
 	outcomes, err := checkpointedTrials(ck, "soak", "soak", trials, config, fleet.RunCheckpointed, fleet.Resume)

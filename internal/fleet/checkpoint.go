@@ -30,8 +30,12 @@ import (
 // busy-crew count or goodput quantile sketch. Version 6 drops each
 // switch's program time and MZI phase state from the rack section and
 // each circuit's ready time, which its establishment time implies,
-// from the allocator's.
-const checkpointVersion = 6
+// from the allocator's. Version 7 drops the sample count and running
+// sums, which the time series holds, each job's requested width, which
+// is the soak's fixed width, and the streaming sample reservoir; its
+// config digest covers the degraded-segment loss bound and drops the
+// settings that became constants.
+const checkpointVersion = 7
 
 // checkpointEvery is the default checkpoint cadence in event
 // boundaries.
@@ -96,23 +100,14 @@ func (s *soak) configDigest() []byte {
 	c := s.cfg
 	e.U64(c.Seed)
 	e.Int(c.Wafers)
-	e.Int(c.Wafer.Rows)
-	e.Int(c.Wafer.Cols)
 	snapshot.Unit(&e, c.Horizon)
 	snapshot.Unit(&e, c.SampleEvery)
 	for _, m := range c.Rates.MTBF {
 		snapshot.Unit(&e, m)
 	}
-	for _, m := range c.MeanRepair {
-		snapshot.Unit(&e, m)
-	}
-	e.Int(c.Crews)
-	e.Int(c.Spares)
+	e.F64(c.Rates.WaveguideLossDB)
 	e.Int(c.Jobs)
-	e.Int(c.Width)
 	e.Int(int(c.Audit))
-	e.Int(int(c.SampleMode))
-	e.Int(c.ReservoirCap)
 	return e.Bytes()
 }
 
@@ -132,7 +127,6 @@ func (s *soak) encodeState(e *snapshot.Encoder) {
 	for _, j := range s.jobs {
 		e.Int(j.a)
 		e.Int(j.b)
-		e.Int(j.want)
 		e.Int(int(j.state))
 		cid := -1
 		if j.circuit != nil {
@@ -156,15 +150,11 @@ func (s *soak) encodeState(e *snapshot.Encoder) {
 	e.Int(s.out.Reroutes)
 	e.Int(s.out.Splices)
 	e.Int(s.out.MinSpares)
-	e.Int(s.out.SamplesSeen)
 	e.Int(s.blastSum)
-	e.F64(s.liveSum)
-	e.F64(s.goodSum)
 	e.Len(len(s.out.Samples))
 	for _, row := range s.out.Samples {
 		encodeSample(e, row)
 	}
-	s.res.EncodeState(e, encodeSample)
 }
 
 // restoreState replays a checkpoint payload into a freshly built soak
@@ -199,7 +189,7 @@ func (s *soak) restoreState(d *snapshot.Decoder) error {
 	}
 	chips := s.rack.NumChips()
 	for i := 0; i < s.cfg.Jobs && d.Err() == nil; i++ {
-		j := &job{a: d.Int(), b: d.Int(), want: d.Int()}
+		j := &job{a: d.Int(), b: d.Int()}
 		if j.a < 0 || j.a >= chips || j.b < 0 || j.b >= chips {
 			return fmt.Errorf("%w: job %d endpoints (%d,%d) outside [0, %d)",
 				snapshot.ErrCorruptSnapshot, i, j.a, j.b, chips)
@@ -250,9 +240,9 @@ func (s *soak) restoreState(d *snapshot.Decoder) error {
 	if err := s.repairs.RestoreState(d, s.queuedFault); err != nil {
 		return err
 	}
-	if s.repairs.Len() > s.cfg.Crews {
+	if s.repairs.Len() > crews {
 		return fmt.Errorf("%w: %d in-flight repairs but %d crews",
-			snapshot.ErrCorruptSnapshot, s.repairs.Len(), s.cfg.Crews)
+			snapshot.ErrCorruptSnapshot, s.repairs.Len(), crews)
 	}
 
 	s.out.Repairs = d.Int()
@@ -261,16 +251,10 @@ func (s *soak) restoreState(d *snapshot.Decoder) error {
 	s.out.Reroutes = d.Int()
 	s.out.Splices = d.Int()
 	s.out.MinSpares = d.Int()
-	s.out.SamplesSeen = d.Int()
 	s.blastSum = d.Int()
-	s.liveSum = d.F64()
-	s.goodSum = d.F64()
 	n = d.Len()
 	for i := 0; i < n; i++ {
 		s.out.Samples = append(s.out.Samples, decodeSample(d))
-	}
-	if err := s.res.RestoreState(d, decodeSample); err != nil {
-		return err
 	}
 	return d.Finish()
 }

@@ -14,6 +14,7 @@ import (
 
 	"lightpath/internal/chaos"
 	"lightpath/internal/evloop"
+	"lightpath/internal/invariant"
 	"lightpath/internal/snapshot"
 	"lightpath/internal/unit"
 )
@@ -259,17 +260,34 @@ func TestResumeFallsBackOnTornSnapshot(t *testing.T) {
 
 // TestResumeRejectsConfigMismatch guards against continuing a
 // checkpoint under a different configuration, which would silently
-// break determinism.
+// break determinism: a change to any Config field is refused.
 func TestResumeRejectsConfigMismatch(t *testing.T) {
 	cfg := crashCfg()
 	path := filepath.Join(t.TempDir(), "ckpt")
 	if _, err := RunCheckpointed(cfg, CheckpointOptions{Path: path, StopAfterEvents: 10}); !errors.Is(err, evloop.ErrStopped) {
 		t.Fatalf("err = %v, want evloop.ErrStopped", err)
 	}
-	other := cfg
-	other.Seed++
-	if _, err := Resume(other, CheckpointOptions{Path: path}); !errors.Is(err, snapshot.ErrConfigMismatch) {
-		t.Fatalf("err = %v, want ErrConfigMismatch", err)
+	cases := []struct {
+		name   string
+		mutate func(*Config)
+	}{
+		{"seed", func(c *Config) { c.Seed++ }},
+		{"wafers", func(c *Config) { c.Wafers = 3 }},
+		{"horizon", func(c *Config) { c.Horizon += unit.Hour }},
+		{"sample cadence", func(c *Config) { c.SampleEvery = 20 * unit.Minute }},
+		{"mtbf", func(c *Config) { c.Rates.MTBF[chaos.FiberCut] /= 2 }},
+		{"waveguide loss bound", func(c *Config) { c.Rates.WaveguideLossDB = 1.5 }},
+		{"jobs", func(c *Config) { c.Jobs = 10 }},
+		{"audit", func(c *Config) { c.Audit = invariant.Paranoid }},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			other := cfg
+			tc.mutate(&other)
+			if _, err := Resume(other, CheckpointOptions{Path: path}); !errors.Is(err, snapshot.ErrConfigMismatch) {
+				t.Fatalf("err = %v, want ErrConfigMismatch", err)
+			}
+		})
 	}
 }
 
@@ -286,66 +304,38 @@ func TestResumeMissingCheckpoint(t *testing.T) {
 	}
 }
 
-// TestStreamingMatchesExactAggregates runs the same soak in both
-// sample modes: the headline aggregates must agree to the bit, the
-// streaming series must be a bounded subset, and short soaks must
-// retain the exact series even in streaming mode.
-func TestStreamingMatchesExactAggregates(t *testing.T) {
+// TestSoakAggregatesAreSeriesMeans pins the headline aggregates to
+// the time series they summarize: Availability and MeanGoodput equal,
+// bit for bit, the chronological means over Outcome.Samples, both for
+// an uninterrupted soak and for one resumed from a mid-run kill.
+func TestSoakAggregatesAreSeriesMeans(t *testing.T) {
 	cfg := crashCfg()
-	cfg.SampleEvery = 10 * unit.Second
-	cfg.ReservoirCap = 64
-
-	exact := cfg
-	exact.SampleMode = SampleExact
-	eo, err := RunCheckpointed(exact, CheckpointOptions{})
+	plain, err := RunCheckpointed(cfg, CheckpointOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	so, err := RunCheckpointed(cfg, CheckpointOptions{})
+	path := filepath.Join(t.TempDir(), "ckpt")
+	if _, err := RunCheckpointed(cfg, CheckpointOptions{Path: path, StopAfterEvents: plain.Events / 2}); !errors.Is(err, evloop.ErrStopped) {
+		t.Fatalf("err = %v, want evloop.ErrStopped", err)
+	}
+	resumed, err := Resume(cfg, CheckpointOptions{Path: path})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if eo.Availability != so.Availability || eo.MeanGoodput != so.MeanGoodput {
-		t.Fatalf("aggregates diverge across modes: %v/%v vs %v/%v",
-			eo.Availability, eo.MeanGoodput, so.Availability, so.MeanGoodput)
-	}
-	if eo.SamplesSeen != so.SamplesSeen || len(eo.Samples) != eo.SamplesSeen {
-		t.Fatalf("exact mode dropped rows: %d retained of %d", len(eo.Samples), eo.SamplesSeen)
-	}
-	if len(so.Samples) != cfg.ReservoirCap {
-		t.Fatalf("streaming mode holds %d rows, want the %d-row reservoir", len(so.Samples), cfg.ReservoirCap)
-	}
-	// Every retained streaming row is a verbatim exact row.
-	byTime := make(map[unit.Seconds]Sample, len(eo.Samples))
-	for _, row := range eo.Samples {
-		byTime[row.T] = row
-	}
-	last := unit.Seconds(-1)
-	for _, row := range so.Samples {
-		if row.T <= last {
-			t.Fatalf("streaming series not time-sorted at %v", row.T)
+	for name, out := range map[string]*Outcome{"uninterrupted": plain, "resumed": resumed} {
+		if len(out.Samples) != 36 {
+			t.Fatalf("%s: %d samples, want 36", name, len(out.Samples))
 		}
-		last = row.T
-		if byTime[row.T] != row {
-			t.Fatalf("streaming row at %v is not the exact row", row.T)
+		var live, good float64
+		for _, row := range out.Samples {
+			live += float64(row.Up+row.Degraded) / float64(cfg.withDefaults().Jobs)
+			good += row.Goodput
 		}
-	}
-
-	// Short soaks: streaming retains everything, so the default mode
-	// change cannot perturb existing consumers.
-	short := Config{Seed: 5}
-	a, err := RunCheckpointed(short, CheckpointOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	shortExact := short
-	shortExact.SampleMode = SampleExact
-	b, err := RunCheckpointed(shortExact, CheckpointOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(a.Samples, b.Samples) {
-		t.Fatal("short-soak streaming series differs from exact")
+		n := float64(len(out.Samples))
+		if out.Availability != live/n || out.MeanGoodput != good/n {
+			t.Fatalf("%s: aggregates %v/%v, series means %v/%v",
+				name, out.Availability, out.MeanGoodput, live/n, good/n)
+		}
 	}
 }
 
@@ -395,7 +385,7 @@ func TestResumeRejectsUnreachableState(t *testing.T) {
 		{"queued fault at cursor", func(_ *testing.T, s *soak) { s.pending = append(s.pending, s.out.Faults) }},
 		{"repair of fault past cursor", func(_ *testing.T, s *soak) { s.repairs.Push(s.cfg.Horizon, s.out.Faults+1) }},
 		{"more repairs than crews", func(_ *testing.T, s *soak) {
-			for s.repairs.Len() <= s.cfg.Crews {
+			for s.repairs.Len() <= crews {
 				s.repairs.Push(s.cfg.Horizon, 0)
 			}
 		}},

@@ -20,76 +20,49 @@ package fleet
 import (
 	"errors"
 	"fmt"
-	"sort"
 
 	"lightpath/internal/chaos"
 	"lightpath/internal/evloop"
 	"lightpath/internal/invariant"
 	"lightpath/internal/rng"
 	"lightpath/internal/route"
-	"lightpath/internal/sketch"
 	"lightpath/internal/unit"
 	"lightpath/internal/wafer"
 )
 
-// SampleMode selects how a soak retains its availability time series.
-type SampleMode int
-
+// The soak's fixed model: repair crews working concurrently (excess
+// faults queue for service in arrival order), chips held out of tenant
+// placement as a replacement pool from the top of the chip range, and
+// the wavelength width each tenant job requests.
 const (
-	// SampleStreaming, the default, holds a fixed-capacity reservoir
-	// of rows: memory stays flat no matter how long the horizon.
-	// Soaks shorter than ReservoirCap rows are still retained exactly,
-	// so the default differs from SampleExact only at long horizons.
-	SampleStreaming SampleMode = iota
-	// SampleExact appends every row — O(Horizon/SampleEvery) memory —
-	// for golden time series that must reproduce byte-identically.
-	SampleExact
+	crews  = 2
+	spares = 4
+	width  = 4
 )
 
 // Config parameterizes one soak. The zero value of every field takes
-// the default documented on it; Run never mutates the caller's copy.
+// the default documented on it; RunCheckpointed never mutates the
+// caller's copy. The rack's wafers are wafer.DefaultConfig.
 type Config struct {
 	// Seed drives the fault schedule, repair durations and job
 	// placement through independent split streams.
 	Seed uint64
-	// Wafers is the rack size (default 2, the TPUv4 rack of PR 2's
-	// experiments).
+	// Wafers is the rack size (default 2, the TPUv4 rack).
 	Wafers int
-	// Wafer is the per-wafer hardware configuration (default
-	// wafer.DefaultConfig).
-	Wafer wafer.Config
 	// Horizon is the simulated soak duration (default 3 days).
 	Horizon unit.Seconds
 	// SampleEvery is the availability time-series cadence (default
 	// Horizon/72, one row per simulated hour at the default horizon).
 	SampleEvery unit.Seconds
-	// Rates are the chaos engine's per-class MTBFs; a zero value takes
-	// DefaultRates.
+	// Rates are the chaos engine's per-class MTBFs and degraded-segment
+	// loss bound; all-zero MTBFs take DefaultRates.
 	Rates chaos.Rates
-	// MeanRepair is the per-class mean time to repair; zero entries
-	// take DefaultMeanRepair.
-	MeanRepair [chaos.NumClasses]unit.Seconds
-	// Crews bounds concurrent repairs; excess faults queue for service
-	// in arrival order (default 2).
-	Crews int
-	// Spares is the number of chips held out of tenant placement as a
-	// replacement pool, taken from the top of the chip range
-	// (default 4).
-	Spares int
 	// Jobs is the number of tenant jobs, each wanting one circuit
 	// between two dedicated chips (default 12).
 	Jobs int
-	// Width is the wavelength width each job requests (default 4).
-	Width int
 	// Audit selects the invariant auditor's mode for the soak
 	// (default Off; the campaign runs Paranoid).
 	Audit invariant.Mode
-	// SampleMode selects streaming (bounded-memory, the default) or
-	// exact retention of the availability time series.
-	SampleMode SampleMode
-	// ReservoirCap bounds the rows retained in streaming mode
-	// (default 512).
-	ReservoirCap int
 }
 
 // DefaultRates returns the soak's fault-arrival defaults: every class
@@ -103,23 +76,18 @@ func DefaultRates(horizon unit.Seconds) chaos.Rates {
 	return r
 }
 
-// DefaultMeanRepair returns the per-class MTTR means: hours-scale
+// meanRepair returns a fault class's mean time to repair: hours-scale
 // crew work, with whole-chip replacement the slowest.
-func DefaultMeanRepair() [chaos.NumClasses]unit.Seconds {
-	var m [chaos.NumClasses]unit.Seconds
-	for c := 0; c < chaos.NumClasses; c++ {
-		m[c] = 30 * unit.Minute
+func meanRepair(c chaos.Class) unit.Seconds {
+	if c == chaos.ChipFailure {
+		return 2 * unit.Hour
 	}
-	m[chaos.ChipFailure] = 2 * unit.Hour
-	return m
+	return 30 * unit.Minute
 }
 
 func (c Config) withDefaults() Config {
 	if c.Wafers == 0 {
 		c.Wafers = 2
-	}
-	if c.Wafer.Rows == 0 {
-		c.Wafer = wafer.DefaultConfig()
 	}
 	if c.Horizon == 0 {
 		c.Horizon = 3 * unit.Day
@@ -127,35 +95,11 @@ func (c Config) withDefaults() Config {
 	if c.SampleEvery == 0 {
 		c.SampleEvery = c.Horizon / 72
 	}
-	zeroRates := true
-	for _, m := range c.Rates.MTBF {
-		if m != 0 {
-			zeroRates = false
-		}
-	}
-	if zeroRates {
-		c.Rates = DefaultRates(c.Horizon)
-	}
-	def := DefaultMeanRepair()
-	for i, m := range c.MeanRepair {
-		if m == 0 {
-			c.MeanRepair[i] = def[i]
-		}
-	}
-	if c.Crews == 0 {
-		c.Crews = 2
-	}
-	if c.Spares == 0 {
-		c.Spares = 4
+	if c.Rates.MTBF == ([chaos.NumClasses]unit.Seconds{}) {
+		c.Rates.MTBF = DefaultRates(c.Horizon).MTBF
 	}
 	if c.Jobs == 0 {
 		c.Jobs = 12
-	}
-	if c.Width == 0 {
-		c.Width = 4
-	}
-	if c.ReservoirCap == 0 {
-		c.ReservoirCap = 512
 	}
 	return c
 }
@@ -166,21 +110,13 @@ func (c Config) validate() error {
 		return fmt.Errorf("fleet: need at least two wafers, got %d", c.Wafers)
 	case c.Horizon <= 0 || c.SampleEvery <= 0:
 		return fmt.Errorf("fleet: non-positive horizon or sample cadence")
-	case c.Crews < 1:
-		return fmt.Errorf("fleet: need at least one repair crew")
-	case c.Spares < 0:
-		return fmt.Errorf("fleet: negative spare pool")
-	case c.Jobs < 1 || c.Width < 1:
-		return fmt.Errorf("fleet: need at least one job of width >= 1")
-	case c.SampleMode != SampleStreaming && c.SampleMode != SampleExact:
-		return fmt.Errorf("fleet: unknown sample mode %d", int(c.SampleMode))
-	case c.ReservoirCap < 1:
-		return fmt.Errorf("fleet: reservoir capacity %d < 1", c.ReservoirCap)
+	case c.Jobs < 1:
+		return fmt.Errorf("fleet: need at least one job")
 	}
-	chips := c.Wafers * c.Wafer.Tiles()
-	if 2*c.Jobs+c.Spares > chips {
+	chips := c.Wafers * wafer.DefaultConfig().Tiles()
+	if 2*c.Jobs+spares > chips {
 		return fmt.Errorf("fleet: %d jobs + %d spares need %d chips, rack has %d",
-			c.Jobs, c.Spares, 2*c.Jobs+c.Spares, chips)
+			c.Jobs, spares, 2*c.Jobs+spares, chips)
 	}
 	return nil
 }
@@ -209,14 +145,9 @@ type Sample struct {
 
 // Outcome aggregates one soak.
 type Outcome struct {
-	// Samples is the availability time series. In SampleExact mode it
-	// holds one row per SampleEvery; in SampleStreaming mode it holds
-	// a uniform reservoir of at most ReservoirCap rows, sorted by
-	// time. SamplesSeen always counts the full series.
+	// Samples is the availability time series: one row per
+	// SampleEvery up to the horizon, in time order.
 	Samples []Sample
-	// SamplesSeen is the number of time-series rows the soak
-	// produced, whether or not they were all retained.
-	SamplesSeen int
 	// Events counts the processed event boundaries — repairs, faults
 	// and samples — over the whole soak; checkpoints land on these
 	// boundaries.
@@ -251,7 +182,6 @@ const (
 
 type job struct {
 	a, b    int
-	want    int
 	circuit *route.Circuit
 	state   jobState
 }
@@ -284,24 +214,16 @@ type soak struct {
 	nextSample unit.Seconds
 	loop       *evloop.Loop
 
-	// Streaming aggregates: running sums for the headline means
-	// (accumulated at sample time in chronological order, so both
-	// sample modes produce bit-identical results) and a bounded
-	// reservoir of rows.
-	liveSum float64
-	goodSum float64
-	res     *sketch.Reservoir[Sample]
-
 	out      Outcome
 	blastSum int
 }
 
 // buildSoak constructs the soak skeleton — hardware, allocator,
-// auditor, RNG streams, reservoir, fault schedule — without tenant
+// auditor, RNG streams, fault schedule — without tenant
 // placement, which is the part a resume replays from the checkpoint
 // instead. cfg must already have defaults applied and be valid.
 func buildSoak(cfg Config, opts CheckpointOptions) (*soak, error) {
-	rack, err := wafer.NewRack(cfg.Wafer, cfg.Wafers)
+	rack, err := wafer.NewRack(wafer.DefaultConfig(), cfg.Wafers)
 	if err != nil {
 		return nil, err
 	}
@@ -314,8 +236,8 @@ func buildSoak(cfg Config, opts CheckpointOptions) (*soak, error) {
 		jobOf:      make(map[int]*job),
 		nextSample: cfg.SampleEvery,
 		loop:       evloop.New(opts, checkpointVersion, checkpointEvery),
-		res:        sketch.NewReservoir[Sample](cfg.ReservoirCap, root.Split("fleet/reservoir")),
 	}
+	s.out.Samples = make([]Sample, 0, int(cfg.Horizon/cfg.SampleEvery))
 	s.aud = invariant.Attach(s.alloc, cfg.Audit)
 
 	// The whole fault schedule is precomputed — arrivals are
@@ -338,17 +260,17 @@ func buildSoak(cfg Config, opts CheckpointOptions) (*soak, error) {
 }
 
 // place runs tenant placement: a seeded permutation of the non-spare
-// chips pairs off into job endpoints; the top Spares chip ids start
+// chips pairs off into job endpoints; the top spares chip ids start
 // in the replacement pool.
 func (s *soak) place() {
 	chips := s.rack.NumChips()
-	for chip := chips - s.cfg.Spares; chip < chips; chip++ {
+	for chip := chips - spares; chip < chips; chip++ {
 		s.spares = append(s.spares, chip)
 	}
 	s.out.MinSpares = len(s.spares)
-	perm := rng.New(s.cfg.Seed).Split("fleet/jobs").Perm(chips - s.cfg.Spares)
+	perm := rng.New(s.cfg.Seed).Split("fleet/jobs").Perm(chips - spares)
 	for i := 0; i < s.cfg.Jobs; i++ {
-		j := &job{a: perm[2*i], b: perm[2*i+1], want: s.cfg.Width}
+		j := &job{a: perm[2*i], b: perm[2*i+1]}
 		s.jobs = append(s.jobs, j)
 		s.establish(j, 0)
 	}
@@ -411,7 +333,7 @@ func (s *soak) drive() (*Outcome, error) {
 // establish brings a job's circuit up (initially or after repairs),
 // degrading the width when the full request does not fit.
 func (s *soak) establish(j *job, now unit.Seconds) bool {
-	c, degraded, err := s.alloc.EstablishDegraded(route.Request{A: j.a, B: j.b, Width: j.want}, now)
+	c, degraded, err := s.alloc.EstablishDegraded(route.Request{A: j.a, B: j.b, Width: width}, now)
 	if err != nil {
 		j.circuit = nil
 		j.state = jobShed
@@ -513,10 +435,10 @@ func (s *soak) scheduleRepair(i int) {
 // from the dedicated MTTR stream in service-start order, which the
 // deterministic event order fixes.
 func (s *soak) dispatch(now unit.Seconds) {
-	for s.repairs.Len() < s.cfg.Crews && len(s.pending) > 0 {
+	for s.repairs.Len() < crews && len(s.pending) > 0 {
 		i := s.pending[0]
 		s.pending = s.pending[1:]
-		d := unit.Seconds(s.mttr.Exp(float64(s.cfg.MeanRepair[s.faults[i].Class])))
+		d := unit.Seconds(s.mttr.Exp(float64(meanRepair(s.faults[i].Class))))
 		s.repairs.Push(now+d, i)
 	}
 }
@@ -603,9 +525,8 @@ func (s *soak) sample(t unit.Seconds) {
 		Spares:     len(s.spares),
 		Violations: s.aud.Count(),
 	}
-	wantSum, haveSum := 0, 0
+	haveSum := 0
 	for _, j := range s.jobs {
-		wantSum += j.want
 		switch j.state {
 		case jobUp:
 			row.Up++
@@ -617,42 +538,28 @@ func (s *soak) sample(t unit.Seconds) {
 			row.Shed++
 		}
 	}
-	if wantSum > 0 {
-		row.Goodput = float64(haveSum) / float64(wantSum)
-	}
+	row.Goodput = float64(haveSum) / float64(len(s.jobs)*width)
 	if s.out.Faults > 0 {
 		row.MeanBlast = float64(s.blastSum) / float64(s.out.Faults)
 	}
-	// The headline means accumulate here, in chronological order, so
-	// both sample modes run the identical float additions and agree
-	// bit for bit.
-	s.liveSum += float64(row.Up+row.Degraded) / float64(len(s.jobs))
-	s.goodSum += row.Goodput
-	s.out.SamplesSeen++
-	if s.cfg.SampleMode == SampleExact {
-		s.out.Samples = append(s.out.Samples, row)
-	} else {
-		s.res.Add(row)
-	}
+	s.out.Samples = append(s.out.Samples, row)
 }
 
-// finish folds the time series into the headline aggregates.
+// finish folds the time series into the headline aggregates, summing
+// the rows in chronological order.
 func (s *soak) finish() {
 	s.out.Violations = s.aud.Count()
 	s.out.Audits = s.aud.Audits()
 	s.out.Events = s.loop.Events()
-	if s.cfg.SampleMode != SampleExact {
-		s.out.Samples = s.res.Items()
-		// Reservoir eviction scrambles slot order; sample times are
-		// unique, so sorting restores the chronological series.
-		sort.Slice(s.out.Samples, func(i, j int) bool {
-			return s.out.Samples[i].T < s.out.Samples[j].T
-		})
-	}
-	if s.out.SamplesSeen == 0 {
+	if len(s.out.Samples) == 0 {
 		return
 	}
-	n := float64(s.out.SamplesSeen)
-	s.out.Availability = s.liveSum / n
-	s.out.MeanGoodput = s.goodSum / n
+	var live, good float64
+	for _, row := range s.out.Samples {
+		live += float64(row.Up+row.Degraded) / float64(len(s.jobs))
+		good += row.Goodput
+	}
+	n := float64(len(s.out.Samples))
+	s.out.Availability = live / n
+	s.out.MeanGoodput = good / n
 }

@@ -126,8 +126,7 @@ func TestSoakConfigValidation(t *testing.T) {
 		{Wafers: 1},             // sub-rack
 		{Jobs: 1000},            // more endpoints than chips
 		{Horizon: -unit.Second}, // negative horizon
-		{Crews: -1},             // negative crews (default skipped: nonzero)
-		{Spares: -1},            // negative spares
+		{Jobs: -1},              // negative jobs (default skipped: nonzero)
 	}
 	for i, cfg := range cases {
 		if _, err := RunCheckpointed(cfg, CheckpointOptions{}); err == nil {

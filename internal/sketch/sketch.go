@@ -1,12 +1,9 @@
-// Package sketch provides bounded-memory streaming summaries for
-// long-horizon simulations: a fixed-capacity reservoir sample and a
-// mergeable KLL-style quantile sketch. Both are deterministic — their
-// replacement and compaction decisions draw from an injected rng
-// stream, never from Go runtime randomness — and both expose their
-// state for checkpointing, so a killed run resumes producing exactly
-// the summary the uninterrupted run would have. A year-long fleet
-// soak that would otherwise accumulate O(horizon/SampleEvery) sample
-// rows holds a few kilobytes instead.
+// Package sketch provides a bounded-memory streaming summary for
+// long-horizon simulations: a KLL-style quantile sketch. It is
+// deterministic — its compaction decisions draw from an injected rng
+// stream, never from Go runtime randomness — and it exposes its state
+// for checkpointing, so a killed run resumes producing exactly the
+// summary the uninterrupted run would have.
 package sketch
 
 import (
@@ -17,86 +14,6 @@ import (
 	"lightpath/internal/rng"
 	"lightpath/internal/snapshot"
 )
-
-// Reservoir maintains a uniform sample of fixed capacity over a
-// stream of unknown length (Vitter's Algorithm R). The first capacity
-// items are kept verbatim, so short streams are retained exactly; a
-// longer stream ends with each seen item equally likely to be in the
-// sample.
-type Reservoir[T any] struct {
-	capacity int
-	seen     uint64
-	items    []T
-	r        *rng.Rand
-}
-
-// NewReservoir returns a reservoir holding at most capacity items,
-// using r for replacement decisions. It panics if capacity <= 0 or r
-// is nil — both are construction bugs, not data errors.
-func NewReservoir[T any](capacity int, r *rng.Rand) *Reservoir[T] {
-	if capacity <= 0 {
-		panic("sketch: reservoir capacity must be positive")
-	}
-	if r == nil {
-		panic("sketch: reservoir needs an rng stream")
-	}
-	return &Reservoir[T]{capacity: capacity, r: r}
-}
-
-// Add offers one item to the reservoir.
-func (s *Reservoir[T]) Add(v T) {
-	s.seen++
-	if len(s.items) < s.capacity {
-		s.items = append(s.items, v)
-		return
-	}
-	if j := s.r.Intn(int(s.seen)); j < s.capacity {
-		s.items[j] = v
-	}
-}
-
-// Items returns a copy of the current sample. Until the stream has
-// offered more than capacity items they are in arrival order; after
-// that, slot order is arbitrary and callers needing order must sort
-// by their own key.
-func (s *Reservoir[T]) Items() []T {
-	return append([]T(nil), s.items...)
-}
-
-// EncodeState appends the reservoir's state — count, items, rng
-// position — to the encoder. Capacity is configuration and is not
-// serialized; the restoring side constructs with the same capacity.
-func (s *Reservoir[T]) EncodeState(e *snapshot.Encoder, enc func(*snapshot.Encoder, T)) {
-	e.U64(s.seen)
-	for _, w := range s.r.State() {
-		e.U64(w)
-	}
-	e.Len(len(s.items))
-	for _, v := range s.items {
-		enc(e, v)
-	}
-}
-
-// RestoreState replays state captured by EncodeState into a freshly
-// constructed reservoir of the same capacity.
-func (s *Reservoir[T]) RestoreState(d *snapshot.Decoder, dec func(*snapshot.Decoder) T) error {
-	s.seen = d.U64()
-	var st [4]uint64
-	for i := range st {
-		st[i] = d.U64()
-	}
-	s.r.SetState(st)
-	n := d.Len()
-	if n > s.capacity {
-		return fmt.Errorf("%w: reservoir snapshot has %d items, capacity %d",
-			snapshot.ErrCorruptSnapshot, n, s.capacity)
-	}
-	s.items = s.items[:0]
-	for i := 0; i < n; i++ {
-		s.items = append(s.items, dec(d))
-	}
-	return d.Err()
-}
 
 // Quantile is a KLL-style streaming quantile sketch: a hierarchy of
 // levels where an item at level h stands for 2^h stream items. When a
