@@ -2,7 +2,7 @@ package loadgen
 
 import (
 	"fmt"
-	"sort"
+	"math"
 
 	"lightpath/internal/evloop"
 	"lightpath/internal/snapshot"
@@ -118,13 +118,7 @@ func (c *campaign) encodeState(e *snapshot.Encoder) {
 	}
 
 	e.Len(len(c.sessions))
-	ids := c.ids[:0]
-	for id := range c.sessions {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	c.ids = ids
-	for _, id := range ids {
+	for _, id := range c.sortedSessions() {
 		s := c.sessions[id]
 		e.Int(id)
 		e.Int(s.agent)
@@ -149,31 +143,61 @@ func (c *campaign) encodeState(e *snapshot.Encoder) {
 	e.F64(c.goodputWS)
 }
 
+// encodeEvent writes an event as five integers — kind, agent,
+// session, attempt, fault — with every field the kind does not use
+// zero.
 func encodeEvent(e *snapshot.Encoder, ev event) {
+	var agent, session, fault int
+	switch ev.kind {
+	case evArrival:
+		agent = ev.id
+	case evFault:
+		fault = ev.id
+	default: // evRetry, evRelease
+		session = ev.id
+	}
 	e.Int(int(ev.kind))
-	e.Int(ev.agent)
-	e.Int(ev.session)
-	e.Int(ev.attempt)
-	e.Int(ev.fault)
+	e.Int(agent)
+	e.Int(session)
+	e.Int(int(ev.attempt))
+	e.Int(fault)
 }
 
-// decodeEvent reads one queued event, rejecting unknown kinds and
-// fault indexes outside the recomputed schedule.
+// decodeEvent reads one queued event. It refuses what the event cannot
+// hold: an unknown kind, a nonzero field the kind does not use, a retry
+// attempt outside [0, MaxRetries], an agent off the campaign and a
+// fault index outside the recomputed schedule.
 func (c *campaign) decodeEvent(d *snapshot.Decoder) (event, error) {
-	ev := event{
-		kind:    evKind(d.Int()),
-		agent:   d.Int(),
-		session: d.Int(),
-		attempt: d.Int(),
-		fault:   d.Int(),
+	kind, agent, session, attempt, fault := d.Int(), d.Int(), d.Int(), d.Int(), d.Int()
+	ev := event{kind: evKind(kind)}
+	var unused int // the fields the kind does not use, ORed
+	switch {
+	case kind == int(evArrival):
+		ev.id, unused = agent, session|attempt|fault
+	case kind == int(evRetry):
+		ev.id, unused = session, agent|fault
+	case kind == int(evRelease):
+		ev.id, unused = session, agent|attempt|fault
+	case kind == int(evFault):
+		ev.id, unused = fault, agent|session|attempt
+	default:
+		return event{}, fmt.Errorf("%w: event of unknown kind %d", snapshot.ErrCorruptSnapshot, kind)
 	}
-	if ev.kind < evArrival || ev.kind > evFault {
-		return ev, fmt.Errorf("%w: event of unknown kind %d", snapshot.ErrCorruptSnapshot, int(ev.kind))
+	switch {
+	case unused != 0:
+		return event{}, fmt.Errorf("%w: kind %d event sets a field its kind does not use (agent %d, session %d, attempt %d, fault %d)",
+			snapshot.ErrCorruptSnapshot, kind, agent, session, attempt, fault)
+	case attempt < 0 || attempt > c.cfg.Backoff.MaxRetries || attempt > math.MaxInt32:
+		return event{}, fmt.Errorf("%w: retry attempt %d outside [0, %d]",
+			snapshot.ErrCorruptSnapshot, attempt, c.cfg.Backoff.MaxRetries)
+	case ev.kind == evArrival && (ev.id < 0 || ev.id >= len(c.agents)):
+		return event{}, fmt.Errorf("%w: arrival for agent %d of %d",
+			snapshot.ErrCorruptSnapshot, ev.id, len(c.agents))
+	case ev.kind == evFault && (ev.id < 0 || ev.id >= len(c.schedule)):
+		return event{}, fmt.Errorf("%w: fault event %d outside schedule of %d",
+			snapshot.ErrCorruptSnapshot, ev.id, len(c.schedule))
 	}
-	if ev.kind == evFault && (ev.fault < 0 || ev.fault >= len(c.schedule)) {
-		return ev, fmt.Errorf("%w: fault event %d outside schedule of %d",
-			snapshot.ErrCorruptSnapshot, ev.fault, len(c.schedule))
-	}
+	ev.attempt = int32(attempt)
 	return ev, nil
 }
 
@@ -205,6 +229,7 @@ func (c *campaign) restoreState(d *snapshot.Decoder) error {
 	}
 
 	n := d.Len()
+	held := make(map[int]struct{}, n) // circuits the sessions read so far hold
 	for i := 0; i < n && d.Err() == nil; i++ {
 		id := d.Int()
 		s := &session{
@@ -235,10 +260,10 @@ func (c *campaign) restoreState(d *snapshot.Decoder) error {
 				return fmt.Errorf("%w: session %d references unknown circuit %d",
 					snapshot.ErrCorruptSnapshot, id, s.circuit)
 			}
-			if _, dup := c.byCircuit[s.circuit]; dup {
+			if _, dup := held[s.circuit]; dup {
 				return fmt.Errorf("%w: circuit %d owned by two sessions", snapshot.ErrCorruptSnapshot, s.circuit)
 			}
-			c.byCircuit[s.circuit] = id
+			held[s.circuit] = struct{}{}
 		}
 	}
 

@@ -1,0 +1,134 @@
+package loadgen
+
+import (
+	"errors"
+	"os"
+	"path/filepath"
+	"strings"
+	"testing"
+
+	"lightpath/internal/snapshot"
+)
+
+// restoredAt runs smallConfig(1234) to the given event boundary and
+// returns a campaign restored from the checkpoint written there.
+func restoredAt(t *testing.T, stopAt uint64) (Config, *campaign) {
+	t.Helper()
+	cfg := smallConfig(1234)
+	path := filepath.Join(t.TempDir(), "c.ckpt")
+	if _, err := RunCheckpointed(cfg, CheckpointOptions{Path: path, EveryEvents: stopAt, StopAfterEvents: stopAt}); !errors.Is(err, ErrStopped) {
+		t.Fatalf("err = %v, want ErrStopped", err)
+	}
+	file, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, payload, err := snapshot.Open(file)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := build(cfg, CheckpointOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.restoreState(snapshot.NewDecoder(payload)); err != nil {
+		t.Fatal(err)
+	}
+	return cfg, c
+}
+
+// TestRestoreRefusesSharedCircuit crafts a checkpoint in which two
+// sessions hold one circuit; resuming it must fail as corrupt rather
+// than credit one circuit's goodput to two sessions.
+func TestRestoreRefusesSharedCircuit(t *testing.T) {
+	cfg, c := restoredAt(t, 500)
+	var holders []*session
+	for _, id := range c.sortedSessions() {
+		if s := c.sessions[id]; s.phase != phaseEstablish {
+			holders = append(holders, s)
+		}
+	}
+	if len(holders) < 2 {
+		t.Fatalf("only %d sessions hold a circuit at event 500", len(holders))
+	}
+	holders[1].circuit = holders[0].circuit
+	var e snapshot.Encoder
+	c.encodeState(&e)
+
+	fresh, err := build(cfg, CheckpointOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = fresh.restoreState(snapshot.NewDecoder(e.Bytes()))
+	if !errors.Is(err, snapshot.ErrCorruptSnapshot) || !strings.Contains(err.Error(), "owned by two sessions") {
+		t.Fatalf("restore of two sessions on circuit %d: %v, want ErrCorruptSnapshot naming the shared circuit", holders[0].circuit, err)
+	}
+}
+
+// TestDecodeEventRefusesWhatTheEventCannotHold feeds decodeEvent the
+// five encoded integers (kind, agent, session, attempt, fault). Each
+// valid event must re-encode to its own integers; every integer the
+// compact event would have to drop or truncate must be refused as
+// corrupt.
+func TestDecodeEventRefusesWhatTheEventCannotHold(t *testing.T) {
+	_, c := restoredAt(t, 500)
+	if len(c.schedule) == 0 {
+		t.Fatal("campaign has no faults scheduled")
+	}
+	maxRetries := c.cfg.Backoff.MaxRetries
+	encode := func(f [5]int) []byte {
+		var e snapshot.Encoder
+		for _, v := range f {
+			e.Int(v)
+		}
+		return e.Bytes()
+	}
+	for _, f := range [][5]int{
+		{int(evArrival), 3, 0, 0, 0},
+		{int(evRetry), 0, 7, 1, 0},
+		{int(evRetry), 0, 7, maxRetries, 0},
+		{int(evRelease), 0, 7, 0, 0},
+		{int(evFault), 0, 0, 0, len(c.schedule) - 1},
+	} {
+		ev, err := c.decodeEvent(snapshot.NewDecoder(encode(f)))
+		if err != nil {
+			t.Fatalf("%v: %v", f, err)
+		}
+		var e snapshot.Encoder
+		encodeEvent(&e, ev)
+		if got := string(e.Bytes()); got != string(encode(f)) {
+			t.Fatalf("%v decoded to %+v, which does not re-encode to it", f, ev)
+		}
+	}
+	for name, f := range map[string][5]int{
+		"unknown kind":             {int(evFault) + 1, 0, 0, 0, 0},
+		"negative kind":            {-1, 0, 0, 0, 0},
+		"kind past a byte":         {256 + int(evArrival), 3, 0, 0, 0},
+		"arrival with a session":   {int(evArrival), 3, 5, 0, 0},
+		"arrival with an attempt":  {int(evArrival), 3, 0, 1, 0},
+		"arrival with a fault":     {int(evArrival), 3, 0, 0, 1},
+		"arrival off the campaign": {int(evArrival), len(c.agents), 0, 0, 0},
+		"negative agent":           {int(evArrival), -1, 0, 0, 0},
+		"retry with an agent":      {int(evRetry), 2, 7, 1, 0},
+		"retry with a fault":       {int(evRetry), 0, 7, 1, 2},
+		"negative attempt":         {int(evRetry), 0, 7, -1, 0},
+		"attempt past MaxRetries":  {int(evRetry), 0, 7, maxRetries + 1, 0},
+		"release with an attempt":  {int(evRelease), 0, 7, 1, 0},
+		"release with an agent":    {int(evRelease), 1, 7, 0, 0},
+		"fault with a session":     {int(evFault), 0, 4, 0, 0},
+		"fault with an attempt":    {int(evFault), 0, 0, 1, 0},
+		"fault outside schedule":   {int(evFault), 0, 0, 0, len(c.schedule)},
+		"negative fault":           {int(evFault), 0, 0, 0, -1},
+		"fault with an agent":      {int(evFault), 9, 0, 0, 0},
+	} {
+		if _, err := c.decodeEvent(snapshot.NewDecoder(encode(f))); !errors.Is(err, snapshot.ErrCorruptSnapshot) {
+			t.Errorf("%s %v: %v, want ErrCorruptSnapshot", name, f, err)
+		}
+	}
+	// An attempt the event's 32 bits cannot hold is refused even where
+	// MaxRetries would allow it.
+	c.cfg.Backoff.MaxRetries = 1 << 40
+	if _, err := c.decodeEvent(snapshot.NewDecoder(encode([5]int{int(evRetry), 0, 7, 1 << 32, 0}))); !errors.Is(err, snapshot.ErrCorruptSnapshot) {
+		t.Errorf("attempt past int32: %v, want ErrCorruptSnapshot", err)
+	}
+}

@@ -14,6 +14,7 @@ package loadgen
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"lightpath/internal/chaos"
 	"lightpath/internal/ctrl"
@@ -125,7 +126,7 @@ type Result struct {
 
 // event kinds. Events due at the same instant pop in push order, so
 // the kind never breaks a tie.
-type evKind int
+type evKind uint8
 
 const (
 	evArrival evKind = iota // agent issues its next fresh request
@@ -134,16 +135,15 @@ const (
 	evFault                 // chaos fault hits the fabric
 )
 
-// event is one queued event's payload. agent is used by evArrival;
-// session and attempt by evRetry/evRelease; fault indexes the
-// precomputed chaos schedule (recomputed on resume, so only the index
-// travels in a checkpoint).
+// event is one queued event's payload, 16 bytes so a heap entry is
+// 32. id is the agent for evArrival, the session for evRetry and
+// evRelease, and for evFault the index into the precomputed chaos
+// schedule (recomputed on resume, so only the index travels in a
+// checkpoint). attempt is used by evRetry alone.
 type event struct {
 	kind    evKind
-	agent   int
-	session int
-	attempt int
-	fault   int
+	attempt int32
+	id      int
 }
 
 // phase is a session's position in its lifecycle.
@@ -192,8 +192,7 @@ type campaign struct {
 	// fresh arrivals, so it also counts the fresh requests issued.
 	nextSession int
 	sessions    map[int]*session
-	byCircuit   map[int]int // live circuit id -> session id
-	ids         []int       // encodeState's sorted session-ID scratch
+	ids         []int // sortedSessions' scratch
 
 	// Result statistics. Attempts need no counter: submit is the
 	// server's only caller, so its Stats.Arrivals counts them.
@@ -216,12 +215,11 @@ func build(cfg Config, opts CheckpointOptions) (*campaign, error) {
 	}
 	root := rng.New(cfg.Seed)
 	c := &campaign{
-		cfg:       cfg,
-		srv:       srv,
-		sessions:  make(map[int]*session),
-		byCircuit: make(map[int]int),
-		loop:      evloop.New(opts, checkpointVersion, checkpointEvery),
-		quant:     sketch.NewQuantile(0, root.Split("loadgen/sketch")),
+		cfg:      cfg,
+		srv:      srv,
+		sessions: make(map[int]*session),
+		loop:     evloop.New(opts, checkpointVersion, checkpointEvery),
+		quant:    sketch.NewQuantile(0, root.Split("loadgen/sketch")),
 	}
 	c.digest = string(c.configDigest())
 	chips := srv.Allocator().Rack().NumChips()
@@ -257,10 +255,10 @@ func build(cfg Config, opts CheckpointOptions) (*campaign, error) {
 
 	// Seed the heap: each agent's first arrival, then every fault.
 	for i, ag := range c.agents {
-		c.events.Push(unit.Seconds(ag.r.Exp(float64(cfg.MeanInterarrival))), event{kind: evArrival, agent: i})
+		c.events.Push(unit.Seconds(ag.r.Exp(float64(cfg.MeanInterarrival))), event{kind: evArrival, id: i})
 	}
 	for fi, f := range c.schedule {
-		c.events.Push(f.Time, event{kind: evFault, fault: fi})
+		c.events.Push(f.Time, event{kind: evFault, id: fi})
 	}
 	return c, nil
 }
@@ -304,13 +302,13 @@ func (c *campaign) drain() (*Result, error) {
 // onArrival issues agent's next fresh establish and, while the agent
 // has arrivals left, schedules the following one.
 func (c *campaign) onArrival(at unit.Seconds, ev event) {
-	ag := c.agents[ev.agent]
+	ag := c.agents[ev.id]
 	chips := c.srv.Allocator().Rack().NumChips()
 	b := (ag.chip + 1 + ag.r.Intn(chips-1)) % chips
 	id := c.nextSession
 	c.nextSession++
 	s := &session{
-		agent:   ev.agent,
+		agent:   ev.id,
 		a:       ag.chip,
 		b:       b,
 		width:   c.cfg.Width,
@@ -323,7 +321,7 @@ func (c *campaign) onArrival(at unit.Seconds, ev event) {
 	ag.issued++
 	if ag.issued < c.cfg.ArrivalsPerAgent {
 		gap := unit.Seconds(ag.r.Exp(float64(c.cfg.MeanInterarrival)))
-		c.events.Push(at+gap, event{kind: evArrival, agent: ev.agent})
+		c.events.Push(at+gap, event{kind: evArrival, id: ev.id})
 	}
 }
 
@@ -331,41 +329,45 @@ func (c *campaign) onArrival(at unit.Seconds, ev event) {
 // gone (closed by a fault while the retry was queued) — stale retries
 // no-op.
 func (c *campaign) onRetry(at unit.Seconds, ev event) {
-	s, ok := c.sessions[ev.session]
+	s, ok := c.sessions[ev.id]
 	if !ok || s.phase == phaseOpen {
 		return
 	}
-	c.submit(ev.session, s, ev.attempt, at)
+	c.submit(ev.id, s, int(ev.attempt), at)
 }
 
 // onRelease submits a session's release. Stale events (circuit already
 // lost to a fault) no-op.
 func (c *campaign) onRelease(at unit.Seconds, ev event) {
-	s, ok := c.sessions[ev.session]
+	s, ok := c.sessions[ev.id]
 	if !ok || s.phase != phaseOpen {
 		return
 	}
 	s.phase = phaseRelease
-	c.submit(ev.session, s, 0, at)
+	c.submit(ev.id, s, 0, at)
 }
 
 // onFault applies one scheduled fault and reconciles every session the
 // blast radius touched: rerouted circuits keep their session (goodput
 // credited at the old width, restarted at the new), lost circuits
-// close theirs.
+// close theirs. Moves are matched, in the order the server reports
+// them, against the sessions holding a circuit, walked in ID order.
 func (c *campaign) onFault(at unit.Seconds, ev event) error {
-	rep, err := c.srv.ApplyFault(c.schedule[ev.fault], at)
+	rep, err := c.srv.ApplyFault(c.schedule[ev.id], at)
 	if err != nil {
 		return err
 	}
+	if len(rep.Moves) == 0 {
+		return nil
+	}
+	ids := c.sortedSessions()
 	for _, mv := range rep.Moves {
-		sid, ok := c.byCircuit[mv.OldID]
+		sid, ok := c.holder(ids, mv.OldID)
 		if !ok {
 			continue
 		}
 		s := c.sessions[sid]
 		c.goodputWS += float64(s.grantWidth) * float64(at-s.openedAt)
-		delete(c.byCircuit, mv.OldID)
 		if mv.NewID < 0 {
 			delete(c.sessions, sid)
 			continue
@@ -373,9 +375,32 @@ func (c *campaign) onFault(at unit.Seconds, ev event) error {
 		s.circuit = mv.NewID
 		s.grantWidth = mv.NewWidth
 		s.openedAt = at
-		c.byCircuit[mv.NewID] = sid
 	}
 	return nil
+}
+
+// sortedSessions returns the open session IDs in ascending order, in
+// the campaign's scratch.
+func (c *campaign) sortedSessions() []int {
+	ids := c.ids[:0]
+	for id := range c.sessions {
+		ids = append(ids, id)
+	}
+	slices.Sort(ids)
+	c.ids = ids
+	return ids
+}
+
+// holder returns the session among ids that holds circuit: one past
+// its establish phase whose grant names it. A session closed since ids
+// was sorted is skipped.
+func (c *campaign) holder(ids []int, circuit int) (int, bool) {
+	for _, id := range ids {
+		if s, ok := c.sessions[id]; ok && s.phase != phaseEstablish && s.circuit == circuit {
+			return id, true
+		}
+	}
+	return 0, false
 }
 
 // retryable reports whether a status is worth a backoff retry.
@@ -407,7 +432,6 @@ func (c *campaign) submit(id int, s *session, attempt int, at unit.Seconds) {
 	case resp.Status == ctrl.StatusOK:
 		if s.phase == phaseRelease {
 			c.goodputWS += float64(s.grantWidth) * float64(done-s.openedAt)
-			delete(c.byCircuit, s.circuit)
 			delete(c.sessions, id)
 			return
 		}
@@ -415,10 +439,9 @@ func (c *campaign) submit(id int, s *session, attempt int, at unit.Seconds) {
 		s.circuit = resp.Circuit
 		s.grantWidth = resp.Width
 		s.openedAt = done
-		c.byCircuit[resp.Circuit] = id
 		c.quant.Add(float64(done-s.firstAt) / float64(unit.Microsecond))
 		hold := unit.Seconds(ag.r.Exp(float64(c.cfg.MeanHold)))
-		c.events.Push(done+hold, event{kind: evRelease, session: id})
+		c.events.Push(done+hold, event{kind: evRelease, id: id})
 
 	case resp.Status == ctrl.StatusUnknownCircuit && s.phase == phaseRelease:
 		// The circuit vanished between scheduling and submit (fault
@@ -428,7 +451,7 @@ func (c *campaign) submit(id int, s *session, attempt int, at unit.Seconds) {
 	case retryable(resp.Status) && attempt < c.cfg.Backoff.MaxRetries:
 		c.retries++
 		delay := c.cfg.Backoff.Delay(ag.r, attempt)
-		c.events.Push(done+delay, event{kind: evRetry, session: id, attempt: attempt + 1})
+		c.events.Push(done+delay, event{kind: evRetry, attempt: int32(attempt + 1), id: id})
 
 	default:
 		// Retries exhausted (or a non-retryable status): the request
@@ -436,7 +459,6 @@ func (c *campaign) submit(id int, s *session, attempt int, at unit.Seconds) {
 		// counter exists to prove it stays at zero.
 		if s.phase == phaseRelease {
 			c.leaked++
-			delete(c.byCircuit, s.circuit)
 		} else {
 			c.lost++
 		}

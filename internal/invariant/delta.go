@@ -44,10 +44,15 @@ type liveIndex struct {
 	// since.
 	valid bool
 	// live lists the indexed circuits in ID order. spans and fibers
-	// hold their resources, circuit after circuit in the same order.
-	live   []indexed
-	spans  []heldSpan
-	fibers []int
+	// hold their resources, each circuit's at its offsets, appended in
+	// ID order. A removed circuit's records stay in place, counted by
+	// released, until the removed circuits outnumber the live ones;
+	// compact then packs the live ones down. A delta audit copies no
+	// kept circuit's records.
+	live     []indexed
+	spans    []heldSpan
+	fibers   []int
+	released int
 	// busy[lane][bus] has bit p set when position p of that bus is
 	// held; lane is a lane slot (see spanKey). fiberHeld is indexed by
 	// fiber slot (see fiberKey).
@@ -60,12 +65,14 @@ type liveIndex struct {
 	touchedChips, touchedRowSlots []int
 }
 
-// indexed is one live circuit as the index recorded it.
+// indexed is one live circuit as the index recorded it: its records
+// are spans[spanAt:spanAt+spans] and fibers[fibAt:fibAt+fibers].
 type indexed struct {
 	// c identifies the circuit; it is compared, never dereferenced.
 	c               *route.Circuit
 	id, a, b, width int
-	spans, fibers   int
+	spanAt, spans   int
+	fibAt, fibers   int
 }
 
 // heldSpan is one segment: the positions it holds on a bus, as a bit
@@ -100,7 +107,7 @@ func (x *liveIndex) rebuild(circuits []*route.Circuit, g geometry) bool {
 	} else {
 		clear(x.fiberHeld)
 	}
-	x.live, x.spans, x.fibers = x.live[:0], x.spans[:0], x.fibers[:0]
+	x.live, x.spans, x.fibers, x.released = x.live[:0], x.spans[:0], x.fibers[:0], 0
 	x.touchedChips, x.touchedRowSlots = x.touchedChips[:0], x.touchedRowSlots[:0]
 	last := math.MinInt
 	//lightpath:hotloop
@@ -133,11 +140,9 @@ func (ctx *checkCtx) delta(a *route.Allocator) bool {
 	if n := len(x.live); n > 0 {
 		last = x.live[n-1].id
 	}
-	i, kept, spanR, spanW, fibR, fibW := 0, 0, 0, 0, 0, 0
+	i, kept := 0, 0
 	//lightpath:hotloop
 	for _, e := range x.live {
-		spans, fibers := x.spans[spanR:spanR+e.spans], x.fibers[fibR:fibR+e.fibers]
-		spanR, fibR = spanR+e.spans, fibR+e.fibers
 		switch {
 		case i < len(cur) && cur[i].ID == e.id:
 			if cur[i] != e.c {
@@ -145,15 +150,14 @@ func (ctx *checkCtx) delta(a *route.Allocator) bool {
 			}
 			x.live[kept] = e
 			kept, i = kept+1, i+1
-			spanW += copy(x.spans[spanW:], spans)
-			fibW += copy(x.fibers[fibW:], fibers)
 		case i < len(cur) && cur[i].ID < e.id:
 			return false
 		default:
-			x.unhold(&ctx.t, e, spans, fibers)
+			x.unhold(&ctx.t, e)
+			x.released++
 		}
 	}
-	x.live, x.spans, x.fibers = x.live[:kept], x.spans[:spanW], x.fibers[:fibW]
+	x.live = x.live[:kept]
 	//lightpath:hotloop
 	for _, c := range cur[i:] {
 		if c.ID <= last {
@@ -164,7 +168,26 @@ func (ctx *checkCtx) delta(a *route.Allocator) bool {
 			return false
 		}
 	}
+	if x.released > len(x.live) {
+		x.compact()
+	}
 	return x.matchesRack(a, &ctx.t)
+}
+
+// compact drops the records of removed circuits, moving each live
+// circuit's down in ID order. Offsets ascend in that order, so every
+// move is to an offset no higher than the one it leaves.
+func (x *liveIndex) compact() {
+	spanW, fibW := 0, 0
+	//lightpath:hotloop
+	for k := range x.live {
+		e := &x.live[k]
+		copy(x.spans[spanW:], x.spans[e.spanAt:e.spanAt+e.spans])
+		copy(x.fibers[fibW:], x.fibers[e.fibAt:e.fibAt+e.fibers])
+		e.spanAt, e.fibAt = spanW, fibW
+		spanW, fibW = spanW+e.spans, fibW+e.fibers
+	}
+	x.spans, x.fibers, x.released = x.spans[:spanW], x.fibers[:fibW], 0
 }
 
 // matchesRack compares the running tallies t with the rack: the
@@ -203,6 +226,7 @@ func (x *liveIndex) hold(c *route.Circuit) bool {
 	if c.A < 0 || c.A >= x.geo.chips || c.B < 0 || c.B >= x.geo.chips {
 		return false
 	}
+	spanAt, fibAt := len(x.spans), len(x.fibers)
 	//lightpath:hotloop
 	for _, s := range c.Segments {
 		lane, bus, span, ok := x.spanKey(s)
@@ -227,18 +251,18 @@ func (x *liveIndex) hold(c *route.Circuit) bool {
 		x.touchedRowSlots = append(x.touchedRowSlots, slot/x.geo.fibersPerRow)
 	}
 	x.live = append(x.live, indexed{c: c, id: c.ID, a: c.A, b: c.B, width: c.Width,
-		spans: len(c.Segments), fibers: len(c.Fibers)})
+		spanAt: spanAt, spans: len(c.Segments), fibAt: fibAt, fibers: len(c.Fibers)})
 	x.touchedChips = append(x.touchedChips, c.A, c.B)
 	return true
 }
 
 // unhold releases a removed circuit's resources from the index and
 // its holdings from the tallies t, from the index's own copies.
-func (x *liveIndex) unhold(t *tally, e indexed, spans []heldSpan, fibers []int) {
-	for _, h := range spans {
+func (x *liveIndex) unhold(t *tally, e indexed) {
+	for _, h := range x.spans[e.spanAt : e.spanAt+e.spans] {
 		x.busy[h.lane][h.bus] &^= h.span
 	}
-	for _, slot := range fibers {
+	for _, slot := range x.fibers[e.fibAt : e.fibAt+e.fibers] {
 		x.fiberHeld[slot] = false
 		row := slot / x.geo.fibersPerRow
 		t.perRow[row]--

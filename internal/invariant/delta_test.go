@@ -150,3 +150,65 @@ func TestRestoredAuditorStartsWithFullPass(t *testing.T) {
 		t.Fatal("the resumed auditor ran no delta audits")
 	}
 }
+
+// TestDeltaCompactionMatchesRebuild runs Sampled auditors through long
+// establish, release and fault streams whose churn crosses the live
+// index's compaction threshold again and again. Every sampled audit
+// must report what a full pass on the same state reports; after every
+// delta the index must hold what a rebuild of the table holds, the
+// released records it keeps must be exactly those of the circuits
+// removed since the last compaction, and it must compact exactly when
+// they outnumber the live circuits — after which it must equal the
+// rebuild outright.
+func TestDeltaCompactionMatchesRebuild(t *testing.T) {
+	var deltas, compactions int
+	for seed := uint64(1); seed <= 12; seed++ {
+		a, step := randomStream(t, seed, [3]int{40, 38, 1})
+		aud := invariant.Attach(a, invariant.Sampled)
+		ref := invariant.Attach(a, invariant.Off)
+		indexed := map[int]bool{} // the table's IDs at the last audit point
+		a.SetAuditHook(func(op string) {
+			before, full := aud.IndexReleased(), aud.FullPasses()
+			got := aud.MutatedReport(op)
+			if aud.Mutations()%invariant.DefaultStride != 0 {
+				return
+			}
+			if want := ref.Audit(op); !reflect.DeepEqual(got, want) || len(want) > 0 {
+				t.Fatalf("seed %d mutation %d: sampled audit %v, full pass %v", seed, aud.Mutations(), got, want)
+			}
+			cs := a.Circuits()
+			if aud.FullPasses() == full {
+				deltas++
+				removed := len(indexed)
+				for _, c := range cs {
+					if indexed[c.ID] {
+						removed--
+					}
+				}
+				want := before + removed
+				if want > len(cs) {
+					compactions++
+					want = 0
+				}
+				if after := aud.IndexReleased(); after != want {
+					t.Fatalf("seed %d mutation %d: index keeps %d released circuits' records, want %d (%d before, %d removed, %d live)",
+						seed, aud.Mutations(), after, want, before, removed, len(cs))
+				}
+				if err := aud.IndexMatchesRebuild(); err != nil {
+					t.Fatalf("seed %d mutation %d: %v", seed, aud.Mutations(), err)
+				}
+			}
+			clear(indexed)
+			for _, c := range cs {
+				indexed[c.ID] = true
+			}
+		})
+		for i := 0; i < 20000; i++ {
+			step(i)
+		}
+	}
+	t.Logf("%d delta audits, %d compactions", deltas, compactions)
+	if deltas < 2000 || compactions < 500 {
+		t.Fatalf("coverage too thin: %d delta audits (want 2000), %d compactions (want 500)", deltas, compactions)
+	}
+}

@@ -1,6 +1,11 @@
 package invariant
 
-import "lightpath/internal/route"
+import (
+	"fmt"
+	"slices"
+
+	"lightpath/internal/route"
+)
 
 // IndexVouches runs a full pass over a's current circuits and reports
 // whether the live index proved them disjoint, with the pairs the
@@ -36,4 +41,59 @@ func (d *Auditor) Mutations() int { return d.mutations }
 // maxRecorded; Count reports the true total).
 func (d *Auditor) Violations() []Violation {
 	return append([]Violation(nil), d.recorded...)
+}
+
+// IndexReleased returns how many released circuits' records the live
+// index still holds.
+func (d *Auditor) IndexReleased() int { return d.ctx.idx.released }
+
+// IndexMatchesRebuild compares the auditor's live index with one
+// rebuilt from the allocator's circuit table: the same circuits in the
+// same order, each holding the same records, and the same held bus
+// positions and fibers. An index holding no released records must
+// equal the rebuild outright, offsets and arrays included.
+func (d *Auditor) IndexMatchesRebuild() error {
+	x := &d.ctx.idx
+	var ctx checkCtx
+	ctx.begin(d.alloc)
+	fresh := &ctx.idx
+	if !fresh.rebuild(ctx.circuits, ctx.geo) {
+		return fmt.Errorf("the table does not rebuild")
+	}
+	if len(x.live) != len(fresh.live) {
+		return fmt.Errorf("index holds %d circuits, table %d", len(x.live), len(fresh.live))
+	}
+	for k, e := range x.live {
+		f := fresh.live[k]
+		if e.c != f.c || e.id != f.id || e.a != f.a || e.b != f.b || e.width != f.width || e.spans != f.spans || e.fibers != f.fibers {
+			return fmt.Errorf("entry %d: index %+v, rebuild %+v", k, e, f)
+		}
+		if !slices.Equal(x.spans[e.spanAt:e.spanAt+e.spans], fresh.spans[f.spanAt:f.spanAt+f.spans]) ||
+			!slices.Equal(x.fibers[e.fibAt:e.fibAt+e.fibers], fresh.fibers[f.fibAt:f.fibAt+f.fibers]) {
+			return fmt.Errorf("circuit %d: index records differ from the rebuild's", e.id)
+		}
+	}
+	for lane := range fresh.busy {
+		for bus := range max(len(x.busy[lane]), len(fresh.busy[lane])) {
+			if got, want := wordAt(x.busy[lane], bus), wordAt(fresh.busy[lane], bus); got != want {
+				return fmt.Errorf("lane slot %d bus %d: index holds %#x, rebuild %#x", lane, bus, got, want)
+			}
+		}
+	}
+	if !slices.Equal(x.fiberHeld, fresh.fiberHeld) {
+		return fmt.Errorf("held fibers differ from the rebuild's")
+	}
+	if x.released == 0 && (!slices.Equal(x.live, fresh.live) || !slices.Equal(x.spans, fresh.spans) || !slices.Equal(x.fibers, fresh.fibers)) {
+		return fmt.Errorf("compact index (%d spans, %d fibers) differs from the rebuild (%d, %d)",
+			len(x.spans), len(x.fibers), len(fresh.spans), len(fresh.fibers))
+	}
+	return nil
+}
+
+// wordAt is words[i], or 0 past the end.
+func wordAt(words []uint64, i int) uint64 {
+	if i < len(words) {
+		return words[i]
+	}
+	return 0
 }

@@ -1,7 +1,6 @@
 package route
 
 import (
-	"cmp"
 	"errors"
 	"fmt"
 	"slices"
@@ -42,7 +41,10 @@ type Allocator struct {
 	// circuits holds the established circuits in ascending ID order.
 	// IDs are issued monotonically (nextID), so place appends, Release
 	// deletes in place, and the ID-ordered accessors are plain copies.
+	// ids[i] is circuits[i].ID: lookups binary-search the contiguous
+	// IDs instead of dereferencing each probed circuit.
 	circuits []*Circuit
+	ids      []int
 	nextID   int
 
 	// rowOrder[srcRow] is the precomputed non-packing fiber-row
@@ -162,9 +164,7 @@ func (a *Allocator) AppendCircuits(dst []*Circuit) []*Circuit {
 // position of the circuit with the given ID, or where it would be
 // inserted, and whether it is present.
 func (a *Allocator) circuitIndex(id int) (int, bool) {
-	return slices.BinarySearchFunc(a.circuits, id, func(c *Circuit, id int) int {
-		return cmp.Compare(c.ID, id)
-	})
+	return slices.BinarySearch(a.ids, id)
 }
 
 // planStep is one bus span a candidate path wants.
@@ -807,6 +807,7 @@ func (a *Allocator) place(req Request, p plan, link phy.LinkReport, now unit.Sec
 	a.scratch.segs, a.scratch.fibers = segs[:0], fibers[:0]
 	a.nextID++
 	a.circuits = append(a.circuits, c)
+	a.ids = append(a.ids, c.ID)
 	return c
 }
 
@@ -825,6 +826,7 @@ func (a *Allocator) Release(c *Circuit) {
 	a.beginOp()
 	defer a.endOp("release")
 	a.circuits = slices.Delete(a.circuits, i, i+1)
+	a.ids = slices.Delete(a.ids, i, i+1)
 	for _, s := range c.Segments {
 		a.rack.Wafer(s.Wafer).FreeBus(s.Ref)
 	}

@@ -66,3 +66,33 @@ func BenchmarkEstablishNoFiber(b *testing.B) {
 	}
 	b.ReportMetric(float64(len(planKeys(a, req))), "plans")
 }
+
+// BenchmarkEstablishDegradedNoFiber measures the degradation ladder's
+// failure path: a width-2 EstablishDegraded between the chips
+// BenchmarkEstablishNoFiber uses, on a rack whose every trunk row is
+// full. A narrower circuit needs the same fibers, so the ladder stops
+// after the first failure. The paper metric is the number of
+// Establish calls each ladder makes, counted through the audit hook.
+func BenchmarkEstablishDegradedNoFiber(b *testing.B) {
+	rack, err := wafer.NewRack(wafer.DefaultConfig(), 2)
+	if err != nil {
+		b.Fatal(err)
+	}
+	fillFiberRows(b, rack, rack.Config().Rows)
+	a := NewAllocator(rack, rng.New(7))
+	calls := 0
+	a.SetAuditHook(func(op string) {
+		if op == "establish" {
+			calls++
+		}
+	})
+	req := Request{A: 0, B: 40, Width: 2}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, _, err := a.EstablishDegraded(req, 0); err == nil {
+			b.Fatal("established a circuit across full fiber rows")
+		}
+	}
+	b.ReportMetric(float64(calls)/float64(b.N), "establish_calls")
+}

@@ -191,29 +191,38 @@ func (a *Allocator) releaseAll(cs []*Circuit) []*Circuit {
 }
 
 // EstablishDegraded establishes the request, halving the wavelength
-// width on failure until it fits (graceful degradation). The boolean
-// reports whether the established circuit is narrower than requested.
-// Endpoint chip failures are not retried — they need a replacement
-// chip, which is the core recovery loop's decision.
+// width on failure while a narrower circuit could fit (graceful
+// degradation). The boolean reports whether the established circuit is
+// narrower than requested. Width enters Establish only through the
+// endpoint laser check, so after an ErrNoPath failure the ladder halves
+// only when an endpoint tile has fewer free lasers than the width, or
+// while CheckBudget is set (a retry redraws the stitch losses). Every
+// other cause — fibers, buses, a severed span, a stuck switch, ports —
+// fails the same way at any width on the unchanged fabric, and with
+// CheckBudget off a failed call drew nothing from the loss stream, so
+// stopping returns exactly what the narrower calls would have. Any
+// other error stops the ladder at once: an invalid request, or a dead
+// endpoint, which needs a replacement chip — the core recovery loop's
+// decision.
 func (a *Allocator) EstablishDegraded(req Request, now unit.Seconds) (*Circuit, bool, error) {
-	var lastErr error
-	for width := req.Width; width >= 1; width /= 2 {
+	for width := req.Width; ; width /= 2 {
 		c, err := a.Establish(Request{A: req.A, B: req.B, Width: width}, now)
 		if err == nil {
 			return c, width < req.Width, nil
 		}
-		lastErr = err
-		if !shouldDegrade(err) {
-			break
+		if width <= 1 || !a.shouldDegrade(req, width, err) {
+			return nil, false, err
 		}
 	}
-	return nil, false, lastErr
 }
 
-// shouldDegrade reports whether narrowing the circuit could help: path
-// and resource exhaustion can, a dead endpoint cannot.
-func shouldDegrade(err error) bool {
-	return !errors.Is(err, ErrEndpointFailed)
+// shouldDegrade reports whether a narrower retry of req could end
+// differently from the call at width that failed with err.
+func (a *Allocator) shouldDegrade(req Request, width int, err error) bool {
+	if !errors.Is(err, ErrNoPath) {
+		return false
+	}
+	return a.CheckBudget || a.rack.TileOf(req.A).FreeLasers() < width || a.rack.TileOf(req.B).FreeLasers() < width
 }
 
 // orientOf maps a fault's horizontal flag to the wafer orientation.

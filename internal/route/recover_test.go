@@ -341,6 +341,27 @@ func TestEstablishDegradedWidthOneFloor(t *testing.T) {
 	}
 }
 
+// TestEstablishDegradedRefusesNonPositiveWidth: a width the ladder
+// cannot start from returns Establish's validation error, not a nil
+// circuit with a nil error.
+func TestEstablishDegradedRefusesNonPositiveWidth(t *testing.T) {
+	a := recoverAllocator(t)
+	for _, width := range []int{0, -1, -4} {
+		req := Request{A: 0, B: 5, Width: width}
+		_, want := a.Establish(req, 0)
+		c, degraded, err := a.EstablishDegraded(req, 0)
+		if err == nil || c != nil || degraded {
+			t.Fatalf("width %d: got (%v, %v, %v), want an error", width, c, degraded, err)
+		}
+		if want == nil || err.Error() != want.Error() {
+			t.Fatalf("width %d: error %q, want Establish's %q", width, err, want)
+		}
+	}
+	if a.NumCircuits() != 0 {
+		t.Fatalf("%d circuits established from non-positive widths", a.NumCircuits())
+	}
+}
+
 func TestEstablishRejectsDegenerateRequests(t *testing.T) {
 	a := recoverAllocator(t)
 	if _, err := a.Establish(Request{A: 1, B: 1, Width: 1}, 0); err == nil {

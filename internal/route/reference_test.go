@@ -5,7 +5,9 @@ package route
 // them, kept verbatim (bar evaluate's signature and the enumerator's
 // buffers) so the differential test below can hold the probe/place
 // path and its lazy plan generator to exactly the circuits, errors,
-// loss draws and checkpoint bytes the rollback path produced.
+// loss draws and checkpoint bytes the rollback path produced. The
+// degradation ladder that halved after every failure is kept beside
+// them, so the same test holds EstablishDegraded's halving rule to it.
 
 import (
 	"bytes"
@@ -52,6 +54,24 @@ func (a *Allocator) referenceEstablish(req Request, now unit.Seconds) (*Circuit,
 		lastErr = err
 	}
 	return nil, newNoPathError(req, lastErr)
+}
+
+// referenceEstablishDegraded is the degradation ladder before the
+// halving rule: every failure but a dead endpoint is retried at half
+// the width, down to width 1.
+func (a *Allocator) referenceEstablishDegraded(req Request, now unit.Seconds) (*Circuit, bool, error) {
+	var lastErr error
+	for width := req.Width; width >= 1; width /= 2 {
+		c, err := a.referenceEstablish(Request{A: req.A, B: req.B, Width: width}, now)
+		if err == nil {
+			return c, width < req.Width, nil
+		}
+		lastErr = err
+		if errors.Is(err, ErrEndpointFailed) {
+			break
+		}
+	}
+	return nil, false, lastErr
 }
 
 // referencePlans enumerates paths between two chips in preference
@@ -230,6 +250,7 @@ func (a *Allocator) commit(req Request, p plan, now unit.Seconds) (c *Circuit, e
 	c.setPath(segs, fibers)
 	a.nextID++
 	a.circuits = append(a.circuits, c)
+	a.ids = append(a.ids, c.ID)
 	return c, nil
 }
 
@@ -330,6 +351,12 @@ var lockstepSentinels = []error{
 type lockstep struct {
 	t         testing.TB
 	prod, ref *Allocator
+	// build makes a fresh allocator of the fabric, counting its
+	// Establish calls into calls; a restore replaces prod and ref with
+	// built ones.
+	build func(calls *int) *Allocator
+	// prodCalls and refCalls count each side's Establish calls.
+	prodCalls, refCalls int
 	// live holds the established circuits as (production, reference)
 	// pairs.
 	live [][2]*Circuit
@@ -386,7 +413,7 @@ func drawLockstepParams(seed uint64, flags uint8) lockstepParams {
 
 func newLockstep(t testing.TB, seed uint64, p lockstepParams) *lockstep {
 	t.Helper()
-	build := func() *Allocator {
+	build := func(calls *int) *Allocator {
 		rack, err := wafer.NewRackTopology(p.cfg, p.wafers, p.topo)
 		if err != nil {
 			t.Fatal(err)
@@ -395,9 +422,16 @@ func newLockstep(t testing.TB, seed uint64, p lockstepParams) *lockstep {
 		a.CheckBudget = p.checkBudget
 		a.PackFibers = p.pack
 		a.Budget = p.budget
+		a.SetAuditHook(func(op string) {
+			if op == "establish" {
+				*calls++
+			}
+		})
 		return a
 	}
-	return &lockstep{t: t, prod: build(), ref: build(), seen: map[string]int{}}
+	ls := &lockstep{t: t, build: build, seen: map[string]int{}}
+	ls.prod, ls.ref = build(&ls.prodCalls), build(&ls.refCalls)
+	return ls
 }
 
 // fatalf reports a divergence with the operation count.
@@ -422,12 +456,26 @@ func (ls *lockstep) sameOutcome(what string, pc, rc *Circuit, perr, rerr error) 
 			ls.fatalf("%s: errors.Is(%v) prod %v ref %v", what, s, errors.Is(perr, s), errors.Is(rerr, s))
 		}
 	}
+	var pl, rl *wafer.LaneExhaustedError
+	if errors.As(perr, &pl) != errors.As(rerr, &rl) {
+		ls.fatalf("%s: errors.As(*LaneExhaustedError) prod %v ref %v", what, pl != nil, rl != nil)
+	}
 }
 
 // sameState demands equal loss-stream positions and byte-identical
-// checkpoints.
+// checkpoints, and each side's ID column in step with its table.
 func (ls *lockstep) sameState() {
 	ls.t.Helper()
+	for _, a := range [2]*Allocator{ls.prod, ls.ref} {
+		if len(a.ids) != len(a.circuits) {
+			ls.fatalf("ID column holds %d IDs for %d circuits", len(a.ids), len(a.circuits))
+		}
+		for i, c := range a.circuits {
+			if a.ids[i] != c.ID {
+				ls.fatalf("ids[%d] = %d, circuit %d there", i, a.ids[i], c.ID)
+			}
+		}
+	}
 	ps, pok := ls.prod.loss.RandState()
 	rs, rok := ls.ref.loss.RandState()
 	if ps != rs || pok != rok {
@@ -439,6 +487,29 @@ func (ls *lockstep) sameState() {
 	if !bytes.Equal(pe.Bytes(), re.Bytes()) {
 		ls.fatalf("checkpoint bytes diverged (%d vs %d bytes)", len(pe.Bytes()), len(re.Bytes()))
 	}
+}
+
+// restore replaces both allocators with fresh ones restored from their
+// checkpoints, re-linking the live circuits by ID.
+func (ls *lockstep) restore() {
+	ls.t.Helper()
+	prod, ref := ls.build(&ls.prodCalls), ls.build(&ls.refCalls)
+	for _, pair := range [2][2]*Allocator{{ls.prod, prod}, {ls.ref, ref}} {
+		var e snapshot.Encoder
+		pair[0].EncodeState(&e)
+		if err := pair[1].RestoreState(snapshot.NewDecoder(e.Bytes())); err != nil {
+			ls.fatalf("restore: %v", err)
+		}
+	}
+	for i, pair := range ls.live {
+		pc, pok := prod.CircuitByID(pair[0].ID)
+		rc, rok := ref.CircuitByID(pair[1].ID)
+		if !pok || !rok {
+			ls.fatalf("restore lost live circuit %d", pair[0].ID)
+		}
+		ls.live[i] = [2]*Circuit{pc, rc}
+	}
+	ls.prod, ls.ref = prod, ref
 }
 
 // dropLive removes the released circuits (by ID) from the live set,
@@ -481,12 +552,48 @@ func (ls *lockstep) step(r *rng.Rand) {
 	now := unit.Seconds(ls.ops) * unit.Microsecond
 	rack := prod.rack
 	switch op := r.Intn(100); {
-	case op < 45:
+	case op < 33:
 		req := ls.request(r, r.Intn(50) == 0)
 		pc, perr := prod.Establish(req, now)
 		rc, rerr := ref.referenceEstablish(req, now)
 		ls.sameOutcome(fmt.Sprintf("establish %+v", req), pc, rc, perr, rerr)
 		ls.seen[outcomeCause(rerr)]++
+		if pc != nil {
+			ls.live = append(ls.live, [2]*Circuit{pc, rc})
+		}
+
+	case op < 44:
+		// The degradation ladder, up to width 8 so that wide requests
+		// run the endpoint lasers short; now and then a width the
+		// request validation refuses.
+		req := ls.request(r, r.Intn(50) == 0)
+		req.Width = 1 + r.Intn(8)
+		if r.Intn(25) == 0 {
+			req.Width = -r.Intn(2)
+		}
+		prodCalls, refCalls := ls.prodCalls, ls.refCalls
+		pc, pdeg, perr := prod.EstablishDegraded(req, now)
+		rc, rdeg, rerr := ref.referenceEstablishDegraded(req, now)
+		what := fmt.Sprintf("degraded %+v", req)
+		if req.Width <= 0 {
+			// The reference ladder never ran Establish here and returned
+			// no error at all, the bug EstablishDegraded fixes: it must
+			// return Establish's validation error.
+			rc, rerr = ref.referenceEstablish(req, now)
+		}
+		ls.sameOutcome(what, pc, rc, perr, rerr)
+		if pdeg != rdeg {
+			ls.fatalf("%s: degraded prod %v ref %v", what, pdeg, rdeg)
+		}
+		saved := (ls.refCalls - refCalls) - (ls.prodCalls - prodCalls)
+		if saved < 0 {
+			ls.fatalf("%s: the halving rule made %d more Establish calls", what, -saved)
+		}
+		ls.seen[outcomeCause(rerr)]++
+		ls.seen["ladder-saved"] += saved
+		if pdeg {
+			ls.seen["ladder-narrowed"]++
+		}
 		if pc != nil {
 			ls.live = append(ls.live, [2]*Circuit{pc, rc})
 		}
@@ -564,12 +671,15 @@ func (ls *lockstep) step(r *rng.Rand) {
 		ls.sameOutcome(fmt.Sprintf("cut %v", f), nil, nil, perr, rerr)
 		ls.dropLive(fmt.Sprintf("cut %v", f), pb, rb)
 
-	default:
+	case op < 98:
 		if rack.NumTrunks() == 0 {
 			return
 		}
 		f := chaos.Fault{Class: chaos.FiberCut, Trunk: r.Intn(rack.NumTrunks()), Row: r.Intn(rack.Config().Rows)}
 		ls.sameOutcome(fmt.Sprintf("repair %v", f), nil, nil, prod.Repair(f), ref.Repair(f))
+
+	default:
+		ls.restore()
 	}
 	ls.sameState()
 }
@@ -621,22 +731,31 @@ func errString(err error) string {
 }
 
 // TestEstablishMatchesReference holds the probe/place establish path
-// to the rollback path it replaced, op for op, over every combination
-// of topology, budget checking, fiber packing and lane size, on
-// fabrics small enough to run out of buses, fibers, lasers and ports.
-// The sweep must reach every cause a failed establish can report.
+// to the rollback path it replaced, and EstablishDegraded to the ladder
+// that always halved, op for op, over every combination of topology,
+// budget checking, fiber packing and lane size, on fabrics small
+// enough to run out of buses, fibers, lasers and ports, with
+// checkpoint restores mixed in. The sweep must reach every cause a
+// failed establish can report, and the ladder must both narrow
+// circuits and skip futile halvings.
 func TestEstablishMatchesReference(t *testing.T) {
 	seeds := 6
 	if testing.Short() {
 		seeds = 2
 	}
 	seen := map[string]int{}
+	var ladder [2]map[string]int // by CheckBudget
 	for flags := uint8(0); flags < 16; flags++ {
 		for s := 0; s < seeds; s++ {
 			seed := uint64(flags)*1000 + uint64(s)
 			t.Run(fmt.Sprintf("flags%02d/seed%d", flags, s), func(t *testing.T) {
+				m := &ladder[flags>>1&1]
+				if *m == nil {
+					*m = map[string]int{}
+				}
 				for cause, n := range runLockstep(t, seed, flags, 300) {
 					seen[cause] += n
+					(*m)[cause] += n
 				}
 			})
 		}
@@ -645,6 +764,17 @@ func TestEstablishMatchesReference(t *testing.T) {
 		if seen[want] == 0 {
 			t.Errorf("the lockstep sweep never reported a %q outcome (saw %v)", want, seen)
 		}
+	}
+	t.Logf("ladder outcomes, budget off: %v; budget on: %v", ladder[0], ladder[1])
+	// The ladder must narrow a circuit with the budget checked and
+	// without, and without it the halving rule must save calls.
+	for budget, m := range ladder {
+		if m["ladder-narrowed"] == 0 {
+			t.Errorf("CheckBudget %v: the ladder never narrowed a circuit (saw %v)", budget == 1, m)
+		}
+	}
+	if ladder[0]["ladder-saved"] == 0 {
+		t.Errorf("CheckBudget off: the halving rule never saved an Establish call (saw %v)", ladder[0])
 	}
 }
 

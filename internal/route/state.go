@@ -65,6 +65,7 @@ func (a *Allocator) RestoreState(d *snapshot.Decoder) error {
 	a.nextID = d.Int()
 	n := d.Len()
 	a.circuits = make([]*Circuit, 0, n)
+	a.ids = make([]int, 0, n)
 	for i := 0; i < n; i++ {
 		c := decodeCircuit(d)
 		if d.Err() != nil {
@@ -79,6 +80,7 @@ func (a *Allocator) RestoreState(d *snapshot.Decoder) error {
 			return fmt.Errorf("%w: duplicate circuit ID %d", snapshot.ErrCorruptSnapshot, c.ID)
 		}
 		a.circuits = slices.Insert(a.circuits, at, c)
+		a.ids = slices.Insert(a.ids, at, c.ID)
 	}
 	return d.Err()
 }
