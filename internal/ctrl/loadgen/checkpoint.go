@@ -29,7 +29,9 @@ import (
 // rack and allocator sections drop the switch timing state and the
 // circuits' ready times. Version 6 carries the server's version 6
 // state: no failed-reroute count, and a digest of every wafer field.
-const checkpointVersion = 6
+// Version 7 carries the server's version 7 state: circuits' link
+// reports drop the stored BER.
+const checkpointVersion = 7
 
 // checkpointEvery is the default checkpoint cadence in event
 // boundaries.
@@ -117,10 +119,14 @@ func (c *campaign) encodeState(e *snapshot.Encoder) {
 		e.Int(ag.issued)
 	}
 
-	e.Len(len(c.sessions))
-	for _, id := range c.sortedSessions() {
-		s := c.sessions[id]
-		e.Int(id)
+	e.Len(c.sessions.open)
+	w := c.sessions.window()
+	for i := range w {
+		s := &w[i]
+		if s.phase == phaseClosed {
+			continue
+		}
+		e.Int(c.sessions.first + i)
 		e.Int(s.agent)
 		e.Int(s.a)
 		e.Int(s.b)
@@ -134,7 +140,7 @@ func (c *campaign) encodeState(e *snapshot.Encoder) {
 
 	c.events.EncodeState(e, encodeEvent)
 	e.U64(c.loop.Events())
-	e.Int(c.nextSession)
+	e.Int(c.sessions.next())
 
 	c.quant.EncodeState(e)
 	e.Int(c.retries)
@@ -165,8 +171,9 @@ func encodeEvent(e *snapshot.Encoder, ev event) {
 
 // decodeEvent reads one queued event. It refuses what the event cannot
 // hold: an unknown kind, a nonzero field the kind does not use, a retry
-// attempt outside [0, MaxRetries], an agent off the campaign and a
-// fault index outside the recomputed schedule.
+// attempt outside [0, MaxRetries], an agent off the campaign, a
+// session not yet issued (the restored session table's next ID bounds
+// them) and a fault index outside the recomputed schedule.
 func (c *campaign) decodeEvent(d *snapshot.Decoder) (event, error) {
 	kind, agent, session, attempt, fault := d.Int(), d.Int(), d.Int(), d.Int(), d.Int()
 	ev := event{kind: evKind(kind)}
@@ -193,6 +200,9 @@ func (c *campaign) decodeEvent(d *snapshot.Decoder) (event, error) {
 	case ev.kind == evArrival && (ev.id < 0 || ev.id >= len(c.agents)):
 		return event{}, fmt.Errorf("%w: arrival for agent %d of %d",
 			snapshot.ErrCorruptSnapshot, ev.id, len(c.agents))
+	case (ev.kind == evRetry || ev.kind == evRelease) && (ev.id < 0 || ev.id >= c.sessions.next()):
+		return event{}, fmt.Errorf("%w: kind %d event for session %d outside [0, %d)",
+			snapshot.ErrCorruptSnapshot, kind, ev.id, c.sessions.next())
 	case ev.kind == evFault && (ev.id < 0 || ev.id >= len(c.schedule)):
 		return event{}, fmt.Errorf("%w: fault event %d outside schedule of %d",
 			snapshot.ErrCorruptSnapshot, ev.id, len(c.schedule))
@@ -202,7 +212,10 @@ func (c *campaign) decodeEvent(d *snapshot.Decoder) (event, error) {
 }
 
 // restoreState replays a checkpoint payload into a freshly built
-// campaign skeleton.
+// campaign skeleton. Session IDs are checked against the arrivals the
+// agents issued, which is the next session ID: the open sessions must
+// be strictly ascending below it, the queued events must name sessions
+// below it, and the stored next ID must equal it.
 func (c *campaign) restoreState(d *snapshot.Decoder) error {
 	if err := d.CheckDigest([]byte(c.digest)); err != nil {
 		return err
@@ -215,6 +228,7 @@ func (c *campaign) restoreState(d *snapshot.Decoder) error {
 		return fmt.Errorf("%w: checkpoint has %d agents, config says %d",
 			snapshot.ErrCorruptSnapshot, n, len(c.agents))
 	}
+	issued := 0
 	for _, ag := range c.agents {
 		var st [4]uint64
 		for i := range st {
@@ -226,13 +240,15 @@ func (c *campaign) restoreState(d *snapshot.Decoder) error {
 			return fmt.Errorf("%w: agent issued %d of %d arrivals",
 				snapshot.ErrCorruptSnapshot, ag.issued, c.cfg.ArrivalsPerAgent)
 		}
+		issued += ag.issued
 	}
 
 	n := d.Len()
 	held := make(map[int]struct{}, n) // circuits the sessions read so far hold
+	prev := -1
 	for i := 0; i < n && d.Err() == nil; i++ {
 		id := d.Int()
-		s := &session{
+		s := session{
 			agent: d.Int(),
 			a:     d.Int(),
 			b:     d.Int(),
@@ -251,10 +267,15 @@ func (c *campaign) restoreState(d *snapshot.Decoder) error {
 			return fmt.Errorf("%w: session %d owned by unknown agent %d",
 				snapshot.ErrCorruptSnapshot, id, s.agent)
 		}
-		if _, dup := c.sessions[id]; dup {
-			return fmt.Errorf("%w: duplicate session %d", snapshot.ErrCorruptSnapshot, id)
+		if id < 0 || id >= issued {
+			return fmt.Errorf("%w: session %d outside [0, %d)", snapshot.ErrCorruptSnapshot, id, issued)
 		}
-		c.sessions[id] = s
+		if id <= prev {
+			return fmt.Errorf("%w: session %d listed after session %d", snapshot.ErrCorruptSnapshot, id, prev)
+		}
+		prev = id
+		c.sessions.skipTo(id)
+		c.sessions.add(s)
 		if s.phase != phaseEstablish && s.circuit >= 0 {
 			if _, ok := c.srv.Allocator().CircuitByID(s.circuit); !ok {
 				return fmt.Errorf("%w: session %d references unknown circuit %d",
@@ -267,11 +288,16 @@ func (c *campaign) restoreState(d *snapshot.Decoder) error {
 		}
 	}
 
+	c.sessions.skipTo(issued)
+
 	if err := c.events.RestoreState(d, c.decodeEvent); err != nil {
 		return err
 	}
 	c.loop.SetEvents(d.U64())
-	c.nextSession = d.Int()
+	if next := d.Int(); d.Err() == nil && next != issued {
+		return fmt.Errorf("%w: next session %d, but the agents issued %d arrivals",
+			snapshot.ErrCorruptSnapshot, next, issued)
+	}
 
 	if err := c.quant.RestoreState(d); err != nil {
 		return err

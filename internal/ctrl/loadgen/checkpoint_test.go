@@ -1,7 +1,9 @@
 package loadgen
 
 import (
+	"bytes"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -43,8 +45,9 @@ func restoredAt(t *testing.T, stopAt uint64) (Config, *campaign) {
 func TestRestoreRefusesSharedCircuit(t *testing.T) {
 	cfg, c := restoredAt(t, 500)
 	var holders []*session
-	for _, id := range c.sortedSessions() {
-		if s := c.sessions[id]; s.phase != phaseEstablish {
+	w := c.sessions.window()
+	for i := range w {
+		if s := &w[i]; s.phase == phaseOpen || s.phase == phaseRelease {
 			holders = append(holders, s)
 		}
 	}
@@ -130,5 +133,117 @@ func TestDecodeEventRefusesWhatTheEventCannotHold(t *testing.T) {
 	c.cfg.Backoff.MaxRetries = 1 << 40
 	if _, err := c.decodeEvent(snapshot.NewDecoder(encode([5]int{int(evRetry), 0, 7, 1 << 32, 0}))); !errors.Is(err, snapshot.ErrCorruptSnapshot) {
 		t.Errorf("attempt past int32: %v, want ErrCorruptSnapshot", err)
+	}
+}
+
+// sessionIDCheckpoint returns the campaign restored at event 500, its
+// re-encoded payload and the IDs of its open sessions, which must be
+// at least three.
+func sessionIDCheckpoint(t *testing.T) (Config, *campaign, []byte, []int) {
+	t.Helper()
+	cfg, c := restoredAt(t, 500)
+	var ids []int
+	w := c.sessions.window()
+	for i := range w {
+		if w[i].phase != phaseClosed {
+			ids = append(ids, c.sessions.first+i)
+		}
+	}
+	if len(ids) < 3 {
+		t.Fatalf("only %d open sessions at event 500", len(ids))
+	}
+	var e snapshot.Encoder
+	c.encodeState(&e)
+	return cfg, c, e.Bytes(), ids
+}
+
+// patchInts returns payload with the one run of fixed-width ints from
+// replaced by to, failing unless from occurs exactly once.
+func patchInts(t *testing.T, payload []byte, from, to []int) []byte {
+	t.Helper()
+	var f, r snapshot.Encoder
+	for _, v := range from {
+		f.Int(v)
+	}
+	for _, v := range to {
+		r.Int(v)
+	}
+	if n := bytes.Count(payload, f.Bytes()); n != 1 {
+		t.Fatalf("ints %v occur %d times in the payload, want once", from, n)
+	}
+	return bytes.Replace(payload, f.Bytes(), r.Bytes(), 1)
+}
+
+// sessionHead is a session record's first five ints: its ID, agent,
+// endpoints and width.
+func sessionHead(c *campaign, id int) []int {
+	s, _ := c.sessions.get(id)
+	return []int{id, s.agent, s.a, s.b, s.width}
+}
+
+// refuseRestore demands that restoring payload fails as corrupt with a
+// message containing want.
+func refuseRestore(t *testing.T, cfg Config, payload []byte, want string) {
+	t.Helper()
+	fresh, err := build(cfg, CheckpointOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = fresh.restoreState(snapshot.NewDecoder(payload))
+	if !errors.Is(err, snapshot.ErrCorruptSnapshot) || !strings.Contains(err.Error(), want) {
+		t.Fatalf("restore: %v, want ErrCorruptSnapshot containing %q", err, want)
+	}
+}
+
+// TestRestoreRefusesUnorderedSessions swaps the IDs of the first two
+// open sessions in a checkpoint: sessions listed out of ID order are
+// refused, as is a session listed twice.
+func TestRestoreRefusesUnorderedSessions(t *testing.T) {
+	cfg, c, payload, ids := sessionIDCheckpoint(t)
+	h0, h1 := sessionHead(c, ids[0]), sessionHead(c, ids[1])
+	swapped := patchInts(t, payload, h0, append([]int{ids[1]}, h0[1:]...))
+	swapped = patchInts(t, swapped, h1, append([]int{ids[0]}, h1[1:]...))
+	refuseRestore(t, cfg, swapped, "listed after")
+	twice := patchInts(t, payload, h1, append([]int{ids[0]}, h1[1:]...))
+	refuseRestore(t, cfg, twice, "listed after")
+}
+
+// TestRestoreRefusesSessionOutsideIssued moves the newest open session
+// to the next session ID, which no arrival has issued yet, and the
+// oldest to -1.
+func TestRestoreRefusesSessionOutsideIssued(t *testing.T) {
+	cfg, c, payload, ids := sessionIDCheckpoint(t)
+	next := c.sessions.next()
+	last := sessionHead(c, ids[len(ids)-1])
+	refuseRestore(t, cfg, patchInts(t, payload, last, append([]int{next}, last[1:]...)),
+		fmt.Sprintf("session %d outside [0, %d)", next, next))
+	first := sessionHead(c, ids[0])
+	refuseRestore(t, cfg, patchInts(t, payload, first, append([]int{-1}, first[1:]...)),
+		fmt.Sprintf("session -1 outside [0, %d)", next))
+}
+
+// TestRestoreRefusesNextSessionMismatch rewrites the stored next
+// session ID, which follows the event count, to the oldest open
+// session's ID and to one past the arrivals issued. Resumed, the first
+// would hand live sessions' IDs to new arrivals.
+func TestRestoreRefusesNextSessionMismatch(t *testing.T) {
+	cfg, c, payload, ids := sessionIDCheckpoint(t)
+	events, next := int(c.loop.Events()), c.sessions.next()
+	for _, bad := range []int{ids[0], next + 1} {
+		refuseRestore(t, cfg, patchInts(t, payload, []int{events, next}, []int{events, bad}),
+			fmt.Sprintf("next session %d, but the agents issued %d arrivals", bad, next))
+	}
+}
+
+// TestRestoreRefusesEventForUnissuedSession queues a retry and a
+// release for the next session ID, which no arrival has issued yet.
+func TestRestoreRefusesEventForUnissuedSession(t *testing.T) {
+	for _, ev := range []event{{kind: evRetry, attempt: 1}, {kind: evRelease}} {
+		cfg, c := restoredAt(t, 500)
+		ev.id = c.sessions.next()
+		c.events.Push(c.srv.Clock(), ev)
+		var e snapshot.Encoder
+		c.encodeState(&e)
+		refuseRestore(t, cfg, e.Bytes(), fmt.Sprintf("event for session %d outside [0, %d)", ev.id, ev.id))
 	}
 }

@@ -14,7 +14,6 @@ package loadgen
 import (
 	"errors"
 	"fmt"
-	"slices"
 
 	"lightpath/internal/chaos"
 	"lightpath/internal/ctrl"
@@ -153,12 +152,13 @@ const (
 	phaseEstablish phase = iota // submitted or awaiting retry of establish
 	phaseOpen                   // circuit granted, release scheduled
 	phaseRelease                // release submitted or awaiting retry
+	phaseClosed                 // over: the session's slot is a gap
 )
 
 // session is one fresh request's lifecycle: establish (with retries),
 // hold, release (with retries). Sessions whose circuit is killed by a
 // fault are closed by the fault handler; their stale release events
-// no-op.
+// no-op. Sessions live by value in the campaign's sessionTable.
 type session struct {
 	agent      int
 	a, b       int
@@ -188,11 +188,9 @@ type campaign struct {
 
 	events evloop.Queue[event]
 	loop   *evloop.Loop
-	// nextSession is the next session ID; sessions are only created by
-	// fresh arrivals, so it also counts the fresh requests issued.
-	nextSession int
-	sessions    map[int]*session
-	ids         []int // sortedSessions' scratch
+	// sessions holds the open sessions. They are only created by fresh
+	// arrivals, so its next ID also counts the fresh requests issued.
+	sessions sessionTable
 
 	// Result statistics. Attempts need no counter: submit is the
 	// server's only caller, so its Stats.Arrivals counts them.
@@ -215,11 +213,10 @@ func build(cfg Config, opts CheckpointOptions) (*campaign, error) {
 	}
 	root := rng.New(cfg.Seed)
 	c := &campaign{
-		cfg:      cfg,
-		srv:      srv,
-		sessions: make(map[int]*session),
-		loop:     evloop.New(opts, checkpointVersion, checkpointEvery),
-		quant:    sketch.NewQuantile(0, root.Split("loadgen/sketch")),
+		cfg:   cfg,
+		srv:   srv,
+		loop:  evloop.New(opts, checkpointVersion, checkpointEvery),
+		quant: sketch.NewQuantile(0, root.Split("loadgen/sketch")),
 	}
 	c.digest = string(c.configDigest())
 	chips := srv.Allocator().Rack().NumChips()
@@ -305,17 +302,14 @@ func (c *campaign) onArrival(at unit.Seconds, ev event) {
 	ag := c.agents[ev.id]
 	chips := c.srv.Allocator().Rack().NumChips()
 	b := (ag.chip + 1 + ag.r.Intn(chips-1)) % chips
-	id := c.nextSession
-	c.nextSession++
-	s := &session{
+	id, s := c.sessions.add(session{
 		agent:   ev.id,
 		a:       ag.chip,
 		b:       b,
 		width:   c.cfg.Width,
 		firstAt: at,
 		circuit: -1,
-	}
-	c.sessions[id] = s
+	})
 	c.submit(id, s, 0, at)
 
 	ag.issued++
@@ -329,7 +323,7 @@ func (c *campaign) onArrival(at unit.Seconds, ev event) {
 // gone (closed by a fault while the retry was queued) — stale retries
 // no-op.
 func (c *campaign) onRetry(at unit.Seconds, ev event) {
-	s, ok := c.sessions[ev.id]
+	s, ok := c.sessions.get(ev.id)
 	if !ok || s.phase == phaseOpen {
 		return
 	}
@@ -339,7 +333,7 @@ func (c *campaign) onRetry(at unit.Seconds, ev event) {
 // onRelease submits a session's release. Stale events (circuit already
 // lost to a fault) no-op.
 func (c *campaign) onRelease(at unit.Seconds, ev event) {
-	s, ok := c.sessions[ev.id]
+	s, ok := c.sessions.get(ev.id)
 	if !ok || s.phase != phaseOpen {
 		return
 	}
@@ -357,19 +351,14 @@ func (c *campaign) onFault(at unit.Seconds, ev event) error {
 	if err != nil {
 		return err
 	}
-	if len(rep.Moves) == 0 {
-		return nil
-	}
-	ids := c.sortedSessions()
 	for _, mv := range rep.Moves {
-		sid, ok := c.holder(ids, mv.OldID)
-		if !ok {
+		sid, s := c.holder(mv.OldID)
+		if s == nil {
 			continue
 		}
-		s := c.sessions[sid]
 		c.goodputWS += float64(s.grantWidth) * float64(at-s.openedAt)
 		if mv.NewID < 0 {
-			delete(c.sessions, sid)
+			c.sessions.close(sid)
 			continue
 		}
 		s.circuit = mv.NewID
@@ -379,28 +368,17 @@ func (c *campaign) onFault(at unit.Seconds, ev event) error {
 	return nil
 }
 
-// sortedSessions returns the open session IDs in ascending order, in
-// the campaign's scratch.
-func (c *campaign) sortedSessions() []int {
-	ids := c.ids[:0]
-	for id := range c.sessions {
-		ids = append(ids, id)
-	}
-	slices.Sort(ids)
-	c.ids = ids
-	return ids
-}
-
-// holder returns the session among ids that holds circuit: one past
-// its establish phase whose grant names it. A session closed since ids
-// was sorted is skipped.
-func (c *campaign) holder(ids []int, circuit int) (int, bool) {
-	for _, id := range ids {
-		if s, ok := c.sessions[id]; ok && s.phase != phaseEstablish && s.circuit == circuit {
-			return id, true
+// holder returns the first open session, in ID order, that holds
+// circuit: one past its establish phase whose grant names it. It
+// returns a nil session when there is none.
+func (c *campaign) holder(circuit int) (int, *session) {
+	w := c.sessions.window()
+	for i := range w {
+		if s := &w[i]; (s.phase == phaseOpen || s.phase == phaseRelease) && s.circuit == circuit {
+			return c.sessions.first + i, s
 		}
 	}
-	return 0, false
+	return 0, nil
 }
 
 // retryable reports whether a status is worth a backoff retry.
@@ -432,7 +410,7 @@ func (c *campaign) submit(id int, s *session, attempt int, at unit.Seconds) {
 	case resp.Status == ctrl.StatusOK:
 		if s.phase == phaseRelease {
 			c.goodputWS += float64(s.grantWidth) * float64(done-s.openedAt)
-			delete(c.sessions, id)
+			c.sessions.close(id)
 			return
 		}
 		s.phase = phaseOpen
@@ -446,7 +424,7 @@ func (c *campaign) submit(id int, s *session, attempt int, at unit.Seconds) {
 	case resp.Status == ctrl.StatusUnknownCircuit && s.phase == phaseRelease:
 		// The circuit vanished between scheduling and submit (fault
 		// path); nothing left to release.
-		delete(c.sessions, id)
+		c.sessions.close(id)
 
 	case retryable(resp.Status) && attempt < c.cfg.Backoff.MaxRetries:
 		c.retries++
@@ -462,7 +440,7 @@ func (c *campaign) submit(id int, s *session, attempt int, at unit.Seconds) {
 		} else {
 			c.lost++
 		}
-		delete(c.sessions, id)
+		c.sessions.close(id)
 	}
 }
 
@@ -472,7 +450,7 @@ func (c *campaign) result() (*Result, error) {
 	st := c.srv.Stats()
 	horizon := c.srv.Clock()
 	r := &Result{
-		Requests:        c.nextSession,
+		Requests:        c.sessions.next(),
 		Attempts:        st.Arrivals,
 		Served:          st.Served,
 		Degraded:        st.Degraded,

@@ -237,7 +237,8 @@ func (s *Server) Submit(req Request, arrival unit.Seconds) (Response, unit.Secon
 		return resp, arrival
 	}
 
-	if status, detail := s.validate(req); status != StatusOK {
+	held, status, detail := s.validate(req)
+	if status != StatusOK {
 		if status == StatusUnknownCircuit {
 			s.stats.UnknownCircuit++
 		} else {
@@ -282,7 +283,7 @@ func (s *Server) Submit(req Request, arrival unit.Seconds) (Response, unit.Secon
 	// fail fast).
 	var brk *Breaker
 	if req.Op == OpEstablish || req.Op == OpReroute {
-		brk = s.breakerFor(req)
+		brk = s.breakerFor(req, held)
 		if err := brk.Allow(start); err != nil {
 			s.stats.BreakerRejects++
 			resp.Status = StatusBreakerOpen
@@ -303,8 +304,7 @@ func (s *Server) Submit(req Request, arrival unit.Seconds) (Response, unit.Secon
 	s.pending = append(s.pending, finish)
 
 	if req.Op == OpRelease {
-		c, _ := s.alloc.CircuitByID(req.Circuit) // validated above
-		s.alloc.Release(c)
+		s.alloc.Release(held)
 		s.stats.Served++
 		resp.Status = StatusOK
 		resp.Circuit = req.Circuit
@@ -312,13 +312,11 @@ func (s *Server) Submit(req Request, arrival unit.Seconds) (Response, unit.Secon
 	}
 
 	// Establish and reroute share the degrade ladder: a reroute frees
-	// its circuit (validated above) and asks for the same endpoints and
-	// width again.
+	// its circuit and asks for the same endpoints and width again.
 	rr := route.Request{A: req.A, B: req.B, Width: req.Width}
 	if req.Op == OpReroute {
-		c, _ := s.alloc.CircuitByID(req.Circuit)
-		rr = route.Request{A: c.A, B: c.B, Width: c.Width}
-		s.alloc.Release(c)
+		rr = route.Request{A: held.A, B: held.B, Width: held.Width}
+		s.alloc.Release(held)
 	}
 	c, degraded, err := s.alloc.EstablishDegraded(rr, start)
 	if err != nil {
@@ -351,28 +349,32 @@ func (s *Server) regions(n int) []RegionHealth {
 }
 
 // validate classifies semantically invalid requests before they cost
-// queue capacity.
-func (s *Server) validate(req Request) (Status, string) {
+// queue capacity. A valid release or reroute comes back with the
+// circuit it names, looked up once here: nothing between validation
+// and the allocator call can release it.
+func (s *Server) validate(req Request) (*route.Circuit, Status, string) {
 	switch req.Op {
 	case OpEstablish:
 		if req.Width <= 0 {
-			return StatusBadRequest, fmt.Sprintf("non-positive width %d", req.Width)
+			return nil, StatusBadRequest, fmt.Sprintf("non-positive width %d", req.Width)
 		}
 		if req.A == req.B {
-			return StatusBadRequest, fmt.Sprintf("endpoints are the same chip %d", req.A)
+			return nil, StatusBadRequest, fmt.Sprintf("endpoints are the same chip %d", req.A)
 		}
 		n := s.alloc.Rack().NumChips()
 		if req.A < 0 || req.A >= n || req.B < 0 || req.B >= n {
-			return StatusBadRequest, fmt.Sprintf("chip pair (%d,%d) out of range [0,%d)", req.A, req.B, n)
+			return nil, StatusBadRequest, fmt.Sprintf("chip pair (%d,%d) out of range [0,%d)", req.A, req.B, n)
 		}
 	case OpRelease, OpReroute:
-		if _, ok := s.alloc.CircuitByID(req.Circuit); !ok {
-			return StatusUnknownCircuit, fmt.Sprintf("circuit %d", req.Circuit)
+		c, ok := s.alloc.CircuitByID(req.Circuit)
+		if !ok {
+			return nil, StatusUnknownCircuit, fmt.Sprintf("circuit %d", req.Circuit)
 		}
+		return c, StatusOK, ""
 	default:
-		return StatusBadRequest, fmt.Sprintf("unknown op %d", int(req.Op))
+		return nil, StatusBadRequest, fmt.Sprintf("unknown op %d", int(req.Op))
 	}
-	return StatusOK, ""
+	return nil, StatusOK, ""
 }
 
 // serviceTime returns the modeled controller service time per op.
@@ -388,14 +390,12 @@ func (s *Server) serviceTime(op Op) unit.Seconds {
 }
 
 // breakerFor maps a request to its fabric region's breaker: the chip
-// (tile) anchoring the request's A endpoint (for reroute, the held
-// circuit's).
-func (s *Server) breakerFor(req Request) *Breaker {
+// (tile) anchoring the request's A endpoint (for reroute, that of the
+// held circuit validate found).
+func (s *Server) breakerFor(req Request, held *route.Circuit) *Breaker {
 	chip := req.A
 	if req.Op == OpReroute {
-		if c, ok := s.alloc.CircuitByID(req.Circuit); ok {
-			chip = c.A
-		}
+		chip = held.A
 	}
 	return s.breakers[chip]
 }

@@ -26,7 +26,9 @@ import (
 // establishment time implies, from the allocator's. Version 6 drops
 // the failed-reroute count, which the lost-circuit count already
 // holds, and its config digest covers every wafer.Config field.
-const CheckpointVersion = 6
+// Version 7 drops each circuit's stored BER from the allocator's
+// section; the received power it derives from is still there.
+const CheckpointVersion = 7
 
 // configDigest encodes every Config field that shapes controller
 // behavior. Restores compare digests byte-for-byte: a checkpoint is

@@ -34,8 +34,10 @@ import (
 // sums, which the time series holds, each job's requested width, which
 // is the soak's fixed width, and the streaming sample reservoir; its
 // config digest covers the degraded-segment loss bound and drops the
-// settings that became constants.
-const checkpointVersion = 7
+// settings that became constants. Version 8 drops each circuit's
+// stored BER from the allocator's section; the received power it
+// derives from is still there.
+const checkpointVersion = 8
 
 // checkpointEvery is the default checkpoint cadence in event
 // boundaries.

@@ -7,9 +7,10 @@ import (
 	"lightpath/internal/unit"
 )
 
-// This file computes optical link budgets: given a circuit's loss
-// elements, a laser launch power, and a receiver sensitivity, is the
-// link feasible, with how much margin, and at what estimated BER? The
+// This file computes optical link budgets: given a circuit's tallied
+// loss, a laser launch power, and a receiver sensitivity, is the link
+// feasible, and with how much margin? The estimated BER follows from
+// the received power (BERForReceivedPower) for whoever asks. The
 // paper's §3 argument is that the measured 0.25 dB crossing loss makes
 // routing "within the same active silicon device layer" feasible — the
 // budget quantifies exactly that.
@@ -48,8 +49,6 @@ type LinkReport struct {
 	// sensitivity-plus-margin floor.
 	MarginDB unit.Decibel
 	Feasible bool
-	// BER is the estimated bit error rate at the received power.
-	BER float64
 	// ByKind breaks the loss down per element kind. It is a value
 	// (array, not map): copying a LinkReport copies the breakdown,
 	// and kinds that contributed nothing read as zero.
@@ -62,23 +61,21 @@ func (r LinkReport) String() string {
 	if r.Feasible {
 		status = "feasible"
 	}
-	return fmt.Sprintf("loss=%.2fdB rx=%.2fdBm margin=%.2fdB ber=%.2e %s",
-		float64(r.TotalLossDB), float64(r.ReceivedPower), float64(r.MarginDB), r.BER, status)
+	return fmt.Sprintf("loss=%.2fdB rx=%.2fdBm margin=%.2fdB %s",
+		float64(r.TotalLossDB), float64(r.ReceivedPower), float64(r.MarginDB), status)
 }
 
-// Evaluate computes the link report for a circuit's loss elements.
-func (b Budget) Evaluate(elements []LossElement) LinkReport {
-	total := TotalLossDB(elements)
-	rx := b.LaunchPower.Sub(total)
+// Evaluate computes the link report for a circuit's tallied loss.
+func (b Budget) Evaluate(t LossTally) LinkReport {
+	rx := b.LaunchPower.Sub(t.total)
 	floor := b.ReceiverSensitivity + unit.DBm(b.Margin)
 	margin := unit.Decibel(rx - floor)
 	return LinkReport{
-		TotalLossDB:   total,
+		TotalLossDB:   t.total,
 		ReceivedPower: rx,
 		MarginDB:      margin,
 		Feasible:      margin >= 0,
-		BER:           BERForReceivedPower(rx, b.ReceiverSensitivity),
-		ByKind:        LossByKind(elements),
+		ByKind:        t.byKind,
 	}
 }
 

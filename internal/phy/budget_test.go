@@ -21,12 +21,12 @@ func TestDefaultBudgetEvaluateFeasible(t *testing.T) {
 		m.Propagation(4 * unit.Centimeter),
 		m.Stitch(),
 	}
-	rep := b.Evaluate(elems)
+	rep := b.Evaluate(tally(elems))
 	if !rep.Feasible {
 		t.Fatalf("typical intra-wafer circuit infeasible: %v", rep)
 	}
-	if rep.BER > 1e-12 {
-		t.Fatalf("BER = %v, want <= 1e-12 at positive margin", rep.BER)
+	if ber := BERForReceivedPower(rep.ReceivedPower, b.ReceiverSensitivity); ber > 1e-12 {
+		t.Fatalf("BER = %v, want <= 1e-12 at positive margin", ber)
 	}
 	wantLoss := 2*1.5 + 4*0.5 + 6*0.25 + 4*0.1 + 0.25
 	if math.Abs(float64(rep.TotalLossDB)-wantLoss) > 1e-9 {
@@ -41,7 +41,7 @@ func TestEvaluateInfeasibleWhenLossExceedsBudget(t *testing.T) {
 	for i := 0; i < 200; i++ { // 50 dB of crossings
 		elems = append(elems, m.Crossing())
 	}
-	rep := b.Evaluate(elems)
+	rep := b.Evaluate(tally(elems))
 	if rep.Feasible {
 		t.Fatalf("50dB loss circuit reported feasible: %v", rep)
 	}
@@ -99,7 +99,7 @@ func TestCrossTileRoutingFeasible(t *testing.T) {
 	for i := 0; i < 12; i++ {
 		elems = append(elems, m.Crossing())
 	}
-	rep := b.Evaluate(elems)
+	rep := b.Evaluate(tally(elems))
 	if !rep.Feasible {
 		t.Fatalf("two-tile-boundary circuit infeasible: %v", rep)
 	}
@@ -139,7 +139,7 @@ func TestWavelengthCapacityHeadline(t *testing.T) {
 }
 
 func TestLinkReportString(t *testing.T) {
-	rep := DefaultBudget().Evaluate([]LossElement{{Kind: LossCrossing, DB: 1}})
+	rep := DefaultBudget().Evaluate(tally([]LossElement{{Kind: LossCrossing, DB: 1}}))
 	s := rep.String()
 	if !strings.Contains(s, "feasible") || !strings.Contains(s, "loss=1.00dB") {
 		t.Fatalf("report string = %q", s)
@@ -229,7 +229,7 @@ func TestEvaluateZeroMarginLinkIsFeasible(t *testing.T) {
 	// A 24 dB loss lands exactly on the floor: margin 0 must count as
 	// feasible (the engineering margin is already inside the floor).
 	b := DefaultBudget()
-	rep := b.Evaluate([]LossElement{{Kind: LossCrossing, DB: 24}})
+	rep := b.Evaluate(tally([]LossElement{{Kind: LossCrossing, DB: 24}}))
 	if float64(rep.MarginDB) != 0 {
 		t.Fatalf("margin = %v, want exactly 0", rep.MarginDB)
 	}
@@ -247,15 +247,15 @@ func TestEvaluateNegativeMarginStillAboveSensitivity(t *testing.T) {
 	// -1 dB while the BER stays at or below the reference 1e-12 (the
 	// margin floor is stricter than the BER target).
 	b := DefaultBudget()
-	rep := b.Evaluate([]LossElement{{Kind: LossPropagation, DB: 25}})
+	rep := b.Evaluate(tally([]LossElement{{Kind: LossPropagation, DB: 25}}))
 	if rep.Feasible {
 		t.Fatalf("negative-margin link reported feasible: %v", rep)
 	}
 	if math.Abs(float64(rep.MarginDB)+1) > 1e-12 {
 		t.Fatalf("margin = %v, want -1 dB", rep.MarginDB)
 	}
-	if rep.BER > 1e-12 {
-		t.Fatalf("BER = %v, want <= 1e-12 above sensitivity", rep.BER)
+	if ber := BERForReceivedPower(rep.ReceivedPower, b.ReceiverSensitivity); ber > 1e-12 {
+		t.Fatalf("BER = %v, want <= 1e-12 above sensitivity", ber)
 	}
 }
 
@@ -264,33 +264,34 @@ func TestEvaluateDeepNegativeMarginDegradesBER(t *testing.T) {
 	// thermal-noise model must report a dramatically worse BER than at
 	// the reference point.
 	b := DefaultBudget()
-	rep := b.Evaluate([]LossElement{{Kind: LossPropagation, DB: 30}})
+	rep := b.Evaluate(tally([]LossElement{{Kind: LossPropagation, DB: 30}}))
 	if rep.Feasible {
 		t.Fatal("link 3 dB below sensitivity reported feasible")
 	}
-	if rep.BER < 1e-9 {
-		t.Fatalf("BER = %v, want far above 1e-12 below sensitivity", rep.BER)
+	ber := BERForReceivedPower(rep.ReceivedPower, b.ReceiverSensitivity)
+	if ber < 1e-9 {
+		t.Fatalf("BER = %v, want far above 1e-12 below sensitivity", ber)
 	}
-	if rep.BER > 0.5 {
-		t.Fatalf("BER = %v, must never exceed 0.5", rep.BER)
+	if ber > 0.5 {
+		t.Fatalf("BER = %v, must never exceed 0.5", ber)
 	}
 }
 
 func TestLinkReportStringFormatsBERAndStatus(t *testing.T) {
 	b := DefaultBudget()
-	infeasible := b.Evaluate([]LossElement{{Kind: LossPropagation, DB: 25}}).String()
+	infeasible := b.Evaluate(tally([]LossElement{{Kind: LossPropagation, DB: 25}})).String()
 	if !strings.Contains(infeasible, "INFEASIBLE") {
 		t.Errorf("negative-margin report %q missing INFEASIBLE", infeasible)
 	}
 	if !strings.Contains(infeasible, "margin=-1.00dB") {
 		t.Errorf("report %q missing signed margin", infeasible)
 	}
-	// BER must render in scientific notation with two digits of
-	// mantissa, never as a rounded-to-zero decimal.
-	if !strings.Contains(infeasible, "ber=") || !strings.Contains(infeasible, "e-") {
-		t.Errorf("report %q missing scientific-notation BER", infeasible)
+	// The report stores no BER: the string carries the received power
+	// it derives from (BERForReceivedPower), and no stale ber= field.
+	if !strings.Contains(infeasible, "rx=-15.00dBm") || strings.Contains(infeasible, "ber=") {
+		t.Errorf("report %q: want the received power and no BER field", infeasible)
 	}
-	feasible := b.Evaluate(nil).String()
+	feasible := b.Evaluate(tally(nil)).String()
 	if !strings.Contains(feasible, "feasible") || strings.Contains(feasible, "INFEASIBLE") {
 		t.Errorf("lossless report %q should read feasible", feasible)
 	}
@@ -298,7 +299,7 @@ func TestLinkReportStringFormatsBERAndStatus(t *testing.T) {
 
 func TestEvaluateNoLossElements(t *testing.T) {
 	b := DefaultBudget()
-	rep := b.Evaluate(nil)
+	rep := b.Evaluate(tally(nil))
 	if float64(rep.TotalLossDB) != 0 || rep.ReceivedPower != b.LaunchPower {
 		t.Fatalf("lossless link: loss=%v rx=%v", rep.TotalLossDB, rep.ReceivedPower)
 	}

@@ -184,26 +184,24 @@ func (m *LossModel) FiberHop() LossElement {
 	return LossElement{Kind: LossFiber, DB: FiberHopLossDB}
 }
 
-// TotalLossDB sums the elements' losses.
-func TotalLossDB(elements []LossElement) unit.Decibel {
-	var total unit.Decibel
-	for _, e := range elements {
-		total += e.DB
-	}
-	return total
-}
-
 // LossBreakdown is a per-kind loss aggregate, indexed by LossKind. A
 // value type (no allocation, no aliasing): absent kinds read as zero,
 // exactly like the map it replaced.
 type LossBreakdown [NumLossKinds]unit.Decibel
 
-// LossByKind aggregates the per-kind contributions, useful for loss
-// breakdown reports.
-func LossByKind(elements []LossElement) LossBreakdown {
-	var out LossBreakdown
-	for _, e := range elements {
-		out[e.Kind] += e.DB
-	}
-	return out
+// LossTally is a circuit's loss as its elements are drawn: the running
+// total and the per-kind sums, each element added to both as it
+// arrives. Floating-point addition is not associative, so the draw
+// order is part of the result; a tally holds the bits a list of the
+// same elements, summed in that order, would. The zero value is an
+// empty tally, and Add is the only way to change it.
+type LossTally struct {
+	total  unit.Decibel
+	byKind LossBreakdown
+}
+
+// Add charges one loss element.
+func (t *LossTally) Add(e LossElement) {
+	t.total += e.DB
+	t.byKind[e.Kind] += e.DB
 }

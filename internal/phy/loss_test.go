@@ -179,3 +179,69 @@ func (b LossBreakdown) Total() unit.Decibel {
 	}
 	return total
 }
+
+// TotalLossDB sums the elements' losses in list order.
+func TotalLossDB(elements []LossElement) unit.Decibel {
+	var total unit.Decibel
+	for _, e := range elements {
+		total += e.DB
+	}
+	return total
+}
+
+// LossByKind aggregates the per-kind contributions in list order.
+func LossByKind(elements []LossElement) LossBreakdown {
+	var out LossBreakdown
+	for _, e := range elements {
+		out[e.Kind] += e.DB
+	}
+	return out
+}
+
+// tally charges the elements to a fresh LossTally in list order.
+func tally(elements []LossElement) LossTally {
+	var t LossTally
+	for _, e := range elements {
+		t.Add(e)
+	}
+	return t
+}
+
+// TestTallyMatchesListSums holds the running tally to the list sums it
+// replaced, in bits: over random draws of every kind, in draw order,
+// the total and each kind's sum must be the very same float64s.
+func TestTallyMatchesListSums(t *testing.T) {
+	m := NewLossModel(rng.New(11))
+	r := rng.New(12)
+	for trial := 0; trial < 200; trial++ {
+		var elems []LossElement
+		for i := r.Intn(60); i > 0; i-- {
+			switch LossKind(r.Intn(NumLossKinds)) {
+			case LossPropagation:
+				elems = append(elems, m.Propagation(unit.Meters(r.Float64()*0.3)))
+			case LossCrossing:
+				elems = append(elems, m.Crossing())
+			case LossStitch:
+				elems = append(elems, m.Stitch())
+			case LossMZI:
+				elems = append(elems, m.MZIPass())
+			case LossCoupling:
+				elems = append(elems, m.Coupling())
+			case LossFiber:
+				elems = append(elems, m.FiberHop())
+			case LossDefect:
+				elems = append(elems, LossElement{Kind: LossDefect, DB: unit.Decibel(r.Float64() * 7)})
+			}
+		}
+		got := tally(elems)
+		if math.Float64bits(float64(got.total)) != math.Float64bits(float64(TotalLossDB(elems))) {
+			t.Fatalf("trial %d: tally total %v, list total %v", trial, got.total, TotalLossDB(elems))
+		}
+		want := LossByKind(elems)
+		for k := range want {
+			if math.Float64bits(float64(got.byKind[k])) != math.Float64bits(float64(want[k])) {
+				t.Fatalf("trial %d: %v tally %v, list %v", trial, LossKind(k), got.byKind[k], want[k])
+			}
+		}
+	}
+}

@@ -72,7 +72,6 @@ type allocScratch struct {
 	plan    plan
 	rowUses []rowUse
 	rows    []int
-	elems   []phy.LossElement
 	uses    []switchUse
 	segs    []Segment
 	fibers  []wafer.FiberRef
@@ -523,12 +522,13 @@ func (a *Allocator) Establish(req Request, now unit.Seconds) (*Circuit, error) {
 			return nil, newNoPathError(req, ErrNoPath)
 		}
 		buildPlan(g, p)
-		if v := a.probe(req, *p); v.cause != causeNone {
+		if v, _ := a.probe(req, *p); v.cause != causeNone {
 			err = a.causeOf(req, *p, v)
 		}
 		return nil, newNoPathError(req, err)
 	}
 	var v verdict
+	var switches []switchUse
 	var link phy.LinkReport
 	for k, ok := g.next(); ok; k, ok = g.next() {
 		p.planKey, walked = k, true
@@ -536,13 +536,13 @@ func (a *Allocator) Establish(req Request, now unit.Seconds) (*Circuit, error) {
 			continue
 		}
 		buildPlan(g, p)
-		if v = a.probePath(req, *p); v.cause != causeNone {
+		if v, switches = a.probePath(req, *p); v.cause != causeNone {
 			continue
 		}
 		if link = a.evaluate(*p); a.CheckBudget && !link.Feasible {
 			continue
 		}
-		return a.place(req, *p, link, now), nil
+		return a.place(req, *p, switches, link, now), nil
 	}
 	// p holds the last plan. Both sentinels stay unwrappable: errors.Is
 	// sees ErrNoPath and whatever sentinel the last plan's cause
@@ -630,7 +630,7 @@ type verdict struct {
 // format only when read.
 func (a *Allocator) causeOf(req Request, p plan, v verdict) error {
 	if v.cause == causeFiber {
-		if pv := a.probePath(req, p); pv.cause != causeNone {
+		if pv, _ := a.probePath(req, p); pv.cause != causeNone {
 			v = pv
 		}
 	}
@@ -674,16 +674,17 @@ func (e *budgetError) Error() string {
 	return fmt.Sprintf("route: circuit %d<->%d infeasible: %v", e.a, e.b, e.link)
 }
 
-// probe reports whether place(req, p) can allocate everything plan p
-// needs — endpoints aside, which Establish checks once per request —
-// and if not, why. It has no side effects. A free fiber on each trunk
-// row, read from the rack, is checked first: full rows are the most
-// common rejection and the cheapest to see.
+// probe reports whether place can allocate everything plan p needs —
+// endpoints aside, which Establish checks once per request — and if
+// not, why. It has no side effects on the fabric. A free fiber on each
+// trunk row, read from the rack, is checked first: full rows are the
+// most common rejection and the cheapest to see. An accepted plan
+// comes with its switch list, as probePath returns it.
 //
 //lightpath:hotloop
-func (a *Allocator) probe(req Request, p plan) verdict {
+func (a *Allocator) probe(req Request, p plan) (verdict, []switchUse) {
 	if v := a.probeFibers(p.planKey); v.cause != causeNone {
-		return v
+		return v, nil
 	}
 	return a.probePath(req, p)
 }
@@ -713,18 +714,20 @@ func (a *Allocator) probeFibers(k planKey) verdict {
 // stuck switches, then bus availability. A lane with at least one
 // never-touched bus per plan step fits whatever the spans; any other
 // lane gets an exact first-fit check that counts the plan's own
-// earlier steps on it.
+// earlier steps on it. An accepted plan's switch list, which place
+// programs, is returned in the allocator's scratch (see planSwitches).
 //
 //lightpath:hotloop
-func (a *Allocator) probePath(req Request, p plan) verdict {
+func (a *Allocator) probePath(req Request, p plan) (verdict, []switchUse) {
 	for i, st := range p.steps {
 		if a.rack.Wafer(st.wafer).SpanSevered(st.o, st.lane, st.span) {
-			return verdict{cause: causeSevered, step: i}
+			return verdict{cause: causeSevered, step: i}, nil
 		}
 	}
-	for _, su := range a.planSwitches(req, p) {
+	switches := listSwitches(a, req, p)
+	for _, su := range switches {
 		if !su.tile.SwitchHealthy(su.sw) {
-			return verdict{cause: causeStuck, sw: su}
+			return verdict{cause: causeStuck, sw: su}, nil
 		}
 	}
 	// fit[i] is the bus the exact check placed step i on, -1 for steps
@@ -746,21 +749,22 @@ func (a *Allocator) probePath(req Request, p plan) verdict {
 		bus, ok := w.FirstFitBus(st.o, st.lane, st.span, pending)
 		if !ok {
 			a.scratch.fit = fit
-			return verdict{cause: causeBus, step: i}
+			return verdict{cause: causeBus, step: i}, nil
 		}
 		fit = append(fit, bus)
 	}
 	a.scratch.fit = fit
-	return verdict{}
+	return verdict{}, switches
 }
 
 // place allocates a plan the probe accepted: buses and fibers
-// first-fit, both endpoints, then the switches, and appends the
-// circuit. None of it can fail — the probe checked each resource —
-// and a failure here is a broken invariant, not a rejected plan.
+// first-fit, both endpoints, then the switches the probe listed, and
+// appends the circuit. None of it can fail — the probe checked each
+// resource — and a failure here is a broken invariant, not a rejected
+// plan.
 //
 //lightpath:hotloop
-func (a *Allocator) place(req Request, p plan, link phy.LinkReport, now unit.Seconds) *Circuit {
+func (a *Allocator) place(req Request, p plan, switches []switchUse, link phy.LinkReport, now unit.Seconds) *Circuit {
 	// The path is staged in scratch; setPath copies it into the
 	// circuit.
 	segs := a.scratch.segs[:0]
@@ -787,7 +791,7 @@ func (a *Allocator) place(req Request, p plan, link phy.LinkReport, now unit.Sec
 	// Each switch on the path takes the port the circuit needs, which
 	// the switch-consistency invariant audits. The probe found every
 	// switch healthy, so Program cannot fail.
-	for i, su := range a.planSwitches(req, p) {
+	for i, su := range switches {
 		port := 1
 		if i < 2 {
 			// The endpoint switch routes the Tx/Rx block to the bus.
@@ -845,45 +849,46 @@ func (a *Allocator) Release(c *Circuit) {
 // loss element per fiber hop. It reads only the steps' wafers, lanes
 // and spans and the trunk count — never which bus or fiber a step
 // would get — so it runs before anything is allocated, and a plan
-// the budget rejects leaves nothing to undo.
+// the budget rejects leaves nothing to undo. Each element goes into a
+// running tally as it is drawn, in the order above, which fixes the
+// report's bits.
 func (a *Allocator) evaluate(p plan) phy.LinkReport {
 	cfg := a.rack.Config()
-	// The element list is rebuilt for every plan the probe accepts;
-	// reuse the scratch buffer (Budget.Evaluate does not retain it).
-	elems := a.scratch.elems[:0]
-	elems = append(elems, a.loss.Coupling(), a.loss.Coupling())
+	// The fixed-value elements are drawn once; only stitches sample.
+	coupling, mzi, crossing, fiber := a.loss.Coupling(), a.loss.MZIPass(), a.loss.Crossing(), a.loss.FiberHop()
+	var t phy.LossTally
+	t.Add(coupling)
+	t.Add(coupling)
 	switches := 2 + p.turns
 	for i := 0; i < switches; i++ {
-		elems = append(elems, a.loss.MZIPass(), a.loss.MZIPass())
+		t.Add(mzi)
+		t.Add(mzi)
 	}
 	//lightpath:hotloop
 	for _, st := range p.steps {
 		length := st.span.Hi - st.span.Lo
 		for b := 0; b < length; b++ {
-			elems = append(elems, a.loss.Stitch())
+			t.Add(a.loss.Stitch())
 		}
-		if through := length - 1; through > 0 {
-			for t := 0; t < through; t++ {
-				elems = append(elems, a.loss.Crossing())
-			}
+		for through := 1; through < length; through++ {
+			t.Add(crossing)
 		}
-		elems = append(elems, a.loss.Propagation(unit.Meters(length)*cfg.TileEdge))
+		t.Add(a.loss.Propagation(unit.Meters(length) * cfg.TileEdge))
 		// Fault-induced degradation on the span (chaos engine's
 		// waveguide faults) is charged like any other loss element, so
 		// a degraded-but-surviving path is accepted exactly when its
 		// budget still closes.
 		if extra := a.rack.Wafer(st.wafer).SpanExtraLossDB(st.o, st.lane, st.span); extra > 0 {
-			elems = append(elems, phy.LossElement{Kind: phy.LossDefect, DB: unit.Decibel(extra)})
+			t.Add(phy.LossElement{Kind: phy.LossDefect, DB: unit.Decibel(extra)})
 		}
 	}
-	for t := 0; t < p.turns; t++ {
-		elems = append(elems, a.loss.Crossing())
+	for i := 0; i < p.turns; i++ {
+		t.Add(crossing)
 	}
 	for range p.trunks {
-		elems = append(elems, a.loss.FiberHop())
+		t.Add(fiber)
 	}
-	a.scratch.elems = elems
-	return a.Budget.Evaluate(elems)
+	return a.Budget.Evaluate(t)
 }
 
 // switchUse pairs a tile with the switch index a plan programs there.
@@ -892,10 +897,14 @@ type switchUse struct {
 	sw   int
 }
 
+// listSwitches is planSwitches, held in a variable only so the
+// package's tests can count the switch lists built.
+var listSwitches = (*Allocator).planSwitches
+
 // planSwitches lists the switches a plan needs to program: switch 0 at
 // each endpoint tile (facing the Tx/Rx block) and switch 1 at each
-// turn tile, where one step ends and the next begins. The probe checks
-// them for stuck state; place programs them.
+// turn tile, where one step ends and the next begins. The probe builds
+// the list once and checks it for stuck state; place programs it.
 // The returned slice lives in the allocator's scratch and is valid
 // only until the next planSwitches call.
 func (a *Allocator) planSwitches(req Request, p plan) []switchUse {

@@ -552,12 +552,27 @@ func recordBuilds(t *testing.T) *[]planKey {
 	return built
 }
 
+// recordSwitchLists swaps listSwitches for the test's duration and
+// returns a count of the switch lists built.
+func recordSwitchLists(t *testing.T) *int {
+	listed := new(int)
+	list := listSwitches
+	listSwitches = func(a *Allocator, req Request, p plan) []switchUse {
+		*listed++
+		return list(a, req, p)
+	}
+	t.Cleanup(func() { listSwitches = list })
+	return listed
+}
+
 // TestEstablishBuildsOnlyWhatItTries counts the plans whose steps an
 // Establish builds. An idle pair builds the one plan it places. With
 // every fiber row but the last full, the full rows' plans are turned
 // down on their keys and only a last-row plan is built. When an
 // endpoint is short, or every row is full, only the last plan is
-// built, for the failure report.
+// built, for the failure report. In every case the switches are
+// listed once, by the probe; a placed plan is programmed from that
+// list.
 func TestEstablishBuildsOnlyWhatItTries(t *testing.T) {
 	req := Request{A: 0, B: 40, Width: 1}
 	rows := wafer.DefaultConfig().Rows
@@ -582,12 +597,16 @@ func TestEstablishBuildsOnlyWhatItTries(t *testing.T) {
 			a := NewAllocator(rack, rng.New(5))
 			keys := planKeys(a, req)
 			built := recordBuilds(t)
+			listed := recordSwitchLists(t)
 			c, err := a.Establish(req, 0)
 			if (c != nil) != tc.ok {
 				t.Fatalf("circuit %v, error %v; want success %v", c, err, tc.ok)
 			}
 			if len(*built) != 1 {
 				t.Fatalf("built %d of %d plans (%+v), want 1", len(*built), len(keys), *built)
+			}
+			if *listed != 1 {
+				t.Errorf("listed the switches %d times, want 1", *listed)
 			}
 			if b := (*built)[0]; b.fiberRow != tc.wantRow {
 				t.Errorf("built the plan on fiber row %d, want %d", b.fiberRow, tc.wantRow)
@@ -596,6 +615,32 @@ func TestEstablishBuildsOnlyWhatItTries(t *testing.T) {
 				t.Errorf("a failure built %+v, want the last plan %+v", (*built)[0], keys[len(keys)-1])
 			}
 		})
+	}
+}
+
+// TestPlacedCircuitListsSwitchesOnce establishes circuits on an idle
+// rack, same-wafer and cross-wafer, each placed on its first plan:
+// every one must list its switches exactly once, for both the probe's
+// stuck check and place's programming, and program every switch it
+// listed.
+func TestPlacedCircuitListsSwitchesOnce(t *testing.T) {
+	rack := twoWaferRack(t)
+	a := NewAllocator(rack, rng.New(9))
+	listed := recordSwitchLists(t)
+	reqs := []Request{{A: 0, B: 9, Width: 1}, {A: 1, B: 40, Width: 1}, {A: 2, B: 63, Width: 2}, {A: 12, B: 21, Width: 1}}
+	for i, req := range reqs {
+		c, err := a.Establish(req, 0)
+		if err != nil {
+			t.Fatalf("establish %+v: %v", req, err)
+		}
+		if *listed != i+1 {
+			t.Fatalf("after %d circuits the switches were listed %d times", i+1, *listed)
+		}
+		for _, x := range a.AppendCircuitSwitches(nil, c) {
+			if got := x.Tile.Switches[x.Switch].Port(); got != x.Port {
+				t.Errorf("circuit %d: tile (%d,%d) switch %d on port %d, want %d", c.ID, x.Tile.Row, x.Tile.Col, x.Switch, got, x.Port)
+			}
+		}
 	}
 }
 

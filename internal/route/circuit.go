@@ -49,11 +49,13 @@ type Circuit struct {
 	Link phy.LinkReport
 
 	// Inline backing storage for Segments/Fibers (see setPath). Typical
-	// paths — a handful of spans, one fiber per trunk hop — fit here,
-	// so establishing a circuit costs one allocation (the Circuit
-	// itself) rather than three.
-	segStore [8]Segment
-	fibStore [4]wafer.FiberRef
+	// paths fit here, so establishing a circuit costs one allocation
+	// (the Circuit itself) rather than three: on a two-wafer rack a
+	// circuit has at most four spans (an L-shape at each end, or a
+	// three-leg detour) and one fiber. A longer path spills to the
+	// heap; sizing the stores for it would grow every circuit.
+	segStore [4]Segment
+	fibStore [2]wafer.FiberRef
 }
 
 // setPath points Segments/Fibers at circuit-owned copies of the given

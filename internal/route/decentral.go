@@ -144,12 +144,16 @@ func (a *Allocator) candidate(req Request, k int) (plan, bool) {
 func (a *Allocator) tryProposal(req Request, p plan, now unit.Seconds) *Circuit {
 	a.beginOp()
 	defer a.endOp("commit")
-	if a.endpointCause(req) != nil || a.probe(req, p).cause != causeNone {
+	if a.endpointCause(req) != nil {
+		return nil
+	}
+	v, switches := a.probe(req, p)
+	if v.cause != causeNone {
 		return nil
 	}
 	link := a.evaluate(p)
 	if a.CheckBudget && !link.Feasible {
 		return nil
 	}
-	return a.place(req, p, link, now)
+	return a.place(req, p, switches, link, now)
 }

@@ -7,12 +7,16 @@ package route
 // path and its lazy plan generator to exactly the circuits, errors,
 // loss draws and checkpoint bytes the rollback path produced. The
 // degradation ladder that halved after every failure is kept beside
-// them, so the same test holds EstablishDegraded's halving rule to it.
+// them, so the same test holds EstablishDegraded's halving rule to it,
+// and so is the link budget that built each circuit's loss element
+// list and summed it, which holds evaluate's running tally to the
+// list's bits.
 
 import (
 	"bytes"
 	"errors"
 	"fmt"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -233,7 +237,7 @@ func (a *Allocator) commit(req Request, p plan, now unit.Seconds) (c *Circuit, e
 	}
 	reservedB = true
 
-	link := a.evaluate(p)
+	link := a.referenceEvaluate(p)
 	if a.CheckBudget && !link.Feasible {
 		return nil, fmt.Errorf("route: circuit %d<->%d infeasible: %v", req.A, req.B, link)
 	}
@@ -252,6 +256,59 @@ func (a *Allocator) commit(req Request, p plan, now unit.Seconds) (c *Circuit, e
 	a.circuits = append(a.circuits, c)
 	a.ids = append(a.ids, c.ID)
 	return c, nil
+}
+
+// referenceEvaluate is evaluate as it was before the running tally:
+// it builds the plan's loss element list and sums it, the total and
+// then the per-kind breakdown, each in list order.
+func (a *Allocator) referenceEvaluate(p plan) phy.LinkReport {
+	cfg := a.rack.Config()
+	var elems []phy.LossElement
+	elems = append(elems, a.loss.Coupling(), a.loss.Coupling())
+	switches := 2 + p.turns
+	for i := 0; i < switches; i++ {
+		elems = append(elems, a.loss.MZIPass(), a.loss.MZIPass())
+	}
+	for _, st := range p.steps {
+		length := st.span.Hi - st.span.Lo
+		for b := 0; b < length; b++ {
+			elems = append(elems, a.loss.Stitch())
+		}
+		if through := length - 1; through > 0 {
+			for t := 0; t < through; t++ {
+				elems = append(elems, a.loss.Crossing())
+			}
+		}
+		elems = append(elems, a.loss.Propagation(unit.Meters(length)*cfg.TileEdge))
+		if extra := a.rack.Wafer(st.wafer).SpanExtraLossDB(st.o, st.lane, st.span); extra > 0 {
+			elems = append(elems, phy.LossElement{Kind: phy.LossDefect, DB: unit.Decibel(extra)})
+		}
+	}
+	for t := 0; t < p.turns; t++ {
+		elems = append(elems, a.loss.Crossing())
+	}
+	for range p.trunks {
+		elems = append(elems, a.loss.FiberHop())
+	}
+
+	var total unit.Decibel
+	for _, e := range elems {
+		total += e.DB
+	}
+	var byKind phy.LossBreakdown
+	for _, e := range elems {
+		byKind[e.Kind] += e.DB
+	}
+	b := a.Budget
+	rx := b.LaunchPower.Sub(total)
+	margin := unit.Decibel(rx - (b.ReceiverSensitivity + unit.DBm(b.Margin)))
+	return phy.LinkReport{
+		TotalLossDB:   total,
+		ReceivedPower: rx,
+		MarginDB:      margin,
+		Feasible:      margin >= 0,
+		ByKind:        byKind,
+	}
 }
 
 func (a *Allocator) referenceProgramSwitches(req Request, p plan, now unit.Seconds) {
@@ -377,6 +434,11 @@ type lockstepParams struct {
 	checkBudget bool
 	pack        bool
 	budget      phy.Budget
+	// crossingDB overrides the measured 0.25 dB crossing loss when
+	// positive. Sums of 0.25 dB crossings and 1 dB fiber hops round
+	// alike in any order, so only a crossing loss off the binary grid
+	// shows the loss tally's element order in the total's bits.
+	crossingDB unit.Decibel
 }
 
 // drawLockstepParams derives a fabric from a seed and a flag byte:
@@ -408,6 +470,9 @@ func drawLockstepParams(seed uint64, flags uint8) lockstepParams {
 	// A launch power from 0 to 10 dBm: at the low end the budget turns
 	// down long or degraded paths.
 	p.budget.LaunchPower = unit.DBm(r.Intn(11))
+	if r.Intn(2) == 0 {
+		p.crossingDB = unit.Decibel(0.2 + 0.1*r.Float64())
+	}
 	return p
 }
 
@@ -422,6 +487,7 @@ func newLockstep(t testing.TB, seed uint64, p lockstepParams) *lockstep {
 		a.CheckBudget = p.checkBudget
 		a.PackFibers = p.pack
 		a.Budget = p.budget
+		a.loss.CrossingDB = p.crossingDB
 		a.SetAuditHook(func(op string) {
 			if op == "establish" {
 				*calls++
@@ -448,6 +514,15 @@ func (ls *lockstep) sameOutcome(what string, pc, rc *Circuit, perr, rerr error) 
 	if (pc == nil) != (rc == nil) || (pc != nil && !reflect.DeepEqual(*pc, *rc)) {
 		ls.fatalf("%s: circuit\n  prod %+v\n  ref  %+v", what, pc, rc)
 	}
+	if pc != nil {
+		if !sameLinkBits(pc.Link, rc.Link) {
+			ls.fatalf("%s: link report bits\n  prod %+v\n  ref  %+v", what, pc.Link, rc.Link)
+		}
+		ls.seen["link-checked"]++
+		if pc.Link.ByKind[phy.LossDefect] > 0 {
+			ls.seen["link-defect"]++
+		}
+	}
 	if errString(perr) != errString(rerr) {
 		ls.fatalf("%s: error\n  prod %q\n  ref  %q", what, errString(perr), errString(rerr))
 	}
@@ -460,6 +535,24 @@ func (ls *lockstep) sameOutcome(what string, pc, rc *Circuit, perr, rerr error) 
 	if errors.As(perr, &pl) != errors.As(rerr, &rl) {
 		ls.fatalf("%s: errors.As(*LaneExhaustedError) prod %v ref %v", what, pl != nil, rl != nil)
 	}
+}
+
+// sameLinkBits reports whether two link reports hold the same bits in
+// every field: DeepEqual compares floats with ==, which would let a
+// negative zero pass for a zero.
+func sameLinkBits(p, r phy.LinkReport) bool {
+	bits := func(v float64) uint64 { return math.Float64bits(v) }
+	if bits(float64(p.TotalLossDB)) != bits(float64(r.TotalLossDB)) ||
+		bits(float64(p.ReceivedPower)) != bits(float64(r.ReceivedPower)) ||
+		bits(float64(p.MarginDB)) != bits(float64(r.MarginDB)) || p.Feasible != r.Feasible {
+		return false
+	}
+	for k := range p.ByKind {
+		if bits(float64(p.ByKind[k])) != bits(float64(r.ByKind[k])) {
+			return false
+		}
+	}
+	return true
 }
 
 // sameState demands equal loss-stream positions and byte-identical
@@ -737,7 +830,10 @@ func errString(err error) string {
 // enough to run out of buses, fibers, lasers and ports, with
 // checkpoint restores mixed in. The sweep must reach every cause a
 // failed establish can report, and the ladder must both narrow
-// circuits and skip futile halvings.
+// circuits and skip futile halvings. Every placed circuit's link
+// report must match the reference's list-summed one in bits, and the
+// sweep must place circuits over defect-degraded spans with the budget
+// checked and without.
 func TestEstablishMatchesReference(t *testing.T) {
 	seeds := 6
 	if testing.Short() {
@@ -771,6 +867,9 @@ func TestEstablishMatchesReference(t *testing.T) {
 	for budget, m := range ladder {
 		if m["ladder-narrowed"] == 0 {
 			t.Errorf("CheckBudget %v: the ladder never narrowed a circuit (saw %v)", budget == 1, m)
+		}
+		if m["link-defect"] == 0 {
+			t.Errorf("CheckBudget %v: no circuit was placed over a degraded span (saw %v)", budget == 1, m)
 		}
 	}
 	if ladder[0]["ladder-saved"] == 0 {

@@ -160,7 +160,6 @@ func encodeLink(e *snapshot.Encoder, l phy.LinkReport) {
 	snapshot.Unit(e, l.ReceivedPower)
 	snapshot.Unit(e, l.MarginDB)
 	e.Bool(l.Feasible)
-	e.F64(l.BER)
 	// The breakdown is written sparsely — (kind, value) pairs for the
 	// nonzero kinds, in kind order — preserving the byte format the
 	// map-based encoding produced (maps never held zero entries).
@@ -185,7 +184,6 @@ func decodeLink(d *snapshot.Decoder) phy.LinkReport {
 		ReceivedPower: snapshot.DecodeUnit[unit.DBm](d),
 		MarginDB:      snapshot.DecodeUnit[unit.Decibel](d),
 		Feasible:      d.Bool(),
-		BER:           d.F64(),
 	}
 	n := d.Len()
 	for i := 0; i < n; i++ {
