@@ -15,8 +15,9 @@
 package chaos
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"lightpath/internal/rng"
 	"lightpath/internal/unit"
@@ -59,6 +60,15 @@ var classNames = [...]string{
 
 // NumClasses is the number of fault classes.
 const NumClasses = len(classNames)
+
+// classStreams labels each class's split stream: "chaos/" and the
+// class name.
+var classStreams = func() (labels [NumClasses]string) {
+	for c, name := range classNames {
+		labels[c] = "chaos/" + name
+	}
+	return labels
+}()
 
 // String names the class.
 func (c Class) String() string {
@@ -210,17 +220,17 @@ func (e *Engine) Schedule(horizon unit.Seconds) []Fault {
 		}
 		// Splitting from the (never-advanced) root keeps every class
 		// stream independent of how many faults other classes drew.
-		r := e.root.Split("chaos/" + classNames[c])
+		r := e.root.SplitValue(classStreams[c])
 		t := unit.Seconds(0)
 		for {
 			t += unit.Seconds(r.Exp(float64(mean)))
 			if t > horizon {
 				break
 			}
-			faults = append(faults, e.draw(class, t, r))
+			faults = append(faults, e.draw(class, t, &r))
 		}
 	}
-	sort.Slice(faults, func(i, j int) bool { return faultLess(faults[i], faults[j]) })
+	slices.SortFunc(faults, faultCmp)
 	return faults
 }
 
@@ -253,27 +263,24 @@ func (e *Engine) draw(class Class, t unit.Seconds, r *rng.Rand) Fault {
 	return f
 }
 
-// faultLess is the total order Schedule sorts by: time, then class,
-// then every identity field. Nothing is left to sort.Slice tie
+// faultCmp is the total order Schedule sorts by: time, then class,
+// then every identity field. Nothing is left to the sort's tie
 // instability, so equal-seed runs produce identical schedules.
-func faultLess(a, b Fault) bool {
-	if a.Time < b.Time {
-		return true
-	}
-	if b.Time < a.Time {
-		return false
+func faultCmp(a, b Fault) int {
+	if c := cmp.Compare(a.Time, b.Time); c != 0 {
+		return c
 	}
 	if a.Class != b.Class {
-		return a.Class < b.Class
+		return cmp.Compare(a.Class, b.Class)
 	}
 	ka := [7]int{a.Chip, a.Switch, a.Wafer, boolInt(a.Horizontal), a.Lane, a.Pos, a.Trunk*1000 + a.Row}
 	kb := [7]int{b.Chip, b.Switch, b.Wafer, boolInt(b.Horizontal), b.Lane, b.Pos, b.Trunk*1000 + b.Row}
 	for i := range ka {
 		if ka[i] != kb[i] {
-			return ka[i] < kb[i]
+			return cmp.Compare(ka[i], kb[i])
 		}
 	}
-	return a.ExtraLossDB < b.ExtraLossDB
+	return cmp.Compare(a.ExtraLossDB, b.ExtraLossDB)
 }
 
 func boolInt(b bool) int {

@@ -2,7 +2,7 @@ package chaos
 
 import (
 	"reflect"
-	"sort"
+	"slices"
 	"testing"
 
 	"lightpath/internal/unit"
@@ -44,7 +44,7 @@ func TestScheduleSortedAndInHorizon(t *testing.T) {
 	}
 	const horizon = 0.5
 	faults := e.Schedule(horizon)
-	if !sort.SliceIsSorted(faults, func(i, j int) bool { return faultLess(faults[i], faults[j]) }) {
+	if !slices.IsSortedFunc(faults, faultCmp) {
 		t.Fatal("schedule not sorted")
 	}
 	for _, f := range faults {

@@ -2,6 +2,7 @@ package ctrl
 
 import (
 	"fmt"
+	"math"
 
 	"lightpath/internal/snapshot"
 	"lightpath/internal/unit"
@@ -87,9 +88,10 @@ type Breaker struct {
 }
 
 // NewBreaker builds a closed breaker with the config (zero fields get
-// defaults).
-func NewBreaker(cfg BreakerConfig) *Breaker {
-	return &Breaker{cfg: cfg.withDefaults()}
+// defaults). It returns a value: a server keeps its breakers in one
+// array.
+func NewBreaker(cfg BreakerConfig) Breaker {
+	return Breaker{cfg: cfg.withDefaults()}
 }
 
 // State returns the breaker's current state without advancing it.
@@ -169,16 +171,38 @@ func (b *Breaker) EncodeState(e *snapshot.Encoder) {
 	e.Int(b.trips)
 }
 
-// RestoreState replays state captured by EncodeState.
+// RestoreState replays state captured by EncodeState. It refuses
+// counters the state machine cannot reach under the breaker's config:
+// an unknown state, a negative count, a failure streak at or past the
+// trip threshold, more probes than the half-open quota, and a trip
+// time that is not a finite, non-negative instant.
 func (b *Breaker) RestoreState(d *snapshot.Decoder) error {
 	s := d.Int()
-	if s < int(BreakerClosed) || s > int(BreakerHalfOpen) {
+	failures := d.Int()
+	openedAt := snapshot.DecodeUnit[unit.Seconds](d)
+	probes, trips := d.Int(), d.Int()
+	if err := d.Err(); err != nil {
+		return err
+	}
+	switch {
+	case s < int(BreakerClosed) || s > int(BreakerHalfOpen):
 		return fmt.Errorf("%w: breaker state %d", snapshot.ErrCorruptSnapshot, s)
+	case failures < 0 || probes < 0 || trips < 0:
+		return fmt.Errorf("%w: breaker counts failures %d, probes %d, trips %d",
+			snapshot.ErrCorruptSnapshot, failures, probes, trips)
+	case failures >= b.cfg.FailThreshold:
+		return fmt.Errorf("%w: breaker failure streak %d at or past its threshold %d",
+			snapshot.ErrCorruptSnapshot, failures, b.cfg.FailThreshold)
+	case probes > b.cfg.HalfOpenProbes:
+		return fmt.Errorf("%w: breaker holds %d probes, quota %d",
+			snapshot.ErrCorruptSnapshot, probes, b.cfg.HalfOpenProbes)
+	case math.IsNaN(float64(openedAt)) || math.IsInf(float64(openedAt), 0) || openedAt < 0:
+		return fmt.Errorf("%w: breaker opened at %v", snapshot.ErrCorruptSnapshot, float64(openedAt))
 	}
 	b.state = BreakerState(s)
-	b.failures = d.Int()
-	b.openedAt = snapshot.DecodeUnit[unit.Seconds](d)
-	b.probes = d.Int()
-	b.trips = d.Int()
-	return d.Err()
+	b.failures = failures
+	b.openedAt = openedAt
+	b.probes = probes
+	b.trips = trips
+	return nil
 }

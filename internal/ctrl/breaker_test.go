@@ -3,6 +3,7 @@ package ctrl
 import (
 	"errors"
 	"fmt"
+	"math"
 	"strings"
 	"testing"
 
@@ -169,5 +170,69 @@ func TestBreakerSnapshotRoundTrip(t *testing.T) {
 	errA, errB := b.Allow(cfg.Cooldown), r.Allow(cfg.Cooldown)
 	if (errA == nil) != (errB == nil) {
 		t.Fatalf("restored breaker diverged at cooldown: %v vs %v", errA, errB)
+	}
+}
+
+// breakerPayload encodes a breaker state field by field, in
+// EncodeState's order, so a test can write counters no call sequence
+// reaches.
+func breakerPayload(state BreakerState, failures int, openedAt unit.Seconds, probes, trips int) []byte {
+	var e snapshot.Encoder
+	e.Int(int(state))
+	e.Int(failures)
+	snapshot.Unit(&e, openedAt)
+	e.Int(probes)
+	e.Int(trips)
+	return e.Bytes()
+}
+
+// TestBreakerRestoreRefusesImpossibleCounters feeds RestoreState one
+// crafted payload per rule. Each breaks a count the state machine
+// keeps in range: before the checks, a half-open breaker restored with
+// probes = -5 admitted 6 probes against a quota of 1.
+func TestBreakerRestoreRefusesImpossibleCounters(t *testing.T) {
+	cfg := DefaultBreakerConfig()
+	cases := []struct {
+		name    string
+		payload []byte
+	}{
+		{"negative-failures", breakerPayload(BreakerClosed, -1, 0, 0, 0)},
+		{"negative-probes", breakerPayload(BreakerHalfOpen, 0, 0, -5, 1)},
+		{"negative-trips", breakerPayload(BreakerOpen, 0, 0, 0, -1)},
+		{"failures-at-threshold", breakerPayload(BreakerClosed, cfg.FailThreshold, 0, 0, 0)},
+		{"probes-over-quota", breakerPayload(BreakerHalfOpen, 0, 0, cfg.HalfOpenProbes+1, 1)},
+		{"opened-at-nan", breakerPayload(BreakerOpen, 0, unit.Seconds(math.NaN()), 0, 1)},
+		{"opened-at-inf", breakerPayload(BreakerOpen, 0, unit.Seconds(math.Inf(1)), 0, 1)},
+		{"opened-at-negative", breakerPayload(BreakerOpen, 0, -unit.Microsecond, 0, 1)},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			b := NewBreaker(cfg)
+			if err := b.RestoreState(snapshot.NewDecoder(tc.payload)); !errors.Is(err, snapshot.ErrCorruptSnapshot) {
+				t.Fatalf("err %v, want ErrCorruptSnapshot", err)
+			}
+			if b != NewBreaker(cfg) {
+				t.Fatalf("refused restore changed the breaker: %+v", b)
+			}
+		})
+	}
+
+	// The limits themselves restore: a streak one short of tripping,
+	// and a half-open breaker holding its full probe quota, which then
+	// admits no more.
+	b := NewBreaker(cfg)
+	if err := b.RestoreState(snapshot.NewDecoder(breakerPayload(BreakerClosed, cfg.FailThreshold-1, 0, 0, 3))); err != nil {
+		t.Fatal(err)
+	}
+	b.Failure(0)
+	if b.State() != BreakerOpen {
+		t.Fatalf("streak one short of the threshold did not trip on the next failure: %v", b.State())
+	}
+	b = NewBreaker(cfg)
+	if err := b.RestoreState(snapshot.NewDecoder(breakerPayload(BreakerHalfOpen, 0, unit.Millisecond, cfg.HalfOpenProbes, 1))); err != nil {
+		t.Fatal(err)
+	}
+	if err := b.Allow(2 * unit.Millisecond); !errors.Is(err, ErrBreakerOpen) {
+		t.Fatalf("half-open breaker at its quota admitted a probe: %v", err)
 	}
 }

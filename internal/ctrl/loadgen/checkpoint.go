@@ -112,7 +112,8 @@ func (c *campaign) encodeState(e *snapshot.Encoder) {
 	c.srv.EncodeState(e)
 
 	e.Len(len(c.agents))
-	for _, ag := range c.agents {
+	for i := range c.agents {
+		ag := &c.agents[i]
 		for _, w := range ag.r.State() {
 			e.U64(w)
 		}
@@ -229,7 +230,8 @@ func (c *campaign) restoreState(d *snapshot.Decoder) error {
 			snapshot.ErrCorruptSnapshot, n, len(c.agents))
 	}
 	issued := 0
-	for _, ag := range c.agents {
+	for i := range c.agents {
+		ag := &c.agents[i]
 		var st [4]uint64
 		for i := range st {
 			st[i] = d.U64()

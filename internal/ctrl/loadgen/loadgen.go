@@ -14,6 +14,7 @@ package loadgen
 import (
 	"errors"
 	"fmt"
+	"strconv"
 
 	"lightpath/internal/chaos"
 	"lightpath/internal/ctrl"
@@ -171,10 +172,11 @@ type session struct {
 }
 
 // agentState is one client agent: its chip, its independent rng
-// stream, and how many fresh arrivals it has issued.
+// stream, and how many fresh arrivals it has issued. The campaign keeps
+// its agents by value in one array, stream included.
 type agentState struct {
 	chip   int
-	r      *rng.Rand
+	r      rng.Rand
 	issued int
 }
 
@@ -183,7 +185,7 @@ type campaign struct {
 	cfg      Config
 	digest   string // configDigest of cfg, which never changes
 	srv      *ctrl.Server
-	agents   []*agentState
+	agents   []agentState
 	schedule []chaos.Fault
 
 	events evloop.Queue[event]
@@ -223,11 +225,15 @@ func build(cfg Config, opts CheckpointOptions) (*campaign, error) {
 	if chips < 2 {
 		return nil, fmt.Errorf("loadgen: need at least 2 chips, rack has %d", chips)
 	}
-	for i := 0; i < cfg.Agents; i++ {
-		c.agents = append(c.agents, &agentState{
-			chip: i % chips,
-			r:    root.Split(fmt.Sprintf("loadgen/agent/%d", i)),
-		})
+	// Agent i's stream is labelled "loadgen/agent/<i>". The labels are
+	// built in one buffer, and SplitValue keeps none of them.
+	c.agents = make([]agentState, cfg.Agents)
+	var buf [32]byte
+	label := append(buf[:0], "loadgen/agent/"...)
+	prefix := len(label)
+	for i := range c.agents {
+		label = strconv.AppendInt(label[:prefix], int64(i), 10)
+		c.agents[i] = agentState{chip: i % chips, r: root.SplitValue(string(label))}
 	}
 
 	// The fault schedule is precomputed over the nominal load horizon
@@ -251,8 +257,9 @@ func build(cfg Config, opts CheckpointOptions) (*campaign, error) {
 	c.schedule = eng.Schedule(horizon)
 
 	// Seed the heap: each agent's first arrival, then every fault.
-	for i, ag := range c.agents {
-		c.events.Push(unit.Seconds(ag.r.Exp(float64(cfg.MeanInterarrival))), event{kind: evArrival, id: i})
+	c.events.Reserve(len(c.agents) + len(c.schedule))
+	for i := range c.agents {
+		c.events.Push(unit.Seconds(c.agents[i].r.Exp(float64(cfg.MeanInterarrival))), event{kind: evArrival, id: i})
 	}
 	for fi, f := range c.schedule {
 		c.events.Push(f.Time, event{kind: evFault, id: fi})
@@ -299,7 +306,7 @@ func (c *campaign) drain() (*Result, error) {
 // onArrival issues agent's next fresh establish and, while the agent
 // has arrivals left, schedules the following one.
 func (c *campaign) onArrival(at unit.Seconds, ev event) {
-	ag := c.agents[ev.id]
+	ag := &c.agents[ev.id]
 	chips := c.srv.Allocator().Rack().NumChips()
 	b := (ag.chip + 1 + ag.r.Intn(chips-1)) % chips
 	id, s := c.sessions.add(session{
@@ -397,7 +404,7 @@ func retryable(st ctrl.Status) bool {
 // submit runs one attempt of the session's pending operation through
 // the controller and schedules the consequences.
 func (c *campaign) submit(id int, s *session, attempt int, at unit.Seconds) {
-	ag := c.agents[s.agent]
+	ag := &c.agents[s.agent]
 	var req ctrl.Request
 	if s.phase == phaseRelease {
 		req = ctrl.Request{Op: ctrl.OpRelease, Circuit: s.circuit}
@@ -428,7 +435,7 @@ func (c *campaign) submit(id int, s *session, attempt int, at unit.Seconds) {
 
 	case retryable(resp.Status) && attempt < c.cfg.Backoff.MaxRetries:
 		c.retries++
-		delay := c.cfg.Backoff.Delay(ag.r, attempt)
+		delay := c.cfg.Backoff.Delay(&ag.r, attempt)
 		c.events.Push(done+delay, event{kind: evRetry, attempt: int32(attempt + 1), id: id})
 
 	default:

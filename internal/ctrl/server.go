@@ -3,6 +3,7 @@ package ctrl
 import (
 	"errors"
 	"fmt"
+	"strconv"
 
 	"lightpath/internal/chaos"
 	"lightpath/internal/invariant"
@@ -115,10 +116,12 @@ type Stats struct {
 // concurrent use — the transport layer (Handler) serializes access,
 // exactly as the allocator below it requires.
 type Server struct {
-	cfg      Config
-	alloc    *route.Allocator
-	aud      *invariant.Auditor
-	breakers []*Breaker
+	cfg   Config
+	alloc *route.Allocator
+	aud   *invariant.Auditor
+	// breakers holds one breaker per chip by value; breakerFor hands
+	// out pointers into it, so it is sized once and never appended to.
+	breakers []Breaker
 
 	now unit.Seconds // virtual clock: latest observed event time
 	// pending holds the completion times of admitted, unfinished work
@@ -149,15 +152,15 @@ func NewServer(cfg Config) (*Server, error) {
 	// at chip granularity sheds exactly the unroutable load without
 	// collateral rejection of the rest of the fabric.
 	s := &Server{
-		cfg:      cfg,
-		alloc:    alloc,
-		aud:      invariant.Attach(alloc, cfg.Audit),
-		breakers: make([]*Breaker, rack.NumChips()),
+		cfg:             cfg,
+		alloc:           alloc,
+		aud:             invariant.Attach(alloc, cfg.Audit),
+		breakers:        make([]Breaker, rack.NumChips()),
+		queueFullDetail: "queue full (cap " + strconv.Itoa(cfg.QueueCap) + ")",
 	}
 	for i := range s.breakers {
 		s.breakers[i] = NewBreaker(cfg.Breaker)
 	}
-	s.queueFullDetail = fmt.Sprintf("queue full (cap %d)", cfg.QueueCap)
 	return s, nil
 }
 
@@ -182,8 +185,8 @@ func (s *Server) Clock() unit.Seconds { return s.now }
 // BreakerTrips totals the lifetime trip count across regions.
 func (s *Server) BreakerTrips() int {
 	total := 0
-	for _, b := range s.breakers {
-		total += b.Trips()
+	for i := range s.breakers {
+		total += s.breakers[i].Trips()
 	}
 	return total
 }
@@ -231,7 +234,8 @@ func (s *Server) Submit(req Request, arrival unit.Seconds) (Response, unit.Secon
 		// Submit — the serialize-before-next-request contract every
 		// transport (Handler encodes immediately) already satisfies.
 		resp.Regions = s.regions(len(s.breakers))
-		for i, b := range s.breakers {
+		for i := range s.breakers {
+			b := &s.breakers[i]
 			resp.Regions[i] = RegionHealth{State: b.State(), Trips: b.Trips()}
 		}
 		return resp, arrival
@@ -397,7 +401,7 @@ func (s *Server) breakerFor(req Request, held *route.Circuit) *Breaker {
 	if req.Op == OpReroute {
 		chip = held.A
 	}
-	return s.breakers[chip]
+	return &s.breakers[chip]
 }
 
 // countSetupFailure buckets an allocator setup error.
@@ -439,11 +443,11 @@ func statusOf(err error) Status {
 }
 
 // CircuitMove records one broken circuit's fate after a fault: NewID
-// is -1 when the circuit was lost, and NewWidth < OldWidth when the
-// reroute had to degrade.
+// is -1 when the circuit was lost, and otherwise NewWidth is the width
+// its reroute was granted.
 type CircuitMove struct {
-	OldID, NewID       int
-	OldWidth, NewWidth int
+	OldID, NewID int
+	NewWidth     int
 }
 
 // FaultReport summarizes one fault's application.
@@ -469,7 +473,7 @@ func (s *Server) ApplyFault(f chaos.Fault, at unit.Seconds) (FaultReport, error)
 	}
 	s.stats.FaultsApplied++
 	for _, c := range broken {
-		move := CircuitMove{OldID: c.ID, NewID: -1, OldWidth: c.Width}
+		move := CircuitMove{OldID: c.ID, NewID: -1}
 		nc, degraded, rerr := s.alloc.EstablishDegraded(route.Request{A: c.A, B: c.B, Width: c.Width}, s.now)
 		if rerr != nil {
 			s.stats.CircuitsLost++

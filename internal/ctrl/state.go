@@ -64,8 +64,8 @@ func (s *Server) EncodeState(e *snapshot.Encoder) {
 	s.alloc.EncodeState(e)
 	s.aud.EncodeState(e)
 	e.Len(len(s.breakers))
-	for _, b := range s.breakers {
-		b.EncodeState(e)
+	for i := range s.breakers {
+		s.breakers[i].EncodeState(e)
 	}
 	snapshot.Unit(e, s.now)
 	e.Len(len(s.pending))
@@ -107,8 +107,10 @@ func (s *Server) RestoreState(d *snapshot.Decoder) error {
 		return fmt.Errorf("%w: checkpoint has %d breakers, config says %d",
 			snapshot.ErrCorruptSnapshot, n, len(s.breakers))
 	}
-	for _, b := range s.breakers {
-		if err := b.RestoreState(d); err != nil {
+	// By index: a range variable would be a copy, and the restore
+	// would land in it.
+	for i := range s.breakers {
+		if err := s.breakers[i].RestoreState(d); err != nil {
 			return err
 		}
 	}

@@ -10,6 +10,7 @@ package evloop
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"lightpath/internal/snapshot"
 	"lightpath/internal/unit"
@@ -40,6 +41,11 @@ type Queue[P any] struct {
 
 // Len returns the number of queued events.
 func (q *Queue[P]) Len() int { return len(q.items) }
+
+// Reserve makes room for n more events, so the next n pushes do not
+// grow the array. A simulator that knows how many events it seeds its
+// queue with calls it once, before pushing them.
+func (q *Queue[P]) Reserve(n int) { q.items = slices.Grow(q.items, n) }
 
 // before reports whether x pops before y.
 func before[P any](x, y *entry[P]) bool {

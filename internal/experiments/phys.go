@@ -109,7 +109,7 @@ func Fig3b(seed uint64, samples int) (Fig3bResult, error) {
 		vals = append(vals, float64(m.SampleStitchLoss()))
 	}
 	h := phy.NewHistogram(vals, 0, float64(phy.StitchLossMaxDB), 32)
-	fit, err := phy.FitGaussian(vals, h)
+	fit, err := phy.FitGaussian(vals)
 	if err != nil {
 		return Fig3bResult{}, err
 	}

@@ -169,26 +169,12 @@ func (h *Histogram) Densities() []float64 {
 // GaussianFit is the result of fitting a normal density to data.
 type GaussianFit struct {
 	Mean, SD float64
-
-	// ChiSquare is the goodness-of-fit statistic of the histogram
-	// against the fitted density (smaller is better).
-	ChiSquare float64
-}
-
-// Density evaluates the fitted normal density at x.
-func (g GaussianFit) Density(x float64) float64 {
-	if g.SD <= 0 {
-		return 0
-	}
-	z := (x - g.Mean) / g.SD
-	return math.Exp(-z*z/2) / (g.SD * math.Sqrt(2*math.Pi))
 }
 
 // FitGaussian fits a normal distribution to the samples by maximum
-// likelihood (sample mean and standard deviation) and reports the
-// chi-square of the fit against a histogram of the data, mirroring the
-// distribution-plus-fit presentation of the paper's Figure 3b.
-func FitGaussian(samples []float64, hist *Histogram) (GaussianFit, error) {
+// likelihood (sample mean and standard deviation): the fit the paper's
+// Figure 3b draws over the distribution.
+func FitGaussian(samples []float64) (GaussianFit, error) {
 	if len(samples) < 2 {
 		return GaussianFit{}, ErrBadFit
 	}
@@ -203,21 +189,7 @@ func FitGaussian(samples []float64, hist *Histogram) (GaussianFit, error) {
 	if variance <= 0 {
 		return GaussianFit{}, ErrBadFit
 	}
-	fit := GaussianFit{Mean: mean, SD: math.Sqrt(variance)}
-
-	if hist != nil && hist.N > 0 {
-		centers := hist.BinCenters()
-		densities := hist.Densities()
-		for i := range centers {
-			expected := fit.Density(centers[i])
-			if expected < 1e-12 {
-				continue
-			}
-			d := densities[i] - expected
-			fit.ChiSquare += d * d / expected
-		}
-	}
-	return fit, nil
+	return GaussianFit{Mean: mean, SD: math.Sqrt(variance)}, nil
 }
 
 // Mean returns the arithmetic mean of the samples (0 for no samples).

@@ -135,14 +135,22 @@ func TestHistogramPanics(t *testing.T) {
 	}
 }
 
+// Density evaluates the fitted normal density at x.
+func (g GaussianFit) Density(x float64) float64 {
+	if g.SD <= 0 {
+		return 0
+	}
+	z := (x - g.Mean) / g.SD
+	return math.Exp(-z*z/2) / (g.SD * math.Sqrt(2*math.Pi))
+}
+
 func TestFitGaussianRecovers(t *testing.T) {
 	r := rng.New(21)
 	var samples []float64
 	for i := 0; i < 20000; i++ {
 		samples = append(samples, r.Normal(0.25, 0.08))
 	}
-	h := NewHistogram(samples, 0, 0.8, 32)
-	fit, err := FitGaussian(samples, h)
+	fit, err := FitGaussian(samples)
 	if err != nil {
 		t.Fatalf("fit failed: %v", err)
 	}
@@ -159,10 +167,10 @@ func TestFitGaussianRecovers(t *testing.T) {
 }
 
 func TestFitGaussianErrors(t *testing.T) {
-	if _, err := FitGaussian(nil, nil); err == nil {
+	if _, err := FitGaussian(nil); err == nil {
 		t.Error("fit of no samples should fail")
 	}
-	if _, err := FitGaussian([]float64{1, 1, 1}, nil); err == nil {
+	if _, err := FitGaussian([]float64{1, 1, 1}); err == nil {
 		t.Error("fit of zero-variance samples should fail")
 	}
 }

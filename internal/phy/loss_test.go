@@ -69,17 +69,15 @@ func TestStitchLossDistribution(t *testing.T) {
 }
 
 // TestFig3bStitchLossFit is the unit-test form of experiment E2:
-// sample the stitch-loss distribution, histogram it over the figure's
-// axis range, fit a Gaussian, and verify the fitted center reproduces
-// the paper's ~0.25 dB.
+// sample the stitch-loss distribution, fit a Gaussian, and verify the
+// fitted center reproduces the paper's ~0.25 dB.
 func TestFig3bStitchLossFit(t *testing.T) {
 	m := NewLossModel(rng.New(2024).Split("fig3b"))
 	var samples []float64
 	for i := 0; i < 10000; i++ {
 		samples = append(samples, float64(m.SampleStitchLoss()))
 	}
-	h := NewHistogram(samples, 0, float64(StitchLossMaxDB), 32)
-	fit, err := FitGaussian(samples, h)
+	fit, err := FitGaussian(samples)
 	if err != nil {
 		t.Fatalf("fit failed: %v", err)
 	}

@@ -29,7 +29,13 @@ func splitMix64(state *uint64) uint64 {
 
 // New returns a stream seeded from the given seed.
 func New(seed uint64) *Rand {
-	r := &Rand{}
+	r := seeded(seed)
+	return &r
+}
+
+// seeded is New by value.
+func seeded(seed uint64) Rand {
+	var r Rand
 	sm := seed
 	for i := range r.s {
 		r.s[i] = splitMix64(&sm)
@@ -47,6 +53,15 @@ func New(seed uint64) *Rand {
 // streams; the same label always produces the same stream, so adding a
 // new consumer does not perturb existing ones.
 func (r *Rand) Split(label string) *Rand {
+	s := r.SplitValue(label)
+	return &s
+}
+
+// SplitValue is Split returning the stream by value, for callers that
+// keep their streams in an array or on the stack. It does not keep the
+// label, so a label converted from a reused byte buffer costs no
+// allocation.
+func (r *Rand) SplitValue(label string) Rand {
 	// Hash the label FNV-1a style, then mix with a snapshot of the
 	// parent's state (not advancing it).
 	h := uint64(14695981039346656037)
@@ -54,8 +69,7 @@ func (r *Rand) Split(label string) *Rand {
 		h ^= uint64(label[i])
 		h *= 1099511628211
 	}
-	seed := h ^ r.s[0] ^ (r.s[2] << 1)
-	return New(seed)
+	return seeded(h ^ r.s[0] ^ (r.s[2] << 1))
 }
 
 // State returns the stream's current internal state — its exact

@@ -103,8 +103,9 @@ func NewAllocator(rack *wafer.Rack, r *rng.Rand) *Allocator {
 	// per Establish call was pure allocation churn.
 	rows := rack.Config().Rows
 	a.rowOrder = make([][]int, rows)
+	backing := make([]int, rows*rows)
 	for srcRow := range a.rowOrder {
-		order := make([]int, 0, rows)
+		order := backing[srcRow*rows : srcRow*rows : (srcRow+1)*rows]
 		order = append(order, srcRow)
 		for row := 0; row < rows; row++ {
 			if row != srcRow {

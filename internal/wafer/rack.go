@@ -33,22 +33,30 @@ func (t Topology) String() string {
 // leave a wafer at an edge tile, cross a fiber, and continue on the
 // next wafer, enabling circuit switching across servers. A TPUv4 rack
 // of 64 chips maps onto two 32-tile wafers.
+//
+// The rack is built once, by value, in a few contiguous arrays: the
+// wafers, every wafer's tiles and bus lanes, the trunks, and their
+// fiber rows. Those arrays are sized at construction and never
+// appended to, so every *Wafer and *Tile the rack hands out stays
+// valid for its life; a restore writes into them in place.
 type Rack struct {
 	cfg      Config
 	topology Topology
-	wafers   []*Wafer
+	wafers   []Wafer
 	// trunks[i] is the fiber bundle between wafer i's right edge
 	// (col = Cols-1) and wafer (i+1)%N's left edge (col 0), with
 	// FibersPerEdge fibers per tile row. A chain has N-1 trunks; a
 	// ring has N.
-	trunks []*fiberTrunk
-	// chips[i] is the tile hosting chip i: the wafers' row-major tile
-	// lists, concatenated. It makes TileOf a bounds check and an index.
-	chips []*Tile
+	trunks []fiberTrunk
+	// chips[i] is the tile hosting chip i: the array the wafers' tiles
+	// are windows on, wafer after wafer in row-major order. It makes
+	// TileOf a bounds check and an index.
+	chips []Tile
 }
 
 type fiberTrunk struct {
-	// used[row][fiber] marks occupied fibers.
+	// used[row][fiber] marks occupied fibers. Every trunk's rows are
+	// windows on one array of the rack's.
 	used [][]bool
 	// cut[row] marks a row taken out by a fiber cut. The rack records
 	// the cut; routing consults it, like a severed span.
@@ -84,25 +92,29 @@ func NewRackTopology(cfg Config, numWafers int, topo Topology) (*Rack, error) {
 	if topo != Chain && topo != RingTopology {
 		return nil, fmt.Errorf("wafer: unknown topology %d", int(topo))
 	}
-	r := &Rack{cfg: cfg, topology: topo, chips: make([]*Tile, 0, numWafers*cfg.Tiles())}
-	for i := 0; i < numWafers; i++ {
-		w, err := New(cfg)
-		if err != nil {
-			return nil, err
-		}
-		r.wafers = append(r.wafers, w)
-		r.chips = append(r.chips, w.tiles...)
+	if err := cfg.Validate(); err != nil {
+		return nil, err
 	}
+	r := &Rack{cfg: cfg, topology: topo}
+	r.wafers, r.chips = newWafers(cfg, numWafers)
 	numTrunks := numWafers - 1
 	if topo == RingTopology && numWafers >= 2 {
 		numTrunks = numWafers
 	}
-	for i := 0; i < numTrunks; i++ {
-		t := &fiberTrunk{used: make([][]bool, cfg.Rows), cut: make([]bool, cfg.Rows)}
-		for row := range t.used {
-			t.used[row] = make([]bool, cfg.FibersPerEdge)
+	r.trunks = make([]fiberTrunk, numTrunks)
+	rows := make([][]bool, numTrunks*cfg.Rows)
+	fibers := make([]bool, len(rows)*cfg.FibersPerEdge)
+	cut := make([]bool, len(rows))
+	for row := range rows {
+		f := row * cfg.FibersPerEdge
+		rows[row] = fibers[f : f+cfg.FibersPerEdge : f+cfg.FibersPerEdge]
+	}
+	for i := range r.trunks {
+		row := i * cfg.Rows
+		r.trunks[i] = fiberTrunk{
+			used: rows[row : row+cfg.Rows : row+cfg.Rows],
+			cut:  cut[row : row+cfg.Rows : row+cfg.Rows],
 		}
-		r.trunks = append(r.trunks, t)
 	}
 	return r, nil
 }
@@ -127,7 +139,7 @@ func (r *Rack) Wafer(i int) *Wafer {
 	if i < 0 || i >= len(r.wafers) {
 		panic(fmt.Sprintf("wafer: wafer %d out of range [0, %d)", i, len(r.wafers)))
 	}
-	return r.wafers[i]
+	return &r.wafers[i]
 }
 
 // Place maps a chip ID to its (wafer, row, col) tile position: chips
@@ -146,7 +158,7 @@ func (r *Rack) TileOf(chip int) *Tile {
 	if chip < 0 || chip >= len(r.chips) {
 		panic(fmt.Sprintf("wafer: chip %d out of range [0, %d)", chip, len(r.chips)))
 	}
-	return r.chips[chip]
+	return &r.chips[chip]
 }
 
 // AllocFiber occupies one free fiber on the given trunk at the given
@@ -262,5 +274,5 @@ func (r *Rack) trunk(trunk, row int) (*fiberTrunk, error) {
 	if row < 0 || row >= r.cfg.Rows {
 		return nil, fmt.Errorf("wafer: trunk row %d out of range [0, %d)", row, r.cfg.Rows)
 	}
-	return r.trunks[trunk], nil
+	return &r.trunks[trunk], nil
 }

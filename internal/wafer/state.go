@@ -18,11 +18,12 @@ import (
 // EncodeState appends the rack's mutable state to the encoder.
 func (r *Rack) EncodeState(e *snapshot.Encoder) {
 	e.Len(len(r.wafers))
-	for _, w := range r.wafers {
-		w.encodeState(e)
+	for i := range r.wafers {
+		r.wafers[i].encodeState(e)
 	}
 	e.Len(len(r.trunks))
-	for _, t := range r.trunks {
+	for i := range r.trunks {
+		t := &r.trunks[i]
 		e.Len(len(t.used))
 		for row, fibers := range t.used {
 			e.Len(len(fibers))
@@ -35,16 +36,18 @@ func (r *Rack) EncodeState(e *snapshot.Encoder) {
 }
 
 // RestoreState replays state captured by EncodeState into a freshly
-// constructed rack of the same configuration. A geometry mismatch —
+// constructed rack of the same configuration, in place: the rack's
+// wafers, tiles and lanes keep their addresses. A geometry mismatch —
 // the snapshot disagreeing with the rack about wafer, lane or trunk
-// counts — is reported as corruption.
+// counts — is reported as corruption, and so is a bus interval a live
+// lane could not hold (see restoreLanes).
 func (r *Rack) RestoreState(d *snapshot.Decoder) error {
 	if n := d.Len(); n != len(r.wafers) {
 		return fmt.Errorf("%w: snapshot has %d wafers, rack has %d",
 			snapshot.ErrCorruptSnapshot, n, len(r.wafers))
 	}
-	for _, w := range r.wafers {
-		if err := w.restoreState(d); err != nil {
+	for i := range r.wafers {
+		if err := r.wafers[i].restoreState(d); err != nil {
 			return err
 		}
 	}
@@ -52,7 +55,8 @@ func (r *Rack) RestoreState(d *snapshot.Decoder) error {
 		return fmt.Errorf("%w: snapshot has %d trunks, rack has %d",
 			snapshot.ErrCorruptSnapshot, n, len(r.trunks))
 	}
-	for ti, t := range r.trunks {
+	for ti := range r.trunks {
+		t := &r.trunks[ti]
 		if n := d.Len(); n != len(t.used) {
 			return fmt.Errorf("%w: trunk %d has %d rows, snapshot says %d",
 				snapshot.ErrCorruptSnapshot, ti, len(t.used), n)
@@ -73,8 +77,8 @@ func (r *Rack) RestoreState(d *snapshot.Decoder) error {
 
 func (w *Wafer) encodeState(e *snapshot.Encoder) {
 	e.Len(len(w.tiles))
-	for _, t := range w.tiles {
-		t.encodeState(e)
+	for i := range w.tiles {
+		w.tiles[i].encodeState(e)
 	}
 	encodeLanes(e, w.hLanes)
 	encodeLanes(e, w.vLanes)
@@ -103,13 +107,13 @@ func (w *Wafer) restoreState(d *snapshot.Decoder) error {
 		return fmt.Errorf("%w: wafer has %d tiles, snapshot says %d",
 			snapshot.ErrCorruptSnapshot, len(w.tiles), n)
 	}
-	for _, t := range w.tiles {
-		t.restoreState(d)
+	for i := range w.tiles {
+		w.tiles[i].restoreState(d)
 	}
-	if err := restoreLanes(d, w.hLanes); err != nil {
+	if err := restoreLanes(d, w.hLanes, w.cfg.Cols); err != nil {
 		return err
 	}
-	if err := restoreLanes(d, w.vLanes); err != nil {
+	if err := restoreLanes(d, w.vLanes, w.cfg.Rows); err != nil {
 		return err
 	}
 	w.loss, w.lossSet = nil, nil
@@ -161,9 +165,10 @@ func (t *Tile) restoreState(d *snapshot.Decoder) {
 // are indistinguishable from never-touched ones to first-fit and to
 // every reader, so the encoding leaves them out and depends only on
 // what the lane holds. restoreLanes reads either form.
-func encodeLanes(e *snapshot.Encoder, lanes []*busLane) {
+func encodeLanes(e *snapshot.Encoder, lanes []busLane) {
 	e.Len(len(lanes))
-	for _, l := range lanes {
+	for i := range lanes {
+		l := &lanes[i]
 		n := len(l.buses)
 		for n > 0 && len(l.buses[n-1]) == 0 {
 			n--
@@ -179,12 +184,18 @@ func encodeLanes(e *snapshot.Encoder, lanes []*busLane) {
 	}
 }
 
-func restoreLanes(d *snapshot.Decoder, lanes []*busLane) error {
+// restoreLanes reads the lanes encodeLanes wrote into lanes, whose
+// tile positions run [0, positions). It refuses what AllocBus could
+// never have left: more buses than the lane has, an inverted interval,
+// one reaching off the lane, and two intervals on one bus that share a
+// position.
+func restoreLanes(d *snapshot.Decoder, lanes []busLane, positions int) error {
 	if n := d.Len(); n != len(lanes) {
 		return fmt.Errorf("%w: wafer has %d lanes, snapshot says %d",
 			snapshot.ErrCorruptSnapshot, len(lanes), n)
 	}
-	for _, l := range lanes {
+	for li := range lanes {
+		l := &lanes[li]
 		touched := d.Len()
 		if touched > l.capacity {
 			return fmt.Errorf("%w: snapshot touches %d buses, lane capacity %d",
@@ -195,7 +206,19 @@ func restoreLanes(d *snapshot.Decoder, lanes []*busLane) error {
 			count := d.Len()
 			ivs := make([]Interval, 0, count)
 			for i := 0; i < count; i++ {
-				ivs = append(ivs, Interval{Lo: d.Int(), Hi: d.Int()})
+				iv := Interval{Lo: d.Int(), Hi: d.Int()}
+				if err := d.Err(); err != nil {
+					return err
+				}
+				if iv.Lo < 0 || iv.Lo > iv.Hi || iv.Hi >= positions {
+					return fmt.Errorf("%w: lane %d bus %d holds interval [%d,%d], not inside [0,%d]",
+						snapshot.ErrCorruptSnapshot, li, b, iv.Lo, iv.Hi, positions-1)
+				}
+				if overlapsAny(ivs, iv) {
+					return fmt.Errorf("%w: lane %d bus %d holds overlapping intervals at [%d,%d]",
+						snapshot.ErrCorruptSnapshot, li, b, iv.Lo, iv.Hi)
+				}
+				ivs = append(ivs, iv)
 			}
 			l.buses = append(l.buses, ivs)
 		}

@@ -55,15 +55,6 @@ type Tile struct {
 	chipFailed   bool
 }
 
-func newTile(row, col int, cfg Config) *Tile {
-	return &Tile{
-		Row:         row,
-		Col:         col,
-		lasers:      cfg.LasersPerTile,
-		serdesPorts: cfg.SerDesPortsPerTile,
-	}
-}
-
 // FreeLasers returns the number of unallocated, still-working
 // wavelengths. Failed lasers are charged against free capacity first;
 // when failures exceed the free pool, circuits already holding the

@@ -136,11 +136,13 @@ func (b BusRef) String() string {
 // Wafer is one LIGHTPATH wafer: a grid of tiles plus the bus
 // waveguides that interconnect them.
 type Wafer struct {
-	cfg   Config
-	tiles []*Tile
-	// hLanes[row] and vLanes[col] are the bus lanes.
-	hLanes []*busLane
-	vLanes []*busLane
+	cfg Config
+	// tiles holds the tiles by value in row-major order, and
+	// hLanes[row] and vLanes[col] the bus lanes: windows on the
+	// rack's arrays, which nothing appends to (see Rack).
+	tiles  []Tile
+	hLanes []busLane
+	vLanes []busLane
 	// loss is the dense grid of fault-induced extra loss in dB, one
 	// cell per bus-lane position (see health.go); nil until the first
 	// fault. lossSet flags the cells carrying a fault record — a 0 dB
@@ -149,24 +151,37 @@ type Wafer struct {
 	lossSet []bool
 }
 
-// New constructs a wafer from the configuration.
-func New(cfg Config) (*Wafer, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	w := &Wafer{cfg: cfg}
-	for r := 0; r < cfg.Rows; r++ {
-		for c := 0; c < cfg.Cols; c++ {
-			w.tiles = append(w.tiles, newTile(r, c, cfg))
+// newWafers builds n wafers of one validated configuration in one
+// pass over three arrays: the wafers, their tiles and their bus lanes.
+// Each wafer's tiles and lanes are a capacity-capped window on the
+// shared arrays, and the tiles array, wafer after wafer in row-major
+// order, is returned as well: it is the rack's chip order.
+func newWafers(cfg Config, n int) ([]Wafer, []Tile) {
+	ws := make([]Wafer, n)
+	tiles := make([]Tile, n*cfg.Tiles())
+	lanes := make([]busLane, n*(cfg.Rows+cfg.Cols))
+	for i := range tiles {
+		local := i % cfg.Tiles()
+		tiles[i] = Tile{
+			Row:         local / cfg.Cols,
+			Col:         local % cfg.Cols,
+			lasers:      cfg.LasersPerTile,
+			serdesPorts: cfg.SerDesPortsPerTile,
 		}
 	}
-	for r := 0; r < cfg.Rows; r++ {
-		w.hLanes = append(w.hLanes, &busLane{capacity: cfg.BusesPerLane})
+	for i := range lanes {
+		lanes[i].capacity = cfg.BusesPerLane
 	}
-	for c := 0; c < cfg.Cols; c++ {
-		w.vLanes = append(w.vLanes, &busLane{capacity: cfg.BusesPerLane})
+	for i := range ws {
+		t, l := i*cfg.Tiles(), i*(cfg.Rows+cfg.Cols)
+		ws[i] = Wafer{
+			cfg:    cfg,
+			tiles:  tiles[t : t+cfg.Tiles() : t+cfg.Tiles()],
+			hLanes: lanes[l : l+cfg.Rows : l+cfg.Rows],
+			vLanes: lanes[l+cfg.Rows : l+cfg.Rows+cfg.Cols : l+cfg.Rows+cfg.Cols],
+		}
 	}
-	return w, nil
+	return ws, tiles
 }
 
 // Tile returns the tile at (row, col).
@@ -184,7 +199,7 @@ func (w *Wafer) TileAt(row, col int) *Tile {
 	if row < 0 || row >= w.cfg.Rows || col < 0 || col >= w.cfg.Cols {
 		return nil
 	}
-	return w.tiles[row*w.cfg.Cols+col]
+	return &w.tiles[row*w.cfg.Cols+col]
 }
 
 // AllocBus occupies a free bus of the given orientation and lane over
@@ -298,12 +313,12 @@ func (w *Wafer) lane(o Orient, lane int) (*busLane, error) {
 		if lane < 0 || lane >= len(w.hLanes) {
 			return nil, fmt.Errorf("wafer: horizontal lane %d out of range", lane)
 		}
-		return w.hLanes[lane], nil
+		return &w.hLanes[lane], nil
 	case Vertical:
 		if lane < 0 || lane >= len(w.vLanes) {
 			return nil, fmt.Errorf("wafer: vertical lane %d out of range", lane)
 		}
-		return w.vLanes[lane], nil
+		return &w.vLanes[lane], nil
 	default:
 		return nil, fmt.Errorf("wafer: unknown orientation %q", o)
 	}

@@ -265,12 +265,22 @@ func TestBusRefString(t *testing.T) {
 	}
 }
 
+// New builds one wafer from the configuration, as a one-wafer rack's
+// constructor does.
+func New(cfg Config) (*Wafer, error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
+	ws, _ := newWafers(cfg, 1)
+	return &ws[0], nil
+}
+
 // TileByIndex returns tile i in row-major order.
 func (w *Wafer) TileByIndex(i int) *Tile {
 	if i < 0 || i >= len(w.tiles) {
 		panic(fmt.Sprintf("wafer: tile index %d out of range", i))
 	}
-	return w.tiles[i]
+	return &w.tiles[i]
 }
 
 // TileIndex converts (row, col) to the row-major index.
