@@ -214,7 +214,7 @@ func runSelfcheck(opts options, out printer) error {
 		return fmt.Errorf("selfcheck: fault injection: %w", err)
 	}
 	var endpoint, breaker int
-	for i := 0; i < 4*cfg.Breaker.FailThreshold; i++ {
+	for i := 0; i < 4*ctrl.BreakerFailThreshold; i++ {
 		_, err := c.Establish(victim, 50, 1, 0)
 		switch {
 		case errors.Is(err, ctrl.ErrBreakerOpen):
@@ -223,9 +223,9 @@ func runSelfcheck(opts options, out printer) error {
 			endpoint++
 		}
 	}
-	if endpoint != cfg.Breaker.FailThreshold || breaker != 3*cfg.Breaker.FailThreshold {
+	if endpoint != ctrl.BreakerFailThreshold || breaker != 3*ctrl.BreakerFailThreshold {
 		return fmt.Errorf("selfcheck: dead chip drill: %d endpoint failures, %d breaker rejects (want %d and %d)",
-			endpoint, breaker, cfg.Breaker.FailThreshold, 3*cfg.Breaker.FailThreshold)
+			endpoint, breaker, ctrl.BreakerFailThreshold, 3*ctrl.BreakerFailThreshold)
 	}
 
 	// Rung 4: overload. Burst past the queue bound on one instant and

@@ -126,21 +126,19 @@ func TestErrorTaxonomyFromTheTop(t *testing.T) {
 			sentinel: ctrl.ErrBreakerOpen,
 			context:  "cooling down",
 			trigger: func(t *testing.T) error {
-				s, err := ctrl.NewServer(ctrl.Config{
-					Seed:    1,
-					Breaker: ctrl.BreakerConfig{FailThreshold: 3, Cooldown: unit.Millisecond, HalfOpenProbes: 1},
-				})
+				s, err := ctrl.NewServer(ctrl.Config{Seed: 1})
 				if err != nil {
 					t.Fatal(err)
 				}
 				if _, err := s.ApplyFault(chaos.Fault{Class: chaos.ChipFailure, Chip: 5}, 0); err != nil {
 					t.Fatal(err)
 				}
-				// Spaced arrivals so the queue drains: three clean
-				// endpoint failures trip the region, the fourth is
-				// rejected by the open breaker.
+				// Spaced arrivals so the queue drains: the threshold's
+				// worth of clean endpoint failures trips the chip's
+				// breaker, and the next arrival, inside the 1 ms
+				// cooldown, is rejected by the open breaker.
 				var last ctrl.Response
-				for i := 0; i < 4; i++ {
+				for i := 0; i <= ctrl.BreakerFailThreshold; i++ {
 					at := unit.Seconds(i+1) * 100 * unit.Microsecond
 					last, _ = s.Submit(ctrl.Request{Op: ctrl.OpEstablish, A: 5, B: 30, Width: 1}, at)
 				}

@@ -52,8 +52,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	out, err := fabric.RunAllReduceUnderFault(
-		sc.Alloc, 1, 4*lightpath.MB, chips[fault.Chip], 3, lightpath.DefaultChaosPolicy())
+	out, err := fabric.RunAllReduceUnderFault(sc.Alloc, 1, 4*lightpath.MB, chips[fault.Chip], 3)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -37,7 +37,7 @@ func TestRunsSurfaceViolations(t *testing.T) {
 			t.Fatal(err)
 		}
 		sabotage(t, f)
-		if _, err := f.RunPlannedAllReduceUnderFault(sc.Alloc, plan, chips[0], 3, DefaultChaosPolicy()); !errors.Is(err, invariant.ErrViolated) {
+		if _, err := f.RunPlannedAllReduceUnderFault(sc.Alloc, plan, chips[0], 3); !errors.Is(err, invariant.ErrViolated) {
 			t.Fatalf("RunPlannedAllReduceUnderFault on corrupted hardware: err = %v, want ErrViolated", err)
 		}
 	})

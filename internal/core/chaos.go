@@ -28,23 +28,15 @@ import (
 // reproducible byte for byte.
 const failFraction = 0.5
 
-// ChaosPolicy configures failure detection and repair for a
-// fault-injected collective.
-type ChaosPolicy struct {
-	// Detection is the time between the chip dying and the fabric
-	// manager acting on it (heartbeat timeout plus control-plane
-	// latency).
-	Detection unit.Seconds
-	// Width is the wavelength width requested for repair circuits;
-	// graceful degradation may halve it when the fabric is fragmented.
-	Width int
-}
+// detection is the time between the chip dying and the fabric manager
+// acting on it: a heartbeat timeout plus control-plane latency, a
+// handful of round trips at rack scale.
+const detection = 10 * unit.Microsecond
 
-// DefaultChaosPolicy is 10 us detection (a handful of round trips at
-// rack scale) and width-4 repair circuits (the Figure 7 width).
-func DefaultChaosPolicy() ChaosPolicy {
-	return ChaosPolicy{Detection: 10 * unit.Microsecond, Width: 4}
-}
+// repairWidth is the wavelength width requested for repair circuits
+// (the Figure 7 width); graceful degradation may halve it when the
+// fabric is fragmented.
+const repairWidth = 4
 
 // ChaosOutcome reports one fault-injected AllReduce run.
 type ChaosOutcome struct {
@@ -67,8 +59,8 @@ type ChaosOutcome struct {
 	// schedule; TotalTime is the completion time with the fault,
 	// detection, repair and replay included.
 	CleanTime, TotalTime unit.Seconds
-	// DetectTime and RepairTime split the MTTR into the policy's
-	// detection latency and the optical repair (circuit establishment
+	// DetectTime and RepairTime split the MTTR into the detection
+	// latency and the optical repair (circuit establishment
 	// + MZI settling); MTTR is their sum.
 	DetectTime, RepairTime, MTTR unit.Seconds
 	// RepairBound is the analytic floor of RepairTime: one MZI
@@ -113,18 +105,12 @@ func (o *ChaosOutcome) String() string {
 // step. The outcome carries correctness, MTTR and blast-radius
 // measurements; it comes with an error wrapping invariant.ErrViolated
 // when the fabric's auditor has recorded a violation.
-func (f *Fabric) RunAllReduceUnderFault(a *torus.Allocation, si int, bufferBytes unit.Bytes, victim, failStep int, pol ChaosPolicy) (*ChaosOutcome, error) {
-	if pol.Detection < 0 {
-		return nil, fmt.Errorf("core: negative detection latency %v", pol.Detection)
-	}
-	if pol.Width < 1 {
-		return nil, fmt.Errorf("core: repair width %d < 1", pol.Width)
-	}
+func (f *Fabric) RunAllReduceUnderFault(a *torus.Allocation, si int, bufferBytes unit.Bytes, victim, failStep int) (*ChaosOutcome, error) {
 	plan, err := f.PlanAllReduce(a, si, bufferBytes)
 	if err != nil {
 		return nil, err
 	}
-	return f.RunPlannedAllReduceUnderFault(a, plan, victim, failStep, pol)
+	return f.RunPlannedAllReduceUnderFault(a, plan, victim, failStep)
 }
 
 // RunPlannedAllReduceUnderFault is RunAllReduceUnderFault for a
@@ -133,13 +119,7 @@ func (f *Fabric) RunAllReduceUnderFault(a *torus.Allocation, si int, bufferBytes
 // hands each trial a Clone of the plan — the repair splice mutates the
 // plan's schedule in place. The plan must have been produced by a
 // fabric in the same pristine state as f (same seed, no prior faults).
-func (f *Fabric) RunPlannedAllReduceUnderFault(a *torus.Allocation, plan *CollectivePlan, victim, failStep int, pol ChaosPolicy) (*ChaosOutcome, error) {
-	if pol.Detection < 0 {
-		return nil, fmt.Errorf("core: negative detection latency %v", pol.Detection)
-	}
-	if pol.Width < 1 {
-		return nil, fmt.Errorf("core: repair width %d < 1", pol.Width)
-	}
+func (f *Fabric) RunPlannedAllReduceUnderFault(a *torus.Allocation, plan *CollectivePlan, victim, failStep int) (*ChaosOutcome, error) {
 	sched := plan.Schedule
 	chips := sched.Chips()
 	if !slices.Contains(chips, victim) {
@@ -170,7 +150,7 @@ func (f *Fabric) RunPlannedAllReduceUnderFault(a *torus.Allocation, plan *Collec
 		Replacement: -1,
 		StepsTotal:  sched.NumSteps(),
 		CleanTime:   plan.OpticalTime,
-		DetectTime:  pol.Detection,
+		DetectTime:  detection,
 		RepairBound: phy.ReconfigLatency,
 	}
 
@@ -193,7 +173,7 @@ func (f *Fabric) RunPlannedAllReduceUnderFault(a *torus.Allocation, plan *Collec
 
 	// Detection: the slice stalls until the manager learns of the
 	// failure and acts.
-	clock += pol.Detection
+	clock += detection
 
 	// Hardware: mark the chip dead and tear down its circuits.
 	if _, err := f.alloc.ApplyFault(chaos.Fault{Class: chaos.ChipFailure, Chip: victim}); err != nil {
@@ -203,7 +183,7 @@ func (f *Fabric) RunPlannedAllReduceUnderFault(a *torus.Allocation, plan *Collec
 	// The replacement must reconnect to every peer the victim still
 	// owes traffic (the interrupted step replays, so it counts).
 	peers := victimPeers(sched, victim, failStep)
-	repl, circuits, degraded, err := f.spliceReplacement(a, chips, peers, pol.Width, clock)
+	repl, circuits, degraded, err := f.spliceReplacement(a, chips, peers, clock)
 	if err != nil {
 		return nil, err
 	}
@@ -257,9 +237,9 @@ func (f *Fabric) RunPlannedAllReduceUnderFault(a *torus.Allocation, plan *Collec
 // spliceReplacement picks a free, healthy chip and establishes repair
 // circuits from it to every peer, trying candidates in ascending ID
 // order and rolling back a candidate's circuits when any peer cannot
-// be reached. The boolean reports whether any circuit was degraded to
-// a narrower width.
-func (f *Fabric) spliceReplacement(a *torus.Allocation, inCollective, peers []int, width int, now unit.Seconds) (int, []*route.Circuit, bool, error) {
+// be reached. The boolean reports whether any circuit was degraded
+// below repairWidth.
+func (f *Fabric) spliceReplacement(a *torus.Allocation, inCollective, peers []int, now unit.Seconds) (int, []*route.Circuit, bool, error) {
 	var candidates []int
 	for _, c := range a.FreeChips() {
 		if slices.Contains(inCollective, c) {
@@ -278,7 +258,7 @@ func (f *Fabric) spliceReplacement(a *torus.Allocation, inCollective, peers []in
 		degraded := false
 		ok := true
 		for _, peer := range peers {
-			c, deg, err := f.alloc.EstablishDegraded(route.Request{A: repl, B: peer, Width: width}, now)
+			c, deg, err := f.alloc.EstablishDegraded(route.Request{A: repl, B: peer, Width: repairWidth}, now)
 			if err != nil {
 				lastErr = err
 				ok = false

@@ -34,7 +34,7 @@ func chaosSetup(t *testing.T) (*Fabric, *alloc.Fig6aScenario, []int) {
 func TestRunAllReduceUnderFaultAcceptance(t *testing.T) {
 	f, sc, chips := chaosSetup(t)
 	victim := chips[len(chips)/2]
-	out, err := f.RunAllReduceUnderFault(sc.Alloc, 1, unit.MB, victim, 3, DefaultChaosPolicy())
+	out, err := f.RunAllReduceUnderFault(sc.Alloc, 1, unit.MB, victim, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +92,7 @@ func TestRunAllReduceUnderFaultEveryStep(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		out, err := fresh.RunAllReduceUnderFault(sc.Alloc, 1, unit.MB, chips[0], step, DefaultChaosPolicy())
+		out, err := fresh.RunAllReduceUnderFault(sc.Alloc, 1, unit.MB, chips[0], step)
 		if err != nil {
 			t.Fatalf("step %d: %v", step, err)
 		}
@@ -106,28 +106,17 @@ func TestRunAllReduceUnderFaultEveryStep(t *testing.T) {
 }
 
 // TestRunAllReduceUnderFaultRejectsBadInputs covers the argument
-// validation: foreign victims, out-of-range steps, degenerate policy.
+// validation: foreign victims and out-of-range steps.
 func TestRunAllReduceUnderFaultRejectsBadInputs(t *testing.T) {
 	f, sc, chips := chaosSetup(t)
-	pol := DefaultChaosPolicy()
-	if _, err := f.RunAllReduceUnderFault(sc.Alloc, 1, unit.MB, 1<<20, 0, pol); err == nil {
+	if _, err := f.RunAllReduceUnderFault(sc.Alloc, 1, unit.MB, 1<<20, 0); err == nil {
 		t.Fatal("victim outside the collective accepted")
 	}
-	if _, err := f.RunAllReduceUnderFault(sc.Alloc, 1, unit.MB, chips[0], -1, pol); err == nil {
+	if _, err := f.RunAllReduceUnderFault(sc.Alloc, 1, unit.MB, chips[0], -1); err == nil {
 		t.Fatal("negative fail step accepted")
 	}
-	if _, err := f.RunAllReduceUnderFault(sc.Alloc, 1, unit.MB, chips[0], 1<<20, pol); err == nil {
+	if _, err := f.RunAllReduceUnderFault(sc.Alloc, 1, unit.MB, chips[0], 1<<20); err == nil {
 		t.Fatal("out-of-range fail step accepted")
-	}
-	bad := pol
-	bad.Detection = -1
-	if _, err := f.RunAllReduceUnderFault(sc.Alloc, 1, unit.MB, chips[0], 0, bad); err == nil {
-		t.Fatal("negative detection accepted")
-	}
-	bad = pol
-	bad.Width = 0
-	if _, err := f.RunAllReduceUnderFault(sc.Alloc, 1, unit.MB, chips[0], 0, bad); err == nil {
-		t.Fatal("zero repair width accepted")
 	}
 }
 
@@ -136,7 +125,7 @@ func TestRunAllReduceUnderFaultRejectsBadInputs(t *testing.T) {
 func TestRunAllReduceUnderFaultDeterministic(t *testing.T) {
 	run := func() *ChaosOutcome {
 		f, sc, chips := chaosSetup(t)
-		out, err := f.RunAllReduceUnderFault(sc.Alloc, 1, unit.MB, chips[3], 2, DefaultChaosPolicy())
+		out, err := f.RunAllReduceUnderFault(sc.Alloc, 1, unit.MB, chips[3], 2)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -160,7 +149,7 @@ func TestRunPlannedAllReduceUnderFaultCatchesBrokenPlan(t *testing.T) {
 	broken := plan.Clone()
 	step := &broken.Schedule.Steps[1]
 	step.Transfers = step.Transfers[1:]
-	out, err := f.RunPlannedAllReduceUnderFault(sc.Alloc, broken, chips[0], 3, DefaultChaosPolicy())
+	out, err := f.RunPlannedAllReduceUnderFault(sc.Alloc, broken, chips[0], 3)
 	if err != nil {
 		t.Fatal(err)
 	}

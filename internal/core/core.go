@@ -28,11 +28,6 @@ type Options struct {
 	// RackShape is the logical torus of the accelerators (default:
 	// the TPUv4 4x4x4 cube).
 	RackShape torus.Shape
-	// Wafer is the LIGHTPATH hardware configuration (default:
-	// wafer.DefaultConfig).
-	Wafer wafer.Config
-	// Cost is the alpha-beta-r model (default: cost.DefaultParams).
-	Cost cost.Params
 	// Seed drives every stochastic component (loss sampling, workload
 	// generation); runs are reproducible given the seed.
 	Seed uint64
@@ -69,18 +64,13 @@ func New(opts Options) (*Fabric, error) {
 	if opts.RackShape == nil {
 		opts.RackShape = torus.TPUv4RackShape
 	}
-	if opts.Wafer.Rows == 0 {
-		opts.Wafer = wafer.DefaultConfig()
-	}
-	if opts.Cost.ChipBandwidth == 0 {
-		opts.Cost = cost.DefaultParams()
-	}
 	if err := opts.RackShape.Validate(); err != nil {
 		return nil, err
 	}
 	t := torus.New(opts.RackShape)
-	wafers := (t.Size() + opts.Wafer.Tiles() - 1) / opts.Wafer.Tiles()
-	hw, err := wafer.NewRack(opts.Wafer, wafers)
+	cfg := wafer.DefaultConfig()
+	wafers := (t.Size() + cfg.Tiles() - 1) / cfg.Tiles()
+	hw, err := wafer.NewRack(cfg, wafers)
 	if err != nil {
 		return nil, err
 	}
@@ -91,7 +81,7 @@ func New(opts Options) (*Fabric, error) {
 		rack:   hw,
 		alloc:  alloc,
 		aud:    invariant.Attach(alloc, opts.Audit),
-		params: opts.Cost,
+		params: cost.DefaultParams(),
 		rand:   r,
 	}, nil
 }
@@ -158,7 +148,7 @@ func (f *Fabric) PlanAllReduce(a *torus.Allocation, si int, bufferBytes unit.Byt
 		n = 1
 	}
 
-	usable := a.UsableDims(si, false)
+	usable := a.UsableDims(si)
 	active := collective.ActiveDims(s)
 
 	var (

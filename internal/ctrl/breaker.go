@@ -37,61 +37,33 @@ func (s BreakerState) String() string {
 	return fmt.Sprintf("BreakerState(%d)", int(s))
 }
 
-// BreakerConfig parameterizes one region breaker.
-type BreakerConfig struct {
-	// FailThreshold is the consecutive-failure count that trips a
-	// closed breaker open.
-	FailThreshold int
-	// Cooldown is how long an open breaker rejects before allowing
-	// half-open probes.
-	Cooldown unit.Seconds
-	// HalfOpenProbes is how many concurrent-epoch probe requests a
-	// half-open breaker admits before further requests fail fast.
-	HalfOpenProbes int
-}
+// The controller's breaker tuning: trip after BreakerFailThreshold
+// consecutive setup failures, cool down for one simulated millisecond
+// (hundreds of request slots), then admit breakerHalfOpenProbes probe
+// at a time.
+const (
+	// BreakerFailThreshold is the consecutive-failure count that trips
+	// a closed breaker open.
+	BreakerFailThreshold = 8
+	// breakerCooldown is how long an open breaker rejects before
+	// allowing half-open probes.
+	breakerCooldown = unit.Millisecond
+	// breakerHalfOpenProbes is how many probe requests a half-open
+	// breaker admits before further requests fail fast.
+	breakerHalfOpenProbes = 1
+)
 
-// DefaultBreakerConfig returns the controller's standard breaker
-// tuning: trip after 8 consecutive setup failures, cool down for one
-// simulated millisecond (hundreds of request slots), probe one
-// request at a time.
-func DefaultBreakerConfig() BreakerConfig {
-	return BreakerConfig{FailThreshold: 8, Cooldown: unit.Millisecond, HalfOpenProbes: 1}
-}
-
-// withDefaults fills zero fields.
-func (c BreakerConfig) withDefaults() BreakerConfig {
-	d := DefaultBreakerConfig()
-	if c.FailThreshold <= 0 {
-		c.FailThreshold = d.FailThreshold
-	}
-	if c.Cooldown <= 0 {
-		c.Cooldown = d.Cooldown
-	}
-	if c.HalfOpenProbes <= 0 {
-		c.HalfOpenProbes = d.HalfOpenProbes
-	}
-	return c
-}
-
-// Breaker is one fabric region's circuit breaker. It is a pure,
-// deterministic state machine over virtual time: identical call
-// sequences produce identical transitions, which is what the seeded
-// property tests assert.
+// Breaker is one chip's circuit breaker. It is a pure, deterministic
+// state machine over virtual time: identical call sequences produce
+// identical transitions, which is what the seeded property tests
+// assert. The zero value is a closed breaker; a server keeps its
+// breakers by value in one array.
 type Breaker struct {
-	cfg BreakerConfig
-
 	state    BreakerState
 	failures int          // consecutive failures while closed
 	openedAt unit.Seconds // when the breaker last tripped
 	probes   int          // in-flight half-open probes
 	trips    int          // lifetime open transitions
-}
-
-// NewBreaker builds a closed breaker with the config (zero fields get
-// defaults). It returns a value: a server keeps its breakers in one
-// array.
-func NewBreaker(cfg BreakerConfig) Breaker {
-	return Breaker{cfg: cfg.withDefaults()}
 }
 
 // State returns the breaker's current state without advancing it.
@@ -102,14 +74,14 @@ func (b *Breaker) Trips() int { return b.trips }
 
 // Allow reports whether a request may proceed at virtual time now. An
 // open breaker whose cooldown has elapsed transitions to half-open and
-// admits up to HalfOpenProbes probes; each admitted request must be
-// resolved with exactly one Success or Failure call.
+// admits up to breakerHalfOpenProbes probes; each admitted request
+// must be resolved with exactly one Success or Failure call.
 func (b *Breaker) Allow(now unit.Seconds) error {
 	switch b.state {
 	case BreakerClosed:
 		return nil
 	case BreakerOpen:
-		if now < b.openedAt+b.cfg.Cooldown {
+		if now < b.openedAt+breakerCooldown {
 			// Static: an open breaker rejects every request of the cooldown
 			// window, so this path is far too hot for a formatted error.
 			return errBreakerCooling
@@ -118,7 +90,7 @@ func (b *Breaker) Allow(now unit.Seconds) error {
 		b.probes = 0
 		fallthrough
 	default: // BreakerHalfOpen
-		if b.probes >= b.cfg.HalfOpenProbes {
+		if b.probes >= breakerHalfOpenProbes {
 			return errBreakerProbing
 		}
 		b.probes++
@@ -146,7 +118,7 @@ func (b *Breaker) Failure(now unit.Seconds) {
 		b.trip(now)
 	case BreakerClosed:
 		b.failures++
-		if b.failures >= b.cfg.FailThreshold {
+		if b.failures >= BreakerFailThreshold {
 			b.trip(now)
 		}
 	}
@@ -161,8 +133,7 @@ func (b *Breaker) trip(now unit.Seconds) {
 	b.trips++
 }
 
-// EncodeState appends the breaker's mutable state (config is rebuilt
-// by the restoring side).
+// EncodeState appends the breaker's state.
 func (b *Breaker) EncodeState(e *snapshot.Encoder) {
 	e.Int(int(b.state))
 	e.Int(b.failures)
@@ -172,7 +143,7 @@ func (b *Breaker) EncodeState(e *snapshot.Encoder) {
 }
 
 // RestoreState replays state captured by EncodeState. It refuses
-// counters the state machine cannot reach under the breaker's config:
+// counters the state machine cannot reach under the breaker constants:
 // an unknown state, a negative count, a failure streak at or past the
 // trip threshold, more probes than the half-open quota, and a trip
 // time that is not a finite, non-negative instant.
@@ -190,12 +161,12 @@ func (b *Breaker) RestoreState(d *snapshot.Decoder) error {
 	case failures < 0 || probes < 0 || trips < 0:
 		return fmt.Errorf("%w: breaker counts failures %d, probes %d, trips %d",
 			snapshot.ErrCorruptSnapshot, failures, probes, trips)
-	case failures >= b.cfg.FailThreshold:
+	case failures >= BreakerFailThreshold:
 		return fmt.Errorf("%w: breaker failure streak %d at or past its threshold %d",
-			snapshot.ErrCorruptSnapshot, failures, b.cfg.FailThreshold)
-	case probes > b.cfg.HalfOpenProbes:
+			snapshot.ErrCorruptSnapshot, failures, BreakerFailThreshold)
+	case probes > breakerHalfOpenProbes:
 		return fmt.Errorf("%w: breaker holds %d probes, quota %d",
-			snapshot.ErrCorruptSnapshot, probes, b.cfg.HalfOpenProbes)
+			snapshot.ErrCorruptSnapshot, probes, breakerHalfOpenProbes)
 	case math.IsNaN(float64(openedAt)) || math.IsInf(float64(openedAt), 0) || openedAt < 0:
 		return fmt.Errorf("%w: breaker opened at %v", snapshot.ErrCorruptSnapshot, float64(openedAt))
 	}

@@ -13,24 +13,23 @@ import (
 )
 
 // TestBreakerStateMachine walks the documented transitions directly:
-// closed trips open at exactly FailThreshold consecutive failures, an
-// open breaker rejects until the cooldown elapses, half-open admits
-// exactly HalfOpenProbes, a probe success closes and a probe failure
-// reopens.
+// closed trips open at exactly BreakerFailThreshold consecutive
+// failures, an open breaker rejects until the cooldown elapses,
+// half-open admits exactly breakerHalfOpenProbes, a probe success
+// closes and a probe failure reopens.
 func TestBreakerStateMachine(t *testing.T) {
-	cfg := BreakerConfig{FailThreshold: 3, Cooldown: 10 * unit.Microsecond, HalfOpenProbes: 1}
-	b := NewBreaker(cfg)
+	var b Breaker
 
 	// Closed: failures below the threshold stay closed; a success
 	// resets the streak.
-	for i := 0; i < cfg.FailThreshold-1; i++ {
+	for i := 0; i < BreakerFailThreshold-1; i++ {
 		if err := b.Allow(0); err != nil {
 			t.Fatalf("closed breaker rejected: %v", err)
 		}
 		b.Failure(0)
 	}
 	b.Success()
-	for i := 0; i < cfg.FailThreshold-1; i++ {
+	for i := 0; i < BreakerFailThreshold-1; i++ {
 		b.Failure(0)
 	}
 	if b.State() != BreakerClosed {
@@ -44,36 +43,36 @@ func TestBreakerStateMachine(t *testing.T) {
 	}
 
 	// Open: rejects with the taxonomy sentinel until cooldown.
-	if err := b.Allow(cfg.Cooldown / 2); !errors.Is(err, ErrBreakerOpen) {
+	if err := b.Allow(breakerCooldown / 2); !errors.Is(err, ErrBreakerOpen) {
 		t.Fatalf("open breaker before cooldown: %v", err)
 	}
 
-	// Cooldown elapsed: half-open, admits exactly HalfOpenProbes.
-	if err := b.Allow(cfg.Cooldown); err != nil {
+	// Cooldown elapsed: half-open, admits exactly one probe.
+	if err := b.Allow(breakerCooldown); err != nil {
 		t.Fatalf("half-open transition rejected the probe: %v", err)
 	}
 	if b.State() != BreakerHalfOpen {
 		t.Fatalf("state %v after cooldown, want half-open", b.State())
 	}
-	if err := b.Allow(cfg.Cooldown); !errors.Is(err, ErrBreakerOpen) {
+	if err := b.Allow(breakerCooldown); !errors.Is(err, ErrBreakerOpen) {
 		t.Fatalf("probe quota not enforced: %v", err)
 	}
 
 	// A probe failure reopens immediately.
-	b.Failure(cfg.Cooldown)
+	b.Failure(breakerCooldown)
 	if b.State() != BreakerOpen || b.Trips() != 2 {
 		t.Fatalf("state %v trips %d after probe failure, want open/2", b.State(), b.Trips())
 	}
 
 	// Next epoch: probe succeeds, breaker closes and passes freely.
-	if err := b.Allow(2 * cfg.Cooldown); err != nil {
+	if err := b.Allow(2 * breakerCooldown); err != nil {
 		t.Fatalf("second half-open probe rejected: %v", err)
 	}
 	b.Success()
 	if b.State() != BreakerClosed {
 		t.Fatalf("state %v after probe success, want closed", b.State())
 	}
-	if err := b.Allow(2 * cfg.Cooldown); err != nil {
+	if err := b.Allow(2 * breakerCooldown); err != nil {
 		t.Fatalf("closed breaker rejected after recovery: %v", err)
 	}
 }
@@ -84,18 +83,12 @@ func TestBreakerStateMachine(t *testing.T) {
 func breakerTrace(t *testing.T, seed uint64) string {
 	t.Helper()
 	r := rng.New(seed)
-	cfg := BreakerConfig{
-		FailThreshold:  2 + r.Intn(6),
-		Cooldown:       unit.Seconds(1+r.Intn(20)) * unit.Microsecond,
-		HalfOpenProbes: 1 + r.Intn(3),
-	}
-	b := NewBreaker(cfg)
+	var b Breaker
 	var trace strings.Builder
-	fmt.Fprintf(&trace, "cfg=%+v\n", cfg)
 	now := unit.Seconds(0)
 	prev := b.State()
 	for step := 0; step < 400; step++ {
-		now += unit.Seconds(r.Intn(5)) * unit.Microsecond
+		now += unit.Seconds(r.Intn(5)) * 100 * unit.Microsecond
 		if err := b.Allow(now); err != nil {
 			if !errors.Is(err, ErrBreakerOpen) {
 				t.Fatalf("step %d: rejection outside the taxonomy: %v", step, err)
@@ -104,7 +97,7 @@ func breakerTrace(t *testing.T, seed uint64) string {
 		} else {
 			// An admitted request resolves either way, biased toward
 			// failure so trips actually happen.
-			if r.Float64() < 0.6 {
+			if r.Float64() < 0.8 {
 				b.Failure(now)
 				fmt.Fprintf(&trace, "%d fail -> %v\n", step, b.State())
 			} else {
@@ -153,13 +146,13 @@ func TestBreakerDeterministic(t *testing.T) {
 // TestBreakerSnapshotRoundTrip checks a breaker restored mid-epoch
 // behaves identically to the original.
 func TestBreakerSnapshotRoundTrip(t *testing.T) {
-	cfg := BreakerConfig{FailThreshold: 2, Cooldown: 5 * unit.Microsecond, HalfOpenProbes: 1}
-	b := NewBreaker(cfg)
-	b.Failure(0)
-	b.Failure(0) // trips at t=0
+	var b Breaker
+	for range BreakerFailThreshold {
+		b.Failure(0) // the last one trips it at t=0
+	}
 	var e snapshot.Encoder
 	b.EncodeState(&e)
-	r := NewBreaker(cfg)
+	var r Breaker
 	if err := r.RestoreState(snapshot.NewDecoder(e.Bytes())); err != nil {
 		t.Fatal(err)
 	}
@@ -167,7 +160,7 @@ func TestBreakerSnapshotRoundTrip(t *testing.T) {
 		t.Fatalf("restored breaker %v/%d, want %v/%d", r.State(), r.Trips(), b.State(), b.Trips())
 	}
 	// Both must flip half-open at the same instant.
-	errA, errB := b.Allow(cfg.Cooldown), r.Allow(cfg.Cooldown)
+	errA, errB := b.Allow(breakerCooldown), r.Allow(breakerCooldown)
 	if (errA == nil) != (errB == nil) {
 		t.Fatalf("restored breaker diverged at cooldown: %v vs %v", errA, errB)
 	}
@@ -191,7 +184,6 @@ func breakerPayload(state BreakerState, failures int, openedAt unit.Seconds, pro
 // keeps in range: before the checks, a half-open breaker restored with
 // probes = -5 admitted 6 probes against a quota of 1.
 func TestBreakerRestoreRefusesImpossibleCounters(t *testing.T) {
-	cfg := DefaultBreakerConfig()
 	cases := []struct {
 		name    string
 		payload []byte
@@ -199,19 +191,19 @@ func TestBreakerRestoreRefusesImpossibleCounters(t *testing.T) {
 		{"negative-failures", breakerPayload(BreakerClosed, -1, 0, 0, 0)},
 		{"negative-probes", breakerPayload(BreakerHalfOpen, 0, 0, -5, 1)},
 		{"negative-trips", breakerPayload(BreakerOpen, 0, 0, 0, -1)},
-		{"failures-at-threshold", breakerPayload(BreakerClosed, cfg.FailThreshold, 0, 0, 0)},
-		{"probes-over-quota", breakerPayload(BreakerHalfOpen, 0, 0, cfg.HalfOpenProbes+1, 1)},
+		{"failures-at-threshold", breakerPayload(BreakerClosed, BreakerFailThreshold, 0, 0, 0)},
+		{"probes-over-quota", breakerPayload(BreakerHalfOpen, 0, 0, breakerHalfOpenProbes+1, 1)},
 		{"opened-at-nan", breakerPayload(BreakerOpen, 0, unit.Seconds(math.NaN()), 0, 1)},
 		{"opened-at-inf", breakerPayload(BreakerOpen, 0, unit.Seconds(math.Inf(1)), 0, 1)},
 		{"opened-at-negative", breakerPayload(BreakerOpen, 0, -unit.Microsecond, 0, 1)},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			b := NewBreaker(cfg)
+			var b Breaker
 			if err := b.RestoreState(snapshot.NewDecoder(tc.payload)); !errors.Is(err, snapshot.ErrCorruptSnapshot) {
 				t.Fatalf("err %v, want ErrCorruptSnapshot", err)
 			}
-			if b != NewBreaker(cfg) {
+			if b != (Breaker{}) {
 				t.Fatalf("refused restore changed the breaker: %+v", b)
 			}
 		})
@@ -220,16 +212,16 @@ func TestBreakerRestoreRefusesImpossibleCounters(t *testing.T) {
 	// The limits themselves restore: a streak one short of tripping,
 	// and a half-open breaker holding its full probe quota, which then
 	// admits no more.
-	b := NewBreaker(cfg)
-	if err := b.RestoreState(snapshot.NewDecoder(breakerPayload(BreakerClosed, cfg.FailThreshold-1, 0, 0, 3))); err != nil {
+	var b Breaker
+	if err := b.RestoreState(snapshot.NewDecoder(breakerPayload(BreakerClosed, BreakerFailThreshold-1, 0, 0, 3))); err != nil {
 		t.Fatal(err)
 	}
 	b.Failure(0)
 	if b.State() != BreakerOpen {
 		t.Fatalf("streak one short of the threshold did not trip on the next failure: %v", b.State())
 	}
-	b = NewBreaker(cfg)
-	if err := b.RestoreState(snapshot.NewDecoder(breakerPayload(BreakerHalfOpen, 0, unit.Millisecond, cfg.HalfOpenProbes, 1))); err != nil {
+	b = Breaker{}
+	if err := b.RestoreState(snapshot.NewDecoder(breakerPayload(BreakerHalfOpen, 0, unit.Millisecond, breakerHalfOpenProbes, 1))); err != nil {
 		t.Fatal(err)
 	}
 	if err := b.Allow(2 * unit.Millisecond); !errors.Is(err, ErrBreakerOpen) {

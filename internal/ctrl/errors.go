@@ -18,10 +18,12 @@
 //  2. Deadline: a request whose queue wait alone would overrun its
 //     deadline is rejected with ErrDeadlineExceeded before it touches
 //     the allocator.
-//  3. Breaker: each fabric region (wafer) owns a circuit breaker;
-//     consecutive setup failures trip it open and requests for the
-//     region fail fast with ErrBreakerOpen until the cooldown elapses
-//     and a half-open probe succeeds.
+//  3. Breaker: the server keeps one circuit breaker per chip, and a
+//     request meets the breaker of the chip at its A endpoint.
+//     BreakerFailThreshold (8) consecutive setup failures trip it
+//     open; requests for the chip then fail fast with ErrBreakerOpen
+//     until breakerCooldown (1 ms) elapses, and a half-open breaker
+//     admits breakerHalfOpenProbes (1) probe, whose success closes it.
 //  4. Degradation ladder: a failed fast-path establish transparently
 //     falls back to width-halving (EstablishDegraded); circuits broken
 //     by faults are rerouted first, then degraded, then shed. The wire
@@ -43,10 +45,9 @@ var ErrOverloaded = errors.New("ctrl: controller overloaded, request shed")
 // budget the client attached to the request.
 var ErrDeadlineExceeded = errors.New("ctrl: request deadline exceeded")
 
-// ErrBreakerOpen reports that the fabric region's circuit breaker is
-// open after consecutive setup failures: the controller fails fast
-// instead of burning allocator work on a region that is currently
-// unroutable.
+// ErrBreakerOpen reports that the chip's circuit breaker is open after
+// consecutive setup failures: the controller fails fast instead of
+// burning allocator work on a chip that is currently unroutable.
 var ErrBreakerOpen = errors.New("ctrl: region circuit breaker open")
 
 // Preallocated Allow rejections: a tripped breaker turns away every

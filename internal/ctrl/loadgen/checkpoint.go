@@ -30,8 +30,10 @@ import (
 // circuits' ready times. Version 6 carries the server's version 6
 // state: no failed-reroute count, and a digest of every wafer field.
 // Version 7 carries the server's version 7 state: circuits' link
-// reports drop the stored BER.
-const checkpointVersion = 7
+// reports drop the stored BER. Version 8 carries the server's version
+// 8 state, whose config digest drops the constant service times and
+// breaker tuning.
+const checkpointVersion = 8
 
 // checkpointEvery is the default checkpoint cadence in event
 // boundaries.

@@ -27,12 +27,10 @@ type Config struct {
 	// QueueCap bounds the admitted-but-unfinished request backlog;
 	// arrivals beyond it are shed with ErrOverloaded (default 512).
 	QueueCap int
-	// EstablishService, ReleaseService and RerouteService are the
-	// modeled controller service times per operation class; they are
-	// what advances the virtual clock.
-	EstablishService, ReleaseService, RerouteService unit.Seconds
-	// Breaker tunes the per-region circuit breakers.
-	Breaker BreakerConfig
+	// EstablishService is the modeled controller service time of an
+	// establish; with releaseService and rerouteService it is what
+	// advances the virtual clock (default 2 us).
+	EstablishService unit.Seconds
 	// Audit selects the invariant auditor's mode (default Sampled).
 	Audit invariant.Mode
 }
@@ -46,9 +44,6 @@ func DefaultConfig() Config {
 		WaferConfig:      wafer.DefaultConfig(),
 		QueueCap:         512,
 		EstablishService: 2 * unit.Microsecond,
-		ReleaseService:   500 * unit.Nanosecond,
-		RerouteService:   3 * unit.Microsecond,
-		Breaker:          DefaultBreakerConfig(),
 		Audit:            invariant.Sampled,
 	}
 }
@@ -68,13 +63,6 @@ func (c Config) withDefaults() Config {
 	if c.EstablishService <= 0 {
 		c.EstablishService = d.EstablishService
 	}
-	if c.ReleaseService <= 0 {
-		c.ReleaseService = d.ReleaseService
-	}
-	if c.RerouteService <= 0 {
-		c.RerouteService = d.RerouteService
-	}
-	c.Breaker = c.Breaker.withDefaults()
 	if c.Audit == 0 {
 		c.Audit = d.Audit
 	}
@@ -119,8 +107,9 @@ type Server struct {
 	cfg   Config
 	alloc *route.Allocator
 	aud   *invariant.Auditor
-	// breakers holds one breaker per chip by value; breakerFor hands
-	// out pointers into it, so it is sized once and never appended to.
+	// breakers holds one breaker per chip by value, each starting as
+	// the closed zero value; breakerFor hands out pointers into it, so
+	// it is sized once and never appended to.
 	breakers []Breaker
 
 	now unit.Seconds // virtual clock: latest observed event time
@@ -157,9 +146,6 @@ func NewServer(cfg Config) (*Server, error) {
 		aud:             invariant.Attach(alloc, cfg.Audit),
 		breakers:        make([]Breaker, rack.NumChips()),
 		queueFullDetail: "queue full (cap " + strconv.Itoa(cfg.QueueCap) + ")",
-	}
-	for i := range s.breakers {
-		s.breakers[i] = NewBreaker(cfg.Breaker)
 	}
 	return s, nil
 }
@@ -381,13 +367,20 @@ func (s *Server) validate(req Request) (*route.Circuit, Status, string) {
 	return nil, StatusOK, ""
 }
 
+// The modeled controller service times of a release and a reroute;
+// an establish takes Config.EstablishService.
+const (
+	releaseService = 500 * unit.Nanosecond
+	rerouteService = 3 * unit.Microsecond
+)
+
 // serviceTime returns the modeled controller service time per op.
 func (s *Server) serviceTime(op Op) unit.Seconds {
 	switch op {
 	case OpRelease:
-		return s.cfg.ReleaseService
+		return releaseService
 	case OpReroute:
-		return s.cfg.RerouteService
+		return rerouteService
 	default:
 		return s.cfg.EstablishService
 	}

@@ -154,13 +154,12 @@ func TestServerDeadline(t *testing.T) {
 // half-open probe.
 func TestServerBreakerFencesDeadChip(t *testing.T) {
 	s := newTestServer(t, nil)
-	cfg := s.Config()
 	if _, err := s.ApplyFault(chaos.Fault{Class: chaos.ChipFailure, Chip: 12}, 0); err != nil {
 		t.Fatal(err)
 	}
 	var endpoint, fast int
 	at := unit.Seconds(0)
-	for i := 0; i < 3*cfg.Breaker.FailThreshold; i++ {
+	for i := 0; i < 3*BreakerFailThreshold; i++ {
 		at += 100 * unit.Nanosecond
 		switch resp := submit(s, Request{Op: OpEstablish, A: 12, B: 30, Width: 1}, at); resp.Status {
 		case StatusEndpointFailed:
@@ -171,9 +170,9 @@ func TestServerBreakerFencesDeadChip(t *testing.T) {
 			t.Fatalf("dead-chip establish %d: %+v", i, resp)
 		}
 	}
-	if endpoint != cfg.Breaker.FailThreshold || fast != 2*cfg.Breaker.FailThreshold {
+	if endpoint != BreakerFailThreshold || fast != 2*BreakerFailThreshold {
 		t.Fatalf("endpoint %d fast %d, want %d and %d",
-			endpoint, fast, cfg.Breaker.FailThreshold, 2*cfg.Breaker.FailThreshold)
+			endpoint, fast, BreakerFailThreshold, 2*BreakerFailThreshold)
 	}
 	// Healthy chips are unaffected: breakers are per chip.
 	if resp := submit(s, Request{Op: OpEstablish, A: 13, B: 30, Width: 1}, at); resp.Status != StatusOK {
@@ -183,7 +182,7 @@ func TestServerBreakerFencesDeadChip(t *testing.T) {
 	// dead) chip once, then fails fast again. The breaker tripped at
 	// its service start time (behind the committed backlog), so jump
 	// well past cooldown + the backlog's worth of service.
-	at = s.Clock() + cfg.Breaker.Cooldown + 100*unit.Microsecond
+	at = s.Clock() + breakerCooldown + 100*unit.Microsecond
 	if resp := submit(s, Request{Op: OpEstablish, A: 12, B: 30, Width: 1}, at); resp.Status != StatusEndpointFailed {
 		t.Fatalf("half-open probe: %+v", resp)
 	}

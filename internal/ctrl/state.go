@@ -28,7 +28,9 @@ import (
 // holds, and its config digest covers every wafer.Config field.
 // Version 7 drops each circuit's stored BER from the allocator's
 // section; the received power it derives from is still there.
-const CheckpointVersion = 7
+// Version 8's config digest drops the release and reroute service
+// times and the breaker tuning, which are constants now.
+const CheckpointVersion = 8
 
 // configDigest encodes every Config field that shapes controller
 // behavior. Restores compare digests byte-for-byte: a checkpoint is
@@ -49,11 +51,6 @@ func (s *Server) configDigest() []byte {
 	snapshot.Unit(&e, c.WaferConfig.WaveguidePitch)
 	e.Int(c.QueueCap)
 	snapshot.Unit(&e, c.EstablishService)
-	snapshot.Unit(&e, c.ReleaseService)
-	snapshot.Unit(&e, c.RerouteService)
-	e.Int(c.Breaker.FailThreshold)
-	snapshot.Unit(&e, c.Breaker.Cooldown)
-	e.Int(c.Breaker.HalfOpenProbes)
 	e.Int(int(c.Audit))
 	return e.Bytes()
 }

@@ -19,7 +19,7 @@ import (
 // workServer drives a server through a representative mixed history:
 // establishes (some degraded), releases, a chip-death fault with its
 // reroutes, breaker traffic and shed arrivals.
-func workServer(t *testing.T, s *Server) {
+func workServer(t testing.TB, s *Server) {
 	t.Helper()
 	at := unit.Seconds(0)
 	var circuits []int

@@ -169,7 +169,6 @@ func Chaos(seed uint64, trials int, bufferBytes unit.Bytes) (ChaosResult, error)
 	res := ChaosResult{AllCorrect: true, WithinBound: true}
 	var sumMTTR, sumGoodput float64
 	var sumOpt, sumElec float64
-	pol := core.DefaultChaosPolicy()
 	type chaosOutcome struct {
 		trial    ChaosTrial
 		bound    unit.Seconds
@@ -197,7 +196,7 @@ func Chaos(seed uint64, trials int, bufferBytes unit.Bytes) (ChaosResult, error)
 		if err != nil {
 			return chaosOutcome{}, err
 		}
-		outcome, err := fabric.RunPlannedAllReduceUnderFault(sc.Alloc, probePlan.Clone(), victim, failStep, pol)
+		outcome, err := fabric.RunPlannedAllReduceUnderFault(sc.Alloc, probePlan.Clone(), victim, failStep)
 		if err != nil {
 			return chaosOutcome{}, fmt.Errorf("experiments: trial %d (chip %d, step %d): %w", i, victim, failStep, err)
 		}

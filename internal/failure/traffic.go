@@ -33,7 +33,7 @@ type sliceTraffic struct {
 //     impose no ring traffic.
 func trafficFor(t *torus.Torus, a *torus.Allocation, si int) sliceTraffic {
 	s := a.Slices()[si]
-	usable := a.UsableDims(si, false)
+	usable := a.UsableDims(si)
 	active := 0
 	for _, e := range s.Shape {
 		if e >= 2 {

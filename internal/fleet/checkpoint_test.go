@@ -389,6 +389,24 @@ func TestResumeRejectsUnreachableState(t *testing.T) {
 				s.repairs.Push(s.cfg.Horizon, 0)
 			}
 		}},
+		// The circuit table disagrees with the rack beside it: the
+		// restore's full audit refuses both.
+		{"segment on a bus its circuit does not hold", func(_ *testing.T, s *soak) {
+			seg := &s.alloc.Circuits()[0].Segments[0]
+			seg.Ref.Bus = s.rack.Config().BusesPerLane - 1
+		}},
+		{"fiber pointed at a free fiber", func(t *testing.T, s *soak) {
+			for _, c := range s.alloc.Circuits() {
+				if len(c.Fibers) == 0 {
+					continue
+				}
+				f := &c.Fibers[0]
+				for f.Fiber = 0; s.rack.FiberAllocated(*f); f.Fiber++ {
+				}
+				return
+			}
+			t.Fatal("no circuit crosses a trunk at this boundary")
+		}},
 	}
 	// resume seals the soak mutate leaves behind and resumes it.
 	resume := func(t *testing.T, mutate func(*testing.T, *soak)) error {

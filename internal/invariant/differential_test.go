@@ -36,11 +36,7 @@ func randomState(t testing.TB, seed uint64, steps int) *route.Allocator {
 func randomStream(t testing.TB, seed uint64, weights [3]int) (*route.Allocator, func(i int)) {
 	t.Helper()
 	r := rng.New(seed)
-	topo := wafer.Chain
-	if r.Intn(2) == 0 {
-		topo = wafer.RingTopology
-	}
-	rack, err := wafer.NewRackTopology(wafer.DefaultConfig(), 2+r.Intn(2), topo)
+	rack, err := wafer.NewRack(wafer.DefaultConfig(), 2+r.Intn(2))
 	if err != nil {
 		t.Fatal(err)
 	}

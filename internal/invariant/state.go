@@ -29,6 +29,14 @@ func (d *Auditor) EncodeState(e *snapshot.Encoder) {
 // RestoreState replays counters captured by EncodeState into a
 // freshly attached auditor. The delta index is not part of the
 // snapshot, so a restored Sampled auditor's first audit is a full pass.
+//
+// Owners restore the auditor right after its allocator, so RestoreState
+// ends, in every mode, with one full registry pass over the allocator
+// and rack just restored. A CRC-valid payload can still hold circuits
+// whose segments or fibers the rack does not hold, and a later release
+// would panic on them; when the restored record is clean, the first
+// violation the pass finds refuses the snapshot. The pass leaves the
+// counters, the record and the index's validity as restored.
 func (d *Auditor) RestoreState(dec *snapshot.Decoder) error {
 	d.mutations = dec.Int()
 	d.audits = dec.Int()
@@ -59,6 +67,19 @@ func (d *Auditor) RestoreState(dec *snapshot.Decoder) error {
 	if len(d.recorded) > min(d.count, maxRecorded) {
 		return fmt.Errorf("%w: %d violations recorded, more than count %d or the cap %d allow",
 			snapshot.ErrCorruptSnapshot, len(d.recorded), d.count, maxRecorded)
+	}
+	if d.count > 0 {
+		// A run that already saw violations may hold hardware state
+		// that disagrees with its circuits; it resumes to report them.
+		return nil
+	}
+	d.ctx.audit(d.alloc)
+	d.ctx.idx.valid = false
+	for i, inv := range registry {
+		if details := d.ctx.out[i]; len(details) > 0 {
+			return fmt.Errorf("%w: restored state violates %s: %s",
+				snapshot.ErrCorruptSnapshot, inv.Name, details[0])
+		}
 	}
 	return nil
 }

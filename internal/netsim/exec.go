@@ -19,10 +19,6 @@ type ExecOptions struct {
 	// Reconfig is added before reconfiguration-marked steps (optical
 	// execution); electrical executors pass zero.
 	Reconfig unit.Seconds
-	// HopLatency is the store-and-forward latency per link of a
-	// multi-hop electrical path (zero for the fluid-only model). Each
-	// step is stretched by its longest path's latency.
-	HopLatency unit.Seconds
 }
 
 // Executor runs collective schedules on the fluid simulator, reusing
@@ -64,7 +60,6 @@ func (e *Executor) Electrical(s *collective.Schedule, t *torus.Torus, linkBW uni
 			e.pathBuf = make([]torus.Link, 0, len(step.Transfers))
 		}
 		e.pathBuf = e.pathBuf[:0]
-		longestPath := 0
 		for _, tr := range step.Transfers {
 			var path []torus.Link
 			if pathOf != nil {
@@ -77,9 +72,6 @@ func (e *Executor) Electrical(s *collective.Schedule, t *torus.Torus, linkBW uni
 				e.pathBuf = append(e.pathBuf, l)
 				path = e.pathBuf[len(e.pathBuf)-1:]
 			}
-			if len(path) > longestPath {
-				longestPath = len(path)
-			}
 			for _, l := range path {
 				e.caps[l] = linkBW
 			}
@@ -89,7 +81,7 @@ func (e *Executor) Electrical(s *collective.Schedule, t *torus.Torus, linkBW uni
 		if err != nil {
 			return 0, fmt.Errorf("netsim: step %d: %w", si, err)
 		}
-		total += opt.Alpha + res.Makespan + unit.Seconds(longestPath)*opt.HopLatency
+		total += opt.Alpha + res.Makespan
 	}
 	return total, nil
 }

@@ -200,30 +200,6 @@ func TestReconfigOnlyChargedWhenMarked(t *testing.T) {
 	}
 }
 
-func TestHopLatencyStretchesSteps(t *testing.T) {
-	var e Executor
-	tor := rack()
-	sched := &collective.Schedule{
-		N: 1 << 10, ElemBytes: 1,
-		Steps: []collective.Step{
-			{Transfers: []collective.Transfer{{From: 0, To: 2, Range: collective.Range{Lo: 0, Hi: 1 << 10}}}},
-		},
-	}
-	path := func(tr collective.Transfer) []torus.Link { return tor.DORPath(tr.From, tr.To) }
-	base, err := e.Electrical(sched, tor, unit.GBps(1), path, ExecOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	withHops, err := e.Electrical(sched, tor, unit.GBps(1), path, ExecOptions{HopLatency: unit.Microsecond})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// 0 -> 2 is a 2-hop DOR path: +2us.
-	if diff := withHops - base; math.Abs(float64(diff-2*unit.Microsecond)) > 1e-12 {
-		t.Fatalf("hop surcharge = %v, want 2us", diff)
-	}
-}
-
 // Property: for random realizable slices, the optical executor equals
 // the analytic cost model on bucket schedules too (not just snakes).
 func TestOpticalMatchesCostModelProperty(t *testing.T) {

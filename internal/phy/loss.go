@@ -98,12 +98,11 @@ type LossElement struct {
 // circuit. A LossModel is seeded so that the stitch-loss draw for a
 // given experiment is reproducible.
 type LossModel struct {
-	// CrossingDB overrides CrossingLossDB when positive.
+	// CrossingDB overrides CrossingLossDB when positive. The program
+	// never sets it; the establish differential in package route does,
+	// to put crossing losses off the binary grid, where the loss
+	// tally's element order shows in the total's bits.
 	CrossingDB unit.Decibel
-	// PropagationDBPerCm overrides PropagationLossDBPerCm when positive.
-	PropagationDBPerCm unit.Decibel
-	// CouplingDB overrides CouplingLossDB when positive.
-	CouplingDB unit.Decibel
 
 	rand *rng.Rand
 }
@@ -120,20 +119,6 @@ func (m *LossModel) crossing() unit.Decibel {
 		return m.CrossingDB
 	}
 	return CrossingLossDB
-}
-
-func (m *LossModel) propagationPerCm() unit.Decibel {
-	if m.PropagationDBPerCm > 0 {
-		return m.PropagationDBPerCm
-	}
-	return PropagationLossDBPerCm
-}
-
-func (m *LossModel) coupling() unit.Decibel {
-	if m.CouplingDB > 0 {
-		return m.CouplingDB
-	}
-	return CouplingLossDB
 }
 
 // SampleStitchLoss draws one reticle-stitch loss. The distribution is
@@ -166,7 +151,7 @@ func (m *LossModel) Stitch() LossElement {
 // the given length.
 func (m *LossModel) Propagation(length unit.Meters) LossElement {
 	cm := float64(length) / float64(unit.Centimeter)
-	return LossElement{Kind: LossPropagation, DB: unit.Decibel(cm) * m.propagationPerCm()}
+	return LossElement{Kind: LossPropagation, DB: unit.Decibel(cm) * PropagationLossDBPerCm}
 }
 
 // MZIPass returns the insertion loss element for traversing one MZI.
@@ -176,7 +161,7 @@ func (m *LossModel) MZIPass() LossElement {
 
 // Coupling returns one chip-waveguide coupling loss element.
 func (m *LossModel) Coupling() LossElement {
-	return LossElement{Kind: LossCoupling, DB: m.coupling()}
+	return LossElement{Kind: LossCoupling, DB: CouplingLossDB}
 }
 
 // FiberHop returns the loss element of one inter-wafer fiber hop.

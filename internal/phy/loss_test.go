@@ -26,15 +26,9 @@ func TestLossModelDefaults(t *testing.T) {
 }
 
 func TestLossModelOverrides(t *testing.T) {
-	m := &LossModel{CrossingDB: 0.1, PropagationDBPerCm: 2, CouplingDB: 0.5}
+	m := &LossModel{CrossingDB: 0.1}
 	if got := m.Crossing().DB; got != 0.1 {
 		t.Fatalf("overridden crossing = %v, want 0.1", got)
-	}
-	if got := m.Propagation(unit.Centimeter).DB; got != 2 {
-		t.Fatalf("overridden propagation(1cm) = %v, want 2", got)
-	}
-	if got := m.Coupling().DB; got != 0.5 {
-		t.Fatalf("overridden coupling = %v, want 0.5", got)
 	}
 }
 

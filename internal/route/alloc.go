@@ -79,14 +79,6 @@ type allocScratch struct {
 	pending []wafer.BusRef
 }
 
-// direction is one way around the wafer cascade a cross-wafer plan
-// can take.
-type direction struct {
-	trunks            []int
-	inters            []int // intermediate wafers in path order
-	exitCol, enterCol int   // source exit / destination entry columns
-}
-
 // rowUse ranks a trunk row for the fiber-packing heuristic.
 type rowUse struct{ row, used, free int }
 
@@ -186,18 +178,24 @@ const (
 )
 
 // planKey names one candidate plan before its steps are built: a
-// same-wafer L-shape or detour lane, or a cross-wafer direction, fiber
-// row and turn order. The trunks and fiber row are all the probe's
-// first check reads, so a plan on a full fiber row is turned down
-// without its steps ever being built.
+// same-wafer L-shape or detour lane, or a cross-wafer fiber row and
+// turn order. The trunks and fiber row are all the probe's first check
+// reads, so a plan on a full fiber row is turned down without its
+// steps ever being built.
 type planKey struct {
 	kind     planKind
-	hFirst   bool  // L-shapes: the horizontal leg comes first
-	lane     int   // detours: the middle leg's column or row
-	dir      int   // cross-wafer: index into the generator's directions
-	fiberRow int   // tile row used for every fiber hop; -1 on one wafer
-	trunks   []int // trunk indices crossed, in path order
+	hFirst   bool // L-shapes: the horizontal leg comes first
+	lane     int  // detours: the middle leg's column or row
+	fiberRow int  // tile row used for every fiber hop; -1 on one wafer
+	// trunks are the trunks crossed, in path order: on a chain, the
+	// ones between the lower wafer and the higher. Empty on one wafer.
+	trunks trunkRange
 }
+
+// trunkRange is the trunks [lo, hi) a cross-wafer plan crosses: trunk
+// t joins wafers t and t+1, so a plan from wafer a to wafer b > a
+// crosses [a, b) and each of them once.
+type trunkRange struct{ lo, hi int }
 
 // plan is a candidate path: its key and, once built, its steps.
 type plan struct {
@@ -206,11 +204,10 @@ type plan struct {
 	turns int
 }
 
-// clone copies p out of the scratch its steps and trunks point into,
-// for a caller that keeps it past the generator's next start.
+// clone copies p out of the scratch its steps point into, for a
+// caller that keeps it past the generator's next start.
 func (p plan) clone() plan {
 	p.steps = slices.Clone(p.steps)
-	p.trunks = slices.Clone(p.trunks)
 	return p
 }
 
@@ -252,21 +249,16 @@ func intraWaferSteps(steps []planStep, w, r1, c1, r2, c2 int, hFirst bool) []pla
 type planGen struct {
 	a                      *Allocator
 	wA, rA, cA, wB, rB, cB int // endpoints, the lower wafer first
-	dirs                   []direction
 	// The cursor. On one wafer i counts through the L-shapes and the
-	// detour lanes; across wafers dir is the current direction, rows
-	// its fiber-row order once ranked, and i counts two keys a row.
+	// detour lanes; across wafers rows is the fiber-row order once
+	// ranked, and i counts two keys a row.
 	i      int
-	dir    int
 	rows   []int
 	ranked bool
 }
 
 // startPlans resets the scratch generator for a chip pair and returns
-// it. A cross-wafer pair gets its cascade directions here: clockwise
-// always; the ring topology also offers the counterclockwise way
-// around, which is shorter when the wafers are more than half the
-// cascade apart, and the shorter direction goes first.
+// it.
 func (a *Allocator) startPlans(chipA, chipB int) *planGen {
 	g := &a.scratch.gen
 	g.a = a
@@ -275,48 +267,8 @@ func (a *Allocator) startPlans(chipA, chipB int) *planGen {
 	if g.wA > g.wB {
 		g.wA, g.rA, g.cA, g.wB, g.rB, g.cB = g.wB, g.rB, g.cB, g.wA, g.rA, g.cA
 	}
-	g.dirs = g.dirs[:0]
-	g.i, g.dir, g.rows, g.ranked = 0, 0, nil, false
-	if g.wA == g.wB {
-		return g
-	}
-	cols, nw := a.rack.Config().Cols, a.rack.NumWafers()
-	cw := g.nextDirection(cols-1, 0)
-	for t := g.wA; t != g.wB; t = (t + 1) % nw {
-		cw.trunks = append(cw.trunks, t)
-		if next := (t + 1) % nw; next != g.wB {
-			cw.inters = append(cw.inters, next)
-		}
-	}
-	if a.rack.Topology() == wafer.RingTopology && nw >= 2 {
-		// nextDirection may move g.dirs, so cw is not used past here.
-		ccw := g.nextDirection(0, cols-1)
-		for w := g.wA; w != g.wB; w = (w - 1 + nw) % nw {
-			ccw.trunks = append(ccw.trunks, (w-1+nw)%nw)
-			if prev := (w - 1 + nw) % nw; prev != g.wB {
-				ccw.inters = append(ccw.inters, prev)
-			}
-		}
-		if len(g.dirs[1].trunks) < len(g.dirs[0].trunks) {
-			g.dirs[0], g.dirs[1] = g.dirs[1], g.dirs[0]
-		}
-	}
+	g.i, g.rows, g.ranked = 0, nil, false
 	return g
-}
-
-// nextDirection appends an empty direction, recycling the slot's
-// trunks/inters capacity from earlier starts.
-func (g *planGen) nextDirection(exitCol, enterCol int) *direction {
-	if len(g.dirs) < cap(g.dirs) {
-		g.dirs = g.dirs[:len(g.dirs)+1]
-	} else {
-		g.dirs = append(g.dirs, direction{})
-	}
-	d := &g.dirs[len(g.dirs)-1]
-	d.trunks = d.trunks[:0]
-	d.inters = d.inters[:0]
-	d.exitCol, d.enterCol = exitCol, enterCol
-	return d
 }
 
 // next returns the next candidate plan's key in preference order, or
@@ -325,31 +277,27 @@ func (g *planGen) nextDirection(exitCol, enterCol int) *direction {
 // variants are blocked by bus exhaustion, route via an intermediate
 // column (H-V-H) or row (V-H-V); the photonic mesh's path diversity is
 // the point of Figure 4's 10,000 waveguides. Across wafers: for each
-// direction and each usable fiber row in preference order, the two L
-// orders. A direction's rows are ranked when the walk reaches it,
-// which sees the fabric ranking them all up front would have seen:
-// nothing is allocated until the walk stops.
+// usable fiber row in preference order, the two L orders. The rows are
+// ranked when the walk first asks for one, which sees the fabric
+// ranking them at start would have seen: nothing is allocated until
+// the walk stops.
 func (g *planGen) next() (planKey, bool) {
 	if g.wA == g.wB {
 		return g.nextOnWafer()
 	}
-	for g.dir < len(g.dirs) {
-		trunks := g.dirs[g.dir].trunks
-		if !g.ranked {
-			g.rows, g.ranked, g.i = g.a.fiberRowOrder(g.rA, trunks), true, 0
+	trunks := trunkRange{lo: g.wA, hi: g.wB}
+	if !g.ranked {
+		g.rows, g.ranked = g.a.fiberRowOrder(g.rA, trunks), true
+	}
+	for g.i < 2*len(g.rows) {
+		i := g.i
+		g.i++
+		row := g.rows[i/2]
+		if i%2 == 0 && !g.a.rowUsable(row, trunks) {
+			g.i++ // neither L order can use the row
+			continue
 		}
-		for g.i < 2*len(g.rows) {
-			i := g.i
-			g.i++
-			row := g.rows[i/2]
-			if i%2 == 0 && !g.a.rowUsable(row, trunks) {
-				g.i++ // neither L order can use the row
-				continue
-			}
-			return planKey{kind: planCross, hFirst: i%2 == 0, dir: g.dir, fiberRow: row, trunks: trunks}, true
-		}
-		g.dir++
-		g.ranked = false
+		return planKey{kind: planCross, hFirst: i%2 == 0, fiberRow: row, trunks: trunks}, true
 	}
 	return planKey{}, false
 }
@@ -400,16 +348,16 @@ func (g *planGen) build(p *plan) {
 			planStep{wafer: g.wA, o: wafer.Horizontal, lane: p.lane, span: span(g.cA, g.cB)},
 			planStep{wafer: g.wA, o: wafer.Vertical, lane: g.cB, span: span(p.lane, g.rB)})
 	case planCross:
-		dir, row := &g.dirs[p.dir], p.fiberRow
-		// Source wafer: to the exit edge at the fiber row.
-		steps = intraWaferSteps(steps, g.wA, g.rA, g.cA, row, dir.exitCol, p.hFirst)
+		row, lastCol := p.fiberRow, g.a.rack.Config().Cols-1
+		// Source wafer: to its right edge at the fiber row.
+		steps = intraWaferSteps(steps, g.wA, g.rA, g.cA, row, lastCol, p.hFirst)
 		// Intermediate wafers: straight across the fiber row.
-		full := wafer.Interval{Lo: 0, Hi: g.a.rack.Config().Cols - 1}
-		for _, w := range dir.inters {
+		full := wafer.Interval{Lo: 0, Hi: lastCol}
+		for w := g.wA + 1; w < g.wB; w++ {
 			steps = append(steps, planStep{wafer: w, o: wafer.Horizontal, lane: row, span: full})
 		}
-		// Destination wafer: from the entry edge.
-		steps = intraWaferSteps(steps, g.wB, row, dir.enterCol, g.rB, g.cB, p.hFirst)
+		// Destination wafer: from its left edge.
+		steps = intraWaferSteps(steps, g.wB, row, 0, g.rB, g.cB, p.hFirst)
 	}
 	p.steps = steps
 	p.turns = max(0, len(steps)-1)
@@ -420,7 +368,7 @@ func (g *planGen) build(p *plan) {
 // the packing regime it is recomputed into scratch (occupancy changes
 // between calls). Either way the result is read-only for the caller
 // and valid until the next call.
-func (a *Allocator) fiberRowOrder(srcRow int, trunks []int) []int {
+func (a *Allocator) fiberRowOrder(srcRow int, trunks trunkRange) []int {
 	if !a.PackFibers {
 		// Shortest-path preference: the source row first, then the
 		// rest — geometry only, precomputed in NewAllocator.
@@ -459,10 +407,10 @@ func (a *Allocator) fiberRowOrder(srcRow int, trunks []int) []int {
 // fiberRowOccupancy reports how many fibers of the row are used and
 // free across the trunks the path must cross, taking the minimum free
 // across trunks (every trunk needs one).
-func (a *Allocator) fiberRowOccupancy(row int, trunks []int) (used, free int) {
+func (a *Allocator) fiberRowOccupancy(row int, trunks trunkRange) (used, free int) {
 	cfg := a.rack.Config()
 	free = cfg.FibersPerEdge
-	for _, tr := range trunks {
+	for tr := trunks.lo; tr < trunks.hi; tr++ {
 		u := a.rack.FibersInRow(tr, row)
 		used += u
 		if f := cfg.FibersPerEdge - u; f < free {
@@ -695,16 +643,8 @@ func (a *Allocator) probe(req Request, p plan) (verdict, []switchUse) {
 //
 //lightpath:hotloop
 func (a *Allocator) probeFibers(k planKey) verdict {
-	for i, tr := range k.trunks {
-		// A plan crosses each trunk once, but count repeats anyway:
-		// every crossing takes its own fiber.
-		need := 1
-		for _, prev := range k.trunks[:i] {
-			if prev == tr {
-				need++
-			}
-		}
-		if !a.rack.FibersFree(tr, k.fiberRow, need) {
+	for tr := k.trunks.lo; tr < k.trunks.hi; tr++ {
+		if !a.rack.FiberFree(tr, k.fiberRow) {
 			return verdict{cause: causeFiber}
 		}
 	}
@@ -777,7 +717,7 @@ func (a *Allocator) place(req Request, p plan, switches []switchUse, link phy.Li
 		segs = append(segs, Segment{Wafer: st.wafer, Ref: ref})
 	}
 	fibers := a.scratch.fibers[:0]
-	for _, tr := range p.trunks {
+	for tr := p.trunks.lo; tr < p.trunks.hi; tr++ {
 		ref, err := a.rack.AllocFiber(tr, p.fiberRow)
 		if err != nil {
 			panic(err)
@@ -886,7 +826,7 @@ func (a *Allocator) evaluate(p plan) phy.LinkReport {
 	for i := 0; i < p.turns; i++ {
 		t.Add(crossing)
 	}
-	for range p.trunks {
+	for range p.trunks.hi - p.trunks.lo {
 		t.Add(fiber)
 	}
 	return a.Budget.Evaluate(t)

@@ -330,27 +330,6 @@ func TestAllocatorProperty(t *testing.T) {
 	}
 }
 
-func TestRingTopologyTakesShortWayAround(t *testing.T) {
-	cfg := wafer.DefaultConfig()
-	ring, err := wafer.NewRackTopology(cfg, 4, wafer.RingTopology)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a := NewAllocator(ring, rng.New(1))
-	// Wafer 0 chip 0 to wafer 3 chip 96: counterclockwise over the
-	// closing trunk (index 3) is 1 hop instead of 3.
-	c, err := a.Establish(Request{A: 0, B: 96, Width: 1}, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(c.Fibers) != 1 {
-		t.Fatalf("ring path fibers = %d, want 1 (short way)", len(c.Fibers))
-	}
-	if c.Fibers[0].Trunk != 3 {
-		t.Fatalf("ring path trunk = %d, want 3 (the closing trunk)", c.Fibers[0].Trunk)
-	}
-}
-
 func TestChainTopologyHasNoShortcut(t *testing.T) {
 	chain, err := wafer.NewRack(wafer.DefaultConfig(), 4)
 	if err != nil {
@@ -363,52 +342,6 @@ func TestChainTopologyHasNoShortcut(t *testing.T) {
 	}
 	if len(c.Fibers) != 3 {
 		t.Fatalf("chain path fibers = %d, want 3", len(c.Fibers))
-	}
-}
-
-func TestRingReducesWorstCaseLoss(t *testing.T) {
-	cfg := wafer.DefaultConfig()
-	mk := func(topo wafer.Topology) *Circuit {
-		rack, err := wafer.NewRackTopology(cfg, 6, topo)
-		if err != nil {
-			t.Fatal(err)
-		}
-		a := NewAllocator(rack, nil) // mean losses: deterministic comparison
-		c, err := a.Establish(Request{A: 0, B: 5 * 32, Width: 1}, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return c
-	}
-	chain := mk(wafer.Chain)
-	ring := mk(wafer.RingTopology)
-	if ring.Link.TotalLossDB >= chain.Link.TotalLossDB {
-		t.Fatalf("ring loss %v >= chain loss %v for distant wafers",
-			ring.Link.TotalLossDB, chain.Link.TotalLossDB)
-	}
-}
-
-func TestRingDisjointnessStillHolds(t *testing.T) {
-	cfg := wafer.DefaultConfig()
-	rack, err := wafer.NewRackTopology(cfg, 4, wafer.RingTopology)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a := NewAllocator(rack, rng.New(9))
-	var reqs []Request
-	for i := 0; i < 24; i++ {
-		reqs = append(reqs, Request{A: i, B: (i + 67) % 128, Width: 1})
-	}
-	out := a.EstablishBatch(reqs, 0)
-	if len(out.Failed) != 0 {
-		t.Fatalf("%d failures on an empty ring rack", len(out.Failed))
-	}
-	for i := range out.Circuits {
-		for j := i + 1; j < len(out.Circuits); j++ {
-			if out.Circuits[i].SharesResources(out.Circuits[j]) {
-				t.Fatal("ring circuits share resources")
-			}
-		}
 	}
 }
 
@@ -435,66 +368,22 @@ func TestLossMonotoneInWaferDistance(t *testing.T) {
 	}
 }
 
-// Regression: fiber packing on a ring ranked the rows of both
-// directions by the clockwise trunks' occupancy, so rows full on a
-// clockwise trunk were dropped from the counterclockwise candidates
-// too, and a circuit that routes counterclockwise without packing was
-// refused with it.
-func TestRingPackFibersRanksEachDirection(t *testing.T) {
-	for _, pack := range []bool{false, true} {
-		rack, err := wafer.NewRackTopology(wafer.DefaultConfig(), 3, wafer.RingTopology)
-		if err != nil {
-			t.Fatal(err)
-		}
-		a := NewAllocator(rack, rng.New(3))
-		a.PackFibers = pack
-		cfg := rack.Config()
-		trunk0Full := func() bool {
-			for row := 0; row < cfg.Rows; row++ {
-				if rack.FibersInRow(0, row) < cfg.FibersPerEdge {
-					return false
-				}
-			}
-			return true
-		}
-		// Fill every row of trunk 0 with wafer-0 <-> wafer-1 circuits.
-		for i := 0; !trunk0Full(); i++ {
-			if i >= 2*cfg.Tiles() {
-				t.Fatalf("pack=%v: trunk 0 still not full after %d circuits", pack, i)
-			}
-			tile := i % cfg.Tiles()
-			req := Request{A: tile, B: cfg.Tiles() + tile, Width: 1} // the same tile on wafers 0 and 1
-			if _, err := a.Establish(req, 0); err != nil {
-				t.Fatalf("pack=%v: filling trunk 0: %v", pack, err)
-			}
-		}
-		c, err := a.Establish(Request{A: 1*cfg.Cols + 7, B: 2*cfg.Tiles() + 2*cfg.Cols, Width: 1}, 0)
-		if err != nil {
-			t.Fatalf("pack=%v: (0,1,7)->(2,2,0) refused: %v", pack, err)
-		}
-		if len(c.Fibers) != 1 || c.Fibers[0].Trunk != 2 {
-			t.Fatalf("pack=%v: fibers %v, want one counterclockwise hop over trunk 2", pack, c.Fibers)
-		}
-	}
-}
-
 // TestEstablishAllocatesOnlyTheCircuit pins the establish floor: with
 // plans enumerated afresh on every call, a warm Establish+Release
 // allocates exactly one object, the &Circuit it returns. The pairs
-// cover a same-wafer circuit, a cross-wafer one going clockwise and
-// one going counterclockwise over a ring's closing trunk, each in both
-// fiber-row regimes.
+// cover a same-wafer circuit, one to the next wafer and one across two
+// trunks and an intermediate wafer, each in both fiber-row regimes.
 func TestEstablishAllocatesOnlyTheCircuit(t *testing.T) {
 	for _, tc := range []struct {
 		name string
 		req  Request
 	}{
 		{"same-wafer", Request{A: 0, B: 13, Width: 1}},
-		{"clockwise", Request{A: 0, B: 40, Width: 1}},
-		{"counterclockwise", Request{A: 0, B: 96, Width: 2}},
+		{"next-wafer", Request{A: 0, B: 40, Width: 1}},
+		{"two-trunks", Request{A: 0, B: 64, Width: 2}},
 	} {
 		for _, pack := range []bool{false, true} {
-			rack, err := wafer.NewRackTopology(wafer.DefaultConfig(), 4, wafer.RingTopology)
+			rack, err := wafer.NewRack(wafer.DefaultConfig(), 4)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -520,7 +409,7 @@ func fillFiberRows(tb testing.TB, rack *wafer.Rack, rows int) {
 	tb.Helper()
 	for tr := 0; tr < rack.NumTrunks(); tr++ {
 		for row := 0; row < rows; row++ {
-			for rack.FibersFree(tr, row, 1) {
+			for rack.FiberFree(tr, row) {
 				if _, err := rack.AllocFiber(tr, row); err != nil {
 					tb.Fatal(err)
 				}

@@ -112,12 +112,14 @@ func TestDecentralizedPaysConflictAttempts(t *testing.T) {
 }
 
 // TestDecentralizedStopsAtRoundLimit: a request that loses every
-// commit walks one candidate per round. Across a two-wafer ring it has
-// 16 candidates (two directions, four rows, two L-shapes), so it would
-// need a 17th round to run out of them; the round limit reports it
-// failed after round maxRounds.
+// commit walks one candidate per round. Across two wafers of eight
+// tile rows it has 16 candidates (eight fiber rows, two L-shapes), so
+// it would need a 17th round to run out of them; the round limit
+// reports it failed after round maxRounds.
 func TestDecentralizedStopsAtRoundLimit(t *testing.T) {
-	rack, err := wafer.NewRackTopology(wafer.DefaultConfig(), 2, wafer.RingTopology)
+	cfg := wafer.DefaultConfig()
+	cfg.Rows = 8
+	rack, err := wafer.NewRack(cfg, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +128,7 @@ func TestDecentralizedStopsAtRoundLimit(t *testing.T) {
 	if err := rack.TileOf(0).Reserve(rack.TileOf(0).FreeLasers()); err != nil {
 		t.Fatal(err)
 	}
-	req := Request{A: 0, B: 32, Width: 1}
+	req := Request{A: 0, B: cfg.Tiles(), Width: 1}
 	if n := len(planKeys(a, req)); n < maxRounds {
 		t.Fatalf("%d candidate plans run out before the %d-round limit", n, maxRounds)
 	}

@@ -50,7 +50,7 @@ func (a *Allocator) ApplyFault(f chaos.Fault) ([]*Circuit, error) {
 
 	case chaos.LaserDeath:
 		tile := a.rack.TileOf(f.Chip)
-		tile.FailLasers(1)
+		tile.FailLaser()
 		// Over-commit: shed the newest circuits first until the tile's
 		// remaining lasers cover the survivors.
 		var shed []*Circuit
@@ -103,7 +103,7 @@ func (a *Allocator) Repair(f chaos.Fault) error {
 	case chaos.ChipFailure:
 		a.rack.TileOf(f.Chip).RepairChip()
 	case chaos.LaserDeath:
-		a.rack.TileOf(f.Chip).RepairLasers(1)
+		a.rack.TileOf(f.Chip).RepairLaser()
 	case chaos.MZIStuck:
 		return a.rack.TileOf(f.Chip).RepairSwitch(f.Switch)
 	case chaos.WaveguideLoss:
@@ -147,8 +147,8 @@ func (a *Allocator) circuitsWhere(keep func(*Circuit) bool) []*Circuit {
 }
 
 // rowUsable reports whether row is cut on no trunk of the path.
-func (a *Allocator) rowUsable(row int, trunks []int) bool {
-	for _, tr := range trunks {
+func (a *Allocator) rowUsable(row int, trunks trunkRange) bool {
+	for tr := trunks.lo; tr < trunks.hi; tr++ {
 		if a.rack.FiberRowCut(tr, row) {
 			return false
 		}

@@ -129,44 +129,21 @@ func (a *Allocator) referencePlans(chipA, chipB int) []plan {
 		return plans
 	}
 
-	nw := a.rack.NumWafers()
-	dirs := []direction{{exitCol: cfg.Cols - 1, enterCol: 0}}
-	for t := wA; t != wB; t = (t + 1) % nw {
-		dirs[0].trunks = append(dirs[0].trunks, t)
-		if next := (t + 1) % nw; next != wB {
-			dirs[0].inters = append(dirs[0].inters, next)
+	trunks := trunkRange{lo: wA, hi: wB}
+	for _, row := range a.fiberRowOrder(rA, trunks) {
+		if !a.rowUsable(row, trunks) {
+			continue
 		}
-	}
-	if a.rack.Topology() == wafer.RingTopology && nw >= 2 {
-		ccw := direction{exitCol: 0, enterCol: cfg.Cols - 1}
-		for w := wA; w != wB; w = (w - 1 + nw) % nw {
-			ccw.trunks = append(ccw.trunks, (w-1+nw)%nw)
-			if prev := (w - 1 + nw) % nw; prev != wB {
-				ccw.inters = append(ccw.inters, prev)
+		for _, hFirst := range [2]bool{true, false} {
+			p := nextPlan()
+			p.fiberRow = row
+			p.steps = intraWaferSteps(p.steps, wA, rA, cA, row, cfg.Cols-1, hFirst)
+			for w := wA + 1; w < wB; w++ {
+				p.steps = append(p.steps, planStep{wafer: w, o: wafer.Horizontal, lane: row, span: wafer.Interval{Lo: 0, Hi: cfg.Cols - 1}})
 			}
-		}
-		dirs = append(dirs, ccw)
-		if len(dirs[1].trunks) < len(dirs[0].trunks) {
-			dirs[0], dirs[1] = dirs[1], dirs[0]
-		}
-	}
-
-	for _, dir := range dirs {
-		for _, row := range a.fiberRowOrder(rA, dir.trunks) {
-			if !a.rowUsable(row, dir.trunks) {
-				continue
-			}
-			for _, hFirst := range [2]bool{true, false} {
-				p := nextPlan()
-				p.fiberRow = row
-				p.steps = intraWaferSteps(p.steps, wA, rA, cA, row, dir.exitCol, hFirst)
-				for _, w := range dir.inters {
-					p.steps = append(p.steps, planStep{wafer: w, o: wafer.Horizontal, lane: row, span: wafer.Interval{Lo: 0, Hi: cfg.Cols - 1}})
-				}
-				p.steps = intraWaferSteps(p.steps, wB, row, dir.enterCol, rB, cB, hFirst)
-				p.trunks = append(p.trunks, dir.trunks...)
-				p.turns = max(0, len(p.steps)-1)
-			}
+			p.steps = intraWaferSteps(p.steps, wB, row, 0, rB, cB, hFirst)
+			p.trunks = trunks
+			p.turns = max(0, len(p.steps)-1)
 		}
 	}
 	return plans
@@ -221,7 +198,7 @@ func (a *Allocator) commit(req Request, p plan, now unit.Seconds) (c *Circuit, e
 		}
 		segs = append(segs, Segment{Wafer: st.wafer, Ref: ref})
 	}
-	for _, tr := range p.trunks {
+	for tr := p.trunks.lo; tr < p.trunks.hi; tr++ {
 		ref, aerr := a.rack.AllocFiber(tr, p.fiberRow)
 		if aerr != nil {
 			return nil, aerr
@@ -287,7 +264,7 @@ func (a *Allocator) referenceEvaluate(p plan) phy.LinkReport {
 	for t := 0; t < p.turns; t++ {
 		elems = append(elems, a.loss.Crossing())
 	}
-	for range p.trunks {
+	for range p.trunks.hi - p.trunks.lo {
 		elems = append(elems, a.loss.FiberHop())
 	}
 
@@ -424,11 +401,10 @@ type lockstep struct {
 	seen map[string]int
 }
 
-// lockstepParams fixes one fabric: topology, size, resource budgets
+// lockstepParams fixes one fabric: size, resource budgets
 // and the allocator policies. The small budgets push the fabric into
 // bus, fiber and endpoint exhaustion within a few dozen circuits.
 type lockstepParams struct {
-	topo        wafer.Topology
 	wafers      int
 	cfg         wafer.Config
 	checkBudget bool
@@ -442,8 +418,9 @@ type lockstepParams struct {
 }
 
 // drawLockstepParams derives a fabric from a seed and a flag byte:
-// bit 0 ring, bit 1 CheckBudget, bit 2 PackFibers, bit 3 the paper's
-// full-size lanes instead of a handful of buses.
+// bit 1 CheckBudget, bit 2 PackFibers, bit 3 the paper's full-size
+// lanes instead of a handful of buses. Bit 0 is unused; it selected a
+// ring cascade, and the committed corpus still sets it.
 func drawLockstepParams(seed uint64, flags uint8) lockstepParams {
 	r := rng.New(seed).Split("lockstep/params")
 	cfg := wafer.DefaultConfig()
@@ -456,16 +433,11 @@ func drawLockstepParams(seed uint64, flags uint8) lockstepParams {
 		cfg.BusesPerLane = 1 + r.Intn(4)
 	}
 	p := lockstepParams{
-		topo:        wafer.Chain,
 		wafers:      1 + r.Intn(4),
 		cfg:         cfg,
 		checkBudget: flags&2 != 0,
 		pack:        flags&4 != 0,
 		budget:      phy.DefaultBudget(),
-	}
-	if flags&1 != 0 {
-		p.topo = wafer.RingTopology
-		p.wafers = 2 + r.Intn(3)
 	}
 	// A launch power from 0 to 10 dBm: at the low end the budget turns
 	// down long or degraded paths.
@@ -479,7 +451,7 @@ func drawLockstepParams(seed uint64, flags uint8) lockstepParams {
 func newLockstep(t testing.TB, seed uint64, p lockstepParams) *lockstep {
 	t.Helper()
 	build := func(calls *int) *Allocator {
-		rack, err := wafer.NewRackTopology(p.cfg, p.wafers, p.topo)
+		rack, err := wafer.NewRack(p.cfg, p.wafers)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -825,8 +797,8 @@ func errString(err error) string {
 
 // TestEstablishMatchesReference holds the probe/place establish path
 // to the rollback path it replaced, and EstablishDegraded to the ladder
-// that always halved, op for op, over every combination of topology,
-// budget checking, fiber packing and lane size, on fabrics small
+// that always halved, op for op, over every combination of budget
+// checking, fiber packing and lane size, on fabrics small
 // enough to run out of buses, fibers, lasers and ports, with
 // checkpoint restores mixed in. The sweep must reach every cause a
 // failed establish can report, and the ladder must both narrow

@@ -69,14 +69,14 @@ func (a *Allocation) FreeChips() []int {
 }
 
 // LineExclusive reports whether every chip on the dimension-d line
-// through chip i is owned by slice index si (or, when
-// allowFreePassThrough is set, free). This is the paper's condition
+// through chip i is owned by slice index si; a free chip on the line
+// breaks it too. This is the paper's condition
 // for a slice to run a dimension-d ring without congestion: a ring on
 // a partial line must close through the remainder of the physical
 // line, and "traffic not destined for a TPU must be forwarded,
 // consuming its bandwidth" (§4.2) — so any other tenant's chip on the
 // line makes the ring congesting.
-func (a *Allocation) LineExclusive(i, d, si int, allowFreePassThrough bool) bool {
+func (a *Allocation) LineExclusive(i, d, si int) bool {
 	// Walk the line by stride arithmetic rather than materializing it
 	// with Line: this is the inner loop of UsableDims, which every
 	// collective plan calls, and chip = base + v*stride visits the same
@@ -84,14 +84,9 @@ func (a *Allocation) LineExclusive(i, d, si int, allowFreePassThrough bool) bool
 	stride, extent := a.t.strides[d], a.t.shape[d]
 	base := i - ((i/stride)%extent)*stride
 	for v := 0; v < extent; v++ {
-		o := a.owner[base+v*stride]
-		if o == si {
-			continue
+		if a.owner[base+v*stride] != si {
+			return false
 		}
-		if o == FreeChip && allowFreePassThrough {
-			continue
-		}
-		return false
 	}
 	return true
 }
@@ -99,9 +94,7 @@ func (a *Allocation) LineExclusive(i, d, si int, allowFreePassThrough bool) bool
 // UsableDims returns the dimensions along which the slice can execute
 // collective rings without congestion on the electrical torus:
 // dimensions of extent >= 2 where every line through the slice is
-// exclusive to it. With allowFreePassThrough, lines completed only by
-// free chips also count (at the cost of consuming the free chips'
-// forwarding bandwidth).
+// exclusive to it.
 //
 // Extent-2 dimensions are a special case: their ring is the two
 // directions of a single cable wholly inside the slice, but the
@@ -109,7 +102,7 @@ func (a *Allocation) LineExclusive(i, d, si int, allowFreePassThrough bool) bool
 // sharing its physical Y lines with Slice-2) as unusable — the slice
 // torus abstraction requires the dimension line, not just the cable.
 // We follow the paper.
-func (a *Allocation) UsableDims(si int, allowFreePassThrough bool) []int {
+func (a *Allocation) UsableDims(si int) []int {
 	s := a.slices[si]
 	var dims []int
 	for d := 0; d < a.t.Dims(); d++ {
@@ -118,7 +111,7 @@ func (a *Allocation) UsableDims(si int, allowFreePassThrough bool) []int {
 		}
 		usable := true
 		for _, chip := range s.Chips(a.t) {
-			if !a.LineExclusive(chip, d, si, allowFreePassThrough) {
+			if !a.LineExclusive(chip, d, si) {
 				usable = false
 				break
 			}
@@ -136,7 +129,7 @@ func (a *Allocation) UsableDims(si int, allowFreePassThrough bool) []int {
 // total dimensions, since a direct-connect chip statically dedicates
 // 1/D of its bandwidth to each dimension.
 func (a *Allocation) Utilization(si int) float64 {
-	return float64(len(a.UsableDims(si, false))) / float64(a.t.Dims())
+	return float64(len(a.UsableDims(si))) / float64(a.t.Dims())
 }
 
 // OpticalUtilization is the same metric for a photonic interconnect
@@ -144,7 +137,7 @@ func (a *Allocation) Utilization(si int) float64 {
 // usable ring dimension, MZI switches redirect the idle dimensions'
 // bandwidth onto the active rings, so the chip's full egress is used.
 func (a *Allocation) OpticalUtilization(si int) float64 {
-	if len(a.UsableDims(si, false)) == 0 {
+	if len(a.UsableDims(si)) == 0 {
 		return 0
 	}
 	return 1

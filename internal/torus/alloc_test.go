@@ -91,7 +91,7 @@ func TestFig5bUsableDims(t *testing.T) {
 		"Slice-4": {0, 1},
 	}
 	for si, s := range a.Slices() {
-		got := a.UsableDims(si, false)
+		got := a.UsableDims(si)
 		w := want[s.Name]
 		if len(got) != len(w) {
 			t.Fatalf("%s usable dims = %v, want %v", s.Name, got, w)
@@ -138,7 +138,7 @@ func TestFig5cUtilization(t *testing.T) {
 func TestZRingsCongest(t *testing.T) {
 	_, a := fig5bAllocation(t)
 	for si, s := range a.Slices() {
-		for _, d := range a.UsableDims(si, false) {
+		for _, d := range a.UsableDims(si) {
 			if d == 2 {
 				t.Fatalf("%s can use the Z dimension; it should be shared", s.Name)
 			}
@@ -155,15 +155,11 @@ func TestUsableDimsWithFreePassThrough(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	strict := a.UsableDims(0, false)
-	if len(strict) != 1 || strict[0] != 0 {
-		t.Fatalf("strict usable dims = %v, want [0]", strict)
-	}
-	// With pass-through over free chips, the Y lines complete through
-	// the free half of the rack. Z (extent 1) has no ring regardless.
-	relaxed := a.UsableDims(0, true)
-	if len(relaxed) != 2 || relaxed[0] != 0 || relaxed[1] != 1 {
-		t.Fatalf("free-pass-through usable dims = %v, want [0 1]", relaxed)
+	// Free chips complete the Y lines, but forwarding over them is not
+	// congestion-free, so only X counts. Z (extent 1) has no ring.
+	dims := a.UsableDims(0)
+	if len(dims) != 1 || dims[0] != 0 {
+		t.Fatalf("usable dims = %v, want [0]", dims)
 	}
 }
 
@@ -214,7 +210,7 @@ func TestSliceRingsDisjointWithinRack(t *testing.T) {
 	tor, a := fig5bAllocation(t)
 	use := LinkUse{}
 	for si, s := range a.Slices() {
-		for _, d := range a.UsableDims(si, false) {
+		for _, d := range a.UsableDims(si) {
 			links, err := s.RingLinks(tor, d)
 			if err != nil {
 				t.Fatalf("%s dim %d: %v", s.Name, d, err)

@@ -29,17 +29,13 @@ func (t *Tile) FailChip() { t.chipFailed = true }
 // ChipHealthy reports whether the tile's chip is alive.
 func (t *Tile) ChipHealthy() bool { return !t.chipFailed }
 
-// FailLasers burns out n of the tile's wavelength lasers. Lasers
+// FailLaser burns out one of the tile's wavelength lasers. Lasers
 // already reserved by circuits count: the caller is expected to
-// invalidate circuits whose width no longer fits. Failing more lasers
-// than exist saturates at the total.
-func (t *Tile) FailLasers(n int) {
-	if n <= 0 {
-		return
-	}
-	t.lasersFailed += n
-	if t.lasersFailed > t.lasers {
-		t.lasersFailed = t.lasers
+// invalidate circuits whose width no longer fits. Once every laser has
+// failed, another failure changes nothing.
+func (t *Tile) FailLaser() {
+	if t.lasersFailed < t.lasers {
+		t.lasersFailed++
 	}
 }
 
@@ -48,15 +44,11 @@ func (t *Tile) FailLasers(n int) {
 // healthy chip is a no-op.
 func (t *Tile) RepairChip() { t.chipFailed = false }
 
-// RepairLasers restores n burned-out lasers (a Tx/Rx block swap).
-// Restoring more lasers than have failed saturates at zero failed.
-func (t *Tile) RepairLasers(n int) {
-	if n <= 0 {
-		return
-	}
-	t.lasersFailed -= n
-	if t.lasersFailed < 0 {
-		t.lasersFailed = 0
+// RepairLaser restores one burned-out laser (a Tx/Rx block swap).
+// Repairing a tile with no failed laser is a no-op.
+func (t *Tile) RepairLaser() {
+	if t.lasersFailed > 0 {
+		t.lasersFailed--
 	}
 }
 

@@ -31,17 +31,23 @@ func TestFailLasersSaturatesAndChargesFreePool(t *testing.T) {
 	r := healthRack(t)
 	tile := r.TileOf(0)
 	free := tile.FreeLasers()
-	tile.FailLasers(3)
+	for range 3 {
+		tile.FailLaser()
+	}
 	if got := tile.FreeLasers(); got != free-3 {
 		t.Fatalf("free lasers = %d, want %d", got, free-3)
 	}
-	tile.FailLasers(1 << 20)
+	for range free {
+		tile.FailLaser()
+	}
 	if got := tile.lasersFailed; got != free {
 		t.Fatalf("failed lasers = %d, want saturation at %d", got, free)
 	}
-	tile.FailLasers(-5) // no-op
-	if got := tile.lasersFailed; got != free {
-		t.Fatalf("negative failure changed count to %d", got)
+	for range free + 1 {
+		tile.RepairLaser()
+	}
+	if got := tile.lasersFailed; got != 0 {
+		t.Fatalf("failed lasers after repairing every one = %d, want 0", got)
 	}
 }
 
@@ -51,7 +57,7 @@ func TestFailedLasersCanOvercommitReservations(t *testing.T) {
 	if err := tile.Reserve(tile.FreeLasers()); err != nil {
 		t.Fatal(err)
 	}
-	tile.FailLasers(1)
+	tile.FailLaser()
 	if tile.FreeLasers() >= 0 {
 		t.Fatal("over-commit not visible as negative free lasers")
 	}

@@ -2,31 +2,8 @@ package wafer
 
 import (
 	"fmt"
+	"slices"
 )
-
-// Topology is how a rack's wafers are cascaded with fibers.
-type Topology int
-
-// Cascade topologies (§3: "With attached fibers, we can cascade
-// several LIGHTPATH wafers to create a rack-scale photonic
-// interconnect ... Fibers can be attached vertically to the tiles to
-// build 3D topologies").
-const (
-	// Chain connects wafer i to wafer i+1 only: N wafers, N-1 trunks.
-	Chain Topology = iota
-	// RingTopology additionally closes the loop from the last wafer
-	// back to the first: N trunks, halving the worst-case trunk count
-	// between distant wafers.
-	RingTopology
-)
-
-// String names the topology.
-func (t Topology) String() string {
-	if t == RingTopology {
-		return "ring"
-	}
-	return "chain"
-}
 
 // Rack is a cascade of LIGHTPATH wafers attached with fibers
 // (§3, "Fiber connectivity between LIGHTPATH wafers"): circuits can
@@ -40,13 +17,11 @@ func (t Topology) String() string {
 // appended to, so every *Wafer and *Tile the rack hands out stays
 // valid for its life; a restore writes into them in place.
 type Rack struct {
-	cfg      Config
-	topology Topology
-	wafers   []Wafer
+	cfg    Config
+	wafers []Wafer
 	// trunks[i] is the fiber bundle between wafer i's right edge
-	// (col = Cols-1) and wafer (i+1)%N's left edge (col 0), with
-	// FibersPerEdge fibers per tile row. A chain has N-1 trunks; a
-	// ring has N.
+	// (col = Cols-1) and wafer i+1's left edge (col 0), with
+	// FibersPerEdge fibers per tile row: N wafers, N-1 trunks.
 	trunks []fiberTrunk
 	// chips[i] is the tile hosting chip i: the array the wafers' tiles
 	// are windows on, wafer after wafer in row-major order. It makes
@@ -79,28 +54,19 @@ func (f FiberRef) String() string {
 }
 
 // NewRack builds numWafers identical wafers chained with fiber
-// trunks (the Chain topology).
+// trunks: wafer i's right edge to wafer i+1's left edge (§3: "With
+// attached fibers, we can cascade several LIGHTPATH wafers to create
+// a rack-scale photonic interconnect").
 func NewRack(cfg Config, numWafers int) (*Rack, error) {
-	return NewRackTopology(cfg, numWafers, Chain)
-}
-
-// NewRackTopology builds a rack with the given cascade topology.
-func NewRackTopology(cfg Config, numWafers int, topo Topology) (*Rack, error) {
 	if numWafers <= 0 {
 		return nil, fmt.Errorf("wafer: rack needs at least one wafer, got %d", numWafers)
-	}
-	if topo != Chain && topo != RingTopology {
-		return nil, fmt.Errorf("wafer: unknown topology %d", int(topo))
 	}
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	r := &Rack{cfg: cfg, topology: topo}
+	r := &Rack{cfg: cfg}
 	r.wafers, r.chips = newWafers(cfg, numWafers)
 	numTrunks := numWafers - 1
-	if topo == RingTopology && numWafers >= 2 {
-		numTrunks = numWafers
-	}
 	r.trunks = make([]fiberTrunk, numTrunks)
 	rows := make([][]bool, numTrunks*cfg.Rows)
 	fibers := make([]bool, len(rows)*cfg.FibersPerEdge)
@@ -121,9 +87,6 @@ func NewRackTopology(cfg Config, numWafers int, topo Topology) (*Rack, error) {
 
 // Config returns the per-wafer configuration.
 func (r *Rack) Config() Config { return r.cfg }
-
-// Topology returns the cascade topology.
-func (r *Rack) Topology() Topology { return r.topology }
 
 // NumTrunks returns the number of inter-wafer fiber trunks.
 func (r *Rack) NumTrunks() int { return len(r.trunks) }
@@ -180,23 +143,15 @@ func (r *Rack) AllocFiber(trunk, row int) (FiberRef, error) {
 	return FiberRef{}, ErrFibersExhausted
 }
 
-// FibersFree reports whether the trunk row has at least n unoccupied
-// fibers, that is, whether n AllocFiber(trunk, row) calls in a row
-// would all succeed. An out-of-range row has none.
-func (r *Rack) FibersFree(trunk, row, n int) bool {
+// FiberFree reports whether the trunk row has an unoccupied fiber,
+// that is, whether AllocFiber(trunk, row) would succeed. An
+// out-of-range row has none.
+func (r *Rack) FiberFree(trunk, row int) bool {
 	t, err := r.trunk(trunk, row)
 	if err != nil {
-		return n <= 0
+		return false
 	}
-	for _, used := range t.used[row] {
-		if n <= 0 {
-			break
-		}
-		if !used {
-			n--
-		}
-	}
-	return n <= 0
+	return slices.Contains(t.used[row], false)
 }
 
 // FreeFiber releases a previously allocated fiber. It panics on a

@@ -203,39 +203,29 @@ func TestSingleWaferRackHasNoTrunks(t *testing.T) {
 	}
 }
 
+// TestTopologies checks the one cascade: N wafers chained by N-1
+// trunks, the last of which allocates fibers like any other.
 func TestTopologies(t *testing.T) {
 	cfg := DefaultConfig()
 	chain, err := NewRack(cfg, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if chain.Topology() != Chain || chain.NumTrunks() != 3 {
-		t.Fatalf("chain: topo %v trunks %d", chain.Topology(), chain.NumTrunks())
+	if chain.NumTrunks() != 3 {
+		t.Fatalf("chain: trunks %d, want 3", chain.NumTrunks())
 	}
-	ring, err := NewRackTopology(cfg, 4, RingTopology)
-	if err != nil {
-		t.Fatal(err)
+	if _, err := chain.AllocFiber(2, 0); err != nil {
+		t.Fatalf("last trunk: %v", err)
 	}
-	if ring.Topology() != RingTopology || ring.NumTrunks() != 4 {
-		t.Fatalf("ring: topo %v trunks %d", ring.Topology(), ring.NumTrunks())
+	if _, err := chain.AllocFiber(3, 0); err == nil {
+		t.Fatal("fiber on a trunk past the chain's end accepted")
 	}
-	// The closing trunk allocates fibers like any other.
-	if _, err := ring.AllocFiber(3, 0); err != nil {
-		t.Fatalf("closing trunk: %v", err)
-	}
-	if _, err := NewRackTopology(cfg, 2, Topology(9)); err == nil {
-		t.Fatal("unknown topology accepted")
-	}
-	// A single-wafer ring has no trunks.
-	solo, err := NewRackTopology(cfg, 1, RingTopology)
+	solo, err := NewRack(cfg, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if solo.NumTrunks() != 0 {
-		t.Fatalf("solo ring trunks = %d", solo.NumTrunks())
-	}
-	if Chain.String() != "chain" || RingTopology.String() != "ring" {
-		t.Fatal("topology names wrong")
+		t.Fatalf("single-wafer rack trunks = %d", solo.NumTrunks())
 	}
 }
 

@@ -44,9 +44,6 @@ type (
 	// RepairComparison is the outcome of handling one chip failure
 	// electrically and optically.
 	RepairComparison = core.RepairComparison
-	// ChaosPolicy configures failure detection and repair for a
-	// fault-injected collective (Fabric.RunAllReduceUnderFault).
-	ChaosPolicy = core.ChaosPolicy
 	// ChaosOutcome reports one fault-injected AllReduce run: whether
 	// the math survived, the MTTR split, and the blast radii.
 	ChaosOutcome = core.ChaosOutcome
@@ -112,10 +109,6 @@ func UtilizationReport(a *Allocation) []SliceUtilization {
 
 // DefaultMoEConfig is a small MoE inference setting.
 func DefaultMoEConfig() MoEConfig { return core.DefaultMoEConfig() }
-
-// DefaultChaosPolicy is the failure-lifecycle default: 10 us
-// detection, width-4 repair circuits.
-func DefaultChaosPolicy() ChaosPolicy { return core.DefaultChaosPolicy() }
 
 // BlastRadius sweeps chip failures over a TPUv4-scale cluster and
 // compares the rack-granularity electrical policy against
