@@ -42,7 +42,7 @@ race-stress:
 	$(GO) test -race -count=20 -cpu 1,2,8 -run '^TestKillResumeCSVIdentical$$' ./cmd/lightpath-sim
 	$(GO) test -race -count=20 -cpu 1,2,8 -run '^(TestLoopCadenceAndStop|TestLoopWriteErrorNotDropped|TestLoopEncodersNeverAlias)$$|^TestKillResumeAnyBoundary$$' ./internal/evloop ./internal/ctrl/loadgen
 
-## fuzz-smoke: fuzz five targets for 10s each beyond their committed
+## fuzz-smoke: fuzz seven targets for 10s each beyond their committed
 ## corpora (which every `go test` replays): the fluid solver's
 ## FuzzFairRates (rates and per-component completion times against the
 ## reference oracle) and FuzzComponentPartition (the component
@@ -50,16 +50,19 @@ race-stress:
 ## FuzzFaultRecovery (seeded chaos faults, recovery invariants under
 ## the Paranoid auditor) and FuzzEstablishMatchesReference (Establish
 ## and its plan generator against the rollback reference and its
-## eager enumerator), and the controller's FuzzRestore (a mutated
-## server payload is refused, or restores to a state that passes a
-## full audit and survives releases and establishes). A failing input
-## is written under the package's testdata/fuzz.
+## eager enumerator), and FuzzRestore in the controller, the load
+## campaign and the fleet soak (a mutated server, campaign or soak
+## payload is refused, or restores to a state that passes a full audit
+## and survives releases and establishes). A failing input is written
+## under the package's testdata/fuzz.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzFairRates$$' -fuzztime 10s ./internal/netsim
 	$(GO) test -run '^$$' -fuzz '^FuzzComponentPartition$$' -fuzztime 10s ./internal/netsim
 	$(GO) test -run '^$$' -fuzz '^FuzzFaultRecovery$$' -fuzztime 10s ./internal/route
 	$(GO) test -run '^$$' -fuzz '^FuzzEstablishMatchesReference$$' -fuzztime 10s ./internal/route
 	$(GO) test -run '^$$' -fuzz '^FuzzRestore$$' -fuzztime 10s ./internal/ctrl
+	$(GO) test -run '^$$' -fuzz '^FuzzRestore$$' -fuzztime 10s ./internal/ctrl/loadgen
+	$(GO) test -run '^$$' -fuzz '^FuzzRestore$$' -fuzztime 10s ./internal/fleet
 
 ## lint: formatting check, go vet, and the repo-specific analyzers
 ## (per-analyzer counts printed; error-severity findings fail).

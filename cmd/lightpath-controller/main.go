@@ -209,7 +209,7 @@ func runSelfcheck(opts options, out printer) error {
 	// Rung 3: chip death -> breaker. Hammering a dead endpoint must
 	// first fail cleanly, then trip its breaker and fail fast.
 	victim := 40
-	report, err := h.ApplyFault(chaos.Fault{Class: chaos.ChipFailure, Chip: victim})
+	moves, err := h.ApplyFault(chaos.Fault{Class: chaos.ChipFailure, Chip: victim})
 	if err != nil {
 		return fmt.Errorf("selfcheck: fault injection: %w", err)
 	}
@@ -286,7 +286,7 @@ func runSelfcheck(opts options, out printer) error {
 			"  overload burst: %d of %d establishes shed\n"+
 			"  crash -> resume: stats identical, circuit %d intact\n"+
 			"  audit: clean\n",
-		deadline, victim, len(report.Moves), endpoint, breaker,
+		deadline, victim, len(moves), endpoint, breaker,
 		shed, 2*cfg.QueueCap, first.Circuit)
 	return err
 }

@@ -78,7 +78,7 @@ func run(args []string, out printer) error {
 	seed := fs.Uint64("seed", 2024, "deterministic seed for all stochastic components")
 	elements := fs.Int("n", experiments.DefaultTableBuffer, "collective buffer length in float32 elements")
 	samples := fs.Int("samples", 10000, "stitch-loss samples for fig3b")
-	trials := fs.Int("trials", 8, "trials for the chaos and soak campaigns")
+	trials := fs.Int("trials", 8, "trials for the chaos, soak and controller campaigns")
 	csvDir := fs.String("csv", "", "directory to also write each experiment's data series as <command>.csv")
 	parallel := fs.Bool("parallel", true, "fan Monte-Carlo campaigns across CPUs (output is identical either way)")
 	checkpoint := fs.String("checkpoint", "", "directory for per-trial soak/controller checkpoints (enables crash tolerance)")
@@ -111,6 +111,9 @@ func run(args []string, out printer) error {
 	}
 	if *killAt > 0 && *checkpoint == "" {
 		return errors.New("-kill-at needs -checkpoint: a killed trial can only resume from its checkpoint")
+	}
+	if *resume && *checkpoint == "" {
+		return errors.New("-resume needs -checkpoint: trials resume from the checkpoints in that directory")
 	}
 	if !*parallel {
 		defer engine.SetWorkers(engine.SetWorkers(1))
@@ -189,7 +192,7 @@ func run(args []string, out printer) error {
 		},
 		"controller": func() (fmt.Stringer, error) {
 			return checkpointed("controller", func() (fmt.Stringer, error) {
-				return experiments.ControllerWithOptions(*seed, experiments.ControllerOptions{Trials: *trials, Checkpointing: ck})
+				return experiments.ControllerWithOptions(*seed, *trials, ck)
 			})
 		},
 		"sweep": func() (fmt.Stringer, error) {

@@ -126,6 +126,16 @@ func TestRunErrors(t *testing.T) {
 		if err == nil || !strings.Contains(err.Error(), "-kill-at needs -checkpoint") {
 			t.Errorf("%s -kill-at without -checkpoint: got %v, want a -kill-at error", cmd, err)
 		}
+		// Nor is there anything to resume from.
+		err = run([]string{cmd, "-seed", "7", "-trials", "1", "-resume"}, &buf)
+		if err == nil || !strings.Contains(err.Error(), "-resume needs -checkpoint") {
+			t.Errorf("%s -resume without -checkpoint: got %v, want a -resume error", cmd, err)
+		}
+		// A campaign of no trials is refused, not run at a default size.
+		err = run([]string{cmd, "-seed", "7", "-trials", "0"}, &buf)
+		if err == nil || !strings.Contains(err.Error(), "trials 0 < 1") {
+			t.Errorf("%s -trials 0: got %v, want a trials error", cmd, err)
+		}
 	}
 	// An empty or negative buffer is refused before any experiment runs.
 	for _, args := range [][]string{{"chaos", "-n", "-5"}, {"table1", "-n", "0"}, {"fig5", "-n", "0"}} {

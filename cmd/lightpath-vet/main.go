@@ -39,6 +39,11 @@ func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
+// newLoader builds a run's loader. The tests swap it for one that
+// hands every run the same loader, so the module is type-checked once
+// per test binary.
+var newLoader = analysis.NewLoader
+
 // run executes the tool and returns its exit code: 0 clean or
 // warnings-only, 1 when error-severity findings were reported, 2 on
 // load or usage errors.
@@ -80,7 +85,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "lightpath-vet:", err)
 		return 2
 	}
-	loader, err := analysis.NewLoader(root)
+	loader, err := newLoader(root)
 	if err != nil {
 		fmt.Fprintln(stderr, "lightpath-vet:", err)
 		return 2

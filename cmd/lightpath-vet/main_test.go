@@ -2,11 +2,42 @@ package main
 
 import (
 	"encoding/json"
+	"os"
 	"strings"
 	"testing"
 
 	"lightpath/internal/analysis"
 )
+
+// TestMain hands every run one loader, so the test binary type-checks
+// the module once however many runs load it.
+func TestMain(m *testing.M) {
+	var shared *analysis.Loader
+	newLoader = func(root string) (*analysis.Loader, error) {
+		if shared == nil {
+			l, err := analysis.NewLoader(root)
+			if err != nil {
+				return nil, err
+			}
+			shared = l
+		}
+		return shared, nil
+	}
+	os.Exit(m.Run())
+}
+
+// moduleFree names every analyzer but deadexport, the one whose
+// verdict needs the whole module loaded. The output-format tests run
+// these over one small package.
+func moduleFree() []string {
+	var names []string
+	for _, a := range analysis.All() {
+		if a != analysis.DeadExport {
+			names = append(names, a.Name)
+		}
+	}
+	return names
+}
 
 // TestRepoIsClean is the acceptance gate for the analyzer suite: the
 // repository itself must pass every lightpath-vet analyzer. A failure
@@ -38,10 +69,16 @@ func TestListAnalyzers(t *testing.T) {
 	}
 }
 
+// TestOnlySelectsSubset runs one analyzer over one package. For
+// deadexport that still loads the whole module: unit's exports are
+// used only outside it, and a run that saw unit alone would call them
+// dead.
 func TestOnlySelectsSubset(t *testing.T) {
-	var stdout, stderr strings.Builder
-	if code := run([]string{"-only", "layering", "./internal/unit"}, &stdout, &stderr); code != 0 {
-		t.Fatalf("-only layering ./internal/unit exited %d\n%s%s", code, stdout.String(), stderr.String())
+	for _, only := range []string{"layering", "deadexport"} {
+		var stdout, stderr strings.Builder
+		if code := run([]string{"-only", only, "./internal/unit"}, &stdout, &stderr); code != 0 || stdout.Len() > 0 {
+			t.Fatalf("-only %s ./internal/unit exited %d\n%s%s", only, code, stdout.String(), stderr.String())
+		}
 	}
 }
 
@@ -56,10 +93,12 @@ func TestUnknownAnalyzerIsUsageError(t *testing.T) {
 }
 
 // TestSARIFOutputCleanRun checks the SARIF envelope: version 2.1.0,
-// one run, the full rule set even when there are no results.
+// one run, and a rule for every analyzer run even when there are no
+// results.
 func TestSARIFOutputCleanRun(t *testing.T) {
 	var stdout, stderr strings.Builder
-	if code := run([]string{"-sarif", "./internal/unit"}, &stdout, &stderr); code != 0 {
+	only := moduleFree()
+	if code := run([]string{"-sarif", "-only", strings.Join(only, ","), "./internal/unit"}, &stdout, &stderr); code != 0 {
 		t.Fatalf("-sarif ./internal/unit exited %d\n%s%s", code, stdout.String(), stderr.String())
 	}
 	var log struct {
@@ -88,8 +127,14 @@ func TestSARIFOutputCleanRun(t *testing.T) {
 	if got := log.Runs[0].Tool.Driver.Name; got != "lightpath-vet" {
 		t.Errorf("driver name = %q, want lightpath-vet", got)
 	}
-	if got, want := len(log.Runs[0].Tool.Driver.Rules), len(analysis.All()); got != want {
-		t.Errorf("sarif rules = %d, want %d (one per analyzer)", got, want)
+	rules := log.Runs[0].Tool.Driver.Rules
+	if len(rules) != len(only) {
+		t.Fatalf("sarif rules = %d, want %d (one per analyzer run)", len(rules), len(only))
+	}
+	for i, r := range rules {
+		if r.ID != only[i] {
+			t.Errorf("sarif rule %d = %q, want %q", i, r.ID, only[i])
+		}
 	}
 	if len(log.Runs[0].Results) != 0 {
 		t.Errorf("clean package produced %d sarif results", len(log.Runs[0].Results))
@@ -183,7 +228,7 @@ func TestExitCodes(t *testing.T) {
 // including zero rows.
 func TestCountsOutput(t *testing.T) {
 	var stdout, stderr strings.Builder
-	if code := run([]string{"-counts", "./internal/unit"}, &stdout, &stderr); code != 0 {
+	if code := run([]string{"-counts", "-only", strings.Join(moduleFree(), ","), "./internal/unit"}, &stdout, &stderr); code != 0 {
 		t.Fatalf("-counts exited %d\n%s%s", code, stdout.String(), stderr.String())
 	}
 	out := stderr.String()

@@ -189,8 +189,8 @@ func TestFig6bScenario(t *testing.T) {
 	if len(sc.FreeChips) != 4 {
 		t.Fatalf("rack 2 free chips = %d, want 4", len(sc.FreeChips))
 	}
-	if sc.Allocs[0].OwnerSlice(sc.FailedChip) != sc.Victim {
-		t.Fatal("failed chip not in victim")
+	if v := sc.Allocs[0].OwnerSlice(sc.FailedChip); v == nil || v.Name != "Slice-2" {
+		t.Fatal("failed chip not in the victim Slice-2")
 	}
 	// The victim sits on rack 1's top face: its only way out is Z.
 	if c := sc.RackTorus.Coord(sc.FailedChip); c[2] != 3 {

@@ -83,9 +83,8 @@ type Fig6bScenario struct {
 	// Allocs[0] is rack 1 (holding the victim), Allocs[1] is rack 2
 	// (holding the only free chips).
 	Allocs []*torus.Allocation
-	// Victim is rack 1's Slice-2 with the failed chip.
-	Victim *torus.Slice
-	// FailedChip is a local chip index in rack 1.
+	// FailedChip is a local chip index in rack 1, inside the victim
+	// Slice-2.
 	FailedChip int
 	// FreeChips are local chip indices in rack 2.
 	FreeChips []int
@@ -127,7 +126,6 @@ func Fig6b() (*Fig6bScenario, error) {
 	sc := &Fig6bScenario{
 		RackTorus:  t,
 		Allocs:     []*torus.Allocation{a1, a2},
-		Victim:     victim,
 		FailedChip: t.Index(torus.Coord{1, 1, 3}),
 		FreeChips:  a2.FreeChips(),
 		SpliceDim:  2,

@@ -19,7 +19,7 @@ type Package struct {
 	Path string
 	// Dir is the directory the package's sources were read from.
 	Dir string
-	// Fset is the file set shared by every package in one Loader.
+	// Fset is the file set shared by every package of every Loader.
 	Fset *token.FileSet
 	// Files are the parsed non-test source files, sorted by file name;
 	// for a TestOnly package, its _test.go files.
@@ -37,7 +37,11 @@ type Package struct {
 // Loader parses and type-checks packages of a single module, resolving
 // in-module imports from source and standard-library imports through
 // the stdlib source importer. It caches packages by import path, so a
-// package shared by several roots is checked once.
+// package shared by several roots is checked once. Every Loader in a
+// process shares one file set and one standard-library importer, so
+// the standard library is type-checked once however many loaders a
+// process makes; loaders are not safe for concurrent use, with each
+// other included.
 type Loader struct {
 	// ModuleRoot is the absolute path of the directory holding go.mod.
 	ModuleRoot string
@@ -50,6 +54,13 @@ type Loader struct {
 	loading map[string]bool
 }
 
+// stdFset and stdImporter are the file set and standard-library source
+// importer every Loader shares.
+var (
+	stdFset        = token.NewFileSet()
+	stdImporter, _ = importer.ForCompiler(stdFset, "source", nil).(types.ImporterFrom)
+)
+
 // NewLoader creates a loader for the module rooted at root (the
 // directory containing go.mod).
 func NewLoader(root string) (*Loader, error) {
@@ -61,16 +72,14 @@ func NewLoader(root string) (*Loader, error) {
 	if err != nil {
 		return nil, err
 	}
-	fset := token.NewFileSet()
-	std, ok := importer.ForCompiler(fset, "source", nil).(types.ImporterFrom)
-	if !ok {
+	if stdImporter == nil {
 		return nil, fmt.Errorf("analysis: source importer does not implement ImporterFrom")
 	}
 	return &Loader{
 		ModuleRoot: abs,
 		ModulePath: modPath,
-		fset:       fset,
-		std:        std,
+		fset:       stdFset,
+		std:        stdImporter,
 		pkgs:       map[string]*Package{},
 		loading:    map[string]bool{},
 	}, nil

@@ -35,7 +35,6 @@ func ActiveDims(s *torus.Slice) []int {
 // phase records one dimension phase of a bucket ReduceScatter so the
 // AllGather can unwind it.
 type phase struct {
-	dim     int
 	rings   [][]int
 	parents []Range // parent range of each ring at this phase
 }
@@ -80,7 +79,7 @@ func bucketRS(name string, t *torus.Torus, s *torus.Slice, dimOrder []int, initi
 			return nil, nil, nil, fmt.Errorf("collective: %q dim %d: %w", name, d, err)
 		}
 		base := len(sched.Steps)
-		ph := phase{dim: d}
+		var ph phase
 		for _, ring := range rings {
 			parent, err := commonOwned(owned, ring)
 			if err != nil {

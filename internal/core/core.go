@@ -104,8 +104,6 @@ type CollectivePlan struct {
 	// ActiveDims is the number of ring dimensions the optical fabric
 	// spreads the chip bandwidth across.
 	ActiveDims int
-	// Electrical and Optical are the analytic alpha-beta-r costs.
-	Electrical, Optical cost.Cost
 	// ElectricalTime and OpticalTime are the simulated end-to-end
 	// completion times (netsim).
 	ElectricalTime, OpticalTime unit.Seconds
@@ -204,12 +202,6 @@ func (f *Fabric) PlanAllReduce(a *torus.Allocation, si int, bufferBytes unit.Byt
 	}
 
 	plan := &CollectivePlan{Algorithm: algorithm, ActiveDims: activeDims, Schedule: optSched}
-	if plan.Electrical, err = f.params.Electrical(elecSched); err != nil {
-		return nil, err
-	}
-	if plan.Optical, err = f.params.Optical(optSched, activeDims); err != nil {
-		return nil, err
-	}
 	linkBW := f.params.ChipBandwidth / unit.BitRate(f.params.PhysDims)
 	if plan.ElectricalTime, err = f.exec.Electrical(elecSched, f.torus, linkBW, nil, netsim.ExecOptions{Alpha: f.params.Alpha}); err != nil {
 		return nil, err

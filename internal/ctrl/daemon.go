@@ -86,7 +86,7 @@ func (h *Handler) Submit(req Request) Response {
 
 // ApplyFault injects a fabric fault at the current logical instant and
 // reroutes the circuits it broke.
-func (h *Handler) ApplyFault(f chaos.Fault) (FaultReport, error) {
+func (h *Handler) ApplyFault(f chaos.Fault) ([]CircuitMove, error) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	return h.srv.ApplyFault(f, h.arrival)

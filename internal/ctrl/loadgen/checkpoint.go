@@ -82,35 +82,15 @@ func Resume(cfg Config, opts CheckpointOptions) (*Result, error) {
 	return c.run()
 }
 
-// configDigest encodes every campaign field that shapes the event
-// stream (the controller's own config digest travels inside its
-// nested state). Resume compares byte-for-byte. build computes it once
-// into c.digest.
-func (c *campaign) configDigest() []byte {
-	var e snapshot.Encoder
-	cfg := c.cfg
-	e.U64(cfg.Seed)
-	e.Int(cfg.Agents)
-	e.Int(cfg.ArrivalsPerAgent)
-	snapshot.Unit(&e, cfg.MeanInterarrival)
-	snapshot.Unit(&e, cfg.MeanHold)
-	e.Int(cfg.Width)
-	snapshot.Unit(&e, cfg.Deadline)
-	snapshot.Unit(&e, cfg.Backoff.Base)
-	e.F64(cfg.Backoff.Factor)
-	snapshot.Unit(&e, cfg.Backoff.Cap)
-	e.F64(cfg.Backoff.Jitter)
-	e.Int(cfg.Backoff.MaxRetries)
-	for _, m := range cfg.Rates.MTBF {
-		snapshot.Unit(&e, m)
-	}
-	e.F64(cfg.Rates.WaveguideLossDB)
-	return e.Bytes()
-}
+// configDigest encodes every campaign field, each of which shapes the
+// event stream (Config.Ctrl is skipped: the controller's own config
+// digest travels inside its nested state). Resume compares
+// byte-for-byte.
+func (c *campaign) configDigest() []byte { return snapshot.Digest(c.cfg) }
 
 // encodeState serializes the full campaign at an event boundary.
 func (c *campaign) encodeState(e *snapshot.Encoder) {
-	e.String(c.digest)
+	e.String(string(c.configDigest()))
 	c.srv.EncodeState(e)
 
 	e.Len(len(c.agents))
@@ -220,7 +200,7 @@ func (c *campaign) decodeEvent(d *snapshot.Decoder) (event, error) {
 // be strictly ascending below it, the queued events must name sessions
 // below it, and the stored next ID must equal it.
 func (c *campaign) restoreState(d *snapshot.Decoder) error {
-	if err := d.CheckDigest([]byte(c.digest)); err != nil {
+	if err := d.CheckDigest(c.configDigest()); err != nil {
 		return err
 	}
 	if err := c.srv.RestoreState(d); err != nil {

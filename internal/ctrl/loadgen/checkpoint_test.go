@@ -68,6 +68,42 @@ func TestRestoreRefusesSharedCircuit(t *testing.T) {
 	}
 }
 
+// TestRestoreRefusesSegmentHeldTwice crafts a checkpoint in which a
+// circuit crossing wafers, which runs one lane, bus and span on both,
+// has one of those segments moved onto the other's wafer. The circuit
+// then holds one span twice while the bus the moved segment held stays
+// allocated, so every count still balances; only the disjointness
+// check sees it. Before it named a circuit overlapping itself, the
+// restore accepted this state, and releasing the circuit panicked in
+// the wafer.
+func TestRestoreRefusesSegmentHeldTwice(t *testing.T) {
+	cfg, c := restoredAt(t, 500)
+	moved := false
+	for _, circ := range c.srv.Allocator().Circuits() {
+		for i, s := range circ.Segments {
+			for _, o := range circ.Segments[i+1:] {
+				if !moved && s.Wafer != o.Wafer && s.Ref == o.Ref {
+					circ.Segments[i].Wafer = o.Wafer
+					moved = true
+				}
+			}
+		}
+	}
+	if !moved {
+		t.Fatal("no circuit runs one span on two wafers at event 500")
+	}
+	var e snapshot.Encoder
+	c.encodeState(&e)
+	fresh, err := build(cfg, CheckpointOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = fresh.restoreState(snapshot.NewDecoder(e.Bytes()))
+	if !errors.Is(err, snapshot.ErrCorruptSnapshot) || !strings.Contains(err.Error(), "holds one bus position or fiber twice") {
+		t.Fatalf("restore of a circuit holding a span twice: %v, want ErrCorruptSnapshot naming it", err)
+	}
+}
+
 // TestDecodeEventRefusesWhatTheEventCannotHold feeds decodeEvent the
 // five encoded integers (kind, agent, session, attempt, fault). Each
 // valid event must re-encode to its own integers; every integer the

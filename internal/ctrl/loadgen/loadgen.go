@@ -32,8 +32,9 @@ type Config struct {
 	// chaos schedule and the quantile sketch.
 	Seed uint64
 	// Ctrl configures the controller under load. Its Seed field is
-	// overridden with the campaign seed.
-	Ctrl ctrl.Config
+	// overridden with the campaign seed. The campaign digest skips it:
+	// the nested server state carries the controller's own digest.
+	Ctrl ctrl.Config `snapshot:"-"`
 	// Agents is the number of concurrent client agents (default 256).
 	Agents int
 	// ArrivalsPerAgent is how many fresh establish requests each agent
@@ -183,7 +184,6 @@ type agentState struct {
 // campaign is the full simulation state.
 type campaign struct {
 	cfg      Config
-	digest   string // configDigest of cfg, which never changes
 	srv      *ctrl.Server
 	agents   []agentState
 	schedule []chaos.Fault
@@ -220,7 +220,6 @@ func build(cfg Config, opts CheckpointOptions) (*campaign, error) {
 		loop:  evloop.New(opts, checkpointVersion, checkpointEvery),
 		quant: sketch.NewQuantile(0, root.Split("loadgen/sketch")),
 	}
-	c.digest = string(c.configDigest())
 	chips := srv.Allocator().Rack().NumChips()
 	if chips < 2 {
 		return nil, fmt.Errorf("loadgen: need at least 2 chips, rack has %d", chips)
@@ -354,11 +353,11 @@ func (c *campaign) onRelease(at unit.Seconds, ev event) {
 // close theirs. Moves are matched, in the order the server reports
 // them, against the sessions holding a circuit, walked in ID order.
 func (c *campaign) onFault(at unit.Seconds, ev event) error {
-	rep, err := c.srv.ApplyFault(c.schedule[ev.id], at)
+	moves, err := c.srv.ApplyFault(c.schedule[ev.id], at)
 	if err != nil {
 		return err
 	}
-	for _, mv := range rep.Moves {
+	for _, mv := range moves {
 		sid, s := c.holder(mv.OldID)
 		if s == nil {
 			continue

@@ -443,27 +443,18 @@ type CircuitMove struct {
 	NewWidth     int
 }
 
-// FaultReport summarizes one fault's application.
-type FaultReport struct {
-	// Fault echoes the applied fault.
-	Fault chaos.Fault
-	// Moves records every circuit the fault broke and what became of
-	// it (transparent reroute, degraded reroute, or loss).
-	Moves []CircuitMove
-}
-
 // ApplyFault applies one chaos fault to the fabric at virtual time
 // `at` and walks the degradation ladder for every circuit it broke:
 // reroute at full width, then width-halving, then loss. The wire
 // interface stays stable throughout — clients keep their circuit IDs
-// via the returned moves.
-func (s *Server) ApplyFault(f chaos.Fault, at unit.Seconds) (FaultReport, error) {
+// via the returned moves, one for every circuit the fault broke.
+func (s *Server) ApplyFault(f chaos.Fault, at unit.Seconds) ([]CircuitMove, error) {
 	s.AdvanceTo(at)
-	rep := FaultReport{Fault: f}
 	broken, err := s.alloc.ApplyFault(f)
 	if err != nil {
-		return rep, fmt.Errorf("ctrl: apply fault: %w", err)
+		return nil, fmt.Errorf("ctrl: apply fault: %w", err)
 	}
+	var moves []CircuitMove
 	s.stats.FaultsApplied++
 	for _, c := range broken {
 		move := CircuitMove{OldID: c.ID, NewID: -1}
@@ -478,7 +469,7 @@ func (s *Server) ApplyFault(f chaos.Fault, at unit.Seconds) (FaultReport, error)
 			move.NewID = nc.ID
 			move.NewWidth = nc.Width
 		}
-		rep.Moves = append(rep.Moves, move)
+		moves = append(moves, move)
 	}
-	return rep, nil
+	return moves, nil
 }

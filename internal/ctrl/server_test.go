@@ -253,17 +253,17 @@ func TestServerFaultReroutesHeldCircuits(t *testing.T) {
 	if est.Status != StatusOK {
 		t.Fatalf("establish: %+v", est)
 	}
-	rep, err := s.ApplyFault(chaos.Fault{Class: chaos.ChipFailure, Chip: 3}, unit.Microsecond)
+	moves, err := s.ApplyFault(chaos.Fault{Class: chaos.ChipFailure, Chip: 3}, unit.Microsecond)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rep.Moves) != 1 || rep.Moves[0].OldID != est.Circuit {
-		t.Fatalf("fault report %+v: want exactly the held circuit", rep.Moves)
+	if len(moves) != 1 || moves[0].OldID != est.Circuit {
+		t.Fatalf("fault moves %+v: want exactly the held circuit", moves)
 	}
 	// Chip 3 is dead, so the reroute cannot resurrect an endpoint: the
 	// circuit must be reported lost, not silently kept.
-	if rep.Moves[0].NewID != -1 {
-		t.Fatalf("circuit with a dead endpoint rerouted to %d", rep.Moves[0].NewID)
+	if moves[0].NewID != -1 {
+		t.Fatalf("circuit with a dead endpoint rerouted to %d", moves[0].NewID)
 	}
 	st := s.Stats()
 	if st.FaultsApplied != 1 || st.CircuitsLost != 1 {

@@ -32,28 +32,11 @@ import (
 // times and the breaker tuning, which are constants now.
 const CheckpointVersion = 8
 
-// configDigest encodes every Config field that shapes controller
-// behavior. Restores compare digests byte-for-byte: a checkpoint is
-// only continuable under the exact configuration that produced it.
-func (s *Server) configDigest() []byte {
-	var e snapshot.Encoder
-	c := s.cfg
-	e.U64(c.Seed)
-	e.Int(c.Wafers)
-	e.Int(c.WaferConfig.Rows)
-	e.Int(c.WaferConfig.Cols)
-	e.Int(c.WaferConfig.LasersPerTile)
-	e.Int(c.WaferConfig.SerDesPortsPerTile)
-	snapshot.Unit(&e, c.WaferConfig.WavelengthCapacity)
-	e.Int(c.WaferConfig.BusesPerLane)
-	e.Int(c.WaferConfig.FibersPerEdge)
-	snapshot.Unit(&e, c.WaferConfig.TileEdge)
-	snapshot.Unit(&e, c.WaferConfig.WaveguidePitch)
-	e.Int(c.QueueCap)
-	snapshot.Unit(&e, c.EstablishService)
-	e.Int(int(c.Audit))
-	return e.Bytes()
-}
+// configDigest encodes every Config field, each of which shapes
+// controller behavior. Restores compare digests byte-for-byte: a
+// checkpoint is only continuable under the exact configuration that
+// produced it.
+func (s *Server) configDigest() []byte { return snapshot.Digest(s.cfg) }
 
 // EncodeState appends the server's full mutable state.
 func (s *Server) EncodeState(e *snapshot.Encoder) {

@@ -98,7 +98,7 @@ func BenchmarkControllerServe(b *testing.B) {
 	var res ControllerResult
 	run := func() error {
 		var err error
-		res, err = ControllerWithOptions(2024, ControllerOptions{Trials: 2})
+		res, err = ControllerWithOptions(2024, 2, Checkpointing{})
 		return err
 	}
 	warmup(b, run)

@@ -36,14 +36,8 @@ type Checkpointing struct {
 // regions of the seed space.
 const trialStride = 0x9e3779b97f4a7c15
 
-// trialSeeds returns the seed of each of a campaign's trials.
-func trialSeeds(seed uint64, trials int) []uint64 {
-	seeds := make([]uint64, trials)
-	for i := range seeds {
-		seeds[i] = seed + uint64(i)*trialStride
-	}
-	return seeds
-}
+// trialSeed returns the seed of a campaign's trial i.
+func trialSeed(seed uint64, i int) uint64 { return seed + uint64(i)*trialStride }
 
 // checkpointedTrials fans `trials` checkpointed simulator runs across
 // CPUs: trial i runs config(i) fresh through run, or through resume

@@ -69,8 +69,7 @@ func controllerTrialConfig(seed uint64) loadgen.Config {
 
 // ControllerResult aggregates the controller load campaign.
 type ControllerResult struct {
-	// Seeds[i] drove trial i; Trials[i] is its full outcome.
-	Seeds  []uint64
+	// Trials[i] is trial i's full outcome.
 	Trials []*loadgen.Result
 	// Requests and Attempts total the fresh and submitted request
 	// counts across trials; Served, Shed, Lost and BreakerTrips total
@@ -141,36 +140,22 @@ func (r ControllerResult) CSV() ([]string, [][]string) {
 		"events", "violations"}, rows
 }
 
-// ControllerOptions sets the load campaign's trial count and its
-// crash-tolerant checkpointing.
-type ControllerOptions struct {
-	// Trials overrides the campaign's trial count (default 8 — the
-	// full 1,024,000-request campaign).
-	Trials int
-	Checkpointing
-}
-
-// ControllerWithOptions runs the load campaign: by default 8
-// independent trials (1,024 agents, 1,024,000 fresh requests in total)
-// fanned across CPUs by the experiment engine, byte-identical whether
-// the trials ran sequentially or in parallel. opts sets the trial
-// count and checkpoint/resume control.
-func ControllerWithOptions(seed uint64, opts ControllerOptions) (ControllerResult, error) {
-	trials := opts.Trials
-	if trials == 0 {
-		trials = 8
-	}
+// ControllerWithOptions runs the load campaign: `trials` independent
+// trials (8 run the full campaign: 1,024 agents, 1,024,000 fresh
+// requests in total) fanned across CPUs by the experiment engine,
+// byte-identical whether the trials ran sequentially or in parallel,
+// with checkpoint/resume control.
+func ControllerWithOptions(seed uint64, trials int, ck Checkpointing) (ControllerResult, error) {
 	if trials < 1 {
 		return ControllerResult{}, fmt.Errorf("experiments: controller trials %d < 1", trials)
 	}
-	seeds := trialSeeds(seed, trials)
-	config := func(i int) loadgen.Config { return controllerTrialConfig(seeds[i]) }
-	outcomes, err := checkpointedTrials(opts.Checkpointing, "controller", "ctrl", trials, config,
+	config := func(i int) loadgen.Config { return controllerTrialConfig(trialSeed(seed, i)) }
+	outcomes, err := checkpointedTrials(ck, "controller", "ctrl", trials, config,
 		loadgen.RunCheckpointed, loadgen.Resume)
 	if err != nil {
 		return ControllerResult{}, err
 	}
-	res := ControllerResult{Seeds: seeds}
+	var res ControllerResult
 	for _, o := range outcomes {
 		res.Trials = append(res.Trials, o)
 		res.Requests += o.Requests

@@ -22,9 +22,8 @@ const soakHorizon = 3 * unit.Day
 
 // SoakResult aggregates the availability campaign.
 type SoakResult struct {
-	// Seeds[i] drove trial i; Trials[i] is its full outcome including
-	// the availability time series.
-	Seeds  []uint64
+	// Trials[i] is trial i's full outcome including the availability
+	// time series.
 	Trials []*fleet.Outcome
 	// MeanAvailability and MeanGoodput average the per-trial means;
 	// WorstAvailability is the weakest trial.
@@ -88,10 +87,9 @@ func SoakWithOptions(seed uint64, trials int, ck Checkpointing) (SoakResult, err
 	if trials < 1 {
 		return SoakResult{}, fmt.Errorf("experiments: soak trials %d < 1", trials)
 	}
-	seeds := trialSeeds(seed, trials)
 	config := func(i int) fleet.Config {
 		return fleet.Config{
-			Seed:    seeds[i],
+			Seed:    trialSeed(seed, i),
 			Horizon: soakHorizon,
 			Audit:   invariant.Paranoid,
 		}
@@ -100,7 +98,7 @@ func SoakWithOptions(seed uint64, trials int, ck Checkpointing) (SoakResult, err
 	if err != nil {
 		return SoakResult{}, err
 	}
-	res := SoakResult{Seeds: seeds, WorstAvailability: 1}
+	res := SoakResult{WorstAvailability: 1}
 	for _, o := range outcomes {
 		res.Trials = append(res.Trials, o)
 		res.MeanAvailability += o.Availability

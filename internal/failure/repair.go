@@ -15,8 +15,7 @@ var ErrNoCongestionFreeRepair = errors.New("failure: no congestion-free electric
 
 // RepairPath is one directed path of an electrical repair.
 type RepairPath struct {
-	From, To int
-	Links    []torus.Link
+	Links []torus.Link
 	// Congestion counts the busy links reused and foreign chips
 	// forwarded through; 0 means congestion-free.
 	Congestion int
@@ -37,7 +36,6 @@ type searchContext struct {
 	f       *Fabric
 	busy    torus.LinkUse
 	victim  *torus.Slice
-	rack    int // victim's rack, for own-chip identification
 	extra   torus.LinkUse
 	maxCost int
 }
@@ -136,7 +134,7 @@ func (sc *searchContext) findPath(src, dst int) (RepairPath, error) {
 	for i, j := 0, len(links)-1; i < j; i, j = i+1, j-1 {
 		links[i], links[j] = links[j], links[i]
 	}
-	return RepairPath{From: src, To: dst, Links: links, Congestion: d}, nil
+	return RepairPath{Links: links, Congestion: d}, nil
 }
 
 // ElectricalRepair attempts to splice a free chip into every broken
@@ -168,7 +166,7 @@ func (f *Fabric) ElectricalRepair(rack, failedLocal int, maxDiagnosticCongestion
 			break // congestion-free plan already found
 		}
 		for _, repl := range free {
-			plan, ok := f.tryPlan(rack, victim, eps, repl, busy, budget)
+			plan, ok := f.tryPlan(victim, eps, repl, busy, budget)
 			if !ok {
 				continue
 			}
@@ -188,8 +186,8 @@ func (f *Fabric) ElectricalRepair(rack, failedLocal int, maxDiagnosticCongestion
 
 // tryPlan routes Pred->repl and repl->Succ for every endpoint pair,
 // keeping the paths mutually link-disjoint.
-func (f *Fabric) tryPlan(rack int, victim *torus.Slice, eps []RepairEndpoint, repl int, busy torus.LinkUse, budget int) (*ElectricalPlan, bool) {
-	sc := &searchContext{f: f, busy: busy, victim: victim, rack: rack, extra: torus.LinkUse{}, maxCost: budget}
+func (f *Fabric) tryPlan(victim *torus.Slice, eps []RepairEndpoint, repl int, busy torus.LinkUse, budget int) (*ElectricalPlan, bool) {
+	sc := &searchContext{f: f, busy: busy, victim: victim, extra: torus.LinkUse{}, maxCost: budget}
 	plan := &ElectricalPlan{Replacement: repl}
 	for _, ep := range eps {
 		for _, leg := range [2][2]int{{ep.Pred, repl}, {repl, ep.Succ}} {

@@ -94,24 +94,10 @@ func Resume(cfg Config, opts CheckpointOptions) (*Outcome, error) {
 	return s.run()
 }
 
-// configDigest encodes every Config field that shapes the event
-// stream. Resume compares digests byte-for-byte: a checkpoint is only
-// continuable under the exact configuration that produced it.
-func (s *soak) configDigest() []byte {
-	var e snapshot.Encoder
-	c := s.cfg
-	e.U64(c.Seed)
-	e.Int(c.Wafers)
-	snapshot.Unit(&e, c.Horizon)
-	snapshot.Unit(&e, c.SampleEvery)
-	for _, m := range c.Rates.MTBF {
-		snapshot.Unit(&e, m)
-	}
-	e.F64(c.Rates.WaveguideLossDB)
-	e.Int(c.Jobs)
-	e.Int(int(c.Audit))
-	return e.Bytes()
-}
+// configDigest encodes every Config field, each of which shapes the
+// event stream. Resume compares digests byte-for-byte: a checkpoint is
+// only continuable under the exact configuration that produced it.
+func (s *soak) configDigest() []byte { return snapshot.Digest(s.cfg) }
 
 // encodeState serializes the full soak state at an event boundary.
 func (s *soak) encodeState(e *snapshot.Encoder) {

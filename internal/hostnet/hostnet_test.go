@@ -326,7 +326,7 @@ func TestTraceProperties(t *testing.T) {
 					max = l
 				}
 			}
-			if res.Mean < min || res.Mean > max || res.P99 > max || res.P50 < min {
+			if res.Mean < min || res.Mean > max || res.P99 > max || res.P99 < min {
 				return false
 			}
 		}

@@ -25,8 +25,8 @@ type Trace []Msg
 // Result summarizes running a trace over one transport.
 type Result struct {
 	Messages int
-	// Mean, P50, P99 are per-message latencies (post-to-delivery).
-	Mean, P50, P99 unit.Seconds
+	// Mean and P99 are per-message latencies (post-to-delivery).
+	Mean, P99 unit.Seconds
 	// Makespan is when the last message was delivered.
 	Makespan unit.Seconds
 	// Setups counts circuit establishments (0 for the packet stack);
@@ -136,7 +136,6 @@ func (r *Result) fillStats() {
 	}
 	sort.Float64s(sorted)
 	r.Mean = unit.Seconds(sum / float64(len(sorted)))
-	r.P50 = unit.Seconds(phy.Percentile(sorted, 50))
 	r.P99 = unit.Seconds(phy.Percentile(sorted, 99))
 }
 

@@ -32,11 +32,9 @@ type Auditor struct {
 	// ctx is the audit loop's reusable working storage, the live index
 	// delta audits run against included; a clean pass over a warm
 	// auditor allocates nothing. deltas counts the delta audits since
-	// the last sampled full pass; fullPasses counts the sampled audits
-	// that ran as full passes.
-	ctx        checkCtx
-	deltas     int
-	fullPasses int
+	// the last sampled full pass.
+	ctx    checkCtx
+	deltas int
 }
 
 // Attach builds an auditor in the given mode and registers it as the
@@ -81,7 +79,6 @@ func (d *Auditor) sample(op string) []Violation {
 		return nil
 	}
 	d.deltas = 0
-	d.fullPasses++
 	return d.run(op)
 }
 
@@ -96,9 +93,9 @@ func (d *Auditor) run(op string) []Violation {
 	d.audits++
 	var fresh []Violation
 	d.ctx.audit(d.alloc)
-	for i, inv := range registry {
+	for i, name := range registry {
 		for _, detail := range d.ctx.out[i] {
-			fresh = append(fresh, Violation{Invariant: inv.Name, Op: op, Detail: detail})
+			fresh = append(fresh, Violation{Invariant: name, Op: op, Detail: detail})
 		}
 	}
 	if len(fresh) == 0 {

@@ -59,7 +59,7 @@ func TestWarmAuditAllocatesNothing(t *testing.T) {
 	}
 
 	a := campaignState(t)
-	sampled := invariant.Attach(a, invariant.Sampled)
+	sampled := invariant.AttachCounting(a, invariant.Sampled)
 	live := a.Circuits()
 	next := 0
 	// One cycle is DefaultStride mutations, so one sampled audit.

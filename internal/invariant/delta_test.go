@@ -128,7 +128,7 @@ func TestRestoredAuditorStartsWithFullPass(t *testing.T) {
 	if aud.DeltaNext() {
 		t.Fatal("a restored auditor trusts its index")
 	}
-	resumed := invariant.Attach(a, invariant.Sampled)
+	resumed := invariant.AttachCounting(a, invariant.Sampled)
 	if err := resumed.RestoreState(snapshot.NewDecoder(e.Bytes())); err != nil {
 		t.Fatal(err)
 	}

@@ -18,20 +18,59 @@ func IndexVouches(a *route.Allocator) (vouched bool, pairs []string) {
 	return ctx.idx.valid, ctx.sweepFibers(ctx.sweepSegments(nil))
 }
 
-// MutatedReport is the audit hook Attach installs, returning the
-// violations its audit found, if it ran one.
-func (d *Auditor) MutatedReport(op string) []Violation { return d.mutated(op) }
+// fullPasses counts, per auditor, the Sampled audits MutatedReport
+// saw run as full passes. The auditor itself keeps no such count.
+var fullPasses = map[*Auditor]int{}
 
-// FullPasses returns how many Sampled audits ran as full passes.
-func (d *Auditor) FullPasses() int { return d.fullPasses }
+// AttachCounting attaches like Attach, with MutatedReport as the
+// audit hook, so FullPasses counts every full pass the auditor runs.
+func AttachCounting(a *route.Allocator, mode Mode) *Auditor {
+	d := Attach(a, mode)
+	if mode != Off {
+		a.SetAuditHook(func(op string) { d.MutatedReport(op) })
+	}
+	return d
+}
+
+// MutatedReport is the audit hook Attach installs, returning the
+// violations its audit found, if it ran one. A sampled audit that
+// leaves no delta audit since the last full pass was a full pass.
+func (d *Auditor) MutatedReport(op string) []Violation {
+	vs := d.mutated(op)
+	if d.mode == Sampled && d.mutations%DefaultStride == 0 && d.deltas == 0 {
+		fullPasses[d]++
+	}
+	return vs
+}
+
+// FullPasses returns how many Sampled audits, observed through
+// MutatedReport, ran as full passes.
+func (d *Auditor) FullPasses() int { return fullPasses[d] }
 
 // DeltaNext reports whether the next Sampled audit will try a delta
 // audit, as far as the mutations seen so far decide.
 func (d *Auditor) DeltaNext() bool { return d.ctx.idx.valid && d.deltas < fullPassEvery-1 }
 
-// Registry returns the registered invariants in audit order. The
-// returned slice is shared; callers must not modify it.
-func Registry() []Invariant { return registry }
+// Invariant is one registered check as the tests see it: its name,
+// and a view that runs one audit pass on a fresh context and returns
+// that invariant's details.
+type Invariant struct {
+	Name  string
+	Check func(a *route.Allocator) []string
+}
+
+// Registry returns the registered invariants in audit order.
+func Registry() []Invariant {
+	out := make([]Invariant, numInvariants)
+	for i, name := range registry {
+		out[i] = Invariant{Name: name, Check: func(a *route.Allocator) []string {
+			var ctx checkCtx
+			ctx.audit(a)
+			return ctx.out[i]
+		}}
+	}
+	return out
+}
 
 // Mutations returns how many top-level mutations the auditor has
 // observed.

@@ -58,11 +58,12 @@ const (
 	// rest are full passes (see the package comment for when a delta
 	// falls back to one).
 	Sampled
-	// Paranoid audits after every completed top-level mutation
-	// (Establish, Release, ApplyFault, EstablishDegraded, Repair). All
-	// tests run in this mode, except that cmd/lightpath-sim's
-	// full-scale campaign replays drop to Sampled under -race to stay
-	// inside the race detector's time budget.
+	// Paranoid audits after every completed top-level mutation: the
+	// allocator's establish, commit, release, apply-fault and repair
+	// ops. EstablishDegraded is not one; the hook fires once per
+	// Establish it makes. All tests run in this mode, except that
+	// cmd/lightpath-sim's full-scale campaign replays drop to Sampled
+	// under -race to stay inside the race detector's time budget.
 	Paranoid
 )
 
@@ -96,82 +97,51 @@ func (v Violation) String() string {
 	return fmt.Sprintf("%s (after %s): %s", v.Invariant, v.Op, v.Detail)
 }
 
-// Invariant is one registered cross-layer check. Check returns a
-// detail string per failure; the auditor stamps the invariant name
-// and triggering operation onto the resulting Violations.
-type Invariant struct {
-	// Name is the stable identifier used in Violations and DESIGN.md.
-	Name string
-	// Doc states what must hold, in one sentence.
-	Doc string
-	// Check audits a consistent (not mid-mutation) allocator.
-	Check func(a *route.Allocator) []string
-}
-
 // Registry positions; checkCtx.out is indexed by them.
 const (
+	// disjointness: established circuits have positive width, and no
+	// bus position or fiber is held twice, by two circuits or by one.
 	disjointness = iota
+	// busConservation: every circuit segment's exact span is allocated
+	// on its bus, and the rack's allocated span count equals the
+	// circuits' segment count.
 	busConservation
+	// fiberConservation: every circuit fiber is occupied in the rack,
+	// and the rack's occupied-fiber count equals the circuits' fiber
+	// count in total and on every trunk row.
 	fiberConservation
+	// endpointConservation: each tile's reserved lasers and SerDes
+	// ports equal the sum of circuit widths and endpoint count
+	// terminating there, and never exceed capacity.
 	endpointConservation
+	// budgetHealth: active circuits terminate at healthy chips on the
+	// rack, cross no severed span or failed fiber row, and (when budget
+	// checking is on) still close their optical budget.
 	budgetHealth
+	// switchConsistency: the hardware switch ports match the
+	// programming each circuit's segments require (endpoint switch 0
+	// to port 0, turn switch 1 to port 1).
 	switchConsistency
 	numInvariants
 )
 
-// registry is ordered from structural to semantic checks; it is
-// immutable after init. Every Check is a view onto the same audit
-// pass (checkCtx.audit): it runs the pass on a throwaway context and
-// returns its own invariant's details.
-var registry = []Invariant{
-	disjointness: {
-		Name:  "circuit-disjointness",
-		Doc:   "established circuits have positive width and share no bus segment or fiber pairwise",
-		Check: view(disjointness),
-	},
-	busConservation: {
-		Name:  "bus-conservation",
-		Doc:   "every circuit segment's exact span is allocated on its bus, and the rack's allocated span count equals the circuits' segment count",
-		Check: view(busConservation),
-	},
-	fiberConservation: {
-		Name:  "fiber-conservation",
-		Doc:   "every circuit fiber is occupied in the rack, and the rack's occupied-fiber count equals the circuits' fiber count in total and on every trunk row",
-		Check: view(fiberConservation),
-	},
-	endpointConservation: {
-		Name:  "endpoint-conservation",
-		Doc:   "each tile's reserved lasers and SerDes ports equal the sum of circuit widths and endpoint count terminating there, and never exceed capacity",
-		Check: view(endpointConservation),
-	},
-	budgetHealth: {
-		Name:  "budget-health",
-		Doc:   "active circuits terminate at healthy chips on the rack, cross no severed span or failed fiber row, and (when budget checking is on) still close their optical budget",
-		Check: view(budgetHealth),
-	},
-	switchConsistency: {
-		Name:  "switch-consistency",
-		Doc:   "the hardware switch ports match the programming each circuit's segments require (endpoint switch 0 to port 0, turn switch 1 to port 1)",
-		Check: view(switchConsistency),
-	},
-}
-
-// view is invariant i's public Check: one audit pass on a fresh
-// context, returning that invariant's details.
-func view(i int) func(a *route.Allocator) []string {
-	return func(a *route.Allocator) []string {
-		var ctx checkCtx
-		ctx.audit(a)
-		return ctx.out[i]
-	}
+// registry names each invariant, ordered from structural to semantic
+// checks. The names are the stable identifiers used in Violations and
+// DESIGN.md; one audit pass (checkCtx.audit) checks them all.
+var registry = [numInvariants]string{
+	disjointness:         "circuit-disjointness",
+	busConservation:      "bus-conservation",
+	fiberConservation:    "fiber-conservation",
+	endpointConservation: "endpoint-conservation",
+	budgetHealth:         "budget-health",
+	switchConsistency:    "switch-consistency",
 }
 
 // checkCtx is the reusable working storage of one audit pass: the
 // circuit list, per-invariant detail buffers, the tallies, the live
 // index and the disjointness reporter's sort buffers. An attached
 // Auditor keeps one across audits so the steady-state audit stops
-// allocating; the public registry builds a throwaway one per Check
-// call.
+// allocating.
 type checkCtx struct {
 	circuits []*route.Circuit
 	switches []route.SwitchExpectation

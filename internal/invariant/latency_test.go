@@ -155,7 +155,7 @@ func detectionLag(t *testing.T, seed uint64, plant int, touched bool, mode strin
 	case "paranoid":
 		aud = invariant.Attach(a, invariant.Paranoid)
 	case "sampled, delta":
-		aud = invariant.Attach(a, invariant.Sampled)
+		aud = invariant.AttachCounting(a, invariant.Sampled)
 	default:
 		aud = invariant.Attach(a, invariant.Off)
 	}

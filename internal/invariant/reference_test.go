@@ -88,6 +88,9 @@ func (s fibsByRef) Less(i, j int) bool {
 func (s fibsByRef) Swap(i, j int) { s[i], s[j] = s[j], s[i] }
 
 func sharePair(out []string, a, b int) []string {
+	if a == b {
+		return append(out, fmt.Sprintf("circuit %d holds one bus position or fiber twice", a))
+	}
 	if b < a {
 		a, b = b, a
 	}
@@ -124,7 +127,7 @@ func checkDisjointness(a *route.Allocator, ctx *checkCtx) []string {
 			reach = so
 			continue
 		}
-		if so.seg.Ref.Span.Lo <= reach.seg.Ref.Span.Hi && so.id != reach.id {
+		if so.seg.Ref.Span.Lo <= reach.seg.Ref.Span.Hi {
 			out = sharePair(out, reach.id, so.id)
 		}
 		if so.seg.Ref.Span.Hi > reach.seg.Ref.Span.Hi {
@@ -134,7 +137,7 @@ func checkDisjointness(a *route.Allocator, ctx *checkCtx) []string {
 	sort.Sort(fibsByRef(ctx.fibs))
 	for i := 1; i < len(ctx.fibs); i++ {
 		prev, cur := ctx.fibs[i-1], ctx.fibs[i]
-		if prev.fib == cur.fib && prev.id != cur.id {
+		if prev.fib == cur.fib {
 			out = sharePair(out, prev.id, cur.id)
 		}
 	}

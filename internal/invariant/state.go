@@ -75,10 +75,10 @@ func (d *Auditor) RestoreState(dec *snapshot.Decoder) error {
 	}
 	d.ctx.audit(d.alloc)
 	d.ctx.idx.valid = false
-	for i, inv := range registry {
+	for i, name := range registry {
 		if details := d.ctx.out[i]; len(details) > 0 {
 			return fmt.Errorf("%w: restored state violates %s: %s",
-				snapshot.ErrCorruptSnapshot, inv.Name, details[0])
+				snapshot.ErrCorruptSnapshot, name, details[0])
 		}
 	}
 	return nil

@@ -10,8 +10,8 @@ import (
 )
 
 // The disjointness reporter. A full pass decides disjointness with the
-// live index (delta.go): a clean rebuild proves that no two circuits
-// share a bus position or a fiber. Only when the rebuild fails (a
+// live index (delta.go): a clean rebuild proves that no bus position
+// or fiber is held twice, by two circuits or by one. Only when the rebuild fails (a
 // clash, a key off the rack, a table out of ID order, a wafer more than
 // 64 tiles on a side) does the reporter run, to name the pairs: it
 // sorts every segment and every fiber the circuits hold and sweeps the
@@ -58,16 +58,22 @@ func compareFibs(a, b fibOwner) int {
 	)
 }
 
+// sharePair reports two circuits, or one circuit twice, holding one
+// bus position or fiber.
 func sharePair(out []string, a, b int) []string {
+	if a == b {
+		return append(out, fmt.Sprintf("circuit %d holds one bus position or fiber twice", a))
+	}
 	if b < a {
 		a, b = b, a
 	}
 	return append(out, fmt.Sprintf("circuits %d and %d share a bus segment or fiber", a, b))
 }
 
-// sweepSegments appends the overlapping segment pairs to out. Any
-// segment starting at or before the end of the farthest-reaching
-// earlier segment on its bus (reach) overlaps it.
+// sweepSegments appends the overlapping segment pairs to out, a
+// circuit overlapping itself included. Any segment starting at or
+// before the end of the farthest-reaching earlier segment on its bus
+// (reach) overlaps it.
 func (ctx *checkCtx) sweepSegments(out []string) []string {
 	ctx.segs = ctx.segs[:0]
 	for _, c := range ctx.circuits {
@@ -82,7 +88,7 @@ func (ctx *checkCtx) sweepSegments(out []string) []string {
 			reach = so
 			continue
 		}
-		if so.seg.Ref.Span.Lo <= reach.seg.Ref.Span.Hi && so.id != reach.id {
+		if so.seg.Ref.Span.Lo <= reach.seg.Ref.Span.Hi {
 			out = sharePair(out, reach.id, so.id)
 		}
 		if so.seg.Ref.Span.Hi > reach.seg.Ref.Span.Hi {
@@ -93,7 +99,8 @@ func (ctx *checkCtx) sweepSegments(out []string) []string {
 }
 
 // sweepFibers appends the pairs of circuits holding one fiber to out:
-// adjacent sorted fibers that match and have different owners.
+// adjacent sorted fibers that match, a circuit holding one twice
+// included.
 func (ctx *checkCtx) sweepFibers(out []string) []string {
 	ctx.fibs = ctx.fibs[:0]
 	for _, c := range ctx.circuits {
@@ -104,7 +111,7 @@ func (ctx *checkCtx) sweepFibers(out []string) []string {
 	slices.SortFunc(ctx.fibs, compareFibs)
 	for i := 1; i < len(ctx.fibs); i++ {
 		prev, cur := ctx.fibs[i-1], ctx.fibs[i]
-		if prev.fib == cur.fib && prev.id != cur.id {
+		if prev.fib == cur.fib {
 			out = sharePair(out, prev.id, cur.id)
 		}
 	}

@@ -17,7 +17,6 @@ type Policy interface {
 
 // Outcome is the result of running a policy over a workload.
 type Outcome struct {
-	Policy string
 	// Reconfigs counts configuration changes (each costing r).
 	Reconfigs int
 	// ServeTime is the total data-movement time; Total adds the
@@ -35,7 +34,7 @@ type Outcome struct {
 // the runner falls back to the demand's direct configuration and
 // counts the phase Unserveable.
 func Run(p Params, policy Policy, phases []Demand) (Outcome, error) {
-	out := Outcome{Policy: policy.Name()}
+	var out Outcome
 	current := NewConfig()
 	for i, d := range phases {
 		next := policy.Next(current, d)
@@ -208,7 +207,7 @@ func OfflineOptimal(p Params, phases []Demand, chips []int) (Outcome, error) {
 		best, reconf, serveTot = nb, nr, ns
 		first = false
 	}
-	out := Outcome{Policy: "offline-optimal"}
+	var out Outcome
 	bestTotal := inf
 	for ci := range candidates {
 		if best[ci] < bestTotal {

@@ -15,7 +15,8 @@ import (
 // the Decoder's sticky bounds checking catch everything else. Dumb is
 // the point — a codec with no branching on content cannot be
 // nondeterministic, and a decoder that never indexes past its buffer
-// cannot panic on a torn file.
+// cannot panic on a torn file. The one reflective piece, Digest,
+// derives a config digest that is only ever compared, never decoded.
 
 // Encoder appends primitive values to a growing payload buffer. The
 // zero value is ready to use.

@@ -18,9 +18,8 @@ type Cluster struct {
 	rack     *Torus
 	numRacks int
 	// next[d][r] is the rack whose -d face attaches to rack r's +d
-	// face; prev is the inverse. Default: the rack itself.
+	// face. Default: the rack itself.
 	next [][]int
-	prev [][]int
 }
 
 // TPUv4RackShape is the paper's rack: a 4x4x4 cube of 64 TPUs.
@@ -47,14 +46,11 @@ func NewCluster(rackShape Shape, numRacks int) (*Cluster, error) {
 		rack:     New(rackShape),
 		numRacks: numRacks,
 		next:     make([][]int, rackShape.Dims()),
-		prev:     make([][]int, rackShape.Dims()),
 	}
 	for d := range c.next {
 		c.next[d] = make([]int, numRacks)
-		c.prev[d] = make([]int, numRacks)
 		for r := 0; r < numRacks; r++ {
 			c.next[d][r] = r
-			c.prev[d][r] = r
 		}
 	}
 	return c, nil
@@ -146,9 +142,7 @@ func (c *Cluster) Join(d int, seq []int) error {
 		}
 	}
 	for i, r := range seq {
-		nxt := seq[(i+1)%len(seq)]
-		c.next[d][r] = nxt
-		c.prev[d][nxt] = r
+		c.next[d][r] = seq[(i+1)%len(seq)]
 	}
 	return nil
 }

@@ -191,7 +191,7 @@ func (c *Cluster) GlobalLinkDim(l Link) int {
 
 // NeighborGlobal returns the global chip adjacent to g along
 // dimension d in direction dir (+1/-1), following OCS splices across
-// rack faces.
+// rack faces. The -d neighbour rack is the one whose next is rack.
 func (c *Cluster) NeighborGlobal(g, d, dir int) int {
 	rack, chip := c.Split(g)
 	co := c.rack.Coord(chip)
@@ -203,7 +203,13 @@ func (c *Cluster) NeighborGlobal(g, d, dir int) int {
 		return c.GlobalID(c.next[d][rack], c.rack.Index(co))
 	case v < 0:
 		co[d] = e - 1
-		return c.GlobalID(c.prev[d][rack], c.rack.Index(co))
+		prev := rack
+		for r, n := range c.next[d] {
+			if n == rack {
+				prev = r
+			}
+		}
+		return c.GlobalID(prev, c.rack.Index(co))
 	default:
 		co[d] = v
 		return c.GlobalID(rack, c.rack.Index(co))
