@@ -1,12 +1,12 @@
 // Command lightpath-controller is the long-running lightpath setup
 // daemon: it owns one rack's route.Allocator behind the ctrl frame
 // protocol and answers establish/release/reroute/health requests with
-// the full robustness ladder — bounded-queue admission, per-request
-// deadlines, per-chip circuit breakers, width-halving degradation and
-// load shedding. The daemon runs on logical time (each request
-// advances the virtual clock by -tick-us), so the deployed binary
-// exercises exactly the semantics the deterministic million-request
-// campaign validated.
+// the full robustness ladder — bounded-queue admission and load
+// shedding, per-request deadlines, per-chip two-state circuit
+// breakers, and full-width reroute of circuits a fault breaks. The
+// daemon runs on logical time (each request advances the virtual clock
+// by -tick-us), so the deployed binary exercises exactly the semantics
+// the deterministic million-request campaign validated.
 //
 // Usage:
 //

@@ -48,10 +48,8 @@ type ChaosOutcome struct {
 	// in for it.
 	Victim, Replacement int
 	// RepairCircuits counts the optical circuits establishing the
-	// replacement's connectivity; Degraded reports whether any came up
-	// narrower than requested.
+	// replacement's connectivity, each at the full repair width.
 	RepairCircuits int
-	Degraded       bool
 	// StepsTotal and StepsReplayed count schedule steps executed and
 	// re-executed after rollback to the last completed step.
 	StepsTotal, StepsReplayed int
@@ -86,11 +84,11 @@ func (o *ChaosOutcome) String() string {
 		verdict = "WRONG"
 	}
 	return fmt.Sprintf(
-		"chip %d failed mid-collective; replacement %d spliced in over %d circuits (degraded=%v)\n"+
+		"chip %d failed mid-collective; replacement %d spliced in over %d circuits\n"+
 			"  result: %s after %d/%d steps replayed\n"+
 			"  time: %v clean -> %v with fault (MTTR %v = %v detect + %v repair; bound %v)\n"+
 			"  stall set: %d chips optical vs %d electrical; goodput %.1f%%\n",
-		o.Victim, o.Replacement, o.RepairCircuits, o.Degraded,
+		o.Victim, o.Replacement, o.RepairCircuits,
 		verdict, o.StepsReplayed, o.StepsTotal,
 		o.CleanTime, o.TotalTime, o.MTTR, o.DetectTime, o.RepairTime, o.RepairBound,
 		o.StallOptical, o.StallElectrical, o.GoodputFraction*100)
@@ -183,13 +181,12 @@ func (f *Fabric) RunPlannedAllReduceUnderFault(a *torus.Allocation, plan *Collec
 	// The replacement must reconnect to every peer the victim still
 	// owes traffic (the interrupted step replays, so it counts).
 	peers := victimPeers(sched, victim, failStep)
-	repl, circuits, degraded, err := f.spliceReplacement(a, chips, peers, clock)
+	repl, circuits, err := f.spliceReplacement(a, chips, peers, clock)
 	if err != nil {
 		return nil, err
 	}
 	out.Replacement = repl
 	out.RepairCircuits = len(circuits)
-	out.Degraded = degraded
 	repairedAt := clock
 	for _, c := range circuits {
 		if r := c.ReadyAt(); r > repairedAt {
@@ -237,9 +234,8 @@ func (f *Fabric) RunPlannedAllReduceUnderFault(a *torus.Allocation, plan *Collec
 // spliceReplacement picks a free, healthy chip and establishes repair
 // circuits from it to every peer, trying candidates in ascending ID
 // order and rolling back a candidate's circuits when any peer cannot
-// be reached. The boolean reports whether any circuit was degraded
-// below repairWidth.
-func (f *Fabric) spliceReplacement(a *torus.Allocation, inCollective, peers []int, now unit.Seconds) (int, []*route.Circuit, bool, error) {
+// be reached at repairWidth.
+func (f *Fabric) spliceReplacement(a *torus.Allocation, inCollective, peers []int, now unit.Seconds) (int, []*route.Circuit, error) {
 	var candidates []int
 	for _, c := range a.FreeChips() {
 		if slices.Contains(inCollective, c) {
@@ -250,31 +246,29 @@ func (f *Fabric) spliceReplacement(a *torus.Allocation, inCollective, peers []in
 		}
 	}
 	if len(candidates) == 0 {
-		return -1, nil, false, fmt.Errorf("core: no healthy free chip to splice in")
+		return -1, nil, fmt.Errorf("core: no healthy free chip to splice in")
 	}
 	var lastErr error
 	for _, repl := range candidates {
 		circuits := make([]*route.Circuit, 0, len(peers))
-		degraded := false
 		ok := true
 		for _, peer := range peers {
-			c, deg, err := f.alloc.EstablishDegraded(route.Request{A: repl, B: peer, Width: repairWidth}, now)
+			c, err := f.alloc.Establish(route.Request{A: repl, B: peer, Width: repairWidth}, now)
 			if err != nil {
 				lastErr = err
 				ok = false
 				break
 			}
 			circuits = append(circuits, c)
-			degraded = degraded || deg
 		}
 		if ok {
-			return repl, circuits, degraded, nil
+			return repl, circuits, nil
 		}
 		for _, c := range circuits {
 			f.alloc.Release(c)
 		}
 	}
-	return -1, nil, false, fmt.Errorf("core: optical splice failed for every free chip: %w", lastErr)
+	return -1, nil, fmt.Errorf("core: optical splice failed for every free chip: %w", lastErr)
 }
 
 // victimPeers returns the distinct chips the victim exchanges traffic

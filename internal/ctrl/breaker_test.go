@@ -14,9 +14,9 @@ import (
 
 // TestBreakerStateMachine walks the documented transitions directly:
 // closed trips open at exactly BreakerFailThreshold consecutive
-// failures, an open breaker rejects until the cooldown elapses,
-// half-open admits exactly breakerHalfOpenProbes, a probe success
-// closes and a probe failure reopens.
+// failures, an open breaker rejects until the cooldown elapses and
+// then admits a probe, a probe failure trips it again and a probe
+// success closes it.
 func TestBreakerStateMachine(t *testing.T) {
 	var b Breaker
 
@@ -47,26 +47,23 @@ func TestBreakerStateMachine(t *testing.T) {
 		t.Fatalf("open breaker before cooldown: %v", err)
 	}
 
-	// Cooldown elapsed: half-open, admits exactly one probe.
+	// Cooldown elapsed: the open breaker admits a probe.
 	if err := b.Allow(breakerCooldown); err != nil {
-		t.Fatalf("half-open transition rejected the probe: %v", err)
-	}
-	if b.State() != BreakerHalfOpen {
-		t.Fatalf("state %v after cooldown, want half-open", b.State())
-	}
-	if err := b.Allow(breakerCooldown); !errors.Is(err, ErrBreakerOpen) {
-		t.Fatalf("probe quota not enforced: %v", err)
+		t.Fatalf("open breaker past its cooldown rejected the probe: %v", err)
 	}
 
-	// A probe failure reopens immediately.
+	// A probe failure trips it again at once.
 	b.Failure(breakerCooldown)
 	if b.State() != BreakerOpen || b.Trips() != 2 {
 		t.Fatalf("state %v trips %d after probe failure, want open/2", b.State(), b.Trips())
 	}
+	if err := b.Allow(breakerCooldown + breakerCooldown/2); !errors.Is(err, ErrBreakerOpen) {
+		t.Fatalf("retripped breaker before its new cooldown: %v", err)
+	}
 
 	// Next epoch: probe succeeds, breaker closes and passes freely.
 	if err := b.Allow(2 * breakerCooldown); err != nil {
-		t.Fatalf("second half-open probe rejected: %v", err)
+		t.Fatalf("second probe rejected: %v", err)
 	}
 	b.Success()
 	if b.State() != BreakerClosed {
@@ -89,38 +86,27 @@ func breakerTrace(t *testing.T, seed uint64) string {
 	prev := b.State()
 	for step := 0; step < 400; step++ {
 		now += unit.Seconds(r.Intn(5)) * 100 * unit.Microsecond
+		succeeded := false
 		if err := b.Allow(now); err != nil {
 			if !errors.Is(err, ErrBreakerOpen) {
 				t.Fatalf("step %d: rejection outside the taxonomy: %v", step, err)
 			}
 			fmt.Fprintf(&trace, "%d reject %v\n", step, b.State())
-		} else {
+		} else if r.Float64() < 0.8 {
 			// An admitted request resolves either way, biased toward
 			// failure so trips actually happen.
-			if r.Float64() < 0.8 {
-				b.Failure(now)
-				fmt.Fprintf(&trace, "%d fail -> %v\n", step, b.State())
-			} else {
-				b.Success()
-				fmt.Fprintf(&trace, "%d ok -> %v\n", step, b.State())
-			}
+			b.Failure(now)
+			fmt.Fprintf(&trace, "%d fail -> %v\n", step, b.State())
+		} else {
+			b.Success()
+			succeeded = true
+			fmt.Fprintf(&trace, "%d ok -> %v\n", step, b.State())
 		}
-		cur := b.State()
-		// Transitions observed across one step. Open -> closed and
-		// open -> open are legal because a single step can pass
-		// through half-open: Allow flips open to half-open and the
-		// probe's Success/Failure resolves it immediately.
-		legal := map[[2]BreakerState]bool{
-			{BreakerClosed, BreakerClosed}: true, {BreakerClosed, BreakerOpen}: true,
-			{BreakerOpen, BreakerOpen}: true, {BreakerOpen, BreakerHalfOpen}: true,
-			{BreakerOpen, BreakerClosed}:       true,
-			{BreakerHalfOpen, BreakerHalfOpen}: true, {BreakerHalfOpen, BreakerClosed}: true,
-			{BreakerHalfOpen, BreakerOpen}: true,
+		// Only a success closes a breaker, and only a failure opens one.
+		if cur := b.State(); cur != prev && (cur == BreakerClosed) != succeeded {
+			t.Fatalf("step %d: %v -> %v without the settlement that moves it", step, prev, cur)
 		}
-		if !legal[[2]BreakerState{prev, cur}] {
-			t.Fatalf("step %d: illegal transition %v -> %v", step, prev, cur)
-		}
-		prev = cur
+		prev = b.State()
 	}
 	fmt.Fprintf(&trace, "trips=%d\n", b.Trips())
 	if b.Trips() == 0 {
@@ -159,7 +145,7 @@ func TestBreakerSnapshotRoundTrip(t *testing.T) {
 	if r.State() != b.State() || r.Trips() != b.Trips() {
 		t.Fatalf("restored breaker %v/%d, want %v/%d", r.State(), r.Trips(), b.State(), b.Trips())
 	}
-	// Both must flip half-open at the same instant.
+	// Both must admit their probe at the same instant.
 	errA, errB := b.Allow(breakerCooldown), r.Allow(breakerCooldown)
 	if (errA == nil) != (errB == nil) {
 		t.Fatalf("restored breaker diverged at cooldown: %v vs %v", errA, errB)
@@ -169,33 +155,31 @@ func TestBreakerSnapshotRoundTrip(t *testing.T) {
 // breakerPayload encodes a breaker state field by field, in
 // EncodeState's order, so a test can write counters no call sequence
 // reaches.
-func breakerPayload(state BreakerState, failures int, openedAt unit.Seconds, probes, trips int) []byte {
+func breakerPayload(state BreakerState, failures int, openedAt unit.Seconds, trips int) []byte {
 	var e snapshot.Encoder
 	e.Int(int(state))
 	e.Int(failures)
 	snapshot.Unit(&e, openedAt)
-	e.Int(probes)
 	e.Int(trips)
 	return e.Bytes()
 }
 
 // TestBreakerRestoreRefusesImpossibleCounters feeds RestoreState one
-// crafted payload per rule. Each breaks a count the state machine
-// keeps in range: before the checks, a half-open breaker restored with
-// probes = -5 admitted 6 probes against a quota of 1.
+// crafted payload per rule. Each breaks a count or state the state
+// machine keeps in range.
 func TestBreakerRestoreRefusesImpossibleCounters(t *testing.T) {
 	cases := []struct {
 		name    string
 		payload []byte
 	}{
-		{"negative-failures", breakerPayload(BreakerClosed, -1, 0, 0, 0)},
-		{"negative-probes", breakerPayload(BreakerHalfOpen, 0, 0, -5, 1)},
-		{"negative-trips", breakerPayload(BreakerOpen, 0, 0, 0, -1)},
-		{"failures-at-threshold", breakerPayload(BreakerClosed, BreakerFailThreshold, 0, 0, 0)},
-		{"probes-over-quota", breakerPayload(BreakerHalfOpen, 0, 0, breakerHalfOpenProbes+1, 1)},
-		{"opened-at-nan", breakerPayload(BreakerOpen, 0, unit.Seconds(math.NaN()), 0, 1)},
-		{"opened-at-inf", breakerPayload(BreakerOpen, 0, unit.Seconds(math.Inf(1)), 0, 1)},
-		{"opened-at-negative", breakerPayload(BreakerOpen, 0, -unit.Microsecond, 0, 1)},
+		{"unknown-state", breakerPayload(BreakerOpen+1, 0, 0, 1)},
+		{"negative-state", breakerPayload(BreakerClosed-1, 0, 0, 0)},
+		{"negative-failures", breakerPayload(BreakerClosed, -1, 0, 0)},
+		{"negative-trips", breakerPayload(BreakerOpen, 0, 0, -1)},
+		{"failures-at-threshold", breakerPayload(BreakerClosed, BreakerFailThreshold, 0, 0)},
+		{"opened-at-nan", breakerPayload(BreakerOpen, 0, unit.Seconds(math.NaN()), 1)},
+		{"opened-at-inf", breakerPayload(BreakerOpen, 0, unit.Seconds(math.Inf(1)), 1)},
+		{"opened-at-negative", breakerPayload(BreakerOpen, 0, -unit.Microsecond, 1)},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -210,10 +194,10 @@ func TestBreakerRestoreRefusesImpossibleCounters(t *testing.T) {
 	}
 
 	// The limits themselves restore: a streak one short of tripping,
-	// and a half-open breaker holding its full probe quota, which then
-	// admits no more.
+	// and an open breaker, which rejects until its cooldown and then
+	// admits a probe.
 	var b Breaker
-	if err := b.RestoreState(snapshot.NewDecoder(breakerPayload(BreakerClosed, BreakerFailThreshold-1, 0, 0, 3))); err != nil {
+	if err := b.RestoreState(snapshot.NewDecoder(breakerPayload(BreakerClosed, BreakerFailThreshold-1, 0, 3))); err != nil {
 		t.Fatal(err)
 	}
 	b.Failure(0)
@@ -221,10 +205,13 @@ func TestBreakerRestoreRefusesImpossibleCounters(t *testing.T) {
 		t.Fatalf("streak one short of the threshold did not trip on the next failure: %v", b.State())
 	}
 	b = Breaker{}
-	if err := b.RestoreState(snapshot.NewDecoder(breakerPayload(BreakerHalfOpen, 0, unit.Millisecond, breakerHalfOpenProbes, 1))); err != nil {
+	if err := b.RestoreState(snapshot.NewDecoder(breakerPayload(BreakerOpen, 0, unit.Millisecond, 1))); err != nil {
 		t.Fatal(err)
 	}
-	if err := b.Allow(2 * unit.Millisecond); !errors.Is(err, ErrBreakerOpen) {
-		t.Fatalf("half-open breaker at its quota admitted a probe: %v", err)
+	if err := b.Allow(unit.Millisecond + breakerCooldown/2); !errors.Is(err, ErrBreakerOpen) {
+		t.Fatalf("restored open breaker admitted a request in its cooldown: %v", err)
+	}
+	if err := b.Allow(unit.Millisecond + breakerCooldown); err != nil {
+		t.Fatalf("restored open breaker rejected its probe: %v", err)
 	}
 }

@@ -69,7 +69,7 @@ func TestDaemonEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatalf("establish: %v", err)
 	}
-	if est.Width != 2 || est.Degraded {
+	if est.Width != 2 {
 		t.Fatalf("establish granted %+v, want full width 2", est)
 	}
 	hr, err := c.Health()

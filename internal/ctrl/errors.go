@@ -22,12 +22,13 @@
 //     request meets the breaker of the chip at its A endpoint.
 //     BreakerFailThreshold (8) consecutive setup failures trip it
 //     open; requests for the chip then fail fast with ErrBreakerOpen
-//     until breakerCooldown (1 ms) elapses, and a half-open breaker
-//     admits breakerHalfOpenProbes (1) probe, whose success closes it.
-//  4. Degradation ladder: a failed fast-path establish transparently
-//     falls back to width-halving (EstablishDegraded); circuits broken
-//     by faults are rerouted first, then degraded, then shed. The wire
-//     interface never changes shape while the fabric degrades.
+//     until breakerCooldown (1 ms) elapses, and the next request is
+//     admitted as a probe: its success closes the breaker, its failure
+//     trips it again. The breaker has no third state.
+//  4. Reroute on fault: circuits broken by faults are re-established
+//     at their full width over surviving resources, or counted lost.
+//     A grant is never narrower than its request. The wire interface
+//     never changes shape while the fabric degrades.
 package ctrl
 
 import (
@@ -50,13 +51,10 @@ var ErrDeadlineExceeded = errors.New("ctrl: request deadline exceeded")
 // burning allocator work on a chip that is currently unroutable.
 var ErrBreakerOpen = errors.New("ctrl: region circuit breaker open")
 
-// Preallocated Allow rejections: a tripped breaker turns away every
-// request in its cooldown window, so these fire at full request rate.
-// Both wrap ErrBreakerOpen for errors.Is.
-var (
-	errBreakerCooling = fmt.Errorf("%w: cooling down", ErrBreakerOpen)
-	errBreakerProbing = fmt.Errorf("%w: half-open probe quota reached", ErrBreakerOpen)
-)
+// errBreakerCooling is Allow's preallocated rejection: a tripped
+// breaker turns away every request in its cooldown window, so it fires
+// at full request rate. It wraps ErrBreakerOpen for errors.Is.
+var errBreakerCooling = fmt.Errorf("%w: cooling down", ErrBreakerOpen)
 
 // ErrBadFrame reports a malformed wire-protocol frame: truncated,
 // oversized, carrying an unknown message type, or failing the payload

@@ -32,8 +32,11 @@ import (
 // Version 7 carries the server's version 7 state: circuits' link
 // reports drop the stored BER. Version 8 carries the server's version
 // 8 state, whose config digest drops the constant service times and
-// breaker tuning.
-const checkpointVersion = 8
+// breaker tuning. Version 9 drops each session's granted width, which
+// is its asked width now that no grant is narrower, and carries the
+// server's version 9 state: no breaker probe counts and no degraded
+// counters.
+const checkpointVersion = 9
 
 // checkpointEvery is the default checkpoint cadence in event
 // boundaries.
@@ -117,7 +120,6 @@ func (c *campaign) encodeState(e *snapshot.Encoder) {
 		e.Int(int(s.phase))
 		snapshot.Unit(e, s.firstAt)
 		e.Int(s.circuit)
-		e.Int(s.grantWidth)
 		snapshot.Unit(e, s.openedAt)
 	}
 
@@ -245,7 +247,6 @@ func (c *campaign) restoreState(d *snapshot.Decoder) error {
 		s.phase = phase(ph)
 		s.firstAt = snapshot.DecodeUnit[unit.Seconds](d)
 		s.circuit = d.Int()
-		s.grantWidth = d.Int()
 		s.openedAt = snapshot.DecodeUnit[unit.Seconds](d)
 		if s.agent < 0 || s.agent >= len(c.agents) {
 			return fmt.Errorf("%w: session %d owned by unknown agent %d",

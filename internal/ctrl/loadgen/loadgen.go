@@ -90,21 +90,21 @@ type Result struct {
 	// Requests is the number of fresh establish requests issued;
 	// Attempts counts every submit including retries and releases.
 	Requests, Attempts int
-	// Served, Degraded, Shed, DeadlineMiss, BreakerRejects, NoPath and
+	// Served, Shed, DeadlineMiss, BreakerRejects, NoPath and
 	// EndpointFailed mirror the controller's counters.
-	Served, Degraded, Shed, DeadlineMiss, BreakerRejects, NoPath, EndpointFailed int
+	Served, Shed, DeadlineMiss, BreakerRejects, NoPath, EndpointFailed int
 	// Retries counts backoff-scheduled resubmits; Lost counts establish
 	// requests abandoned after MaxRetries; Leaked counts circuits whose
 	// release was abandoned after MaxRetries (should stay zero).
 	Retries, Lost, Leaked int
 	// BreakerTrips totals breaker open transitions across regions.
 	BreakerTrips int
-	// Faults, Reroutes, RerouteDegraded and CircuitsLost describe the
-	// chaos path: faults applied, broken circuits transparently moved
-	// (RerouteDegraded of them at reduced width) and circuits lost.
-	Faults, Reroutes, RerouteDegraded, CircuitsLost int
-	// GoodputWS is the delivered goodput in width-seconds: granted
-	// width integrated over each circuit's actual lifetime.
+	// Faults, Reroutes and CircuitsLost describe the chaos path:
+	// faults applied, broken circuits transparently moved and circuits
+	// lost.
+	Faults, Reroutes, CircuitsLost int
+	// GoodputWS is the delivered goodput in width-seconds: width
+	// integrated over each circuit's actual lifetime.
 	GoodputWS float64
 	// P50us and P99us are the setup-latency percentiles in
 	// microseconds over served establishes, first arrival to grant,
@@ -162,14 +162,13 @@ const (
 // fault are closed by the fault handler; their stale release events
 // no-op. Sessions live by value in the campaign's sessionTable.
 type session struct {
-	agent      int
-	a, b       int
-	width      int
-	phase      phase
-	firstAt    unit.Seconds // first establish submit (latency baseline)
-	circuit    int
-	grantWidth int
-	openedAt   unit.Seconds // when the current grant started (goodput baseline)
+	agent    int
+	a, b     int
+	width    int // asked and, once granted, held: a grant is never narrower
+	phase    phase
+	firstAt  unit.Seconds // first establish submit (latency baseline)
+	circuit  int
+	openedAt unit.Seconds // when the current grant started (goodput baseline)
 }
 
 // agentState is one client agent: its chip, its independent rng
@@ -349,9 +348,10 @@ func (c *campaign) onRelease(at unit.Seconds, ev event) {
 
 // onFault applies one scheduled fault and reconciles every session the
 // blast radius touched: rerouted circuits keep their session (goodput
-// credited at the old width, restarted at the new), lost circuits
-// close theirs. Moves are matched, in the order the server reports
-// them, against the sessions holding a circuit, walked in ID order.
+// credited up to the fault, restarted on the new circuit), lost
+// circuits close theirs. Moves are matched, in the order the server
+// reports them, against the sessions holding a circuit, walked in ID
+// order.
 func (c *campaign) onFault(at unit.Seconds, ev event) error {
 	moves, err := c.srv.ApplyFault(c.schedule[ev.id], at)
 	if err != nil {
@@ -362,13 +362,12 @@ func (c *campaign) onFault(at unit.Seconds, ev event) error {
 		if s == nil {
 			continue
 		}
-		c.goodputWS += float64(s.grantWidth) * float64(at-s.openedAt)
+		c.goodputWS += float64(s.width) * float64(at-s.openedAt)
 		if mv.NewID < 0 {
 			c.sessions.close(sid)
 			continue
 		}
 		s.circuit = mv.NewID
-		s.grantWidth = mv.NewWidth
 		s.openedAt = at
 	}
 	return nil
@@ -415,13 +414,12 @@ func (c *campaign) submit(id int, s *session, attempt int, at unit.Seconds) {
 	switch {
 	case resp.Status == ctrl.StatusOK:
 		if s.phase == phaseRelease {
-			c.goodputWS += float64(s.grantWidth) * float64(done-s.openedAt)
+			c.goodputWS += float64(s.width) * float64(done-s.openedAt)
 			c.sessions.close(id)
 			return
 		}
 		s.phase = phaseOpen
 		s.circuit = resp.Circuit
-		s.grantWidth = resp.Width
 		s.openedAt = done
 		c.quant.Add(float64(done-s.firstAt) / float64(unit.Microsecond))
 		hold := unit.Seconds(ag.r.Exp(float64(c.cfg.MeanHold)))
@@ -456,27 +454,25 @@ func (c *campaign) result() (*Result, error) {
 	st := c.srv.Stats()
 	horizon := c.srv.Clock()
 	r := &Result{
-		Requests:        c.sessions.next(),
-		Attempts:        st.Arrivals,
-		Served:          st.Served,
-		Degraded:        st.Degraded,
-		Shed:            st.Shed,
-		DeadlineMiss:    st.DeadlineMiss,
-		BreakerRejects:  st.BreakerRejects,
-		NoPath:          st.NoPath,
-		EndpointFailed:  st.EndpointFailed,
-		Retries:         c.retries,
-		Lost:            c.lost,
-		Leaked:          c.leaked,
-		BreakerTrips:    c.srv.BreakerTrips(),
-		Faults:          st.FaultsApplied,
-		Reroutes:        st.Reroutes,
-		RerouteDegraded: st.RerouteDegraded,
-		CircuitsLost:    st.CircuitsLost,
-		GoodputWS:       c.goodputWS,
-		Horizon:         horizon,
-		Events:          c.loop.Events(),
-		Violations:      c.srv.Auditor().Count(),
+		Requests:       c.sessions.next(),
+		Attempts:       st.Arrivals,
+		Served:         st.Served,
+		Shed:           st.Shed,
+		DeadlineMiss:   st.DeadlineMiss,
+		BreakerRejects: st.BreakerRejects,
+		NoPath:         st.NoPath,
+		EndpointFailed: st.EndpointFailed,
+		Retries:        c.retries,
+		Lost:           c.lost,
+		Leaked:         c.leaked,
+		BreakerTrips:   c.srv.BreakerTrips(),
+		Faults:         st.FaultsApplied,
+		Reroutes:       st.Reroutes,
+		CircuitsLost:   st.CircuitsLost,
+		GoodputWS:      c.goodputWS,
+		Horizon:        horizon,
+		Events:         c.loop.Events(),
+		Violations:     c.srv.Auditor().Count(),
 	}
 	if c.quant.Count() > 0 {
 		r.P50us = c.quant.Query(0.5)

@@ -76,9 +76,8 @@ type Stats struct {
 	// Arrivals counts every submitted request, health included.
 	Arrivals int
 	// Served counts successful establish/release/reroute/health
-	// responses; Degraded counts the subset of establishes and
-	// reroutes granted below their requested width.
-	Served, Degraded int
+	// responses.
+	Served int
 	// Shed, DeadlineMiss and BreakerRejects count the admission-layer
 	// rejections (ErrOverloaded, ErrDeadlineExceeded, ErrBreakerOpen).
 	Shed, DeadlineMiss, BreakerRejects int
@@ -89,9 +88,8 @@ type Stats struct {
 	UnknownCircuit, BadRequest int
 	// FaultsApplied, Reroutes and CircuitsLost track the fault path:
 	// faults applied to the fabric, broken circuits transparently
-	// rerouted (RerouteDegraded of them at reduced width), and circuits
-	// whose reroute failed, lost outright.
-	FaultsApplied, Reroutes, RerouteDegraded, CircuitsLost int
+	// rerouted, and circuits whose reroute failed, lost outright.
+	FaultsApplied, Reroutes, CircuitsLost int
 	// PlanCacheHits and PlanCacheMisses are always 0: the allocator
 	// keeps no route-plan cache and enumerates its plans on every
 	// establish. They remain only until the benchmark's per-layer
@@ -274,17 +272,13 @@ func (s *Server) Submit(req Request, arrival unit.Seconds) (Response, unit.Secon
 	var brk *Breaker
 	if req.Op == OpEstablish || req.Op == OpReroute {
 		brk = s.breakerFor(req, held)
-		if err := brk.Allow(start); err != nil {
+		if brk.Allow(start) != nil {
 			s.stats.BreakerRejects++
 			resp.Status = StatusBreakerOpen
 			// The status already names the sentinel; the detail carries
 			// only the phase, so the client-side rewrap (Response.Err)
 			// does not repeat "circuit breaker open" twice.
-			if err == errBreakerCooling { //nolint:errorlint // comparing preallocated statics
-				resp.Detail = "cooling down"
-			} else {
-				resp.Detail = "half-open probe quota reached"
-			}
+			resp.Detail = "cooling down"
 			return resp, arrival
 		}
 	}
@@ -301,14 +295,14 @@ func (s *Server) Submit(req Request, arrival unit.Seconds) (Response, unit.Secon
 		return resp, finish
 	}
 
-	// Establish and reroute share the degrade ladder: a reroute frees
-	// its circuit and asks for the same endpoints and width again.
+	// Establish and reroute share one path: a reroute frees its
+	// circuit and asks for the same endpoints and width again.
 	rr := route.Request{A: req.A, B: req.B, Width: req.Width}
 	if req.Op == OpReroute {
 		rr = route.Request{A: held.A, B: held.B, Width: held.Width}
 		s.alloc.Release(held)
 	}
-	c, degraded, err := s.alloc.EstablishDegraded(rr, start)
+	c, err := s.alloc.Establish(rr, start)
 	if err != nil {
 		brk.Failure(start)
 		resp.Status = statusOf(err)
@@ -318,13 +312,9 @@ func (s *Server) Submit(req Request, arrival unit.Seconds) (Response, unit.Secon
 	}
 	brk.Success()
 	s.stats.Served++
-	if degraded {
-		s.stats.Degraded++
-	}
 	resp.Status = StatusOK
 	resp.Circuit = c.ID
 	resp.Width = c.Width
-	resp.Degraded = degraded
 	return resp, finish
 }
 
@@ -341,12 +331,18 @@ func (s *Server) regions(n int) []RegionHealth {
 // validate classifies semantically invalid requests before they cost
 // queue capacity. A valid release or reroute comes back with the
 // circuit it names, looked up once here: nothing between validation
-// and the allocator call can release it.
+// and the allocator call can release it. An establish wider than a
+// tile's lasers can never be served, so it is refused here rather than
+// failing at the allocator, where it would count toward tripping its
+// chip's breaker and fence off other clients' requests.
 func (s *Server) validate(req Request) (*route.Circuit, Status, string) {
 	switch req.Op {
 	case OpEstablish:
 		if req.Width <= 0 {
 			return nil, StatusBadRequest, fmt.Sprintf("non-positive width %d", req.Width)
+		}
+		if lasers := s.cfg.WaferConfig.LasersPerTile; req.Width > lasers {
+			return nil, StatusBadRequest, fmt.Sprintf("width %d exceeds the %d lasers of a tile", req.Width, lasers)
 		}
 		if req.A == req.B {
 			return nil, StatusBadRequest, fmt.Sprintf("endpoints are the same chip %d", req.A)
@@ -436,18 +432,17 @@ func statusOf(err error) Status {
 }
 
 // CircuitMove records one broken circuit's fate after a fault: NewID
-// is -1 when the circuit was lost, and otherwise NewWidth is the width
-// its reroute was granted.
+// is -1 when the circuit was lost, and otherwise the ID of its
+// reroute, which has the broken circuit's width.
 type CircuitMove struct {
 	OldID, NewID int
-	NewWidth     int
 }
 
 // ApplyFault applies one chaos fault to the fabric at virtual time
-// `at` and walks the degradation ladder for every circuit it broke:
-// reroute at full width, then width-halving, then loss. The wire
-// interface stays stable throughout — clients keep their circuit IDs
-// via the returned moves, one for every circuit the fault broke.
+// `at` and reroutes every circuit it broke at its full width, or
+// counts it lost. The wire interface stays stable throughout — clients
+// keep their circuit IDs via the returned moves, one for every circuit
+// the fault broke.
 func (s *Server) ApplyFault(f chaos.Fault, at unit.Seconds) ([]CircuitMove, error) {
 	s.AdvanceTo(at)
 	broken, err := s.alloc.ApplyFault(f)
@@ -458,16 +453,12 @@ func (s *Server) ApplyFault(f chaos.Fault, at unit.Seconds) ([]CircuitMove, erro
 	s.stats.FaultsApplied++
 	for _, c := range broken {
 		move := CircuitMove{OldID: c.ID, NewID: -1}
-		nc, degraded, rerr := s.alloc.EstablishDegraded(route.Request{A: c.A, B: c.B, Width: c.Width}, s.now)
+		nc, rerr := s.alloc.Establish(route.Request{A: c.A, B: c.B, Width: c.Width}, s.now)
 		if rerr != nil {
 			s.stats.CircuitsLost++
 		} else {
 			s.stats.Reroutes++
-			if degraded {
-				s.stats.RerouteDegraded++
-			}
 			move.NewID = nc.ID
-			move.NewWidth = nc.Width
 		}
 		moves = append(moves, move)
 	}

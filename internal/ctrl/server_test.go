@@ -32,7 +32,7 @@ func submit(s *Server, req Request, at unit.Seconds) Response {
 func TestServerEstablishReleaseReroute(t *testing.T) {
 	s := newTestServer(t, nil)
 	est := submit(s, Request{ID: 1, Op: OpEstablish, A: 0, B: 9, Width: 2}, 0)
-	if est.Status != StatusOK || est.Width != 2 || est.Degraded {
+	if est.Status != StatusOK || est.Width != 2 {
 		t.Fatalf("establish: %+v", est)
 	}
 	if got := s.Allocator().NumCircuits(); got != 1 {
@@ -64,6 +64,7 @@ func TestServerValidation(t *testing.T) {
 		want Status
 	}{
 		{"zero width", Request{Op: OpEstablish, A: 0, B: 1}, StatusBadRequest},
+		{"wider than a tile's lasers", Request{Op: OpEstablish, A: 0, B: 1, Width: 17}, StatusBadRequest},
 		{"same chip", Request{Op: OpEstablish, A: 4, B: 4, Width: 1}, StatusBadRequest},
 		{"chip out of range", Request{Op: OpEstablish, A: 0, B: 1 << 20, Width: 1}, StatusBadRequest},
 		{"negative chip", Request{Op: OpEstablish, A: -1, B: 3, Width: 1}, StatusBadRequest},
@@ -76,8 +77,13 @@ func TestServerValidation(t *testing.T) {
 			t.Errorf("%s: status %v, want %v", tc.name, resp.Status, tc.want)
 		}
 	}
-	if st := s.Stats(); st.BadRequest != 5 || st.UnknownCircuit != 2 {
-		t.Fatalf("stats %+v: want 5 bad requests, 2 unknown circuits", st)
+	if st := s.Stats(); st.BadRequest != 6 || st.UnknownCircuit != 2 {
+		t.Fatalf("stats %+v: want 6 bad requests, 2 unknown circuits", st)
+	}
+	// Refused before admission, no request reached a breaker: chip 0's
+	// is as new.
+	if s.breakers[0] != (Breaker{}) {
+		t.Fatalf("invalid requests moved chip 0's breaker: %+v", s.breakers[0])
 	}
 }
 
@@ -151,7 +157,7 @@ func TestServerDeadline(t *testing.T) {
 // degradation ladder's last rung before shedding: clean endpoint
 // failures until the chip's breaker trips, then fast ErrBreakerOpen
 // rejections that never reach the allocator, then — after cooldown — a
-// half-open probe.
+// probe.
 func TestServerBreakerFencesDeadChip(t *testing.T) {
 	s := newTestServer(t, nil)
 	if _, err := s.ApplyFault(chaos.Fault{Class: chaos.ChipFailure, Chip: 12}, 0); err != nil {
@@ -178,23 +184,24 @@ func TestServerBreakerFencesDeadChip(t *testing.T) {
 	if resp := submit(s, Request{Op: OpEstablish, A: 13, B: 30, Width: 1}, at); resp.Status != StatusOK {
 		t.Fatalf("healthy chip collateral: %+v", resp)
 	}
-	// After the cooldown the breaker half-opens and probes the (still
-	// dead) chip once, then fails fast again. The breaker tripped at
-	// its service start time (behind the committed backlog), so jump
-	// well past cooldown + the backlog's worth of service.
+	// After the cooldown the breaker probes the (still dead) chip once,
+	// then fails fast again. The breaker tripped at its service start
+	// time (behind the committed backlog), so jump well past cooldown +
+	// the backlog's worth of service.
 	at = s.Clock() + breakerCooldown + 100*unit.Microsecond
 	if resp := submit(s, Request{Op: OpEstablish, A: 12, B: 30, Width: 1}, at); resp.Status != StatusEndpointFailed {
-		t.Fatalf("half-open probe: %+v", resp)
+		t.Fatalf("probe: %+v", resp)
 	}
 	if resp := submit(s, Request{Op: OpEstablish, A: 12, B: 30, Width: 1}, at); resp.Status != StatusBreakerOpen {
 		t.Fatalf("post-probe rejection: %+v", resp)
 	}
 }
 
-// TestServerDegradedEstablish exhausts a chip's lasers until full-width
-// setup fails, then checks the server falls back to a degraded grant
-// with the wire interface unchanged.
-func TestServerDegradedEstablish(t *testing.T) {
+// TestServerEstablishKeepsItsWidth exhausts a chip's lasers until a
+// full-width setup cannot fit, then checks the server refuses it with
+// StatusNoPath rather than granting a narrower circuit, while an ask
+// that fits the one laser left is granted.
+func TestServerEstablishKeepsItsWidth(t *testing.T) {
 	s := newTestServer(t, nil)
 	at := unit.Seconds(0)
 	// Fifteen of the 16 lasers on chip 0's tile: seven width-2 circuits
@@ -211,15 +218,12 @@ func TestServerDegradedEstablish(t *testing.T) {
 		t.Fatalf("fill establish width 1: %+v", resp)
 	}
 	at += 10 * unit.Microsecond
-	resp := submit(s, Request{Op: OpEstablish, A: 0, B: 20, Width: 2}, at)
-	if resp.Status != StatusOK {
-		t.Fatalf("expected a grant on the degradation ladder: %+v", resp)
+	if resp := submit(s, Request{Op: OpEstablish, A: 0, B: 20, Width: 2}, at); resp.Status != StatusNoPath {
+		t.Fatalf("width 2 over one free laser: %+v, want no path", resp)
 	}
-	if !resp.Degraded || resp.Width >= 2 {
-		t.Fatalf("grant %+v: want degraded below width 2", resp)
-	}
-	if st := s.Stats(); st.Degraded != 1 {
-		t.Fatalf("degraded count %d, want 1", st.Degraded)
+	at += 10 * unit.Microsecond
+	if resp := submit(s, Request{Op: OpEstablish, A: 0, B: 20, Width: 1}, at); resp.Status != StatusOK || resp.Width != 1 {
+		t.Fatalf("width 1 over one free laser: %+v, want a width-1 grant", resp)
 	}
 }
 

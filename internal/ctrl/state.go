@@ -29,8 +29,11 @@ import (
 // Version 7 drops each circuit's stored BER from the allocator's
 // section; the received power it derives from is still there.
 // Version 8's config digest drops the release and reroute service
-// times and the breaker tuning, which are constants now.
-const CheckpointVersion = 8
+// times and the breaker tuning, which are constants now. Version 9
+// drops each breaker's half-open probe count, the breaker having no
+// half-open state, and the degraded establish and reroute counters,
+// the controller no longer halving a width.
+const CheckpointVersion = 9
 
 // configDigest encodes every Config field, each of which shapes
 // controller behavior. Restores compare digests byte-for-byte: a
@@ -55,7 +58,6 @@ func (s *Server) EncodeState(e *snapshot.Encoder) {
 	st := s.stats
 	e.Int(st.Arrivals)
 	e.Int(st.Served)
-	e.Int(st.Degraded)
 	e.Int(st.Shed)
 	e.Int(st.DeadlineMiss)
 	e.Int(st.BreakerRejects)
@@ -65,7 +67,6 @@ func (s *Server) EncodeState(e *snapshot.Encoder) {
 	e.Int(st.BadRequest)
 	e.Int(st.FaultsApplied)
 	e.Int(st.Reroutes)
-	e.Int(st.RerouteDegraded)
 	e.Int(st.CircuitsLost)
 }
 
@@ -112,20 +113,18 @@ func (s *Server) RestoreState(d *snapshot.Decoder) error {
 		s.pending = append(s.pending, t)
 	}
 	s.stats = Stats{
-		Arrivals:        d.Int(),
-		Served:          d.Int(),
-		Degraded:        d.Int(),
-		Shed:            d.Int(),
-		DeadlineMiss:    d.Int(),
-		BreakerRejects:  d.Int(),
-		NoPath:          d.Int(),
-		EndpointFailed:  d.Int(),
-		UnknownCircuit:  d.Int(),
-		BadRequest:      d.Int(),
-		FaultsApplied:   d.Int(),
-		Reroutes:        d.Int(),
-		RerouteDegraded: d.Int(),
-		CircuitsLost:    d.Int(),
+		Arrivals:       d.Int(),
+		Served:         d.Int(),
+		Shed:           d.Int(),
+		DeadlineMiss:   d.Int(),
+		BreakerRejects: d.Int(),
+		NoPath:         d.Int(),
+		EndpointFailed: d.Int(),
+		UnknownCircuit: d.Int(),
+		BadRequest:     d.Int(),
+		FaultsApplied:  d.Int(),
+		Reroutes:       d.Int(),
+		CircuitsLost:   d.Int(),
 	}
 	return d.Err()
 }

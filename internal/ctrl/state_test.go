@@ -17,7 +17,7 @@ import (
 )
 
 // workServer drives a server through a representative mixed history:
-// establishes (some degraded), releases, a chip-death fault with its
+// establishes, releases, a chip-death fault with its
 // reroutes, breaker traffic and shed arrivals.
 func workServer(t testing.TB, s *Server) {
 	t.Helper()

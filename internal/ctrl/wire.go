@@ -39,7 +39,7 @@ const (
 	// OpRelease tears down the circuit named by Circuit.
 	OpRelease
 	// OpReroute tears down and re-establishes the circuit named by
-	// Circuit over surviving resources, degrading width if needed.
+	// Circuit over surviving resources, at its full width.
 	OpReroute
 	// OpHealth asks for the controller's health report.
 	OpHealth
@@ -137,14 +137,14 @@ type RegionHealth struct {
 
 // Response is the server's reply to one Request. ID echoes the
 // request's token. For successful establish/reroute, Circuit and
-// Width carry the granted circuit and its (possibly degraded) width.
+// Width carry the granted circuit and its width, which is always the
+// width asked for.
 // Health responses populate Queue, Circuits and Regions.
 type Response struct {
 	ID       uint64
 	Status   Status
 	Circuit  int
 	Width    int
-	Degraded bool
 	Detail   string
 	Queue    int
 	Circuits int
@@ -215,7 +215,6 @@ func EncodeResponseTo(e *snapshot.Encoder, resp Response) {
 	e.Int(int(resp.Status))
 	e.Int(resp.Circuit)
 	e.Int(resp.Width)
-	e.Bool(resp.Degraded)
 	e.String(resp.Detail)
 	e.Int(resp.Queue)
 	e.Int(resp.Circuits)
@@ -243,7 +242,6 @@ func decodeResponse(payload []byte, prevDetail string) (Response, error) {
 		Status:   Status(d.Int()),
 		Circuit:  d.Int(),
 		Width:    d.Int(),
-		Degraded: d.Bool(),
 		Detail:   sameString(d.StringBytes(), prevDetail),
 		Queue:    d.Int(),
 		Circuits: d.Int(),
@@ -262,7 +260,7 @@ func decodeResponse(payload []byte, prevDetail string) (Response, error) {
 		return Response{}, fmt.Errorf("%w: unknown status %d", ErrBadFrame, int(resp.Status))
 	}
 	for _, rg := range resp.Regions {
-		if rg.State < BreakerClosed || rg.State > BreakerHalfOpen {
+		if rg.State < BreakerClosed || rg.State > BreakerOpen {
 			return Response{}, fmt.Errorf("%w: unknown breaker state %d", ErrBadFrame, int(rg.State))
 		}
 	}

@@ -47,14 +47,13 @@ func TestWireRoundTrip(t *testing.T) {
 			Status:   Status(r.Intn(int(numStatuses))),
 			Circuit:  r.Intn(1000),
 			Width:    r.Intn(16),
-			Degraded: r.Intn(2) == 0,
 			Detail:   "detail-string with spaces",
 			Queue:    r.Intn(512),
 			Circuits: r.Intn(512),
 		}
 		for j := r.Intn(4); j > 0; j-- {
 			resp.Regions = append(resp.Regions, RegionHealth{
-				State: BreakerState(r.Intn(3)), Trips: r.Intn(9),
+				State: BreakerState(r.Intn(int(BreakerOpen) + 1)), Trips: r.Intn(9),
 			})
 		}
 		buf.Reset()

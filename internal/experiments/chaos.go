@@ -41,8 +41,6 @@ type ChaosTrial struct {
 	// MTTR and Repair are the recovery measurements (Repair excludes
 	// detection latency).
 	MTTR, Repair unit.Seconds
-	// Degraded reports a repair circuit came up narrower than asked.
-	Degraded bool
 	// Correct reports the AllReduce still computed the right answer.
 	Correct bool
 	// Goodput is useful bytes over total bytes moved.
@@ -100,7 +98,6 @@ func (r ChaosResult) CSV() ([]string, [][]string) {
 			fmt.Sprintf("%d", tr.Replacement),
 			f64(tr.MTTR.Micros()),
 			f64(tr.Repair.Micros()),
-			fmt.Sprintf("%v", tr.Degraded),
 			fmt.Sprintf("%v", tr.Correct),
 			f64(tr.Goodput),
 			fmt.Sprintf("%d", tr.StallOptical),
@@ -108,7 +105,7 @@ func (r ChaosResult) CSV() ([]string, [][]string) {
 		})
 	}
 	return []string{"trial", "victim", "fail_step", "fault_time_us", "replacement",
-		"mttr_us", "repair_us", "degraded", "correct", "goodput",
+		"mttr_us", "repair_us", "correct", "goodput",
 		"stall_optical", "stall_electrical"}, rows
 }
 
@@ -208,7 +205,6 @@ func Chaos(seed uint64, trials int, bufferBytes unit.Bytes) (ChaosResult, error)
 				Replacement:     outcome.Replacement,
 				MTTR:            outcome.MTTR,
 				Repair:          outcome.RepairTime,
-				Degraded:        outcome.Degraded,
 				Correct:         outcome.Correct,
 				Goodput:         outcome.GoodputFraction,
 				StallOptical:    outcome.StallOptical,

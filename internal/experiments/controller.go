@@ -16,12 +16,12 @@ import (
 // load with mid-run chaos faults. Each trial drives one ctrl.Server
 // through loadgen's discrete-event harness — Poisson arrivals from
 // 128 agents, capped-backoff retries, bounded-queue shedding,
-// per-request deadlines, per-chip circuit breakers and the
-// width-halving degradation ladder — and reports setup-latency
-// percentiles, shed/trip/degrade counts and goodput under chaos. The
-// full campaign fields 1,024,000 fresh requests from 1,024 agents,
-// and its CSV is byte-identical across sequential/parallel execution
-// and across kill→resume from any event boundary.
+// per-request deadlines, per-chip circuit breakers and reroute on
+// fault — and reports setup-latency percentiles, shed/trip/reroute
+// counts and goodput under chaos. The full campaign fields 1,024,000
+// fresh requests from 1,024 agents, and its CSV is byte-identical
+// across sequential/parallel execution and across kill→resume from any
+// event boundary.
 
 // Controller campaign shape: controllerTrialAgents agents per trial
 // each issuing controllerArrivals fresh requests.
@@ -94,8 +94,8 @@ func (r ControllerResult) String() string {
 	fmt.Fprintf(&b, "  worst p99 setup %.1fus, mean goodput %.1f width-seconds\n",
 		r.WorstP99us, r.MeanGoodputWS)
 	for i, o := range r.Trials {
-		fmt.Fprintf(&b, "  trial %d: served %d degraded %d shed %d deadline %d breaker %d nopath %d lost %d trips %d reroutes %d p50 %.1fus p99 %.1fus\n",
-			i, o.Served, o.Degraded, o.Shed, o.DeadlineMiss, o.BreakerRejects,
+		fmt.Fprintf(&b, "  trial %d: served %d shed %d deadline %d breaker %d nopath %d lost %d trips %d reroutes %d p50 %.1fus p99 %.1fus\n",
+			i, o.Served, o.Shed, o.DeadlineMiss, o.BreakerRejects,
 			o.NoPath, o.Lost, o.BreakerTrips, o.Reroutes, o.P50us, o.P99us)
 	}
 	return b.String()
@@ -110,7 +110,6 @@ func (r ControllerResult) CSV() ([]string, [][]string) {
 			fmt.Sprintf("%d", o.Requests),
 			fmt.Sprintf("%d", o.Attempts),
 			fmt.Sprintf("%d", o.Served),
-			fmt.Sprintf("%d", o.Degraded),
 			fmt.Sprintf("%d", o.Shed),
 			fmt.Sprintf("%d", o.DeadlineMiss),
 			fmt.Sprintf("%d", o.BreakerRejects),
@@ -122,7 +121,6 @@ func (r ControllerResult) CSV() ([]string, [][]string) {
 			fmt.Sprintf("%d", o.BreakerTrips),
 			fmt.Sprintf("%d", o.Faults),
 			fmt.Sprintf("%d", o.Reroutes),
-			fmt.Sprintf("%d", o.RerouteDegraded),
 			fmt.Sprintf("%d", o.CircuitsLost),
 			f64(o.GoodputWS),
 			f64(o.P50us),
@@ -133,11 +131,10 @@ func (r ControllerResult) CSV() ([]string, [][]string) {
 			fmt.Sprintf("%d", o.Violations),
 		})
 	}
-	return []string{"trial", "requests", "attempts", "served", "degraded", "shed",
+	return []string{"trial", "requests", "attempts", "served", "shed",
 		"deadline_miss", "breaker_rejects", "no_path", "endpoint_failed", "retries",
-		"lost", "leaked", "breaker_trips", "faults", "reroutes", "reroute_degraded",
-		"circuits_lost", "goodput_ws", "p50_us", "p99_us", "rps", "horizon_s",
-		"events", "violations"}, rows
+		"lost", "leaked", "breaker_trips", "faults", "reroutes", "circuits_lost",
+		"goodput_ws", "p50_us", "p99_us", "rps", "horizon_s", "events", "violations"}, rows
 }
 
 // ControllerWithOptions runs the load campaign: `trials` independent

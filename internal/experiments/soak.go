@@ -61,7 +61,6 @@ func (r SoakResult) CSV() ([]string, [][]string) {
 				fmt.Sprintf("%d", i),
 				f64(float64(s.T)),
 				fmt.Sprintf("%d", s.Up),
-				fmt.Sprintf("%d", s.Degraded),
 				fmt.Sprintf("%d", s.Shed),
 				f64(s.Goodput),
 				fmt.Sprintf("%d", s.Faults),
@@ -72,7 +71,7 @@ func (r SoakResult) CSV() ([]string, [][]string) {
 			})
 		}
 	}
-	return []string{"trial", "time_s", "up", "degraded", "shed", "goodput",
+	return []string{"trial", "time_s", "up", "shed", "goodput",
 		"faults", "repairs", "mean_blast", "spares", "violations"}, rows
 }
 

@@ -36,8 +36,10 @@ import (
 // config digest covers the degraded-segment loss bound and drops the
 // settings that became constants. Version 8 drops each circuit's
 // stored BER from the allocator's section; the received power it
-// derives from is still there.
-const checkpointVersion = 8
+// derives from is still there. Version 9 drops the degraded job state,
+// renumbering the shed state from 2 to 1, and each sample's degraded
+// job count.
+const checkpointVersion = 9
 
 // checkpointEvery is the default checkpoint cadence in event
 // boundaries.
@@ -262,7 +264,6 @@ func (s *soak) queuedFault(d *snapshot.Decoder) (int, error) {
 func encodeSample(e *snapshot.Encoder, row Sample) {
 	snapshot.Unit(e, row.T)
 	e.Int(row.Up)
-	e.Int(row.Degraded)
 	e.Int(row.Shed)
 	e.F64(row.Goodput)
 	e.Int(row.Faults)
@@ -276,7 +277,6 @@ func decodeSample(d *snapshot.Decoder) Sample {
 	return Sample{
 		T:          snapshot.DecodeUnit[unit.Seconds](d),
 		Up:         d.Int(),
-		Degraded:   d.Int(),
 		Shed:       d.Int(),
 		Goodput:    d.F64(),
 		Faults:     d.Int(),

@@ -328,7 +328,7 @@ func TestSoakAggregatesAreSeriesMeans(t *testing.T) {
 		}
 		var live, good float64
 		for _, row := range out.Samples {
-			live += float64(row.Up+row.Degraded) / float64(cfg.withDefaults().Jobs)
+			live += float64(row.Up) / float64(cfg.withDefaults().Jobs)
 			good += row.Goodput
 		}
 		n := float64(len(out.Samples))
@@ -374,10 +374,6 @@ func TestResumeRejectsUnreachableState(t *testing.T) {
 		{"spares not ascending", func(_ *testing.T, s *soak) { s.spares = append(s.spares, s.spares[0]) }},
 		{"up job without circuit", func(t *testing.T, s *soak) {
 			jobWhere(t, s, func(j *job) bool { return j.state == jobUp }).circuit = nil
-		}},
-		{"degraded job without circuit", func(t *testing.T, s *soak) {
-			j := jobWhere(t, s, func(j *job) bool { return j.state == jobUp })
-			j.state, j.circuit = jobDegraded, nil
 		}},
 		{"shed job with circuit", func(t *testing.T, s *soak) {
 			jobWhere(t, s, func(j *job) bool { return j.circuit != nil }).state = jobShed

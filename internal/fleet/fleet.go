@@ -125,9 +125,9 @@ func (c Config) validate() error {
 type Sample struct {
 	// T is the simulated sample time.
 	T unit.Seconds
-	// Up, Degraded and Shed partition the tenant jobs: full-width
-	// circuit, narrower-than-requested circuit, or no circuit at all.
-	Up, Degraded, Shed int
+	// Up and Shed partition the tenant jobs: a full-width circuit, or
+	// no circuit at all.
+	Up, Shed int
 	// Goodput is the fleet's delivered fraction of requested
 	// bandwidth: the sum of live circuit widths over the sum of
 	// requested widths.
@@ -163,8 +163,8 @@ type Outcome struct {
 	Reroutes, Splices int
 	// MinSpares is the spare pool's low-water mark.
 	MinSpares int
-	// Availability is the mean over samples of the live-job fraction
-	// (up or degraded); MeanGoodput averages the goodput column.
+	// Availability is the mean over samples of the up-job fraction;
+	// MeanGoodput averages the goodput column.
 	Availability, MeanGoodput float64
 	// Violations and Audits report the invariant auditor's findings
 	// and effort over the whole soak.
@@ -176,7 +176,6 @@ type jobState int
 
 const (
 	jobUp jobState = iota
-	jobDegraded
 	jobShed
 )
 
@@ -330,10 +329,10 @@ func (s *soak) drive() (*Outcome, error) {
 	}
 }
 
-// establish brings a job's circuit up (initially or after repairs),
-// degrading the width when the full request does not fit.
+// establish brings a job's circuit up at full width (initially or
+// after repairs), or sheds the job when it does not fit.
 func (s *soak) establish(j *job, now unit.Seconds) bool {
-	c, degraded, err := s.alloc.EstablishDegraded(route.Request{A: j.a, B: j.b, Width: width}, now)
+	c, err := s.alloc.Establish(route.Request{A: j.a, B: j.b, Width: width}, now)
 	if err != nil {
 		j.circuit = nil
 		j.state = jobShed
@@ -341,11 +340,7 @@ func (s *soak) establish(j *job, now unit.Seconds) bool {
 	}
 	j.circuit = c
 	s.jobOf[c.ID] = j
-	if degraded {
-		j.state = jobDegraded
-	} else {
-		j.state = jobUp
-	}
+	j.state = jobUp
 	return true
 }
 
@@ -382,8 +377,8 @@ func (s *soak) applyFault(i int) error {
 
 // heal is the self-healing control loop for one job whose circuit a
 // fault tore down: splice a spare chip over any dead endpoint, then
-// reroute at full width, degrading toward width 1; when nothing fits,
-// admission control sheds the job until repairs free capacity.
+// reroute at full width; when that does not fit, admission control
+// sheds the job until repairs free capacity.
 func (s *soak) heal(j *job, now unit.Seconds) {
 	j.circuit = nil
 	spliced := false
@@ -445,8 +440,7 @@ func (s *soak) dispatch(now unit.Seconds) {
 
 // completeRepair restores the component schedule fault i broke,
 // returns repaired chips to the spare pool, and lets admission control
-// re-admit shed jobs and upgrade degraded ones against the recovered
-// capacity.
+// re-admit shed jobs against the recovered capacity.
 func (s *soak) completeRepair(at unit.Seconds, i int) error {
 	f := s.faults[i]
 	if err := s.alloc.Repair(f); err != nil {
@@ -493,25 +487,11 @@ func (s *soak) returnSpare(chip int) {
 }
 
 // recover is admission control's reaction to restored capacity: shed
-// jobs are re-admitted and degraded jobs retry their full width, in
-// job order.
+// jobs are re-admitted, in job order.
 func (s *soak) recover(now unit.Seconds) {
 	for _, j := range s.jobs {
-		switch j.state {
-		case jobShed:
-			if s.rack.TileOf(j.a).ChipHealthy() && s.rack.TileOf(j.b).ChipHealthy() && s.establish(j, now) {
-				s.out.Readmissions++
-			}
-		case jobDegraded:
-			// Upgrade by teardown-and-retry: the released resources are
-			// back in the pool, so the retry finds at least the old
-			// degraded path unless a new fault landed on it meanwhile.
-			old := j.circuit
-			s.alloc.Release(old)
-			delete(s.jobOf, old.ID)
-			if !s.establish(j, now) {
-				s.out.ShedEvents++
-			}
+		if j.state == jobShed && s.rack.TileOf(j.a).ChipHealthy() && s.rack.TileOf(j.b).ChipHealthy() && s.establish(j, now) {
+			s.out.Readmissions++
 		}
 	}
 }
@@ -527,14 +507,10 @@ func (s *soak) sample(t unit.Seconds) {
 	}
 	haveSum := 0
 	for _, j := range s.jobs {
-		switch j.state {
-		case jobUp:
+		if j.state == jobUp {
 			row.Up++
 			haveSum += j.circuit.Width
-		case jobDegraded:
-			row.Degraded++
-			haveSum += j.circuit.Width
-		case jobShed:
+		} else {
 			row.Shed++
 		}
 	}
@@ -556,7 +532,7 @@ func (s *soak) finish() {
 	}
 	var live, good float64
 	for _, row := range s.out.Samples {
-		live += float64(row.Up+row.Degraded) / float64(len(s.jobs))
+		live += float64(row.Up) / float64(len(s.jobs))
 		good += row.Goodput
 	}
 	n := float64(len(s.out.Samples))

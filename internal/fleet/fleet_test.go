@@ -102,12 +102,12 @@ func TestSoakSampleCadence(t *testing.T) {
 	if len(out.Samples) != 24 {
 		t.Fatalf("got %d samples, want 24", len(out.Samples))
 	}
-	jobs := out.Samples[0].Up + out.Samples[0].Degraded + out.Samples[0].Shed
+	jobs := out.Samples[0].Up + out.Samples[0].Shed
 	for i, row := range out.Samples {
 		if row.T != unit.Seconds(i+1)*unit.Hour {
 			t.Fatalf("sample %d at %v", i, row.T)
 		}
-		if row.Up+row.Degraded+row.Shed != jobs {
+		if row.Up+row.Shed != jobs {
 			t.Fatalf("sample %d job states don't partition the %d jobs", i, jobs)
 		}
 		if i > 0 && (row.Faults < out.Samples[i-1].Faults || row.Repairs < out.Samples[i-1].Repairs) {

@@ -15,9 +15,8 @@ import (
 // way fault state enters or leaves the hardware: ApplyFault maps the
 // chaos engine's faults onto the hardware's health state, decides
 // which established circuits a fault invalidates and tears those
-// down; Repair undoes a fault; EstablishDegraded re-establishes torn
-// circuits over surviving resources, at reduced wavelength width when
-// full-width repair is impossible.
+// down; Repair undoes a fault. Callers re-establish torn circuits over
+// surviving resources with Establish, at full width.
 
 // ApplyFault applies one fault to the rack hardware and tears down
 // every established circuit the fault invalidates, returning the
@@ -204,6 +203,11 @@ func (a *Allocator) releaseAll(cs []*Circuit) []*Circuit {
 // other error stops the ladder at once: an invalid request, or a dead
 // endpoint, which needs a replacement chip — the core recovery loop's
 // decision.
+//
+// No production path calls it: the controller, the fleet soak and the
+// chaos splice establish at full width, because halving moved no
+// outcome beyond seed noise. It remains only until the benchmark's
+// replay (benchmark/replay_test.go) calls Establish instead.
 func (a *Allocator) EstablishDegraded(req Request, now unit.Seconds) (*Circuit, bool, error) {
 	for width := req.Width; ; width /= 2 {
 		c, err := a.Establish(Request{A: req.A, B: req.B, Width: width}, now)
