@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: all build test race race-stress fuzz-smoke lint fmt vet vet-sarif check chaos-smoke soak-smoke soak-resume-smoke rail-smoke controller-smoke bench bench-smoke
+.PHONY: all build test test-cpu race race-stress fuzz-smoke lint fmt vet vet-sarif check chaos-smoke soak-smoke soak-resume-smoke rail-smoke controller-smoke bench bench-smoke
 
 all: check
 
@@ -15,6 +15,12 @@ build:
 ## test: run the tier-1 test suite.
 test:
 	$(GO) test ./...
+
+## test-cpu: run the tier-1 suite at 1 and 8 Ps, uncached, so a test
+## whose result depends on the core count fails here rather than on a
+## host with a different one.
+test-cpu:
+	$(GO) test -count=1 -cpu 1,8 ./...
 
 ## race: run the test suite under the race detector.
 race:
@@ -191,4 +197,4 @@ bench-smoke:
 	$(BENCH_CMD) | $(GO) run ./cmd/lightpath-bench -baseline BENCH_baseline.json
 
 ## check: everything CI runs, in the same order.
-check: build lint race race-stress fuzz-smoke chaos-smoke soak-smoke soak-resume-smoke rail-smoke controller-smoke bench-smoke
+check: build lint test-cpu race race-stress fuzz-smoke chaos-smoke soak-smoke soak-resume-smoke rail-smoke controller-smoke bench-smoke

@@ -17,7 +17,6 @@
 //	fig5      bandwidth utilization of sub-rack slices (E6)
 //	show      ASCII diagrams of the paper's rack scenarios
 //	scale     Figure 5a: cubes spliced into larger tori via OCSes
-//	topo      generalized Topology interface demo (-topology rail|torus|mesh)
 //	rail      rail-scale fabric campaign: millions of flows through the sharded solver
 //	fig6a     single-rack electrical replacement infeasibility (E7)
 //	fig6b     cross-rack electrical replacement infeasibility (E8)
@@ -55,13 +54,7 @@ import (
 	"lightpath/internal/evloop"
 	"lightpath/internal/experiments"
 	"lightpath/internal/invariant"
-	"lightpath/internal/netsim"
-	"lightpath/internal/route"
-	"lightpath/internal/topo"
-	"lightpath/internal/torus"
-	"lightpath/internal/unit"
 	"lightpath/internal/viz"
-	"lightpath/internal/wafer"
 )
 
 func main() {
@@ -85,7 +78,6 @@ func run(args []string, out printer) error {
 	resume := fs.Bool("resume", false, "resume soak/controller trials from their checkpoints instead of starting fresh")
 	ckptInterval := fs.Uint64("ckpt-interval", 0, "soak/controller checkpoint cadence in event boundaries (0 = campaign default)")
 	killAt := fs.Uint64("kill-at", 0, "stop every soak/controller trial at this event boundary after checkpointing (crash-injection test mode; needs -checkpoint)")
-	topology := fs.String("topology", "rail", "fabric for the topo command: rail, torus, or mesh")
 	rails := fs.Int("rails", 0, "rail count for the rail campaign (0 = acceptance-scale default)")
 	servers := fs.Int("servers", 0, "servers per rail for the rail campaign (0 = acceptance-scale default)")
 	waves := fs.Int("waves", 0, "overlaid ring waves for the rail campaign (0 = acceptance-scale default)")
@@ -211,7 +203,6 @@ func run(args []string, out printer) error {
 		"scale": func() (fmt.Stringer, error) {
 			return experiments.Scale(experiments.TableBufferBytes(*elements), *seed)
 		},
-		"topo": func() (fmt.Stringer, error) { return runTopology(*topology) },
 		"rail": func() (fmt.Stringer, error) {
 			cfg := experiments.DefaultRailFabricConfig()
 			if *rails > 0 {
@@ -243,7 +234,7 @@ func run(args []string, out printer) error {
 
 	if cmd == "all" {
 		order := []string{"info", "fig3a", "fig3b", "fig4", "ber", "table1", "table2",
-			"show", "fig5", "scale", "topo", "rail", "tenants", "fig6a", "fig6b", "fig7", "repair",
+			"show", "fig5", "scale", "rail", "tenants", "fig6a", "fig6b", "fig7", "repair",
 			"blast", "chaos", "soak", "controller", "sweep", "alltoall", "scheduler", "moe", "moesweep", "hostnet",
 			"protocols", "ablate"}
 		for _, name := range order {
@@ -264,49 +255,6 @@ func run(args []string, out printer) error {
 type text string
 
 func (t text) String() string { return string(t) }
-
-// runTopology demonstrates the generalized Topology interface: build
-// the named fabric at demo scale, place a deterministic neighbor-ring
-// workload through the link allocator, and solve it with the
-// component-sharded max-min solver.
-func runTopology(name string) (fmt.Stringer, error) {
-	var (
-		fabric topo.Topology
-		err    error
-	)
-	switch name {
-	case "rail":
-		fabric, err = topo.NewRail(4, 16, unit.GBps(40), unit.GBps(100))
-	case "torus":
-		fabric, err = topo.NewTorusFabric(torus.Shape{4, 4, 4}, unit.GBps(50))
-	case "mesh":
-		fabric, err = topo.NewMesh(4, wafer.DefaultConfig(), unit.GBps(200))
-	default:
-		return nil, fmt.Errorf("unknown -topology %q (want rail, torus, or mesh)", name)
-	}
-	if err != nil {
-		return nil, err
-	}
-	a := route.NewLinkAllocator(fabric)
-	const demoWaves = 2
-	for w := 0; w < demoWaves; w++ {
-		for e := 0; e < fabric.Endpoints(); e++ {
-			a.Place(e, (e+1)%fabric.Endpoints(), unit.Bytes(w+1)*unit.MB)
-		}
-	}
-	var sim netsim.Sim[int]
-	res, err := sim.Run(a.Flows(), a.Capacities())
-	if err != nil {
-		return nil, err
-	}
-	link, load := a.MaxLoad()
-	return text(fmt.Sprintf(
-		"Topology demo: %s fabric behind the generalized Topology interface\n"+
-			"  %d endpoints, %d links; %d neighbor-ring flows placed by the link allocator\n"+
-			"  peak link load: %d flows on link %d\n"+
-			"  sharded max-min solve: makespan %v\n",
-		fabric.Name(), fabric.Endpoints(), fabric.Links(), a.Len(), load, link, res.Makespan)), nil
-}
 
 // runShow draws the paper's scenario racks.
 func runShow() (fmt.Stringer, error) {

@@ -35,7 +35,6 @@ func TestRunEachCommand(t *testing.T) {
 		"scheduler":  "offline optimal",
 		"show":       "Figure 6a rack",
 		"scale":      "larger tori",
-		"topo":       "Topology demo",
 		"rail":       "Rail fabric",
 		"protocols":  "rendezvous",
 		"moesweep":   "bytes/expert",
@@ -65,37 +64,6 @@ func TestRunEachCommand(t *testing.T) {
 		if !strings.Contains(buf.String(), want) {
 			t.Errorf("%s output missing %q:\n%s", cmd, want, buf.String())
 		}
-	}
-}
-
-// TestTopologyCommandEachFabric pins the topo command's full output
-// for every fabric: the link allocator's placement and the sharded
-// solve's makespan, byte for byte.
-func TestTopologyCommandEachFabric(t *testing.T) {
-	cases := []struct{ fabric, want string }{
-		{"rail", "Topology demo: rail fabric behind the generalized Topology interface\n" +
-			"  64 endpoints, 144 links; 128 neighbor-ring flows placed by the link allocator\n" +
-			"  peak link load: 8 flows on link 143\n" +
-			"  sharded max-min solve: makespan 120.00us\n"},
-		{"torus", "Topology demo: torus fabric behind the generalized Topology interface\n" +
-			"  64 endpoints, 384 links; 128 neighbor-ring flows placed by the link allocator\n" +
-			"  peak link load: 2 flows on link 4\n" +
-			"  sharded max-min solve: makespan 60.00us\n"},
-		{"mesh", "Topology demo: mesh fabric behind the generalized Topology interface\n" +
-			"  128 endpoints, 268 links; 256 neighbor-ring flows placed by the link allocator\n" +
-			"  peak link load: 2 flows on link 0\n" +
-			"  sharded max-min solve: makespan 15.00us\n"},
-	}
-	for _, tc := range cases {
-		t.Run(tc.fabric, func(t *testing.T) {
-			var buf bytes.Buffer
-			if err := run([]string{"topo", "-topology", tc.fabric}, &buf); err != nil {
-				t.Fatal(err)
-			}
-			if got := buf.String(); got != tc.want {
-				t.Errorf("topo -topology %s:\n got %q\nwant %q", tc.fabric, got, tc.want)
-			}
-		})
 	}
 }
 

@@ -34,8 +34,7 @@ const failFraction = 0.5
 const detection = 10 * unit.Microsecond
 
 // repairWidth is the wavelength width requested for repair circuits
-// (the Figure 7 width); graceful degradation may halve it when the
-// fabric is fragmented.
+// (the Figure 7 width); a splice never narrows it.
 const repairWidth = 4
 
 // ChaosOutcome reports one fault-injected AllReduce run.

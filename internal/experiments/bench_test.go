@@ -91,7 +91,7 @@ func BenchmarkRailFabric(b *testing.B) {
 
 // BenchmarkControllerServe runs the lightpath-controller load
 // campaign sampled at 2 trials (256k requests through the full
-// deadline/retry/breaker/degrade ladder). The paper metric is the
+// deadline/retry/breaker/reroute ladder). The paper metric is the
 // worst per-trial p99 setup latency — a seed-deterministic simulation
 // quantity.
 func BenchmarkControllerServe(b *testing.B) {

@@ -236,7 +236,7 @@ func RailFabric(cfg RailFabricConfig) (RailFabricResult, error) {
 
 	flows := a.Flows()
 	var sim netsim.Sim[int]
-	solved, err := sim.Run(flows, a.Capacities())
+	solved, err := sim.Run(flows, fabric.Capacities())
 	if err != nil {
 		return RailFabricResult{}, err
 	}

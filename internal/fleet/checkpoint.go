@@ -38,8 +38,9 @@ import (
 // stored BER from the allocator's section; the received power it
 // derives from is still there. Version 9 drops the degraded job state,
 // renumbering the shed state from 2 to 1, and each sample's degraded
-// job count.
-const checkpointVersion = 9
+// job count. Version 10 drops each job's state word: a job is up
+// exactly when it holds a circuit.
+const checkpointVersion = 10
 
 // checkpointEvery is the default checkpoint cadence in event
 // boundaries.
@@ -117,7 +118,6 @@ func (s *soak) encodeState(e *snapshot.Encoder) {
 	for _, j := range s.jobs {
 		e.Int(j.a)
 		e.Int(j.b)
-		e.Int(int(j.state))
 		cid := -1
 		if j.circuit != nil {
 			cid = j.circuit.ID
@@ -184,17 +184,7 @@ func (s *soak) restoreState(d *snapshot.Decoder) error {
 			return fmt.Errorf("%w: job %d endpoints (%d,%d) outside [0, %d)",
 				snapshot.ErrCorruptSnapshot, i, j.a, j.b, chips)
 		}
-		st := d.Int()
-		if st < int(jobUp) || st > int(jobShed) {
-			return fmt.Errorf("%w: job %d in unknown state %d", snapshot.ErrCorruptSnapshot, i, st)
-		}
-		j.state = jobState(st)
-		cid := d.Int()
-		if (cid >= 0) != (j.state != jobShed) {
-			return fmt.Errorf("%w: job %d in state %d holds circuit %d",
-				snapshot.ErrCorruptSnapshot, i, st, cid)
-		}
-		if cid >= 0 {
+		if cid := d.Int(); cid >= 0 {
 			c, ok := s.alloc.CircuitByID(cid)
 			if !ok {
 				return fmt.Errorf("%w: job %d references unknown circuit %d",
@@ -209,6 +199,13 @@ func (s *soak) restoreState(d *snapshot.Decoder) error {
 			s.jobOf[cid] = j
 		}
 		s.jobs = append(s.jobs, j)
+	}
+	// Every live circuit belongs to a job: the soak establishes
+	// circuits only for jobs, and a fault that tears one down unlinks
+	// it from its job.
+	if d.Err() == nil && len(s.jobOf) != s.alloc.NumCircuits() {
+		return fmt.Errorf("%w: %d live circuits but jobs hold %d",
+			snapshot.ErrCorruptSnapshot, s.alloc.NumCircuits(), len(s.jobOf))
 	}
 	n := d.Len()
 	for i := 0; i < n && d.Err() == nil; i++ {

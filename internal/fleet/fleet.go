@@ -1,7 +1,7 @@
 // Package fleet is a deterministic discrete-event soak simulator for
 // the photonic rack: days of simulated time in which Poisson hardware
 // faults arrive from the chaos engine, a self-healing control loop
-// reroutes, degrades and splices tenant circuits around the damage,
+// reroutes and splices tenant circuits around the damage,
 // repair crews restore components after seeded MTTR delays, a spare
 // chip pool depletes and replenishes, and admission control sheds and
 // re-admits tenant jobs as capacity moves. The paper's availability
@@ -171,18 +171,11 @@ type Outcome struct {
 	Violations, Audits int
 }
 
-// jobState tracks one tenant job through the soak.
-type jobState int
-
-const (
-	jobUp jobState = iota
-	jobShed
-)
-
+// job is one tenant job: up while it holds a circuit, shed while
+// circuit is nil.
 type job struct {
 	a, b    int
 	circuit *route.Circuit
-	state   jobState
 }
 
 // soak is the running state of one Run.
@@ -335,12 +328,10 @@ func (s *soak) establish(j *job, now unit.Seconds) bool {
 	c, err := s.alloc.Establish(route.Request{A: j.a, B: j.b, Width: width}, now)
 	if err != nil {
 		j.circuit = nil
-		j.state = jobShed
 		return false
 	}
 	j.circuit = c
 	s.jobOf[c.ID] = j
-	j.state = jobUp
 	return true
 }
 
@@ -388,7 +379,6 @@ func (s *soak) heal(j *job, now unit.Seconds) {
 		}
 		spare, ok := s.takeSpare()
 		if !ok {
-			j.state = jobShed
 			s.out.ShedEvents++
 			return
 		}
@@ -490,7 +480,7 @@ func (s *soak) returnSpare(chip int) {
 // jobs are re-admitted, in job order.
 func (s *soak) recover(now unit.Seconds) {
 	for _, j := range s.jobs {
-		if j.state == jobShed && s.rack.TileOf(j.a).ChipHealthy() && s.rack.TileOf(j.b).ChipHealthy() && s.establish(j, now) {
+		if j.circuit == nil && s.rack.TileOf(j.a).ChipHealthy() && s.rack.TileOf(j.b).ChipHealthy() && s.establish(j, now) {
 			s.out.Readmissions++
 		}
 	}
@@ -507,7 +497,7 @@ func (s *soak) sample(t unit.Seconds) {
 	}
 	haveSum := 0
 	for _, j := range s.jobs {
-		if j.state == jobUp {
+		if j.circuit != nil {
 			row.Up++
 			haveSum += j.circuit.Width
 		} else {

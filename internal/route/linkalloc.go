@@ -8,11 +8,11 @@ import (
 	"lightpath/internal/unit"
 )
 
-// LinkAllocator places transfers onto a generalized topo.Topology and
+// LinkAllocator places transfers onto a topo.Rail fabric and
 // materializes them as netsim flows. Where Allocator is the wafer
 // circuit controller — pathfinding over waveguide and fiber occupancy
-// — LinkAllocator is its fabric-scale counterpart for the rail and
-// mesh topologies, whose paths are fixed by the fabric: its job is
+// — LinkAllocator is its fabric-scale counterpart, where the fabric
+// fixes every path: its job is
 // bulk placement at millions-of-flows scale without per-flow
 // allocation, plus the link-load bookkeeping campaigns report.
 //
@@ -20,10 +20,10 @@ import (
 // cost a handful of slice growths instead of a million small
 // allocations, and the materialized flow set is cache-dense for the
 // solver's interning pass. Placements are deterministic: the flow
-// order is the Place call order and paths come from the topology's
+// order is the Place call order and paths come from the fabric's
 // deterministic AppendPath.
 type LinkAllocator struct {
-	topo topo.Topology
+	fabric *topo.Rail
 
 	// arena backs every placed path; starts[i]:starts[i+1] is flow i's
 	// span. Via slices are cut from the arena only in Flows, after the
@@ -39,12 +39,12 @@ type LinkAllocator struct {
 	flows []netsim.Flow[int]
 }
 
-// NewLinkAllocator constructs an empty allocator over a topology.
-func NewLinkAllocator(t topo.Topology) *LinkAllocator {
+// NewLinkAllocator constructs an empty allocator over a rail fabric.
+func NewLinkAllocator(fabric *topo.Rail) *LinkAllocator {
 	return &LinkAllocator{
-		topo:   t,
+		fabric: fabric,
 		starts: []int{0},
-		load:   make([]int, t.Links()),
+		load:   make([]int, fabric.Links()),
 	}
 }
 
@@ -52,13 +52,13 @@ func NewLinkAllocator(t topo.Topology) *LinkAllocator {
 func (a *LinkAllocator) Len() int { return len(a.bytes) }
 
 // Place appends a transfer of the given size from src to dst, routed
-// on the topology's deterministic path. It panics on out-of-range
-// endpoints (via the topology) and on negative sizes.
+// on the fabric's deterministic path. It panics on out-of-range
+// endpoints (via the fabric) and on negative sizes.
 func (a *LinkAllocator) Place(src, dst int, bytes unit.Bytes) {
 	if bytes < 0 {
 		panic(fmt.Sprintf("route: negative transfer size %v", bytes))
 	}
-	a.arena = a.topo.AppendPath(a.arena, src, dst)
+	a.arena = a.fabric.AppendPath(a.arena, src, dst)
 	for _, l := range a.arena[a.starts[len(a.starts)-1]:] {
 		a.load[l]++
 	}
@@ -84,11 +84,6 @@ func (a *LinkAllocator) Flows() []netsim.Flow[int] {
 	return a.flows
 }
 
-// Capacities returns the topology's link-capacity map for the solver.
-func (a *LinkAllocator) Capacities() map[int]unit.BitRate {
-	return topo.Capacities(a.topo)
-}
-
 // MaxLoad returns the most-loaded link and its flow count (the
 // lowest-id link on ties; link -1 when nothing is placed).
 func (a *LinkAllocator) MaxLoad() (link, flows int) {
@@ -109,7 +104,7 @@ func (a *LinkAllocator) MaxLoad() (link, flows int) {
 func (a *LinkAllocator) OversubscribedLinks(perFlow unit.BitRate) int {
 	over := 0
 	for l, n := range a.load {
-		if unit.BitRate(n)*perFlow > a.topo.LinkCapacity(l) {
+		if unit.BitRate(n)*perFlow > a.fabric.LinkCapacity(l) {
 			over++
 		}
 	}

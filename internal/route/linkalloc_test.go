@@ -18,7 +18,7 @@ func testRail(t *testing.T) *topo.Rail {
 }
 
 // TestLinkAllocatorPlacement checks flows materialize in placement
-// order with the topology's paths and correct link loads.
+// order with the fabric's paths and correct link loads.
 func TestLinkAllocatorPlacement(t *testing.T) {
 	rail := testRail(t)
 	a := NewLinkAllocator(rail)
@@ -38,7 +38,7 @@ func TestLinkAllocatorPlacement(t *testing.T) {
 			t.Fatalf("flow %d bytes = %v, want %v", i, flows[i].Bytes, want)
 		}
 	}
-	// Paths must equal the topology's own.
+	// Paths must equal the fabric's own.
 	for i, pair := range [][2]int{
 		{rail.Endpoint(0, 0), rail.Endpoint(0, 1)},
 		{rail.Endpoint(0, 2), rail.Endpoint(1, 3)},
@@ -78,7 +78,7 @@ func TestLinkAllocatorSolves(t *testing.T) {
 		a.Place(rail.Endpoint(0, s), rail.Endpoint(0, (s+1)%servers), 8*unit.MB)
 	}
 	var sim netsim.Sim[int]
-	res, err := sim.Run(a.Flows(), a.Capacities())
+	res, err := sim.Run(a.Flows(), rail.Capacities())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,3 +1,12 @@
+// Package topo is the rail-optimized fabric the rail campaign drives
+// at 10k+ endpoints: endpoints joined by dense-integer-id directed
+// links with capacities, over which a transfer follows a
+// deterministic link path.
+//
+// Link ids are dense in [0, Links()), so they intern trivially as
+// netsim resources and index flat arrays in hot loops; AppendPath is
+// append-style so callers building millions of flows can share one
+// backing arena and keep path construction allocation-free.
 package topo
 
 import (
@@ -42,9 +51,6 @@ func NewRail(rails, servers int, railBW, busBW unit.BitRate) (*Rail, error) {
 	return &Rail{rails: rails, servers: servers, railBW: railBW, busBW: busBW}, nil
 }
 
-// Name returns "rail".
-func (r *Rail) Name() string { return "rail" }
-
 // Endpoints returns rails * servers; endpoint ids are rail-major:
 // id = rail*servers + server.
 func (r *Rail) Endpoints() int { return r.rails * r.servers }
@@ -65,12 +71,25 @@ func (r *Rail) LinkCapacity(link int) unit.BitRate {
 	return r.busBW
 }
 
-// AppendPath appends the links of the deterministic route from src to
-// dst. Endpoint ids are rail-major; see the type comment for the
-// path shapes.
+// Capacities materializes the link capacities as the
+// resource-capacity map netsim.Sim.Run consumes, keyed by dense link
+// id.
+func (r *Rail) Capacities() map[int]unit.BitRate {
+	caps := make(map[int]unit.BitRate, r.Links())
+	for l := 0; l < r.Links(); l++ {
+		caps[l] = r.LinkCapacity(l)
+	}
+	return caps
+}
+
+// AppendPath appends the link ids a transfer from src to dst crosses,
+// in traversal order, and returns the extended slice; a self-path
+// appends nothing. Endpoint ids are rail-major; see the type comment
+// for the path shapes. It panics on an out-of-range endpoint, so path
+// bugs surface at the call site instead of as silent bogus link ids.
 func (r *Rail) AppendPath(buf []int, src, dst int) []int {
-	checkEndpoint(r, src)
-	checkEndpoint(r, dst)
+	r.checkEndpoint(src)
+	r.checkEndpoint(dst)
 	if src == dst {
 		return buf
 	}
@@ -81,4 +100,11 @@ func (r *Rail) AppendPath(buf []int, src, dst int) []int {
 		return append(buf, src, e+dst)
 	}
 	return append(buf, 2*e+s1, r2*r.servers+s1, e+dst)
+}
+
+// checkEndpoint panics on an out-of-range endpoint.
+func (r *Rail) checkEndpoint(e int) {
+	if e < 0 || e >= r.Endpoints() {
+		panic(fmt.Sprintf("topo: endpoint %d out of range [0, %d) on the rail fabric", e, r.Endpoints()))
+	}
 }

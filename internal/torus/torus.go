@@ -210,30 +210,6 @@ func (t *Torus) LinkDim(l Link) int {
 	return dim
 }
 
-// AllLinks enumerates every directed link of the torus. Dimensions of
-// extent 1 have no links; dimensions of extent 2 have exactly two
-// directed links per chip pair (one each way), not four — the
-// "wrap-around" of an extent-2 ring is the same physical cable.
-func (t *Torus) AllLinks() []Link {
-	var links []Link
-	for i := 0; i < t.Size(); i++ {
-		for d := 0; d < t.Dims(); d++ {
-			e := t.shape[d]
-			if e == 1 {
-				continue
-			}
-			// Each directed link is emitted exactly once, by its From
-			// chip. For e == 2 the +1 and -1 neighbors coincide, so
-			// emitting both would duplicate the pair's links.
-			links = append(links, Link{From: i, To: t.Neighbor(i, d, +1)})
-			if e > 2 {
-				links = append(links, Link{From: i, To: t.Neighbor(i, d, -1)})
-			}
-		}
-	}
-	return links
-}
-
 // Line returns the chips along dimension d passing through chip i, in
 // increasing coordinate order starting from coordinate 0. The line has
 // Extent(d) chips.

@@ -125,46 +125,6 @@ func TestLinkReverseAndString(t *testing.T) {
 	}
 }
 
-func TestAllLinksCount(t *testing.T) {
-	// 4x4x4: each chip has 6 ports (+/- per dimension) -> 64*6 = 384
-	// directed links, each emitted exactly once.
-	tor := New(Shape{4, 4, 4})
-	links := tor.AllLinks()
-	if len(links) != 384 {
-		t.Fatalf("links = %d, want 384", len(links))
-	}
-	set := make(map[Link]bool, len(links))
-	for _, l := range links {
-		if set[l] {
-			t.Fatalf("duplicate link %v", l)
-		}
-		set[l] = true
-	}
-	for _, l := range links {
-		if !set[l.Reverse()] {
-			t.Fatalf("reverse of %v missing", l)
-		}
-	}
-}
-
-func TestAllLinksExtent2(t *testing.T) {
-	// Extent-2 dimension: exactly two directed links per pair, not four.
-	tor := New(Shape{2})
-	links := tor.AllLinks()
-	if len(links) != 2 {
-		t.Fatalf("links on a 2-torus = %v, want exactly [0->1, 1->0]", links)
-	}
-}
-
-func TestAllLinksExtent1(t *testing.T) {
-	tor := New(Shape{1, 4})
-	for _, l := range tor.AllLinks() {
-		if tor.LinkDim(l) == 0 {
-			t.Fatalf("extent-1 dimension produced link %v", l)
-		}
-	}
-}
-
 func TestLine(t *testing.T) {
 	tor := New(Shape{4, 4, 4})
 	chip := tor.Index(Coord{2, 1, 3})
